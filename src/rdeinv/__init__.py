@@ -1,6 +1,6 @@
 """Rough differential equations and recovery of their drivers from flow data.
 
-The package has five layers:
+The package has five layers over one file-format module:
 
 * roughpath    -- level-2 weakly geometric rough paths on grids (Chen algebra,
                   lifts of sampled and Brownian signals, norms, CSV I/O)
@@ -8,6 +8,7 @@ The package has five layers:
 * rde          -- second-order Euler and log-ODE integrators, flow observation
 * reconstruct  -- rank test, local recovery of (increment, area), stitching
 * systems      -- named example systems addressable from the CLI
+* io           -- the CSV table syntax that every file format shares
 """
 
 from .errors import (

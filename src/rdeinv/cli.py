@@ -2,13 +2,11 @@
 
 Experiments are reproducible by file (INI config with sections) and tweakable
 by hand: any config key can be overridden with --set SECTION.KEY=VALUE, and
-the common keys have dedicated flags.  Interval jobs and Brownian seeds fan
-out to a thread pool (worker count from RDEINV_WORKERS, default: available
-parallelism); results are collected by index, so output files do not depend
-on scheduling.
+the common keys have dedicated flags.
 
 Exit codes: 0 success, 1 numerical failure (machine-readable error JSON on
-stdout), 2 domain error, 64 usage error.
+stdout), 2 domain error, 64 usage error (bad flags or config values, and
+missing, unreadable or malformed files).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +31,7 @@ from .errors import (
     NotConverged,
     RankDeficient,
 )
+from .io import fmt, write_table
 from .systems import SYSTEM_BUILDERS
 
 EXIT_OK = 0
@@ -46,19 +44,6 @@ class UsageError(Exception):
     """Bad flags, config values or file contents."""
 
 
-def _workers():
-    raw = os.environ.get("RDEINV_WORKERS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"RDEINV_WORKERS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise UsageError("RDEINV_WORKERS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def _parse_vector(text):
     try:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
@@ -68,6 +53,15 @@ def _parse_vector(text):
 
 def _parse_points(text):
     return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
+
+
+def _parse_intervals(text):
+    """'s,t;s,t;...' as a list of (s, t) pairs, each with s < t."""
+    pairs = _parse_points(text)
+    for pair in pairs:
+        if len(pair) != 2 or not pair[0] < pair[1]:
+            raise UsageError(f"bad interval {pair}; need s < t")
+    return pairs
 
 
 def _build_system(name, ell=2, dim=2, kohn_d=2):
@@ -154,7 +148,7 @@ _CFG_CASTS = {
     ("schedule", "t"): ("t", float),
     ("schedule", "n"): ("n_intervals", int),
     ("schedule", "levels"): ("levels", int),
-    ("schedule", "intervals"): ("intervals", lambda s: [_parse_vector(c) for c in s.split(";") if c.strip()]),
+    ("schedule", "intervals"): ("intervals", _parse_intervals),
     ("solver", "n_internal"): ("n_internal", int),
     ("solver", "n_sub"): ("n_sub", int),
     ("solver", "max_iter"): ("max_iter", int),
@@ -196,7 +190,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
         cfg.points = _parse_points(args.points)
         cfg.points_mode = "explicit"
     if getattr(args, "intervals", None):
-        cfg.intervals = [_parse_vector(c) for c in args.intervals.split(";") if c.strip()]
+        cfg.intervals = _parse_intervals(args.intervals)
         cfg.schedule_kind = "explicit"
     return cfg
 
@@ -216,8 +210,8 @@ def _build_driver(cfg: ExperimentConfig, seed=None) -> roughpath.GridRoughPath:
         times = np.linspace(0.0, cfg.horizon, cfg.driver_n + 1)
         return roughpath.make_linear_rough_path(cfg.linear_v, cfg.ell, times, cfg.alpha)
     if kind == "file":
-        if not cfg.driver_file or not os.path.exists(cfg.driver_file):
-            raise UsageError(f"driver file {cfg.driver_file!r} does not exist")
+        if not cfg.driver_file:
+            raise UsageError("driver.kind = file needs driver.file")
         return roughpath.read_path_csv(cfg.driver_file, cfg.alpha)
     raise UsageError(f"unknown driver kind {kind!r}")
 
@@ -253,17 +247,16 @@ def _grid_index(path, time, what):
     return idx
 
 
+def _grid_pairs(path, intervals):
+    return [(_grid_index(path, s, "s"), _grid_index(path, t, "t")) for s, t in intervals]
+
+
 def _schedule(cfg: ExperimentConfig, path) -> list:
     """Interval list [(i, j)] of grid indices for the configured schedule."""
     if cfg.schedule_kind == "explicit":
         if not cfg.intervals:
             raise UsageError("schedule.kind = explicit but no intervals given")
-        out = []
-        for pair in cfg.intervals:
-            if len(pair) != 2 or not pair[0] < pair[1]:
-                raise UsageError(f"bad interval {pair}; need s < t")
-            out.append((_grid_index(path, pair[0], "s"), _grid_index(path, pair[1], "t")))
-        return out
+        return _grid_pairs(path, cfg.intervals)
     if cfg.schedule_kind == "uniform":
         if cfg.n_intervals < 1:
             raise UsageError("schedule.n must be >= 1")
@@ -318,10 +311,6 @@ def _write_json(data, file):
         fh.write("\n")
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -329,8 +318,8 @@ def _fmt(x):
 def cmd_lift(args):
     alpha = args.alpha if args.alpha is not None else 0.5
     if args.driver == "file":
-        if not args.samples or not os.path.exists(args.samples):
-            raise UsageError(f"samples file {args.samples!r} does not exist")
+        if not args.samples:
+            raise UsageError("--driver file needs --samples")
         raw = roughpath.read_path_csv(args.samples, alpha)
         path = roughpath.lift_piecewise_linear(raw.times, raw.values, alpha)
     elif args.driver == "circle":
@@ -378,18 +367,10 @@ def cmd_observe(args):
         points = np.vstack(system.recommended_points)
     else:
         raise UsageError("no --points given and the system has no recommended points")
-    obs_list = []
-    for pair in (args.intervals or "").split(";"):
-        if not pair.strip():
-            continue
-        vec = _parse_vector(pair)
-        if len(vec) != 2 or not vec[0] < vec[1]:
-            raise UsageError(f"bad interval {pair!r}; need s < t")
-        i = _grid_index(path, vec[0], "s")
-        j = _grid_index(path, vec[1], "t")
-        obs_list.append(
-            rde.observe_flow(system.fields, points, path, i, j, args.n_internal, args.n_sub)
-        )
+    obs_list = [
+        rde.observe_flow(system.fields, points, path, i, j, args.n_internal, args.n_sub)
+        for i, j in _grid_pairs(path, _parse_intervals(args.intervals))
+    ]
     if not obs_list:
         raise UsageError("--intervals is required, e.g. '0,0.5;0.5,1'")
     reconstruct.write_observations_csv(obs_list, args.out)
@@ -397,20 +378,25 @@ def cmd_observe(args):
     return EXIT_OK
 
 
+def _search(system, args):
+    """Greedy point search from the --box-lo/--box-hi (default [-1, 1]^d) flags."""
+    d = system.fields.d
+    return reconstruct.search_points(
+        system.fields,
+        _parse_vector(args.box_lo) if args.box_lo else -np.ones(d),
+        _parse_vector(args.box_hi) if args.box_hi else np.ones(d),
+        args.c_max,
+        args.seed,
+        args.n_trials,
+    )
+
+
 def cmd_rank(args):
     system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
     if args.points:
         points = np.vstack(_parse_points(args.points))
     elif args.search:
-        res = reconstruct.search_points(
-            system.fields,
-            _parse_vector(args.box_lo) if args.box_lo else -np.ones(system.fields.d),
-            _parse_vector(args.box_hi) if args.box_hi else np.ones(system.fields.d),
-            args.c_max,
-            args.seed,
-            args.n_trials,
-        )
-        points = res.points
+        points = _search(system, args).points
     elif system.recommended_points:
         points = np.vstack(system.recommended_points)
     else:
@@ -432,14 +418,7 @@ def cmd_rank(args):
 
 def cmd_search_points(args):
     system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
-    res = reconstruct.search_points(
-        system.fields,
-        _parse_vector(args.box_lo) if args.box_lo else -np.ones(system.fields.d),
-        _parse_vector(args.box_hi) if args.box_hi else np.ones(system.fields.d),
-        args.c_max,
-        args.seed,
-        args.n_trials,
-    )
+    res = _search(system, args)
     report = {
         "system": system.name,
         "m": res.m,
@@ -454,32 +433,13 @@ def cmd_search_points(args):
     return EXIT_OK
 
 
-def _run_intervals(system, path, points, pairs, cfg):
-    """Observe (when simulating) and reconstruct each interval, in index order."""
-
-    def job(pair):
-        i, j = pair
-        obs = rde.observe_flow(
-            system.fields, points, path, i, j, cfg.n_internal, cfg.n_sub
-        )
-        return obs, _reconstruct_one(system, obs, cfg)
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        return list(pool.map(job, pairs))
-
-
 def cmd_reconstruct(args):
     cfg = _load_experiment_config(args)
     system = _build_system(cfg.system, cfg.ell, cfg.dim, cfg.kohn_d)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rank_info = None
     if args.obs:
         obs_list = reconstruct.read_observations_csv(args.obs)
-        points = obs_list[0].base_points
-        rank_info = reconstruct.reconstruction_matrix(system.fields, points)
-        results = []
-        for obs in obs_list:
-            results.append((obs, _reconstruct_one(system, obs, cfg)))
+        rank_info = reconstruct.reconstruction_matrix(system.fields, obs_list[0].base_points)
         path = None
     else:
         path = _build_driver(cfg)
@@ -496,7 +456,11 @@ def cmd_reconstruct(args):
                     file=sys.stderr,
                 )
                 break
-        results = _run_intervals(system, path, points, pairs, cfg)
+        obs_list = [
+            rde.observe_flow(system.fields, points, path, i, j, cfg.n_internal, cfg.n_sub)
+            for i, j in pairs
+        ]
+    results = [(obs, _reconstruct_one(system, obs, cfg)) for obs in obs_list]
     reports = [
         reconstruct.reconstruction_report(res, obs.s, obs.t, rank_info)
         for obs, res in results
@@ -528,14 +492,13 @@ def cmd_reconstruct(args):
         outputs["stitched"] = stitched_file
     if path is not None:
         err_file = os.path.join(cfg.out_dir, "errors.csv")
-        lines = ["s,t,err_x,err_a"]
-        for (obs, res), (i, j) in zip(results, _schedule(cfg, path)):
+        rows = []
+        for (obs, res), (i, j) in zip(results, pairs):
             truth = path.increment(i, j)
             err_x = np.linalg.norm(res.a_hat - truth.x)
             err_a = np.linalg.norm(res.b_hat - truth.a)
-            lines.append(f"{_fmt(obs.s)},{_fmt(obs.t)},{_fmt(err_x)},{_fmt(err_a)}")
-        with open(err_file, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            rows.append([obs.s, obs.t, err_x, err_a])
+        write_table(err_file, ["s", "t", "err_x", "err_a"], rows)
         outputs["errors"] = err_file
     print(json.dumps({"outputs": outputs, "n_intervals": len(reports)}, sort_keys=True))
     return EXIT_OK
@@ -548,7 +511,8 @@ def cmd_convergence(args):
         cfg.schedule_kind = "dyadic"
     seeds = [cfg.seed + k for k in range(max(1, cfg.n_seeds))]
 
-    def one_seed(seed):
+    per_seed = []
+    for seed in seeds:
         path = _build_driver(cfg, seed=seed)
         points = _resolve_points(cfg, system)
         pairs = _schedule(cfg, path)
@@ -566,10 +530,7 @@ def cmd_convergence(args):
                     float(np.linalg.norm(res.b_hat - truth.a)),
                 )
             )
-        return rows
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        per_seed = list(pool.map(one_seed, seeds))
+        per_seed.append(rows)
     lengths = [row[0] for row in per_seed[0]]
     err_x = np.median([[row[1] for row in rows] for rows in per_seed], axis=0)
     err_a = np.median([[row[2] for row in rows] for rows in per_seed], axis=0)
@@ -580,10 +541,10 @@ def cmd_convergence(args):
         if k == 0 or degenerate or total[k] == 0 or total[k - 1] == 0:
             slope = ""
         else:
-            slope = _fmt(
+            slope = fmt(
                 float(np.log(total[k - 1] / total[k]) / np.log(lengths[k - 1] / lengths[k]))
             )
-        lines.append(f"{_fmt(lengths[k])},{_fmt(err_x[k])},{_fmt(err_a[k])},{slope}")
+        lines.append(f"{fmt(lengths[k])},{fmt(err_x[k])},{fmt(err_a[k])},{slope}")
     if degenerate:
         summary = "# slope=nan status=degenerate (errors at solver tolerance)"
         slope_overall = None
@@ -596,7 +557,7 @@ def cmd_convergence(args):
                     float(np.polyfit(np.log([r[0] for r in rows]), np.log(errs), 1)[0])
                 )
         slope_overall = float(np.median(slopes)) if slopes else float("nan")
-        summary = f"# slope={_fmt(slope_overall)} status=ok seeds={len(seeds)}"
+        summary = f"# slope={fmt(slope_overall)} status=ok seeds={len(seeds)}"
     lines.append(summary)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -728,7 +689,7 @@ def main(argv=None) -> int:
     except (RankDeficient, NotConverged, NonFinite) as exc:
         _error_json(exc)
         return EXIT_NUMERIC
-    except (InvalidGrid, InvalidParameter, DimensionMismatch, IndexOutOfRange) as exc:
+    except (InvalidGrid, InvalidParameter, DimensionMismatch, IndexOutOfRange, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,0 +1,72 @@
+"""The table syntax shared by every rdeinv CSV file.
+
+A table is a header line of comma-separated column names followed by one line
+per row, each with exactly one finite number per header column.  Numbers are
+written with 17 significant digits, which is enough for every double to read
+back as the same bits.  The path, trajectory and observation formats are
+column layouts over this syntax; a malformed file raises InvalidParameter
+naming the file and the line.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import InvalidParameter
+
+_NUMBER = "%.17g"
+
+
+def fmt(x):
+    """One number in the table syntax."""
+    return _NUMBER % x
+
+
+def numbered(prefix, n):
+    """Column names prefix1 .. prefix<n>."""
+    return [f"{prefix}{i + 1}" for i in range(n)]
+
+
+def write_table(file, header, data):
+    """Write `header` and the rows of the 2-d array `data` (one column per name)."""
+    data = np.asarray(data, dtype=float)
+    row = ",".join([_NUMBER] * len(header))
+    lines = [",".join(header)] + [row % tuple(r) for r in data.tolist()]
+    with open(file, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_table(file):
+    """Header names and the (rows, columns) float array of a table file.
+
+    Every data row must have one cell per header name, every cell must parse
+    as a finite float, and at least one data row must follow the header.
+    Line k of the file is data row k - 2.
+    """
+    try:
+        with open(file, "r") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{file}: not a text file ({exc.reason})") from exc
+    if len(lines) < 2:
+        raise InvalidParameter(f"{file}:1: expected a header line and at least one data row")
+    header = [name.strip() for name in lines[0].split(",")]
+    data = np.empty((len(lines) - 1, len(header)))
+    for r, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise InvalidParameter(
+                f"{file}:{r + 2}: {len(cells)} cells, the header has {len(header)}"
+            )
+        try:
+            data[r] = [float(cell) for cell in cells]
+        except ValueError as exc:
+            raise InvalidParameter(f"{file}:{r + 2}: {exc}") from None
+    nonfinite = np.argwhere(~np.isfinite(data))
+    if nonfinite.size:
+        r, col = nonfinite[0]
+        raise InvalidParameter(
+            f"{file}:{r + 2}: non-finite value in column {header[col]!r}"
+        )
+    return header, data
+

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -163,6 +164,8 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     if method not in _STEPPERS:
         raise InvalidParameter(f"method must be one of {sorted(_STEPPERS)}, got {method!r}")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (V.d,):
+        raise DimensionMismatch(f"x0 must have shape {(V.d,)}, got {x0.shape}")
     states = np.empty((path.n + 1, V.d))
     states[0] = x0
     z = x0
@@ -205,27 +208,15 @@ def observe_flow(
     return ObservationSet(points, float(path.times[i]), float(path.times[j]), observed)
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(traj: Trajectory, file):
     """Write a trajectory to CSV with header t,x1,...,xd."""
-    d = traj.states.shape[1]
-    lines = [",".join(["t"] + [f"x{i+1}" for i in range(d)])]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    with open(file, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t"] + io.numbered("x", traj.states.shape[1])
+    io.write_table(file, header, np.column_stack([traj.times, traj.states]))
 
 
 def read_trajectory_csv(file) -> Trajectory:
     """Read a trajectory CSV written by write_trajectory_csv."""
-    with open(file, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("t,"):
-        raise InvalidParameter(f"{file}: not a trajectory CSV")
-    data = np.vstack(
-        [np.array([float(x) for x in ln.split(",")]) for ln in lines[1:]]
-    )
+    header, data = io.read_table(file)
+    if len(header) < 2 or header != ["t"] + io.numbered("x", len(header) - 1):
+        raise InvalidParameter(f"{file}:1: header must be t,x1..xd, got {','.join(header)!r}")
     return Trajectory(data[:, 0], data[:, 1:])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .errors import (
     DegenerateField,
     DimensionMismatch,
@@ -526,8 +527,8 @@ def reconstruction_report(result: ReconstructionResult, s, t, matrix: Reconstruc
     }
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _observations_header(d):
+    return ["s", "t", "point_id"] + io.numbered("y", d) + io.numbered("z", d)
 
 
 def write_observations_csv(obs_list, file):
@@ -535,53 +536,44 @@ def write_observations_csv(obs_list, file):
     obs_list = list(obs_list)
     if not obs_list:
         raise InvalidParameter("need at least one observation set")
-    d = obs_list[0].base_points.shape[1]
-    header = (
-        ["s", "t", "point_id"]
-        + [f"y{i+1}" for i in range(d)]
-        + [f"z{i+1}" for i in range(d)]
-    )
-    lines = [",".join(header)]
-    for obs in obs_list:
-        for pid in range(obs.c):
-            row = [_fmt(obs.s), _fmt(obs.t), str(pid)]
-            row += [_fmt(v) for v in obs.base_points[pid]]
-            row += [_fmt(v) for v in obs.observed[pid]]
-            lines.append(",".join(row))
-    with open(file, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [
+        [obs.s, obs.t, pid, *obs.base_points[pid], *obs.observed[pid]]
+        for obs in obs_list
+        for pid in range(obs.c)
+    ]
+    io.write_table(file, _observations_header(obs_list[0].base_points.shape[1]), rows)
 
 
 def read_observations_csv(file):
-    """Read observation sets grouped by interval, ordered by interval start.
+    """Read observation sets, one per interval, ordered by interval start.
 
-    Base points must be consistent across intervals (the reconstruction
-    matrix is shared); a mismatch raises InvalidParameter.
+    Each interval is one block of consecutive rows with point ids 0..c-1 in
+    order, so a repeated interval or point id is an error.  Base points must
+    be consistent across intervals (the reconstruction matrix is shared); a
+    mismatch raises InvalidParameter.
     """
-    with open(file, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("s,t,point_id"):
-        raise InvalidParameter(f"{file}: not an observation CSV")
-    header = lines[0].split(",")
+    header, data = io.read_table(file)
     d = (len(header) - 3) // 2
-    groups = {}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        s, t = float(cells[0]), float(cells[1])
-        pid = int(cells[2])
-        y = np.array([float(v) for v in cells[3 : 3 + d]])
-        z = np.array([float(v) for v in cells[3 + d : 3 + 2 * d]])
-        groups.setdefault((s, t), {})[pid] = (y, z)
+    if d < 1 or header != _observations_header(d):
+        raise InvalidParameter(
+            f"{file}:1: header must be s,t,point_id,y1..yd,z1..zd, got {','.join(header)!r}"
+        )
+    blocks = {}  # (s, t) -> data rows of that interval
+    for r, (s, t, pid) in enumerate(data[:, :3].tolist()):
+        rows = blocks.setdefault((s, t), [])
+        if pid != len(rows) or (rows and rows[-1] != r - 1):
+            raise InvalidParameter(
+                f"{file}:{r + 2}: interval [{io.fmt(s)}, {io.fmt(t)}] has point id {io.fmt(pid)} "
+                "here; each interval is one block of point ids 0..c-1"
+            )
+        rows.append(r)
     obs_list = []
-    base_ref = None
-    for (s, t) in sorted(groups):
-        rows = groups[(s, t)]
-        pids = sorted(rows)
-        base = np.vstack([rows[p][0] for p in pids])
-        observed = np.vstack([rows[p][1] for p in pids])
-        if base_ref is None:
-            base_ref = base
-        elif base.shape != base_ref.shape or np.max(np.abs(base - base_ref)) > 1e-12:
+    for (s, t), rows in sorted(blocks.items()):
+        base, observed = data[rows, 3 : 3 + d], data[rows, 3 + d :]
+        if obs_list and (
+            base.shape != obs_list[0].base_points.shape
+            or np.max(np.abs(base - obs_list[0].base_points)) > 1e-12
+        ):
             raise InvalidParameter(
                 f"{file}: base points differ between intervals; they must be shared"
             )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidGrid, InvalidParameter
 
 # Symmetric residue above this threshold signals a caller bug rather than
@@ -281,22 +282,30 @@ def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
 
 
 def area_components(a):
-    """Strict upper triangle of an antisymmetric matrix, pairs (j,k) with j<k row by row."""
+    """Strict upper triangle of an antisymmetric matrix, pairs (j,k) with j<k row by row.
+
+    Leading axes are kept: a stack of (ell, ell) matrices gives a stack of vectors.
+    """
     a = np.asarray(a, dtype=float)
-    return a[np.triu_indices(a.shape[0], 1)]
+    j, k = np.triu_indices(a.shape[-1], 1)
+    return a[..., j, k]
 
 
 def area_matrix(components, ell):
-    """Antisymmetric matrix whose strict upper triangle is `components` (inverse of area_components)."""
+    """Antisymmetric matrix whose strict upper triangle is `components` (inverse of area_components).
+
+    Leading axes are kept: a stack of component vectors gives a stack of matrices.
+    """
     components = np.asarray(components, dtype=float)
     expected = ell * (ell - 1) // 2
-    if components.shape != (expected,):
+    if components.shape[-1:] != (expected,):
         raise DimensionMismatch(
             f"need {expected} area components for ell={ell}, got {components.shape}"
         )
-    a = np.zeros((ell, ell))
-    a[np.triu_indices(ell, 1)] = components
-    return a - a.T
+    a = np.zeros(components.shape[:-1] + (ell, ell))
+    j, k = np.triu_indices(ell, 1)
+    a[..., j, k] = components
+    return a - np.swapaxes(a, -1, -2)
 
 
 def make_linear_rough_path(v, ell, times, alpha=0.5) -> GridRoughPath:
@@ -374,8 +383,11 @@ def holder_norms(path: GridRoughPath, alpha=None) -> HolderNorms:
     return HolderNorms(sup_norm, holder1, holder2)
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _path_header(ell, with_areas):
+    header = ["t"] + io.numbered("X", ell)
+    if with_areas:
+        header += [f"A{j + 1}{k + 1}" for j in range(ell) for k in range(j + 1, ell)]
+    return header
 
 
 def write_path_csv(path: GridRoughPath, file):
@@ -383,55 +395,25 @@ def write_path_csv(path: GridRoughPath, file):
 
     Row i carries the step area of [t_{i-1}, t_i]; the first row is zeros.
     """
-    ell = path.ell
-    pairs = [(j, k) for j in range(ell) for k in range(j + 1, ell)]
-    header = ["t"] + [f"X{i+1}" for i in range(ell)]
-    header += [f"A{j+1}{k+1}" for j, k in pairs]
-    lines = [",".join(header)]
-    for i in range(path.n + 1):
-        row = [_fmt(path.times[i])] + [_fmt(x) for x in path.values[i]]
-        if pairs:
-            area = np.zeros(len(pairs)) if i == 0 else area_components(path.step_areas[i - 1])
-            row += [_fmt(x) for x in area]
-        lines.append(",".join(row))
-    with open(file, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    areas = area_components(path.step_areas)
+    areas = np.vstack([np.zeros((1, areas.shape[1])), areas])
+    data = np.column_stack([path.times, path.values, areas])
+    io.write_table(file, _path_header(path.ell, path.ell > 1), data)
 
 
 def read_path_csv(file, alpha=0.5) -> GridRoughPath:
     """Read a path CSV written by write_path_csv.
 
-    Area columns are optional; without them the result is the piecewise-linear
-    lift of the sampled values.  alpha is not stored in the file and must be
-    supplied by the caller.
+    The header must be exactly t,X1..Xl or t,X1..Xl,A12,A13,..; without area
+    columns the result is the piecewise-linear lift of the sampled values.
+    alpha is not stored in the file and must be supplied by the caller.
     """
-    with open(file, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InvalidGrid(f"{file}: empty path file")
-    header = lines[0].split(",")
-    if header[0] != "t":
-        raise InvalidGrid(f"{file}: first column must be 't', got {header[0]!r}")
-    ell = 0
-    for name in header[1:]:
-        if name.startswith("X"):
-            ell += 1
-        else:
-            break
-    if ell == 0:
-        raise InvalidGrid(f"{file}: no X columns found")
-    n_pairs = ell * (ell - 1) // 2
-    has_areas = len(header) == 1 + ell + n_pairs and n_pairs > 0
-    if len(header) != 1 + ell and not has_areas:
-        raise InvalidGrid(f"{file}: expected {1 + ell} or {1 + ell + n_pairs} columns")
-    rows = [np.array([float(x) for x in ln.split(",")]) for ln in lines[1:]]
-    data = np.vstack(rows)
-    times = data[:, 0]
-    values = data[:, 1 : 1 + ell]
-    if has_areas:
-        n = times.size - 1
-        comps = data[1:, 1 + ell :]
-        step_areas = np.stack([area_matrix(comps[i], ell) for i in range(n)])
-    else:
-        step_areas = None
-    return GridRoughPath(times, values, step_areas, alpha)
+    header, data = io.read_table(file)
+    ell = sum(name.startswith("X") for name in header)
+    with_areas = len(header) > 1 + ell
+    if ell == 0 or header != _path_header(ell, with_areas):
+        raise InvalidGrid(
+            f"{file}:1: header must be t,X1..Xl[,A12,A13,...], got {','.join(header)!r}"
+        )
+    step_areas = area_matrix(data[1:, 1 + ell :], ell) if with_areas else None
+    return GridRoughPath(data[:, 0], data[:, 1 : 1 + ell], step_areas, alpha)

@@ -410,3 +410,62 @@ class TestUsage:
     def test_missing_subcommand_is_usage(self, capsys):
         assert main([]) == 64
         capsys.readouterr()
+
+
+PATH_HEAD = "t,X1,X2,A12\n0,0,0,0\n"
+OBS_HEAD = "s,t,point_id,y1,y2,y3,z1,z2,z3\n"
+
+
+def obs_row(pid, s=0.0):
+    return f"{s},{s + 0.5},{pid},0,0,0,0.1,0.2,0.05\n"
+
+
+# name -> (command, file text or None for a missing file, text expected on stderr)
+MALFORMED = {
+    "ragged_row": ("solve", PATH_HEAD + "0.5,1,2\n", None),
+    "non_numeric_cell": ("solve", PATH_HEAD + "0.5,1,x,0\n", None),
+    "nan_cell": ("solve", PATH_HEAD + "0.5,nan,2,0\n", None),
+    "inf_cell": ("solve", PATH_HEAD + "0.5,1,2,-inf\n", None),
+    "header_only": ("solve", "t,X1,X2,A12\n", None),
+    "not_utf8": ("solve", PATH_HEAD + "0.5,1,2,\xff\n", None),
+    "missing_path": ("solve", None, None),
+    "area_column_not_a12": ("solve", "t,X1,X2,B12\n0,0,0,0\n0.5,1,2,0\n", None),
+    "missing_obs": ("reconstruct", None, None),
+    "obs_ragged_row": ("reconstruct", OBS_HEAD + obs_row(0).rsplit(",", 1)[0] + "\n", None),
+    "repeated_interval": ("reconstruct", OBS_HEAD + obs_row(0) + obs_row(1) + obs_row(0)
+                          + obs_row(1), None),
+    "repeated_point_id": ("reconstruct", OBS_HEAD + obs_row(0) + obs_row(1) + obs_row(1), None),
+    "interleaved_intervals": ("reconstruct", OBS_HEAD + obs_row(0) + obs_row(0, s=1.0)
+                              + obs_row(1) + obs_row(1, s=1.0), None),
+    "non_integer_point_id": ("reconstruct", OBS_HEAD + obs_row(0.5), None),
+    "x0_wrong_length": ("solve", PATH_HEAD + "0.5,1,2,0\n", "x0"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_usage_error_names_the_input(self, case, capsys, tmp_path):
+        command, text, needle = MALFORMED[case]
+        file = tmp_path / "input.csv"
+        if text is not None:
+            file.write_bytes(text.encode("latin-1"))
+        if command == "solve":
+            argv = ["solve", "--system", "unicycle", "--path", str(file),
+                    "--out", str(tmp_path / "traj.csv")]
+            if case == "x0_wrong_length":
+                argv += ["--x0", "1,2"]
+        else:
+            argv = ["reconstruct", "--system", "unicycle", "--obs", str(file),
+                    "--out-dir", str(tmp_path / "out")]
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert err.startswith("usage error:")
+        assert (needle or str(file)) in err
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(capsys, "lift", "--driver", "circle", "--n", "4",
+                           "--out", str(blocker / "path.csv"))
+        assert code == 64
+        assert err.startswith("usage error:") and "path.csv" in err

@@ -1,0 +1,175 @@
+"""Property tests of the CSV formats: bitwise round trips and a fuzz over damaged files."""
+
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rdeinv.cli import main
+from rdeinv.io import numbered, write_table
+from rdeinv.rde import ObservationSet, Trajectory, read_trajectory_csv, write_trajectory_csv
+from rdeinv.reconstruct import read_observations_csv, write_observations_csv
+from rdeinv.roughpath import (
+    GridRoughPath,
+    area_matrix,
+    lift_piecewise_linear,
+    read_path_csv,
+    write_path_csv,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# areas are antisymmetrized on construction, which doubles them first
+areas = st.floats(min_value=-1e300, max_value=1e300)
+
+
+def matrix(draw, rows, cols, elements=finite):
+    cells = draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=float).reshape(rows, cols)
+
+
+def strictly_increasing(draw, n):
+    return np.array(sorted(draw(st.lists(finite, min_size=n, max_size=n, unique=True))))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def grid_paths(draw):
+    ell = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    comps = matrix(draw, n, ell * (ell - 1) // 2, areas)
+    return GridRoughPath(
+        strictly_increasing(draw, n + 1), matrix(draw, n + 1, ell), area_matrix(comps, ell), 0.4
+    )
+
+
+@PROPERTY
+@given(grid_paths())
+def test_path_csv_roundtrip_bitwise(path):
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "path.csv"
+        write_path_csv(path, file)
+        back = read_path_csv(file, alpha=0.4)
+    for attr in ("times", "values", "step_areas"):
+        assert same_bits(getattr(back, attr), getattr(path, attr)), attr
+
+
+@PROPERTY
+@given(st.data())
+def test_path_csv_without_areas_is_the_linear_lift(data):
+    ell = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 5))
+    times = strictly_increasing(data.draw, n + 1)
+    values = matrix(data.draw, n + 1, ell)
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "plain.csv"
+        write_table(file, ["t"] + numbered("X", ell), np.column_stack([times, values]))
+        back = read_path_csv(file)
+    want = lift_piecewise_linear(times, values)
+    for attr in ("times", "values", "step_areas"):
+        assert same_bits(getattr(back, attr), getattr(want, attr)), attr
+
+
+@PROPERTY
+@given(st.data())
+def test_trajectory_csv_roundtrip_bitwise(data):
+    n = data.draw(st.integers(1, 6))
+    d = data.draw(st.integers(1, 4))
+    traj = Trajectory(matrix(data.draw, n, 1)[:, 0], matrix(data.draw, n, d))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "traj.csv"
+        write_trajectory_csv(traj, file)
+        back = read_trajectory_csv(file)
+    assert same_bits(back.times, traj.times) and same_bits(back.states, traj.states)
+
+
+@PROPERTY
+@given(st.data())
+def test_observation_csv_roundtrip_bitwise(data):
+    c = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    base = matrix(data.draw, c, d)
+    starts = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k, unique=True))
+    obs = [
+        ObservationSet(base, s, s + data.draw(st.floats(1e-3, 1e3)), matrix(data.draw, c, d))
+        for s in starts
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "obs.csv"
+        write_observations_csv(obs, file)
+        back = read_observations_csv(file)
+    want = sorted(obs, key=lambda o: o.s)
+    assert [(o.s, o.t) for o in back] == [(o.s, o.t) for o in want]
+    for a, b in zip(back, want):
+        assert same_bits(a.base_points, b.base_points) and same_bits(a.observed, b.observed)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: damaged files must give a documented exit code, never an exception
+
+OBS_INTERVALS = "0,0.78539816339744828;0.78539816339744828,1.5707963267948966"
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("valid")
+    path, obs = tmp / "path.csv", tmp / "obs.csv"
+    assert main(["lift", "--driver", "circle", "--n", "8", "--out", str(path)]) == 0
+    assert main(["observe", "--system", "rolling_ball", "--path", str(path),
+                 "--points", "1,0,0,0,1,0,0,0,1;0,1,0,-1,0,0,0,0,1",
+                 "--intervals", OBS_INTERVALS, "--n-internal", "1", "--n-sub", "1",
+                 "--out", str(obs)]) == 0
+    return {"path": path.read_text(), "obs": obs.read_text()}
+
+
+@st.composite
+def damage(draw, text):
+    """Truncate the text, replace one character, or drop one line."""
+    how = draw(st.sampled_from(["truncate", "garble", "drop"]))
+    if how == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "garble":
+        k = draw(st.integers(0, len(text) - 1))
+        return text[:k] + draw(st.sampled_from(list("0159-+.,eEx \n;"))) + text[k + 1 :]
+    lines = text.splitlines(keepends=True)
+    k = draw(st.integers(0, len(lines) - 1))
+    return "".join(lines[:k] + lines[k + 1 :])
+
+
+def commands(kind, file, out):
+    if kind == "path":
+        return [
+            ["solve", "--system", "unicycle", "--path", file, "--method", "euler2",
+             "--out", f"{out}/traj.csv"],
+            ["observe", "--system", "rolling_ball", "--path", file, "--intervals",
+             OBS_INTERVALS, "--n-internal", "1", "--n-sub", "1", "--out", f"{out}/obs.csv"],
+        ]
+    return [["reconstruct", "--system", "rolling_ball", "--obs", file, "--out-dir", f"{out}/rec"]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_damaged_files_exit_with_documented_codes(valid_files, data):
+    kind = data.draw(st.sampled_from(sorted(valid_files)))
+    text = data.draw(damage(valid_files[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / f"{kind}.csv"
+        file.write_text(text)
+        for argv in commands(kind, str(file), tmp):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            assert code in (0, 1, 2, 64), (argv[0], code)
+            assert code != 64 or err.startswith("usage error:"), err
