@@ -4,8 +4,8 @@ The package has five layers over one file-format module:
 
 * roughpath    -- level-2 weakly geometric rough paths on grids (Chen algebra,
                   lifts of sampled and Brownian signals, norms, CSV I/O)
-* vectorfields -- field sets with Jacobians, Lie brackets, point stacking
-* rde          -- second-order Euler and log-ODE integrators, flow observation
+* vectorfields -- batched field sets with Jacobians, Lie brackets, point stacking
+* rde          -- second-order Euler and batched log-ODE integrators, flow observation
 * reconstruct  -- rank test, local recovery of (increment, area), stitching
 * systems      -- named example systems addressable from the CLI
 * io           -- the CSV table syntax that every file format shares
@@ -29,8 +29,10 @@ from .rde import (
     ObservationSet,
     Trajectory,
     euler2_step,
+    logode_flow,
     logode_step,
     observe_flow,
+    observe_flows,
     solve,
 )
 from .reconstruct import (
@@ -110,9 +112,11 @@ __all__ = [
     "lift_piecewise_linear",
     "local_reconstruct_flow",
     "local_reconstruct_taylor",
+    "logode_flow",
     "logode_step",
     "make_linear_rough_path",
     "observe_flow",
+    "observe_flows",
     "reconstruction_matrix",
     "refine",
     "rolling_ball",

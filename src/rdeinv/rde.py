@@ -2,9 +2,10 @@
 
 Two one-step schemes are provided: the second-order Euler step (level-1 term
 plus second-level correction) and the log-ODE step (time-1 RK4 flow of the
-frozen field built from the increment and the field brackets).  Both are pure
-functions of their inputs; trajectories for distinct starting points or
-intervals can be computed in parallel with identical results.
+frozen field built from the increment and the field brackets).  The log-ODE
+flow is batched: `logode_flow` steps an (N, d) stack of states in lockstep,
+each row with its own increment, and flow observation stacks every base
+point and every driver path into one such run.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -87,69 +88,62 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
     """
     x = _check_step_inputs(V, x, inc)
     fields = V.fields_at(x)
-    out = x + inc.x @ fields
-    xx = inc.second_level
-    for k in range(V.ell):
-        out = out + V.jacobian(k, x) @ (xx[:, k] @ fields)
-    return out
+    level1 = inc.x @ fields
+    # pulled[k] = sum_j XX^{jk} V_j = 0.5 x^k level1 - (a V)_k, as a is antisymmetric
+    pulled = 0.5 * inc.x[:, None] * level1 - inc.a @ fields
+    jacs = V.jacobians_at(x)
+    return x + level1 + jacs.swapaxes(0, 1).reshape(V.d, -1) @ pulled.ravel()
 
 
-def _frozen_field(V: VectorFieldSet, inc: RoughIncrement):
-    """Autonomous field x^i V_i + a^{jk} [V_j, V_k] (sum over j < k)."""
-    x_inc = inc.x
-    pairs = [
-        (j, k, inc.a[j, k])
-        for j in range(V.ell)
-        for k in range(j + 1, V.ell)
-        if inc.a[j, k] != 0.0
-    ]
-    evals = V._evals  # bypass per-call shape checks in the RK4 inner loop
+def logode_flow(V: VectorFieldSet, z, x, a, n_sub=16):
+    """Time-1 maps of the frozen fields x^i V_i + sum_{j<k} a^{jk} [V_j, V_k], row by row.
 
-    if not pairs:
-
-        def field(z):
-            out = x_inc[0] * evals[0](z)
-            for i in range(1, len(evals)):
-                if x_inc[i] != 0.0:
-                    out += x_inc[i] * evals[i](z)
-            return out
-
-        return field
-
-    def field(z):
-        fields = V.fields_at(z)
-        jacs = V.jacobians_at(z)
-        out = x_inc @ fields
-        for j, k, w in pairs:
-            out = out + w * (jacs[k] @ fields[j] - jacs[j] @ fields[k])
-        return out
-
-    return field
-
-
-def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
-    """Log-ODE step: time-1 map of the frozen field, integrated by classical
-    RK4 with n_sub uniform substeps.
-
-    Fixed substeps keep the result deterministic and reproducible, which the
-    order-of-convergence fits rely on.
+    z is an (N, d) stack of states and row n moves under its own increment:
+    x[n] of shape (ell,) and the antisymmetric a[n] of shape (ell, ell).
+    All rows are integrated in lockstep by classical RK4 with n_sub uniform
+    substeps.  Fixed substeps keep the result deterministic and reproducible,
+    which the order-of-convergence fits rely on.
     """
-    x = _check_step_inputs(V, x, inc)
+    z = np.asarray(z, dtype=float)
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n, ell = (z.shape[0] if z.ndim else 0), V.ell
+    if z.shape != (n, V.d) or x.shape != (n, ell) or a.shape != (n, ell, ell):
+        raise DimensionMismatch(
+            f"need states (N, {V.d}), increments (N, {ell}) and areas (N, {ell}, {ell}); "
+            f"got {z.shape}, {x.shape} and {a.shape}"
+        )
     n_sub = int(n_sub)
     if n_sub < 1:
         raise InvalidParameter("n_sub must be >= 1")
-    w = _frozen_field(V, inc)
+    x_row = x[:, None, :]
+    # a is antisymmetric, so sum_{j<k} a^{jk} [V_j, V_k] = sum_{k} DV_k (sum_j a^{jk} V_j)
+    a_t = np.swapaxes(a, 1, 2) if a.any() else None
+
+    def w(y):
+        fields = V.fields_at(y)
+        out = np.matmul(x_row, fields)[:, 0]
+        if a_t is not None:
+            out += np.einsum("nkde,nke->nd", V.jacobians_at(y), np.matmul(a_t, fields))
+        return out
+
     h = 1.0 / n_sub
-    z = x.copy()
     for _ in range(n_sub):
         k1 = w(z)
         k2 = w(z + 0.5 * h * k1)
         k3 = w(z + 0.5 * h * k2)
         k4 = w(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NonFinite("log-ODE state blew up")
     return z
+
+
+def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
+    """Log-ODE step of one state: the time-1 map of the frozen field, by
+    `logode_flow` with n_sub RK4 substeps."""
+    x = _check_step_inputs(V, x, inc)
+    return logode_flow(V, x[None], inc.x[None], inc.a[None], n_sub)[0]
 
 
 _STEPPERS = {"euler2": euler2_step, "logode": logode_step}
@@ -179,33 +173,62 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     return Trajectory(path.times.copy(), states)
 
 
-def observe_flow(
-    V: VectorFieldSet, points, path: GridRoughPath, i, j, n_internal=64, n_sub=4
-) -> ObservationSet:
-    """Flow images of the base points over [t_i, t_j].
+def observe_flows(V: VectorFieldSet, points, paths, i, ends, n_internal=64, n_sub=4):
+    """Flow images of the base points over [t_i, t_j], for every path and every j in ends.
 
+    Every (path, base point) pair is one row of a single stack, stepped in
+    lockstep with its own path's increments.  The stack is integrated once up
+    to the largest end and its states are recorded as each end is passed, so
+    nested intervals that share the start i cost one run over the longest.
     Every grid step is split into n_internal Chen substeps, each integrated
     with a log-ODE step; n_internal is the observation accuracy knob and only
     needs to push the integration error well below the reconstruction scale.
+
+    Returns out[p][e], the ObservationSet of paths[p] over [t_i, t_{ends[e]}].
     """
-    if not (0 <= i < j <= path.n):
-        raise IndexOutOfRange(f"need 0 <= i < j <= {path.n}, got i={i}, j={j}")
+    paths = list(paths)
+    ends = [int(j) for j in ends]
+    if not paths or not ends:
+        raise InvalidParameter("need at least one path and one interval end")
+    for path in paths:
+        if not (0 <= i < min(ends) and max(ends) <= path.n):
+            raise IndexOutOfRange(f"need 0 <= i < j <= {path.n}, got i={i}, j in {ends}")
+        if path.ell != V.ell:
+            raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     n_internal = int(n_internal)
     if n_internal < 1:
         raise InvalidParameter("n_internal must be >= 1")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    subs = []
-    for s in range(i, j):
-        inc = path.step_increment(s)
-        subs.append(RoughIncrement(inc.x / n_internal, inc.a / n_internal))
-    observed = np.empty_like(points)
-    for r, y in enumerate(points):
-        z = y
-        for sub in subs:
-            for _ in range(n_internal):
-                z = logode_step(V, z, sub, n_sub)
-        observed[r] = z
-    return ObservationSet(points, float(path.times[i]), float(path.times[j]), observed)
+    c = len(points)
+    j_max = max(ends)
+    # substep increments, (steps, paths * points, ...): each path's rows repeat it c times
+    x = np.stack([p.values[i + 1 : j_max + 1] - p.values[i:j_max] for p in paths], axis=1)
+    a = np.stack([p.step_areas[i:j_max] for p in paths], axis=1)
+    x = np.repeat(x / n_internal, c, axis=1)
+    a = np.repeat(a / n_internal, c, axis=1)
+    z = np.tile(points, (len(paths), 1))
+    at_end = {}
+    for s in range(j_max - i):
+        for _ in range(n_internal):
+            z = logode_flow(V, z, x[s], a[s], n_sub)
+        if i + s + 1 in ends:
+            at_end[i + s + 1] = z
+    return [
+        [
+            ObservationSet(
+                points, float(p.times[i]), float(p.times[j]), at_end[j][k * c : (k + 1) * c]
+            )
+            for j in ends
+        ]
+        for k, p in enumerate(paths)
+    ]
+
+
+def observe_flow(
+    V: VectorFieldSet, points, path: GridRoughPath, i, j, n_internal=64, n_sub=4
+) -> ObservationSet:
+    """Flow images of the base points over [t_i, t_j]; see `observe_flows`."""
+    return observe_flows(V, points, [path], i, [j], n_internal, n_sub)[0][0]
 
 
 def write_trajectory_csv(traj: Trajectory, file):

@@ -7,8 +7,10 @@ stacked squared distance to the observed flow images by Gauss-Newton with
 Levenberg damping; it is possible exactly when the matrix of field values and
 bracket values at the base points has rank m.
 
-All operations are pure; batches over many intervals can run in parallel and
-are aggregated by interval index.
+Field, bracket and composition values at all base points come from one
+batched evaluation, and the flow model pushes every base point and every
+finite-difference probe through one lockstep log-ODE run.  All operations
+are pure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .errors import (
     RankDeficient,
     TrustRegionExceeded,
 )
-from .rde import ObservationSet, logode_step
+# logode_step is not called here; bench/tracer.py patches it under this name
+from .rde import ObservationSet, logode_flow, logode_step  # noqa: F401
 from .roughpath import (
     GridRoughPath,
     RoughIncrement,
@@ -83,40 +86,35 @@ class ReconstructionResult:
 
 def _point_blocks(V: VectorFieldSet, points):
     """Per-point field values (c,ell,d), bracket columns (c,nb,d) and
-    second compositions (c,ell,ell,d)."""
+    second compositions (c,ell,ell,d), from one batched evaluation."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    c, d = points.shape
-    if d != V.d:
-        raise DimensionMismatch(f"points have dimension {d}, fields live on {V.d}-space")
-    ell = V.ell
-    nb = ell * (ell - 1) // 2
-    fields = np.empty((c, ell, d))
-    comps = np.empty((c, ell, ell, d))
-    brackets = np.empty((c, nb, d))
-    for r, y in enumerate(points):
-        e = V.fields_at(y)
-        j = V.jacobians_at(y)
-        fields[r] = e
-        for b in range(ell):
-            comps[r, :, b] = e @ j[b].T  # comps[r, a, b] = J_b @ e_a
-        p = 0
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                brackets[r, p] = comps[r, a, b] - comps[r, b, a]
-                p += 1
+    if points.shape[1] != V.d:
+        raise DimensionMismatch(
+            f"points have dimension {points.shape[1]}, fields live on {V.d}-space"
+        )
+    fields = V.fields_at(points)
+    comps = np.einsum("cbde,cae->cabd", V.jacobians_at(points), fields)  # J_b @ e_a
+    pairs = [(a, b) for a in range(V.ell) for b in range(a + 1, V.ell)]
+    j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
+    brackets = comps[:, j, k] - comps[:, k, j]
     return points, fields, brackets, comps
 
 
 def _stack_columns(fields, brackets):
     """Assemble the (c*d, m) matrix: field columns then bracket columns."""
-    c, ell, d = fields.shape
-    nb = brackets.shape[1]
-    mat = np.empty((c * d, ell + nb))
-    for r in range(c):
-        rows = slice(r * d, (r + 1) * d)
-        mat[rows, :ell] = fields[r].T
-        mat[rows, ell:] = brackets[r].T
-    return mat
+    cols = np.concatenate([fields, brackets], axis=1)  # (c, m, d)
+    return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
+
+
+def _matrix(fields, brackets, tol_rel):
+    mat = _stack_columns(fields, brackets)
+    m = mat.shape[1]
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        rank = 0
+    else:
+        rank = int(np.sum(sv > tol_rel * sv[0]))
+    return ReconstructionMatrix(m, mat, sv, rank, float(tol_rel))
 
 
 def reconstruction_matrix(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
@@ -127,14 +125,7 @@ def reconstruction_matrix(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     singular values above tol_rel times the largest one.
     """
     _, fields, brackets, _ = _point_blocks(V, points)
-    mat = _stack_columns(fields, brackets)
-    m = V.ell * (V.ell + 1) // 2
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > tol_rel * sv[0]))
-    return ReconstructionMatrix(m, mat, sv, rank, float(tol_rel))
+    return _matrix(fields, brackets, tol_rel)
 
 
 def taylor_map(V: VectorFieldSet, points, A, B):
@@ -158,11 +149,21 @@ def taylor_map(V: VectorFieldSet, points, A, B):
     return out.ravel()
 
 
+def _flow_images(V: VectorFieldSet, points, x, a, n_sub):
+    """Log-ODE images of the c base points under each of K increments x (K, ell),
+    a (K, ell, ell), from one lockstep run over K*c rows; returns (K, c*d)."""
+    c, k = len(points), len(x)
+    z = logode_flow(
+        V, np.tile(points, (k, 1)), np.repeat(x, c, axis=0), np.repeat(a, c, axis=0), n_sub
+    )
+    return z.reshape(k, -1)
+
+
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
     """Log-ODE flow images exp(A^i V_i + B^{jk} [V_j, V_k]) of the base points, stacked."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     inc = RoughIncrement(A, B)
-    return np.concatenate([logode_step(V, y, inc, n_sub) for y in points])
+    return _flow_images(V, points, inc.x[None], inc.a[None], n_sub)[0]
 
 
 def _second_comp_total(comps):
@@ -173,6 +174,22 @@ def _second_comp_total(comps):
     return float(norms.sum())
 
 
+def _local_problem(V: VectorFieldSet, points, tol_rel):
+    """Point blocks, reconstruction matrix and trust-region constants (eps1, eps2)
+    from one evaluation at the base points; raises RankDeficient below rank m."""
+    points, fields, brackets, comps = _point_blocks(V, points)
+    rm = _matrix(fields, brackets, tol_rel)
+    if rm.rank < rm.m:
+        raise RankDeficient(
+            f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
+            "these base points cannot separate the driver parameters"
+        )
+    eps1 = float(rm.singular_values[rm.m - 1])
+    total = _second_comp_total(comps)
+    eps2 = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
+    return rm, fields, brackets, comps, eps1, eps2
+
+
 def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     """Constants (eps1, eps2) of the local recovery problem at these points.
 
@@ -181,16 +198,7 @@ def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     model injectivity radius 1 / (2 sum_{i,j} |V_i V_j|) with the Euclidean
     norm of each stacked composition vector.  Requires full rank m.
     """
-    _, fields, brackets, comps = _point_blocks(V, points)
-    mat = _stack_columns(fields, brackets)
-    m = V.ell * (V.ell + 1) // 2
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sv > tol_rel * sv[0])) if sv.size and sv[0] > 0 else 0
-    if rank < m:
-        raise RankDeficient(f"reconstruction matrix has rank {rank} < m = {m}")
-    eps1 = float(sv[m - 1])
-    total = _second_comp_total(comps)
-    eps2 = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
+    *_, eps1, eps2 = _local_problem(V, points, tol_rel)
     return eps1, eps2
 
 
@@ -269,16 +277,7 @@ def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
 
 
 def _prepare(V, obs, tol_rel):
-    rm = reconstruction_matrix(V, obs.base_points, tol_rel)
-    if rm.rank < rm.m:
-        raise RankDeficient(
-            f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
-            "these base points cannot separate the driver parameters"
-        )
-    _, fields, brackets, comps = _point_blocks(V, obs.base_points)
-    eps1 = float(rm.singular_values[rm.m - 1])
-    total = _second_comp_total(comps)
-    eps2 = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
+    rm, fields, brackets, comps, eps1, eps2 = _local_problem(V, obs.base_points, tol_rel)
     dz = (obs.observed - obs.base_points).ravel()
     a0 = np.linalg.lstsq(rm.mat[:, : V.ell], dz, rcond=None)[0]
     theta0 = np.concatenate([a0, np.zeros(rm.m - V.ell)])
@@ -310,12 +309,8 @@ def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet, max_iter=50
         return out.ravel() - target
 
     def jacobian(theta):
-        A = theta[:ell]
         jac = rm.mat.copy()
-        corr = 0.5 * np.einsum("j,cijd->cid", A, sym)
-        c, d = base.shape
-        for r in range(c):
-            jac[r * d : (r + 1) * d, :ell] += corr[r].T
+        jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", theta[:ell], sym).reshape(-1, ell)
         return jac
 
     theta, iterations, rvec = _minimize_least_squares(
@@ -337,20 +332,15 @@ def local_reconstruct_flow(
     target = obs.observed.ravel()
     base = obs.base_points
 
-    def model(theta):
-        a, b = _unpack(theta, ell)
-        return flow_map(V, base, a, b, n_sub)
-
     def residual(theta):
-        return model(theta) - target
+        return flow_map(V, base, *_unpack(theta, ell), n_sub) - target
 
     def jacobian(theta):
-        cols = []
-        for p in range(theta.size):
-            e = np.zeros(theta.size)
-            e[p] = fd_step
-            cols.append((model(theta + e) - model(theta - e)) / (2.0 * fd_step))
-        return np.column_stack(cols)
+        # all 2m central-difference probes of all c points in one lockstep run
+        m = theta.size
+        probes = theta + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
+        images = _flow_images(V, base, probes[:, :ell], area_matrix(probes[:, ell:], ell), n_sub)
+        return (images[:m] - images[m:]).T / (2.0 * fd_step)
 
     theta, iterations, rvec = _minimize_least_squares(
         residual, jacobian, theta0, max_iter, tol

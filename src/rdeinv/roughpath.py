@@ -7,8 +7,9 @@ weak-geometricity constraint (symmetric part equals 0.5 * outer(x, x)) holds
 structurally and cannot be violated.
 
 Everything here is immutable after construction and all operations are pure,
-so values can be shared freely across threads.  The only random number
-generation is local to the Brownian samplers and is seeded per call.
+so one path can drive any number of rows of a lockstep batch.  The only
+random number generation is local to the Brownian samplers and is seeded
+per call.
 """
 
 from __future__ import annotations

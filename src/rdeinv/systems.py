@@ -1,5 +1,8 @@
 """Named vector-field systems, with analytic Jacobians, usable from the CLI.
 
+Every evaluator follows the batched protocol of `rdeinv.vectorfields`: it
+indexes states as ``x[..., k]``, so one (d,) state and an (N, d) stack of
+states both work.  Constant fields and Jacobians are returned unbroadcast.
 All constructors are pure and the returned systems are shareable.
 """
 
@@ -31,14 +34,15 @@ def rolling_ball() -> NamedSystem:
 
     The state is the 3x3 orientation matrix flattened row-major into R^9; the
     two fields act by constant left matrix multiplication, so they are linear
-    on the embedding space.  The orthogonal group is invariant under the flow.
+    on the embedding space: V_i(x) = kron(A_i, I_3) x.  The orthogonal group is
+    invariant under the flow.
     """
 
     def make(amat):
-        def ev(x, a=amat):
-            return (a @ x.reshape(3, 3)).ravel()
-
         jmat = np.kron(amat, np.eye(3))
+
+        def ev(x, jt=jmat.T):
+            return x @ jt
 
         def ja(x, j=jmat):
             return j
@@ -62,19 +66,24 @@ def unicycle() -> NamedSystem:
     """
 
     def ev1(x):
-        return np.array([np.cos(x[2]), np.sin(x[2]), 0.0])
-
-    def ja1(x):
-        out = np.zeros((3, 3))
-        out[0, 2] = -np.sin(x[2])
-        out[1, 2] = np.cos(x[2])
+        heading = x[..., 2]
+        out = np.zeros(x.shape)
+        out[..., 0] = np.cos(heading)
+        out[..., 1] = np.sin(heading)
         return out
 
-    def ev2(x):
-        return np.array([0.0, 0.0, 1.0])
+    def ja1(x):
+        heading = x[..., 2]
+        out = np.zeros(x.shape + (3,))
+        out[..., 0, 2] = -np.sin(heading)
+        out[..., 1, 2] = np.cos(heading)
+        return out
 
-    def ja2(x):
-        return np.zeros((3, 3))
+    def ev2(x, turn=np.array([0.0, 0.0, 1.0])):
+        return turn
+
+    def ja2(x, zero=np.zeros((3, 3))):
+        return zero
 
     return NamedSystem(
         "unicycle",
@@ -85,9 +94,11 @@ def unicycle() -> NamedSystem:
 
 
 def _cvt_ratio(x):
-    q = x[3]
-    if not 0.0 < q < 1.0:
-        raise DomainViolation(f"belt translation q must lie in (0, 1), got {q}")
+    q = x[..., 3]
+    outside = ~((0.0 < q) & (q < 1.0))
+    if np.any(outside):
+        bad = np.asarray(q)[outside][0]
+        raise DomainViolation(f"belt translation q must lie in (0, 1), got {bad}")
     return q
 
 
@@ -98,26 +109,31 @@ def cvt() -> NamedSystem:
     the controls drive b and the belt translation q directly.  The gains blow
     up at q in {0, 1}; evaluation outside (0, 1) raises DomainViolation rather
     than clamping, so convergence measurements cannot be silently corrupted.
+    Every row of a stack is checked.
     """
 
     def ev1(x):
         q = _cvt_ratio(x)
-        return np.array([1.0 / q, 1.0 / (1.0 - q), 1.0, 0.0])
+        out = np.zeros(x.shape)
+        out[..., 0] = 1.0 / q
+        out[..., 1] = 1.0 / (1.0 - q)
+        out[..., 2] = 1.0
+        return out
 
     def ja1(x):
         q = _cvt_ratio(x)
-        out = np.zeros((4, 4))
-        out[0, 3] = -1.0 / q**2
-        out[1, 3] = 1.0 / (1.0 - q) ** 2
+        out = np.zeros(x.shape + (4,))
+        out[..., 0, 3] = -1.0 / q**2
+        out[..., 1, 3] = 1.0 / (1.0 - q) ** 2
         return out
 
-    def ev2(x):
+    def ev2(x, shift=np.array([0.0, 0.0, 0.0, 1.0])):
         _cvt_ratio(x)
-        return np.array([0.0, 0.0, 0.0, 1.0])
+        return shift
 
-    def ja2(x):
+    def ja2(x, zero=np.zeros((4, 4))):
         _cvt_ratio(x)
-        return np.zeros((4, 4))
+        return zero
 
     return NamedSystem(
         "cvt",
@@ -134,36 +150,27 @@ def triple_product() -> NamedSystem:
     degenerate; two generic points give the full rank 6.
     """
 
-    def ev1(x):
-        return np.array([x[1] * x[2], 0.0, 0.0])
+    def make(i):
+        # field i moves coordinate i at the rate of the product of the other two
+        j, k = (n for n in range(3) if n != i)
 
-    def ja1(x):
-        out = np.zeros((3, 3))
-        out[0, 1] = x[2]
-        out[0, 2] = x[1]
-        return out
+        def ev(x):
+            out = np.zeros(x.shape)
+            out[..., i] = x[..., j] * x[..., k]
+            return out
 
-    def ev2(x):
-        return np.array([0.0, x[0] * x[2], 0.0])
+        def ja(x):
+            out = np.zeros(x.shape + (3,))
+            out[..., i, j] = x[..., k]
+            out[..., i, k] = x[..., j]
+            return out
 
-    def ja2(x):
-        out = np.zeros((3, 3))
-        out[1, 0] = x[2]
-        out[1, 2] = x[0]
-        return out
+        return ev, ja
 
-    def ev3(x):
-        return np.array([0.0, 0.0, x[0] * x[1]])
-
-    def ja3(x):
-        out = np.zeros((3, 3))
-        out[2, 0] = x[1]
-        out[2, 1] = x[0]
-        return out
-
+    pairs = [make(i) for i in range(3)]
     return NamedSystem(
         "triple_product",
-        VectorFieldSet([ev1, ev2, ev3], d=3, jacs=[ja1, ja2, ja3]),
+        VectorFieldSet([p[0] for p in pairs], d=3, jacs=[p[1] for p in pairs]),
         recommended_points=[
             np.array([1.0, 1.0, 1.0]),
             np.array([1.0, 2.0, 3.0]),
@@ -189,35 +196,23 @@ def kohn(d=2) -> NamedSystem:
         raise DimensionMismatch("kohn needs d >= 1")
     dim = 2 * d + 1
 
-    def make_x(i):
-        def ev(x, i=i):
-            out = np.zeros(dim)
-            out[i] = 1.0
-            out[dim - 1] = 2.0 * x[d + i]
+    def make(axis, partner, gain):
+        # d/d(axis) + gain * x[partner] d/dt
+        def ev(x):
+            out = np.zeros(x.shape)
+            out[..., axis] = 1.0
+            out[..., dim - 1] = gain * x[..., partner]
             return out
 
-        def ja(x, i=i):
-            out = np.zeros((dim, dim))
-            out[dim - 1, d + i] = 2.0
-            return out
+        jmat = np.zeros((dim, dim))
+        jmat[dim - 1, partner] = gain
+
+        def ja(x, j=jmat):
+            return j
 
         return ev, ja
 
-    def make_y(i):
-        def ev(x, i=i):
-            out = np.zeros(dim)
-            out[d + i] = 1.0
-            out[dim - 1] = -2.0 * x[i]
-            return out
-
-        def ja(x, i=i):
-            out = np.zeros((dim, dim))
-            out[dim - 1, i] = -2.0
-            return out
-
-        return ev, ja
-
-    pairs = [make_x(i) for i in range(d)] + [make_y(i) for i in range(d)]
+    pairs = [make(i, d + i, 2.0) for i in range(d)] + [make(d + i, i, -2.0) for i in range(d)]
     return NamedSystem(
         f"kohn_{d}" if d != 2 else "kohn",
         VectorFieldSet([p[0] for p in pairs], d=dim, jacs=[p[1] for p in pairs]),

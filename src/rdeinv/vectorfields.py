@@ -1,7 +1,13 @@
 """Vector field collections on d-space: Jacobians, Lie brackets, compositions.
 
-Evaluators must be pure and reentrant; a VectorFieldSet can be shared across
-parallel workers.  Indices are 0-based throughout.
+Evaluators are batched.  A field evaluator takes an (N, d) stack of states
+and returns the (N, d) field values; a Jacobian evaluator returns (N, d, d).
+A result that only broadcasts to that shape, such as a constant vector or a
+constant matrix, is accepted.  The single-state accessors pass a (d,) state
+through unchanged, so evaluators written with ``x[..., k]`` indexing serve
+both.  Every row is an independent state: the integrators step whole stacks
+of base points, seeds and finite-difference probes in lockstep, so
+evaluators must be pure.  Indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -17,19 +23,36 @@ from .errors import (
 
 
 def fd_jacobian(fun, x, step=1e-5):
-    """Central-difference Jacobian of fun at x; column j uses x +- step*e_j."""
+    """Central-difference Jacobian of fun at a (d,) state or every row of an (N, d) stack.
+
+    Column j uses x +- step*e_j, applied to the whole stack at once, so fun is
+    called 2d times whatever N is.  The result has shape (d, d) or (N, d, d),
+    or broadcasts to it when fun returns a broadcastable result.
+    """
     if not step > 0:
         raise InvalidParameter("finite-difference step must be positive")
     x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
     cols = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
+    for j in range(d):
+        e = np.zeros(d)
         e[j] = step
-        cols.append((np.asarray(fun(x + e), float) - np.asarray(fun(x - e), float)))
-    jac = np.column_stack(cols) / (2.0 * step)
+        cols.append(np.asarray(fun(x + e), float) - np.asarray(fun(x - e), float))
+    jac = np.stack(cols, axis=-1) / (2.0 * step)
     if not np.all(np.isfinite(jac)):
         raise NonFinite("field evaluation produced non-finite values")
     return jac
+
+
+def _checked(out, shape, kind, i):
+    """An evaluator result as a float array that broadcasts to `shape`, else DimensionMismatch."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape[len(shape) - out.ndim :] and (
+        out.ndim > len(shape)
+        or any(o not in (1, n) for o, n in zip(out.shape[::-1], shape[::-1]))
+    ):
+        raise DimensionMismatch(f"{kind} {i} returned shape {out.shape}, expected {shape}")
+    return out
 
 
 class VectorFieldSet:
@@ -37,10 +60,12 @@ class VectorFieldSet:
 
     Parameters
     ----------
-    evals : sequence of callables, each mapping a (d,) array to a (d,) array.
+    evals : sequence of callables, each mapping an (N, d) stack of states to
+        the (N, d) field values (or to a result that broadcasts to it).
     d : state dimension.
-    jacs : optional sequence of callables returning (d, d) Jacobians.  When
-        omitted, Jacobians come from central finite differences with fd_step.
+    jacs : optional sequence of callables returning (N, d, d) Jacobians (or a
+        broadcastable result).  When omitted, Jacobians come from central
+        finite differences with fd_step.
     fd_step : finite-difference step, default 1e-5 (truncation/round-off
         balance for double precision).
     """
@@ -67,56 +92,66 @@ class VectorFieldSet:
         if not 0 <= i < self.ell:
             raise IndexOutOfRange(f"field index {i} not in [0, {self.ell})")
 
-    def field(self, i, x):
-        """Value of field i at x as a (d,) array."""
-        self._check_index(i)
-        out = np.asarray(self._evals[i](np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.d,):
+    def _states(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
             raise DimensionMismatch(
-                f"field {i} returned shape {out.shape}, expected {(self.d,)}"
+                f"states must have shape ({self.d},) or (N, {self.d}), got {x.shape}"
             )
+        return x
+
+    def _jacobian(self, i, x):
+        if self._jacs is None:
+            out = fd_jacobian(self._evals[i], x, self.fd_step)
+        else:
+            out = self._jacs[i](x)
+        return _checked(out, x.shape + (self.d,), "jacobian", i)
+
+    def field(self, i, x):
+        """Value of field i at a (d,) state, or at every row of an (N, d) stack."""
+        self._check_index(i)
+        x = self._states(x)
+        out = np.empty(x.shape)
+        out[...] = _checked(self._evals[i](x), x.shape, "field", i)
         return out
 
     def jacobian(self, i, x):
-        """Jacobian of field i at x as a (d, d) array."""
+        """Jacobian of field i at a (d,) state as (d, d), or at an (N, d) stack as (N, d, d)."""
         self._check_index(i)
-        if self._jacs is not None:
-            out = np.asarray(self._jacs[i](np.asarray(x, dtype=float)), dtype=float)
-            if out.shape != (self.d, self.d):
-                raise DimensionMismatch(
-                    f"jacobian {i} returned shape {out.shape}, expected {(self.d, self.d)}"
-                )
-            return out
-        return fd_jacobian(self._evals[i], x, self.fd_step)
+        x = self._states(x)
+        out = np.empty(x.shape + (self.d,))
+        out[...] = self._jacobian(i, x)
+        return out
 
     def fields_at(self, x):
-        """All field values at x, stacked as an (ell, d) array."""
-        out = np.empty((self.ell, self.d))
-        for i in range(self.ell):
-            out[i] = self.field(i, x)
+        """All field values: (N, ell, d) for an (N, d) stack, (ell, d) for one state."""
+        x = self._states(x)
+        out = np.empty(x.shape[:-1] + (self.ell, self.d))
+        for i, ev in enumerate(self._evals):
+            out[..., i, :] = _checked(ev(x), x.shape, "field", i)
         return out
 
     def jacobians_at(self, x):
-        """All Jacobians at x, stacked as an (ell, d, d) array."""
-        out = np.empty((self.ell, self.d, self.d))
+        """All Jacobians: (N, ell, d, d) for an (N, d) stack, (ell, d, d) for one state."""
+        x = self._states(x)
+        out = np.empty(x.shape[:-1] + (self.ell, self.d, self.d))
         for i in range(self.ell):
-            out[i] = self.jacobian(i, x)
+            out[..., i, :, :] = self._jacobian(i, x)
         return out
-
-
-def bracket(V: VectorFieldSet, j, k, x):
-    """Lie bracket [V_j, V_k](x) = DV_k(x) V_j(x) - DV_j(x) V_k(x)."""
-    x = np.asarray(x, dtype=float)
-    return V.jacobian(k, x) @ V.field(j, x) - V.jacobian(j, x) @ V.field(k, x)
 
 
 def second_comp(V: VectorFieldSet, j, k, x):
     """Directional derivative of V_k along V_j at x: DV_k(x) V_j(x).
 
+    x is one state or an (N, d) stack.
     bracket(V, j, k, x) == second_comp(V, j, k, x) - second_comp(V, k, j, x).
     """
-    x = np.asarray(x, dtype=float)
-    return V.jacobian(k, x) @ V.field(j, x)
+    return np.einsum("...de,...e->...d", V.jacobian(k, x), V.field(j, x))
+
+
+def bracket(V: VectorFieldSet, j, k, x):
+    """Lie bracket [V_j, V_k](x) = DV_k(x) V_j(x) - DV_j(x) V_k(x), at one state or a stack."""
+    return second_comp(V, j, k, x) - second_comp(V, k, j, x)
 
 
 def stack_points(V: VectorFieldSet, points) -> VectorFieldSet:
@@ -124,27 +159,26 @@ def stack_points(V: VectorFieldSet, points) -> VectorFieldSet:
 
     W_i(y_1, ..., y_c) concatenates V_i(y_1) ... V_i(y_c); Jacobians are block
     diagonal, so brackets of the stacked fields concatenate pointwise brackets.
-    `points` only fixes c; the stacked fields accept any (c*d,) state.
+    `points` only fixes c; the stacked fields accept any (c*d,) state or
+    (N, c*d) stack.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     c, d = points.shape
     if d != V.d:
         raise DimensionMismatch(f"points have dimension {d}, fields live on {V.d}-space")
+    blocks = [slice(r * d, (r + 1) * d) for r in range(c)]
 
     def make_eval(i):
         def ev(z):
-            blocks = [V.field(i, z[r * d : (r + 1) * d]) for r in range(c)]
-            return np.concatenate(blocks)
+            return np.concatenate([V.field(i, z[..., b]) for b in blocks], axis=-1)
 
         return ev
 
     def make_jac(i):
         def ja(z):
-            out = np.zeros((c * d, c * d))
-            for r in range(c):
-                out[r * d : (r + 1) * d, r * d : (r + 1) * d] = V.jacobian(
-                    i, z[r * d : (r + 1) * d]
-                )
+            out = np.zeros(z.shape[:-1] + (c * d, c * d))
+            for b in blocks:
+                out[..., b, b] = V.jacobian(i, z[..., b])
             return out
 
         return ja

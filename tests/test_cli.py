@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from rdeinv.cli import main
-from rdeinv.rde import read_trajectory_csv, solve
+from rdeinv.rde import observe_flow, read_trajectory_csv, solve
+from rdeinv.reconstruct import local_reconstruct_taylor
 from rdeinv.roughpath import (
     circle_samples,
     lift_piecewise_linear,
     read_path_csv,
+    sample_brownian_lift,
     write_path_csv,
 )
 from rdeinv.systems import rolling_ball
@@ -364,9 +366,51 @@ levels = 3
         assert "degenerate" in out_file.read_text().splitlines()[-1]
 
     def test_brownian_multi_seed_rows(self, capsys, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            """
+        cfg = write_config(tmp_path, MULTI_SEED_CONFIG)
+        out_file = tmp_path / "conv.csv"
+        code, out, _ = run(capsys, "convergence", "--config", cfg, "--out", str(out_file))
+        assert code == 0
+        info = json.loads(out)
+        assert info["seeds"] == 3 and info["levels"] == 3
+        assert len(out_file.read_text().splitlines()) == 5
+
+    def test_lockstep_seeds_equal_a_per_seed_loop(self, capsys, tmp_path):
+        # reference: each seed and dyadic level observed and recovered on its own
+        cfg = write_config(tmp_path, MULTI_SEED_CONFIG)
+        out_file = tmp_path / "conv.csv"
+        code, out, _ = run(capsys, "convergence", "--config", cfg, "--out", str(out_file))
+        assert code == 0
+        fields = rolling_ball().fields
+        points = np.vstack(rolling_ball().recommended_points)
+        errors, slopes = [], []
+        for seed in (3, 4, 5):
+            path = sample_brownian_lift(2, 64, 16, 1.0, seed)
+            rows = []
+            for j in (32, 16, 8):
+                obs = observe_flow(fields, points, path, 0, j, n_internal=8, n_sub=4)
+                res = local_reconstruct_taylor(fields, obs)
+                truth = path.increment(0, j)
+                rows.append([path.times[j], np.linalg.norm(res.a_hat - truth.x),
+                             np.linalg.norm(res.b_hat - truth.a)])
+            rows = np.array(rows)
+            errors.append(rows[:, 1:])
+            slopes.append(np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 1] + rows[:, 2]), 1)[0])
+        lines = out_file.read_text().splitlines()
+        table = np.array([[float(v) for v in line.split(",")[:3]] for line in lines[1:-1]])
+        np.testing.assert_allclose(table[:, 0], [0.5, 0.25, 0.125], rtol=1e-12)
+        np.testing.assert_allclose(table[:, 1:], np.median(errors, axis=0), rtol=1e-9)
+        np.testing.assert_allclose(json.loads(out)["slope"], np.median(slopes), rtol=1e-9)
+
+    def test_intervals_flag_is_usage_error(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, MULTI_SEED_CONFIG)
+        code, _, err = run(capsys, "convergence", "--config", cfg, "--intervals", "0,0.25",
+                           "--out", str(tmp_path / "conv.csv"))
+        assert code == 64
+        assert err.startswith("usage error:") and "--intervals" in err
+        assert not (tmp_path / "conv.csv").exists()
+
+
+MULTI_SEED_CONFIG = """
 [experiment]
 system = rolling_ball
 method = taylor
@@ -388,14 +432,7 @@ levels = 3
 [solver]
 n_internal = 8
 n_sub = 4
-""",
-        )
-        out_file = tmp_path / "conv.csv"
-        code, out, _ = run(capsys, "convergence", "--config", cfg, "--out", str(out_file))
-        assert code == 0
-        info = json.loads(out)
-        assert info["seeds"] == 3 and info["levels"] == 3
-        assert len(out_file.read_text().splitlines()) == 5
+"""
 
 
 class TestUsage:

@@ -14,8 +14,10 @@ from rdeinv.errors import (
 from rdeinv.rde import (
     ObservationSet,
     euler2_step,
+    logode_flow,
     logode_step,
     observe_flow,
+    observe_flows,
     read_trajectory_csv,
     solve,
     write_trajectory_csv,
@@ -27,9 +29,10 @@ from rdeinv.roughpath import (
     lift_piecewise_linear,
     refine,
     sample_brownian_fine,
+    sample_brownian_lift,
 )
-from rdeinv.systems import constant_fields, rolling_ball
-from rdeinv.vectorfields import VectorFieldSet
+from rdeinv.systems import constant_fields, rolling_ball, triple_product
+from rdeinv.vectorfields import VectorFieldSet, bracket
 
 
 def scalar_linear_field():
@@ -105,6 +108,73 @@ class TestLogodeStep:
         sys = constant_fields(1, 1)
         with pytest.raises(InvalidParameter):
             logode_step(sys.fields, np.zeros(1), RoughIncrement([1.0]), n_sub=0)
+
+
+def rk4_oracle(V, y, x_inc, a, n_sub):
+    """Per-point reference: RK4 on x^i V_i + sum_{j<k} a^{jk} [V_j, V_k] from single-state calls."""
+
+    def w(z):
+        out = sum(x_inc[i] * V.field(i, z) for i in range(V.ell))
+        for j in range(V.ell):
+            for k in range(j + 1, V.ell):
+                out = out + a[j, k] * bracket(V, j, k, z)
+        return out
+
+    h = 1.0 / n_sub
+    z = np.array(y, dtype=float)
+    for _ in range(n_sub):
+        k1 = w(z)
+        k2 = w(z + 0.5 * h * k1)
+        k3 = w(z + 0.5 * h * k2)
+        k4 = w(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
+
+
+def random_rows(V, n, rng, scale=0.3):
+    z = rng.uniform(0.5, 1.5, (n, V.d))
+    x = scale * rng.standard_normal((n, V.ell))
+    upper = np.triu(scale * rng.standard_normal((n, V.ell, V.ell)), 1)
+    return z, x, upper - np.swapaxes(upper, 1, 2)
+
+
+class TestLogodeFlow:
+    @pytest.mark.parametrize("builder", [rolling_ball, triple_product])
+    def test_rows_agree_with_per_point_oracle(self, builder):
+        V = builder().fields
+        z, x, a = random_rows(V, 6, np.random.default_rng(31))
+        got = logode_flow(V, z, x, a, n_sub=4)
+        for n in range(6):
+            want = rk4_oracle(V, z[n], x[n], a[n], 4)
+            np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_finite_difference_jacobians_go_through_the_stack(self):
+        V = VectorFieldSet(triple_product().fields._evals, d=3)
+        z, x, a = random_rows(V, 5, np.random.default_rng(32))
+        got = logode_flow(V, z, x, a, n_sub=2)
+        for n in range(5):
+            want = logode_step(V, z[n], RoughIncrement(x[n], a[n]), n_sub=2)
+            np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
+
+    def test_broadcastable_fields_go_through_the_stack(self):
+        V = VectorFieldSet(
+            [lambda x: x.copy(), lambda x: np.array([1.0, 0.0])],
+            d=2,
+            jacs=[lambda x: np.eye(2), lambda x: np.zeros((2, 2))],
+        )
+        z, x, a = random_rows(V, 4, np.random.default_rng(33))
+        got = logode_flow(V, z, x, a, n_sub=8)
+        for n in range(4):
+            want = rk4_oracle(V, z[n], x[n], a[n], 8)
+            np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        V = rolling_ball().fields
+        z, x, a = random_rows(V, 3, np.random.default_rng(34))
+        with pytest.raises(DimensionMismatch):
+            logode_flow(V, z, x[:2], a)
+        with pytest.raises(DimensionMismatch):
+            logode_flow(V, z[:, :4], x, a)
 
 
 class TestSolve:
@@ -232,6 +302,23 @@ class TestObserveFlow:
         path = GridRoughPath([0.0, 1.0], np.zeros((2, 2)))
         with pytest.raises(IndexOutOfRange):
             observe_flow(sys.fields, np.zeros((1, 2)), path, 1, 1)
+        with pytest.raises(IndexOutOfRange):
+            observe_flows(sys.fields, np.zeros((1, 2)), [path], 0, [1, 2])
+
+    def test_nested_ends_of_many_paths_equal_separate_runs(self):
+        sys = rolling_ball()
+        rng = np.random.default_rng(6)
+        points = [np.eye(3).ravel(), np.linalg.qr(rng.standard_normal((3, 3)))[0].ravel()]
+        paths = [sample_brownian_lift(2, 16, 4, 1.0, seed=s) for s in (1, 2, 3)]
+        ends = [12, 4, 7]
+        got = observe_flows(sys.fields, points, paths, 2, ends, n_internal=2, n_sub=2)
+        assert len(got) == 3 and all(len(row) == 3 for row in got)
+        for path, row in zip(paths, got):
+            for j, obs in zip(ends, row):
+                want = observe_flow(sys.fields, points, path, 2, j, n_internal=2, n_sub=2)
+                assert (obs.s, obs.t) == (want.s, want.t)
+                np.testing.assert_array_equal(obs.base_points, want.base_points)
+                np.testing.assert_allclose(obs.observed, want.observed, rtol=1e-12, atol=1e-14)
 
     def test_observation_set_validation(self):
         with pytest.raises(InvalidParameter):

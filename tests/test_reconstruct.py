@@ -14,8 +14,9 @@ from rdeinv.errors import (
     RankDeficient,
     TrustRegionExceeded,
 )
-from rdeinv.rde import ObservationSet, observe_flow
+from rdeinv.rde import ObservationSet, logode_step, observe_flow
 from rdeinv.reconstruct import (
+    _flow_images,
     doss_sussmann_1d,
     flow_map,
     local_reconstruct_flow,
@@ -30,6 +31,7 @@ from rdeinv.reconstruct import (
     write_observations_csv,
 )
 from rdeinv.roughpath import (
+    RoughIncrement,
     area_matrix,
     circle_samples,
     lift_piecewise_linear,
@@ -45,7 +47,7 @@ from rdeinv.systems import (
     triple_product,
     unicycle,
 )
-from rdeinv.vectorfields import VectorFieldSet
+from rdeinv.vectorfields import VectorFieldSet, bracket
 
 
 def scalar_linear_field():
@@ -109,6 +111,16 @@ class TestReconstructionMatrix:
         sys = triple_product()
         rm = reconstruction_matrix(sys.fields, [[1.0, 0.0, 0.0]])
         assert rm.rank == 0
+
+    def test_blocks_equal_per_point_fields_and_brackets(self):
+        # reference: one single-state field or bracket call per column and point
+        V = triple_product().fields
+        points = np.random.default_rng(41).uniform(0.5, 2.0, (3, 3))
+        rm = reconstruction_matrix(V, points)
+        for r, y in enumerate(points):
+            cols = [V.field(i, y) for i in range(3)]
+            cols += [bracket(V, j, k, y) for j in range(3) for k in range(j + 1, 3)]
+            np.testing.assert_allclose(rm.mat[3 * r : 3 * r + 3], np.column_stack(cols), atol=1e-14)
 
 
 class TestTaylorMap:
@@ -180,6 +192,26 @@ class TestFlowMap:
         got = flow_map(sys.fields, [np.eye(3).ravel()], a, area_matrix([b], 2), n_sub=32)
         oracle = expm(rolling_ball_generator(a, b)).ravel()
         assert np.max(np.abs(got - oracle)) < 1e-8
+
+    def test_points_equal_single_state_steps(self):
+        V = triple_product().fields
+        points = np.random.default_rng(42).uniform(0.5, 2.0, (3, 3))
+        a, b = np.array([0.1, -0.2, 0.15]), area_matrix([0.02, -0.01, 0.03], 3)
+        got = flow_map(V, points, a, b, n_sub=8)
+        want = np.concatenate([logode_step(V, y, RoughIncrement(a, b), 8) for y in points])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_probe_stack_equals_one_flow_map_per_probe(self):
+        # the flow method's finite-difference Jacobian runs all probes as one stack
+        V = triple_product().fields
+        points = np.array(triple_product().recommended_points)
+        rng = np.random.default_rng(43)
+        xs = 0.1 * rng.standard_normal((12, 3))
+        areas = area_matrix(0.01 * rng.standard_normal((12, 3)), 3)
+        got = _flow_images(V, points, xs, areas, 8)
+        for k in range(12):
+            want = flow_map(V, points, xs[k], areas[k], n_sub=8)
+            np.testing.assert_allclose(got[k], want, rtol=1e-13, atol=1e-15)
 
     def test_flow_and_taylor_agree_to_third_order(self):
         sys = rolling_ball()

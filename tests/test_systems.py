@@ -50,6 +50,35 @@ def test_recommended_points_evaluate_finite(builder):
             assert np.all(np.isfinite(sys.fields.field(i, p)))
 
 
+@pytest.mark.parametrize(
+    "builder",
+    ALL_SYSTEMS + [lambda: kohn(1), lambda: constant_fields(2, 3)],
+    ids=["rolling_ball", "unicycle", "cvt", "triple_product", "kohn", "kohn_1", "constant"],
+)
+def test_stack_evaluation_equals_row_by_row(builder):
+    sys = builder()
+    rng = np.random.default_rng(23)
+    name = "kohn" if sys.name.startswith("kohn") else sys.name
+    stack = np.array([random_domain_point(name, rng)[: sys.fields.d] for _ in range(7)])
+    fields = sys.fields.fields_at(stack)
+    jacs = sys.fields.jacobians_at(stack)
+    assert fields.shape == (7, sys.fields.ell, sys.fields.d)
+    assert jacs.shape == (7, sys.fields.ell, sys.fields.d, sys.fields.d)
+    for n, y in enumerate(stack):
+        for i in range(sys.fields.ell):
+            np.testing.assert_array_equal(fields[n, i], sys.fields.field(i, y))
+            np.testing.assert_array_equal(jacs[n, i], sys.fields.jacobian(i, y))
+
+
+def test_cvt_domain_check_covers_every_row():
+    sys = cvt()
+    stack = np.tile([0.0, 0.0, 0.0, 0.5], (4, 1))
+    stack[2, 3] = 1.2
+    for evaluate in (sys.fields.fields_at, sys.fields.jacobians_at):
+        with pytest.raises(DomainViolation, match="1.2"):
+            evaluate(stack)
+
+
 class TestRollingBall:
     def test_bracket_is_reversed_matrix_commutator(self):
         # left multiplication reverses the commutator: [V1,V2](M) = (A2 A1 - A1 A2) M

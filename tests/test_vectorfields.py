@@ -85,6 +85,73 @@ class TestVectorFieldSet:
             fields.field(0, np.zeros(2))
 
 
+class TestBatchedEvaluation:
+    def test_fd_jacobians_of_a_stack_equal_row_by_row(self):
+        sys = triple_product()
+        fd_fields = VectorFieldSet(sys.fields._evals, d=3)
+        stack = np.random.default_rng(10).standard_normal((5, 3))
+        jacs = fd_fields.jacobians_at(stack)
+        for n, y in enumerate(stack):
+            for i in range(3):
+                np.testing.assert_array_equal(jacs[n, i], fd_fields.jacobian(i, y))
+                np.testing.assert_allclose(jacs[n, i], sys.fields.jacobian(i, y), atol=1e-8)
+
+    def test_broadcastable_results_fill_the_stack(self):
+        fields = VectorFieldSet(
+            [lambda x: x.copy(), lambda x: np.ones(2)],
+            d=2,
+            jacs=[lambda x: np.eye(2), lambda x: np.zeros((1, 1))],
+        )
+        stack = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(fields.fields_at(stack)[:, 0], stack)
+        np.testing.assert_array_equal(fields.fields_at(stack)[:, 1], np.ones((3, 2)))
+        np.testing.assert_array_equal(fields.jacobians_at(stack)[:, 0], np.tile(np.eye(2), (3, 1, 1)))
+        np.testing.assert_array_equal(fields.jacobians_at(stack)[:, 1], np.zeros((3, 2, 2)))
+
+    def test_fd_mode_with_broadcastable_field(self):
+        fields = VectorFieldSet([lambda x: np.array([1.0, -2.0])], d=2)
+        assert np.all(fields.jacobians_at(np.ones((4, 2))) == 0)
+
+    @pytest.mark.parametrize(
+        "ev, jac",
+        [
+            (lambda x: np.zeros((x.shape[0] + 1, 2)), None),
+            (lambda x: np.zeros(3), None),
+            (lambda x: np.zeros((1,) + x.shape), None),
+            (lambda x: x, lambda x: np.zeros((x.shape[0], 2))),
+        ],
+        ids=["extra_row", "wrong_width", "extra_axis", "jacobian_missing_axis"],
+    )
+    def test_non_broadcastable_result_is_rejected(self, ev, jac):
+        fields = VectorFieldSet([ev], d=2, jacs=None if jac is None else [jac])
+        evaluate = fields.fields_at if jac is None else fields.jacobians_at
+        with pytest.raises(DimensionMismatch):
+            evaluate(np.zeros((3, 2)))
+
+    def test_state_shape_checked(self):
+        fields = constant_set([[1.0, 0.0]], d=2)
+        with pytest.raises(DimensionMismatch):
+            fields.fields_at(np.zeros((3, 4)))
+
+    def test_bracket_of_a_stack(self):
+        sys = unicycle()
+        stack = np.random.default_rng(11).standard_normal((4, 3))
+        got = bracket(sys.fields, 0, 1, stack)
+        for n, y in enumerate(stack):
+            np.testing.assert_allclose(got[n], bracket(sys.fields, 0, 1, y), atol=1e-15)
+
+    def test_stacked_points_accept_a_stack(self):
+        sys = unicycle()
+        y1, y2 = np.array([0.0, 0.0, 0.3]), np.array([1.0, 1.0, -0.2])
+        stacked = stack_points(sys.fields, [y1, y2])
+        z = np.random.default_rng(12).standard_normal((3, 6))
+        fields = stacked.fields_at(z)
+        jacs = stacked.jacobians_at(z)
+        for n in range(3):
+            np.testing.assert_array_equal(fields[n, 0], stacked.field(0, z[n]))
+            np.testing.assert_array_equal(jacs[n, 0], stacked.jacobian(0, z[n]))
+
+
 class TestBracket:
     def test_constant_fields_commute(self):
         fields = constant_set([[1.0, 0.0], [0.0, 1.0]], d=2)
