@@ -29,7 +29,6 @@ from .rde import (
     ObservationSet,
     Trajectory,
     euler2_step,
-    logode_flow,
     logode_step,
     observe_flow,
     observe_flows,
@@ -112,7 +111,6 @@ __all__ = [
     "lift_piecewise_linear",
     "local_reconstruct_flow",
     "local_reconstruct_taylor",
-    "logode_flow",
     "logode_step",
     "make_linear_rough_path",
     "observe_flow",

@@ -3,9 +3,9 @@
 Two one-step schemes are provided: the second-order Euler step (level-1 term
 plus second-level correction) and the log-ODE step (time-1 RK4 flow of the
 frozen field built from the increment and the field brackets).  The log-ODE
-flow is batched: `logode_flow` steps an (N, d) stack of states in lockstep,
-each row with its own increment, and flow observation stacks every base
-point and every driver path into one such run.  All functions are pure.
+step is batched: it moves an (N, d) stack of states in lockstep, each row
+with its own increment, and flow observation stacks every base point and
+every driver path into one such run.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -88,37 +88,40 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
     """
     x = _check_step_inputs(V, x, inc)
     fields = V.fields_at(x)
-    level1 = inc.x @ fields
-    # pulled[k] = sum_j XX^{jk} V_j = 0.5 x^k level1 - (a V)_k, as a is antisymmetric
-    pulled = 0.5 * inc.x[:, None] * level1 - inc.a @ fields
+    pulled = inc.second_level.T @ fields  # pulled[k] = sum_j XX^{jk} V_j
     jacs = V.jacobians_at(x)
-    return x + level1 + jacs.swapaxes(0, 1).reshape(V.d, -1) @ pulled.ravel()
+    return x + inc.x @ fields + jacs.swapaxes(0, 1).reshape(V.d, -1) @ pulled.ravel()
 
 
-def logode_flow(V: VectorFieldSet, z, x, a, n_sub=16):
-    """Time-1 maps of the frozen fields x^i V_i + sum_{j<k} a^{jk} [V_j, V_k], row by row.
+def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
+    """Log-ODE step: the time-1 map of the frozen field
+    x^i V_i + sum_{j<k} a^{jk} [V_j, V_k], by classical RK4 with n_sub
+    uniform substeps.
 
-    z is an (N, d) stack of states and row n moves under its own increment:
-    x[n] of shape (ell,) and the antisymmetric a[n] of shape (ell, ell).
-    All rows are integrated in lockstep by classical RK4 with n_sub uniform
-    substeps.  Fixed substeps keep the result deterministic and reproducible,
+    x is one state (d,) or a stack (N, d) of states stepped in lockstep; inc
+    is one increment shared by every row, or a stack of N increments, one
+    per row.  Fixed substeps keep the result deterministic and reproducible,
     which the order-of-convergence fits rely on.
     """
-    z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n, ell = (z.shape[0] if z.ndim else 0), V.ell
-    if z.shape != (n, V.d) or x.shape != (n, ell) or a.shape != (n, ell, ell):
+    if inc.ell != V.ell:
         raise DimensionMismatch(
-            f"need states (N, {V.d}), increments (N, {ell}) and areas (N, {ell}, {ell}); "
-            f"got {z.shape}, {x.shape} and {a.shape}"
+            f"increment has ell={inc.ell} but the field set has ell={V.ell}"
+        )
+    if x.ndim not in (1, 2) or x.shape[-1] != V.d:
+        raise DimensionMismatch(f"state must have shape ({V.d},) or (N, {V.d}), got {x.shape}")
+    z = np.atleast_2d(x)
+    n, ell = z.shape[0], V.ell
+    if inc.x.ndim == 2 and (x.ndim == 1 or inc.x.shape[0] != n):
+        raise DimensionMismatch(
+            f"a stack of {inc.x.shape[0]} increments needs {inc.x.shape[0]} state rows, got {x.shape}"
         )
     n_sub = int(n_sub)
     if n_sub < 1:
         raise InvalidParameter("n_sub must be >= 1")
-    x_row = x[:, None, :]
+    x_row = np.broadcast_to(inc.x, (n, ell))[:, None, :]
     # a is antisymmetric, so sum_{j<k} a^{jk} [V_j, V_k] = sum_{k} DV_k (sum_j a^{jk} V_j)
-    a_t = np.swapaxes(a, 1, 2) if a.any() else None
+    a_t = np.broadcast_to(np.swapaxes(inc.a, -1, -2), (n, ell, ell)) if inc.a.any() else None
 
     def w(y):
         fields = V.fields_at(y)
@@ -136,14 +139,7 @@ def logode_flow(V: VectorFieldSet, z, x, a, n_sub=16):
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(z).all():
             raise NonFinite("log-ODE state blew up")
-    return z
-
-
-def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
-    """Log-ODE step of one state: the time-1 map of the frozen field, by
-    `logode_flow` with n_sub RK4 substeps."""
-    x = _check_step_inputs(V, x, inc)
-    return logode_flow(V, x[None], inc.x[None], inc.a[None], n_sub)[0]
+    return z if x.ndim == 2 else z[0]
 
 
 _STEPPERS = {"euler2": euler2_step, "logode": logode_step}
@@ -209,8 +205,9 @@ def observe_flows(V: VectorFieldSet, points, paths, i, ends, n_internal=64, n_su
     z = np.tile(points, (len(paths), 1))
     at_end = {}
     for s in range(j_max - i):
+        inc = RoughIncrement.stack(x[s], a[s])
         for _ in range(n_internal):
-            z = logode_flow(V, z, x[s], a[s], n_sub)
+            z = logode_step(V, z, inc, n_sub)
         if i + s + 1 in ends:
             at_end[i + s + 1] = z
     return [

@@ -33,8 +33,7 @@ from .errors import (
     RankDeficient,
     TrustRegionExceeded,
 )
-# logode_step is not called here; bench/tracer.py patches it under this name
-from .rde import ObservationSet, logode_flow, logode_step  # noqa: F401
+from .rde import ObservationSet, logode_step
 from .roughpath import (
     GridRoughPath,
     RoughIncrement,
@@ -149,21 +148,10 @@ def taylor_map(V: VectorFieldSet, points, A, B):
     return out.ravel()
 
 
-def _flow_images(V: VectorFieldSet, points, x, a, n_sub):
-    """Log-ODE images of the c base points under each of K increments x (K, ell),
-    a (K, ell, ell), from one lockstep run over K*c rows; returns (K, c*d)."""
-    c, k = len(points), len(x)
-    z = logode_flow(
-        V, np.tile(points, (k, 1)), np.repeat(x, c, axis=0), np.repeat(a, c, axis=0), n_sub
-    )
-    return z.reshape(k, -1)
-
-
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
     """Log-ODE flow images exp(A^i V_i + B^{jk} [V_j, V_k]) of the base points, stacked."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    inc = RoughIncrement(A, B)
-    return _flow_images(V, points, inc.x[None], inc.a[None], n_sub)[0]
+    return logode_step(V, points, RoughIncrement(A, B), n_sub).ravel()
 
 
 def _second_comp_total(comps):
@@ -337,9 +325,13 @@ def local_reconstruct_flow(
 
     def jacobian(theta):
         # all 2m central-difference probes of all c points in one lockstep run
-        m = theta.size
+        m, c = theta.size, obs.c
         probes = theta + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
-        images = _flow_images(V, base, probes[:, :ell], area_matrix(probes[:, ell:], ell), n_sub)
+        inc = RoughIncrement.stack(
+            np.repeat(probes[:, :ell], c, axis=0),
+            np.repeat(area_matrix(probes[:, ell:], ell), c, axis=0),
+        )
+        images = logode_step(V, np.tile(base, (2 * m, 1)), inc, n_sub).reshape(2 * m, -1)
         return (images[:m] - images[m:]).T / (2.0 * fd_step)
 
     theta, iterations, rvec = _minimize_least_squares(

@@ -28,12 +28,13 @@ _ANTISYM_REJECT = 1e-9
 
 def _antisymmetric_part(a, context):
     a = np.asarray(a, dtype=float)
-    residue = np.max(np.abs(a + a.T)) * 0.5 if a.size else 0.0
+    a_t = np.swapaxes(a, -1, -2)
+    residue = np.max(np.abs(a + a_t)) * 0.5 if a.size else 0.0
     if residue > _ANTISYM_REJECT:
         raise InvalidParameter(
             f"{context}: matrix is not antisymmetric (symmetric residue {residue:.3e})"
         )
-    return 0.5 * (a - a.T)
+    return 0.5 * (a - a_t)
 
 
 class RoughIncrement:
@@ -41,7 +42,9 @@ class RoughIncrement:
 
     x is the level-1 increment (length ell), a the antisymmetric area matrix.
     The constructor antisymmetrizes a and rejects inputs whose symmetric part
-    is too large to be round-off.
+    is too large to be round-off.  `RoughIncrement.stack` builds a stack of N
+    increments, x of shape (N, ell) and a of shape (N, ell, ell), that drives
+    the rows of a lockstep log-ODE step one increment each.
     """
 
     __slots__ = ("x", "a")
@@ -50,15 +53,26 @@ class RoughIncrement:
         x = np.array(x, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise DimensionMismatch("increment x must be a nonempty 1-d vector")
-        ell = x.size
+        self._set(x, a)
+
+    @classmethod
+    def stack(cls, x, a=None):
+        """N increments x (N, ell), a (N, ell, ell), checked like single ones."""
+        x = np.array(x, dtype=float)
+        if x.ndim != 2 or x.size == 0:
+            raise DimensionMismatch(f"a stack of increments needs x of shape (N, ell), got {x.shape}")
+        inc = cls.__new__(cls)
+        inc._set(x, a)
+        return inc
+
+    def _set(self, x, a):
+        shape = x.shape + x.shape[-1:]
         if a is None:
-            a = np.zeros((ell, ell))
+            a = np.zeros(shape)
         else:
             a = np.asarray(a, dtype=float)
-            if a.shape != (ell, ell):
-                raise DimensionMismatch(
-                    f"area must have shape {(ell, ell)}, got {a.shape}"
-                )
+            if a.shape != shape:
+                raise DimensionMismatch(f"area must have shape {shape}, got {a.shape}")
             a = _antisymmetric_part(a, "RoughIncrement")
         x.setflags(write=False)
         a.setflags(write=False)
@@ -75,12 +89,12 @@ class RoughIncrement:
 
     @property
     def ell(self):
-        return self.x.size
+        return self.x.shape[-1]
 
     @property
     def second_level(self):
-        """Full second-level tensor 0.5 * outer(x, x) + a."""
-        return 0.5 * np.outer(self.x, self.x) + self.a
+        """Full second-level tensor 0.5 * outer(x, x) + a, per increment of a stack."""
+        return 0.5 * self.x[..., :, None] * self.x[..., None, :] + self.a
 
     def __repr__(self):
         return f"RoughIncrement(ell={self.ell}, |x|={np.linalg.norm(self.x):.3g})"

@@ -14,7 +14,6 @@ from rdeinv.errors import (
 from rdeinv.rde import (
     ObservationSet,
     euler2_step,
-    logode_flow,
     logode_step,
     observe_flow,
     observe_flows,
@@ -138,20 +137,28 @@ def random_rows(V, n, rng, scale=0.3):
     return z, x, upper - np.swapaxes(upper, 1, 2)
 
 
-class TestLogodeFlow:
+class TestBatchedLogodeStep:
     @pytest.mark.parametrize("builder", [rolling_ball, triple_product])
     def test_rows_agree_with_per_point_oracle(self, builder):
         V = builder().fields
         z, x, a = random_rows(V, 6, np.random.default_rng(31))
-        got = logode_flow(V, z, x, a, n_sub=4)
+        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=4)
         for n in range(6):
             want = rk4_oracle(V, z[n], x[n], a[n], 4)
             np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    def test_shared_increment_equals_its_repeated_stack(self):
+        V = triple_product().fields
+        z, x, a = random_rows(V, 4, np.random.default_rng(35))
+        shared = logode_step(V, z, RoughIncrement(x[0], a[0]), n_sub=4)
+        repeated = RoughIncrement.stack(np.tile(x[0], (4, 1)), np.tile(a[0], (4, 1, 1)))
+        stacked = logode_step(V, z, repeated, n_sub=4)
+        np.testing.assert_allclose(shared, stacked, rtol=1e-14, atol=1e-15)
+
     def test_finite_difference_jacobians_go_through_the_stack(self):
         V = VectorFieldSet(triple_product().fields._evals, d=3)
         z, x, a = random_rows(V, 5, np.random.default_rng(32))
-        got = logode_flow(V, z, x, a, n_sub=2)
+        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=2)
         for n in range(5):
             want = logode_step(V, z[n], RoughIncrement(x[n], a[n]), n_sub=2)
             np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
@@ -163,7 +170,7 @@ class TestLogodeFlow:
             jacs=[lambda x: np.eye(2), lambda x: np.zeros((2, 2))],
         )
         z, x, a = random_rows(V, 4, np.random.default_rng(33))
-        got = logode_flow(V, z, x, a, n_sub=8)
+        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=8)
         for n in range(4):
             want = rk4_oracle(V, z[n], x[n], a[n], 8)
             np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
@@ -172,9 +179,11 @@ class TestLogodeFlow:
         V = rolling_ball().fields
         z, x, a = random_rows(V, 3, np.random.default_rng(34))
         with pytest.raises(DimensionMismatch):
-            logode_flow(V, z, x[:2], a)
+            logode_step(V, z, RoughIncrement.stack(x[:2], a[:2]))
         with pytest.raises(DimensionMismatch):
-            logode_flow(V, z[:, :4], x, a)
+            logode_step(V, z[0], RoughIncrement.stack(x, a))
+        with pytest.raises(DimensionMismatch):
+            logode_step(V, z[:, :4], RoughIncrement.stack(x, a))
 
 
 class TestSolve:

@@ -16,7 +16,6 @@ from rdeinv.errors import (
 )
 from rdeinv.rde import ObservationSet, logode_step, observe_flow
 from rdeinv.reconstruct import (
-    _flow_images,
     doss_sussmann_1d,
     flow_map,
     local_reconstruct_flow,
@@ -208,7 +207,8 @@ class TestFlowMap:
         rng = np.random.default_rng(43)
         xs = 0.1 * rng.standard_normal((12, 3))
         areas = area_matrix(0.01 * rng.standard_normal((12, 3)), 3)
-        got = _flow_images(V, points, xs, areas, 8)
+        stack = RoughIncrement.stack(np.repeat(xs, 3, axis=0), np.repeat(areas, 3, axis=0))
+        got = logode_step(V, np.tile(points, (12, 1)), stack, 8).reshape(12, -1)
         for k in range(12):
             want = flow_map(V, points, xs[k], areas[k], n_sub=8)
             np.testing.assert_allclose(got[k], want, rtol=1e-13, atol=1e-15)

@@ -63,6 +63,25 @@ class TestRoughIncrement:
         with pytest.raises(DimensionMismatch):
             RoughIncrement(np.zeros(2), np.zeros((3, 3)))
 
+    def test_stack_holds_one_increment_per_row(self):
+        rng = np.random.default_rng(1)
+        incs = [random_increment(rng, 3) for _ in range(4)]
+        stack = RoughIncrement.stack([inc.x for inc in incs], [inc.a for inc in incs])
+        assert stack.ell == 3
+        for n, inc in enumerate(incs):
+            np.testing.assert_array_equal(stack.a[n], inc.a)
+            np.testing.assert_array_equal(stack.second_level[n], inc.second_level)
+
+    def test_stack_errors(self):
+        with pytest.raises(DimensionMismatch):
+            RoughIncrement.stack(np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            RoughIncrement.stack(np.zeros((4, 2)), np.zeros((2, 2)))
+        raw = np.zeros((4, 2, 2))
+        raw[1, 0, 1] = 1.0  # upper triangle only: not an area
+        with pytest.raises(InvalidParameter):
+            RoughIncrement.stack(np.zeros((4, 2)), raw)
+
 
 class TestChenMul:
     def test_identity(self):

@@ -62,7 +62,7 @@ class TestVectorFieldSet:
     def test_fd_agrees_with_analytic_within_bound(self):
         # quadratic field: fd error is O(h^2), well within the 10*h contract
         def ev(x):
-            return np.array([x[0] ** 2, x[0] * x[1]])
+            return np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1)
 
         def ja(x):
             return np.array([[2 * x[0], 0.0], [x[1], x[0]]])
