@@ -4,7 +4,7 @@ The package has five layers over one file-format module:
 
 * roughpath    -- level-2 weakly geometric rough paths on grids (Chen algebra,
                   lifts of sampled and Brownian signals, norms, CSV I/O)
-* vectorfields -- batched field sets with Jacobians, Lie brackets, point stacking
+* vectorfields -- batched field sets with Jacobians, Lie brackets, compositions
 * rde          -- second-order Euler and batched log-ODE integrators, flow observation
 * reconstruct  -- rank test, local recovery of (increment, area), stitching
 * systems      -- named example systems addressable from the CLI
@@ -70,7 +70,7 @@ from .systems import (
     triple_product,
     unicycle,
 )
-from .vectorfields import VectorFieldSet, bracket, fd_jacobian, second_comp, stack_points
+from .vectorfields import VectorFieldSet, bracket, fd_jacobian, second_comp
 
 __version__ = "0.1.0"
 
@@ -123,7 +123,6 @@ __all__ = [
     "search_points",
     "second_comp",
     "solve",
-    "stack_points",
     "stitch",
     "taylor_map",
     "triple_product",

@@ -4,6 +4,10 @@ Experiments are reproducible by file (INI config with sections) and tweakable
 by hand: any config key can be overridden with --set SECTION.KEY=VALUE, and
 the common keys have dedicated flags.
 
+`observe`, `reconstruct` and `convergence` observe all their intervals (and,
+for `convergence`, all driver seeds) in one lockstep `rde.observe_flows` run;
+the recoveries then run interval by interval.
+
 Exit codes: 0 success, 1 numerical failure (machine-readable error JSON on
 stdout), 2 domain error, 64 usage error (bad flags or config values, and
 missing, unreadable or malformed files).
@@ -367,12 +371,12 @@ def cmd_observe(args):
         points = np.vstack(system.recommended_points)
     else:
         raise UsageError("no --points given and the system has no recommended points")
-    obs_list = [
-        rde.observe_flow(system.fields, points, path, i, j, args.n_internal, args.n_sub)
-        for i, j in _grid_pairs(path, _parse_intervals(args.intervals))
-    ]
-    if not obs_list:
+    pairs = _grid_pairs(path, _parse_intervals(args.intervals))
+    if not pairs:
         raise UsageError("--intervals is required, e.g. '0,0.5;0.5,1'")
+    [obs_list] = rde.observe_flows(
+        system.fields, points, [path], pairs, args.n_internal, args.n_sub
+    )
     reconstruct.write_observations_csv(obs_list, args.out)
     print(json.dumps({"written": args.out, "intervals": len(obs_list), "c": len(points)}))
     return EXIT_OK
@@ -456,10 +460,9 @@ def cmd_reconstruct(args):
                     file=sys.stderr,
                 )
                 break
-        obs_list = [
-            rde.observe_flow(system.fields, points, path, i, j, cfg.n_internal, cfg.n_sub)
-            for i, j in pairs
-        ]
+        [obs_list] = rde.observe_flows(
+            system.fields, points, [path], pairs, cfg.n_internal, cfg.n_sub
+        )
     results = [(obs, _reconstruct_one(system, obs, cfg)) for obs in obs_list]
     reports = [
         reconstruct.reconstruction_report(res, obs.s, obs.t, rank_info)
@@ -517,11 +520,10 @@ def cmd_convergence(args):
     paths = [_build_driver(cfg, seed=seed) for seed in seeds]
     points = _resolve_points(cfg, system)
     # every seed's driver lives on the same grid, and every dyadic interval
-    # starts at i0, so one lockstep run over the longest covers them all
+    # starts at s, so one lockstep run over the longest covers them all
     pairs = _schedule(cfg, paths[0])
-    i0 = pairs[0][0]
     observed = rde.observe_flows(
-        system.fields, points, paths, i0, [j for _, j in pairs], cfg.n_internal, cfg.n_sub
+        system.fields, points, paths, pairs, cfg.n_internal, cfg.n_sub
     )
     per_seed = []
     for path, obs_list in zip(paths, observed):

@@ -4,8 +4,9 @@ Two one-step schemes are provided: the second-order Euler step (level-1 term
 plus second-level correction) and the log-ODE step (time-1 RK4 flow of the
 frozen field built from the increment and the field brackets).  The log-ODE
 step is batched: it moves an (N, d) stack of states in lockstep, each row
-with its own increment, and flow observation stacks every base point and
-every driver path into one such run.  All functions are pure.
+with its own increment, and flow observation stacks every base point, every
+driver path and every observation interval into one such run.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -169,26 +170,29 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     return Trajectory(path.times.copy(), states)
 
 
-def observe_flows(V: VectorFieldSet, points, paths, i, ends, n_internal=64, n_sub=4):
-    """Flow images of the base points over [t_i, t_j], for every path and every j in ends.
+def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=4):
+    """Flow images of the base points over [t_i, t_j], for every path and every (i, j) in pairs.
 
-    Every (path, base point) pair is one row of a single stack, stepped in
-    lockstep with its own path's increments.  The stack is integrated once up
-    to the largest end and its states are recorded as each end is passed, so
-    nested intervals that share the start i cost one run over the longest.
+    Every (path, start, base point) triple is one row of a single stack,
+    stepped in lockstep: at lockstep step k each row takes its own path's
+    grid step i + k, so intervals of any start, length and order cost one
+    run over the longest.  Intervals that share a start share their rows;
+    the states are recorded as each end is passed, and a row whose last end
+    has passed takes exact zero increments, which carry its state unchanged.
     Every grid step is split into n_internal Chen substeps, each integrated
     with a log-ODE step; n_internal is the observation accuracy knob and only
     needs to push the integration error well below the reconstruction scale.
 
-    Returns out[p][e], the ObservationSet of paths[p] over [t_i, t_{ends[e]}].
+    Returns out[p][q], the ObservationSet of paths[p] over pairs[q].
     """
     paths = list(paths)
-    ends = [int(j) for j in ends]
-    if not paths or not ends:
-        raise InvalidParameter("need at least one path and one interval end")
+    pairs = [(int(i), int(j)) for i, j in pairs]
+    if not paths or not pairs:
+        raise InvalidParameter("need at least one path and one interval")
     for path in paths:
-        if not (0 <= i < min(ends) and max(ends) <= path.n):
-            raise IndexOutOfRange(f"need 0 <= i < j <= {path.n}, got i={i}, j in {ends}")
+        for i, j in pairs:
+            if not 0 <= i < j <= path.n:
+                raise IndexOutOfRange(f"need 0 <= i < j <= {path.n}, got i={i}, j={j}")
         if path.ell != V.ell:
             raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     n_internal = int(n_internal)
@@ -196,28 +200,39 @@ def observe_flows(V: VectorFieldSet, points, paths, i, ends, n_internal=64, n_su
         raise InvalidParameter("n_internal must be >= 1")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     c = len(points)
-    j_max = max(ends)
-    # substep increments, (steps, paths * points, ...): each path's rows repeat it c times
-    x = np.stack([p.values[i + 1 : j_max + 1] - p.values[i:j_max] for p in paths], axis=1)
-    a = np.stack([p.step_areas[i:j_max] for p in paths], axis=1)
-    x = np.repeat(x / n_internal, c, axis=1)
-    a = np.repeat(a / n_internal, c, axis=1)
-    z = np.tile(points, (len(paths), 1))
-    at_end = {}
-    for s in range(j_max - i):
+    lengths = {}  # start -> steps up to its last end, in order of first appearance
+    for i, j in pairs:
+        lengths[i] = max(lengths.get(i, 0), j - i)
+    span = max(lengths.values())
+    # substep increments, (steps, paths * starts * points, ...): zero past a start's
+    # last end, and each (path, start) block repeats its increments c times
+    x = np.zeros((span, len(paths), len(lengths), V.ell))
+    a = np.zeros((span, len(paths), len(lengths), V.ell, V.ell))
+    for p, path in enumerate(paths):
+        for r, (i, n) in enumerate(lengths.items()):
+            x[:n, p, r] = path.values[i + 1 : i + n + 1] - path.values[i : i + n]
+            a[:n, p, r] = path.step_areas[i : i + n]
+    x = np.repeat(x.reshape(span, -1, V.ell) / n_internal, c, axis=1)
+    a = np.repeat(a.reshape(span, -1, V.ell, V.ell) / n_internal, c, axis=1)
+    z = np.tile(points, (len(paths) * len(lengths), 1))
+    recorded = {j - i for i, j in pairs}
+    at_step = {}  # interval length -> states, (paths, starts, points, d)
+    for s in range(span):
         inc = RoughIncrement.stack(x[s], a[s])
         for _ in range(n_internal):
             z = logode_step(V, z, inc, n_sub)
-        if i + s + 1 in ends:
-            at_end[i + s + 1] = z
+        if s + 1 in recorded:
+            at_step[s + 1] = z.reshape(len(paths), len(lengths), c, V.d)
+    starts = list(lengths)
     return [
         [
             ObservationSet(
-                points, float(p.times[i]), float(p.times[j]), at_end[j][k * c : (k + 1) * c]
+                points, float(path.times[i]), float(path.times[j]),
+                at_step[j - i][p, starts.index(i)],
             )
-            for j in ends
+            for i, j in pairs
         ]
-        for k, p in enumerate(paths)
+        for p, path in enumerate(paths)
     ]
 
 
@@ -225,7 +240,7 @@ def observe_flow(
     V: VectorFieldSet, points, path: GridRoughPath, i, j, n_internal=64, n_sub=4
 ) -> ObservationSet:
     """Flow images of the base points over [t_i, t_j]; see `observe_flows`."""
-    return observe_flows(V, points, [path], i, [j], n_internal, n_sub)[0][0]
+    return observe_flows(V, points, [path], [(i, j)], n_internal, n_sub)[0][0]
 
 
 def write_trajectory_csv(traj: Trajectory, file):

@@ -9,8 +9,9 @@ bracket values at the base points has rank m.
 
 Field, bracket and composition values at all base points come from one
 batched evaluation, and the flow model pushes every base point and every
-finite-difference probe through one lockstep log-ODE run.  All operations
-are pure.
+finite-difference probe through one lockstep log-ODE run.  The greedy point
+search evaluates all candidates of a round as one stack and scores them with
+one batched SVD.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -99,21 +100,22 @@ def _point_blocks(V: VectorFieldSet, points):
     return points, fields, brackets, comps
 
 
-def _stack_columns(fields, brackets):
-    """Assemble the (c*d, m) matrix: field columns then bracket columns."""
-    cols = np.concatenate([fields, brackets], axis=1)  # (c, m, d)
-    return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
+def _column_blocks(fields, brackets):
+    """Per-point (c, d, m) row blocks of the reconstruction matrix: field
+    columns then bracket columns."""
+    return np.concatenate([fields, brackets], axis=1).transpose(0, 2, 1)
+
+
+def _ranked(mat, sv, tol_rel):
+    """The ReconstructionMatrix of mat, given its singular values sv."""
+    rank = 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > tol_rel * sv[0]))
+    return ReconstructionMatrix(mat.shape[1], mat, sv, rank, float(tol_rel))
 
 
 def _matrix(fields, brackets, tol_rel):
-    mat = _stack_columns(fields, brackets)
-    m = mat.shape[1]
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > tol_rel * sv[0]))
-    return ReconstructionMatrix(m, mat, sv, rank, float(tol_rel))
+    blocks = _column_blocks(fields, brackets)
+    mat = blocks.reshape(-1, blocks.shape[2])
+    return _ranked(mat, np.linalg.svd(mat, compute_uv=False), tol_rel)
 
 
 def reconstruction_matrix(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
@@ -440,6 +442,15 @@ class PointSearchResult:
         return self.rank == self.m
 
 
+def _admissible(V: VectorFieldSet, point):
+    """Whether the fields and their Jacobians can be evaluated at point."""
+    try:
+        _point_blocks(V, point)
+    except DomainViolation:
+        return False
+    return True
+
+
 def search_points(
     V: VectorFieldSet,
     box_lo,
@@ -453,9 +464,12 @@ def search_points(
 
     Grows the point set one point at a time, keeping the candidate that
     maximises sigma_min of the reconstruction matrix, until rank m is reached
-    or c_max points are used.  Deterministic given the seed; candidates that
-    raise DomainViolation are skipped.  Failure is reported through
-    rank < m in the returned diagnostics, not an exception.
+    or c_max points are used.  Each round draws its n_trials candidates at
+    once, evaluates them as one stack, appends each candidate's row block to
+    the chosen points' matrix and scores every candidate with one batched
+    SVD; ties go to the earliest candidate.  Deterministic given the seed;
+    candidates that raise DomainViolation are skipped.  Failure is reported
+    through rank < m in the returned diagnostics, not an exception.
     """
     if c_max < 1 or n_trials < 1:
         raise InvalidParameter("c_max and n_trials must be >= 1")
@@ -464,27 +478,27 @@ def search_points(
     if np.any(hi <= lo):
         raise InvalidParameter("box upper bounds must exceed lower bounds")
     rng = np.random.default_rng(seed)
-    chosen = []
-    best_mat = None
+    # the chosen points and their rows of the reconstruction matrix
+    chosen, head = np.empty((0, V.d)), np.empty((0, V.ell * (V.ell + 1) // 2))
     for _ in range(c_max):
-        best_cand, best_sig, best_cand_mat = None, -1.0, None
-        for _ in range(n_trials):
-            cand = rng.uniform(lo, hi)
-            try:
-                mat = reconstruction_matrix(V, chosen + [cand], tol_rel)
-            except DomainViolation:
-                continue
-            sig = float(mat.singular_values[-1])
-            if sig > best_sig:
-                best_cand, best_sig, best_cand_mat = cand, sig, mat
-        if best_cand is None:
-            raise InvalidParameter("no admissible candidate points found in the box")
-        chosen.append(best_cand)
-        best_mat = best_cand_mat
+        cands = rng.uniform(lo, hi, size=(n_trials, V.d))
+        try:
+            _, fields, brackets, _ = _point_blocks(V, cands)
+        except DomainViolation:
+            cands = cands[[_admissible(V, cand) for cand in cands]]
+            if len(cands) == 0:
+                raise InvalidParameter("no admissible candidate points found in the box")
+            _, fields, brackets, _ = _point_blocks(V, cands)
+        heads = np.broadcast_to(head, (len(cands),) + head.shape)
+        mats = np.concatenate([heads, _column_blocks(fields, brackets)], axis=1)
+        svs = np.linalg.svd(mats, compute_uv=False)
+        best = int(np.argmax(svs[:, -1]))
+        best_mat = _ranked(mats[best], svs[best], tol_rel)
+        chosen, head = np.vstack([chosen, cands[best]]), best_mat.mat
         if best_mat.rank == best_mat.m:
             break
     return PointSearchResult(
-        points=np.vstack(chosen),
+        points=chosen,
         rank=best_mat.rank,
         m=best_mat.m,
         sigma_min=float(best_mat.singular_values[-1]),

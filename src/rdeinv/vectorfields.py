@@ -152,41 +152,3 @@ def second_comp(V: VectorFieldSet, j, k, x):
 def bracket(V: VectorFieldSet, j, k, x):
     """Lie bracket [V_j, V_k](x) = DV_k(x) V_j(x) - DV_j(x) V_k(x), at one state or a stack."""
     return second_comp(V, j, k, x) - second_comp(V, k, j, x)
-
-
-def stack_points(V: VectorFieldSet, points) -> VectorFieldSet:
-    """Fields on (c*d)-space acting block-wise on c copies of the state.
-
-    W_i(y_1, ..., y_c) concatenates V_i(y_1) ... V_i(y_c); Jacobians are block
-    diagonal, so brackets of the stacked fields concatenate pointwise brackets.
-    `points` only fixes c; the stacked fields accept any (c*d,) state or
-    (N, c*d) stack.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    c, d = points.shape
-    if d != V.d:
-        raise DimensionMismatch(f"points have dimension {d}, fields live on {V.d}-space")
-    blocks = [slice(r * d, (r + 1) * d) for r in range(c)]
-
-    def make_eval(i):
-        def ev(z):
-            return np.concatenate([V.field(i, z[..., b]) for b in blocks], axis=-1)
-
-        return ev
-
-    def make_jac(i):
-        def ja(z):
-            out = np.zeros(z.shape[:-1] + (c * d, c * d))
-            for b in blocks:
-                out[..., b, b] = V.jacobian(i, z[..., b])
-            return out
-
-        return ja
-
-    return VectorFieldSet(
-        [make_eval(i) for i in range(V.ell)],
-        d=c * d,
-        jacs=[make_jac(i) for i in range(V.ell)],
-        fd_step=V.fd_step,
-        jac_mode=V.jac_mode,
-    )

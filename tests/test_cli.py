@@ -146,6 +146,40 @@ class TestObserve:
         assert code == 64
         assert "need s < t" in err
 
+    def test_intervals_written_in_the_order_given(self, capsys, tmp_path):
+        path_file = tmp_path / "path.csv"
+        obs_file = tmp_path / "obs.csv"
+        run(capsys, "lift", "--driver", "brownian", "--seed", "3", "--n-coarse", "16",
+            "--n-fine", "2", "--out", str(path_file))
+        intervals = [(0.5, 1.0), (0.0, 0.25), (0.25, 0.75), (0.0, 1.0)]
+        code, out, _ = run(
+            capsys, "observe", "--system", "rolling_ball", "--path", str(path_file),
+            "--intervals", ";".join(f"{s},{t}" for s, t in intervals), "--alpha", "0.4",
+            "--n-internal", "2", "--n-sub", "2", "--out", str(obs_file),
+        )
+        assert code == 0 and json.loads(out)["intervals"] == 4
+        rows = [line.split(",") for line in obs_file.read_text().splitlines()[1:]]
+        c = len(rolling_ball().recommended_points)
+        assert [(float(r[0]), float(r[1])) for r in rows[::c]] == intervals
+        path = read_path_csv(path_file, 0.4)
+        points = np.vstack(rolling_ball().recommended_points)
+        for k, (s, t) in enumerate(intervals):
+            want = observe_flow(
+                rolling_ball().fields, points, path, round(s * 16), round(t * 16), 2, 2
+            )
+            got = np.array([[float(v) for v in r[3 + 9 :]] for r in rows[k * c : (k + 1) * c]])
+            np.testing.assert_array_equal(got, want.observed)
+
+    def test_empty_intervals_is_usage_error(self, capsys, tmp_path):
+        path_file = tmp_path / "path.csv"
+        run(capsys, "lift", "--driver", "circle", "--n", "16", "--out", str(path_file))
+        code, _, err = run(
+            capsys, "observe", "--system", "rolling_ball", "--path", str(path_file),
+            "--intervals", "", "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 64
+        assert "--intervals is required" in err
+
     def test_off_grid_endpoint_is_usage_error(self, capsys, tmp_path):
         path_file = tmp_path / "path.csv"
         run(capsys, "lift", "--driver", "circle", "--n", "16", "--out", str(path_file))

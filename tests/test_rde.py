@@ -257,15 +257,18 @@ class TestOneStepOrder:
         x0 = np.eye(3).ravel()
         n_total, horizon = 4096, 0.5
         lengths = [horizon / 2**k for k in range(5)]
+        ends = [n_total >> k for k in range(5)]
         slopes_euler, slopes_logode = [], []
-        for seed in range(50):
-            fine = sample_brownian_fine(2, 8, n_total // 8, horizon, seed=seed)
-            ref = solve(sys.fields, x0, fine, method="logode", n_sub=1)
+        paths = [
+            sample_brownian_fine(2, 8, n_total // 8, horizon, seed=seed) for seed in range(50)
+        ]
+        # all 50 reference solutions (log-ODE, one RK4 substep per grid step) in lockstep
+        refs = observe_flows(sys.fields, x0, paths, [(0, j) for j in ends], n_internal=1, n_sub=1)
+        for fine, ref in zip(paths, refs):
             e_euler, e_logode = [], []
-            for k in range(5):
-                j = n_total >> k
+            for j, obs in zip(ends, ref):
                 inc = fine.increment(0, j)
-                truth = ref.states[j]
+                truth = obs.observed[0]
                 e_euler.append(np.linalg.norm(euler2_step(sys.fields, x0, inc) - truth))
                 e_logode.append(
                     np.linalg.norm(logode_step(sys.fields, x0, inc, n_sub=8) - truth)
@@ -312,7 +315,9 @@ class TestObserveFlow:
         with pytest.raises(IndexOutOfRange):
             observe_flow(sys.fields, np.zeros((1, 2)), path, 1, 1)
         with pytest.raises(IndexOutOfRange):
-            observe_flows(sys.fields, np.zeros((1, 2)), [path], 0, [1, 2])
+            observe_flows(sys.fields, np.zeros((1, 2)), [path], [(0, 1), (0, 2)])
+        with pytest.raises(InvalidParameter):
+            observe_flows(sys.fields, np.zeros((1, 2)), [path], [])
 
     def test_nested_ends_of_many_paths_equal_separate_runs(self):
         sys = rolling_ball()
@@ -320,7 +325,8 @@ class TestObserveFlow:
         points = [np.eye(3).ravel(), np.linalg.qr(rng.standard_normal((3, 3)))[0].ravel()]
         paths = [sample_brownian_lift(2, 16, 4, 1.0, seed=s) for s in (1, 2, 3)]
         ends = [12, 4, 7]
-        got = observe_flows(sys.fields, points, paths, 2, ends, n_internal=2, n_sub=2)
+        pairs = [(2, j) for j in ends]
+        got = observe_flows(sys.fields, points, paths, pairs, n_internal=2, n_sub=2)
         assert len(got) == 3 and all(len(row) == 3 for row in got)
         for path, row in zip(paths, got):
             for j, obs in zip(ends, row):
@@ -328,6 +334,24 @@ class TestObserveFlow:
                 assert (obs.s, obs.t) == (want.s, want.t)
                 np.testing.assert_array_equal(obs.base_points, want.base_points)
                 np.testing.assert_allclose(obs.observed, want.observed, rtol=1e-12, atol=1e-14)
+
+    def test_intervals_of_any_start_and_order_equal_separate_runs(self):
+        # bitwise: the CLI's observation files must not depend on which
+        # intervals share the stack
+        sys = rolling_ball()
+        rng = np.random.default_rng(7)
+        points = [np.eye(3).ravel(), np.linalg.qr(rng.standard_normal((3, 3)))[0].ravel()]
+        paths = [sample_brownian_lift(2, 16, 4, 1.0, seed=s) for s in (4, 5)]
+        # out of order, overlapping, nested, repeated and sharing starts
+        pairs = [(9, 16), (0, 3), (2, 11), (0, 16), (5, 6), (2, 4), (9, 16), (14, 15)]
+        got = observe_flows(sys.fields, points, paths, pairs, n_internal=2, n_sub=2)
+        assert len(got) == 2 and all(len(row) == len(pairs) for row in got)
+        for path, row in zip(paths, got):
+            for (i, j), obs in zip(pairs, row):
+                want = observe_flow(sys.fields, points, path, i, j, n_internal=2, n_sub=2)
+                assert (obs.s, obs.t) == (want.s, want.t) == (path.times[i], path.times[j])
+                np.testing.assert_array_equal(obs.base_points, want.base_points)
+                np.testing.assert_array_equal(obs.observed, want.observed)
 
     def test_observation_set_validation(self):
         with pytest.raises(InvalidParameter):

@@ -8,6 +8,7 @@ from helpers import fit_slope, rolling_ball_generator
 from rdeinv.errors import (
     DegenerateField,
     DimensionMismatch,
+    DomainViolation,
     InvalidGrid,
     InvalidParameter,
     OutOfNeighborhood,
@@ -427,7 +428,81 @@ class TestStitch:
             stitch(segs, [0.0, 1.0, 2.0])
 
 
+def search_points_oracle(V, box_lo, box_hi, c_max, seed, n_trials=64):
+    """The per-candidate search loop: one reconstruction matrix per candidate.
+
+    Returns (points, matrix at the points) as the batched search must.
+    """
+    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (V.d,)).copy()
+    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (V.d,)).copy()
+    rng = np.random.default_rng(seed)
+    chosen = []
+    best_mat = None
+    for _ in range(c_max):
+        best_cand, best_sig, best_cand_mat = None, -1.0, None
+        for _ in range(n_trials):
+            cand = rng.uniform(lo, hi)
+            try:
+                mat = reconstruction_matrix(V, chosen + [cand])
+            except DomainViolation:
+                continue
+            sig = float(mat.singular_values[-1])
+            if sig > best_sig:
+                best_cand, best_sig, best_cand_mat = cand, sig, mat
+        if best_cand is None:
+            raise InvalidParameter("no admissible candidate points found in the box")
+        chosen.append(best_cand)
+        best_mat = best_cand_mat
+        if best_mat.rank == best_mat.m:
+            break
+    return np.vstack(chosen), best_mat
+
+
+CVT_Q0 = ([-1.0, -1.0, -1.0, -0.4], [1.0, 1.0, 1.0, 0.6])  # straddles q = 0
+CVT_Q1 = ([-1.0, -1.0, -1.0, 0.5], [1.0, 1.0, 1.0, 1.3])  # straddles q = 1
+
+
 class TestSearchPoints:
+    @pytest.mark.parametrize(
+        "system, box, c_max, seed, n_trials",
+        [
+            (triple_product, (-2.0, 2.0), 3, 5, 32),
+            (triple_product, (0.5, 3.0), 3, 0, 256),
+            (triple_product, (-2.0, 2.0), 1, 4, 16),  # budget hit below full rank
+            (unicycle, (-1.0, 1.0), 2, 0, 16),
+            (unicycle, (-3.0, 3.0), 1, 7, 64),
+            (kohn, (-1.0, 1.0), 3, 1, 16),  # never full rank
+            (cvt, CVT_Q0, 2, 2, 16),
+            (cvt, CVT_Q1, 3, 6, 16),
+        ],
+    )
+    def test_batched_scoring_equals_the_per_candidate_loop(
+        self, system, box, c_max, seed, n_trials
+    ):
+        fields = system().fields
+        res = search_points(fields, *box, c_max=c_max, seed=seed, n_trials=n_trials)
+        points, mat = search_points_oracle(fields, *box, c_max, seed, n_trials)
+        np.testing.assert_array_equal(res.points, points)
+        assert (res.rank, res.m) == (mat.rank, mat.m)
+        assert res.sigma_min == float(mat.singular_values[-1])
+        np.testing.assert_array_equal(res.singular_values, mat.singular_values)
+        if not res.full_rank:
+            assert len(res.points) == c_max
+
+    @pytest.mark.parametrize("box, seed", [(CVT_Q0, 2), (CVT_Q1, 6)])
+    def test_cvt_boxes_draw_inadmissible_candidates(self, box, seed):
+        # the straddling boxes above do exercise the skipping of bad candidates
+        q = np.random.default_rng(seed).uniform(*box, size=(16, 4))[:, 3]
+        assert np.any((q <= 0.0) | (q >= 1.0)) and np.any((0.0 < q) & (q < 1.0))
+
+    def test_all_inadmissible_box_is_rejected(self):
+        sys = cvt()
+        lo, hi = [-1.0, -1.0, -1.0, 1.5], [1.0, 1.0, 1.0, 2.5]
+        with pytest.raises(InvalidParameter):
+            search_points(sys.fields, lo, hi, c_max=2, seed=0, n_trials=8)
+        with pytest.raises(InvalidParameter):
+            search_points_oracle(sys.fields, lo, hi, 2, 0, 8)
+
     def test_triple_product_finds_rank_six_triple(self):
         sys = triple_product()
         res = search_points(sys.fields, -2.0, 2.0, c_max=3, seed=5, n_trials=32)

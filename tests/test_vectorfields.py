@@ -1,4 +1,4 @@
-"""Tests for field sets: Jacobians, brackets, compositions, point stacking."""
+"""Tests for field sets: Jacobians, brackets, compositions, batched evaluation."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from rdeinv.vectorfields import (
     bracket,
     fd_jacobian,
     second_comp,
-    stack_points,
 )
 
 
@@ -140,17 +139,6 @@ class TestBatchedEvaluation:
         for n, y in enumerate(stack):
             np.testing.assert_allclose(got[n], bracket(sys.fields, 0, 1, y), atol=1e-15)
 
-    def test_stacked_points_accept_a_stack(self):
-        sys = unicycle()
-        y1, y2 = np.array([0.0, 0.0, 0.3]), np.array([1.0, 1.0, -0.2])
-        stacked = stack_points(sys.fields, [y1, y2])
-        z = np.random.default_rng(12).standard_normal((3, 6))
-        fields = stacked.fields_at(z)
-        jacs = stacked.jacobians_at(z)
-        for n in range(3):
-            np.testing.assert_array_equal(fields[n, 0], stacked.field(0, z[n]))
-            np.testing.assert_array_equal(jacs[n, 0], stacked.jacobian(0, z[n]))
-
 
 class TestBracket:
     def test_constant_fields_commute(self):
@@ -236,44 +224,3 @@ class TestSecondComp:
         for y in (0.3, -2.0, 1.0):
             got = second_comp(fields, 0, 0, np.array([y]))
             np.testing.assert_allclose(got, [y])
-
-
-class TestStackPoints:
-    def test_single_point_reproduces_fields(self):
-        sys = unicycle()
-        y = np.array([0.2, -0.1, 0.4])
-        stacked = stack_points(sys.fields, [y])
-        np.testing.assert_array_equal(stacked.field(0, y), sys.fields.field(0, y))
-
-    def test_bracket_concatenates(self):
-        sys = triple_product()
-        rng = np.random.default_rng(8)
-        y1, y2 = rng.standard_normal(3), rng.standard_normal(3)
-        stacked = stack_points(sys.fields, [y1, y2])
-        z = np.concatenate([y1, y2])
-        got = bracket(stacked, 0, 1, z)
-        expected = np.concatenate(
-            [bracket(sys.fields, 0, 1, y1), bracket(sys.fields, 0, 1, y2)]
-        )
-        np.testing.assert_allclose(got, expected, atol=1e-10)
-
-    def test_jacobian_block_diagonal(self):
-        sys = unicycle()
-        y1, y2 = np.array([0.0, 0.0, 0.3]), np.array([1.0, 1.0, -0.2])
-        stacked = stack_points(sys.fields, [y1, y2])
-        jac = stacked.jacobian(0, np.concatenate([y1, y2]))
-        assert np.all(jac[:3, 3:] == 0) and np.all(jac[3:, :3] == 0)
-        np.testing.assert_array_equal(jac[:3, :3], sys.fields.jacobian(0, y1))
-        np.testing.assert_array_equal(jac[3:, 3:], sys.fields.jacobian(0, y2))
-
-    def test_constant_fields_stay_constant(self):
-        fields = constant_set([[1.0, 2.0]], d=2)
-        stacked = stack_points(fields, [np.zeros(2), np.ones(2)])
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal(4)
-        np.testing.assert_array_equal(stacked.field(0, z), [1.0, 2.0, 1.0, 2.0])
-
-    def test_dimension_mismatch(self):
-        fields = constant_set([[1.0, 0.0]], d=2)
-        with pytest.raises(DimensionMismatch):
-            stack_points(fields, [np.zeros(3)])
