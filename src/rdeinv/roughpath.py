@@ -100,6 +100,12 @@ class RoughIncrement:
         return f"RoughIncrement(ell={self.ell}, |x|={np.linalg.norm(self.x):.3g})"
 
 
+def _cross(x, y):
+    """Chen cross term 0.5 * (outer(x, y) - outer(y, x)), over any leading axes."""
+    xy = x[..., :, None] * y[..., None, :]
+    return 0.5 * (xy - np.swapaxes(xy, -1, -2))
+
+
 def chen_mul(left: RoughIncrement, right: RoughIncrement) -> RoughIncrement:
     """Compose the increment over [s,u] with the one over [u,t].
 
@@ -108,23 +114,23 @@ def chen_mul(left: RoughIncrement, right: RoughIncrement) -> RoughIncrement:
     """
     if left.ell != right.ell:
         raise DimensionMismatch(f"cannot compose ell={left.ell} with ell={right.ell}")
-    cross = np.outer(left.x, right.x)
-    return RoughIncrement(
-        left.x + right.x,
-        left.a + right.a + 0.5 * (cross - cross.T),
-    )
+    return RoughIncrement(left.x + right.x, left.a + right.a + _cross(left.x, right.x))
 
 
 class GridRoughPath:
     """Rough path sampled on a time grid.
 
     Stores the path values at the grid points plus one antisymmetric area
-    matrix per grid step; increments over wider spans follow by Chen
-    composition of the per-step data.  alpha is user metadata (the Holder
-    exponent the data is meant to carry); nothing is estimated from it.
+    matrix per grid step.  Construction also sums the steps once into the
+    prefix areas A_{0,t_k} by Chen's rule; with the level-1 prefix
+    X_{0,t_k} = values[k] - values[0], the increment over any [t_i, t_j]
+    follows in O(1) from the closed-form Chen inverse
+    A_{ij} = A_{0j} - A_{0i} - 0.5 * (X_{0i} (x) X_{ij} - X_{ij} (x) X_{0i}).
+    alpha is user metadata (the Holder exponent the data is meant to carry);
+    nothing is estimated from it.
     """
 
-    __slots__ = ("times", "values", "step_areas", "alpha")
+    __slots__ = ("times", "values", "step_areas", "alpha", "_prefix")
 
     def __init__(self, times, values, step_areas=None, alpha=0.5):
         times = np.array(times, dtype=float)
@@ -148,21 +154,22 @@ class GridRoughPath:
                 raise InvalidGrid(
                     f"step_areas must have shape {(n, ell, ell)}, got {step_areas.shape}"
                 )
-            residue = 0.5 * np.max(np.abs(step_areas + np.swapaxes(step_areas, 1, 2)))
-            if residue > _ANTISYM_REJECT:
-                raise InvalidParameter(
-                    f"step areas are not antisymmetric (residue {residue:.3e})"
-                )
-            step_areas = 0.5 * (step_areas - np.swapaxes(step_areas, 1, 2))
+            step_areas = _antisymmetric_part(step_areas, "step areas")
         alpha = float(alpha)
         if not (1.0 / 3.0 < alpha <= 0.5):
             raise InvalidParameter(f"alpha must lie in (1/3, 1/2], got {alpha}")
-        for arr in (times, values, step_areas):
+        # paths of huge values may overflow here; they are still valid data
+        # (their CSV round trip is exact), only their wide increments are not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = step_areas + _cross(values[:-1] - values[0], np.diff(values, axis=0))
+            prefix = np.concatenate([np.zeros((1, ell, ell)), np.cumsum(steps, axis=0)])
+        for arr in (times, values, step_areas, prefix):
             arr.setflags(write=False)
         self.times = times
         self.values = values
         self.step_areas = step_areas
         self.alpha = alpha
+        self._prefix = prefix
 
     @property
     def n(self):
@@ -181,19 +188,17 @@ class GridRoughPath:
             self.values[i + 1] - self.values[i], self.step_areas[i]
         )
 
+    def _spans(self, i, j):
+        """(x, a) over [t_i, t_j] for index arrays i, j, by the Chen inverse of the prefixes."""
+        x = self.values[j] - self.values[i]
+        a = self._prefix[j] - self._prefix[i] - _cross(self.values[i] - self.values[0], x)
+        return x, a
+
     def increment(self, i, j) -> RoughIncrement:
-        """Increment over [t_i, t_j], the left-to-right Chen fold of steps i..j-1."""
+        """Increment over [t_i, t_j], the Chen composition of steps i..j-1."""
         if not (0 <= i < j <= self.n):
             raise IndexOutOfRange(f"need 0 <= i < j <= {self.n}, got i={i}, j={j}")
-        ell = self.ell
-        x_acc = np.zeros(ell)
-        a_acc = np.zeros((ell, ell))
-        for k in range(i, j):
-            dx = self.values[k + 1] - self.values[k]
-            cross = np.outer(x_acc, dx)
-            a_acc += self.step_areas[k] + 0.5 * (cross - cross.T)
-            x_acc = x_acc + dx
-        return RoughIncrement(x_acc, a_acc)
+        return RoughIncrement(*self._spans(i, j))
 
     def __repr__(self):
         return f"GridRoughPath(n={self.n}, ell={self.ell}, alpha={self.alpha})"
@@ -245,16 +250,9 @@ def coarsen(path: GridRoughPath, factor: int) -> GridRoughPath:
         raise InvalidGrid(f"cannot coarsen {path.n} steps by factor {factor}")
     if factor == 1:
         return path
-    nc, ell = path.n // factor, path.ell
-    dx = np.diff(path.values, axis=0).reshape(nc, factor, ell)
-    # partial level-1 sums before each substep within a block
-    prefix = np.cumsum(dx, axis=1) - dx
-    cross = np.einsum("kmi,kmj->kij", prefix, dx)
-    areas = path.step_areas.reshape(nc, factor, ell, ell).sum(axis=1)
-    areas += 0.5 * (cross - np.swapaxes(cross, 1, 2))
-    return GridRoughPath(
-        path.times[::factor], path.values[::factor], areas, path.alpha
-    )
+    ends = np.arange(0, path.n + 1, factor)
+    _, areas = path._spans(ends[:-1], ends[1:])
+    return GridRoughPath(path.times[ends], path.values[ends], areas, path.alpha)
 
 
 def circle_samples(n, turns=1.0):
@@ -365,33 +363,14 @@ def holder_norms(path: GridRoughPath, alpha=None) -> HolderNorms:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidParameter("alpha must lie in (0, 1)")
-    t, v = path.times, path.values
-    n, ell = path.n, path.ell
+    t, v, n = path.times, path.values, path.n
     sup_norm = float(np.max(np.linalg.norm(v, axis=1)))
-    # cumulative areas from the left endpoint
-    cum = np.zeros((n + 1, ell, ell))
-    x_acc = np.zeros(ell)
-    for k in range(n):
-        dx = v[k + 1] - v[k]
-        cross = np.outer(x_acc, dx)
-        cum[k + 1] = cum[k] + path.step_areas[k] + 0.5 * (cross - cross.T)
-        x_acc = x_acc + dx
     holder1 = 0.0
     holder2 = 0.0
     for i in range(n):
         dt = t[i + 1 :] - t[i]
-        xj = v[i + 1 :] - v[i]
+        xj, a_ij = path._spans(i, np.arange(i + 1, n + 1))
         holder1 = max(holder1, float(np.max(np.linalg.norm(xj, axis=1) / dt**alpha)))
-        x0i = v[i] - v[0]
-        a_ij = (
-            cum[i + 1 :]
-            - cum[i]
-            - 0.5
-            * (
-                np.einsum("p,kq->kpq", x0i, xj)
-                - np.einsum("kp,q->kpq", xj, x0i)
-            )
-        )
         xx = 0.5 * np.einsum("kp,kq->kpq", xj, xj) + a_ij
         frob = np.sqrt(np.sum(xx * xx, axis=(1, 2)))
         holder2 = max(holder2, float(np.max(frob / dt ** (2 * alpha))))

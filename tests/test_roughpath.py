@@ -1,7 +1,12 @@
 """Tests for the rough path algebra: Chen composition, lifts, norms, CSV I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
+from helpers import chen_fold
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdeinv.errors import (
     DimensionMismatch,
@@ -228,11 +233,9 @@ class TestRefineCoarsen:
         path = sample_brownian_fine(3, 4, 8, 2.0, seed=3)
         coarse = coarsen(path, 8)
         for k in range(4):
-            inc = path.increment(8 * k, 8 * (k + 1))
-            np.testing.assert_allclose(coarse.step_areas[k], inc.a, atol=1e-12)
-            np.testing.assert_allclose(
-                coarse.values[k + 1] - coarse.values[k], inc.x, atol=1e-12
-            )
+            x, a = chen_fold(path, 8 * k, 8 * (k + 1))
+            np.testing.assert_allclose(coarse.step_areas[k], a, atol=1e-12)
+            np.testing.assert_allclose(coarse.values[k + 1] - coarse.values[k], x, atol=1e-12)
 
     def test_coarsen_requires_divisibility(self):
         path = lift_piecewise_linear(np.linspace(0, 1, 8), np.zeros((8, 2)))
@@ -398,3 +401,98 @@ class TestPathCsv:
         file.write_text("time,X1\n0,0\n1,1\n")
         with pytest.raises(InvalidGrid):
             read_path_csv(file)
+
+
+def chen_scale(path, i, j):
+    """1 + |A_{0i}| + |A_{0j}| + |X_{0i}||X_{ij}|: the size of the terms the Chen inverse cancels."""
+    prefix = [np.linalg.norm(path.increment(0, k).a) if k else 0.0 for k in (i, j)]
+    x0i = np.linalg.norm(path.values[i] - path.values[0])
+    return 1.0 + sum(prefix) + x0i * np.linalg.norm(path.values[j] - path.values[i])
+
+
+class TestPrefixAgainstFold:
+    """Prefix-sum increments against the step-by-step Chen fold on long, large-area paths."""
+
+    # name: (builder, coarsening factor)
+    PATHS = {
+        "circle_1_turn": (lambda: lift_piecewise_linear(*circle_samples(10_000, 1.0)), 16),
+        "circle_3_turns": (lambda: lift_piecewise_linear(*circle_samples(10_000, 3.0)), 16),
+        "brownian_65536": (lambda: sample_brownian_fine(2, 16384, 4, 1.0, 0), 256),
+        "brownian_ell3": (lambda: sample_brownian_lift(3, 2048, 8, 1.0, 7), 8),
+    }
+
+    def assert_matches_fold(self, path, i, j, x, a):
+        want_x, want_a = chen_fold(path, i, j)
+        tol = 1e-12 * chen_scale(path, i, j)
+        assert np.max(np.abs(x - want_x)) <= tol, (i, j)
+        assert np.max(np.abs(a - want_a)) <= tol, (i, j)
+
+    @pytest.mark.parametrize("name", PATHS)
+    def test_increment(self, name):
+        path = self.PATHS[name][0]()
+        rng = np.random.default_rng(17)
+        pairs = [sorted(rng.choice(path.n + 1, 2, replace=False).tolist()) for _ in range(6)]
+        pairs += [(0, path.n), (path.n - 2, path.n - 1), (path.n - 1, path.n)]
+        for i, j in pairs:
+            inc = path.increment(i, j)
+            self.assert_matches_fold(path, i, j, inc.x, inc.a)
+
+    @pytest.mark.parametrize("name", PATHS)
+    def test_coarsen(self, name):
+        build, factor = self.PATHS[name]
+        path = build()
+        coarse = coarsen(path, factor)
+        for k in range(coarse.n):
+            i, j = factor * k, factor * (k + 1)
+            dx = coarse.values[k + 1] - coarse.values[k]
+            self.assert_matches_fold(path, i, j, dx, coarse.step_areas[k])
+
+    def test_huge_values_build_without_warnings(self):
+        values = [[0.0, 0.0], [1e300, -1e300], [-1e300, 1e300]]
+        areas = area_matrix([[1e300], [-1e300]], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            path = GridRoughPath([0.0, 1.0, 2.0], values, areas)
+        np.testing.assert_array_equal(path.step_areas, areas)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+moderate = st.floats(min_value=-100.0, max_value=100.0)
+
+
+@st.composite
+def rough_paths(draw, min_steps=1):
+    ell = draw(st.integers(1, 3))
+    n = draw(st.integers(min_steps, 8))
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=n, max_size=n))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.array(draw(st.lists(moderate, min_size=(n + 1) * ell, max_size=(n + 1) * ell)))
+    n_comps = n * ell * (ell - 1) // 2
+    comps = np.array(draw(st.lists(moderate, min_size=n_comps, max_size=n_comps)))
+    areas = area_matrix(comps.reshape(n, -1), ell)
+    return GridRoughPath(times, values.reshape(n + 1, ell), areas, 0.4)
+
+
+def roundoff(path):
+    """Round-off scale of any Chen product of this path's data."""
+    return 1e-12 * (1.0 + np.abs(path.values).max() ** 2 + np.abs(path.step_areas).sum())
+
+
+@PROPERTY
+@given(rough_paths(), st.integers(1, 5))
+def test_coarsen_undoes_refine(path, factor):
+    back = coarsen(refine(path, factor), factor)
+    np.testing.assert_array_equal(back.times, path.times)
+    np.testing.assert_array_equal(back.values, path.values)
+    np.testing.assert_allclose(back.step_areas, path.step_areas, rtol=0, atol=roundoff(path))
+
+
+@PROPERTY
+@given(rough_paths(min_steps=2), st.data())
+def test_increment_is_chen_product_of_its_halves(path, data):
+    ends = st.lists(st.integers(0, path.n), min_size=3, max_size=3, unique=True)
+    i, j, k = sorted(data.draw(ends))
+    whole = path.increment(i, k)
+    glued = chen_mul(path.increment(i, j), path.increment(j, k))
+    np.testing.assert_allclose(glued.x, whole.x, rtol=0, atol=roundoff(path))
+    np.testing.assert_allclose(glued.a, whole.a, rtol=0, atol=roundoff(path))
