@@ -6,7 +6,7 @@ The package has five layers over one file-format module:
                   lifts of sampled and Brownian signals, norms, CSV I/O)
 * vectorfields -- batched field sets with Jacobians, Lie brackets, compositions
 * rde          -- second-order Euler and batched log-ODE integrators, flow observation
-* reconstruct  -- rank test, local recovery of (increment, area), stitching
+* reconstruct  -- rank test, lockstep recovery of local (increment, area), stitching
 * systems      -- named example systems addressable from the CLI
 * io           -- the CSV table syntax that every file format shares
 """
@@ -42,6 +42,7 @@ from .reconstruct import (
     flow_map,
     local_reconstruct_flow,
     local_reconstruct_taylor,
+    reconstruct_many,
     reconstruction_matrix,
     search_points,
     stitch,
@@ -115,6 +116,7 @@ __all__ = [
     "make_linear_rough_path",
     "observe_flow",
     "observe_flows",
+    "reconstruct_many",
     "reconstruction_matrix",
     "refine",
     "rolling_ball",

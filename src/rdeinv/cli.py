@@ -5,8 +5,9 @@ by hand: any config key can be overridden with --set SECTION.KEY=VALUE, and
 the common keys have dedicated flags.
 
 `observe`, `reconstruct` and `convergence` observe all their intervals (and,
-for `convergence`, all driver seeds) in one lockstep `rde.observe_flows` run;
-the recoveries then run interval by interval.
+for `convergence`, all driver seeds) in one lockstep `rde.observe_flows` run,
+and `reconstruct` and `convergence` recover them all with one lockstep
+`reconstruct.reconstruct_many` call.
 
 Exit codes: 0 success, 1 numerical failure (machine-readable error JSON on
 stdout), 2 domain error, 64 usage error (bad flags or config values, and
@@ -293,16 +294,12 @@ def _schedule(cfg: ExperimentConfig, path) -> list:
     raise UsageError(f"unknown schedule kind {cfg.schedule_kind!r}")
 
 
-def _reconstruct_one(system, obs, cfg):
-    if cfg.method == "taylor":
-        return reconstruct.local_reconstruct_taylor(
-            system.fields, obs, cfg.max_iter, cfg.tol
-        )
-    if cfg.method == "flow":
-        return reconstruct.local_reconstruct_flow(
-            system.fields, obs, cfg.max_iter, cfg.tol, cfg.n_sub
-        )
-    raise UsageError(f"unknown method {cfg.method!r}; choose taylor or flow")
+def _reconstruct_all(system, obs_list, cfg):
+    if cfg.method not in ("taylor", "flow"):
+        raise UsageError(f"unknown method {cfg.method!r}; choose taylor or flow")
+    return reconstruct.reconstruct_many(
+        system.fields, obs_list, cfg.method, cfg.max_iter, cfg.tol, cfg.n_sub
+    )
 
 
 def _error_json(exc):
@@ -463,7 +460,7 @@ def cmd_reconstruct(args):
         [obs_list] = rde.observe_flows(
             system.fields, points, [path], pairs, cfg.n_internal, cfg.n_sub
         )
-    results = [(obs, _reconstruct_one(system, obs, cfg)) for obs in obs_list]
+    results = list(zip(obs_list, _reconstruct_all(system, obs_list, cfg)))
     reports = [
         reconstruct.reconstruction_report(res, obs.s, obs.t, rank_info)
         for obs, res in results
@@ -525,11 +522,12 @@ def cmd_convergence(args):
     observed = rde.observe_flows(
         system.fields, points, paths, pairs, cfg.n_internal, cfg.n_sub
     )
+    # and one lockstep recovery covers every seed and level
+    recovered = _reconstruct_all(system, [obs for row in observed for obs in row], cfg)
     per_seed = []
-    for path, obs_list in zip(paths, observed):
+    for p, path in enumerate(paths):
         rows = []
-        for (i, j), obs in zip(pairs, obs_list):
-            res = _reconstruct_one(system, obs, cfg)
+        for (i, j), res in zip(pairs, recovered[p * len(pairs) : (p + 1) * len(pairs)]):
             truth = path.increment(i, j)
             rows.append(
                 (

@@ -7,11 +7,15 @@ stacked squared distance to the observed flow images by Gauss-Newton with
 Levenberg damping; it is possible exactly when the matrix of field values and
 bracket values at the base points has rank m.
 
-Field, bracket and composition values at all base points come from one
-batched evaluation, and the flow model pushes every base point and every
-finite-difference probe through one lockstep log-ODE run.  The greedy point
-search evaluates all candidates of a round as one stack and scores them with
-one batched SVD.  All operations are pure.
+`reconstruct_many` recovers many intervals at once: a Levenberg-Marquardt
+solver over K independent problems, each with its own parameters, damping
+and stopping state, evaluates every still-running problem's residuals and
+Jacobians as one stack per step.  Field, bracket and composition values at
+all base points of all problems come from one batched evaluation, and the
+flow model pushes every base point and every finite-difference probe of
+every problem through one lockstep log-ODE run.  The greedy point search
+evaluates all candidates of a round as one stack and scores them with one
+batched SVD.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     NotConverged,
     OutOfNeighborhood,
     RankDeficient,
+    RdeinvError,
     TrustRegionExceeded,
 )
 from .rde import ObservationSet, logode_step
@@ -74,7 +79,7 @@ class ReconstructionResult:
     def __post_init__(self):
         self.a_hat = np.asarray(self.a_hat, dtype=float)
         self.b_hat = np.asarray(self.b_hat, dtype=float)
-        if np.max(np.abs(self.b_hat + self.b_hat.T)) > 1e-12:
+        if not np.max(np.abs(self.b_hat + self.b_hat.T)) <= 1e-12:  # a NaN fails too
             raise InvalidParameter("b_hat must be antisymmetric")
         if not np.isfinite(self.residual):
             raise NonFinite("residual must be finite")
@@ -129,31 +134,53 @@ def reconstruction_matrix(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     return _matrix(fields, brackets, tol_rel)
 
 
+def _taylor_images(base, fields, brackets, comps, A, bvec):
+    """Second-order model images (K, c, d) of K problems.
+
+    base (K, c, d) and the point blocks carry a leading K axis; A (K, ell) and
+    the area components bvec (K, nb) are each problem's parameters.
+    """
+    return (
+        base
+        + np.einsum("ki,kcid->kcd", A, fields)
+        + np.einsum("kp,kcpd->kcd", bvec, brackets)
+        + 0.5 * np.einsum("ki,kj,kcijd->kcd", A, A, comps)
+    )
+
+
 def taylor_map(V: VectorFieldSet, points, A, B):
     """Second-order model of the flow images, stacked over the base points.
 
     Phi_y(A, B) = y + A^i V_i(y) + B^{jk} [V_j,V_k](y) + 0.5 A^i A^j (V_i V_j)(y),
     exactly quadratic in A and linear in the strict upper triangle of B.
     """
-    points, fields, brackets, comps = _point_blocks(V, points)
+    blocks = _point_blocks(V, points)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != (V.ell,) or B.shape != (V.ell, V.ell):
         raise DimensionMismatch("A must be an ell-vector and B an ell x ell matrix")
-    bvec = area_components(B)
-    out = (
-        points
-        + np.einsum("i,cid->cd", A, fields)
-        + np.einsum("p,cpd->cd", bvec, brackets)
-        + 0.5 * np.einsum("i,j,cijd->cd", A, A, comps)
-    )
-    return out.ravel()
+    stacked = [b[None] for b in blocks]
+    return _taylor_images(*stacked, A[None], area_components(B)[None]).ravel()
 
 
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
-    """Log-ODE flow images exp(A^i V_i + B^{jk} [V_j, V_k]) of the base points, stacked."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return logode_step(V, points, RoughIncrement(A, B), n_sub).ravel()
+    """Log-ODE flow images exp(A^i V_i + B^{jk} [V_j, V_k]) of the base points, stacked.
+
+    A may also be a stack (K, ell) with B (K, ell, ell), one parameter pair
+    per problem; the points are then shared (c, d) or per problem (K, c, d),
+    every problem's images come from one lockstep log-ODE run, and the result
+    is (K, c*d).
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim == 1:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return logode_step(V, points, RoughIncrement(A, B), n_sub).ravel()
+    points = np.asarray(points, dtype=float)
+    k = len(A)
+    points = np.broadcast_to(points, (k,) + points.shape[-2:])
+    c = points.shape[1]
+    inc = RoughIncrement.stack(np.repeat(A, c, axis=0), np.repeat(B, c, axis=0))
+    return logode_step(V, points.reshape(k * c, -1), inc, n_sub).reshape(k, -1)
 
 
 def _second_comp_total(comps):
@@ -164,20 +191,37 @@ def _second_comp_total(comps):
     return float(norms.sum())
 
 
-def _local_problem(V: VectorFieldSet, points, tol_rel):
-    """Point blocks, reconstruction matrix and trust-region constants (eps1, eps2)
-    from one evaluation at the base points; raises RankDeficient below rank m."""
-    points, fields, brackets, comps = _point_blocks(V, points)
-    rm = _matrix(fields, brackets, tol_rel)
-    if rm.rank < rm.m:
-        raise RankDeficient(
-            f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
-            "these base points cannot separate the driver parameters"
-        )
-    eps1 = float(rm.singular_values[rm.m - 1])
-    total = _second_comp_total(comps)
-    eps2 = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
-    return rm, fields, brackets, comps, eps1, eps2
+def _local_problems(V: VectorFieldSet, points, tol_rel):
+    """The local recovery problems at K sets of base points, points (K, c, d).
+
+    Returns the point blocks with a leading K axis, from one evaluation; each
+    problem's reconstruction matrix, from one batched SVD; its trust-region
+    constants eps1 and eps2; and a RankDeficient error for each problem below
+    rank m, keyed by its index.
+    """
+    n_problems, c = points.shape[:2]
+    _, fields, brackets, comps = _point_blocks(V, points.reshape(n_problems * c, -1))
+    blocks = _column_blocks(fields, brackets)
+    mats = blocks.reshape(n_problems, -1, blocks.shape[2])
+    rms = [
+        _ranked(mat, sv, tol_rel)
+        for mat, sv in zip(mats, np.linalg.svd(mats, compute_uv=False))
+    ]
+    fields, brackets, comps = (
+        b.reshape((n_problems, c) + b.shape[1:]) for b in (fields, brackets, comps)
+    )
+    errors, eps1, eps2 = {}, np.full(n_problems, np.nan), np.empty(n_problems)
+    for k, rm in enumerate(rms):
+        if rm.rank < rm.m:
+            errors[k] = RankDeficient(
+                f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
+                "these base points cannot separate the driver parameters"
+            )
+        else:
+            eps1[k] = rm.singular_values[rm.m - 1]
+        total = _second_comp_total(comps[k])
+        eps2[k] = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
+    return fields, brackets, comps, rms, eps1, eps2, errors
 
 
 def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
@@ -188,158 +232,271 @@ def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     model injectivity radius 1 / (2 sum_{i,j} |V_i V_j|) with the Euclidean
     norm of each stacked composition vector.  Requires full rank m.
     """
-    *_, eps1, eps2 = _local_problem(V, points, tol_rel)
-    return eps1, eps2
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    *_, eps1, eps2, errors = _local_problems(V, points[None], tol_rel)
+    if errors:
+        raise errors[0]
+    return float(eps1[0]), float(eps2[0])
 
 
-def _minimize_least_squares(residual, jacobian, theta0, max_iter, tol):
-    """Gauss-Newton with Levenberg damping on 0.5*|residual|^2.
+def _stacked(fn, idx, theta, errors):
+    """fn(idx, theta) for the problems idx as one stack.
 
-    Returns (theta, iterations, residual_vector); converged when the proposed
-    step norm drops below tol.  Raises NotConverged when the iteration budget
-    is exhausted or no damped step decreases the cost.
+    When the stack raises a package error, fn runs on one problem at a time
+    instead: each failing problem's error goes into errors, keyed by its
+    index, and its rows come back NaN (one NaN each when every problem fails).
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = residual(theta)
-    cost = float(r @ r)
-    lam = 1e-8
-    n_params = theta.size
-    for it in range(1, max_iter + 1):
-        jac = jacobian(theta)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        delta = None
-        accepted = False
-        for _ in range(40):
+    if len(idx) == 0:
+        return np.empty((0, 1))
+    try:
+        return fn(idx, theta)
+    except RdeinvError:
+        rows = {}
+        for pos, k in enumerate(idx):
             try:
-                delta = np.linalg.solve(hess + lam * np.eye(n_params), -grad)
+                rows[pos] = fn(idx[pos : pos + 1], theta[pos : pos + 1])[0]
+            except RdeinvError as exc:
+                errors[k] = exc
+        shape = next(iter(rows.values())).shape if rows else (1,)
+        out = np.full((len(idx),) + shape, np.nan)
+        for pos, row in rows.items():
+            out[pos] = row
+        return out
+
+
+def _row_costs(r):
+    return np.array([float(row @ row) for row in r])
+
+
+def _damped_steps(hess, lam, grad):
+    """Solutions delta_k of (H_k + lam_k I) delta_k = -g_k from one batched
+    solve, and the mask of the rows whose damped matrix is not singular."""
+    damped = hess + lam[:, None, None] * np.eye(hess.shape[-1])
+    try:
+        return np.linalg.solve(damped, -grad[..., None])[..., 0], np.ones(len(grad), dtype=bool)
+    except np.linalg.LinAlgError:
+        delta, solved = np.zeros(grad.shape), np.zeros(len(grad), dtype=bool)
+        for k in range(len(damped)):
+            try:
+                delta[k] = np.linalg.solve(damped[k], -grad[k])
+                solved[k] = True
             except np.linalg.LinAlgError:
-                lam = max(lam, 1e-14) * 10.0
-                continue
-            if float(np.linalg.norm(delta)) < tol:
-                return theta, it, r
-            r_new = residual(theta + delta)
-            cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
-                accepted = True
+                pass
+        return delta, solved
+
+
+def _levenberg_marquardt(residual, jacobian, theta0, max_iter, tol):
+    """Gauss-Newton with Levenberg damping on K independent problems 0.5*|r_k|^2.
+
+    residual(idx, theta) and jacobian(idx, theta) evaluate the problems idx at
+    their parameters theta (len(idx), m) as one stack, of shapes (len(idx), n)
+    and (len(idx), n, m).  Each problem keeps its own parameters, damping,
+    cost and iteration count, and takes exactly the steps it would take
+    alone: it converges when its proposed step norm drops below tol, and
+    fails with NotConverged when the iteration budget is exhausted or no
+    damped step decreases its cost.  Converged and failed problems leave the
+    stacks.
+
+    Returns (theta, iterations, r, errors); errors maps each failed problem to
+    its exception.
+    """
+    theta = np.array(theta0, dtype=float)
+    n_problems, m = theta.shape
+    errors = {}
+    r = _stacked(residual, np.arange(n_problems), theta, errors)
+    cost = _row_costs(r)
+    lam = np.full(n_problems, 1e-8)
+    iterations = np.zeros(n_problems, dtype=int)
+    active = np.array([k for k in range(n_problems) if k not in errors], dtype=int)
+    for it in range(1, max_iter + 1):
+        if active.size:
+            jac = _stacked(jacobian, active, theta[active], errors)
+            alive = np.array([k not in errors for k in active])
+            active, jac = active[alive], jac[alive]
+        if active.size == 0:
+            break
+        jac_t = np.swapaxes(jac, 1, 2)
+        grad, hess = np.zeros((n_problems, m)), np.zeros((n_problems, m, m))
+        grad[active] = (jac_t @ r[active][..., None])[..., 0]
+        hess[active] = jac_t @ jac
+        step, r_new, cost_new = np.zeros((n_problems, m)), r.copy(), cost.copy()
+        accepted = np.zeros(n_problems, dtype=bool)
+        pending = active
+        for _ in range(40):
+            if pending.size == 0:
                 break
-            lam = max(lam, 1e-14) * 10.0
-            if lam > 1e12:
-                break
-        if not accepted:
-            raise NotConverged(f"no acceptable damped step at iteration {it}")
-        theta = theta + delta
-        r, cost = r_new, cost_new
-        lam *= 0.1
-        if float(np.linalg.norm(delta)) < tol:
-            return theta, it, r
-    raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
+            delta, solved = _damped_steps(hess[pending], lam[pending], grad[pending])
+            small = np.array([float(np.linalg.norm(d)) < tol for d in delta]) & solved
+            iterations[pending[small]] = it  # converged at the current parameters
+            trial = solved & ~small
+            tried = pending[trial]
+            r_try = _stacked(residual, tried, theta[tried] + delta[trial], errors)
+            c_try = _row_costs(r_try)
+            alive = np.array([k not in errors for k in tried], dtype=bool)
+            ok = alive & np.isfinite(c_try) & (c_try <= cost[tried] * (1.0 + 1e-14) + 1e-300)
+            good = tried[ok]
+            step[good], r_new[good], cost_new[good] = delta[trial][ok], r_try[ok], c_try[ok]
+            accepted[good] = True
+            bad = tried[alive & ~ok]
+            lam[bad] = np.maximum(lam[bad], 1e-14) * 10.0
+            lam[pending[~solved]] = np.maximum(lam[pending[~solved]], 1e-14) * 10.0
+            retry = ~solved
+            retry[np.flatnonzero(trial)[alive & ~ok]] = lam[bad] <= 1e12
+            pending = pending[retry]
+        for k in active[~accepted[active] & (iterations[active] == 0)]:
+            errors.setdefault(k, NotConverged(f"no acceptable damped step at iteration {it}"))
+        active = active[accepted[active]]
+        theta[active] = theta[active] + step[active]
+        r[active], cost[active] = r_new[active], cost_new[active]
+        lam[active] *= 0.1
+    for k in active:
+        errors[k] = NotConverged(f"step norm above {tol} after {max_iter} iterations")
+    return theta, iterations, r, errors
 
 
 def _unpack(theta, ell):
-    return theta[:ell], area_matrix(theta[ell:], ell)
+    return theta[..., :ell], area_matrix(theta[..., ell:], ell)
 
 
 def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
     a_hat, b_hat = _unpack(theta, V.ell)
     per_point = rvec.reshape(obs.c, V.d)
     residual_sup = float(np.max(np.linalg.norm(per_point, axis=1)))
-    tags = []
     scale = float(np.linalg.norm(theta))
+    note = None
     if scale > eps2:
-        tags.append("trust_region_exceeded")
-        _warnings.warn(
-            TrustRegionExceeded(
-                f"|(A, B)| = {scale:.3e} exceeds the injectivity radius eps2 = {eps2:.3e}"
-            )
+        note = TrustRegionExceeded(
+            f"|(A, B)| = {scale:.3e} exceeds the injectivity radius eps2 = {eps2:.3e}"
         )
-    return ReconstructionResult(
+    result = ReconstructionResult(
         a_hat=a_hat,
         b_hat=b_hat,
         residual=float(np.linalg.norm(rvec)),
         residual_sup=residual_sup,
-        iterations=iterations,
-        eps1=eps1,
-        eps2=eps2,
+        iterations=int(iterations),
+        eps1=float(eps1),
+        eps2=float(eps2),
         method=method,
-        warnings=tuple(tags),
+        warnings=("trust_region_exceeded",) if note else (),
     )
+    return result, note
 
 
-def _prepare(V, obs, tol_rel):
-    rm, fields, brackets, comps, eps1, eps2 = _local_problem(V, obs.base_points, tol_rel)
-    dz = (obs.observed - obs.base_points).ravel()
-    a0 = np.linalg.lstsq(rm.mat[:, : V.ell], dz, rcond=None)[0]
-    theta0 = np.concatenate([a0, np.zeros(rm.m - V.ell)])
-    return rm, fields, brackets, comps, eps1, eps2, theta0
+def _recover(V, obs_list, method, max_iter, tol, n_sub, fd_step):
+    """Recover observation sets that share their base-point shape as one
+    lockstep batch.  Returns one outcome per set: a (result, warning or None)
+    pair, or the exception that stopped it."""
+    base = np.stack([obs.base_points for obs in obs_list])
+    target = np.stack([obs.observed for obs in obs_list]).reshape(len(obs_list), -1)
+    try:
+        fields, brackets, comps, rms, eps1, eps2, failed = _local_problems(
+            V, base, DEFAULT_RANK_TOL
+        )
+    except RdeinvError as exc:  # set up each problem alone to find which one fails
+        if len(obs_list) == 1:
+            return [exc]
+        return [_recover(V, [obs], method, max_iter, tol, n_sub, fd_step)[0] for obs in obs_list]
+    outcomes = [failed.get(k) for k in range(len(obs_list))]
+    run = np.array([k for k in range(len(obs_list)) if k not in failed], dtype=int)
+    if run.size == 0:
+        return outcomes
+    ell = V.ell
+    base, target = base[run], target[run]
+    dz = target - base.reshape(run.size, -1)
+    theta0 = np.zeros((run.size, rms[0].m))
+    for pos, k in enumerate(run):
+        theta0[pos, :ell] = np.linalg.lstsq(rms[k].mat[:, :ell], dz[pos], rcond=None)[0]
+
+    if method == "taylor":
+        fields, brackets, comps = fields[run], brackets[run], comps[run]
+        mats = np.array([rms[k].mat for k in run])  # C order, as the one-problem Jacobian
+        sym = comps + np.swapaxes(comps, 2, 3)  # sym[k,c,i,j] = V_iV_j + V_jV_i
+
+        def residual(sel, theta):
+            images = _taylor_images(
+                base[sel], fields[sel], brackets[sel], comps[sel], theta[:, :ell], theta[:, ell:]
+            )
+            return images.reshape(len(sel), -1) - target[sel]
+
+        def jacobian(sel, theta):
+            jac = mats[sel]
+            corr = 0.5 * np.einsum("kj,kcijd->kcdi", theta[:, :ell], sym[sel])
+            jac[:, :, :ell] += corr.reshape(len(sel), -1, ell)
+            return jac
+
+    else:
+
+        def residual(sel, theta):
+            return flow_map(V, base[sel], *_unpack(theta, ell), n_sub) - target[sel]
+
+        def jacobian(sel, theta):
+            # all 2m central-difference probes of every problem in one lockstep run
+            m = theta.shape[1]
+            probes = theta[:, None, :] + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
+            points = np.repeat(base[sel], 2 * m, axis=0)
+            images = flow_map(V, points, *_unpack(probes.reshape(-1, m), ell), n_sub)
+            images = images.reshape(len(sel), 2 * m, -1)
+            return np.swapaxes(images[:, :m] - images[:, m:], 1, 2) / (2.0 * fd_step)
+
+    theta, iterations, r, failed = _levenberg_marquardt(
+        residual, jacobian, theta0, max_iter, tol
+    )
+    for pos, k in enumerate(run):
+        outcomes[k] = failed.get(pos) or _result_from(
+            theta[pos], iterations[pos], r[pos], V, obs_list[k], eps1[k], eps2[k], method
+        )
+    return outcomes
+
+
+def reconstruct_many(
+    V: VectorFieldSet, obs_list, method="taylor", max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6
+):
+    """Recover (A, B) from every observation set, one ReconstructionResult each.
+
+    method "taylor" matches the second-order model, with the reconstruction
+    matrix plus the A-linear correction 0.5*(A^i V_i V_j + A^j V_j V_i) as
+    Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
+    Jacobian from central finite differences of step fd_step.  Both start
+    from A fitted by linear least squares against the field columns, B = 0.
+
+    Sets that share their base-point shape are solved in lockstep: one
+    batched set-up, and per iteration one stacked model evaluation for every
+    residual and Jacobian, each problem keeping its own Levenberg damping.
+    Every result equals that of recovering the sets one at a time, in order:
+    TrustRegionExceeded is warned in that order, and when some set fails,
+    the error of the first failing one is raised after the warnings of the
+    sets before it.
+    """
+    if method not in ("taylor", "flow"):
+        raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
+    obs_list = list(obs_list)
+    groups, outcomes = {}, [None] * len(obs_list)
+    for k, obs in enumerate(obs_list):
+        groups.setdefault(obs.base_points.shape, []).append(k)
+    for idx in groups.values():
+        group = _recover(V, [obs_list[k] for k in idx], method, max_iter, tol, n_sub, fd_step)
+        for k, outcome in zip(idx, group):
+            outcomes[k] = outcome
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome[1] is not None:
+            _warnings.warn(outcome[1])
+    return [res for res, _ in outcomes]
 
 
 def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet, max_iter=50, tol=1e-12):
-    """Recover (A, B) from one observation set using the Taylor model.
-
-    Initialisation fits A by linear least squares against the field columns
-    (B = 0); the Jacobian is the reconstruction matrix plus the A-linear
-    correction 0.5*(A^i V_i V_j + A^j V_j V_i) in the A columns.
-    """
-    rm, fields, brackets, comps, eps1, eps2, theta0 = _prepare(V, obs, DEFAULT_RANK_TOL)
-    ell = V.ell
-    target = obs.observed.ravel()
-    base = obs.base_points
-    sym = comps + np.swapaxes(comps, 1, 2)  # sym[c,i,j] = V_iV_j + V_jV_i
-
-    def residual(theta):
-        A = theta[:ell]
-        bvec = theta[ell:]
-        out = (
-            base
-            + np.einsum("i,cid->cd", A, fields)
-            + np.einsum("p,cpd->cd", bvec, brackets)
-            + 0.5 * np.einsum("i,j,cijd->cd", A, A, comps)
-        )
-        return out.ravel() - target
-
-    def jacobian(theta):
-        jac = rm.mat.copy()
-        jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", theta[:ell], sym).reshape(-1, ell)
-        return jac
-
-    theta, iterations, rvec = _minimize_least_squares(
-        residual, jacobian, theta0, max_iter, tol
-    )
-    return _result_from(theta, iterations, rvec, V, obs, eps1, eps2, "taylor")
+    """Recover (A, B) from one observation set using the Taylor model; see
+    `reconstruct_many`."""
+    return reconstruct_many(V, [obs], "taylor", max_iter, tol)[0]
 
 
 def local_reconstruct_flow(
     V: VectorFieldSet, obs: ObservationSet, max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6
 ):
-    """Recover (A, B) by matching log-ODE flow images of the base points.
-
-    Same initialisation and stopping rules as the Taylor variant; the Jacobian
-    comes from central finite differences in the m parameters.
-    """
-    _, _, _, _, eps1, eps2, theta0 = _prepare(V, obs, DEFAULT_RANK_TOL)
-    ell = V.ell
-    target = obs.observed.ravel()
-    base = obs.base_points
-
-    def residual(theta):
-        return flow_map(V, base, *_unpack(theta, ell), n_sub) - target
-
-    def jacobian(theta):
-        # all 2m central-difference probes of all c points in one lockstep run
-        m, c = theta.size, obs.c
-        probes = theta + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
-        inc = RoughIncrement.stack(
-            np.repeat(probes[:, :ell], c, axis=0),
-            np.repeat(area_matrix(probes[:, ell:], ell), c, axis=0),
-        )
-        images = logode_step(V, np.tile(base, (2 * m, 1)), inc, n_sub).reshape(2 * m, -1)
-        return (images[:m] - images[m:]).T / (2.0 * fd_step)
-
-    theta, iterations, rvec = _minimize_least_squares(
-        residual, jacobian, theta0, max_iter, tol
-    )
-    return _result_from(theta, iterations, rvec, V, obs, eps1, eps2, "flow")
+    """Recover (A, B) by matching log-ODE flow images of the base points; see
+    `reconstruct_many`."""
+    return reconstruct_many(V, [obs], "flow", max_iter, tol, n_sub, fd_step)[0]
 
 
 def doss_sussmann_1d(

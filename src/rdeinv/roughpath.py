@@ -30,7 +30,7 @@ def _antisymmetric_part(a, context):
     a = np.asarray(a, dtype=float)
     a_t = np.swapaxes(a, -1, -2)
     residue = np.max(np.abs(a + a_t)) * 0.5 if a.size else 0.0
-    if residue > _ANTISYM_REJECT:
+    if not residue <= _ANTISYM_REJECT:  # a NaN residue fails too
         raise InvalidParameter(
             f"{context}: matrix is not antisymmetric (symmetric residue {residue:.3e})"
         )

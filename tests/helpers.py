@@ -32,3 +32,108 @@ def chen_fold(path, i, j):
         a_acc += path.step_areas[k] + 0.5 * (cross - cross.T)
         x_acc = x_acc + dx
     return x_acc, a_acc
+
+
+def minimize_least_squares(residual, jacobian, theta0, max_iter, tol):
+    """Gauss-Newton with Levenberg damping on 0.5*|residual|^2, one problem.
+
+    The one-problem solver that the lockstep `reconstruct_many` is checked
+    against.  Returns (theta, iterations, residual_vector); raises
+    NotConverged when the iteration budget is exhausted or no damped step
+    decreases the cost.
+    """
+    from rdeinv.errors import NotConverged
+
+    theta = np.asarray(theta0, dtype=float).copy()
+    r = residual(theta)
+    cost = float(r @ r)
+    lam = 1e-8
+    n_params = theta.size
+    for it in range(1, max_iter + 1):
+        jac = jacobian(theta)
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        delta = None
+        accepted = False
+        for _ in range(40):
+            try:
+                delta = np.linalg.solve(hess + lam * np.eye(n_params), -grad)
+            except np.linalg.LinAlgError:
+                lam = max(lam, 1e-14) * 10.0
+                continue
+            if float(np.linalg.norm(delta)) < tol:
+                return theta, it, r
+            r_new = residual(theta + delta)
+            cost_new = float(r_new @ r_new)
+            if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
+                accepted = True
+                break
+            lam = max(lam, 1e-14) * 10.0
+            if lam > 1e12:
+                break
+        if not accepted:
+            raise NotConverged(f"no acceptable damped step at iteration {it}")
+        theta = theta + delta
+        r, cost = r_new, cost_new
+        lam *= 0.1
+    raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
+
+
+def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6):
+    """One interval's recovery by `minimize_least_squares`, with the one-problem
+    Taylor residual, analytic Jacobian and finite-difference flow Jacobian."""
+    import warnings
+
+    from rdeinv import reconstruct
+    from rdeinv.rde import logode_step
+    from rdeinv.roughpath import RoughIncrement, area_matrix
+
+    ell = V.ell
+    base, target = obs.base_points, obs.observed.ravel()
+    rm = reconstruct.reconstruction_matrix(V, base)
+    eps1, eps2 = reconstruct.trust_region(V, base)
+    _, fields, brackets, comps = reconstruct._point_blocks(V, base)
+    a0 = np.linalg.lstsq(rm.mat[:, :ell], target - base.ravel(), rcond=None)[0]
+    theta0 = np.concatenate([a0, np.zeros(rm.m - ell)])
+
+    def unpack(theta):
+        return theta[:ell], area_matrix(theta[ell:], ell)
+
+    if method == "taylor":
+        sym = comps + np.swapaxes(comps, 1, 2)
+
+        def residual(theta):
+            A, bvec = theta[:ell], theta[ell:]
+            out = (
+                base
+                + np.einsum("i,cid->cd", A, fields)
+                + np.einsum("p,cpd->cd", bvec, brackets)
+                + 0.5 * np.einsum("i,j,cijd->cd", A, A, comps)
+            )
+            return out.ravel() - target
+
+        def jacobian(theta):
+            jac = rm.mat.copy()
+            jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", theta[:ell], sym).reshape(-1, ell)
+            return jac
+
+    else:
+
+        def residual(theta):
+            return logode_step(V, base, RoughIncrement(*unpack(theta)), n_sub).ravel() - target
+
+        def jacobian(theta):
+            m, c = theta.size, obs.c
+            probes = theta + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
+            inc = RoughIncrement.stack(
+                np.repeat(probes[:, :ell], c, axis=0),
+                np.repeat(area_matrix(probes[:, ell:], ell), c, axis=0),
+            )
+            images = logode_step(V, np.tile(base, (2 * m, 1)), inc, n_sub).reshape(2 * m, -1)
+            return (images[:m] - images[m:]).T / (2.0 * fd_step)
+
+    theta, iterations, rvec = minimize_least_squares(residual, jacobian, theta0, max_iter, tol)
+    result, note = reconstruct._result_from(theta, iterations, rvec, V, obs, eps1, eps2, method)
+    if note is not None:
+        warnings.warn(note)
+    return result

@@ -1,27 +1,33 @@
 """Tests for driver recovery: rank test, local minimisation, stitching, search."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import fit_slope, rolling_ball_generator
+from helpers import fit_slope, reconstruct_oracle, rolling_ball_generator
+from rdeinv import reconstruct
 from rdeinv.errors import (
     DegenerateField,
     DimensionMismatch,
     DomainViolation,
     InvalidGrid,
     InvalidParameter,
+    NotConverged,
     OutOfNeighborhood,
     RankDeficient,
     TrustRegionExceeded,
 )
-from rdeinv.rde import ObservationSet, logode_step, observe_flow
+from rdeinv.rde import ObservationSet, logode_step, observe_flow, observe_flows
 from rdeinv.reconstruct import (
+    ReconstructionResult,
     doss_sussmann_1d,
     flow_map,
     local_reconstruct_flow,
     local_reconstruct_taylor,
     read_observations_csv,
+    reconstruct_many,
     reconstruction_matrix,
     reconstruction_report,
     search_points,
@@ -36,6 +42,7 @@ from rdeinv.roughpath import (
     circle_samples,
     lift_piecewise_linear,
     make_linear_rough_path,
+    sample_brownian_lift,
 )
 from rdeinv.systems import (
     ROLLING_BALL_A1,
@@ -214,6 +221,21 @@ class TestFlowMap:
             want = flow_map(V, points, xs[k], areas[k], n_sub=8)
             np.testing.assert_allclose(got[k], want, rtol=1e-13, atol=1e-15)
 
+    def test_parameter_stacks_equal_one_flow_map_per_problem(self):
+        # (K, ell) / (K, ell, ell) stacks, with shared or per-problem base points
+        sys = triple_product()
+        points = np.array(sys.recommended_points)
+        rng = np.random.default_rng(44)
+        xs = 0.1 * rng.standard_normal((5, 3))
+        areas = area_matrix(0.01 * rng.standard_normal((5, 3)), 3)
+        moved = points + 0.1 * rng.standard_normal((5, 3, 3))
+        shared = flow_map(sys.fields, points, xs, areas, n_sub=8)
+        own = flow_map(sys.fields, moved, xs, areas, n_sub=8)
+        assert shared.shape == own.shape == (5, 9)
+        for k in range(5):
+            np.testing.assert_array_equal(shared[k], flow_map(sys.fields, points, xs[k], areas[k], 8))
+            np.testing.assert_array_equal(own[k], flow_map(sys.fields, moved[k], xs[k], areas[k], 8))
+
     def test_flow_and_taylor_agree_to_third_order(self):
         sys = rolling_ball()
         base = [np.eye(3).ravel()]
@@ -340,6 +362,189 @@ class TestLocalReconstructFlow:
             )
             lengths.append(t)
         assert fit_slope(lengths, gaps) >= 2.5
+
+
+def triple_product_intervals():
+    """16 consecutive flow observations of a triple_product Brownian driver."""
+    sys = triple_product()
+    path = sample_brownian_lift(3, 64, 8, 0.05, 0)
+    pairs = [(4 * q, 4 * q + 4) for q in range(16)]
+    [obs_list] = observe_flows(sys.fields, np.vstack(sys.recommended_points), [path], pairs, 2, 8)
+    return sys.fields, obs_list
+
+
+def rolling_ball_seeds_by_levels():
+    """Rolling-ball observations of 8 Brownian seeds over 4 dyadic intervals."""
+    sys = rolling_ball()
+    paths = [sample_brownian_lift(2, 128, 8, 1.0, seed) for seed in range(8)]
+    pairs = [(0, 128 >> k) for k in range(4)]
+    observed = observe_flows(sys.fields, np.vstack(sys.recommended_points), paths, pairs, 8, 4)
+    return sys.fields, [obs for row in observed for obs in row]
+
+
+def loop_recovery(V, obs_list, method, **kw):
+    """Results, warning messages and error of recovering one interval at a time."""
+    results, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for obs in obs_list:
+                results.append(reconstruct_oracle(V, obs, method, **kw))
+        except NotConverged as exc:
+            error = exc
+    return results, [str(w.message) for w in caught], error
+
+
+def batched_recovery(V, obs_list, method, **kw):
+    results, error = None, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            results = reconstruct_many(V, obs_list, method, **kw)
+        except NotConverged as exc:
+            error = exc
+    return results, [str(w.message) for w in caught], error
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.a_hat, w.a_hat)
+        np.testing.assert_array_equal(g.b_hat, w.b_hat)
+        np.testing.assert_array_equal(g.residual, w.residual)
+        np.testing.assert_array_equal(g.residual_sup, w.residual_sup)
+        np.testing.assert_array_equal(g.iterations, w.iterations)
+        assert (g.eps1, g.eps2, g.method, g.warnings) == (w.eps1, w.eps2, w.method, w.warnings)
+
+
+class TestReconstructMany:
+    """The lockstep solver against the one-problem solver, interval by interval."""
+
+    def test_triple_product_flow_sixteen_intervals(self):
+        V, obs_list = triple_product_intervals()
+        got, got_warns, _ = batched_recovery(V, obs_list, "flow", n_sub=8)
+        want, want_warns, _ = loop_recovery(V, obs_list, "flow", n_sub=8)
+        assert_same_results(got, want)
+        assert got_warns == want_warns
+        # the intervals finish at different iterations, so problems leave the stacks
+        assert len({res.iterations for res in got}) > 1
+
+    def test_rolling_ball_taylor_seeds_by_levels(self):
+        V, obs_list = rolling_ball_seeds_by_levels()
+        got, got_warns, _ = batched_recovery(V, obs_list, "taylor")
+        want, want_warns, _ = loop_recovery(V, obs_list, "taylor")
+        assert_same_results(got, want)
+        assert len(got_warns) == 32 and got_warns == want_warns
+
+    def test_mixed_finishing_iterations_and_warnings(self):
+        # an identity observation stops at the first iteration, without a warning,
+        # beside problems of several sizes that run longer and leave the trust region
+        sys = rolling_ball()
+        points = np.vstack(sys.recommended_points)
+        path = sample_brownian_lift(2, 64, 8, 1.0, 5)
+        pairs = [(0, 64), (0, 4), (8, 40), (60, 62), (0, 16)]
+        [obs_list] = observe_flows(sys.fields, points, [path], pairs, n_internal=8)
+        obs_list.insert(2, ObservationSet(points, 0.0, 1.0, points.copy()))
+        for method in ("taylor", "flow"):
+            got, got_warns, _ = batched_recovery(sys.fields, obs_list, method, n_sub=8)
+            want, want_warns, _ = loop_recovery(sys.fields, obs_list, method, n_sub=8)
+            assert_same_results(got, want)
+            assert got_warns == want_warns
+            assert got[2].iterations == 1 and got[2].warnings == ()
+            assert len({res.iterations for res in got}) >= 3
+            assert 0 < len(got_warns) < len(obs_list)
+
+    def test_single_problem_is_the_local_recovery(self):
+        V, obs_list = triple_product_intervals()
+        obs = obs_list[5]
+        [flow] = reconstruct_many(V, [obs], "flow", n_sub=8)
+        assert_same_results([flow], [local_reconstruct_flow(V, obs, n_sub=8)])
+        assert_same_results([flow], [reconstruct_oracle(V, obs, "flow", n_sub=8)])
+        [taylor] = reconstruct_many(V, [obs], "taylor")
+        assert_same_results([taylor], [local_reconstruct_taylor(V, obs)])
+        assert_same_results([taylor], [reconstruct_oracle(V, obs, "taylor")])
+
+    def test_not_converged_is_the_first_failing_interval(self):
+        # max_iter=1: only the identity observation converges in time
+        sys = rolling_ball()
+        base = np.array([np.eye(3).ravel()])
+        hard = [
+            ObservationSet(base, 0.0, 1.0, flow_map(sys.fields, base, a, area_matrix([b], 2)).reshape(1, 9))
+            for a, b in ((np.array([0.3, -0.2]), 0.05), (np.array([-0.1, 0.4]), -0.02))
+        ]
+        obs_list = [ObservationSet(base, 0.0, 1.0, base.copy())] + hard
+        got, _, got_error = batched_recovery(sys.fields, obs_list, "taylor", max_iter=1)
+        _, _, want_error = loop_recovery(sys.fields, obs_list, "taylor", max_iter=1)
+        assert got is None and type(got_error) is NotConverged
+        assert str(got_error) == str(want_error) == "step norm above 1e-12 after 1 iterations"
+
+    def test_failure_raises_after_the_warnings_before_it(self):
+        # the fastest interval goes first, and an iteration cap just above its
+        # count fails a later one: the warnings of the intervals before that one
+        # come out in order, then its error is raised
+        V, obs_list = triple_product_intervals()
+        full = reconstruct_many(V, obs_list, "flow", n_sub=8)
+        order = np.argsort([res.iterations for res in full], kind="stable")
+        cap = full[order[0]].iterations
+        obs_list = [obs_list[k] for k in order[:1]] + [obs_list[k] for k in range(16) if k != order[0]]
+        got, got_warns, got_error = batched_recovery(V, obs_list, "flow", n_sub=8, max_iter=cap)
+        want, want_warns, want_error = loop_recovery(V, obs_list, "flow", n_sub=8, max_iter=cap)
+        assert got is None and 1 <= len(want) < 16
+        assert type(got_error) is type(want_error) is NotConverged
+        assert str(got_error) == str(want_error)
+        assert got_warns == want_warns and len(got_warns) == len(want)
+
+    def test_error_in_one_stacked_problem_is_that_problem_alone(self):
+        # observing q = 1.2 drives the belt out of the domain of the cvt fields:
+        # that problem raises as it would alone, the others run on
+        sys = cvt()
+        base = np.array([[0.0, 0.0, 0.0, 0.5]])
+
+        def obs_of(a, b):
+            img = flow_map(sys.fields, base, np.array(a), area_matrix([b], 2))
+            return ObservationSet(base, 0.0, 1.0, img.reshape(1, 4))
+
+        good = [obs_of([0.5, 0.3], 0.3), obs_of([2.0, -0.2], 0.1)]
+        # the first bad problem leaves the domain late in its flow, the second
+        # one early, so in one stack the second one raises first
+        late, early = (ObservationSet(base, 0.0, 1.0, [[0.0, 0.0, 0.0, q]]) for q in (1.05, 5.0))
+        with pytest.raises(DomainViolation) as alone:
+            reconstruct_oracle(sys.fields, late, "flow")
+        with pytest.raises(DomainViolation) as stacked:
+            reconstruct_many(sys.fields, [good[0], late, good[1], early], "flow")
+        assert str(stacked.value) == str(alone.value)
+        got = reconstruct_many(sys.fields, good, "flow")
+        assert_same_results(got, [reconstruct_oracle(sys.fields, obs, "flow") for obs in good])
+        # a base point outside the domain fails the set-up of the whole stack;
+        # the sets before it are still recovered and warned about first
+        outside = ObservationSet([[0.0, 0.0, 0.0, 1.5]], 0.0, 1.0, [[0.0, 0.0, 0.0, 1.6]])
+        with pytest.warns(TrustRegionExceeded), pytest.raises(DomainViolation, match="got 1.5"):
+            reconstruct_many(sys.fields, [good[0], outside], "taylor")
+
+    def test_singular_damped_matrix_is_that_row_alone(self):
+        # H + lam*I is exactly singular when lam is lost against H's scale
+        big = 2.0**100
+        hess = np.array([[[2.0, 0.5], [0.5, 1.0]], [[big, big], [big, big]], [[3.0, 0.0], [0.0, 1.0]]])
+        grad = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, -1.0]])
+        delta, solved = reconstruct._damped_steps(hess, np.full(3, 1e-8), grad)
+        np.testing.assert_array_equal(solved, [True, False, True])
+        for k in (0, 2):
+            want = np.linalg.solve(hess[k] + 1e-8 * np.eye(2), -grad[k])
+            np.testing.assert_array_equal(delta[k], want)
+
+    def test_unknown_method_and_empty_list(self):
+        V, obs_list = triple_product_intervals()
+        with pytest.raises(InvalidParameter):
+            reconstruct_many(V, obs_list, "newton")
+        assert reconstruct_many(V, [], "flow") == []
+
+
+class TestReconstructionResult:
+    def test_rejects_nan_area(self):
+        with pytest.raises(InvalidParameter):
+            ReconstructionResult(
+                np.zeros(2), [[np.nan, 1.0], [5.0, 0.0]], 0.0, 0.0, 1, 1.0, 1.0, "taylor"
+            )
 
 
 class TestStability:

@@ -50,6 +50,13 @@ class TestRoughIncrement:
         with pytest.raises(InvalidParameter):
             RoughIncrement([0.0, 0.0], a)
 
+    def test_rejects_nan_area(self):
+        # NaN > tol is false, so the check must be phrased as not residue <= tol
+        with pytest.raises(InvalidParameter):
+            RoughIncrement([0.0, 1.0], [[np.nan, 1.0], [5.0, 0.0]])
+        with pytest.raises(InvalidParameter):
+            RoughIncrement([0.0, 1.0], [[0.0, np.nan], [-np.nan, 0.0]])
+
     def test_second_level_symmetric_part_is_structural(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -86,6 +93,12 @@ class TestRoughIncrement:
         raw[1, 0, 1] = 1.0  # upper triangle only: not an area
         with pytest.raises(InvalidParameter):
             RoughIncrement.stack(np.zeros((4, 2)), raw)
+
+    def test_stack_rejects_nan_area(self):
+        areas = np.zeros((4, 2, 2))
+        areas[2] = [[np.nan, 1.0], [5.0, 0.0]]
+        with pytest.raises(InvalidParameter):
+            RoughIncrement.stack(np.zeros((4, 2)), areas)
 
 
 class TestChenMul:
@@ -133,6 +146,12 @@ class TestGridRoughPath:
             GridRoughPath([0.0, 1.0], np.zeros((3, 1)))
         with pytest.raises(InvalidParameter):
             GridRoughPath([0.0, 1.0], np.zeros((2, 1)), alpha=0.7)
+
+    def test_rejects_nan_step_area(self):
+        areas = np.zeros((2, 2, 2))
+        areas[1] = [[np.nan, 1.0], [5.0, 0.0]]
+        with pytest.raises(InvalidParameter):
+            GridRoughPath([0.0, 0.5, 1.0], np.zeros((3, 2)), areas)
 
     def test_single_step_is_stored_data(self):
         rng = np.random.default_rng(1)
