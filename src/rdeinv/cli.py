@@ -2,12 +2,14 @@
 
 Experiments are reproducible by file (INI config with sections) and tweakable
 by hand: any config key can be overridden with --set SECTION.KEY=VALUE, and
-the common keys have dedicated flags.
+the common keys have dedicated flags.  A key that is not in the config table
+is a usage error.
 
-`observe`, `reconstruct` and `convergence` observe all their intervals (and,
-for `convergence`, all driver seeds) in one lockstep `rde.observe_flows` run,
-and `reconstruct` and `convergence` recover them all with one lockstep
-`reconstruct.reconstruct_many` call.
+`reconstruct` and `convergence` run one pipeline, `_experiment`: every driver
+seed and interval is observed in one lockstep `rde.observe_flows` run,
+recovered with one lockstep `reconstruct.reconstruct_many` call and scored
+against the driver's own increments; the two commands differ only in how they
+report.  `observe` likewise observes all its intervals in one run.
 
 Exit codes: 0 success, 1 numerical failure (machine-readable error JSON on
 stdout), 2 domain error, 64 usage error (bad flags or config values, and
@@ -21,7 +23,6 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,8 +46,12 @@ EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
 
-class UsageError(Exception):
-    """Bad flags, config values or file contents."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad flags, config values or file contents.
+
+    An ArgumentTypeError, so the parse functions below also serve as argparse
+    types: a flag that mirrors a config key is parsed as that key is.
+    """
 
 
 def _parse_vector(text):
@@ -84,86 +89,51 @@ def _build_system(name, ell=2, dim=2, kohn_d=2):
 # ---------------------------------------------------------------------------
 # experiment configuration
 
-
-@dataclass
-class ExperimentConfig:
-    """Assembled settings for reconstruct/convergence runs."""
-
-    system: str = "rolling_ball"
-    method: str = "taylor"
-    ell: int = 2
-    dim: int = 2
-    kohn_d: int = 2
-    driver_kind: str = "circle"
-    driver_n: int = 4096
-    seed: int = 0
-    n_seeds: int = 1
-    n_coarse: int = 256
-    n_fine: int = 8
-    horizon: float = 1.0
-    alpha: float = 0.5
-    linear_v: np.ndarray | None = None
-    driver_file: str = ""
-    points_mode: str = "recommended"
-    points: list = field(default_factory=list)
-    search_seed: int = 0
-    c_max: int = 1
-    n_trials: int = 64
-    box_lo: np.ndarray | None = None
-    box_hi: np.ndarray | None = None
-    schedule_kind: str = "uniform"
-    s: float = 0.0
-    t: float = 1.0
-    n_intervals: int = 8
-    levels: int = 5
-    intervals: list = field(default_factory=list)
-    n_internal: int = 64
-    n_sub: int = 8
-    max_iter: int = 50
-    tol: float = 1e-12
-    out_dir: str = "out"
-
-
-_CFG_CASTS = {
-    ("experiment", "system"): ("system", str),
-    ("experiment", "method"): ("method", str),
-    ("experiment", "ell"): ("ell", int),
-    ("experiment", "dim"): ("dim", int),
-    ("experiment", "kohn_d"): ("kohn_d", int),
-    ("driver", "kind"): ("driver_kind", str),
-    ("driver", "n"): ("driver_n", int),
-    ("driver", "ell"): ("ell", int),
-    ("driver", "seed"): ("seed", int),
-    ("driver", "n_seeds"): ("n_seeds", int),
-    ("driver", "n_coarse"): ("n_coarse", int),
-    ("driver", "n_fine"): ("n_fine", int),
-    ("driver", "horizon"): ("horizon", float),
-    ("driver", "alpha"): ("alpha", float),
-    ("driver", "v"): ("linear_v", _parse_vector),
-    ("driver", "file"): ("driver_file", str),
-    ("points", "mode"): ("points_mode", str),
-    ("points", "points"): ("points", _parse_points),
-    ("points", "seed"): ("search_seed", int),
-    ("points", "c_max"): ("c_max", int),
-    ("points", "n_trials"): ("n_trials", int),
-    ("points", "box_lo"): ("box_lo", _parse_vector),
-    ("points", "box_hi"): ("box_hi", _parse_vector),
-    ("schedule", "kind"): ("schedule_kind", str),
-    ("schedule", "s"): ("s", float),
-    ("schedule", "t"): ("t", float),
-    ("schedule", "n"): ("n_intervals", int),
-    ("schedule", "levels"): ("levels", int),
-    ("schedule", "intervals"): ("intervals", _parse_intervals),
-    ("solver", "n_internal"): ("n_internal", int),
-    ("solver", "n_sub"): ("n_sub", int),
-    ("solver", "max_iter"): ("max_iter", int),
-    ("solver", "tol"): ("tol", float),
-    ("output", "dir"): ("out_dir", str),
-}
+# (section, option, attribute, cast, default) of every config key.  An
+# attribute is named like the dest of the flag that mirrors it (the driver
+# flags of `lift`, the search flags of `rank`), so the driver builder and the
+# point resolver read either namespace.  experiment.ell and driver.ell set the
+# same attribute, the later one winning.
+_CONFIG = (
+    ("experiment", "system", "system", str, "rolling_ball"),
+    ("experiment", "method", "method", str, "taylor"),
+    ("experiment", "ell", "ell", int, 2),
+    ("experiment", "dim", "dim", int, 2),
+    ("experiment", "kohn_d", "kohn_d", int, 2),
+    ("driver", "kind", "driver", str, "circle"),
+    ("driver", "n", "n", int, 4096),
+    ("driver", "ell", "ell", int, 2),
+    ("driver", "seed", "seed", int, 0),
+    ("driver", "n_seeds", "n_seeds", int, 1),
+    ("driver", "n_coarse", "n_coarse", int, 256),
+    ("driver", "n_fine", "n_fine", int, 8),
+    ("driver", "horizon", "horizon", float, 1.0),
+    ("driver", "alpha", "alpha", float, 0.5),
+    ("driver", "v", "v", _parse_vector, None),
+    ("driver", "file", "driver_file", str, ""),
+    ("points", "mode", "points_mode", str, "recommended"),
+    ("points", "points", "points", _parse_points, None),
+    ("points", "seed", "search_seed", int, 0),
+    ("points", "c_max", "c_max", int, 1),
+    ("points", "n_trials", "n_trials", int, 64),
+    ("points", "box_lo", "box_lo", _parse_vector, None),
+    ("points", "box_hi", "box_hi", _parse_vector, None),
+    ("schedule", "kind", "schedule_kind", str, "uniform"),
+    ("schedule", "s", "s", float, 0.0),
+    ("schedule", "t", "t", float, 1.0),
+    ("schedule", "n", "n_intervals", int, 8),
+    ("schedule", "levels", "levels", int, 5),
+    ("schedule", "intervals", "intervals", _parse_intervals, None),
+    ("solver", "n_internal", "n_internal", int, 64),
+    ("solver", "n_sub", "n_sub", int, 8),
+    ("solver", "max_iter", "max_iter", int, 50),
+    ("solver", "tol", "tol", float, 1e-12),
+    ("output", "dir", "out_dir", str, "out"),
+)
 
 
-def _load_experiment_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def _load_config(args) -> argparse.Namespace:
+    """Table defaults, overridden by the INI file, then --set, then the dedicated flags."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if args.config:
         if not os.path.exists(args.config):
@@ -174,71 +144,81 @@ def _load_experiment_config(args) -> ExperimentConfig:
             raise UsageError(f"--set expects SECTION.KEY=VALUE, got {override!r}")
         key, value = override.split("=", 1)
         section, option = (part.strip() for part in key.split(".", 1))
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, option, value.strip())
-    for (section, option), (attr, cast) in _CFG_CASTS.items():
+        parser.read_dict({section: {option: value.strip()}})
+    # iterating the parser visits [DEFAULT] too; its keys would reach every
+    # section, so they are unknown keys like any other
+    known = {(section, option) for section, option, *_ in _CONFIG}
+    for section in parser:
+        for option in parser[section]:
+            if (section, option) not in known:
+                raise UsageError(f"unknown config key {section}.{option}")
+    cfg = argparse.Namespace(**{attr: default for _, _, attr, _, default in _CONFIG})
+    for section, option, attr, cast, _ in _CONFIG:
         if parser.has_option(section, option):
             raw = parser.get(section, option)
             try:
                 setattr(cfg, attr, cast(raw))
             except (ValueError, UsageError) as exc:
                 raise UsageError(f"bad config value {section}.{option} = {raw!r}") from exc
-    # dedicated flags override the file
-    for attr in ("system", "method", "out_dir"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "points", None):
-        cfg.points = _parse_points(args.points)
-        cfg.points_mode = "explicit"
-    if getattr(args, "intervals", None):
-        cfg.intervals = _parse_intervals(args.intervals)
-        cfg.schedule_kind = "explicit"
+    for attr in ("system", "method", "out_dir", "seed"):
+        if getattr(args, attr) is not None:
+            setattr(cfg, attr, getattr(args, attr))
+    if args.points:
+        cfg.points, cfg.points_mode = args.points, "explicit"
+    if args.intervals:
+        cfg.intervals, cfg.schedule_kind = args.intervals, "explicit"
     return cfg
 
 
-def _build_driver(cfg: ExperimentConfig, seed=None) -> roughpath.GridRoughPath:
-    kind = cfg.driver_kind
+def _build_driver(ns, seed) -> roughpath.GridRoughPath:
+    """Driver of kind ns.driver, from the `lift` flags or the driver.* config keys."""
+    kind = ns.driver
     if kind == "circle":
-        times, values = roughpath.circle_samples(cfg.driver_n)
-        return roughpath.lift_piecewise_linear(times, values, cfg.alpha)
+        times, values = roughpath.circle_samples(ns.n)
+        return roughpath.lift_piecewise_linear(times, values, ns.alpha)
     if kind == "brownian":
-        return roughpath.sample_brownian_lift(
-            cfg.ell, cfg.n_coarse, cfg.n_fine, cfg.horizon, cfg.seed if seed is None else seed
-        )
+        return roughpath.sample_brownian_lift(ns.ell, ns.n_coarse, ns.n_fine, ns.horizon, seed)
     if kind == "linear":
-        if cfg.linear_v is None:
-            raise UsageError("linear driver needs driver.v")
-        times = np.linspace(0.0, cfg.horizon, cfg.driver_n + 1)
-        return roughpath.make_linear_rough_path(cfg.linear_v, cfg.ell, times, cfg.alpha)
+        if ns.v is None:
+            raise UsageError("linear driver needs --v (driver.v in a config)")
+        times = np.linspace(0.0, ns.horizon, ns.n + 1)
+        return roughpath.make_linear_rough_path(ns.v, ns.ell, times, ns.alpha)
     if kind == "file":
-        if not cfg.driver_file:
+        if not ns.driver_file:
             raise UsageError("driver.kind = file needs driver.file")
-        return roughpath.read_path_csv(cfg.driver_file, cfg.alpha)
+        return roughpath.read_path_csv(ns.driver_file, ns.alpha)
     raise UsageError(f"unknown driver kind {kind!r}")
 
 
-def _resolve_points(cfg: ExperimentConfig, system):
-    if cfg.points_mode == "explicit" or cfg.points:
-        points = [np.asarray(p, dtype=float) for p in cfg.points]
-        if not points:
+def _resolve_points(ns, system, mode):
+    """Base points as a (c, d) stack, and the search result when they were searched.
+
+    Given points (ns.points) win; otherwise mode "search" runs the greedy
+    search in the box [ns.box_lo, ns.box_hi] (default [-1, 1]^d) and
+    "recommended" takes the system's own points.
+    """
+    given = getattr(ns, "points", None)
+    if given or mode == "explicit":
+        if not given:
             raise UsageError("points.mode = explicit but no points given")
-        return np.vstack(points)
-    if cfg.points_mode == "search":
-        lo = cfg.box_lo if cfg.box_lo is not None else -np.ones(system.fields.d)
-        hi = cfg.box_hi if cfg.box_hi is not None else np.ones(system.fields.d)
+        if len({len(p) for p in given}) > 1:
+            raise UsageError(f"base points {[p.tolist() for p in given]} differ in length")
+        return np.vstack(given), None
+    if mode == "search":
         res = reconstruct.search_points(
-            system.fields, lo, hi, cfg.c_max, cfg.search_seed, cfg.n_trials
+            system.fields,
+            -1.0 if ns.box_lo is None else ns.box_lo,
+            1.0 if ns.box_hi is None else ns.box_hi,
+            ns.c_max,
+            ns.search_seed,
+            ns.n_trials,
         )
-        return res.points
-    if cfg.points_mode == "recommended":
+        return res.points, res
+    if mode == "recommended":
         if not system.recommended_points:
             raise UsageError(f"system {system.name} has no recommended points")
-        return np.vstack(system.recommended_points)
-    raise UsageError(f"unknown points mode {cfg.points_mode!r}")
+        return np.vstack(system.recommended_points), None
+    raise UsageError(f"unknown points mode {mode!r}")
 
 
 def _grid_index(path, time, what):
@@ -256,20 +236,22 @@ def _grid_pairs(path, intervals):
     return [(_grid_index(path, s, "s"), _grid_index(path, t, "t")) for s, t in intervals]
 
 
-def _schedule(cfg: ExperimentConfig, path) -> list:
+def _schedule(cfg, path) -> list:
     """Interval list [(i, j)] of grid indices for the configured schedule."""
     if cfg.schedule_kind == "explicit":
         if not cfg.intervals:
             raise UsageError("schedule.kind = explicit but no intervals given")
         return _grid_pairs(path, cfg.intervals)
+    if cfg.schedule_kind not in ("uniform", "dyadic"):
+        raise UsageError(f"unknown schedule kind {cfg.schedule_kind!r}")
+    if cfg.schedule_kind == "uniform" and cfg.n_intervals < 1:
+        raise UsageError("schedule.n must be >= 1")
+    i0 = _grid_index(path, cfg.s, "schedule.s")
+    j0 = _grid_index(path, cfg.t, "schedule.t")
+    if not i0 < j0:
+        raise UsageError("schedule needs s < t")
+    span = j0 - i0
     if cfg.schedule_kind == "uniform":
-        if cfg.n_intervals < 1:
-            raise UsageError("schedule.n must be >= 1")
-        i0 = _grid_index(path, cfg.s, "schedule.s")
-        j0 = _grid_index(path, cfg.t, "schedule.t")
-        if not i0 < j0:
-            raise UsageError("schedule needs s < t")
-        span = j0 - i0
         if span % cfg.n_intervals != 0:
             raise UsageError(
                 f"{cfg.n_intervals} uniform intervals do not align with the "
@@ -277,29 +259,45 @@ def _schedule(cfg: ExperimentConfig, path) -> list:
             )
         w = span // cfg.n_intervals
         return [(i0 + k * w, i0 + (k + 1) * w) for k in range(cfg.n_intervals)]
-    if cfg.schedule_kind == "dyadic":
-        i0 = _grid_index(path, cfg.s, "schedule.s")
-        j0 = _grid_index(path, cfg.t, "schedule.t")
-        if not i0 < j0:
-            raise UsageError("schedule needs s < t")
-        span = j0 - i0
-        out = []
-        for k in range(cfg.levels):
-            if span % (1 << k) != 0:
-                raise UsageError(
-                    f"dyadic level {k} does not align with the driver grid"
-                )
-            out.append((i0, i0 + span // (1 << k)))
-        return out
-    raise UsageError(f"unknown schedule kind {cfg.schedule_kind!r}")
+    out = []
+    for k in range(cfg.levels):
+        if span % (1 << k) != 0:
+            raise UsageError(f"dyadic level {k} does not align with the driver grid")
+        out.append((i0, i0 + span // (1 << k)))
+    return out
 
 
-def _reconstruct_all(system, obs_list, cfg):
+def _recover(cfg, system, observed):
+    """Recover every observation set of observed[p][q] with one lockstep call."""
     if cfg.method not in ("taylor", "flow"):
         raise UsageError(f"unknown method {cfg.method!r}; choose taylor or flow")
-    return reconstruct.reconstruct_many(
-        system.fields, obs_list, cfg.method, cfg.max_iter, cfg.tol, cfg.n_sub
+    flat = iter(
+        reconstruct.reconstruct_many(
+            system.fields, [obs for row in observed for obs in row], cfg.method, cfg.max_iter,
+            cfg.tol, cfg.n_sub,
+        )
     )
+    return [[next(flat) for _ in row] for row in observed]
+
+
+def _experiment(cfg, system, paths, pairs, points):
+    """Observe, recover and score every (path, interval) in one lockstep pass each.
+
+    Returns the observations, the recoveries and the (err_x, err_a) distances
+    of each recovery from its path's true increment, all indexed
+    [path][interval].
+    """
+    observed = rde.observe_flows(system.fields, points, paths, pairs, cfg.n_internal, cfg.n_sub)
+    results = _recover(cfg, system, observed)
+    errors = []
+    for path, row in zip(paths, results):
+        errors.append([])
+        for (i, j), res in zip(pairs, row):
+            truth = path.increment(i, j)
+            errors[-1].append(
+                (np.linalg.norm(res.a_hat - truth.x), np.linalg.norm(res.b_hat - truth.a))
+            )
+    return observed, results, errors
 
 
 def _error_json(exc):
@@ -317,28 +315,17 @@ def _write_json(data, file):
 
 
 def cmd_lift(args):
-    alpha = args.alpha if args.alpha is not None else 0.5
+    if args.driver == "brownian" and args.alpha not in (None, 0.4):
+        raise UsageError("brownian lifts carry alpha = 0.4")
+    if args.alpha is None:
+        args.alpha = 0.5
     if args.driver == "file":
         if not args.samples:
             raise UsageError("--driver file needs --samples")
-        raw = roughpath.read_path_csv(args.samples, alpha)
-        path = roughpath.lift_piecewise_linear(raw.times, raw.values, alpha)
-    elif args.driver == "circle":
-        times, values = roughpath.circle_samples(args.n)
-        path = roughpath.lift_piecewise_linear(times, values, alpha)
-    elif args.driver == "brownian":
-        if args.alpha is not None and args.alpha != 0.4:
-            raise UsageError("brownian lifts carry alpha = 0.4")
-        path = roughpath.sample_brownian_lift(
-            args.ell, args.n_coarse, args.n_fine, args.horizon, args.seed
-        )
-    elif args.driver == "linear":
-        if not args.v:
-            raise UsageError("linear driver needs --v")
-        times = np.linspace(0.0, args.horizon, args.n + 1)
-        path = roughpath.make_linear_rough_path(_parse_vector(args.v), args.ell, times, alpha)
+        raw = roughpath.read_path_csv(args.samples, args.alpha)
+        path = roughpath.lift_piecewise_linear(raw.times, raw.values, args.alpha)
     else:
-        raise UsageError(f"unknown driver {args.driver!r}")
+        path = _build_driver(args, args.seed)
     roughpath.write_path_csv(path, args.out)
     print(json.dumps({"written": args.out, "n": path.n, "ell": path.ell}))
     return EXIT_OK
@@ -349,10 +336,8 @@ def cmd_solve(args):
     path = roughpath.read_path_csv(args.path, args.alpha)
     if args.x0:
         x0 = _parse_vector(args.x0)
-    elif system.recommended_points:
-        x0 = system.recommended_points[0]
     else:
-        raise UsageError("no --x0 given and the system has no recommended point")
+        x0 = _resolve_points(args, system, "recommended")[0][0]
     traj = rde.solve(system.fields, x0, path, method=args.method, n_sub=args.n_sub)
     rde.write_trajectory_csv(traj, args.out)
     print(json.dumps({"written": args.out, "n": path.n, "d": system.fields.d}))
@@ -362,13 +347,8 @@ def cmd_solve(args):
 def cmd_observe(args):
     system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
     path = roughpath.read_path_csv(args.path, args.alpha)
-    if args.points:
-        points = np.vstack(_parse_points(args.points))
-    elif system.recommended_points:
-        points = np.vstack(system.recommended_points)
-    else:
-        raise UsageError("no --points given and the system has no recommended points")
-    pairs = _grid_pairs(path, _parse_intervals(args.intervals))
+    points, _ = _resolve_points(args, system, "recommended")
+    pairs = _grid_pairs(path, args.intervals)
     if not pairs:
         raise UsageError("--intervals is required, e.g. '0,0.5;0.5,1'")
     [obs_list] = rde.observe_flows(
@@ -379,29 +359,9 @@ def cmd_observe(args):
     return EXIT_OK
 
 
-def _search(system, args):
-    """Greedy point search from the --box-lo/--box-hi (default [-1, 1]^d) flags."""
-    d = system.fields.d
-    return reconstruct.search_points(
-        system.fields,
-        _parse_vector(args.box_lo) if args.box_lo else -np.ones(d),
-        _parse_vector(args.box_hi) if args.box_hi else np.ones(d),
-        args.c_max,
-        args.seed,
-        args.n_trials,
-    )
-
-
 def cmd_rank(args):
     system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
-    if args.points:
-        points = np.vstack(_parse_points(args.points))
-    elif args.search:
-        points = _search(system, args).points
-    elif system.recommended_points:
-        points = np.vstack(system.recommended_points)
-    else:
-        raise UsageError("give --points or --search")
+    points, _ = _resolve_points(args, system, "search" if args.search else "recommended")
     rm = reconstruct.reconstruction_matrix(system.fields, points)
     report = {
         "system": system.name,
@@ -419,7 +379,7 @@ def cmd_rank(args):
 
 def cmd_search_points(args):
     system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
-    res = _search(system, args)
+    _, res = _resolve_points(args, system, "search")
     report = {
         "system": system.name,
         "m": res.m,
@@ -435,35 +395,31 @@ def cmd_search_points(args):
 
 
 def cmd_reconstruct(args):
-    cfg = _load_experiment_config(args)
+    cfg = _load_config(args)
     system = _build_system(cfg.system, cfg.ell, cfg.dim, cfg.kohn_d)
     os.makedirs(cfg.out_dir, exist_ok=True)
     if args.obs:
         obs_list = reconstruct.read_observations_csv(args.obs)
         rank_info = reconstruct.reconstruction_matrix(system.fields, obs_list[0].base_points)
-        path = None
+        [results] = _recover(cfg, system, [obs_list])
+        path = errors = None
     else:
-        path = _build_driver(cfg)
-        points = _resolve_points(cfg, system)
+        path = _build_driver(cfg, cfg.seed)
+        points, _ = _resolve_points(cfg, system, cfg.points_mode)
         rank_info = reconstruct.reconstruction_matrix(system.fields, points)
         pairs = _schedule(cfg, path)
         if cfg.schedule_kind == "dyadic":
             raise UsageError("use the convergence command for dyadic schedules")
-        for i, j in pairs:
-            if j - i < 2:
-                print(
-                    "note: interval with a single driver step; observations "
-                    "carry no information beyond the step data",
-                    file=sys.stderr,
-                )
-                break
-        [obs_list] = rde.observe_flows(
-            system.fields, points, [path], pairs, cfg.n_internal, cfg.n_sub
-        )
-    results = list(zip(obs_list, _reconstruct_all(system, obs_list, cfg)))
+        if any(j - i < 2 for i, j in pairs):
+            print(
+                "note: interval with a single driver step; observations "
+                "carry no information beyond the step data",
+                file=sys.stderr,
+            )
+        [obs_list], [results], [errors] = _experiment(cfg, system, [path], pairs, points)
     reports = [
         reconstruct.reconstruction_report(res, obs.s, obs.t, rank_info)
-        for obs, res in results
+        for obs, res in zip(obs_list, results)
     ]
     summary = {
         "system": system.name,
@@ -478,26 +434,16 @@ def cmd_reconstruct(args):
     _write_json(summary, results_file)
     outputs = {"results": results_file}
     # stitch when the intervals chain consecutively
-    chain = all(
-        abs(results[k][0].t - results[k + 1][0].s) < 1e-12
-        for k in range(len(results) - 1)
-    )
+    chain = all(abs(a.t - b.s) < 1e-12 for a, b in zip(obs_list, obs_list[1:]))
     if chain and results:
-        times = [results[0][0].s] + [obs.t for obs, _ in results]
-        stitched = reconstruct.stitch(
-            [res for _, res in results], times, alpha=path.alpha if path else 0.5
-        )
+        times = [obs_list[0].s] + [obs.t for obs in obs_list]
+        stitched = reconstruct.stitch(results, times, alpha=path.alpha if path else 0.5)
         stitched_file = os.path.join(cfg.out_dir, "stitched.csv")
         roughpath.write_path_csv(stitched, stitched_file)
         outputs["stitched"] = stitched_file
-    if path is not None:
+    if errors is not None:
         err_file = os.path.join(cfg.out_dir, "errors.csv")
-        rows = []
-        for (obs, res), (i, j) in zip(results, pairs):
-            truth = path.increment(i, j)
-            err_x = np.linalg.norm(res.a_hat - truth.x)
-            err_a = np.linalg.norm(res.b_hat - truth.a)
-            rows.append([obs.s, obs.t, err_x, err_a])
+        rows = [[obs.s, obs.t, err_x, err_a] for obs, (err_x, err_a) in zip(obs_list, errors)]
         write_table(err_file, ["s", "t", "err_x", "err_a"], rows)
         outputs["errors"] = err_file
     print(json.dumps({"outputs": outputs, "n_intervals": len(reports)}, sort_keys=True))
@@ -510,36 +456,18 @@ def cmd_convergence(args):
             "convergence runs the dyadic schedule set by schedule.s, schedule.t and "
             "schedule.levels; --intervals does not apply"
         )
-    cfg = _load_experiment_config(args)
+    cfg = _load_config(args)
     system = _build_system(cfg.system, cfg.ell, cfg.dim, cfg.kohn_d)
     cfg.schedule_kind = "dyadic"
     seeds = [cfg.seed + k for k in range(max(1, cfg.n_seeds))]
-    paths = [_build_driver(cfg, seed=seed) for seed in seeds]
-    points = _resolve_points(cfg, system)
+    paths = [_build_driver(cfg, seed) for seed in seeds]
+    points, _ = _resolve_points(cfg, system, cfg.points_mode)
     # every seed's driver lives on the same grid, and every dyadic interval
     # starts at s, so one lockstep run over the longest covers them all
     pairs = _schedule(cfg, paths[0])
-    observed = rde.observe_flows(
-        system.fields, points, paths, pairs, cfg.n_internal, cfg.n_sub
-    )
-    # and one lockstep recovery covers every seed and level
-    recovered = _reconstruct_all(system, [obs for row in observed for obs in row], cfg)
-    per_seed = []
-    for p, path in enumerate(paths):
-        rows = []
-        for (i, j), res in zip(pairs, recovered[p * len(pairs) : (p + 1) * len(pairs)]):
-            truth = path.increment(i, j)
-            rows.append(
-                (
-                    float(path.times[j] - path.times[i]),
-                    float(np.linalg.norm(res.a_hat - truth.x)),
-                    float(np.linalg.norm(res.b_hat - truth.a)),
-                )
-            )
-        per_seed.append(rows)
-    lengths = [row[0] for row in per_seed[0]]
-    err_x = np.median([[row[1] for row in rows] for rows in per_seed], axis=0)
-    err_a = np.median([[row[2] for row in rows] for rows in per_seed], axis=0)
+    errors = np.array(_experiment(cfg, system, paths, pairs, points)[2])  # (seed, level, 2)
+    lengths = [float(paths[0].times[j] - paths[0].times[i]) for i, j in pairs]
+    err_x, err_a = np.median(errors, axis=0).T
     total = err_x + err_a
     degenerate = bool(np.all(total < 1e-12))
     lines = ["length,err_x,err_a,slope_running"]
@@ -555,13 +483,11 @@ def cmd_convergence(args):
         summary = "# slope=nan status=degenerate (errors at solver tolerance)"
         slope_overall = None
     else:
-        slopes = []
-        for rows in per_seed:
-            errs = np.array([r[1] + r[2] for r in rows])
-            if np.all(errs > 0):
-                slopes.append(
-                    float(np.polyfit(np.log([r[0] for r in rows]), np.log(errs), 1)[0])
-                )
+        slopes = [
+            float(np.polyfit(np.log(lengths), np.log(errs), 1)[0])
+            for errs in errors.sum(axis=2)
+            if np.all(errs > 0)
+        ]
         slope_overall = float(np.median(slopes)) if slopes else float("nan")
         summary = f"# slope={fmt(slope_overall)} status=ok seeds={len(seeds)}"
     lines.append(summary)
@@ -593,6 +519,14 @@ def _add_system_flags(p):
     p.add_argument("--kohn-d", dest="kohn_d", type=int, default=2, help="kohn parameter d")
 
 
+def _add_search_flags(p):
+    p.add_argument("--seed", dest="search_seed", metavar="SEED", type=int, default=0)
+    p.add_argument("--c-max", dest="c_max", type=int, default=3)
+    p.add_argument("--n-trials", dest="n_trials", type=int, default=64)
+    p.add_argument("--box-lo", dest="box_lo", type=_parse_vector, help="search box lower corner")
+    p.add_argument("--box-hi", dest="box_hi", type=_parse_vector, help="search box upper corner")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rdeinv",
@@ -610,7 +544,7 @@ def _build_parser():
     p.add_argument("--n-coarse", dest="n_coarse", type=int, default=256)
     p.add_argument("--n-fine", dest="n_fine", type=int, default=8)
     p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--v", help="linear driver components, length ell*(ell+1)/2")
+    p.add_argument("--v", type=_parse_vector, help="linear driver components, length ell*(ell+1)/2")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lift)
@@ -628,8 +562,8 @@ def _build_parser():
     p = sub.add_parser("observe", help="record flow images over intervals")
     _add_system_flags(p)
     p.add_argument("--path", required=True)
-    p.add_argument("--points", help="base points 'p1;p2' with comma components")
-    p.add_argument("--intervals", required=True, help="'s,t[;s,t...]'")
+    p.add_argument("--points", type=_parse_points, help="base points 'p1;p2' with comma components")
+    p.add_argument("--intervals", required=True, type=_parse_intervals, help="'s,t[;s,t...]'")
     p.add_argument("--n-internal", dest="n_internal", type=int, default=64)
     p.add_argument("--n-sub", dest="n_sub", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.5)
@@ -638,23 +572,15 @@ def _build_parser():
 
     p = sub.add_parser("rank", help="rank-test the reconstruction matrix")
     _add_system_flags(p)
-    p.add_argument("--points", help="explicit base points 'p1;p2'")
+    p.add_argument("--points", type=_parse_points, help="explicit base points 'p1;p2'")
     p.add_argument("--search", action="store_true", help="search points instead")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-max", dest="c_max", type=int, default=3)
-    p.add_argument("--n-trials", dest="n_trials", type=int, default=64)
-    p.add_argument("--box-lo", dest="box_lo", help="search box lower corner")
-    p.add_argument("--box-hi", dest="box_hi", help="search box upper corner")
+    _add_search_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("search-points", help="greedy base-point search")
     _add_system_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-max", dest="c_max", type=int, default=3)
-    p.add_argument("--n-trials", dest="n_trials", type=int, default=64)
-    p.add_argument("--box-lo", dest="box_lo")
-    p.add_argument("--box-hi", dest="box_hi")
+    _add_search_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search_points)
 
@@ -665,8 +591,8 @@ def _build_parser():
         p.add_argument("--system")
         p.add_argument("--method", choices=["taylor", "flow"])
         p.add_argument("--seed", type=int)
-        p.add_argument("--points")
-        p.add_argument("--intervals")
+        p.add_argument("--points", type=_parse_points)
+        p.add_argument("--intervals", type=_parse_intervals)
         p.add_argument("--out-dir", dest="out_dir")
         if name == "reconstruct":
             p.add_argument("--obs", help="ingest an observation CSV instead of simulating")

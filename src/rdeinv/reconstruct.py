@@ -528,15 +528,14 @@ def doss_sussmann_1d(
         raise DegenerateField("V_1 vanishes at the base point")
 
     def advance(z, da):
+        # the time-1 map of da V_1: a log-ODE step with a zero area
         n = max(8, int(np.ceil(abs(da) * steps_per_unit)))
-        h = 1.0 / n
-        for _ in range(n):
-            k1 = da * vfield(z)
-            k2 = da * vfield(z + 0.5 * h * k1)
-            k3 = da * vfield(z + 0.5 * h * k2)
-            k4 = da * vfield(z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return z
+        try:
+            return float(logode_step(V, [z], RoughIncrement([da]), n)[0])
+        except NonFinite:
+            raise OutOfNeighborhood(
+                "flow became degenerate before reaching the target"
+            ) from None
 
     a, z = 0.0, y
     scale = max(1.0, abs(observed))
@@ -626,12 +625,22 @@ def search_points(
     the chosen points' matrix and scores every candidate with one batched
     SVD; ties go to the earliest candidate.  Deterministic given the seed;
     candidates that raise DomainViolation are skipped.  Failure is reported
-    through rank < m in the returned diagnostics, not an exception.
+    through rank < m in the returned diagnostics, not an exception.  A box
+    corner that does not broadcast to (d,) raises DimensionMismatch.
     """
     if c_max < 1 or n_trials < 1:
         raise InvalidParameter("c_max and n_trials must be >= 1")
-    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (V.d,)).copy()
-    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (V.d,)).copy()
+
+    def corner(box):
+        box = np.asarray(box, dtype=float)
+        try:
+            return np.broadcast_to(box, (V.d,)).copy()
+        except ValueError:
+            raise DimensionMismatch(
+                f"search box corner of shape {box.shape} does not broadcast to ({V.d},)"
+            ) from None
+
+    lo, hi = corner(box_lo), corner(box_hi)
     if np.any(hi <= lo):
         raise InvalidParameter("box upper bounds must exceed lower bounds")
     rng = np.random.default_rng(seed)

@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface, run in-process."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rdeinv import cli
 from rdeinv.cli import main
 from rdeinv.rde import observe_flow, read_trajectory_csv, solve
 from rdeinv.reconstruct import local_reconstruct_taylor
@@ -540,3 +543,73 @@ class TestMalformedInput:
                            "--out", str(blocker / "path.csv"))
         assert code == 64
         assert err.startswith("usage error:") and "path.csv" in err
+
+
+# base points '1,2,3;4' given to each command that takes points; {tmp} is the work directory
+RAGGED_POINTS = {
+    "rank": ["rank", "--system", "unicycle", "--points", "1,2,3;4"],
+    "observe": ["observe", "--system", "unicycle", "--path", "{tmp}/path.csv", "--points",
+                "1,2,3;4", "--intervals", "0,0.5", "--out", "{tmp}/obs.csv"],
+    "points.points": ["reconstruct", "--system", "unicycle", "--set", "points.points=1,2,3;4",
+                      "--out-dir", "{tmp}/out"],
+}
+
+# a 2-vector search box corner for the 3-state unicycle
+WRONG_BOX = {
+    "search-points": ["search-points", "--system", "unicycle", "--box-lo", "0,0"],
+    "points.box_lo": ["reconstruct", "--system", "unicycle", "--set", "points.mode=search",
+                      "--set", "points.box_lo=0,0", "--out-dir", "{tmp}/out"],
+}
+
+
+class TestPointErrors:
+    @pytest.mark.parametrize("case", sorted(RAGGED_POINTS))
+    def test_ragged_points_are_usage_error(self, case, capsys, tmp_path):
+        (tmp_path / "path.csv").write_text(PATH_HEAD + "0.5,1,2,0\n1,1,2,0\n")
+        argv = [a.format(tmp=tmp_path) for a in RAGGED_POINTS[case]]
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert err.startswith("usage error:") and "[[1.0, 2.0, 3.0], [4.0]]" in err
+        assert not (tmp_path / "obs.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(WRONG_BOX))
+    def test_search_box_of_wrong_size_is_usage_error(self, case, capsys, tmp_path):
+        code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in WRONG_BOX[case]])
+        assert code == 64
+        assert err.startswith("usage error:") and "does not broadcast to (3,)" in err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "ini, key",
+        [
+            ("[schedule]\nkind = uniform\nnn = 4\n", "schedule.nn"),
+            ("[drivers]\nkind = circle\n", "drivers.kind"),
+            ("[DEFAULT]\nseed = 3\n[driver]\nkind = circle\n", "DEFAULT.seed"),
+        ],
+    )
+    def test_unknown_key_in_file_is_usage_error(self, ini, key, capsys, tmp_path):
+        cfg = write_config(tmp_path, ini)
+        code, _, err = run(capsys, "reconstruct", "--config", cfg,
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 64
+        assert err == f"usage error: unknown config key {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "convergence"])
+    @pytest.mark.parametrize("override", ["schedule.nn=4", "DEFAULT.seed=3"])
+    def test_unknown_key_in_set_is_usage_error(self, command, override, capsys, tmp_path):
+        out = ["--out-dir", str(tmp_path / "out")] if command == "reconstruct" else [
+            "--out", str(tmp_path / "conv.csv")]
+        code, _, err = run(capsys, command, "--set", override, *out)
+        assert code == 64
+        assert err == f"usage error: unknown config key {override.split('=')[0]}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg = cli._load_config(
+            cli._build_parser().parse_args(["reconstruct", "--config", write_config(tmp_path, block)])
+        )
+        assert (cfg.driver, cfg.seed, cfg.n_intervals, cfg.out_dir) == ("brownian", 11, 16, "out")

@@ -108,6 +108,20 @@ class TestLogodeStep:
         with pytest.raises(InvalidParameter):
             logode_step(sys.fields, np.zeros(1), RoughIncrement([1.0]), n_sub=0)
 
+    def test_one_field_on_the_line_is_scalar_rk4(self):
+        # doss_sussmann_1d integrates exp(a V_1) through this case of logode_step
+        fields = VectorFieldSet([lambda x: 1.0 + 0.3 * x * x], d=1)
+        rng = np.random.default_rng(5)
+        for z0, da, n in zip(rng.uniform(-2, 2, 8), rng.uniform(-1, 1, 8), (8, 9, 17, 64) * 2):
+            z, h = z0, 1.0 / n
+            for _ in range(n):
+                k1 = da * (1.0 + 0.3 * z * z)
+                k2 = da * (1.0 + 0.3 * (z + 0.5 * h * k1) * (z + 0.5 * h * k1))
+                k3 = da * (1.0 + 0.3 * (z + 0.5 * h * k2) * (z + 0.5 * h * k2))
+                k4 = da * (1.0 + 0.3 * (z + h * k3) * (z + h * k3))
+                z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert logode_step(fields, [z0], RoughIncrement([da]), n)[0] == z
+
 
 def rk4_oracle(V, y, x_inc, a, n_sub):
     """Per-point reference: RK4 on x^i V_i + sum_{j<k} a^{jk} [V_j, V_k] from single-state calls."""

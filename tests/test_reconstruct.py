@@ -708,6 +708,11 @@ class TestSearchPoints:
         with pytest.raises(InvalidParameter):
             search_points_oracle(sys.fields, lo, hi, 2, 0, 8)
 
+    @pytest.mark.parametrize("lo, hi", [([0.0, 0.0], 1.0), (-1.0, np.ones((3, 3)))])
+    def test_box_corner_of_wrong_size_is_rejected(self, lo, hi):
+        with pytest.raises(DimensionMismatch, match="broadcast"):
+            search_points(unicycle().fields, lo, hi, c_max=1, seed=0, n_trials=4)
+
     def test_triple_product_finds_rank_six_triple(self):
         sys = triple_product()
         res = search_points(sys.fields, -2.0, 2.0, c_max=3, seed=5, n_trials=32)
