@@ -134,11 +134,15 @@ _CONFIG = (
 
 def _load_config(args) -> argparse.Namespace:
     """Table defaults, overridden by the INI file, then --set, then the dedicated flags."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a '%' in a value is taken literally
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     if args.config:
         if not os.path.exists(args.config):
             raise UsageError(f"config file {args.config!r} does not exist")
-        parser.read(args.config)
+        try:
+            parser.read(args.config)
+        except configparser.Error as exc:
+            raise UsageError(f"config file {args.config!r}: {str(exc).splitlines()[0]}") from exc
     for override in args.set or []:
         if "=" not in override or "." not in override.split("=", 1)[0]:
             raise UsageError(f"--set expects SECTION.KEY=VALUE, got {override!r}")
@@ -397,7 +401,6 @@ def cmd_search_points(args):
 def cmd_reconstruct(args):
     cfg = _load_config(args)
     system = _build_system(cfg.system, cfg.ell, cfg.dim, cfg.kohn_d)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if args.obs:
         obs_list = reconstruct.read_observations_csv(args.obs)
         rank_info = reconstruct.reconstruction_matrix(system.fields, obs_list[0].base_points)
@@ -430,6 +433,7 @@ def cmd_reconstruct(args):
         "n_intervals": len(reports),
         "results": reports,
     }
+    os.makedirs(cfg.out_dir, exist_ok=True)
     results_file = os.path.join(cfg.out_dir, "results.json")
     _write_json(summary, results_file)
     outputs = {"results": results_file}

@@ -1,12 +1,14 @@
 """Integrators for rough differential equations and flow observation.
 
 Two one-step schemes are provided: the second-order Euler step (level-1 term
-plus second-level correction) and the log-ODE step (time-1 RK4 flow of the
-frozen field built from the increment and the field brackets).  The log-ODE
-step is batched: it moves an (N, d) stack of states in lockstep, each row
-with its own increment, and flow observation stacks every base point, every
-driver path and every observation interval into one such run.  All
-functions are pure.
+plus second-level correction) on one state, and the log-ODE step (time-1 RK4
+flow of the frozen field built from the increment and the field brackets),
+which moves one state or an (N, d) stack of states in lockstep, each row with
+its own increment.  One grid integrator drives both entry points: `solve`
+steps one state along a path and keeps every grid state, and flow
+observation stacks every base point, every driver path and every observation
+interval into one log-ODE run and keeps the states at the interval ends.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -70,14 +72,19 @@ class ObservationSet:
         return self.base_points.shape[0]
 
 
-def _check_step_inputs(V: VectorFieldSet, x, inc: RoughIncrement):
+def _check_step(V: VectorFieldSet, x, inc: RoughIncrement):
+    """The state, one (d,) or a stack (N, d), as a float array checked against V and inc."""
     x = np.asarray(x, dtype=float)
     if inc.ell != V.ell:
         raise DimensionMismatch(
             f"increment has ell={inc.ell} but the field set has ell={V.ell}"
         )
-    if x.shape != (V.d,):
-        raise DimensionMismatch(f"state must have shape {(V.d,)}, got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != V.d:
+        raise DimensionMismatch(f"state must have shape ({V.d},) or (N, {V.d}), got {x.shape}")
+    if inc.x.ndim == 2 and (x.ndim == 1 or inc.x.shape[0] != x.shape[0]):
+        raise DimensionMismatch(
+            f"a stack of {inc.x.shape[0]} increments needs {inc.x.shape[0]} state rows, got {x.shape}"
+        )
     return x
 
 
@@ -86,8 +93,11 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
 
     XX is the full second level 0.5*outer(x_inc, x_inc) + a, and V_i V_j is
     the directional derivative DV_j V_i, paired index-for-index with XX.
+    x is one state (d,) and inc one increment; stacks are rejected.
     """
-    x = _check_step_inputs(V, x, inc)
+    x = _check_step(V, x, inc)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"euler2_step takes one state of shape ({V.d},), got {x.shape}")
     fields = V.fields_at(x)
     pulled = inc.second_level.T @ fields  # pulled[k] = sum_j XX^{jk} V_j
     jacs = V.jacobians_at(x)
@@ -104,22 +114,12 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     per row.  Fixed substeps keep the result deterministic and reproducible,
     which the order-of-convergence fits rely on.
     """
-    x = np.asarray(x, dtype=float)
-    if inc.ell != V.ell:
-        raise DimensionMismatch(
-            f"increment has ell={inc.ell} but the field set has ell={V.ell}"
-        )
-    if x.ndim not in (1, 2) or x.shape[-1] != V.d:
-        raise DimensionMismatch(f"state must have shape ({V.d},) or (N, {V.d}), got {x.shape}")
-    z = np.atleast_2d(x)
-    n, ell = z.shape[0], V.ell
-    if inc.x.ndim == 2 and (x.ndim == 1 or inc.x.shape[0] != n):
-        raise DimensionMismatch(
-            f"a stack of {inc.x.shape[0]} increments needs {inc.x.shape[0]} state rows, got {x.shape}"
-        )
+    x = _check_step(V, x, inc)
     n_sub = int(n_sub)
     if n_sub < 1:
         raise InvalidParameter("n_sub must be >= 1")
+    z = np.atleast_2d(x)
+    n, ell = z.shape[0], V.ell
     x_row = np.broadcast_to(inc.x, (n, ell))[:, None, :]
     # a is antisymmetric, so sum_{j<k} a^{jk} [V_j, V_k] = sum_{k} DV_k (sum_j a^{jk} V_j)
     a_t = np.broadcast_to(np.swapaxes(inc.a, -1, -2), (n, ell, ell)) if inc.a.any() else None
@@ -146,6 +146,22 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
 _STEPPERS = {"euler2": euler2_step, "logode": logode_step}
 
 
+def _lockstep(V: VectorFieldSet, z, x, a, method, n_internal, n_sub):
+    """Step z, one (d,) state or an (N, d) stack, along the grid-step data x[s], a[s].
+
+    Every grid step is n_internal equal Chen substeps (x[s], a[s]) / n_internal,
+    each taken with _STEPPERS[method]; yields the state after every grid step.
+    The data comes from validated GridRoughPaths, so its increments skip the checks.
+    """
+    step = _STEPPERS[method]
+    extra = (n_sub,) if method == "logode" else ()
+    for xs, as_ in zip(x / n_internal, a / n_internal):
+        inc = RoughIncrement._trusted(xs, as_)
+        for _ in range(n_internal):
+            z = step(V, z, inc, *extra)
+        yield z
+
+
 def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16):
     """Integrate the rough differential equation along the grid.
 
@@ -157,17 +173,8 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (V.d,):
         raise DimensionMismatch(f"x0 must have shape {(V.d,)}, got {x0.shape}")
-    states = np.empty((path.n + 1, V.d))
-    states[0] = x0
-    z = x0
-    for i in range(path.n):
-        inc = path.step_increment(i)
-        if method == "euler2":
-            z = euler2_step(V, z, inc)
-        else:
-            z = logode_step(V, z, inc, n_sub)
-        states[i + 1] = z
-    return Trajectory(path.times.copy(), states)
+    steps = _lockstep(V, x0, np.diff(path.values, axis=0), path.step_areas, method, 1, n_sub)
+    return Trajectory(path.times.copy(), [x0, *steps])
 
 
 def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=4):
@@ -177,7 +184,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     stepped in lockstep: at lockstep step k each row takes its own path's
     grid step i + k, so intervals of any start, length and order cost one
     run over the longest.  Intervals that share a start share their rows;
-    the states are recorded as each end is passed, and a row whose last end
+    the states are kept at each interval end, and a row whose last end
     has passed takes exact zero increments, which carry its state unchanged.
     Every grid step is split into n_internal Chen substeps, each integrated
     with a log-ODE step; n_internal is the observation accuracy knob and only
@@ -204,25 +211,20 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     for i, j in pairs:
         lengths[i] = max(lengths.get(i, 0), j - i)
     span = max(lengths.values())
-    # substep increments, (steps, paths * starts * points, ...): zero past a start's
-    # last end, and each (path, start) block repeats its increments c times
+    # grid-step data, (steps, paths * starts * points, ...): zero past a start's
+    # last end, and each (path, start) block repeats its steps c times
     x = np.zeros((span, len(paths), len(lengths), V.ell))
     a = np.zeros((span, len(paths), len(lengths), V.ell, V.ell))
     for p, path in enumerate(paths):
         for r, (i, n) in enumerate(lengths.items()):
             x[:n, p, r] = path.values[i + 1 : i + n + 1] - path.values[i : i + n]
             a[:n, p, r] = path.step_areas[i : i + n]
-    x = np.repeat(x.reshape(span, -1, V.ell) / n_internal, c, axis=1)
-    a = np.repeat(a.reshape(span, -1, V.ell, V.ell) / n_internal, c, axis=1)
+    x = np.repeat(x.reshape(span, -1, V.ell), c, axis=1)
+    a = np.repeat(a.reshape(span, -1, V.ell, V.ell), c, axis=1)
     z = np.tile(points, (len(paths) * len(lengths), 1))
-    recorded = {j - i for i, j in pairs}
-    at_step = {}  # interval length -> states, (paths, starts, points, d)
-    for s in range(span):
-        inc = RoughIncrement.stack(x[s], a[s])
-        for _ in range(n_internal):
-            z = logode_step(V, z, inc, n_sub)
-        if s + 1 in recorded:
-            at_step[s + 1] = z.reshape(len(paths), len(lengths), c, V.d)
+    ends = {j - i for i, j in pairs}
+    steps = enumerate(_lockstep(V, z, x, a, "logode", n_internal, n_sub), 1)
+    at_step = {s: zs.reshape(len(paths), len(lengths), c, V.d) for s, zs in steps if s in ends}
     starts = list(lengths)
     return [
         [

@@ -180,14 +180,6 @@ class GridRoughPath:
     def ell(self):
         return self.values.shape[1]
 
-    def step_increment(self, i) -> RoughIncrement:
-        """Stored data of step i as an increment."""
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"step index {i} not in [0, {self.n})")
-        return RoughIncrement._trusted(
-            self.values[i + 1] - self.values[i], self.step_areas[i]
-        )
-
     def _spans(self, i, j):
         """(x, a) over [t_i, t_j] for index arrays i, j, by the Chen inverse of the prefixes."""
         x = self.values[j] - self.values[i]

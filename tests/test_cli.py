@@ -571,6 +571,7 @@ class TestPointErrors:
         assert code == 64
         assert err.startswith("usage error:") and "[[1.0, 2.0, 3.0], [4.0]]" in err
         assert not (tmp_path / "obs.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(WRONG_BOX))
     def test_search_box_of_wrong_size_is_usage_error(self, case, capsys, tmp_path):
@@ -605,6 +606,33 @@ class TestConfigKeys:
         assert code == 64
         assert err == f"usage error: unknown config key {override.split('=')[0]}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "ini, needle",
+        [
+            ("system = unicycle\n", "no section headers"),
+            ("[experiment]\nsystem = unicycle\nsystem = rolling_ball\n", "already exists"),
+        ],
+        ids=["no_section_header", "repeated_key"],
+    )
+    def test_malformed_file_is_usage_error(self, ini, needle, capsys, tmp_path):
+        cfg = write_config(tmp_path, ini)
+        code, _, err = run(capsys, "reconstruct", "--config", cfg,
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 64
+        assert err.startswith(f"usage error: config file {cfg!r}: ") and needle in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_percent_in_a_value_is_literal(self, where, capsys, tmp_path):
+        out = tmp_path / "a%b"
+        t_end = 2.0 * np.pi * (16.0 / 1024.0)
+        cfg = write_config(tmp_path, CIRCLE_CONFIG.format(
+            t=f"{t_end:.17g}", n=2, out=out if where == "file" else tmp_path / "out"))
+        extra = ["--set", f"output.dir={out}"] if where == "set" else []
+        code, _, _ = run(capsys, "reconstruct", "--config", cfg, *extra)
+        assert code == 0
+        assert (out / "results.json").exists()
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -30,7 +30,7 @@ from rdeinv.roughpath import (
     sample_brownian_fine,
     sample_brownian_lift,
 )
-from rdeinv.systems import constant_fields, rolling_ball, triple_product
+from rdeinv.systems import constant_fields, rolling_ball, triple_product, unicycle
 from rdeinv.vectorfields import VectorFieldSet, bracket
 
 
@@ -63,6 +63,13 @@ class TestEuler2Step:
             euler2_step(sys.fields, np.zeros(3), RoughIncrement(np.zeros(3)))
         with pytest.raises(DimensionMismatch):
             euler2_step(sys.fields, np.zeros(2), RoughIncrement(np.zeros(2)))
+        # one state and one increment only: stacks are rejected
+        with pytest.raises(DimensionMismatch):
+            euler2_step(sys.fields, np.zeros((4, 3)), RoughIncrement(np.zeros(2)))
+        with pytest.raises(DimensionMismatch):
+            euler2_step(sys.fields, np.zeros(3), RoughIncrement.stack(np.zeros((4, 2))))
+        with pytest.raises(DimensionMismatch):
+            euler2_step(sys.fields, np.zeros((4, 3)), RoughIncrement.stack(np.zeros((4, 2))))
 
 
 class TestLogodeStep:
@@ -232,6 +239,33 @@ class TestSolve:
             gaps.append(np.max(np.abs(a.states[-1] - b.states[-1])))
         slope = fit_slope([2 * np.pi / n for n in (32, 64, 128)], gaps)
         assert slope >= 1.5
+
+    @pytest.mark.parametrize("method", ["euler2", "logode"])
+    def test_equals_a_loop_of_single_steps(self, method):
+        # bitwise: solve is the stepper applied to each stored grid step in turn
+        sys = rolling_ball()
+        path = sample_brownian_lift(2, 16, 4, 1.0, seed=9)
+        traj = solve(sys.fields, np.eye(3).ravel(), path, method=method, n_sub=3)
+        z, dx = np.eye(3).ravel(), np.diff(path.values, axis=0)
+        for i in range(path.n):
+            inc = RoughIncrement(dx[i], path.step_areas[i])
+            if method == "euler2":
+                z = euler2_step(sys.fields, z, inc)
+            else:
+                z = logode_step(sys.fields, z, inc, n_sub=3)
+            np.testing.assert_array_equal(traj.states[i + 1], z)
+
+    @pytest.mark.parametrize("builder", [rolling_ball, unicycle])
+    def test_logode_solve_equals_one_substep_observation(self, builder):
+        # bitwise: both run the same grid integrator
+        V = builder().fields
+        x0 = np.eye(3).ravel() if V.d == 9 else np.array([0.1, -0.2, 0.3])
+        path = sample_brownian_lift(V.ell, 64, 4, 1.0, seed=10)
+        traj = solve(V, x0, path, method="logode", n_sub=4)
+        ends = [1, 7, 32, 64]
+        [row] = observe_flows(V, x0, [path], [(0, j) for j in ends], n_internal=1, n_sub=4)
+        for j, obs in zip(ends, row):
+            np.testing.assert_array_equal(obs.observed[0], traj.states[j])
 
     def test_unknown_method(self):
         sys = constant_fields(1, 1)

@@ -200,8 +200,6 @@ class TestGridRoughPath:
             path.increment(0, 2)
         with pytest.raises(IndexOutOfRange):
             path.increment(1, 1)
-        with pytest.raises(IndexOutOfRange):
-            path.step_increment(1)
 
 
 class TestLift:
