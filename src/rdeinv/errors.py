@@ -14,7 +14,7 @@ class IndexOutOfRange(RdeinvError, IndexError):
 
 
 class InvalidGrid(RdeinvError, ValueError):
-    """A time grid is not strictly increasing or is inconsistent with its data."""
+    """A time grid or its data is not finite, not strictly increasing or inconsistent."""
 
 
 class InvalidParameter(RdeinvError, ValueError):

@@ -7,15 +7,14 @@ stacked squared distance to the observed flow images by Gauss-Newton with
 Levenberg damping; it is possible exactly when the matrix of field values and
 bracket values at the base points has rank m.
 
-`reconstruct_many` recovers many intervals at once: a Levenberg-Marquardt
-solver over K independent problems, each with its own parameters, damping
-and stopping state, evaluates every still-running problem's residuals and
-Jacobians as one stack per step.  Field, bracket and composition values at
-all base points of all problems come from one batched evaluation, and the
-flow model pushes every base point and every finite-difference probe of
-every problem through one lockstep log-ODE run.  The greedy point search
-evaluates all candidates of a round as one stack and scores them with one
-batched SVD.  All operations are pure.
+`reconstruct_many` recovers many intervals at once: the solver is written for
+one problem, as a generator that yields wherever it needs the model, and a
+lockstep driver gathers the residual and Jacobian requests of all running
+problems into one stack each per round.  Field, bracket and composition values
+at all base points come from one batched evaluation, and the flow model
+pushes every base point and finite-difference probe through one lockstep
+log-ODE run.  The greedy point search evaluates all candidates of a round as
+one stack and scores them with one batched SVD.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -239,119 +238,88 @@ def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     return float(eps1[0]), float(eps2[0])
 
 
-def _stacked(fn, idx, theta, errors):
-    """fn(idx, theta) for the problems idx as one stack.
+def _one_problem(theta, max_iter, tol):
+    """Gauss-Newton with Levenberg damping on one problem 0.5*|r|^2, as a generator.
+
+    It yields ("residual", theta) or ("jacobian", theta) and is sent the
+    model's value there, (n,) or (n, m).  It returns (theta, iterations, r)
+    once its proposed step norm drops below tol, and raises NotConverged when
+    the iteration budget is exhausted or no damped step decreases its cost.
+    """
+    r = yield "residual", theta
+    cost = float(r @ r)
+    lam = 1e-8
+    for it in range(1, max_iter + 1):
+        jac = yield "jacobian", theta
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        for _ in range(40):
+            try:
+                delta = np.linalg.solve(hess + lam * np.eye(theta.size), -grad)
+            except np.linalg.LinAlgError:
+                lam = max(lam, 1e-14) * 10.0
+                continue
+            if float(np.linalg.norm(delta)) < tol:
+                return theta, it, r
+            r_new = yield "residual", theta + delta
+            cost_new = float(r_new @ r_new)
+            if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
+                break
+            lam = max(lam, 1e-14) * 10.0
+            if lam > 1e12:
+                raise NotConverged(f"no acceptable damped step at iteration {it}")
+        else:
+            raise NotConverged(f"no acceptable damped step at iteration {it}")
+        theta = theta + delta
+        r, cost = r_new, cost_new
+        lam *= 0.1
+    raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
+
+
+def _rows(fn, idx, thetas):
+    """fn's rows for the problems idx at their parameters thetas, from one stack.
 
     When the stack raises a package error, fn runs on one problem at a time
-    instead: each failing problem's error goes into errors, keyed by its
-    index, and its rows come back NaN (one NaN each when every problem fails).
+    instead, and each failing problem's row is its error.
     """
-    if len(idx) == 0:
-        return np.empty((0, 1))
     try:
-        return fn(idx, theta)
-    except RdeinvError:
-        rows = {}
-        for pos, k in enumerate(idx):
-            try:
-                rows[pos] = fn(idx[pos : pos + 1], theta[pos : pos + 1])[0]
-            except RdeinvError as exc:
-                errors[k] = exc
-        shape = next(iter(rows.values())).shape if rows else (1,)
-        out = np.full((len(idx),) + shape, np.nan)
-        for pos, row in rows.items():
-            out[pos] = row
-        return out
-
-
-def _row_costs(r):
-    return np.array([float(row @ row) for row in r])
-
-
-def _damped_steps(hess, lam, grad):
-    """Solutions delta_k of (H_k + lam_k I) delta_k = -g_k from one batched
-    solve, and the mask of the rows whose damped matrix is not singular."""
-    damped = hess + lam[:, None, None] * np.eye(hess.shape[-1])
-    try:
-        return np.linalg.solve(damped, -grad[..., None])[..., 0], np.ones(len(grad), dtype=bool)
-    except np.linalg.LinAlgError:
-        delta, solved = np.zeros(grad.shape), np.zeros(len(grad), dtype=bool)
-        for k in range(len(damped)):
-            try:
-                delta[k] = np.linalg.solve(damped[k], -grad[k])
-                solved[k] = True
-            except np.linalg.LinAlgError:
-                pass
-        return delta, solved
+        return list(fn(np.array(idx), np.array(thetas)))
+    except RdeinvError as exc:
+        if len(idx) == 1:
+            return [exc]
+        return [_rows(fn, [k], [theta])[0] for k, theta in zip(idx, thetas)]
 
 
 def _levenberg_marquardt(residual, jacobian, theta0, max_iter, tol):
-    """Gauss-Newton with Levenberg damping on K independent problems 0.5*|r_k|^2.
+    """`_one_problem` on K independent problems in lockstep.
 
     residual(idx, theta) and jacobian(idx, theta) evaluate the problems idx at
     their parameters theta (len(idx), m) as one stack, of shapes (len(idx), n)
-    and (len(idx), n, m).  Each problem keeps its own parameters, damping,
-    cost and iteration count, and takes exactly the steps it would take
-    alone: it converges when its proposed step norm drops below tol, and
-    fails with NotConverged when the iteration budget is exhausted or no
-    damped step decreases its cost.  Converged and failed problems leave the
-    stacks.
-
-    Returns (theta, iterations, r, errors); errors maps each failed problem to
-    its exception.
+    and (len(idx), n, m).  Each round stacks the residual requests of every
+    running problem, then its Jacobian requests, and sends each problem its
+    row, so every problem takes exactly the steps it would take alone.
+    Returns one outcome per problem: (theta, iterations, r), or the exception
+    that stopped it.
     """
-    theta = np.array(theta0, dtype=float)
-    n_problems, m = theta.shape
-    errors = {}
-    r = _stacked(residual, np.arange(n_problems), theta, errors)
-    cost = _row_costs(r)
-    lam = np.full(n_problems, 1e-8)
-    iterations = np.zeros(n_problems, dtype=int)
-    active = np.array([k for k in range(n_problems) if k not in errors], dtype=int)
-    for it in range(1, max_iter + 1):
-        if active.size:
-            jac = _stacked(jacobian, active, theta[active], errors)
-            alive = np.array([k not in errors for k in active])
-            active, jac = active[alive], jac[alive]
-        if active.size == 0:
-            break
-        jac_t = np.swapaxes(jac, 1, 2)
-        grad, hess = np.zeros((n_problems, m)), np.zeros((n_problems, m, m))
-        grad[active] = (jac_t @ r[active][..., None])[..., 0]
-        hess[active] = jac_t @ jac
-        step, r_new, cost_new = np.zeros((n_problems, m)), r.copy(), cost.copy()
-        accepted = np.zeros(n_problems, dtype=bool)
-        pending = active
-        for _ in range(40):
-            if pending.size == 0:
-                break
-            delta, solved = _damped_steps(hess[pending], lam[pending], grad[pending])
-            small = np.array([float(np.linalg.norm(d)) < tol for d in delta]) & solved
-            iterations[pending[small]] = it  # converged at the current parameters
-            trial = solved & ~small
-            tried = pending[trial]
-            r_try = _stacked(residual, tried, theta[tried] + delta[trial], errors)
-            c_try = _row_costs(r_try)
-            alive = np.array([k not in errors for k in tried], dtype=bool)
-            ok = alive & np.isfinite(c_try) & (c_try <= cost[tried] * (1.0 + 1e-14) + 1e-300)
-            good = tried[ok]
-            step[good], r_new[good], cost_new[good] = delta[trial][ok], r_try[ok], c_try[ok]
-            accepted[good] = True
-            bad = tried[alive & ~ok]
-            lam[bad] = np.maximum(lam[bad], 1e-14) * 10.0
-            lam[pending[~solved]] = np.maximum(lam[pending[~solved]], 1e-14) * 10.0
-            retry = ~solved
-            retry[np.flatnonzero(trial)[alive & ~ok]] = lam[bad] <= 1e12
-            pending = pending[retry]
-        for k in active[~accepted[active] & (iterations[active] == 0)]:
-            errors.setdefault(k, NotConverged(f"no acceptable damped step at iteration {it}"))
-        active = active[accepted[active]]
-        theta[active] = theta[active] + step[active]
-        r[active], cost[active] = r_new[active], cost_new[active]
-        lam[active] *= 0.1
-    for k in active:
-        errors[k] = NotConverged(f"step norm above {tol} after {max_iter} iterations")
-    return theta, iterations, r, errors
+    models = {"residual": residual, "jacobian": jacobian}
+    solvers = [_one_problem(theta, max_iter, tol) for theta in np.array(theta0, dtype=float)]
+    outcomes = [None] * len(solvers)
+    requests = {k: next(solver) for k, solver in enumerate(solvers)}
+    while requests:
+        for kind, model in models.items():
+            idx = [k for k, (want, _) in requests.items() if want == kind]
+            if not idx:
+                continue
+            for k, row in zip(idx, _rows(model, idx, [requests.pop(k)[1] for k in idx])):
+                try:
+                    if isinstance(row, Exception):
+                        raise row  # the model failed on this problem alone
+                    requests[k] = solvers[k].send(row)
+                except StopIteration as stop:
+                    outcomes[k] = stop.value
+                except RdeinvError as exc:
+                    outcomes[k] = exc
+    return outcomes
 
 
 def _unpack(theta, ell):
@@ -438,13 +406,12 @@ def _recover(V, obs_list, method, max_iter, tol, n_sub, fd_step):
             images = images.reshape(len(sel), 2 * m, -1)
             return np.swapaxes(images[:, :m] - images[:, m:], 1, 2) / (2.0 * fd_step)
 
-    theta, iterations, r, failed = _levenberg_marquardt(
-        residual, jacobian, theta0, max_iter, tol
-    )
-    for pos, k in enumerate(run):
-        outcomes[k] = failed.get(pos) or _result_from(
-            theta[pos], iterations[pos], r[pos], V, obs_list[k], eps1[k], eps2[k], method
-        )
+    solved = _levenberg_marquardt(residual, jacobian, theta0, max_iter, tol)
+    for k, outcome in zip(run, solved):
+        if isinstance(outcome, Exception):
+            outcomes[k] = outcome
+        else:
+            outcomes[k] = _result_from(*outcome, V, obs_list[k], eps1[k], eps2[k], method)
     return outcomes
 
 
@@ -460,8 +427,9 @@ def reconstruct_many(
     from A fitted by linear least squares against the field columns, B = 0.
 
     Sets that share their base-point shape are solved in lockstep: one
-    batched set-up, and per iteration one stacked model evaluation for every
-    residual and Jacobian, each problem keeping its own Levenberg damping.
+    batched set-up, and per round one stacked evaluation of every pending
+    residual and one of every pending Jacobian, each problem keeping its own
+    Levenberg damping.
     Every result equals that of recovering the sets one at a time, in order:
     TrustRegionExceeded is warned in that order, and when some set fails,
     the error of the first failing one is raised after the warnings of the
@@ -571,6 +539,8 @@ def stitch(segments, times, alpha=0.5) -> GridRoughPath:
         else:
             x, a = seg
             pieces.append((np.asarray(x, dtype=float), np.asarray(a, dtype=float)))
+    if not pieces:
+        raise InvalidParameter("need at least one segment")
     if times.ndim != 1 or times.size != len(pieces) + 1:
         raise InvalidGrid(
             f"need {len(pieces) + 1} grid times for {len(pieces)} segments"

@@ -137,14 +137,16 @@ class GridRoughPath:
         values = np.array(values, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise InvalidGrid("need at least two grid times")
-        if np.any(np.diff(times) <= 0):
-            raise InvalidGrid("grid times must be strictly increasing")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise InvalidGrid("grid times must be finite and strictly increasing")
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != times.size:
             raise InvalidGrid(
                 f"got {values.shape[0]} value rows for {times.size} grid times"
             )
+        if not np.all(np.isfinite(values)):
+            raise InvalidGrid("path values must be finite")
         n, ell = times.size - 1, values.shape[1]
         if step_areas is None:
             step_areas = np.zeros((n, ell, ell))
@@ -206,6 +208,13 @@ def lift_piecewise_linear(times, values, alpha=0.5) -> GridRoughPath:
     return GridRoughPath(times, values, None, alpha)
 
 
+def _factor(factor, what):
+    """factor as an int, or InvalidParameter unless it is an integer >= 1."""
+    if not (float(factor).is_integer() and factor >= 1):
+        raise InvalidParameter(f"{what} factor must be an integer >= 1, got {factor!r}")
+    return int(factor)
+
+
 def refine(path: GridRoughPath, factor: int) -> GridRoughPath:
     """Split every grid step into `factor` equal Chen substeps.
 
@@ -213,9 +222,7 @@ def refine(path: GridRoughPath, factor: int) -> GridRoughPath:
     original step exactly, because the cross terms of collinear level-1 pieces
     vanish.  Values are interpolated linearly.
     """
-    factor = int(factor)
-    if factor < 1:
-        raise InvalidParameter("refinement factor must be >= 1")
+    factor = _factor(factor, "refinement")
     if factor == 1:
         return path
     t, v = path.times, path.values
@@ -235,9 +242,7 @@ def coarsen(path: GridRoughPath, factor: int) -> GridRoughPath:
     No interpolation: the surviving values and the composed (x, a) step data
     are exactly those of the original path on the coarse grid.
     """
-    factor = int(factor)
-    if factor < 1:
-        raise InvalidParameter("coarsening factor must be >= 1")
+    factor = _factor(factor, "coarsening")
     if path.n % factor != 0:
         raise InvalidGrid(f"cannot coarsen {path.n} steps by factor {factor}")
     if factor == 1:

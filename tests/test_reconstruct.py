@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import fit_slope, reconstruct_oracle, rolling_ball_generator
+from helpers import fit_slope, minimize_least_squares, reconstruct_oracle, rolling_ball_generator
 from rdeinv import reconstruct
 from rdeinv.errors import (
     DegenerateField,
@@ -17,6 +17,7 @@ from rdeinv.errors import (
     NotConverged,
     OutOfNeighborhood,
     RankDeficient,
+    RdeinvError,
     TrustRegionExceeded,
 )
 from rdeinv.rde import ObservationSet, logode_step, observe_flow, observe_flows
@@ -521,22 +522,130 @@ class TestReconstructMany:
         with pytest.warns(TrustRegionExceeded), pytest.raises(DomainViolation, match="got 1.5"):
             reconstruct_many(sys.fields, [good[0], outside], "taylor")
 
-    def test_singular_damped_matrix_is_that_row_alone(self):
-        # H + lam*I is exactly singular when lam is lost against H's scale
-        big = 2.0**100
-        hess = np.array([[[2.0, 0.5], [0.5, 1.0]], [[big, big], [big, big]], [[3.0, 0.0], [0.0, 1.0]]])
-        grad = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, -1.0]])
-        delta, solved = reconstruct._damped_steps(hess, np.full(3, 1e-8), grad)
-        np.testing.assert_array_equal(solved, [True, False, True])
-        for k in (0, 2):
-            want = np.linalg.solve(hess[k] + 1e-8 * np.eye(2), -grad[k])
-            np.testing.assert_array_equal(delta[k], want)
-
     def test_unknown_method_and_empty_list(self):
         V, obs_list = triple_product_intervals()
         with pytest.raises(InvalidParameter):
             reconstruct_many(V, obs_list, "newton")
         assert reconstruct_many(V, [], "flow") == []
+
+
+def linear_problem():
+    mat, rhs = np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([1.0, 2.0])
+    return (lambda t: mat @ t - rhs), (lambda t: mat.copy()), np.zeros(2)
+
+
+def rosenbrock_problem(theta0=(-1.2, 1.0)):
+    def residual(t):
+        return np.array([10.0 * (t[1] - t[0] ** 2), 1.0 - t[0]])
+
+    def jacobian(t):
+        return np.array([[-20.0 * t[0], 10.0], [-1.0, 0.0]])
+
+    return residual, jacobian, np.array(theta0)
+
+
+def scaled_problem(scale):
+    """A rank-one linear problem whose Hessian entries are scale**2: for a
+    scale of 2**50 or more, H + 1e-8*I is exactly singular."""
+    row = np.array([[scale, scale], [0.0, 0.0]])
+    return (lambda t: row @ t - np.array([1.0, 0.0])), (lambda t: row.copy()), np.zeros(2)
+
+
+def failing_jacobian_problem(first_failing_call):
+    residual, jacobian, theta0 = rosenbrock_problem()
+    calls = []
+
+    def failing(t):
+        calls.append(t)
+        if len(calls) >= first_failing_call:
+            raise DomainViolation(f"Jacobian calls from {first_failing_call} on leave the domain")
+        return jacobian(t)
+
+    return residual, failing, theta0
+
+
+def driver_against_oracle(make_problems, max_iter=50, tol=1e-12):
+    """Solve the problems from make_problems() in lockstep and each one alone
+    with minimize_least_squares; assert the outcomes are bitwise equal.
+
+    Returns the driver's outcomes and, for each stacked model call, the
+    problem indices of the stack and whether the call raised.
+    """
+    problems, stacks = make_problems(), []
+
+    def stacked(which):
+        def model(idx, theta):
+            try:
+                rows = [problems[k][which](t) for k, t in zip(idx, theta)]
+            except RdeinvError:
+                stacks.append((list(idx), True))
+                raise
+            stacks.append((list(idx), False))
+            return np.stack(rows)
+
+        return model
+
+    theta0 = np.array([theta for _, _, theta in problems])
+    got = reconstruct._levenberg_marquardt(stacked(0), stacked(1), theta0, max_iter, tol)
+    assert len(got) == len(problems)
+    for outcome, (residual, jacobian, theta) in zip(got, make_problems()):
+        try:
+            want = minimize_least_squares(residual, jacobian, theta, max_iter, tol)
+        except RdeinvError as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            continue
+        assert not isinstance(outcome, Exception), outcome
+        for a, b in zip(outcome, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return got, stacks
+
+
+class TestLockstepDriver:
+    """The lockstep Levenberg-Marquardt driver against the one-problem solver."""
+
+    def test_singular_damped_matrix_is_that_problem_alone(self):
+        residual, jacobian, theta0 = scaled_problem(2.0**50)
+        jac = jacobian(theta0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(jac.T @ jac + 1e-8 * np.eye(2), -jac.T @ residual(theta0))
+        got, stacks = driver_against_oracle(
+            lambda: [linear_problem(), scaled_problem(2.0**50), rosenbrock_problem()]
+        )
+        assert [outcome[1] for outcome in got] == [3, 1, 28]
+        assert [idx for idx, _ in stacks[:2]] == [[0, 1, 2], [0, 1, 2]]
+
+    def test_model_error_is_that_problem_alone(self):
+        got, stacks = driver_against_oracle(
+            lambda: [
+                linear_problem(),
+                failing_jacobian_problem(3),
+                rosenbrock_problem(),
+                rosenbrock_problem((0.5, 0.5)),
+            ]
+        )
+        assert str(got[1]) == "Jacobian calls from 3 on leave the domain"
+        assert [outcome[1] for k, outcome in enumerate(got) if k != 1] == [3, 28, 4]
+        # the third Jacobian stack, problems 1 and 2, raised; then problem 1 alone
+        assert [idx for idx, raised in stacks if raised] == [[1, 2], [1]]
+
+    def test_not_converged_is_that_problem_alone(self):
+        uphill = (lambda t: t - 3.0), (lambda t: -np.eye(2)), np.zeros(2)  # Jacobian of the wrong sign
+        slow = (lambda t: t**2), (lambda t: np.diag(2.0 * t)), np.ones(2)  # halves per iteration
+        got, _ = driver_against_oracle(
+            lambda: [
+                linear_problem(),
+                slow,
+                rosenbrock_problem((0.5, 0.5)),
+                uphill,
+                scaled_problem(2.0**100),
+            ],
+            max_iter=8,
+        )
+        assert (got[0][1], got[2][1]) == (3, 4)
+        assert str(got[1]) == "step norm above 1e-12 after 8 iterations"
+        # uphill rejects every step until the damping passes 1e12; the scaled
+        # problem's damped matrix stays singular through all 40 tries
+        assert str(got[3]) == str(got[4]) == "no acceptable damped step at iteration 1"
 
 
 class TestReconstructionResult:
@@ -626,6 +735,11 @@ class TestStitch:
         inc = (np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(InvalidGrid):
             stitch([inc], [0.0, 1.0, 2.0])
+
+    def test_no_segments(self):
+        for times in ([0.0], [0.0, 1.0]):
+            with pytest.raises(InvalidParameter, match="need at least one segment"):
+                stitch([], times)
 
     def test_mixed_dimensions_rejected(self):
         segs = [(np.zeros(2), np.zeros((2, 2))), (np.zeros(3), np.zeros((3, 3)))]

@@ -147,6 +147,20 @@ class TestGridRoughPath:
         with pytest.raises(InvalidParameter):
             GridRoughPath([0.0, 1.0], np.zeros((2, 1)), alpha=0.7)
 
+    @pytest.mark.parametrize(
+        "times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.0, 1.0], [np.nan] * 3]
+    )
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(InvalidGrid, match="finite"):
+            GridRoughPath(times, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        values = np.zeros((3, 2))
+        values[1, 0] = bad
+        with pytest.raises(InvalidGrid, match="path values must be finite"):
+            GridRoughPath([0.0, 0.5, 1.0], values)
+
     def test_rejects_nan_step_area(self):
         areas = np.zeros((2, 2, 2))
         areas[1] = [[np.nan, 1.0], [5.0, 0.0]]
@@ -253,6 +267,21 @@ class TestRefineCoarsen:
             x, a = chen_fold(path, 8 * k, 8 * (k + 1))
             np.testing.assert_allclose(coarse.step_areas[k], a, atol=1e-12)
             np.testing.assert_allclose(coarse.values[k + 1] - coarse.values[k], x, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [2.5, 1.9, 0, -2, 0.5, np.nan, np.inf])
+    def test_factor_must_be_a_positive_integer(self, factor):
+        path = lift_piecewise_linear(np.linspace(0, 1, 9), np.zeros((9, 2)))
+        for op in (refine, coarsen):
+            with pytest.raises(InvalidParameter, match="must be an integer >= 1"):
+                op(path, factor)
+
+    def test_integral_float_factor_is_accepted(self):
+        path = sample_brownian_lift(2, 4, 4, 1.0, seed=7)
+        for op, factor in ((refine, 3), (coarsen, 2)):
+            want = op(path, factor)
+            got = op(path, float(factor))
+            for attr in ("times", "values", "step_areas"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_coarsen_requires_divisibility(self):
         path = lift_piecewise_linear(np.linspace(0, 1, 8), np.zeros((8, 2)))
