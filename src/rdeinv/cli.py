@@ -228,7 +228,7 @@ def _resolve_points(ns, system, mode):
 def _grid_index(path, time, what):
     idx = int(np.argmin(np.abs(path.times - time)))
     scale = max(1.0, abs(float(path.times[-1])))
-    if abs(path.times[idx] - time) > 1e-9 * scale:
+    if not abs(path.times[idx] - time) <= 1e-9 * scale:  # a NaN time fails too
         raise UsageError(
             f"{what} = {time} does not lie on the driver grid "
             f"(nearest grid time {path.times[idx]})"
@@ -463,7 +463,9 @@ def cmd_convergence(args):
     cfg = _load_config(args)
     system = _build_system(cfg.system, cfg.ell, cfg.dim, cfg.kohn_d)
     cfg.schedule_kind = "dyadic"
-    seeds = [cfg.seed + k for k in range(max(1, cfg.n_seeds))]
+    if cfg.n_seeds < 1:
+        raise UsageError(f"driver.n_seeds must be >= 1, got {cfg.n_seeds}")
+    seeds = [cfg.seed + k for k in range(cfg.n_seeds)]
     paths = [_build_driver(cfg, seed) for seed in seeds]
     points, _ = _resolve_points(cfg, system, cfg.points_mode)
     # every seed's driver lives on the same grid, and every dyadic interval

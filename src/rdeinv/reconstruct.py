@@ -7,14 +7,13 @@ stacked squared distance to the observed flow images by Gauss-Newton with
 Levenberg damping; it is possible exactly when the matrix of field values and
 bracket values at the base points has rank m.
 
-`reconstruct_many` recovers many intervals at once: the solver is written for
-one problem, as a generator that yields wherever it needs the model, and a
-lockstep driver gathers the residual and Jacobian requests of all running
-problems into one stack each per round.  Field, bracket and composition values
-at all base points come from one batched evaluation, and the flow model
-pushes every base point and finite-difference probe through one lockstep
-log-ODE run.  The greedy point search evaluates all candidates of a round as
-one stack and scores them with one batched SVD.  All operations are pure.
+Each interval's recovery is written once, for one problem, as a generator:
+set-up at its base points, rank test, solve and result.  `reconstruct_many`
+runs one per interval in lockstep, and each round pushes the flow images
+that all of them ask for, residuals and finite-difference probes alike,
+through one log-ODE run.  The greedy point search evaluates all candidates of
+a round as one stack and scores them with one batched SVD.  All operations
+are pure.
 """
 
 from __future__ import annotations
@@ -90,16 +89,21 @@ class ReconstructionResult:
 
 def _point_blocks(V: VectorFieldSet, points):
     """Per-point field values (c,ell,d), bracket columns (c,nb,d) and
-    second compositions (c,ell,ell,d), from one batched evaluation."""
+    second compositions (c,ell,ell,d), from one batched evaluation.  Non-finite
+    points raise InvalidParameter, non-finite values NonFinite."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != V.d:
         raise DimensionMismatch(
             f"points have dimension {points.shape[1]}, fields live on {V.d}-space"
         )
-    fields = V.fields_at(points)
-    comps = np.einsum("cbde,cae->cabd", V.jacobians_at(points), fields)  # J_b @ e_a
-    pairs = [(a, b) for a in range(V.ell) for b in range(a + 1, V.ell)]
-    j, k = np.array(pairs, dtype=int).reshape(-1, 2).T
+    if not np.all(np.isfinite(points)):
+        raise InvalidParameter(f"base points must be finite, got {points.tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = V.fields_at(points)
+        comps = np.einsum("cbde,cae->cabd", V.jacobians_at(points), fields)  # J_b @ e_a
+    if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(comps))):
+        raise NonFinite("field or composition values at the base points are not finite")
+    j, k = np.triu_indices(V.ell, 1)  # the pairs j < k in row-major order
     brackets = comps[:, j, k] - comps[:, k, j]
     return points, fields, brackets, comps
 
@@ -134,16 +138,13 @@ def reconstruction_matrix(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
 
 
 def _taylor_images(base, fields, brackets, comps, A, bvec):
-    """Second-order model images (K, c, d) of K problems.
-
-    base (K, c, d) and the point blocks carry a leading K axis; A (K, ell) and
-    the area components bvec (K, nb) are each problem's parameters.
-    """
+    """Second-order model images (c, d) of the base points for the increment
+    A (ell,) and the area components bvec (nb,)."""
     return (
         base
-        + np.einsum("ki,kcid->kcd", A, fields)
-        + np.einsum("kp,kcpd->kcd", bvec, brackets)
-        + 0.5 * np.einsum("ki,kj,kcijd->kcd", A, A, comps)
+        + np.einsum("i,cid->cd", A, fields)
+        + np.einsum("p,cpd->cd", bvec, brackets)
+        + 0.5 * np.einsum("i,j,cijd->cd", A, A, comps)
     )
 
 
@@ -158,8 +159,7 @@ def taylor_map(V: VectorFieldSet, points, A, B):
     B = np.asarray(B, dtype=float)
     if A.shape != (V.ell,) or B.shape != (V.ell, V.ell):
         raise DimensionMismatch("A must be an ell-vector and B an ell x ell matrix")
-    stacked = [b[None] for b in blocks]
-    return _taylor_images(*stacked, A[None], area_components(B)[None]).ravel()
+    return _taylor_images(*blocks, A, area_components(B)).ravel()
 
 
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
@@ -182,45 +182,24 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
     return logode_step(V, points.reshape(k * c, -1), inc, n_sub).reshape(k, -1)
 
 
-def _second_comp_total(comps):
-    """Sum over all ordered pairs (i, j) of the stacked Euclidean norms |V_i V_j|."""
-    c, ell = comps.shape[0], comps.shape[1]
-    flat = comps.reshape(c, ell, ell, -1)
-    norms = np.sqrt(np.einsum("cijd,cijd->ij", flat, flat))
-    return float(norms.sum())
+def _local_problem(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
+    """The local recovery problem at one set of base points.
 
-
-def _local_problems(V: VectorFieldSet, points, tol_rel):
-    """The local recovery problems at K sets of base points, points (K, c, d).
-
-    Returns the point blocks with a leading K axis, from one evaluation; each
-    problem's reconstruction matrix, from one batched SVD; its trust-region
-    constants eps1 and eps2; and a RankDeficient error for each problem below
-    rank m, keyed by its index.
+    Returns the point blocks (points, fields, brackets, comps), the
+    reconstruction matrix and the trust-region constants eps1 and eps2;
+    raises RankDeficient below rank m.
     """
-    n_problems, c = points.shape[:2]
-    _, fields, brackets, comps = _point_blocks(V, points.reshape(n_problems * c, -1))
-    blocks = _column_blocks(fields, brackets)
-    mats = blocks.reshape(n_problems, -1, blocks.shape[2])
-    rms = [
-        _ranked(mat, sv, tol_rel)
-        for mat, sv in zip(mats, np.linalg.svd(mats, compute_uv=False))
-    ]
-    fields, brackets, comps = (
-        b.reshape((n_problems, c) + b.shape[1:]) for b in (fields, brackets, comps)
-    )
-    errors, eps1, eps2 = {}, np.full(n_problems, np.nan), np.empty(n_problems)
-    for k, rm in enumerate(rms):
-        if rm.rank < rm.m:
-            errors[k] = RankDeficient(
-                f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
-                "these base points cannot separate the driver parameters"
-            )
-        else:
-            eps1[k] = rm.singular_values[rm.m - 1]
-        total = _second_comp_total(comps[k])
-        eps2[k] = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
-    return fields, brackets, comps, rms, eps1, eps2, errors
+    blocks = _point_blocks(V, points)
+    rm = _matrix(blocks[1], blocks[2], tol_rel)
+    if rm.rank < rm.m:
+        raise RankDeficient(
+            f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
+            "these base points cannot separate the driver parameters"
+        )
+    # sum over all ordered pairs (i, j) of the stacked Euclidean norms |V_i V_j|
+    total = float(np.sqrt(np.einsum("cijd,cijd->ij", blocks[3], blocks[3])).sum())
+    eps2 = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
+    return (*blocks, rm, float(rm.singular_values[rm.m - 1]), eps2)
 
 
 def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
@@ -231,26 +210,23 @@ def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     model injectivity radius 1 / (2 sum_{i,j} |V_i V_j|) with the Euclidean
     norm of each stacked composition vector.  Requires full rank m.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    *_, eps1, eps2, errors = _local_problems(V, points[None], tol_rel)
-    if errors:
-        raise errors[0]
-    return float(eps1[0]), float(eps2[0])
+    return _local_problem(V, points, tol_rel)[-2:]
 
 
-def _one_problem(theta, max_iter, tol):
+def _one_problem(residual, jacobian, theta, max_iter, tol):
     """Gauss-Newton with Levenberg damping on one problem 0.5*|r|^2, as a generator.
 
-    It yields ("residual", theta) or ("jacobian", theta) and is sent the
-    model's value there, (n,) or (n, m).  It returns (theta, iterations, r)
-    once its proposed step norm drops below tol, and raises NotConverged when
-    the iteration budget is exhausted or no damped step decreases its cost.
+    residual(theta) and jacobian(theta) are generator functions that return
+    the model's value there, (n,) or (n, m); whatever they yield passes
+    through to the driver.  It returns (theta, iterations, r) once its
+    proposed step norm drops below tol, and raises NotConverged when the
+    iteration budget is exhausted or no damped step decreases its cost.
     """
-    r = yield "residual", theta
+    r = yield from residual(theta)
     cost = float(r @ r)
     lam = 1e-8
     for it in range(1, max_iter + 1):
-        jac = yield "jacobian", theta
+        jac = yield from jacobian(theta)
         grad = jac.T @ r
         hess = jac.T @ jac
         for _ in range(40):
@@ -261,7 +237,7 @@ def _one_problem(theta, max_iter, tol):
                 continue
             if float(np.linalg.norm(delta)) < tol:
                 return theta, it, r
-            r_new = yield "residual", theta + delta
+            r_new = yield from residual(theta + delta)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
                 break
@@ -276,54 +252,61 @@ def _one_problem(theta, max_iter, tol):
     raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
 
 
-def _rows(fn, idx, thetas):
-    """fn's rows for the problems idx at their parameters thetas, from one stack.
+def _rows(evaluate, requests):
+    """evaluate's values for the requests, from one call.
 
-    When the stack raises a package error, fn runs on one problem at a time
-    instead, and each failing problem's row is its error.
+    When that call raises a package error, each request is evaluated alone
+    instead, and a failing request's value is its error.
     """
     try:
-        return list(fn(np.array(idx), np.array(thetas)))
+        return list(evaluate(requests))
     except RdeinvError as exc:
-        if len(idx) == 1:
+        if len(requests) == 1:
             return [exc]
-        return [_rows(fn, [k], [theta])[0] for k, theta in zip(idx, thetas)]
+        return [_rows(evaluate, [request])[0] for request in requests]
 
 
-def _levenberg_marquardt(residual, jacobian, theta0, max_iter, tol):
-    """`_one_problem` on K independent problems in lockstep.
+def _lockstep(solvers, evaluate):
+    """Run generators in lockstep, one outcome each: its return value, or the
+    package error that stopped it.
 
-    residual(idx, theta) and jacobian(idx, theta) evaluate the problems idx at
-    their parameters theta (len(idx), m) as one stack, of shapes (len(idx), n)
-    and (len(idx), n, m).  Each round stacks the residual requests of every
-    running problem, then its Jacobian requests, and sends each problem its
-    row, so every problem takes exactly the steps it would take alone.
-    Returns one outcome per problem: (theta, iterations, r), or the exception
-    that stopped it.
+    Each round sends every pending request to one evaluate(requests) call,
+    which returns one value per request, and sends each generator its value,
+    so every generator takes exactly the steps it would take alone.
     """
-    models = {"residual": residual, "jacobian": jacobian}
-    solvers = [_one_problem(theta, max_iter, tol) for theta in np.array(theta0, dtype=float)]
     outcomes = [None] * len(solvers)
-    requests = {k: next(solver) for k, solver in enumerate(solvers)}
-    while requests:
-        for kind, model in models.items():
-            idx = [k for k, (want, _) in requests.items() if want == kind]
-            if not idx:
-                continue
-            for k, row in zip(idx, _rows(model, idx, [requests.pop(k)[1] for k in idx])):
-                try:
-                    if isinstance(row, Exception):
-                        raise row  # the model failed on this problem alone
-                    requests[k] = solvers[k].send(row)
-                except StopIteration as stop:
-                    outcomes[k] = stop.value
-                except RdeinvError as exc:
-                    outcomes[k] = exc
+    sends = dict.fromkeys(range(len(solvers)))  # the value each generator gets next
+    while sends:
+        requests = {}
+        for k, value in sends.items():
+            try:
+                if isinstance(value, Exception):
+                    raise value  # its request failed when evaluated alone
+                requests[k] = solvers[k].send(value)
+            except StopIteration as stop:
+                outcomes[k] = stop.value
+            except RdeinvError as exc:
+                outcomes[k] = exc
+        sends = dict(zip(requests, _rows(evaluate, list(requests.values())))) if requests else {}
     return outcomes
 
 
 def _unpack(theta, ell):
     return theta[..., :ell], area_matrix(theta[..., ell:], ell)
+
+
+def _flow_images(V: VectorFieldSet, n_sub):
+    """The `_lockstep` evaluate of flow recoveries: a request (base, thetas)
+    gets the images (len(thetas), c*d) of its base points (c, d), and the rows
+    of every request go through one flow_map call."""
+
+    def evaluate(requests):
+        bases, thetas = zip(*requests)
+        points = np.repeat(np.stack(bases), [len(t) for t in thetas], axis=0)
+        images = flow_map(V, points, *_unpack(np.concatenate(thetas), V.ell), n_sub)
+        return np.split(images, np.cumsum([len(t) for t in thetas])[:-1])
+
+    return evaluate
 
 
 def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
@@ -350,69 +333,44 @@ def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
     return result, note
 
 
-def _recover(V, obs_list, method, max_iter, tol, n_sub, fd_step):
-    """Recover observation sets that share their base-point shape as one
-    lockstep batch.  Returns one outcome per set: a (result, warning or None)
-    pair, or the exception that stopped it."""
-    base = np.stack([obs.base_points for obs in obs_list])
-    target = np.stack([obs.observed for obs in obs_list]).reshape(len(obs_list), -1)
-    try:
-        fields, brackets, comps, rms, eps1, eps2, failed = _local_problems(
-            V, base, DEFAULT_RANK_TOL
-        )
-    except RdeinvError as exc:  # set up each problem alone to find which one fails
-        if len(obs_list) == 1:
-            return [exc]
-        return [_recover(V, [obs], method, max_iter, tol, n_sub, fd_step)[0] for obs in obs_list]
-    outcomes = [failed.get(k) for k in range(len(obs_list))]
-    run = np.array([k for k in range(len(obs_list)) if k not in failed], dtype=int)
-    if run.size == 0:
-        return outcomes
-    ell = V.ell
-    base, target = base[run], target[run]
-    dz = target - base.reshape(run.size, -1)
-    theta0 = np.zeros((run.size, rms[0].m))
-    for pos, k in enumerate(run):
-        theta0[pos, :ell] = np.linalg.lstsq(rms[k].mat[:, :ell], dz[pos], rcond=None)[0]
+def _recovery(V: VectorFieldSet, obs: ObservationSet, method, max_iter, tol, fd_step):
+    """One interval's recovery as a generator: set-up, least-squares start,
+    solve and result, a (ReconstructionResult, TrustRegionExceeded or None)
+    pair.  The flow model yields `_flow_images` requests; the Taylor model
+    evaluates in place."""
+    base, fields, brackets, comps, rm, eps1, eps2 = _local_problem(V, obs.base_points)
+    ell, target = V.ell, obs.observed.ravel()
+    theta0 = np.zeros(rm.m)
+    theta0[:ell] = np.linalg.lstsq(rm.mat[:, :ell], target - base.ravel(), rcond=None)[0]
 
     if method == "taylor":
-        fields, brackets, comps = fields[run], brackets[run], comps[run]
-        mats = np.array([rms[k].mat for k in run])  # C order, as the one-problem Jacobian
-        sym = comps + np.swapaxes(comps, 2, 3)  # sym[k,c,i,j] = V_iV_j + V_jV_i
+        sym = comps + np.swapaxes(comps, 1, 2)  # sym[c,i,j] = V_iV_j + V_jV_i
 
-        def residual(sel, theta):
-            images = _taylor_images(
-                base[sel], fields[sel], brackets[sel], comps[sel], theta[:, :ell], theta[:, ell:]
-            )
-            return images.reshape(len(sel), -1) - target[sel]
+        def residual(theta):
+            yield from ()  # a generator, as `_one_problem` needs, that never yields
+            images = _taylor_images(base, fields, brackets, comps, theta[:ell], theta[ell:])
+            return images.ravel() - target
 
-        def jacobian(sel, theta):
-            jac = mats[sel]
-            corr = 0.5 * np.einsum("kj,kcijd->kcdi", theta[:, :ell], sym[sel])
-            jac[:, :, :ell] += corr.reshape(len(sel), -1, ell)
+        def jacobian(theta):
+            yield from ()
+            jac = rm.mat.copy()
+            jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", theta[:ell], sym).reshape(-1, ell)
             return jac
 
     else:
 
-        def residual(sel, theta):
-            return flow_map(V, base[sel], *_unpack(theta, ell), n_sub) - target[sel]
+        def residual(theta):
+            images = yield base, theta[None]
+            return images[0] - target
 
-        def jacobian(sel, theta):
-            # all 2m central-difference probes of every problem in one lockstep run
-            m = theta.shape[1]
-            probes = theta[:, None, :] + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
-            points = np.repeat(base[sel], 2 * m, axis=0)
-            images = flow_map(V, points, *_unpack(probes.reshape(-1, m), ell), n_sub)
-            images = images.reshape(len(sel), 2 * m, -1)
-            return np.swapaxes(images[:, :m] - images[:, m:], 1, 2) / (2.0 * fd_step)
+        def jacobian(theta):
+            # central differences: all 2m probes in one request
+            m = theta.size
+            images = yield base, theta + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
+            return (images[:m] - images[m:]).T / (2.0 * fd_step)
 
-    solved = _levenberg_marquardt(residual, jacobian, theta0, max_iter, tol)
-    for k, outcome in zip(run, solved):
-        if isinstance(outcome, Exception):
-            outcomes[k] = outcome
-        else:
-            outcomes[k] = _result_from(*outcome, V, obs_list[k], eps1[k], eps2[k], method)
-    return outcomes
+    theta, iterations, r = yield from _one_problem(residual, jacobian, theta0, max_iter, tol)
+    return _result_from(theta, iterations, r, V, obs, eps1, eps2, method)
 
 
 def reconstruct_many(
@@ -425,25 +383,29 @@ def reconstruct_many(
     Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
     Jacobian from central finite differences of step fd_step.  Both start
     from A fitted by linear least squares against the field columns, B = 0.
+    max_iter must be an integer >= 1 and fd_step finite and positive.
 
-    Sets that share their base-point shape are solved in lockstep: one
-    batched set-up, and per round one stacked evaluation of every pending
-    residual and one of every pending Jacobian, each problem keeping its own
-    Levenberg damping.
-    Every result equals that of recovering the sets one at a time, in order:
-    TrustRegionExceeded is warned in that order, and when some set fails,
-    the error of the first failing one is raised after the warnings of the
-    sets before it.
+    Sets that share their base-point shape are recovered in lockstep, one
+    log-ODE run per round for the flow images they all ask for.  Every result
+    equals that of recovering the sets one at a time, in order:
+    TrustRegionExceeded is warned in that order, and when some set fails, the
+    error of the first failing one is raised after the warnings of the sets
+    before it.
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not 0.0 < fd_step < float("inf"):
+        raise InvalidParameter(f"fd_step must be finite and > 0, got {fd_step!r}")
     obs_list = list(obs_list)
     groups, outcomes = {}, [None] * len(obs_list)
     for k, obs in enumerate(obs_list):
         groups.setdefault(obs.base_points.shape, []).append(k)
+    evaluate = _flow_images(V, n_sub)
     for idx in groups.values():
-        group = _recover(V, [obs_list[k] for k in idx], method, max_iter, tol, n_sub, fd_step)
-        for k, outcome in zip(idx, group):
+        solvers = [_recovery(V, obs_list[k], method, max_iter, tol, fd_step) for k in idx]
+        for k, outcome in zip(idx, _lockstep(solvers, evaluate)):
             outcomes[k] = outcome
     for outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -596,7 +558,9 @@ def search_points(
     SVD; ties go to the earliest candidate.  Deterministic given the seed;
     candidates that raise DomainViolation are skipped.  Failure is reported
     through rank < m in the returned diagnostics, not an exception.  A box
-    corner that does not broadcast to (d,) raises DimensionMismatch.
+    corner that does not broadcast to (d,) raises DimensionMismatch; a box
+    with lo >= hi, a non-finite corner or an overflowing width raises
+    InvalidParameter.
     """
     if c_max < 1 or n_trials < 1:
         raise InvalidParameter("c_max and n_trials must be >= 1")
@@ -611,8 +575,12 @@ def search_points(
             ) from None
 
     lo, hi = corner(box_lo), corner(box_hi)
-    if np.any(hi <= lo):
-        raise InvalidParameter("box upper bounds must exceed lower bounds")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    if not np.all((width > 0) & (width < np.inf)):  # NaN fails too
+        raise InvalidParameter(
+            f"box corners {lo.tolist()} and {hi.tolist()} need lo < hi and a finite width"
+        )
     rng = np.random.default_rng(seed)
     # the chosen points and their rows of the reconstruction matrix
     chosen, head = np.empty((0, V.d)), np.empty((0, V.ell * (V.ell + 1) // 2))

@@ -57,6 +57,22 @@ class TestRank:
         assert code == 64
         assert "unknown system" in err
 
+    @pytest.mark.parametrize(
+        "system, points",
+        [("rolling_ball", "nan,0,0,0,1,0,0,0,1"), ("unicycle", "nan,0,0"), ("unicycle", "0,inf,0")],
+    )
+    def test_non_finite_point_is_usage_error(self, system, points, capsys):
+        code, out, err = run(capsys, "rank", "--system", system, "--points", points)
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: base points must be finite")
+
+    def test_overflowing_field_values_are_numerical_error(self, capsys):
+        code, out, _ = run(
+            capsys, "rank", "--system", "triple_product", "--points", "1e200,1e200,1;1,2,3;3,1,2"
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NonFinite"
+
 
 class TestSearchPoints:
     def test_unicycle_json(self, capsys):
@@ -72,6 +88,14 @@ class TestSearchPoints:
         b = run(capsys, "search-points", "--system", "triple_product", "--seed", "7",
                 "--box-lo", "-2,-2,-2", "--box-hi", "2,2,2")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "box", [["--box-lo", "nan"], ["--box-hi", "inf"], ["--box-lo=-1e308", "--box-hi=1e308"]]
+    )
+    def test_non_finite_box_is_usage_error(self, box, capsys):
+        code, out, err = run(capsys, "search-points", "--system", "unicycle", *box)
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: box corners")
 
 
 class TestLiftSolveRoundTrip:
@@ -633,6 +657,24 @@ class TestConfigKeys:
         code, _, _ = run(capsys, "reconstruct", "--config", cfg, *extra)
         assert code == 0
         assert (out / "results.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("reconstruct", "schedule.s=nan"),
+            ("convergence", "schedule.s=nan"),
+            ("convergence", "driver.n_seeds=0"),
+            ("convergence", "driver.n_seeds=-3"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, command, override, capsys, tmp_path):
+        out = ["--out-dir", str(tmp_path / "out")] if command == "reconstruct" else [
+            "--out", str(tmp_path / "conv.csv")]
+        code, _, err = run(capsys, command, "--set", override, *out)
+        assert code == 64
+        key, value = override.split("=")
+        assert err.startswith(f"usage error: {key}") and value in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -14,6 +14,7 @@ from rdeinv.errors import (
     DomainViolation,
     InvalidGrid,
     InvalidParameter,
+    NonFinite,
     NotConverged,
     OutOfNeighborhood,
     RankDeficient,
@@ -64,6 +65,10 @@ def scalar_linear_field():
 
 def unit_field():
     return VectorFieldSet([lambda x: np.ones(1)], d=1, jacs=[lambda x: np.zeros((1, 1))])
+
+
+def taylor_map_at_zero(V, points):
+    return taylor_map(V, points, np.zeros(V.ell), np.zeros((V.ell, V.ell)))
 
 
 class TestReconstructionMatrix:
@@ -129,6 +134,26 @@ class TestReconstructionMatrix:
             cols = [V.field(i, y) for i in range(3)]
             cols += [bracket(V, j, k, y) for j in range(3) for k in range(j + 1, 3)]
             np.testing.assert_allclose(rm.mat[3 * r : 3 * r + 3], np.column_stack(cols), atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_rejected(self, bad):
+        V, points = unicycle().fields, [[0.0, 0.0, 0.0], [0.0, bad, 0.0]]
+        for fn in (reconstruction_matrix, trust_region, taylor_map_at_zero):
+            with pytest.raises(InvalidParameter, match="base points must be finite"):
+                fn(V, points)
+
+    def test_overflowing_field_values_raise_non_finite(self):
+        # triple_product's fields multiply coordinates, which overflow at 1e200;
+        # no RuntimeWarning escapes (the suite turns one into an error)
+        V = triple_product().fields
+        points = np.array([[1e200, 1e200, 1.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+        for fn in (reconstruction_matrix, trust_region, taylor_map_at_zero):
+            with pytest.raises(NonFinite, match="not finite"):
+                fn(V, points)
+        obs = ObservationSet(points, 0.0, 1.0, points.copy())
+        for method in ("taylor", "flow"):
+            with pytest.raises(NonFinite, match="not finite"):
+                reconstruct_many(V, [obs], method)
 
 
 class TestTaylorMap:
@@ -522,6 +547,55 @@ class TestReconstructMany:
         with pytest.warns(TrustRegionExceeded), pytest.raises(DomainViolation, match="got 1.5"):
             reconstruct_many(sys.fields, [good[0], outside], "taylor")
 
+    def test_mixed_base_point_shapes(self):
+        # sets with one and with two base points interleave, so the two shape
+        # groups run one after the other; results, warnings and the error of a
+        # rank-0 set at the zero state still come in set order
+        sys = rolling_ball()
+        one = np.eye(3).ravel()[None]
+        two = np.vstack([one, expm(0.7 * ROLLING_BALL_A1 - 0.4 * ROLLING_BALL_A2).ravel()])
+        path = sample_brownian_lift(2, 64, 8, 1.0, 7)
+        pairs = [(0, 64), (0, 8), (16, 48), (40, 44)]
+        [ones] = observe_flows(sys.fields, one, [path], pairs, n_internal=8)
+        [twos] = observe_flows(sys.fields, two, [path], pairs, n_internal=8)
+        obs_list = [obs for pair in zip(ones, twos) for obs in pair]
+        zero = ObservationSet(np.zeros((1, 9)), 0.0, 1.0, np.zeros((1, 9)))
+        assert reconstruction_matrix(sys.fields, zero.base_points).rank == 0
+        for method in ("taylor", "flow"):
+            got, got_warns, _ = batched_recovery(sys.fields, obs_list, method, n_sub=8)
+            want, want_warns, _ = loop_recovery(sys.fields, obs_list, method, n_sub=8)
+            assert_same_results(got, want)
+            assert got_warns == want_warns and 0 < len(got_warns)
+            _, warns_before, _ = loop_recovery(sys.fields, obs_list[:3], method, n_sub=8)
+            with pytest.raises(RankDeficient) as alone:
+                reconstruct_oracle(sys.fields, zero, method, n_sub=8)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(RankDeficient) as stacked:
+                    reconstruct_many(sys.fields, obs_list[:3] + [zero] + obs_list[3:], method, n_sub=8)
+            assert str(stacked.value) == str(alone.value)
+            assert [str(w.message) for w in caught] == warns_before
+
+    @pytest.mark.parametrize("method", ["taylor", "flow"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_iter", 0),
+            ("max_iter", -2),
+            ("max_iter", 2.5),
+            ("fd_step", 0.0),
+            ("fd_step", -1e-6),
+            ("fd_step", np.nan),
+            ("fd_step", np.inf),
+        ],
+    )
+    def test_solver_arguments_are_checked_up_front(self, method, key, value):
+        sys = rolling_ball()
+        base = np.array([np.eye(3).ravel()])
+        obs = ObservationSet(base, 0.0, 1.0, base.copy())
+        with pytest.raises(InvalidParameter, match=key):
+            reconstruct_many(sys.fields, [obs], method, **{key: value})
+
     def test_unknown_method_and_empty_list(self):
         V, obs_list = triple_product_intervals()
         with pytest.raises(InvalidParameter):
@@ -568,25 +642,34 @@ def driver_against_oracle(make_problems, max_iter=50, tol=1e-12):
     """Solve the problems from make_problems() in lockstep and each one alone
     with minimize_least_squares; assert the outcomes are bitwise equal.
 
-    Returns the driver's outcomes and, for each stacked model call, the
-    problem indices of the stack and whether the call raised.
+    Each problem runs as a `_one_problem` generator whose models yield their
+    requests; one evaluate call per round serves them all.  Returns the
+    driver's outcomes and, for each evaluate call, the problem indices of its
+    stack and whether the call raised.
     """
     problems, stacks = make_problems(), []
 
-    def stacked(which):
-        def model(idx, theta):
-            try:
-                rows = [problems[k][which](t) for k, t in zip(idx, theta)]
-            except RdeinvError:
-                stacks.append((list(idx), True))
-                raise
-            stacks.append((list(idx), False))
-            return np.stack(rows)
+    def request(k, which):
+        def model(theta):
+            return (yield k, which, theta)
 
         return model
 
-    theta0 = np.array([theta for _, _, theta in problems])
-    got = reconstruct._levenberg_marquardt(stacked(0), stacked(1), theta0, max_iter, tol)
+    def evaluate(requests):
+        idx = [k for k, _, _ in requests]
+        try:
+            rows = [problems[k][which](t) for k, which, t in requests]
+        except RdeinvError:
+            stacks.append((idx, True))
+            raise
+        stacks.append((idx, False))
+        return rows
+
+    solvers = [
+        reconstruct._one_problem(request(k, 0), request(k, 1), theta, max_iter, tol)
+        for k, (_, _, theta) in enumerate(problems)
+    ]
+    got = reconstruct._lockstep(solvers, evaluate)
     assert len(got) == len(problems)
     for outcome, (residual, jacobian, theta) in zip(got, make_problems()):
         try:
@@ -601,7 +684,8 @@ def driver_against_oracle(make_problems, max_iter=50, tol=1e-12):
 
 
 class TestLockstepDriver:
-    """The lockstep Levenberg-Marquardt driver against the one-problem solver."""
+    """The lockstep driver of one-problem Levenberg-Marquardt generators
+    against the one-problem solver."""
 
     def test_singular_damped_matrix_is_that_problem_alone(self):
         residual, jacobian, theta0 = scaled_problem(2.0**50)
@@ -825,6 +909,22 @@ class TestSearchPoints:
     @pytest.mark.parametrize("lo, hi", [([0.0, 0.0], 1.0), (-1.0, np.ones((3, 3)))])
     def test_box_corner_of_wrong_size_is_rejected(self, lo, hi):
         with pytest.raises(DimensionMismatch, match="broadcast"):
+            search_points(unicycle().fields, lo, hi, c_max=1, seed=0, n_trials=4)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (np.nan, 1.0),
+            (-1.0, np.inf),
+            (-np.inf, 0.0),
+            (-1e308, 1e308),
+            ([0.0, -1e308, 0.0], [1.0, 1e308, 1.0]),
+            ([0.0, 1.0, 0.0], 1.0),
+        ],
+    )
+    def test_non_finite_overflowing_or_empty_box_is_rejected(self, lo, hi):
+        # no RuntimeWarning from the width either (the suite turns one into an error)
+        with pytest.raises(InvalidParameter, match="lo < hi and a finite width"):
             search_points(unicycle().fields, lo, hi, c_max=1, seed=0, n_trials=4)
 
     def test_triple_product_finds_rank_six_triple(self):
