@@ -609,10 +609,29 @@ def _build_parser():
     return parser
 
 
+# Flags whose value is a vector and so may start with "-", as in "--box-lo -2,-2,-2".
+_VECTOR_FLAGS = {"--box-lo", "--box-hi", "--points", "--v", "--x0"}
+
+
+def _attach_vector_values(argv):
+    """argv with "FLAG VALUE" written "FLAG=VALUE" for the vector flags.
+
+    argparse reads a separate value that starts with "-" and is not a plain
+    number as a flag, and then reports the vector flag's value as missing.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VECTOR_FLAGS and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return EXIT_OK if code == 0 else EXIT_USAGE

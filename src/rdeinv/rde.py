@@ -146,20 +146,24 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
 _STEPPERS = {"euler2": euler2_step, "logode": logode_step}
 
 
-def _lockstep(V: VectorFieldSet, z, x, a, method, n_internal, n_sub):
+def _lockstep(V: VectorFieldSet, z, x, a, method, n_sub):
     """Step z, one (d,) state or an (N, d) stack, along the grid-step data x[s], a[s].
 
-    Every grid step is n_internal equal Chen substeps (x[s], a[s]) / n_internal,
-    each taken with _STEPPERS[method]; yields the state after every grid step.
-    The data comes from validated GridRoughPaths, so its increments skip the checks.
+    Takes one _STEPPERS[method] step per grid step and yields the state after
+    each.  The data comes from validated GridRoughPaths, so its increments
+    skip the checks.
     """
     step = _STEPPERS[method]
     extra = (n_sub,) if method == "logode" else ()
-    for xs, as_ in zip(x / n_internal, a / n_internal):
-        inc = RoughIncrement._trusted(xs, as_)
-        for _ in range(n_internal):
-            z = step(V, z, inc, *extra)
+    for xs, as_ in zip(x, a):
+        z = step(V, z, RoughIncrement._trusted(xs, as_), *extra)
         yield z
+
+
+def _finite_states(x, what):
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter(f"{what} must be finite, got {np.asarray(x).tolist()}")
+    return x
 
 
 def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16):
@@ -173,7 +177,8 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (V.d,):
         raise DimensionMismatch(f"x0 must have shape {(V.d,)}, got {x0.shape}")
-    steps = _lockstep(V, x0, np.diff(path.values, axis=0), path.step_areas, method, 1, n_sub)
+    _finite_states(x0, "x0")
+    steps = _lockstep(V, x0, np.diff(path.values, axis=0), path.step_areas, method, n_sub)
     return Trajectory(path.times.copy(), [x0, *steps])
 
 
@@ -186,9 +191,14 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     run over the longest.  Intervals that share a start share their rows;
     the states are kept at each interval end, and a row whose last end
     has passed takes exact zero increments, which carry its state unchanged.
-    Every grid step is split into n_internal Chen substeps, each integrated
-    with a log-ODE step; n_internal is the observation accuracy knob and only
-    needs to push the integration error well below the reconstruction scale.
+    Every grid step is n_internal equal Chen pieces of one autonomous
+    log-ODE, so it is taken as one log-ODE step with n_internal * n_sub RK4
+    substeps: n_internal multiplies n_sub.  For a power-of-two n_internal
+    every scaling is exact and the result is bitwise that of n_internal
+    separate steps; other values may differ from that in the last bits.
+    n_internal is the observation accuracy knob and only needs to push the
+    integration error well below the reconstruction scale.  Non-finite base
+    points raise InvalidParameter before any step.
 
     Returns out[p][q], the ObservationSet of paths[p] over pairs[q].
     """
@@ -205,7 +215,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     n_internal = int(n_internal)
     if n_internal < 1:
         raise InvalidParameter("n_internal must be >= 1")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _finite_states(np.atleast_2d(np.asarray(points, dtype=float)), "base points")
     c = len(points)
     lengths = {}  # start -> steps up to its last end, in order of first appearance
     for i, j in pairs:
@@ -223,7 +233,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     a = np.repeat(a.reshape(span, -1, V.ell, V.ell), c, axis=1)
     z = np.tile(points, (len(paths) * len(lengths), 1))
     ends = {j - i for i, j in pairs}
-    steps = enumerate(_lockstep(V, z, x, a, "logode", n_internal, n_sub), 1)
+    steps = enumerate(_lockstep(V, z, x, a, "logode", n_internal * int(n_sub)), 1)
     at_step = {s: zs.reshape(len(paths), len(lengths), c, V.d) for s, zs in steps if s in ends}
     starts = list(lengths)
     return [

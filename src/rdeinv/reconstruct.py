@@ -449,10 +449,9 @@ def doss_sussmann_1d(
         raise DimensionMismatch("doss_sussmann_1d needs a single field on 1-space")
     y = float(y)
     observed = float(observed)
-    ev = V._evals[0]
 
     def vfield(z):
-        return float(np.asarray(ev(np.array([z])), dtype=float)[0])
+        return float(V.field(0, np.array([z]))[0])
 
     if abs(vfield(y)) < 1e-14:
         raise DegenerateField("V_1 vanishes at the base point")

@@ -1,9 +1,10 @@
 """Named vector-field systems, with analytic Jacobians, usable from the CLI.
 
-Every evaluator follows the batched protocol of `rdeinv.vectorfields`: it
-indexes states as ``x[..., k]``, so one (d,) state and an (N, d) stack of
-states both work.  Constant fields and Jacobians are returned unbroadcast.
-All constructors are pure and the returned systems are shareable.
+Every system is a fused `rdeinv.vectorfields.VectorFieldSet`: one callable
+fills all field values (..., ell, d) and one all Jacobians (..., ell, d, d),
+indexing states as ``x[..., k]`` so that one (d,) state and an (N, d) stack
+both work.  rolling_ball, kohn and constant are one constant matrix stack
+each, returned unbroadcast.  Constructors are pure and systems shareable.
 """
 
 from __future__ import annotations
@@ -37,23 +38,15 @@ def rolling_ball() -> NamedSystem:
     on the embedding space: V_i(x) = kron(A_i, I_3) x.  The orthogonal group is
     invariant under the flow.
     """
+    jac = np.stack([np.kron(a, np.eye(3)) for a in (ROLLING_BALL_A1, ROLLING_BALL_A2)])
+    cat = jac.transpose(2, 0, 1).reshape(9, 18)  # x @ cat = [V_1(x), V_2(x)]
 
-    def make(amat):
-        jmat = np.kron(amat, np.eye(3))
+    def fields(x):
+        return (x @ cat).reshape(x.shape[:-1] + (2, 9))
 
-        def ev(x, jt=jmat.T):
-            return x @ jt
-
-        def ja(x, j=jmat):
-            return j
-
-        return ev, ja
-
-    ev1, ja1 = make(ROLLING_BALL_A1)
-    ev2, ja2 = make(ROLLING_BALL_A2)
     return NamedSystem(
         "rolling_ball",
-        VectorFieldSet([ev1, ev2], d=9, jacs=[ja1, ja2]),
+        VectorFieldSet.fused(fields, 2, 9, lambda x: jac),
         recommended_points=[np.eye(3).ravel()],
         notes="orientation matrix embedded row-major in R^9; fields M -> A_i M",
     )
@@ -65,29 +58,24 @@ def unicycle() -> NamedSystem:
     Field 1 moves along the current heading, field 2 turns.
     """
 
-    def ev1(x):
+    def fields(x):
         heading = x[..., 2]
-        out = np.zeros(x.shape)
-        out[..., 0] = np.cos(heading)
-        out[..., 1] = np.sin(heading)
+        out = np.zeros(x.shape[:-1] + (2, 3))
+        out[..., 0, 0] = np.cos(heading)
+        out[..., 0, 1] = np.sin(heading)
+        out[..., 1, 2] = 1.0
         return out
 
-    def ja1(x):
+    def jacobians(x):
         heading = x[..., 2]
-        out = np.zeros(x.shape + (3,))
-        out[..., 0, 2] = -np.sin(heading)
-        out[..., 1, 2] = np.cos(heading)
+        out = np.zeros(x.shape[:-1] + (2, 3, 3))
+        out[..., 0, 0, 2] = -np.sin(heading)
+        out[..., 0, 1, 2] = np.cos(heading)
         return out
-
-    def ev2(x, turn=np.array([0.0, 0.0, 1.0])):
-        return turn
-
-    def ja2(x, zero=np.zeros((3, 3))):
-        return zero
 
     return NamedSystem(
         "unicycle",
-        VectorFieldSet([ev1, ev2], d=3, jacs=[ja1, ja2]),
+        VectorFieldSet.fused(fields, 2, 3, jacobians),
         recommended_points=[np.zeros(3)],
         notes="position and heading; rank condition holds at every point with c=1",
     )
@@ -112,32 +100,25 @@ def cvt() -> NamedSystem:
     Every row of a stack is checked.
     """
 
-    def ev1(x):
+    def fields(x):
         q = _cvt_ratio(x)
-        out = np.zeros(x.shape)
-        out[..., 0] = 1.0 / q
-        out[..., 1] = 1.0 / (1.0 - q)
-        out[..., 2] = 1.0
+        out = np.zeros(x.shape[:-1] + (2, 4))
+        out[..., 0, 0] = 1.0 / q
+        out[..., 0, 1] = 1.0 / (1.0 - q)
+        out[..., 0, 2] = 1.0
+        out[..., 1, 3] = 1.0
         return out
 
-    def ja1(x):
+    def jacobians(x):
         q = _cvt_ratio(x)
-        out = np.zeros(x.shape + (4,))
-        out[..., 0, 3] = -1.0 / q**2
-        out[..., 1, 3] = 1.0 / (1.0 - q) ** 2
+        out = np.zeros(x.shape[:-1] + (2, 4, 4))
+        out[..., 0, 0, 3] = -1.0 / q**2
+        out[..., 0, 1, 3] = 1.0 / (1.0 - q) ** 2
         return out
-
-    def ev2(x, shift=np.array([0.0, 0.0, 0.0, 1.0])):
-        _cvt_ratio(x)
-        return shift
-
-    def ja2(x, zero=np.zeros((4, 4))):
-        _cvt_ratio(x)
-        return zero
 
     return NamedSystem(
         "cvt",
-        VectorFieldSet([ev1, ev2], d=4, jacs=[ja1, ja2]),
+        VectorFieldSet.fused(fields, 2, 4, jacobians),
         recommended_points=[np.array([0.0, 0.0, 0.0, 0.5])],
         notes="domain restricted to 0 < q < 1 (q is the fourth coordinate)",
     )
@@ -149,28 +130,25 @@ def triple_product() -> NamedSystem:
     All fields vanish on the coordinate axes, so single-axis points are
     degenerate; two generic points give the full rank 6.
     """
+    # field i moves coordinate i at the rate of the product of the other two
+    others = [(1, 2), (0, 2), (0, 1)]
 
-    def make(i):
-        # field i moves coordinate i at the rate of the product of the other two
-        j, k = (n for n in range(3) if n != i)
+    def fields(x):
+        out = np.zeros(x.shape[:-1] + (3, 3))
+        for i, (j, k) in enumerate(others):
+            out[..., i, i] = x[..., j] * x[..., k]
+        return out
 
-        def ev(x):
-            out = np.zeros(x.shape)
-            out[..., i] = x[..., j] * x[..., k]
-            return out
+    def jacobians(x):
+        out = np.zeros(x.shape[:-1] + (3, 3, 3))
+        for i, (j, k) in enumerate(others):
+            out[..., i, i, j] = x[..., k]
+            out[..., i, i, k] = x[..., j]
+        return out
 
-        def ja(x):
-            out = np.zeros(x.shape + (3,))
-            out[..., i, j] = x[..., k]
-            out[..., i, k] = x[..., j]
-            return out
-
-        return ev, ja
-
-    pairs = [make(i) for i in range(3)]
     return NamedSystem(
         "triple_product",
-        VectorFieldSet([p[0] for p in pairs], d=3, jacs=[p[1] for p in pairs]),
+        VectorFieldSet.fused(fields, 3, 3, jacobians),
         recommended_points=[
             np.array([1.0, 1.0, 1.0]),
             np.array([1.0, 2.0, 3.0]),
@@ -195,27 +173,21 @@ def kohn(d=2) -> NamedSystem:
     if d < 1:
         raise DimensionMismatch("kohn needs d >= 1")
     dim = 2 * d + 1
+    # field n is d/d(n) + gain[n] * x[partner[n]] d/dt
+    n = np.arange(2 * d)
+    partner, gain = (n + d) % (2 * d), np.repeat([2.0, -2.0], d)
+    jac = np.zeros((2 * d, dim, dim))
+    jac[n, dim - 1, partner] = gain
 
-    def make(axis, partner, gain):
-        # d/d(axis) + gain * x[partner] d/dt
-        def ev(x):
-            out = np.zeros(x.shape)
-            out[..., axis] = 1.0
-            out[..., dim - 1] = gain * x[..., partner]
-            return out
+    def fields(x):
+        out = np.zeros(x.shape[:-1] + (2 * d, dim))
+        out[..., n, n] = 1.0
+        out[..., n, dim - 1] = gain * x[..., partner]
+        return out
 
-        jmat = np.zeros((dim, dim))
-        jmat[dim - 1, partner] = gain
-
-        def ja(x, j=jmat):
-            return j
-
-        return ev, ja
-
-    pairs = [make(i, d + i, 2.0) for i in range(d)] + [make(d + i, i, -2.0) for i in range(d)]
     return NamedSystem(
         f"kohn_{d}" if d != 2 else "kohn",
-        VectorFieldSet([p[0] for p in pairs], d=dim, jacs=[p[1] for p in pairs]),
+        VectorFieldSet.fused(fields, 2 * d, dim, lambda x: jac),
         recommended_points=[np.zeros(dim)],
         notes="degenerate for d >= 2: brackets only ever span the vertical direction",
     )
@@ -229,23 +201,10 @@ def constant_fields(ell, d) -> NamedSystem:
     """
     if not 1 <= ell <= d:
         raise DimensionMismatch(f"need 1 <= ell <= d, got ell={ell}, d={d}")
-
-    def make(i):
-        vec = np.zeros(d)
-        vec[i] = 1.0
-
-        def ev(x, v=vec):
-            return v
-
-        def ja(x, z=np.zeros((d, d))):
-            return z
-
-        return ev, ja
-
-    pairs = [make(i) for i in range(ell)]
+    vecs, zero = np.eye(ell, d), np.zeros((ell, d, d))
     return NamedSystem(
         f"constant_{ell}_{d}",
-        VectorFieldSet([p[0] for p in pairs], d=d, jacs=[p[1] for p in pairs]),
+        VectorFieldSet.fused(lambda x: vecs, ell, d, lambda x: zero),
         recommended_points=[np.zeros(d)],
         notes="canonical basis fields; no bracket ever sees the area",
     )

@@ -1,16 +1,24 @@
 """Vector field collections on d-space: Jacobians, Lie brackets, compositions.
 
-Evaluators are batched.  A field evaluator takes an (N, d) stack of states
-and returns the (N, d) field values; a Jacobian evaluator returns (N, d, d).
-A result that only broadcasts to that shape, such as a constant vector or a
-constant matrix, is accepted.  The single-state accessors pass a (d,) state
-through unchanged, so evaluators written with ``x[..., k]`` indexing serve
-both.  Every row is an independent state: the integrators step whole stacks
-of base points, seeds and finite-difference probes in lockstep, so
-evaluators must be pure.  Indices are 0-based throughout.
+A field set is evaluated fused: one callable maps an (N, d) stack of states
+to all ell field values (N, ell, d), and an optional second one to all
+Jacobians (N, ell, d, d); without it, Jacobians are central differences of
+the first.  A result that only broadcasts to the full shape, such as a
+constant (ell, d) or (ell, d, d) stack, is accepted.  A (d,) state passes
+through unchanged, so callables written with ``x[..., k]`` indexing serve
+both.  Rows are independent states: the integrators step whole stacks of
+base points, seeds and finite-difference probes in lockstep, so evaluators
+must be pure.  Indices are 0-based throughout.
+
+The list form, one callable per field (and per Jacobian), is an adapter that
+stacks the per-field results.  Every set keeps per-field callables in
+``_evals`` and ``_jacs``; a fused set's are slices of its fused results, so a
+list-form set rebuilt from them evaluates bitwise equal to it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,8 +34,9 @@ def fd_jacobian(fun, x, step=1e-5):
     """Central-difference Jacobian of fun at a (d,) state or every row of an (N, d) stack.
 
     Column j uses x +- step*e_j, applied to the whole stack at once, so fun is
-    called 2d times whatever N is.  The result has shape (d, d) or (N, d, d),
-    or broadcasts to it when fun returns a broadcastable result.
+    called 2d times whatever N is.  The derivative axis comes last: a fun
+    returning (N, d) gives (N, d, d), a fused fun returning (N, ell, d) gives
+    (N, ell, d, d); a broadcastable result gives a broadcastable Jacobian.
     """
     if not step > 0:
         raise InvalidParameter("finite-difference step must be positive")
@@ -44,53 +53,91 @@ def fd_jacobian(fun, x, step=1e-5):
     return jac
 
 
-def _checked(out, shape, kind, i):
+def _checked(out, shape, what):
     """An evaluator result as a float array that broadcasts to `shape`, else DimensionMismatch."""
     out = np.asarray(out, dtype=float)
     if out.shape != shape[len(shape) - out.ndim :] and (
         out.ndim > len(shape)
         or any(o not in (1, n) for o, n in zip(out.shape[::-1], shape[::-1]))
     ):
-        raise DimensionMismatch(f"{kind} {i} returned shape {out.shape}, expected {shape}")
+        raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {shape}")
     return out
 
 
-class VectorFieldSet:
-    """A tuple of vector fields on R^d with value and Jacobian access.
+def _full(out, shape, what):
+    """A checked evaluator result filled out to `shape`; a full-shape result is returned as is."""
+    out = _checked(out, shape, what)
+    if out.shape != shape:
+        out, part = np.empty(shape), out
+        out[...] = part
+    return out
 
-    Parameters
-    ----------
-    evals : sequence of callables, each mapping an (N, d) stack of states to
-        the (N, d) field values (or to a result that broadcasts to it).
-    d : state dimension.
-    jacs : optional sequence of callables returning (N, d, d) Jacobians (or a
-        broadcastable result).  When omitted, Jacobians come from central
-        finite differences with fd_step.
-    fd_step : finite-difference step, default 1e-5 (truncation/round-off
-        balance for double precision).
+
+def _stacked(fns, kind, tail):
+    """The fused callable of per-field callables: their checked results on a field axis."""
+
+    def fused(x):
+        out = np.empty(x.shape[:-1] + (len(fns),) + tail)
+        for i, fn in enumerate(fns):
+            out[(slice(None),) * (x.ndim - 1) + (i,)] = _checked(
+                fn(x), x.shape[:-1] + tail, f"{kind} {i}"
+            )
+        return out
+
+    return fused
+
+
+def _slice(fused_at, i, x):
+    """Field i's part of a fused result at x."""
+    return fused_at(x)[(slice(None),) * (np.ndim(x) - 1) + (i,)]
+
+
+class VectorFieldSet:
+    """ell vector fields on R^d with value and Jacobian access.
+
+    The constructor takes the list form: `evals`, one callable per field
+    mapping an (N, d) stack to its (N, d) values, and optionally `jacs`, one
+    callable per field returning (N, d, d) Jacobians; results may broadcast
+    to those shapes.  Without `jacs`, Jacobians come from central differences
+    with `fd_step` (default 1e-5, the truncation/round-off balance for double
+    precision).  `VectorFieldSet.fused` takes the fused form.
     """
 
-    __slots__ = ("_evals", "_jacs", "d", "ell", "fd_step", "jac_mode")
+    __slots__ = ("_fields", "_jacobians", "_evals", "_jacs", "d", "ell", "fd_step", "jac_mode")
 
     def __init__(self, evals, d, jacs=None, fd_step=1e-5, jac_mode=None):
-        self._evals = tuple(evals)
-        self.ell = len(self._evals)
-        self.d = int(d)
-        if self.ell == 0 or self.d <= 0:
-            raise InvalidParameter("need at least one field on a positive-dimensional space")
+        evals, d = tuple(evals), int(d)
         if jacs is not None:
             jacs = tuple(jacs)
-            if len(jacs) != self.ell:
+            if len(jacs) != len(evals):
                 raise DimensionMismatch("need one Jacobian per field")
-        self._jacs = jacs
+        self._setup(
+            _stacked(evals, "field", (d,)), len(evals), d,
+            None if jacs is None else _stacked(jacs, "jacobian", (d, d)), fd_step,
+        )
+        self._evals, self._jacs = evals, jacs
+        self.jac_mode = jac_mode or self.jac_mode
+
+    @classmethod
+    def fused(cls, fields, ell, d, jacobians=None, fd_step=1e-5):
+        """The set of ell fields whose values at an (N, d) stack are fields(x),
+        (N, ell, d), and whose Jacobians are jacobians(x), (N, ell, d, d)."""
+        self = cls.__new__(cls)
+        self._setup(fields, ell, d, jacobians, fd_step)
+        self._evals = tuple(functools.partial(_slice, self.fields_at, i) for i in range(self.ell))
+        self._jacs = None if jacobians is None else tuple(
+            functools.partial(_slice, self.jacobians_at, i) for i in range(self.ell)
+        )
+        return self
+
+    def _setup(self, fields, ell, d, jacobians, fd_step):
+        self.ell, self.d = int(ell), int(d)
+        if self.ell <= 0 or self.d <= 0:
+            raise InvalidParameter("need at least one field on a positive-dimensional space")
         if not fd_step > 0:
             raise InvalidParameter("fd_step must be positive")
-        self.fd_step = float(fd_step)
-        self.jac_mode = jac_mode or ("analytic" if jacs else "finite-difference")
-
-    def _check_index(self, i):
-        if not 0 <= i < self.ell:
-            raise IndexOutOfRange(f"field index {i} not in [0, {self.ell})")
+        self._fields, self._jacobians, self.fd_step = fields, jacobians, float(fd_step)
+        self.jac_mode = "finite-difference" if jacobians is None else "analytic"
 
     def _states(self, x):
         x = np.asarray(x, dtype=float)
@@ -100,44 +147,33 @@ class VectorFieldSet:
             )
         return x
 
-    def _jacobian(self, i, x):
-        if self._jacs is None:
-            out = fd_jacobian(self._evals[i], x, self.fd_step)
-        else:
-            out = self._jacs[i](x)
-        return _checked(out, x.shape + (self.d,), "jacobian", i)
-
-    def field(self, i, x):
-        """Value of field i at a (d,) state, or at every row of an (N, d) stack."""
-        self._check_index(i)
-        x = self._states(x)
-        out = np.empty(x.shape)
-        out[...] = _checked(self._evals[i](x), x.shape, "field", i)
-        return out
-
-    def jacobian(self, i, x):
-        """Jacobian of field i at a (d,) state as (d, d), or at an (N, d) stack as (N, d, d)."""
-        self._check_index(i)
-        x = self._states(x)
-        out = np.empty(x.shape + (self.d,))
-        out[...] = self._jacobian(i, x)
-        return out
+    def _check_index(self, i):
+        if not 0 <= i < self.ell:
+            raise IndexOutOfRange(f"field index {i} not in [0, {self.ell})")
 
     def fields_at(self, x):
         """All field values: (N, ell, d) for an (N, d) stack, (ell, d) for one state."""
         x = self._states(x)
-        out = np.empty(x.shape[:-1] + (self.ell, self.d))
-        for i, ev in enumerate(self._evals):
-            out[..., i, :] = _checked(ev(x), x.shape, "field", i)
-        return out
+        return _full(self._fields(x), x.shape[:-1] + (self.ell, self.d), "fields")
 
     def jacobians_at(self, x):
         """All Jacobians: (N, ell, d, d) for an (N, d) stack, (ell, d, d) for one state."""
         x = self._states(x)
-        out = np.empty(x.shape[:-1] + (self.ell, self.d, self.d))
-        for i in range(self.ell):
-            out[..., i, :, :] = self._jacobian(i, x)
-        return out
+        if self._jacobians is None:
+            out = fd_jacobian(self._fields, x, self.fd_step)
+        else:
+            out = self._jacobians(x)
+        return _full(out, x.shape[:-1] + (self.ell, self.d, self.d), "jacobians")
+
+    def field(self, i, x):
+        """Value of field i at a (d,) state, or at every row of an (N, d) stack."""
+        self._check_index(i)
+        return self.fields_at(x)[..., i, :].copy()
+
+    def jacobian(self, i, x):
+        """Jacobian of field i at a (d,) state as (d, d), or at an (N, d) stack as (N, d, d)."""
+        self._check_index(i)
+        return self.jacobians_at(x)[..., i, :, :].copy()
 
 
 def second_comp(V: VectorFieldSet, j, k, x):

@@ -87,7 +87,7 @@ class TestSearchPoints:
                 "--box-lo", "-2,-2,-2", "--box-hi", "2,2,2")
         b = run(capsys, "search-points", "--system", "triple_product", "--seed", "7",
                 "--box-lo", "-2,-2,-2", "--box-hi", "2,2,2")
-        assert a == b
+        assert a[0] == 0 and a == b
 
     @pytest.mark.parametrize(
         "box", [["--box-lo", "nan"], ["--box-hi", "inf"], ["--box-lo=-1e308", "--box-hi=1e308"]]
@@ -96,6 +96,55 @@ class TestSearchPoints:
         code, out, err = run(capsys, "search-points", "--system", "unicycle", *box)
         assert code == 64 and out == ""
         assert err.startswith("usage error: box corners")
+
+
+# one command per vector flag, each with a value that starts with "-"; {tmp} is the work directory
+NEGATIVE_VECTORS = {
+    "box-lo": ["search-points", "--system", "unicycle", "--box-lo", "-2,-2,-2", "--box-hi", "2,2,2"],
+    "box-hi": ["search-points", "--system", "unicycle", "--box-lo", "-2,-2,-2",
+               "--box-hi", "-1,-1,-1"],
+    "points": ["rank", "--system", "unicycle", "--points", "-0.001,0,0;-1,2,0"],
+    "v": ["lift", "--driver", "linear", "--v", "-0.5,0,1", "--n", "4", "--out", "{tmp}/p.csv"],
+    "x0": ["solve", "--system", "unicycle", "--path", "{tmp}/path.csv", "--x0", "-1,0,-2",
+           "--out", "{tmp}/traj.csv"],
+}
+
+
+class TestNegativeVectorValues:
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_VECTORS))
+    def test_space_form_equals_equals_form(self, case, capsys, tmp_path):
+        (tmp_path / "path.csv").write_text(PATH_HEAD + "0.5,1,2,0\n1,1,2,0\n")
+        argv = [a.format(tmp=tmp_path) for a in NEGATIVE_VECTORS[case]]
+        flag = "--" + case
+        k = argv.index(flag)
+        joined = argv[:k] + [f"{flag}={argv[k + 1]}"] + argv[k + 2 :]
+        outputs = []
+        for form in (argv, joined):
+            code, out, err = run(capsys, *form)
+            assert code == 0, err
+            written = [f.read_bytes() for f in sorted(tmp_path.glob("[pt]*.csv")) if f.name != "path.csv"]
+            outputs.append((out, written))
+        assert outputs[0] == outputs[1]
+
+
+class TestNonFiniteStartStates:
+    @pytest.mark.parametrize("command", ["solve", "observe"])
+    @pytest.mark.parametrize("state", ["nan,0,0", "0,-inf,0"])
+    def test_non_finite_state_is_usage_error(self, command, state, capsys, tmp_path):
+        path_file = tmp_path / "path.csv"
+        run(capsys, "lift", "--driver", "linear", "--v", "0.5,0,0.1", "--n", "4",
+            "--out", str(path_file))
+        if command == "solve":
+            extra = ["--x0", state]
+        else:
+            extra = ["--points", f"0,0,0;{state}", "--intervals", "0,0.5"]
+        code, out, err = run(
+            capsys, command, "--system", "unicycle", "--path", str(path_file), *extra,
+            "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: ") and "must be finite" in err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestLiftSolveRoundTrip:

@@ -267,6 +267,13 @@ class TestSolve:
         for j, obs in zip(ends, row):
             np.testing.assert_array_equal(obs.observed[0], traj.states[j])
 
+    @pytest.mark.parametrize("method", ["euler2", "logode"])
+    def test_non_finite_start_state_rejected(self, method):
+        sys = unicycle()
+        path = sample_brownian_lift(2, 4, 2, 1.0, seed=3)
+        with pytest.raises(InvalidParameter, match="x0 must be finite"):
+            solve(sys.fields, np.array([np.nan, 0.0, 0.0]), path, method=method)
+
     def test_unknown_method(self):
         sys = constant_fields(1, 1)
         path = lift_piecewise_linear([0.0, 1.0], [[0.0], [1.0]])
@@ -400,6 +407,32 @@ class TestObserveFlow:
                 assert (obs.s, obs.t) == (want.s, want.t) == (path.times[i], path.times[j])
                 np.testing.assert_array_equal(obs.base_points, want.base_points)
                 np.testing.assert_array_equal(obs.observed, want.observed)
+
+    @pytest.mark.parametrize("builder", [rolling_ball, triple_product])
+    def test_n_internal_multiplies_n_sub(self, builder):
+        # bitwise: 8 Chen pieces of 4 substeps each are one log-ODE step of 32
+        sys = builder()
+        V, points = sys.fields, np.array(sys.recommended_points)
+        paths = [sample_brownian_lift(V.ell, 16, 2, 0.5, seed=s) for s in (1, 2)]
+        pairs = [(0, 5), (3, 16), (0, 16)]
+        got = observe_flows(V, points, paths, pairs, 8, 4)
+        folded = observe_flows(V, points, paths, pairs, 1, 32)
+        for path, row, ref in zip(paths, got, folded):
+            for (i, j), obs, want in zip(pairs, row, ref):
+                np.testing.assert_array_equal(obs.observed, want.observed)
+                z, dx = points, np.diff(path.values, axis=0)
+                for k in range(i, j):
+                    inc = RoughIncrement(dx[k] / 8, path.step_areas[k] / 8)
+                    for _ in range(8):
+                        z = logode_step(V, z, inc, 4)
+                np.testing.assert_array_equal(obs.observed, z)
+
+    def test_non_finite_base_points_rejected(self):
+        sys = unicycle()
+        path = sample_brownian_lift(2, 4, 2, 1.0, seed=3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameter, match="base points must be finite"):
+                observe_flows(sys.fields, [[0.0, 0.0, 0.0], [0.0, bad, 0.0]], [path], [(0, 2)])
 
     def test_observation_set_validation(self):
         with pytest.raises(InvalidParameter):

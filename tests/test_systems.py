@@ -14,7 +14,7 @@ from rdeinv.systems import (
     triple_product,
     unicycle,
 )
-from rdeinv.vectorfields import bracket, fd_jacobian
+from rdeinv.vectorfields import VectorFieldSet, bracket, fd_jacobian
 
 ALL_SYSTEMS = [rolling_ball, unicycle, cvt, triple_product, kohn]
 
@@ -68,6 +68,45 @@ def test_stack_evaluation_equals_row_by_row(builder):
         for i in range(sys.fields.ell):
             np.testing.assert_array_equal(fields[n, i], sys.fields.field(i, y))
             np.testing.assert_array_equal(jacs[n, i], sys.fields.jacobian(i, y))
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SIX_SYSTEMS = ALL_SYSTEMS + [lambda: constant_fields(2, 3)]
+SIX_IDS = ["rolling_ball", "unicycle", "cvt", "triple_product", "kohn", "constant"]
+
+
+@pytest.mark.parametrize("builder", SIX_SYSTEMS, ids=SIX_IDS)
+def test_fused_evaluation_equals_the_list_form_adapter(builder):
+    # the per-field callables are slices of the fused ones; stacking them back
+    # through the list-form adapter must give the same bits
+    sys = builder()
+    V = sys.fields
+    listed = VectorFieldSet(V._evals, V.d, jacs=V._jacs, fd_step=V.fd_step, jac_mode=V.jac_mode)
+    assert listed.jac_mode == V.jac_mode == "analytic"
+    rng = np.random.default_rng(29)
+    name = "kohn" if sys.name.startswith("kohn") else sys.name
+    stack = np.array([random_domain_point(name, rng)[: V.d] for _ in range(6)])
+    for x in (stack, stack[0]):
+        assert_bitwise(V.fields_at(x), listed.fields_at(x))
+        assert_bitwise(V.jacobians_at(x), listed.jacobians_at(x))
+
+
+@pytest.mark.parametrize("builder", SIX_SYSTEMS, ids=SIX_IDS)
+def test_fused_finite_differences_equal_the_list_form(builder):
+    sys = builder()
+    V = sys.fields
+    fused = VectorFieldSet.fused(V.fields_at, V.ell, V.d)
+    listed = VectorFieldSet(V._evals, V.d)
+    assert fused.jac_mode == listed.jac_mode == "finite-difference"
+    rng = np.random.default_rng(31)
+    name = "kohn" if sys.name.startswith("kohn") else sys.name
+    stack = np.array([random_domain_point(name, rng)[: V.d] for _ in range(5)])
+    for x in (stack, stack[0]):
+        assert_bitwise(fused.jacobians_at(x), listed.jacobians_at(x))
+        np.testing.assert_allclose(fused.jacobians_at(x), V.jacobians_at(x), atol=1e-7)
 
 
 def test_cvt_domain_check_covers_every_row():

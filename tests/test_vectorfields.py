@@ -140,6 +140,55 @@ class TestBatchedEvaluation:
             np.testing.assert_allclose(got[n], bracket(sys.fields, 0, 1, y), atol=1e-15)
 
 
+class TestFusedForm:
+    def test_one_call_per_evaluation(self):
+        calls = []
+
+        def fields(x):
+            calls.append(x.shape)
+            return np.stack([x, np.ones_like(x)], axis=-2)
+
+        V = VectorFieldSet.fused(fields, 2, 3)
+        stack = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(V.fields_at(stack)[:, 0], stack)
+        assert calls == [(4, 3)]
+        V.jacobians_at(stack)  # central differences of the fused callable: 2d calls
+        assert len(calls) == 1 + 2 * 3
+        np.testing.assert_array_equal(V.field(1, stack[0]), np.ones(3))
+
+    def test_broadcastable_results_fill_the_stack(self):
+        vecs, zero = np.eye(2, 3), np.zeros((2, 3, 3))
+        V = VectorFieldSet.fused(lambda x: vecs, 2, 3, lambda x: zero)
+        fields, jacs = V.fields_at(np.ones((4, 3))), V.jacobians_at(np.ones((4, 3)))
+        assert fields.shape == (4, 2, 3) and jacs.shape == (4, 2, 3, 3)
+        fields[0] = 7.0  # a fresh array: the constant stack stays as it was
+        np.testing.assert_array_equal(vecs, np.eye(2, 3))
+        np.testing.assert_array_equal(V._evals[1](np.ones((4, 3))), np.tile([0.0, 1.0, 0.0], (4, 1)))
+
+    @pytest.mark.parametrize(
+        "fields, jacobians, what",
+        [
+            (lambda x: np.zeros(x.shape), None, "fields"),
+            (lambda x: np.zeros(x.shape[:-1] + (3, 3)), None, "fields"),
+            (lambda x: np.zeros((1,) + x.shape[:-1] + (2, 3)), None, "fields"),
+            (lambda x: np.zeros(x.shape[:-1] + (2, 3)),
+             lambda x: np.zeros(x.shape[:-1] + (2, 3)), "jacobians"),
+        ],
+        ids=["missing_field_axis", "wrong_ell", "extra_axis", "jacobian_missing_axis"],
+    )
+    def test_wrong_shape_is_rejected(self, fields, jacobians, what):
+        V = VectorFieldSet.fused(fields, 2, 3, jacobians)
+        evaluate = V.fields_at if what == "fields" else V.jacobians_at
+        with pytest.raises(DimensionMismatch, match=f"{what} returned shape"):
+            evaluate(np.zeros((4, 3)))
+
+    def test_sizes_are_checked(self):
+        with pytest.raises(InvalidParameter):
+            VectorFieldSet.fused(lambda x: x, 0, 3)
+        with pytest.raises(InvalidParameter):
+            VectorFieldSet.fused(lambda x: x, 1, 3, fd_step=0.0)
+
+
 class TestBracket:
     def test_constant_fields_commute(self):
         fields = constant_set([[1.0, 0.0], [0.0, 1.0]], d=2)
