@@ -104,6 +104,13 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
     return x + inc.x @ fields + jacs.swapaxes(0, 1).reshape(V.d, -1) @ pulled.ravel()
 
 
+def _positive_int(value, what):
+    """value as an int if it is an int or NumPy integer >= 1, else InvalidParameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameter(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     """Log-ODE step: the time-1 map of the frozen field
     x^i V_i + sum_{j<k} a^{jk} [V_j, V_k], by classical RK4 with n_sub
@@ -111,25 +118,48 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
 
     x is one state (d,) or a stack (N, d) of states stepped in lockstep; inc
     is one increment shared by every row, or a stack of N increments, one
-    per row.  Fixed substeps keep the result deterministic and reproducible,
-    which the order-of-convergence fits rely on.
+    per row.  n_sub must be an integer >= 1.  Fixed substeps keep the result
+    deterministic and reproducible, which the order-of-convergence fits rely
+    on.
+
+    Each RK4 stage makes one field and, for a nonzero area, one Jacobian
+    evaluation, then two matmuls per row.  The coefficient stack [x; a^T]
+    (1 + ell rows) times the fields gives the level-1 term and the
+    area-pulled fields p_k = sum_j a^{jk} V_j at once; the block row
+    [I | DV_1 | ... | DV_ell] times those 1 + ell rows, stacked, gives the
+    level-1 term plus the bracket term sum_k DV_k p_k.  A Jacobian that does
+    not depend on the state, one constant (ell, d, d) stack, makes one block
+    row for all rows instead of being filled out to every row.  Every product
+    is a matmul batched over rows, so each row's result is bitwise independent
+    of the stack it rides in.  Outputs are not byte-identical to versions
+    that summed the bracket term with an einsum: the matmuls sum in another
+    order, so they differ at round-off level.
     """
     x = _check_step(V, x, inc)
-    n_sub = int(n_sub)
-    if n_sub < 1:
-        raise InvalidParameter("n_sub must be >= 1")
+    n_sub = _positive_int(n_sub, "n_sub")
     z = np.atleast_2d(x)
     n, ell = z.shape[0], V.ell
-    x_row = np.broadcast_to(inc.x, (n, ell))[:, None, :]
-    # a is antisymmetric, so sum_{j<k} a^{jk} [V_j, V_k] = sum_{k} DV_k (sum_j a^{jk} V_j)
-    a_t = np.broadcast_to(np.swapaxes(inc.a, -1, -2), (n, ell, ell)) if inc.a.any() else None
+    # a is antisymmetric, so sum_{j<k} a^{jk} [V_j, V_k] = sum_k DV_k (sum_j a^{jk} V_j)
+    coef = np.empty((n, 1 + ell, ell))
+    coef[:, 0] = inc.x
+    coef[:, 1:] = np.swapaxes(inc.a, -1, -2)
+    brackets = bool(inc.a.any())
+    # [I | DV_1 | ... | DV_ell], one buffer per Jacobian shape seen: the
+    # identity is written once, the Jacobians at every stage
+    blocks = {}
 
     def w(y):
-        fields = V.fields_at(y)
-        out = np.matmul(x_row, fields)[:, 0]
-        if a_t is not None:
-            out += np.einsum("nkde,nke->nd", V.jacobians_at(y), np.matmul(a_t, fields))
-        return out
+        g = coef @ V._at(y, full=False)  # rows: the level-1 term, then p_1 .. p_ell
+        if not brackets:
+            return g[:, 0]
+        jacs = V._at(y, jacobians=True, full=False)
+        if jacs.shape not in blocks:
+            m = np.empty(jacs.shape[:-3] + (V.d, 1 + ell, V.d))
+            m[..., 0, :] = np.eye(V.d)
+            blocks[jacs.shape] = m, m.reshape(m.shape[:-2] + (-1,))
+        m, flat = blocks[jacs.shape]
+        m[..., 1:, :] = jacs.swapaxes(-3, -2)
+        return (flat @ g.reshape(n, -1, 1))[..., 0]
 
     h = 1.0 / n_sub
     for _ in range(n_sub):
@@ -170,10 +200,12 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     """Integrate the rough differential equation along the grid.
 
     Applies the chosen one-step scheme to the stored per-step increments;
-    states[0] is x0.
+    states[0] is x0.  n_sub, the log-ODE substep count, must be an integer
+    >= 1 whatever the method.
     """
     if method not in _STEPPERS:
         raise InvalidParameter(f"method must be one of {sorted(_STEPPERS)}, got {method!r}")
+    n_sub = _positive_int(n_sub, "n_sub")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (V.d,):
         raise DimensionMismatch(f"x0 must have shape {(V.d,)}, got {x0.shape}")
@@ -197,8 +229,9 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     every scaling is exact and the result is bitwise that of n_internal
     separate steps; other values may differ from that in the last bits.
     n_internal is the observation accuracy knob and only needs to push the
-    integration error well below the reconstruction scale.  Non-finite base
-    points raise InvalidParameter before any step.
+    integration error well below the reconstruction scale.  Both must be
+    integers >= 1, and non-finite base points raise InvalidParameter, before
+    any step.
 
     Returns out[p][q], the ObservationSet of paths[p] over pairs[q].
     """
@@ -212,9 +245,8 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
                 raise IndexOutOfRange(f"need 0 <= i < j <= {path.n}, got i={i}, j={j}")
         if path.ell != V.ell:
             raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
-    n_internal = int(n_internal)
-    if n_internal < 1:
-        raise InvalidParameter("n_internal must be >= 1")
+    n_internal = _positive_int(n_internal, "n_internal")
+    n_sub = _positive_int(n_sub, "n_sub")
     points = _finite_states(np.atleast_2d(np.asarray(points, dtype=float)), "base points")
     c = len(points)
     lengths = {}  # start -> steps up to its last end, in order of first appearance
@@ -233,7 +265,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     a = np.repeat(a.reshape(span, -1, V.ell, V.ell), c, axis=1)
     z = np.tile(points, (len(paths) * len(lengths), 1))
     ends = {j - i for i, j in pairs}
-    steps = enumerate(_lockstep(V, z, x, a, "logode", n_internal * int(n_sub)), 1)
+    steps = enumerate(_lockstep(V, z, x, a, "logode", n_internal * n_sub), 1)
     at_step = {s: zs.reshape(len(paths), len(lengths), c, V.d) for s, zs in steps if s in ends}
     starts = list(lengths)
     return [

@@ -37,7 +37,7 @@ from .errors import (
     RdeinvError,
     TrustRegionExceeded,
 )
-from .rde import ObservationSet, logode_step
+from .rde import ObservationSet, _positive_int, logode_step
 from .roughpath import (
     GridRoughPath,
     RoughIncrement,
@@ -383,7 +383,7 @@ def reconstruct_many(
     Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
     Jacobian from central finite differences of step fd_step.  Both start
     from A fitted by linear least squares against the field columns, B = 0.
-    max_iter must be an integer >= 1 and fd_step finite and positive.
+    max_iter and n_sub must be integers >= 1 and fd_step finite and positive.
 
     Sets that share their base-point shape are recovered in lockstep, one
     log-ODE run per round for the flow images they all ask for.  Every result
@@ -394,8 +394,8 @@ def reconstruct_many(
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise InvalidParameter(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    max_iter = _positive_int(max_iter, "max_iter")
+    n_sub = _positive_int(n_sub, "n_sub")
     if not 0.0 < fd_step < float("inf"):
         raise InvalidParameter(f"fd_step must be finite and > 0, got {fd_step!r}")
     obs_list = list(obs_list)

@@ -162,9 +162,18 @@ class GridRoughPath:
             raise InvalidParameter(f"alpha must lie in (1/3, 1/2], got {alpha}")
         # paths of huge values may overflow here; they are still valid data
         # (their CSV round trip is exact), only their wide increments are not finite
+        prefix = np.zeros((n + 1, ell, ell))
         with np.errstate(over="ignore", invalid="ignore"):
-            steps = step_areas + _cross(values[:-1] - values[0], np.diff(values, axis=0))
-            prefix = np.concatenate([np.zeros((1, ell, ell)), np.cumsum(steps, axis=0)])
+            x0, dx = values[:-1] - values[0], np.diff(values, axis=0)
+            # entry by entry, off the diagonal and in place, so that no (n, ell, ell)
+            # temporary is built; computing the lower triangle rather than
+            # negating the upper one keeps the sign of every zero
+            for j, k in zip(*np.nonzero(~np.eye(ell, dtype=bool))):
+                steps = x0[:, j] * dx[:, k]
+                steps -= x0[:, k] * dx[:, j]
+                steps *= 0.5
+                steps += step_areas[:, j, k]
+                np.cumsum(steps, out=prefix[1:, j, k])
         for arr in (times, values, step_areas, prefix):
             arr.setflags(write=False)
         self.times = times

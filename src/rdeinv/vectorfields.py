@@ -56,20 +56,11 @@ def fd_jacobian(fun, x, step=1e-5):
 def _checked(out, shape, what):
     """An evaluator result as a float array that broadcasts to `shape`, else DimensionMismatch."""
     out = np.asarray(out, dtype=float)
-    if out.shape != shape[len(shape) - out.ndim :] and (
+    if out.shape != shape and out.shape != shape[len(shape) - out.ndim :] and (
         out.ndim > len(shape)
         or any(o not in (1, n) for o, n in zip(out.shape[::-1], shape[::-1]))
     ):
         raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {shape}")
-    return out
-
-
-def _full(out, shape, what):
-    """A checked evaluator result filled out to `shape`; a full-shape result is returned as is."""
-    out = _checked(out, shape, what)
-    if out.shape != shape:
-        out, part = np.empty(shape), out
-        out[...] = part
     return out
 
 
@@ -151,19 +142,37 @@ class VectorFieldSet:
         if not 0 <= i < self.ell:
             raise IndexOutOfRange(f"field index {i} not in [0, {self.ell})")
 
+    def _at(self, x, jacobians=False, full=True):
+        """Field values (..., ell, d) or Jacobians (..., ell, d, d) at a (d,) state
+        or (N, d) stack x that the caller has already checked.
+
+        Every evaluator result is shape-checked.  With `full` false, a result
+        that lacks only the row axis, such as one constant (ell, d, d) stack,
+        is returned unbroadcast, ready for matmul broadcasting; any other
+        result short of the full shape is filled out to it.
+        """
+        if not jacobians:
+            out, what, tail = self._fields(x), "fields", (self.ell, self.d)
+        else:
+            what, tail = "jacobians", (self.ell, self.d, self.d)
+            if self._jacobians is None:
+                out = fd_jacobian(self._fields, x, self.fd_step)
+            else:
+                out = self._jacobians(x)
+        shape = x.shape[:-1] + tail
+        out = _checked(out, shape, what)
+        if out.shape != shape and (full or out.shape != tail):
+            out, part = np.empty(shape), out
+            out[...] = part
+        return out
+
     def fields_at(self, x):
         """All field values: (N, ell, d) for an (N, d) stack, (ell, d) for one state."""
-        x = self._states(x)
-        return _full(self._fields(x), x.shape[:-1] + (self.ell, self.d), "fields")
+        return self._at(self._states(x))
 
     def jacobians_at(self, x):
         """All Jacobians: (N, ell, d, d) for an (N, d) stack, (ell, d, d) for one state."""
-        x = self._states(x)
-        if self._jacobians is None:
-            out = fd_jacobian(self._fields, x, self.fd_step)
-        else:
-            out = self._jacobians(x)
-        return _full(out, x.shape[:-1] + (self.ell, self.d, self.d), "jacobians")
+        return self._at(self._states(x), jacobians=True)
 
     def field(self, i, x):
         """Value of field i at a (d,) state, or at every row of an (N, d) stack."""

@@ -115,6 +115,24 @@ class TestLogodeStep:
         with pytest.raises(InvalidParameter):
             logode_step(sys.fields, np.zeros(1), RoughIncrement([1.0]), n_sub=0)
 
+    @pytest.mark.parametrize("entry", ["logode_step", "solve", "observe_flows", "n_internal"])
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, 0, True, "4"])
+    def test_step_counts_must_be_integers(self, entry, value):
+        # no truncation of 2.5 to 2 substeps, and no bare ValueError or OverflowError
+        V = unicycle().fields
+        path = sample_brownian_lift(2, 4, 2, 1.0, seed=3)
+        inc = RoughIncrement([0.1, 0.2], [[0.0, 0.05], [-0.05, 0.0]])
+        run = {
+            "logode_step": lambda n: logode_step(V, np.zeros(3), inc, n),
+            "solve": lambda n: solve(V, np.zeros(3), path, n_sub=n),
+            "observe_flows": lambda n: observe_flows(V, np.zeros(3), [path], [(0, 2)], 2, n),
+            "n_internal": lambda n: observe_flows(V, np.zeros(3), [path], [(0, 2)], n, 2),
+        }[entry]
+        name = "n_internal" if entry == "n_internal" else "n_sub"
+        with pytest.raises(InvalidParameter, match=f"{name} must be an integer >= 1"):
+            run(value)
+        run(np.int64(3))  # a NumPy integer is a count
+
     def test_one_field_on_the_line_is_scalar_rk4(self):
         # doss_sussmann_1d integrates exp(a V_1) through this case of logode_step
         fields = VectorFieldSet([lambda x: 1.0 + 0.3 * x * x], d=1)
@@ -205,6 +223,43 @@ class TestBatchedLogodeStep:
             logode_step(V, z[0], RoughIncrement.stack(x, a))
         with pytest.raises(DimensionMismatch):
             logode_step(V, z[:, :4], RoughIncrement.stack(x, a))
+
+    @pytest.mark.parametrize("per_field", [True, False], ids=["one_per_field", "one_for_all"])
+    def test_constant_jacobian_steps_bitwise_as_its_filled_stack(self, per_field):
+        if per_field:  # rolling_ball: one constant (ell, d, d) stack, used unbroadcast
+            V = rolling_ball().fields
+            const = V.jacobians_at(np.zeros(V.d))
+        else:  # V_k(x) = B x + c_k: one (d, d) matrix for every field, filled out
+            rng = np.random.default_rng(38)
+            const, c = 0.5 * rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+            V = VectorFieldSet.fused(lambda x: (x @ const.T)[..., None, :] + c, 2, 3)
+        shared = VectorFieldSet.fused(V.fields_at, V.ell, V.d, lambda x: const)
+        full = lambda x: np.broadcast_to(const, x.shape[:-1] + (V.ell, V.d, V.d)).copy()
+        filled = VectorFieldSet.fused(V.fields_at, V.ell, V.d, full)
+        z, x, a = random_rows(V, 5, np.random.default_rng(36))
+        kept = shared._at(z, jacobians=True, full=False).shape
+        assert kept == ((V.ell, V.d, V.d) if per_field else (5, V.ell, V.d, V.d))
+        for inc in (RoughIncrement.stack(x, a), RoughIncrement(x[0], a[0])):
+            np.testing.assert_array_equal(
+                logode_step(shared, z, inc, n_sub=4), logode_step(filled, z, inc, n_sub=4)
+            )
+
+    @pytest.mark.parametrize(
+        "fields, jacobians, what",
+        [
+            (lambda x: np.zeros(x.shape[:-1] + (3, 4)), None, "fields"),
+            (lambda x: np.zeros((2, 3, 3)), None, "fields"),
+            (None, lambda x: np.zeros(x.shape[:-1] + (3, 3)), "jacobians"),
+            (None, lambda x: np.zeros((3, 3, 4)), "jacobians"),
+        ],
+        ids=["fields_wide", "fields_two_rows", "jacobians_missing_axis", "jacobians_constant_wide"],
+    )
+    def test_wrong_shaped_results_are_rejected_inside_the_step(self, fields, jacobians, what):
+        V = triple_product().fields
+        bad = VectorFieldSet.fused(fields or V.fields_at, 3, 3, jacobians or V.jacobians_at)
+        z, x, a = random_rows(V, 4, np.random.default_rng(37))
+        with pytest.raises(DimensionMismatch, match=f"{what} returned shape"):
+            logode_step(bad, z, RoughIncrement.stack(x, a), n_sub=2)
 
 
 class TestSolve:
@@ -392,21 +447,26 @@ class TestObserveFlow:
 
     def test_intervals_of_any_start_and_order_equal_separate_runs(self):
         # bitwise: the CLI's observation files must not depend on which
-        # intervals share the stack
-        sys = rolling_ball()
+        # intervals share the stack; rolling_ball's Jacobians are one constant
+        # stack, triple_product's depend on the state
         rng = np.random.default_rng(7)
-        points = [np.eye(3).ravel(), np.linalg.qr(rng.standard_normal((3, 3)))[0].ravel()]
-        paths = [sample_brownian_lift(2, 16, 4, 1.0, seed=s) for s in (4, 5)]
-        # out of order, overlapping, nested, repeated and sharing starts
-        pairs = [(9, 16), (0, 3), (2, 11), (0, 16), (5, 6), (2, 4), (9, 16), (14, 15)]
-        got = observe_flows(sys.fields, points, paths, pairs, n_internal=2, n_sub=2)
-        assert len(got) == 2 and all(len(row) == len(pairs) for row in got)
-        for path, row in zip(paths, got):
-            for (i, j), obs in zip(pairs, row):
-                want = observe_flow(sys.fields, points, path, i, j, n_internal=2, n_sub=2)
-                assert (obs.s, obs.t) == (want.s, want.t) == (path.times[i], path.times[j])
-                np.testing.assert_array_equal(obs.base_points, want.base_points)
-                np.testing.assert_array_equal(obs.observed, want.observed)
+        rotations = [np.eye(3).ravel(), np.linalg.qr(rng.standard_normal((3, 3)))[0].ravel()]
+        cases = [
+            (rolling_ball(), rotations, 1.0),
+            (triple_product(), triple_product().recommended_points, 0.05),
+        ]
+        for sys, points, horizon in cases:
+            paths = [sample_brownian_lift(sys.fields.ell, 16, 4, horizon, seed=s) for s in (4, 5)]
+            # out of order, overlapping, nested, repeated and sharing starts
+            pairs = [(9, 16), (0, 3), (2, 11), (0, 16), (5, 6), (2, 4), (9, 16), (14, 15)]
+            got = observe_flows(sys.fields, points, paths, pairs, n_internal=2, n_sub=2)
+            assert len(got) == 2 and all(len(row) == len(pairs) for row in got)
+            for path, row in zip(paths, got):
+                for (i, j), obs in zip(pairs, row):
+                    want = observe_flow(sys.fields, points, path, i, j, n_internal=2, n_sub=2)
+                    assert (obs.s, obs.t) == (want.s, want.t) == (path.times[i], path.times[j])
+                    np.testing.assert_array_equal(obs.base_points, want.base_points)
+                    np.testing.assert_array_equal(obs.observed, want.observed)
 
     @pytest.mark.parametrize("builder", [rolling_ball, triple_product])
     def test_n_internal_multiplies_n_sub(self, builder):

@@ -226,6 +226,13 @@ class TestFlowMap:
         oracle = expm(rolling_ball_generator(a, b)).ravel()
         assert np.max(np.abs(got - oracle)) < 1e-8
 
+    @pytest.mark.parametrize("n_sub", [2.5, np.nan, np.inf, 0])
+    def test_non_integer_n_sub_is_rejected(self, n_sub):
+        V, points = unicycle().fields, np.array([[0.1, 0.2, 0.3]])
+        for a, b in ((np.zeros(2), np.zeros((2, 2))), (np.zeros((4, 2)), np.zeros((4, 2, 2)))):
+            with pytest.raises(InvalidParameter, match="n_sub must be an integer >= 1"):
+                flow_map(V, points, a, b, n_sub=n_sub)
+
     def test_points_equal_single_state_steps(self):
         V = triple_product().fields
         points = np.random.default_rng(42).uniform(0.5, 2.0, (3, 3))
@@ -583,6 +590,10 @@ class TestReconstructMany:
             ("max_iter", 0),
             ("max_iter", -2),
             ("max_iter", 2.5),
+            ("n_sub", 0),
+            ("n_sub", 2.5),
+            ("n_sub", np.nan),
+            ("n_sub", np.inf),
             ("fd_step", 0.0),
             ("fd_step", -1e-6),
             ("fd_step", np.nan),
