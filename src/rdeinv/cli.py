@@ -499,18 +499,9 @@ def cmd_convergence(args):
     lines.append(summary)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(
-        json.dumps(
-            {
-                "written": args.out,
-                "levels": len(lengths),
-                "seeds": len(seeds),
-                "slope": slope_overall,
-                "degenerate": degenerate,
-            },
-            sort_keys=True,
-        )
-    )
+    report = {"written": args.out, "levels": len(lengths), "seeds": len(seeds),
+              "slope": slope_overall, "degenerate": degenerate}
+    print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 

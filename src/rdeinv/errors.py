@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer test of indices and counts, shared across the package."""
+
+import numpy as np
 
 
 class RdeinvError(Exception):
@@ -47,3 +49,8 @@ class DomainViolation(RdeinvError, ValueError):
 
 class TrustRegionExceeded(UserWarning):
     """The recovered parameters lie outside the model injectivity ball."""
+
+
+def is_int(value):
+    """Whether value is an int or NumPy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

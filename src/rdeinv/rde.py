@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     NonFinite,
+    is_int,
 )
 from .roughpath import GridRoughPath, RoughIncrement
 from .vectorfields import VectorFieldSet
@@ -62,9 +63,7 @@ class ObservationSet:
             raise DimensionMismatch("observed and base points must have equal shapes")
         if not self.s < self.t:
             raise InvalidParameter(f"need s < t, got s={self.s}, t={self.t}")
-        if not (
-            np.all(np.isfinite(self.base_points)) and np.all(np.isfinite(self.observed))
-        ):
+        if not (np.isfinite(self.base_points).all() and np.isfinite(self.observed).all()):
             raise NonFinite("observation data must be finite")
 
     @property
@@ -74,13 +73,9 @@ class ObservationSet:
 
 def _check_step(V: VectorFieldSet, x, inc: RoughIncrement):
     """The state, one (d,) or a stack (N, d), as a float array checked against V and inc."""
-    x = np.asarray(x, dtype=float)
     if inc.ell != V.ell:
-        raise DimensionMismatch(
-            f"increment has ell={inc.ell} but the field set has ell={V.ell}"
-        )
-    if x.ndim not in (1, 2) or x.shape[-1] != V.d:
-        raise DimensionMismatch(f"state must have shape ({V.d},) or (N, {V.d}), got {x.shape}")
+        raise DimensionMismatch(f"increment has ell={inc.ell} but the field set has ell={V.ell}")
+    x = V._states(x)
     if inc.x.ndim == 2 and (x.ndim == 1 or inc.x.shape[0] != x.shape[0]):
         raise DimensionMismatch(
             f"a stack of {inc.x.shape[0]} increments needs {inc.x.shape[0]} state rows, got {x.shape}"
@@ -92,21 +87,19 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
     """Second-order Euler step: x + V_i(x) x^i + (V_i V_j)(x) XX^{ij}.
 
     XX is the full second level 0.5*outer(x_inc, x_inc) + a, and V_i V_j is
-    the directional derivative DV_j V_i, paired index-for-index with XX.
+    entry [i, j] of `VectorFieldSet.compositions`, DV_j V_i, paired with XX.
     x is one state (d,) and inc one increment; stacks are rejected.
     """
     x = _check_step(V, x, inc)
     if x.ndim != 1:
         raise DimensionMismatch(f"euler2_step takes one state of shape ({V.d},), got {x.shape}")
-    fields = V.fields_at(x)
-    pulled = inc.second_level.T @ fields  # pulled[k] = sum_j XX^{jk} V_j
-    jacs = V.jacobians_at(x)
-    return x + inc.x @ fields + jacs.swapaxes(0, 1).reshape(V.d, -1) @ pulled.ravel()
+    fields, comps = V.compositions(x)
+    return x + inc.x @ fields + inc.second_level.ravel() @ comps.reshape(-1, V.d)
 
 
 def _positive_int(value, what):
     """value as an int if it is an int or NumPy integer >= 1, else InvalidParameter."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not (is_int(value) and value >= 1):
         raise InvalidParameter(f"{what} must be an integer >= 1, got {value!r}")
     return int(value)
 
@@ -127,13 +120,13 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     (1 + ell rows) times the fields gives the level-1 term and the
     area-pulled fields p_k = sum_j a^{jk} V_j at once; the block row
     [I | DV_1 | ... | DV_ell] times those 1 + ell rows, stacked, gives the
-    level-1 term plus the bracket term sum_k DV_k p_k.  A Jacobian that does
-    not depend on the state, one constant (ell, d, d) stack, makes one block
-    row for all rows instead of being filled out to every row.  Every product
-    is a matmul batched over rows, so each row's result is bitwise independent
-    of the stack it rides in.  Outputs are not byte-identical to versions
-    that summed the bracket term with an einsum: the matmuls sum in another
-    order, so they differ at round-off level.
+    level-1 term plus the bracket term sum_k DV_k p_k.  These are ell
+    Jacobian-vector products per row: on this hot path of flow observation
+    and recovery the ell^2 table of `VectorFieldSet.compositions` is never
+    built.  A Jacobian that does not depend on the state, one constant
+    (ell, d, d) stack, makes one block row for all rows instead of being
+    filled out to every row.  Every product is a matmul batched over rows, so
+    each row's result is bitwise independent of the stack it rides in.
     """
     x = _check_step(V, x, inc)
     n_sub = _positive_int(n_sub, "n_sub")
@@ -235,14 +228,13 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
 
     Returns out[p][q], the ObservationSet of paths[p] over pairs[q].
     """
-    paths = list(paths)
-    pairs = [(int(i), int(j)) for i, j in pairs]
+    paths, pairs = list(paths), list(pairs)
     if not paths or not pairs:
         raise InvalidParameter("need at least one path and one interval")
     for path in paths:
         for i, j in pairs:
-            if not 0 <= i < j <= path.n:
-                raise IndexOutOfRange(f"need 0 <= i < j <= {path.n}, got i={i}, j={j}")
+            if not (is_int(i) and is_int(j) and 0 <= i < j <= path.n):
+                raise IndexOutOfRange(f"need integers 0 <= i < j <= {path.n}, got i={i!r}, j={j!r}")
         if path.ell != V.ell:
             raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     n_internal = _positive_int(n_internal, "n_internal")

@@ -37,14 +37,14 @@ from .errors import (
     RdeinvError,
     TrustRegionExceeded,
 )
-from .rde import ObservationSet, _positive_int, logode_step
+from .rde import ObservationSet, _check_step, _finite_states, _positive_int, logode_step
 from .roughpath import (
     GridRoughPath,
     RoughIncrement,
     area_components,
     area_matrix,
 )
-from .vectorfields import VectorFieldSet
+from .vectorfields import VectorFieldSet, _positive_finite, bracket_columns
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -91,21 +91,12 @@ def _point_blocks(V: VectorFieldSet, points):
     """Per-point field values (c,ell,d), bracket columns (c,nb,d) and
     second compositions (c,ell,ell,d), from one batched evaluation.  Non-finite
     points raise InvalidParameter, non-finite values NonFinite."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != V.d:
-        raise DimensionMismatch(
-            f"points have dimension {points.shape[1]}, fields live on {V.d}-space"
-        )
-    if not np.all(np.isfinite(points)):
-        raise InvalidParameter(f"base points must be finite, got {points.tolist()}")
+    points = _finite_states(V._states(np.atleast_2d(points)), "base points")
     with np.errstate(over="ignore", invalid="ignore"):
-        fields = V.fields_at(points)
-        comps = np.einsum("cbde,cae->cabd", V.jacobians_at(points), fields)  # J_b @ e_a
+        fields, comps = V.compositions(points)
     if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(comps))):
         raise NonFinite("field or composition values at the base points are not finite")
-    j, k = np.triu_indices(V.ell, 1)  # the pairs j < k in row-major order
-    brackets = comps[:, j, k] - comps[:, k, j]
-    return points, fields, brackets, comps
+    return points, fields, bracket_columns(comps), comps
 
 
 def _column_blocks(fields, brackets):
@@ -155,11 +146,9 @@ def taylor_map(V: VectorFieldSet, points, A, B):
     exactly quadratic in A and linear in the strict upper triangle of B.
     """
     blocks = _point_blocks(V, points)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != (V.ell,) or B.shape != (V.ell, V.ell):
-        raise DimensionMismatch("A must be an ell-vector and B an ell x ell matrix")
-    return _taylor_images(*blocks, A, area_components(B)).ravel()
+    inc = RoughIncrement(A, B)
+    _check_step(V, blocks[0], inc)
+    return _taylor_images(*blocks, inc.x, area_components(inc.a)).ravel()
 
 
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
@@ -168,18 +157,19 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
     A may also be a stack (K, ell) with B (K, ell, ell), one parameter pair
     per problem; the points are then shared (c, d) or per problem (K, c, d),
     every problem's images come from one lockstep log-ODE run, and the result
-    is (K, c*d).
+    is (K, c*d).  (A, B) are checked like a RoughIncrement's.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return logode_step(V, points, RoughIncrement(A, B), n_sub).ravel()
-    points = np.asarray(points, dtype=float)
-    k = len(A)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    one = A.ndim == 1  # a K = 1 stack
+    inc = RoughIncrement.stack(A[None] if one else A, B[None] if one else B)
+    points, k = np.atleast_2d(np.asarray(points, dtype=float)), len(inc.x)
+    if points.shape[:-2] not in ((), (1,), (k,)):
+        raise DimensionMismatch(f"points of shape {points.shape} do not fit {k} problems")
     points = np.broadcast_to(points, (k,) + points.shape[-2:])
     c = points.shape[1]
-    inc = RoughIncrement.stack(np.repeat(A, c, axis=0), np.repeat(B, c, axis=0))
-    return logode_step(V, points.reshape(k * c, -1), inc, n_sub).reshape(k, -1)
+    inc = RoughIncrement._trusted(np.repeat(inc.x, c, axis=0), np.repeat(inc.a, c, axis=0))
+    images = logode_step(V, points.reshape(k * c, -1), inc, n_sub).reshape(k, -1)
+    return images[0] if one else images
 
 
 def _local_problem(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
@@ -383,7 +373,7 @@ def reconstruct_many(
     Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
     Jacobian from central finite differences of step fd_step.  Both start
     from A fitted by linear least squares against the field columns, B = 0.
-    max_iter and n_sub must be integers >= 1 and fd_step finite and positive.
+    max_iter and n_sub must be integers >= 1, tol and fd_step in (0, inf).
 
     Sets that share their base-point shape are recovered in lockstep, one
     log-ODE run per round for the flow images they all ask for.  Every result
@@ -396,8 +386,7 @@ def reconstruct_many(
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
     max_iter = _positive_int(max_iter, "max_iter")
     n_sub = _positive_int(n_sub, "n_sub")
-    if not 0.0 < fd_step < float("inf"):
-        raise InvalidParameter(f"fd_step must be finite and > 0, got {fd_step!r}")
+    tol, fd_step = _positive_finite(tol, "tol"), _positive_finite(fd_step, "fd_step")
     obs_list = list(obs_list)
     groups, outcomes = {}, [None] * len(obs_list)
     for k, obs in enumerate(obs_list):
@@ -462,9 +451,7 @@ def doss_sussmann_1d(
         try:
             return float(logode_step(V, [z], RoughIncrement([da]), n)[0])
         except NonFinite:
-            raise OutOfNeighborhood(
-                "flow became degenerate before reaching the target"
-            ) from None
+            raise OutOfNeighborhood("flow became degenerate before reaching the target") from None
 
     a, z = 0.0, y
     scale = max(1.0, abs(observed))
@@ -503,9 +490,7 @@ def stitch(segments, times, alpha=0.5) -> GridRoughPath:
     if not pieces:
         raise InvalidParameter("need at least one segment")
     if times.ndim != 1 or times.size != len(pieces) + 1:
-        raise InvalidGrid(
-            f"need {len(pieces) + 1} grid times for {len(pieces)} segments"
-        )
+        raise InvalidGrid(f"need {len(pieces) + 1} grid times for {len(pieces)} segments")
     ell = pieces[0][0].size
     if any(x.shape != (ell,) or a.shape != (ell, ell) for x, a in pieces):
         raise DimensionMismatch("all segments must share the signal dimension")
@@ -558,11 +543,10 @@ def search_points(
     candidates that raise DomainViolation are skipped.  Failure is reported
     through rank < m in the returned diagnostics, not an exception.  A box
     corner that does not broadcast to (d,) raises DimensionMismatch; a box
-    with lo >= hi, a non-finite corner or an overflowing width raises
-    InvalidParameter.
+    with lo >= hi, a non-finite corner or an overflowing width, or a c_max or
+    n_trials that is not an integer >= 1, raises InvalidParameter.
     """
-    if c_max < 1 or n_trials < 1:
-        raise InvalidParameter("c_max and n_trials must be >= 1")
+    c_max, n_trials = _positive_int(c_max, "c_max"), _positive_int(n_trials, "n_trials")
 
     def corner(box):
         box = np.asarray(box, dtype=float)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidGrid, InvalidParameter
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidGrid, InvalidParameter, is_int
 
 # Symmetric residue above this threshold signals a caller bug rather than
 # accumulated round-off; smaller residues are silently antisymmetrized away.
@@ -142,9 +142,7 @@ class GridRoughPath:
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != times.size:
-            raise InvalidGrid(
-                f"got {values.shape[0]} value rows for {times.size} grid times"
-            )
+            raise InvalidGrid(f"got {values.shape[0]} value rows for {times.size} grid times")
         if not np.all(np.isfinite(values)):
             raise InvalidGrid("path values must be finite")
         n, ell = times.size - 1, values.shape[1]
@@ -199,8 +197,8 @@ class GridRoughPath:
 
     def increment(self, i, j) -> RoughIncrement:
         """Increment over [t_i, t_j], the Chen composition of steps i..j-1."""
-        if not (0 <= i < j <= self.n):
-            raise IndexOutOfRange(f"need 0 <= i < j <= {self.n}, got i={i}, j={j}")
+        if not (is_int(i) and is_int(j) and 0 <= i < j <= self.n):
+            raise IndexOutOfRange(f"need integers 0 <= i < j <= {self.n}, got i={i!r}, j={j!r}")
         return RoughIncrement(*self._spans(i, j))
 
     def __repr__(self):

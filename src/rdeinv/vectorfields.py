@@ -1,4 +1,4 @@
-"""Vector field collections on d-space: Jacobians, Lie brackets, compositions.
+"""Vector field collections on d-space: Jacobians, compositions, Lie brackets.
 
 A field set is evaluated fused: one callable maps an (N, d) stack of states
 to all ell field values (N, ell, d), and an optional second one to all
@@ -8,7 +8,12 @@ constant (ell, d) or (ell, d, d) stack, is accepted.  A (d,) state passes
 through unchanged, so callables written with ``x[..., k]`` indexing serve
 both.  Rows are independent states: the integrators step whole stacks of
 base points, seeds and finite-difference probes in lockstep, so evaluators
-must be pure.  Indices are 0-based throughout.
+must be pure.  Indices are 0-based ints or NumPy integers.
+
+One table, `VectorFieldSet.compositions`, holds the second compositions
+V_jV_k = DV_k V_j: `second_comp` slices it, `bracket` and `bracket_columns`
+(pairs j < k in row-major order) difference two slices of it, and the Euler
+step and the Taylor model contract it; only the log-ODE step does without it.
 
 The list form, one callable per field (and per Jacobian), is an adapter that
 stacks the per-field results.  Every set keeps per-field callables in
@@ -27,7 +32,15 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     NonFinite,
+    is_int,
 )
+
+
+def _positive_finite(value, what):
+    """value as a float if 0 < value < inf, else InvalidParameter."""
+    if not 0.0 < value < float("inf"):  # a NaN fails too
+        raise InvalidParameter(f"{what} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def fd_jacobian(fun, x, step=1e-5):
@@ -38,15 +51,12 @@ def fd_jacobian(fun, x, step=1e-5):
     returning (N, d) gives (N, d, d), a fused fun returning (N, ell, d) gives
     (N, ell, d, d); a broadcastable result gives a broadcastable Jacobian.
     """
-    if not step > 0:
-        raise InvalidParameter("finite-difference step must be positive")
+    step = _positive_finite(step, "finite-difference step")
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        cols.append(np.asarray(fun(x + e), float) - np.asarray(fun(x - e), float))
+    cols = [
+        np.asarray(fun(x + e), float) - np.asarray(fun(x - e), float)
+        for e in step * np.eye(x.shape[-1])
+    ]
     jac = np.stack(cols, axis=-1) / (2.0 * step)
     if not np.all(np.isfinite(jac)):
         raise NonFinite("field evaluation produced non-finite values")
@@ -125,9 +135,8 @@ class VectorFieldSet:
         self.ell, self.d = int(ell), int(d)
         if self.ell <= 0 or self.d <= 0:
             raise InvalidParameter("need at least one field on a positive-dimensional space")
-        if not fd_step > 0:
-            raise InvalidParameter("fd_step must be positive")
-        self._fields, self._jacobians, self.fd_step = fields, jacobians, float(fd_step)
+        self._fields, self._jacobians = fields, jacobians
+        self.fd_step = _positive_finite(fd_step, "fd_step")
         self.jac_mode = "finite-difference" if jacobians is None else "analytic"
 
     def _states(self, x):
@@ -138,9 +147,10 @@ class VectorFieldSet:
             )
         return x
 
-    def _check_index(self, i):
-        if not 0 <= i < self.ell:
-            raise IndexOutOfRange(f"field index {i} not in [0, {self.ell})")
+    def _check_index(self, *indices):
+        for i in indices:
+            if not (is_int(i) and 0 <= i < self.ell):
+                raise IndexOutOfRange(f"field index {i!r} is not an integer in [0, {self.ell})")
 
     def _at(self, x, jacobians=False, full=True):
         """Field values (..., ell, d) or Jacobians (..., ell, d, d) at a (d,) state
@@ -184,16 +194,32 @@ class VectorFieldSet:
         self._check_index(i)
         return self.jacobians_at(x)[..., i, :, :].copy()
 
+    def compositions(self, x):
+        """Fields (..., ell, d) and the table (..., ell, ell, d) of V_jV_k = DV_k V_j
+        at [j, k], at a (d,) state or an (N, d) stack; one evaluation of each kind."""
+        x = self._states(x)
+        fields = self._at(x)
+        return fields, np.einsum("...kde,...je->...jkd", self._at(x, jacobians=True), fields)
+
 
 def second_comp(V: VectorFieldSet, j, k, x):
-    """Directional derivative of V_k along V_j at x: DV_k(x) V_j(x).
+    """Directional derivative DV_k(x) V_j(x) of V_k along V_j, at one state or a stack:
+    entry [j, k] of `VectorFieldSet.compositions`."""
+    V._check_index(j, k)
+    return V.compositions(x)[1][..., j, k, :].copy()
 
-    x is one state or an (N, d) stack.
-    bracket(V, j, k, x) == second_comp(V, j, k, x) - second_comp(V, k, j, x).
-    """
-    return np.einsum("...de,...e->...d", V.jacobian(k, x), V.field(j, x))
+
+def _brackets(comps, j, k):
+    """[V_j, V_k] = V_jV_k - V_kV_j from a composition table; j, k may be index arrays."""
+    return comps[..., j, k, :] - comps[..., k, j, :]
+
+
+def bracket_columns(comps):
+    """Brackets (..., ell*(ell-1)/2, d) of the pairs j < k, row by row, from a table."""
+    return _brackets(comps, *np.triu_indices(comps.shape[-2], 1))
 
 
 def bracket(V: VectorFieldSet, j, k, x):
     """Lie bracket [V_j, V_k](x) = DV_k(x) V_j(x) - DV_j(x) V_k(x), at one state or a stack."""
-    return second_comp(V, j, k, x) - second_comp(V, k, j, x)
+    V._check_index(j, k)
+    return _brackets(V.compositions(x)[1], j, k)

@@ -18,6 +18,16 @@ def rolling_ball_generator(x_inc, area):
     return x_inc[0] * ROLLING_BALL_A1 + x_inc[1] * ROLLING_BALL_A2 + area * comm
 
 
+def named_systems():
+    """Every named system of the CLI, `constant` as two fields on 3-space."""
+    from rdeinv.systems import SYSTEM_BUILDERS
+
+    return [
+        builder(2, 3) if name == "constant" else builder()
+        for name, builder in SYSTEM_BUILDERS.items()
+    ]
+
+
 def chen_fold(path, i, j):
     """(x, a) over [t_i, t_j] by the left-to-right Chen fold of steps i..j-1.
 

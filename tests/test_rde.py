@@ -487,6 +487,21 @@ class TestObserveFlow:
                         z = logode_step(V, z, inc, 4)
                 np.testing.assert_array_equal(obs.observed, z)
 
+    @pytest.mark.parametrize("pair", [(0.5, 2.7), (0, 2.0), (True, 3), (np.float64(1), 3)])
+    def test_interval_indices_must_be_integers(self, pair):
+        V, path = unicycle().fields, sample_brownian_lift(2, 4, 1, 1.0, seed=3)
+        with pytest.raises(IndexOutOfRange, match="need integers"):
+            observe_flows(V, np.zeros(3), [path], [(0, 1), pair])
+        with pytest.raises(IndexOutOfRange, match="need integers"):
+            observe_flow(V, np.zeros(3), path, *pair)
+
+    def test_numpy_integer_interval_indices_are_accepted(self):
+        V, path = unicycle().fields, sample_brownian_lift(2, 4, 1, 1.0, seed=3)
+        got = observe_flow(V, np.zeros(3), path, np.int64(1), np.int32(3), 2, 2)
+        want = observe_flow(V, np.zeros(3), path, 1, 3, 2, 2)
+        assert (got.s, got.t) == (want.s, want.t)
+        np.testing.assert_array_equal(got.observed, want.observed)
+
     def test_non_finite_base_points_rejected(self):
         sys = unicycle()
         path = sample_brownian_lift(2, 4, 2, 1.0, seed=3)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import fit_slope, minimize_least_squares, reconstruct_oracle, rolling_ball_generator
+from helpers import (
+    fit_slope,
+    minimize_least_squares,
+    named_systems,
+    reconstruct_oracle,
+    rolling_ball_generator,
+)
 from rdeinv import reconstruct
 from rdeinv.errors import (
     DegenerateField,
@@ -21,7 +27,7 @@ from rdeinv.errors import (
     RdeinvError,
     TrustRegionExceeded,
 )
-from rdeinv.rde import ObservationSet, logode_step, observe_flow, observe_flows
+from rdeinv.rde import ObservationSet, euler2_step, logode_step, observe_flow, observe_flows
 from rdeinv.reconstruct import (
     ReconstructionResult,
     doss_sussmann_1d,
@@ -209,6 +215,49 @@ class TestTaylorMap:
             theta[col] = -h
             dn = taylor_map(sys.fields, points, theta[:3], area_matrix(theta[3:], 3))
             np.testing.assert_allclose((up - dn) / (2 * h), rm.mat[:, col], atol=1e-6)
+
+    @pytest.mark.parametrize("system", named_systems(), ids=lambda s: s.name)
+    def test_equals_the_euler2_step_at_every_base_point(self, system):
+        # both are the level-2 expansion x + A^i V_i + XX^{jk} V_jV_k of one table
+        V = system.fields
+        points = np.array(system.recommended_points) + 0.03
+        rng = np.random.default_rng(V.ell * V.d)
+        a = 0.3 * rng.standard_normal(V.ell)
+        b = area_matrix(0.1 * rng.standard_normal(V.ell * (V.ell - 1) // 2), V.ell)
+        got = taylor_map(V, points, a, b)
+        want = np.concatenate([euler2_step(V, y, RoughIncrement(a, b)) for y in points])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+class TestModelParameters:
+    """taylor_map and flow_map check (A, B) by the same rule, RoughIncrement's."""
+
+    @pytest.mark.parametrize("model", [taylor_map, flow_map])
+    def test_non_antisymmetric_area_is_rejected(self, model):
+        points = [np.eye(3).ravel()]
+        with pytest.raises(InvalidParameter, match="not antisymmetric"):
+            model(rolling_ball().fields, points, np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("model", [taylor_map, flow_map])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.zeros(3), np.zeros((3, 3))),  # ell = 3 against a 2-field set
+            (np.zeros(2), np.zeros((3, 3))),
+            (np.zeros(2), np.zeros(2)),
+        ],
+        ids=["wrong_ell", "area_shape", "area_vector"],
+    )
+    def test_wrong_sizes_are_rejected(self, model, a, b):
+        with pytest.raises(DimensionMismatch):
+            model(rolling_ball().fields, [np.eye(3).ravel()], a, b)
+
+    def test_per_problem_points_must_match_the_stack(self):
+        V = triple_product().fields
+        points = np.ones((3, 2, 3))
+        with pytest.raises(DimensionMismatch, match="do not fit 4 problems"):
+            flow_map(V, points, np.zeros((4, 3)), np.zeros((4, 3, 3)))
+        assert flow_map(V, points[:1], np.zeros((4, 3)), np.zeros((4, 3, 3))).shape == (4, 6)
 
 
 class TestFlowMap:
@@ -598,6 +647,10 @@ class TestReconstructMany:
             ("fd_step", -1e-6),
             ("fd_step", np.nan),
             ("fd_step", np.inf),
+            ("tol", 0.0),
+            ("tol", -1.0),
+            ("tol", np.nan),
+            ("tol", np.inf),
         ],
     )
     def test_solver_arguments_are_checked_up_front(self, method, key, value):
@@ -966,6 +1019,19 @@ class TestSearchPoints:
         a = search_points(sys.fields, -2.0, 2.0, c_max=2, seed=9)
         b = search_points(sys.fields, -2.0, 2.0, c_max=2, seed=9)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("key", ["c_max", "n_trials"])
+    @pytest.mark.parametrize("value", [2.5, True, 0, -1, np.nan, np.inf])
+    def test_counts_must_be_integers(self, key, value):
+        counts = {"c_max": 2, "n_trials": 4, key: value}
+        with pytest.raises(InvalidParameter, match=f"{key} must be an integer >= 1"):
+            search_points(unicycle().fields, -1.0, 1.0, seed=0, **counts)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        V = triple_product().fields
+        got = search_points(V, -2.0, 2.0, c_max=np.int64(2), seed=3, n_trials=np.int32(8))
+        want = search_points(V, -2.0, 2.0, c_max=2, seed=3, n_trials=8)
+        np.testing.assert_array_equal(got.points, want.points)
 
     def test_cvt_candidates_respect_domain(self):
         sys = cvt()

@@ -215,6 +215,18 @@ class TestGridRoughPath:
         with pytest.raises(IndexOutOfRange):
             path.increment(1, 1)
 
+    @pytest.mark.parametrize("i, j", [(0.5, 2), (True, 3), (0, 2.0), (0, np.float64(3)), (False, 1)])
+    def test_index_must_be_an_integer(self, i, j):
+        path = lift_piecewise_linear(np.arange(4.0), np.arange(8.0).reshape(4, 2))
+        with pytest.raises(IndexOutOfRange, match="need integers"):
+            path.increment(i, j)
+
+    def test_numpy_integer_index_is_accepted(self):
+        path = lift_piecewise_linear(np.arange(4.0), np.arange(8.0).reshape(4, 2) ** 2)
+        got, want = path.increment(np.int64(1), np.int32(3)), path.increment(1, 3)
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.a, want.a)
+
 
 class TestLift:
     def test_two_samples_single_step(self):

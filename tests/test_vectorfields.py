@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from helpers import named_systems
 from rdeinv.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
     NonFinite,
 )
+from rdeinv.rde import euler2_step
+from rdeinv.roughpath import RoughIncrement, area_matrix
 from rdeinv.systems import rolling_ball, triple_product, unicycle
 from rdeinv.vectorfields import (
     VectorFieldSet,
@@ -47,8 +50,9 @@ class TestFdJacobian:
             fd_jacobian(lambda x: np.array([np.nan]), np.zeros(1))
 
     def test_bad_step(self):
-        with pytest.raises(InvalidParameter):
-            fd_jacobian(lambda x: x, np.zeros(2), step=0.0)
+        for step in (0.0, -1e-5, np.nan, np.inf):
+            with pytest.raises(InvalidParameter, match="step must be finite and > 0"):
+                fd_jacobian(lambda x: x, np.zeros(2), step=step)
 
 
 class TestVectorFieldSet:
@@ -77,6 +81,25 @@ class TestVectorFieldSet:
             fields.field(1, np.zeros(2))
         with pytest.raises(IndexOutOfRange):
             bracket(fields, 0, 5, np.zeros(2))
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, 0.5, np.float64(0.0), "0", None])
+    def test_index_must_be_an_integer(self, index):
+        V, x = unicycle().fields, np.zeros(3)
+        calls = [
+            lambda: V.field(index, x),
+            lambda: V.jacobian(index, x),
+            lambda: bracket(V, index, 0, x),
+            lambda: bracket(V, 0, index, x),
+            lambda: second_comp(V, index, 1, x),
+        ]
+        for call in calls:
+            with pytest.raises(IndexOutOfRange, match="not an integer"):
+                call()
+
+    def test_numpy_integer_index_is_accepted(self):
+        V, x = unicycle().fields, np.array([0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(V.field(np.int64(1), x), V.field(1, x))
+        np.testing.assert_array_equal(bracket(V, np.int32(0), np.int64(1), x), bracket(V, 0, 1, x))
 
     def test_bad_shape_from_eval(self):
         fields = VectorFieldSet([lambda x: np.zeros(3)], d=2)
@@ -185,8 +208,11 @@ class TestFusedForm:
     def test_sizes_are_checked(self):
         with pytest.raises(InvalidParameter):
             VectorFieldSet.fused(lambda x: x, 0, 3)
-        with pytest.raises(InvalidParameter):
-            VectorFieldSet.fused(lambda x: x, 1, 3, fd_step=0.0)
+        for fd_step in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameter, match="fd_step must be finite and > 0"):
+                VectorFieldSet.fused(lambda x: x, 1, 3, fd_step=fd_step)
+            with pytest.raises(InvalidParameter, match="fd_step must be finite and > 0"):
+                VectorFieldSet([lambda x: x], 3, fd_step=fd_step)
 
 
 class TestBracket:
@@ -273,3 +299,64 @@ class TestSecondComp:
         for y in (0.3, -2.0, 1.0):
             got = second_comp(fields, 0, 0, np.array([y]))
             np.testing.assert_allclose(got, [y])
+
+
+def counting(V):
+    """A fused copy of V that counts its field and Jacobian calls."""
+    calls = {"fields": 0, "jacobians": 0}
+
+    def fields(x):
+        calls["fields"] += 1
+        return V.fields_at(x)
+
+    def jacobians(x):
+        calls["jacobians"] += 1
+        return V.jacobians_at(x)
+
+    return VectorFieldSet.fused(fields, V.ell, V.d, jacobians), calls
+
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("system", named_systems(), ids=lambda s: s.name)
+    def test_table_entries_are_jacobian_field_products(self, system):
+        V = system.fields
+        stack = np.array(system.recommended_points) + 0.05
+        fields, comps = V.compositions(stack)
+        assert fields.shape == (len(stack), V.ell, V.d)
+        assert comps.shape == (len(stack), V.ell, V.ell, V.d)
+        for n, y in enumerate(stack):
+            one_fields, one = V.compositions(y)
+            np.testing.assert_array_equal(one_fields, fields[n])
+            np.testing.assert_array_equal(one, comps[n])
+            for j in range(V.ell):
+                for k in range(V.ell):
+                    want = V.jacobian(k, y) @ V.field(j, y)
+                    np.testing.assert_allclose(comps[n, j, k], want, rtol=1e-14, atol=1e-15)
+
+    def test_state_shape_checked(self):
+        V = unicycle().fields
+        for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))):
+            with pytest.raises(DimensionMismatch):
+                V.compositions(bad)
+
+    @pytest.mark.parametrize("entry", ["bracket", "second_comp", "euler2_step"])
+    def test_one_field_and_one_jacobian_call(self, entry):
+        V, calls = counting(triple_product().fields)
+        x = np.array([1.0, 2.0, 3.0])
+        inc = RoughIncrement([0.1, -0.2, 0.3], area_matrix([0.01, 0.02, -0.03], 3))
+        {
+            "bracket": lambda: bracket(V, 0, 2, x),
+            "second_comp": lambda: second_comp(V, 1, 0, x),
+            "euler2_step": lambda: euler2_step(V, x, inc),
+        }[entry]()
+        assert calls == {"fields": 1, "jacobians": 1}
+
+    def test_bracket_is_the_difference_of_two_table_entries(self):
+        V = triple_product().fields
+        stack = np.random.default_rng(12).standard_normal((4, 3))
+        comps = V.compositions(stack)[1]
+        for j in range(3):
+            for k in range(3):
+                np.testing.assert_array_equal(bracket(V, j, k, stack), comps[:, j, k] - comps[:, k, j])
+                np.testing.assert_array_equal(second_comp(V, j, k, stack), comps[:, j, k])
