@@ -143,7 +143,7 @@ def taylor_map(V: VectorFieldSet, points, A, B):
     """Second-order model of the flow images, stacked over the base points.
 
     Phi_y(A, B) = y + A^i V_i(y) + B^{jk} [V_j,V_k](y) + 0.5 A^i A^j (V_i V_j)(y),
-    exactly quadratic in A and linear in the strict upper triangle of B.
+    exactly quadratic in A and linear in B; (A, B) are checked like a RoughIncrement's.
     """
     blocks = _point_blocks(V, points)
     inc = RoughIncrement(A, B)
