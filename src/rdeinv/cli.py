@@ -338,9 +338,8 @@ def cmd_lift(args):
 def cmd_solve(args):
     system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
     path = roughpath.read_path_csv(args.path, args.alpha)
-    if args.x0:
-        x0 = _parse_vector(args.x0)
-    else:
+    x0 = args.x0
+    if x0 is None or not x0.size:  # an empty --x0 means the recommended point
         x0 = _resolve_points(args, system, "recommended")[0][0]
     traj = rde.solve(system.fields, x0, path, method=args.method, n_sub=args.n_sub)
     rde.write_trajectory_csv(traj, args.out)
@@ -549,7 +548,7 @@ def _build_parser():
     p = sub.add_parser("solve", help="integrate an RDE along a path CSV")
     _add_system_flags(p)
     p.add_argument("--path", required=True, help="driver path CSV")
-    p.add_argument("--x0", help="start state, comma separated")
+    p.add_argument("--x0", type=_parse_vector, help="start state, comma separated")
     p.add_argument("--method", default="logode", choices=["logode", "euler2"])
     p.add_argument("--n-sub", dest="n_sub", type=int, default=16)
     p.add_argument("--alpha", type=float, default=0.5)
@@ -600,19 +599,20 @@ def _build_parser():
     return parser
 
 
-# Flags whose value is a vector and so may start with "-", as in "--box-lo -2,-2,-2".
-_VECTOR_FLAGS = {"--box-lo", "--box-hi", "--points", "--v", "--x0"}
+def _attach_vector_values(parser, argv):
+    """argv with "FLAG VALUE" written "FLAG=VALUE" for the vector flags of the parser's commands.
 
-
-def _attach_vector_values(argv):
-    """argv with "FLAG VALUE" written "FLAG=VALUE" for the vector flags.
-
-    argparse reads a separate value that starts with "-" and is not a plain
-    number as a flag, and then reports the vector flag's value as missing.
+    A vector flag is one whose type parses a vector, points or intervals, so
+    its value may start with "-", as in "--box-lo -2,-2,-2".  argparse reads a
+    separate value that starts with "-" and is not a plain number as a flag,
+    and then reports the vector flag's value as missing.
     """
+    commands = parser._subparsers._group_actions[0].choices.values()
+    types = (_parse_vector, _parse_points, _parse_intervals)
+    flags = {f for p in commands for a in p._actions if a.type in types for f in a.option_strings}
     out = []
     for tok in argv:
-        if out and out[-1] in _VECTOR_FLAGS and not tok.startswith("--"):
+        if out and out[-1] in flags and not tok.startswith("--"):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -621,8 +621,9 @@ def _attach_vector_values(argv):
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_vector_values(parser, sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return EXIT_OK if code == 0 else EXIT_USAGE

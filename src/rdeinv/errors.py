@@ -1,4 +1,6 @@
-"""Exception types, and the integer test of indices and counts, shared across the package."""
+"""Exception types, and the input rules that every public entry point shares:
+`is_int` for indices, `count` for sizes and step counts (an int >= 1, never a
+bool), `positive` for steps and tolerances (0 < v < inf), `finite` for arrays."""
 
 import numpy as np
 
@@ -54,3 +56,24 @@ class TrustRegionExceeded(UserWarning):
 def is_int(value):
     """Whether value is an int or NumPy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def count(value, what):
+    """value as an int if it is an int or NumPy integer >= 1, else InvalidParameter."""
+    if not (is_int(value) and value >= 1):
+        raise InvalidParameter(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def positive(value, what):
+    """value as a float if 0 < value < inf, else InvalidParameter."""
+    if not 0.0 < value < float("inf"):  # a NaN fails too
+        raise InvalidParameter(f"{what} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def finite(x, what):
+    """x unchanged if every entry is finite, else InvalidParameter."""
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter(f"{what} must be finite, got {np.asarray(x).tolist()}")
+    return x

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidParameter,
-    NonFinite,
-    is_int,
-)
+from .errors import DimensionMismatch, InvalidParameter, NonFinite, count, finite
 from .roughpath import GridRoughPath, RoughIncrement
 from .vectorfields import VectorFieldSet
 
@@ -97,13 +91,6 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
     return x + inc.x @ fields + inc.second_level.ravel() @ comps.reshape(-1, V.d)
 
 
-def _positive_int(value, what):
-    """value as an int if it is an int or NumPy integer >= 1, else InvalidParameter."""
-    if not (is_int(value) and value >= 1):
-        raise InvalidParameter(f"{what} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     """Log-ODE step: the time-1 map of the frozen field
     x^i V_i + sum_{j<k} a^{jk} [V_j, V_k], by classical RK4 with n_sub
@@ -129,7 +116,7 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     each row's result is bitwise independent of the stack it rides in.
     """
     x = _check_step(V, x, inc)
-    n_sub = _positive_int(n_sub, "n_sub")
+    n_sub = count(n_sub, "n_sub")
     z = np.atleast_2d(x)
     n, ell = z.shape[0], V.ell
     # a is antisymmetric, so sum_{j<k} a^{jk} [V_j, V_k] = sum_k DV_k (sum_j a^{jk} V_j)
@@ -183,12 +170,6 @@ def _lockstep(V: VectorFieldSet, z, x, a, method, n_sub):
         yield z
 
 
-def _finite_states(x, what):
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameter(f"{what} must be finite, got {np.asarray(x).tolist()}")
-    return x
-
-
 def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16):
     """Integrate the rough differential equation along the grid.
 
@@ -198,11 +179,11 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     """
     if method not in _STEPPERS:
         raise InvalidParameter(f"method must be one of {sorted(_STEPPERS)}, got {method!r}")
-    n_sub = _positive_int(n_sub, "n_sub")
+    n_sub = count(n_sub, "n_sub")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (V.d,):
         raise DimensionMismatch(f"x0 must have shape {(V.d,)}, got {x0.shape}")
-    _finite_states(x0, "x0")
+    finite(x0, "x0")
     steps = _lockstep(V, x0, np.diff(path.values, axis=0), path.step_areas, method, n_sub)
     return Trajectory(path.times.copy(), [x0, *steps])
 
@@ -233,13 +214,11 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
         raise InvalidParameter("need at least one path and one interval")
     for path in paths:
         for i, j in pairs:
-            if not (is_int(i) and is_int(j) and 0 <= i < j <= path.n):
-                raise IndexOutOfRange(f"need integers 0 <= i < j <= {path.n}, got i={i!r}, j={j!r}")
+            path._check_span(i, j)
         if path.ell != V.ell:
             raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
-    n_internal = _positive_int(n_internal, "n_internal")
-    n_sub = _positive_int(n_sub, "n_sub")
-    points = _finite_states(np.atleast_2d(np.asarray(points, dtype=float)), "base points")
+    n_internal, n_sub = count(n_internal, "n_internal"), count(n_sub, "n_sub")
+    points = finite(np.atleast_2d(np.asarray(points, dtype=float)), "base points")
     c = len(points)
     lengths = {}  # start -> steps up to its last end, in order of first appearance
     for i, j in pairs:

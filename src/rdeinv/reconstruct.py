@@ -36,15 +36,18 @@ from .errors import (
     RankDeficient,
     RdeinvError,
     TrustRegionExceeded,
+    count,
+    finite,
+    positive,
 )
-from .rde import ObservationSet, _check_step, _finite_states, _positive_int, logode_step
+from .rde import ObservationSet, _check_step, logode_step
 from .roughpath import (
     GridRoughPath,
     RoughIncrement,
     area_components,
     area_matrix,
 )
-from .vectorfields import VectorFieldSet, _positive_finite, bracket_columns
+from .vectorfields import VectorFieldSet, bracket_columns
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -91,7 +94,7 @@ def _point_blocks(V: VectorFieldSet, points):
     """Per-point field values (c,ell,d), bracket columns (c,nb,d) and
     second compositions (c,ell,ell,d), from one batched evaluation.  Non-finite
     points raise InvalidParameter, non-finite values NonFinite."""
-    points = _finite_states(V._states(np.atleast_2d(points)), "base points")
+    points = finite(V._states(np.atleast_2d(points)), "base points")
     with np.errstate(over="ignore", invalid="ignore"):
         fields, comps = V.compositions(points)
     if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(comps))):
@@ -106,7 +109,9 @@ def _column_blocks(fields, brackets):
 
 
 def _ranked(mat, sv, tol_rel):
-    """The ReconstructionMatrix of mat, given its singular values sv."""
+    """The ReconstructionMatrix of mat, given its singular values sv; tol_rel must lie in (0, 1)."""
+    if not 0.0 < tol_rel < 1.0:  # a NaN fails too
+        raise InvalidParameter(f"tol_rel must lie in (0, 1), got {tol_rel!r}")
     rank = 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > tol_rel * sv[0]))
     return ReconstructionMatrix(mat.shape[1], mat, sv, rank, float(tol_rel))
 
@@ -384,9 +389,8 @@ def reconstruct_many(
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
-    max_iter = _positive_int(max_iter, "max_iter")
-    n_sub = _positive_int(n_sub, "n_sub")
-    tol, fd_step = _positive_finite(tol, "tol"), _positive_finite(fd_step, "fd_step")
+    max_iter, n_sub = count(max_iter, "max_iter"), count(n_sub, "n_sub")
+    tol, fd_step = positive(tol, "tol"), positive(fd_step, "fd_step")
     obs_list = list(obs_list)
     groups, outcomes = {}, [None] * len(obs_list)
     for k, obs in enumerate(obs_list):
@@ -436,8 +440,8 @@ def doss_sussmann_1d(
     """
     if V.ell != 1 or V.d != 1:
         raise DimensionMismatch("doss_sussmann_1d needs a single field on 1-space")
-    y = float(y)
-    observed = float(observed)
+    y, observed = float(y), float(observed)
+    tol, max_iter = positive(tol, "tol"), count(max_iter, "max_iter")
 
     def vfield(z):
         return float(V.field(0, np.array([z]))[0])
@@ -546,7 +550,7 @@ def search_points(
     with lo >= hi, a non-finite corner or an overflowing width, or a c_max or
     n_trials that is not an integer >= 1, raises InvalidParameter.
     """
-    c_max, n_trials = _positive_int(c_max, "c_max"), _positive_int(n_trials, "n_trials")
+    c_max, n_trials = count(c_max, "c_max"), count(n_trials, "n_trials")
 
     def corner(box):
         box = np.asarray(box, dtype=float)

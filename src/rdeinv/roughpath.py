@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidGrid, InvalidParameter, is_int
+from .errors import (
+    DimensionMismatch, IndexOutOfRange, InvalidGrid, InvalidParameter, count, is_int, positive,
+)
 
 # Symmetric residue above this threshold signals a caller bug rather than
 # accumulated round-off; smaller residues are silently antisymmetrized away.
@@ -195,10 +197,14 @@ class GridRoughPath:
         a = self._prefix[j] - self._prefix[i] - _cross(self.values[i] - self.values[0], x)
         return x, a
 
-    def increment(self, i, j) -> RoughIncrement:
-        """Increment over [t_i, t_j], the Chen composition of steps i..j-1."""
+    def _check_span(self, i, j):
+        """IndexOutOfRange unless i and j are integers with 0 <= i < j <= n."""
         if not (is_int(i) and is_int(j) and 0 <= i < j <= self.n):
             raise IndexOutOfRange(f"need integers 0 <= i < j <= {self.n}, got i={i!r}, j={j!r}")
+
+    def increment(self, i, j) -> RoughIncrement:
+        """Increment over [t_i, t_j], the Chen composition of steps i..j-1."""
+        self._check_span(i, j)
         return RoughIncrement(*self._spans(i, j))
 
     def __repr__(self):
@@ -261,8 +267,7 @@ def coarsen(path: GridRoughPath, factor: int) -> GridRoughPath:
 
 def circle_samples(n, turns=1.0):
     """Unit circle sampled at n+1 uniform parameter values over `turns` loops."""
-    if n < 1:
-        raise InvalidParameter("need at least one segment")
+    n = count(n, "n")
     times = np.linspace(0.0, 2.0 * np.pi * turns, n + 1)
     return times, np.column_stack([np.cos(times), np.sin(times)])
 
@@ -274,10 +279,8 @@ def sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     length.  Deterministic given the seed; `sample_brownian_lift` coarsens this
     exact path, so the two share their increments on the coarse grid.
     """
-    if ell < 1 or n_coarse < 1 or n_fine < 1:
-        raise InvalidParameter("ell, n_coarse and n_fine must be positive")
-    if not horizon > 0:
-        raise InvalidParameter("horizon must be positive")
+    ell, n_coarse, n_fine = count(ell, "ell"), count(n_coarse, "n_coarse"), count(n_fine, "n_fine")
+    horizon = positive(horizon, "horizon")
     rng = np.random.default_rng(seed)
     n = n_coarse * n_fine
     dt = horizon / n
@@ -334,7 +337,7 @@ def make_linear_rough_path(v, ell, times, alpha=0.5) -> GridRoughPath:
     achieves this on every interval: the Chen cross terms vanish because all
     level-1 pieces are collinear.  v = 0 gives the null rough path.
     """
-    v = np.asarray(v, dtype=float)
+    v, ell = np.asarray(v, dtype=float), count(ell, "ell")
     m = ell * (ell + 1) // 2
     if v.shape != (m,):
         raise DimensionMismatch(f"v must have length {m} for ell={ell}, got {v.shape}")

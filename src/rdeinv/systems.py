@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation
+from .errors import DimensionMismatch, DomainViolation, is_int
 from .vectorfields import VectorFieldSet
 
 ROLLING_BALL_A1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -169,9 +169,8 @@ def kohn(d=2) -> NamedSystem:
     condition fails for every choice of points once d >= 2.  For d = 1 the
     single bracket spans the vertical direction and the rank condition holds.
     """
-    d = int(d)
-    if d < 1:
-        raise DimensionMismatch("kohn needs d >= 1")
+    if not (is_int(d) and d >= 1):
+        raise DimensionMismatch(f"kohn needs an integer d >= 1, got {d!r}")
     dim = 2 * d + 1
     # field n is d/d(n) + gain[n] * x[partner[n]] d/dt
     n = np.arange(2 * d)
@@ -199,7 +198,7 @@ def constant_fields(ell, d) -> NamedSystem:
     Solutions translate by the level-1 increment only, so the area of the
     driver leaves no trace in the flow.
     """
-    if not 1 <= ell <= d:
+    if not (is_int(ell) and is_int(d) and 1 <= ell <= d):
         raise DimensionMismatch(f"need 1 <= ell <= d, got ell={ell}, d={d}")
     vecs, zero = np.eye(ell, d), np.zeros((ell, d, d))
     return NamedSystem(

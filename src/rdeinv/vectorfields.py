@@ -27,20 +27,7 @@ import functools
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidParameter,
-    NonFinite,
-    is_int,
-)
-
-
-def _positive_finite(value, what):
-    """value as a float if 0 < value < inf, else InvalidParameter."""
-    if not 0.0 < value < float("inf"):  # a NaN fails too
-        raise InvalidParameter(f"{what} must be finite and > 0, got {value!r}")
-    return float(value)
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, count, is_int, positive
 
 
 def fd_jacobian(fun, x, step=1e-5):
@@ -51,7 +38,7 @@ def fd_jacobian(fun, x, step=1e-5):
     returning (N, d) gives (N, d, d), a fused fun returning (N, ell, d) gives
     (N, ell, d, d); a broadcastable result gives a broadcastable Jacobian.
     """
-    step = _positive_finite(step, "finite-difference step")
+    step = positive(step, "finite-difference step")
     x = np.asarray(x, dtype=float)
     cols = [
         np.asarray(fun(x + e), float) - np.asarray(fun(x - e), float)
@@ -107,7 +94,7 @@ class VectorFieldSet:
     __slots__ = ("_fields", "_jacobians", "_evals", "_jacs", "d", "ell", "fd_step", "jac_mode")
 
     def __init__(self, evals, d, jacs=None, fd_step=1e-5, jac_mode=None):
-        evals, d = tuple(evals), int(d)
+        evals, d = tuple(evals), count(d, "d")
         if jacs is not None:
             jacs = tuple(jacs)
             if len(jacs) != len(evals):
@@ -132,11 +119,9 @@ class VectorFieldSet:
         return self
 
     def _setup(self, fields, ell, d, jacobians, fd_step):
-        self.ell, self.d = int(ell), int(d)
-        if self.ell <= 0 or self.d <= 0:
-            raise InvalidParameter("need at least one field on a positive-dimensional space")
+        self.ell, self.d = count(ell, "ell"), count(d, "d")
         self._fields, self._jacobians = fields, jacobians
-        self.fd_step = _positive_finite(fd_step, "fd_step")
+        self.fd_step = positive(fd_step, "fd_step")
         self.jac_mode = "finite-difference" if jacobians is None else "analytic"
 
     def _states(self, x):

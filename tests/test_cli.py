@@ -107,6 +107,8 @@ NEGATIVE_VECTORS = {
     "v": ["lift", "--driver", "linear", "--v", "-0.5,0,1", "--n", "4", "--out", "{tmp}/p.csv"],
     "x0": ["solve", "--system", "unicycle", "--path", "{tmp}/path.csv", "--x0", "-1,0,-2",
            "--out", "{tmp}/traj.csv"],
+    "intervals": ["observe", "--system", "unicycle", "--path", "{tmp}/neg.csv",
+                  "--intervals", "-0.5,0", "--out", "{tmp}/p.csv"],
 }
 
 
@@ -114,6 +116,7 @@ class TestNegativeVectorValues:
     @pytest.mark.parametrize("case", sorted(NEGATIVE_VECTORS))
     def test_space_form_equals_equals_form(self, case, capsys, tmp_path):
         (tmp_path / "path.csv").write_text(PATH_HEAD + "0.5,1,2,0\n1,1,2,0\n")
+        (tmp_path / "neg.csv").write_text("t,X1,X2,A12\n-1,0,0,0\n-0.5,1,2,0\n0,1,2,0\n")
         argv = [a.format(tmp=tmp_path) for a in NEGATIVE_VECTORS[case]]
         flag = "--" + case
         k = argv.index(flag)
@@ -184,6 +187,18 @@ class TestLiftSolveRoundTrip:
         )
         from_file = read_trajectory_csv(traj_file)
         assert np.array_equal(from_file.states, direct.states)
+
+    def test_file_driver_keeps_the_samples_and_drops_the_areas(self, capsys, tmp_path):
+        given, lifted = tmp_path / "bm.csv", tmp_path / "lifted.csv"
+        run(capsys, "lift", "--driver", "brownian", "--seed", "3", "--n-coarse", "8",
+            "--n-fine", "4", "--out", str(given))
+        code, _, _ = run(capsys, "lift", "--driver", "file", "--samples", str(given),
+                         "--out", str(lifted))
+        assert code == 0
+        rows = [[line.split(",") for line in f.read_text().splitlines()] for f in (given, lifted)]
+        assert [r[:3] for r in rows[1]] == [r[:3] for r in rows[0]]  # the t,X cells, as text
+        assert any(float(r[3]) != 0.0 for r in rows[0][1:])
+        assert all(float(r[3]) == 0.0 for r in rows[1][1:])
 
     def test_linear_driver_lift(self, capsys, tmp_path):
         out_file = tmp_path / "lin.csv"
@@ -358,6 +373,29 @@ dir = {}
                     for name in ("results.json", "stitched.csv", "errors.csv")
                 )
             )
+        assert blobs[0] == blobs[1]
+
+    def test_file_driver_equals_the_brownian_driver(self, capsys, tmp_path):
+        # a Brownian lift read back from its CSV drives the experiment bitwise as the sampler does
+        bm = tmp_path / "bm.csv"
+        code, _, _ = run(capsys, "lift", "--driver", "brownian", "--ell", "3", "--seed", "5",
+                         "--n-coarse", "64", "--n-fine", "4", "--horizon", "0.05", "--out", str(bm))
+        assert code == 0
+        blobs = []
+        for kind in (["driver.kind=brownian"], ["driver.kind=file", f"driver.file={bm}"]):
+            sets = ["driver.ell=3", "driver.n_coarse=64", "driver.n_fine=4", "driver.horizon=0.05",
+                    "schedule.t=0.05", "schedule.n=8", "solver.n_internal=4", "solver.n_sub=4", *kind]
+            out_dir = tmp_path / kind[0].split("=")[1]
+            code, _, err = run(
+                capsys, "reconstruct", "--system", "triple_product", "--method", "flow",
+                "--seed", "5", *[arg for s in sets for arg in ("--set", s)],
+                "--out-dir", str(out_dir),
+            )
+            assert code == 0, err
+            blobs.append(tuple(
+                (out_dir / name).read_bytes()
+                for name in ("results.json", "errors.csv", "stitched.csv")
+            ))
         assert blobs[0] == blobs[1]
 
     def test_constant_system_rank_deficient_error_json(self, capsys, tmp_path):
@@ -558,6 +596,17 @@ class TestUsage:
         assert main([]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [(["--driver", "file"], "--samples"), (["--driver", "brownian", "--alpha", "0.5"], "0.4")],
+        ids=["file_without_samples", "brownian_alpha"],
+    )
+    def test_lift_flags_that_do_not_fit_are_usage_error(self, flags, needle, capsys, tmp_path):
+        code, out, err = run(capsys, "lift", *flags, "--out", str(tmp_path / "p.csv"))
+        assert code == 64 and out == ""
+        assert err.startswith("usage error:") and needle in err
+        assert list(tmp_path.iterdir()) == []
+
 
 PATH_HEAD = "t,X1,X2,A12\n0,0,0,0\n"
 OBS_HEAD = "s,t,point_id,y1,y2,y3,z1,z2,z3\n"
@@ -714,6 +763,7 @@ class TestConfigKeys:
             ("convergence", "schedule.s=nan"),
             ("convergence", "driver.n_seeds=0"),
             ("convergence", "driver.n_seeds=-3"),
+            ("reconstruct", "driver.kind=file"),
         ],
     )
     def test_bad_value_is_usage_error(self, command, override, capsys, tmp_path):

@@ -148,6 +148,20 @@ class TestReconstructionMatrix:
             with pytest.raises(InvalidParameter, match="base points must be finite"):
                 fn(V, points)
 
+    @pytest.mark.parametrize("tol_rel", [-1.0, 0.0, 1.0, np.nan])
+    @pytest.mark.parametrize("entry", ["reconstruction_matrix", "trust_region", "search_points"])
+    def test_rank_tolerance_must_lie_in_the_open_unit_interval(self, entry, tol_rel):
+        # a negative tol_rel counted every singular value, so this kohn search,
+        # whose rank condition fails at every point, reported full rank
+        V = kohn(2).fields
+        run = {
+            "reconstruction_matrix": lambda: reconstruction_matrix(V, np.zeros(5), tol_rel),
+            "trust_region": lambda: trust_region(V, np.zeros(5), tol_rel),
+            "search_points": lambda: search_points(V, -1, 1, 2, 0, 8, tol_rel=tol_rel),
+        }[entry]
+        with pytest.raises(InvalidParameter, match="tol_rel must lie in \\(0, 1\\)"):
+            run()
+
     def test_overflowing_field_values_raise_non_finite(self):
         # triple_product's fields multiply coordinates, which overflow at 1e200;
         # no RuntimeWarning escapes (the suite turns one into an error)
@@ -826,6 +840,16 @@ class TestStability:
 
 
 class TestDossSussmann:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tol", np.nan), ("tol", np.inf), ("tol", 0.0), ("max_iter", 2.5), ("max_iter", True),
+         ("max_iter", 0)],
+    )
+    def test_solver_arguments_are_checked_up_front(self, key, value):
+        # a NaN tol used to run every iteration and then report "tolerance nan"
+        with pytest.raises(InvalidParameter, match=f"{key} must be"):
+            doss_sussmann_1d(scalar_linear_field(), 1.0, 2.0, **{key: value})
+
     def test_unit_field_translation(self):
         fields = unit_field()
         assert doss_sussmann_1d(fields, 0.5, 2.25) == pytest.approx(1.75, abs=1e-12)

@@ -229,6 +229,16 @@ class TestGridRoughPath:
 
 
 class TestLift:
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, 0, np.nan])
+    @pytest.mark.parametrize("entry", ["circle_samples", "make_linear_rough_path"])
+    def test_sizes_must_be_integers(self, entry, value):
+        name = "n" if entry == "circle_samples" else "ell"
+        with pytest.raises(InvalidParameter, match=f"{name} must be an integer >= 1"):
+            if entry == "circle_samples":
+                circle_samples(value)
+            else:
+                make_linear_rough_path([1.0], value, [0.0, 1.0])
+
     def test_two_samples_single_step(self):
         path = lift_piecewise_linear([0.0, 1.0], [[0.0, 0.0], [1.0, 2.0]])
         assert path.n == 1
@@ -349,6 +359,19 @@ class TestBrownian:
             sample_brownian_lift(2, 4, 0, 1.0, seed=0)
         with pytest.raises(InvalidParameter):
             sample_brownian_lift(2, 4, 4, -1.0, seed=0)
+        # no bare TypeError from NumPy and no truncation; True is not a size, and an
+        # infinite horizon no longer warns and then fails as an InvalidGrid
+        for k, key in enumerate(["ell", "n_coarse", "n_fine"]):
+            for value in (2.5, 2.0, True, np.nan, "4"):
+                sizes = [2, 4, 2]
+                sizes[k] = value
+                for sample in (sample_brownian_fine, sample_brownian_lift):
+                    with pytest.raises(InvalidParameter, match=f"{key} must be an integer >= 1"):
+                        sample(*sizes, 1.0, 0)
+        for horizon in (np.inf, np.nan):
+            for sample in (sample_brownian_fine, sample_brownian_lift):
+                with pytest.raises(InvalidParameter, match="horizon must be finite and > 0"):
+                    sample(2, 4, 2, horizon, 0)
 
     def test_alpha_default(self):
         assert sample_brownian_lift(2, 2, 2, 1.0, seed=0).alpha == 0.4

@@ -258,6 +258,9 @@ class TestKohn:
     def test_bad_dimension(self):
         with pytest.raises(DimensionMismatch):
             kohn(0)
+        for d in (2.5, 2.0, True, "2"):  # no truncation of 2.5 to kohn_2 on 5-space
+            with pytest.raises(DimensionMismatch, match="kohn needs an integer d >= 1"):
+                kohn(d)
 
 
 class TestConstantFields:
@@ -272,3 +275,6 @@ class TestConstantFields:
     def test_requires_ell_at_most_d(self):
         with pytest.raises(DimensionMismatch):
             constant_fields(3, 2)
+        for ell, d in ((2.0, 3), (1, 3.0), (True, 2), (1, True)):
+            with pytest.raises(DimensionMismatch, match="need 1 <= ell <= d"):
+                constant_fields(ell, d)

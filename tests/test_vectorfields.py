@@ -208,6 +208,14 @@ class TestFusedForm:
     def test_sizes_are_checked(self):
         with pytest.raises(InvalidParameter):
             VectorFieldSet.fused(lambda x: x, 0, 3)
+        # no truncation of 2.7 fields to 2, and True is not a size
+        for value in (2.7, 3.0, True, np.nan):
+            with pytest.raises(InvalidParameter, match="ell must be an integer >= 1"):
+                VectorFieldSet.fused(lambda x: x, value, 3)
+            with pytest.raises(InvalidParameter, match="d must be an integer >= 1"):
+                VectorFieldSet.fused(lambda x: x, 1, value)
+            with pytest.raises(InvalidParameter, match="d must be an integer >= 1"):
+                VectorFieldSet([lambda x: x], value)
         for fd_step in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParameter, match="fd_step must be finite and > 0"):
                 VectorFieldSet.fused(lambda x: x, 1, 3, fd_step=fd_step)
