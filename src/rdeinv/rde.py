@@ -4,7 +4,8 @@ Two one-step schemes are provided: the second-order Euler step (level-1 term
 plus second-level correction) on one state, and the log-ODE step (time-1 RK4
 flow of the frozen field built from the increment and the field brackets),
 which moves one state or an (N, d) stack of states in lockstep, each row with
-its own increment.  One grid integrator drives both entry points: `solve`
+its own increment; for an affine field set it is one matrix per row, applied
+once per substep.  One grid integrator drives both entry points: `solve`
 steps one state along a path and keeps every grid state, and flow
 observation stacks every base point, every driver path and every observation
 interval into one log-ODE run and keeps the states at the interval ends.
@@ -102,12 +103,17 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     deterministic and reproducible, which the order-of-convergence fits rely
     on.
 
-    Each RK4 stage makes one field and, for a nonzero area, one Jacobian
-    evaluation, then two matmuls per row.  The coefficient stack [x; a^T]
-    (1 + ell rows) times the fields gives the level-1 term and the
-    area-pulled fields p_k = sum_j a^{jk} V_j at once; the block row
-    [I | DV_1 | ... | DV_ell] times those 1 + ell rows, stacked, gives the
-    level-1 term plus the bracket term sum_k DV_k p_k.  These are ell
+    An affine set (`VectorFieldSet.affine`) takes the matrix route: its frozen
+    field is one (d+1, d+1) matrix M per row on [y; 1], and RK4 with n_sub
+    substeps on it is exactly n_sub matvecs with T_4(M / n_sub), T_4 the
+    degree-4 Taylor polynomial.  Overflow raises NonFinite on both routes.
+
+    On any other set, the RK4 route, each stage makes one field and, for a
+    nonzero area, one Jacobian evaluation, then two matmuls per row.  The
+    coefficient stack [x; a^T] (1 + ell rows) times the fields gives the
+    level-1 term and the area-pulled fields p_k = sum_j a^{jk} V_j at once;
+    the block row [I | DV_1 | ... | DV_ell] times those 1 + ell rows, stacked,
+    gives the level-1 term plus the bracket term sum_k DV_k p_k.  These are ell
     Jacobian-vector products per row: on this hot path of flow observation
     and recovery the ell^2 table of `VectorFieldSet.compositions` is never
     built.  A Jacobian that does not depend on the state, one constant
@@ -124,6 +130,7 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     coef[:, 0] = inc.x
     coef[:, 1:] = np.swapaxes(inc.a, -1, -2)
     brackets = bool(inc.a.any())
+    h = 1.0 / n_sub
     # [I | DV_1 | ... | DV_ell], one buffer per Jacobian shape seen: the
     # identity is written once, the Jacobians at every stage
     blocks = {}
@@ -141,16 +148,38 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
         m[..., 1:, :] = jacs.swapaxes(-3, -2)
         return (flat @ g.reshape(n, -1, 1))[..., 0]
 
-    h = 1.0 / n_sub
-    for _ in range(n_sub):
-        k1 = w(z)
-        k2 = w(z + 0.5 * h * k1)
-        k3 = w(z + 0.5 * h * k2)
-        k4 = w(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(z).all():
-            raise NonFinite("log-ODE state blew up")
+    with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
+        if V.generators is not None:
+            z = _affine_substeps(V.generators, z, coef, h, n_sub)
+        else:
+            for _ in range(n_sub):
+                k1 = w(z)
+                k2 = w(z + 0.5 * h * k1)
+                k3 = w(z + 0.5 * h * k2)
+                k4 = w(z + h * k3)
+                z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.isfinite(z).all():
+                    raise NonFinite("log-ODE state blew up")
     return z if x.ndim == 2 else z[0]
+
+
+def _affine_substeps(G, z, coef, h, n_sub):
+    """The RK4 substeps of `logode_step` on affine fields with generators G: per row, T_4(hM)
+    applied n_sub times to [z; 1], M = sum_i x^i G_i + sum_k G_k P_k, P_k = sum_j a^{jk} G_j."""
+    n, dim = len(z), G.shape[-1]
+    g = (coef @ G.reshape(len(G), -1)).reshape(n, -1, dim, dim)  # sum x^i G_i, P_1 .. P_ell
+    # plus [G_1 | ... | G_ell] times P_1 .. P_ell stacked, exact zeros for a zero area
+    hm = h * (g[:, 0] + G.transpose(1, 0, 2).reshape(dim, -1) @ g[:, 1:].reshape(n, -1, dim))
+    t = eye = np.eye(dim)
+    for c in (4.0, 3.0, 2.0, 1.0):  # Horner's rule
+        t = eye + (hm / c) @ t
+    zz = np.concatenate([z, np.ones((n, 1))], axis=1)[..., None]
+    for _ in range(n_sub):
+        zz = t @ zz
+    # a matvec spreads a NaN or an infinity to the whole state: one check covers every substep
+    if not np.isfinite(zz).all():
+        raise NonFinite("log-ODE state blew up")
+    return zz[:, :-1, 0]
 
 
 _STEPPERS = {"euler2": euler2_step, "logode": logode_step}

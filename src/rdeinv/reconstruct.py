@@ -442,6 +442,8 @@ def doss_sussmann_1d(
         raise DimensionMismatch("doss_sussmann_1d needs a single field on 1-space")
     y, observed = float(y), float(observed)
     tol, max_iter = positive(tol, "tol"), count(max_iter, "max_iter")
+    steps_per_unit = positive(steps_per_unit, "steps_per_unit")
+    param_bound = positive(param_bound, "param_bound")
 
     def vfield(z):
         return float(V.field(0, np.array([z]))[0])

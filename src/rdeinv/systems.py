@@ -3,8 +3,8 @@
 Every system is a fused `rdeinv.vectorfields.VectorFieldSet`: one callable
 fills all field values (..., ell, d) and one all Jacobians (..., ell, d, d),
 indexing states as ``x[..., k]`` so that one (d,) state and an (N, d) stack
-both work.  rolling_ball, kohn and constant are one constant matrix stack
-each, returned unbroadcast.  Constructors are pure and systems shareable.
+both work.  rolling_ball, kohn and constant are `VectorFieldSet.affine` sets,
+built from their matrices.  Constructors are pure and systems shareable.
 """
 
 from __future__ import annotations
@@ -38,15 +38,10 @@ def rolling_ball() -> NamedSystem:
     on the embedding space: V_i(x) = kron(A_i, I_3) x.  The orthogonal group is
     invariant under the flow.
     """
-    jac = np.stack([np.kron(a, np.eye(3)) for a in (ROLLING_BALL_A1, ROLLING_BALL_A2)])
-    cat = jac.transpose(2, 0, 1).reshape(9, 18)  # x @ cat = [V_1(x), V_2(x)]
-
-    def fields(x):
-        return (x @ cat).reshape(x.shape[:-1] + (2, 9))
-
+    A = np.stack([np.kron(a, np.eye(3)) for a in (ROLLING_BALL_A1, ROLLING_BALL_A2)])
     return NamedSystem(
         "rolling_ball",
-        VectorFieldSet.fused(fields, 2, 9, lambda x: jac),
+        VectorFieldSet.affine(A),
         recommended_points=[np.eye(3).ravel()],
         notes="orientation matrix embedded row-major in R^9; fields M -> A_i M",
     )
@@ -175,18 +170,11 @@ def kohn(d=2) -> NamedSystem:
     # field n is d/d(n) + gain[n] * x[partner[n]] d/dt
     n = np.arange(2 * d)
     partner, gain = (n + d) % (2 * d), np.repeat([2.0, -2.0], d)
-    jac = np.zeros((2 * d, dim, dim))
-    jac[n, dim - 1, partner] = gain
-
-    def fields(x):
-        out = np.zeros(x.shape[:-1] + (2 * d, dim))
-        out[..., n, n] = 1.0
-        out[..., n, dim - 1] = gain * x[..., partner]
-        return out
-
+    A = np.zeros((2 * d, dim, dim))
+    A[n, dim - 1, partner] = gain
     return NamedSystem(
         f"kohn_{d}" if d != 2 else "kohn",
-        VectorFieldSet.fused(fields, 2 * d, dim, lambda x: jac),
+        VectorFieldSet.affine(A, np.eye(2 * d, dim)),
         recommended_points=[np.zeros(dim)],
         notes="degenerate for d >= 2: brackets only ever span the vertical direction",
     )
@@ -200,10 +188,9 @@ def constant_fields(ell, d) -> NamedSystem:
     """
     if not (is_int(ell) and is_int(d) and 1 <= ell <= d):
         raise DimensionMismatch(f"need 1 <= ell <= d, got ell={ell}, d={d}")
-    vecs, zero = np.eye(ell, d), np.zeros((ell, d, d))
     return NamedSystem(
         f"constant_{ell}_{d}",
-        VectorFieldSet.fused(lambda x: vecs, ell, d, lambda x: zero),
+        VectorFieldSet.affine(np.zeros((ell, d, d)), np.eye(ell, d)),
         recommended_points=[np.zeros(d)],
         notes="canonical basis fields; no bracket ever sees the area",
     )

@@ -14,6 +14,7 @@ One table, `VectorFieldSet.compositions`, holds the second compositions
 V_jV_k = DV_k V_j: `second_comp` slices it, `bracket` and `bracket_columns`
 (pairs j < k in row-major order) difference two slices of it, and the Euler
 step and the Taylor model contract it; only the log-ODE step does without it.
+`VectorFieldSet.affine` sets keep the generators that the log-ODE matrix route reads.
 
 The list form, one callable per field (and per Jacobian), is an adapter that
 stacks the per-field results.  Every set keeps per-field callables in
@@ -27,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, count, is_int, positive
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, count, finite, is_int, positive
 
 
 def fd_jacobian(fun, x, step=1e-5):
@@ -91,7 +92,8 @@ class VectorFieldSet:
     precision).  `VectorFieldSet.fused` takes the fused form.
     """
 
-    __slots__ = ("_fields", "_jacobians", "_evals", "_jacs", "d", "ell", "fd_step", "jac_mode")
+    __slots__ = ("_fields", "_jacobians", "_evals", "_jacs", "d", "ell", "fd_step", "jac_mode",
+                 "generators")
 
     def __init__(self, evals, d, jacs=None, fd_step=1e-5, jac_mode=None):
         evals, d = tuple(evals), count(d, "d")
@@ -118,9 +120,29 @@ class VectorFieldSet:
         )
         return self
 
+    @classmethod
+    def affine(cls, A, b=None):
+        """The fused set of ell affine fields V_i(y) = A_i y + b_i on R^d, from finite A
+        (ell, d, d) and b (ell, d), zero if omitted; its Jacobian is the constant A.  It
+        keeps G_i = [[A_i, b_i], [0, 0]], (ell, d+1, d+1), in `generators`, None elsewhere."""
+        A = finite(np.array(A, dtype=float), "matrices A")
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise DimensionMismatch(f"A must have shape (ell, d, d), got {A.shape}")
+        ell, d = A.shape[:2]
+        b = np.zeros((ell, d)) if b is None else finite(np.array(b, dtype=float), "offsets b")
+        if b.shape != (ell, d):
+            raise DimensionMismatch(f"b must have shape {(ell, d)}, got {b.shape}")
+        cat = A.transpose(2, 0, 1).reshape(d, ell * d)  # x @ cat = [A_1 x, ..., A_ell x]
+        self = cls.fused(lambda x: (x @ cat).reshape(x.shape[:-1] + (ell, d)) + b, ell, d,
+                         lambda x: A)
+        self.generators = np.zeros((self.ell, d + 1, d + 1))
+        self.generators[:, :d, :d], self.generators[:, :d, d] = A, b
+        return self
+
     def _setup(self, fields, ell, d, jacobians, fd_step):
         self.ell, self.d = count(ell, "ell"), count(d, "d")
         self._fields, self._jacobians = fields, jacobians
+        self.generators = None
         self.fd_step = positive(fd_step, "fd_step")
         self.jac_mode = "finite-difference" if jacobians is None else "analytic"
 

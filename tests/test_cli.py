@@ -426,6 +426,19 @@ dir = {}
         assert code == 1
         assert json.loads(out)["error"]["type"] == "RankDeficient"
 
+    def test_log_ode_overflow_is_numerical_error_not_a_warning(self, capsys, tmp_path):
+        # a flow model iterate blows the triple-product state up; under
+        # warnings-as-errors this used to end in a RuntimeWarning traceback
+        code, out, _ = run(
+            capsys, "reconstruct", "--system", "triple_product", "--method", "flow",
+            "--seed", "5", "--set", "driver.kind=brownian", "--set", "driver.ell=3",
+            "--set", "driver.n_coarse=64", "--set", "driver.n_fine=4", "--set", "schedule.n=8",
+            "--set", "solver.n_internal=4", "--set", "solver.n_sub=4",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NotConverged"
+
     def test_observation_ingest_roundtrip(self, capsys, tmp_path):
         path_file = tmp_path / "path.csv"
         obs_file = tmp_path / "obs.csv"

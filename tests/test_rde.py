@@ -105,9 +105,10 @@ class TestLogodeStep:
         assert slope >= 3.5
 
     def test_nonfinite_blowup(self):
-        fields = VectorFieldSet([lambda x: x * x], d=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFinite):
+        # warnings are errors in this suite: both routes raise NonFinite, not a numpy warning
+        rk4, matrix = VectorFieldSet([lambda x: x * x], d=1), VectorFieldSet.affine([[[1e300]]])
+        for fields in (rk4, matrix):
+            with pytest.raises(NonFinite, match="blew up"):
                 logode_step(fields, np.array([1.0]), RoughIncrement([50.0]), n_sub=64)
 
     def test_bad_n_sub(self):
@@ -260,6 +261,57 @@ class TestBatchedLogodeStep:
         z, x, a = random_rows(V, 4, np.random.default_rng(37))
         with pytest.raises(DimensionMismatch, match=f"{what} returned shape"):
             logode_step(bad, z, RoughIncrement.stack(x, a), n_sub=2)
+
+
+def random_affine(rng, ell=3, d=4):
+    A, b = 0.5 * rng.standard_normal((ell, d, d)), rng.standard_normal((ell, d))
+    return VectorFieldSet.affine(A, b)
+
+
+class TestAffineLogodeStep:
+    """The matrix route of affine sets against the RK4 route and the exponential."""
+
+    @pytest.mark.parametrize("area", [False, True], ids=["zero_area", "area"])
+    def test_matrix_route_agrees_with_the_rk4_route(self, area):
+        rng = np.random.default_rng(41)
+        V = random_affine(rng)
+        rk4 = VectorFieldSet.fused(V._fields, V.ell, V.d, V._jacobians)
+        assert V.generators is not None and rk4.generators is None
+        z, x, a = random_rows(V, 5, rng)
+        a = a if area else np.zeros_like(a)
+        cases = [
+            (z[0], RoughIncrement(x[0], a[0])),  # one state
+            (z, RoughIncrement(x[0], a[0])),  # a stack, one shared increment
+            (z, RoughIncrement.stack(x, a)),  # a stack, one increment per row
+        ]
+        for y, inc in cases:
+            got, want = logode_step(V, y, inc, n_sub=4), logode_step(rk4, y, inc, n_sub=4)
+            assert got.shape == want.shape == y.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_rows_are_bitwise_their_one_row_calls(self):
+        rng = np.random.default_rng(42)
+        V = random_affine(rng)
+        z, x, a = random_rows(V, 6, rng)
+        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=8)
+        shared = logode_step(V, z, RoughIncrement(x[0], a[0]), n_sub=8)
+        for n in range(6):
+            one = logode_step(V, z[n], RoughIncrement(x[n], a[n]), n_sub=8)
+            np.testing.assert_array_equal(got[n], one)
+            one = logode_step(V, z[n], RoughIncrement(x[0], a[0]), n_sub=8)
+            np.testing.assert_array_equal(shared[n], one)
+
+    def test_tends_to_the_exponential_of_the_frozen_matrix(self):
+        rng = np.random.default_rng(43)
+        V = random_affine(rng)
+        z, x, a = random_rows(V, 1, rng, scale=0.6)
+        G = V.generators
+        frozen = np.einsum("i,iab->ab", x[0], G) + np.einsum("jk,kab,jbc->ac", a[0], G, G)
+        want = (expm(frozen) @ np.append(z[0], 1.0))[:-1]
+        inc = RoughIncrement(x[0], a[0])
+        errors = [np.abs(logode_step(V, z[0], inc, 2**k) - want).max() for k in range(7)]
+        assert all(e1 > 10.0 * e2 for e1, e2 in zip(errors, errors[1:]))  # fourth order
+        assert errors[-1] < 1e-8
 
 
 class TestSolve:

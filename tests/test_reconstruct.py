@@ -843,7 +843,8 @@ class TestDossSussmann:
     @pytest.mark.parametrize(
         "key, value",
         [("tol", np.nan), ("tol", np.inf), ("tol", 0.0), ("max_iter", 2.5), ("max_iter", True),
-         ("max_iter", 0)],
+         ("max_iter", 0), ("steps_per_unit", np.nan), ("steps_per_unit", 0.0),
+         ("param_bound", np.nan), ("param_bound", -1.0)],
     )
     def test_solver_arguments_are_checked_up_front(self, key, value):
         # a NaN tol used to run every iteration and then report "tolerance nan"

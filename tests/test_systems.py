@@ -109,6 +109,48 @@ def test_fused_finite_differences_equal_the_list_form(builder):
         np.testing.assert_allclose(fused.jacobians_at(x), V.jacobians_at(x), atol=1e-7)
 
 
+def rolling_ball_closed_form(x):
+    m = x.reshape(x.shape[:-1] + (3, 3))
+    fields = np.stack([(a @ m).reshape(x.shape) for a in (ROLLING_BALL_A1, ROLLING_BALL_A2)], -2)
+    jacs = np.stack([np.kron(a, np.eye(3)) for a in (ROLLING_BALL_A1, ROLLING_BALL_A2)])
+    return fields, np.broadcast_to(jacs, x.shape[:-1] + jacs.shape)
+
+
+def kohn_closed_form(d):
+    # X_i = d/dx_i + 2 y_i d/dt, Y_i = d/dy_i - 2 x_i d/dt
+    def closed_form(x):
+        fields = np.zeros(x.shape[:-1] + (2 * d, 2 * d + 1))
+        jacs = np.zeros(x.shape[:-1] + (2 * d, 2 * d + 1, 2 * d + 1))
+        for i in range(d):
+            fields[..., i, i], fields[..., i, -1] = 1.0, 2.0 * x[..., d + i]
+            fields[..., d + i, d + i], fields[..., d + i, -1] = 1.0, -2.0 * x[..., i]
+            jacs[..., i, -1, d + i], jacs[..., d + i, -1, i] = 2.0, -2.0
+        return fields, jacs
+
+    return closed_form
+
+
+def constant_closed_form(x):
+    return np.broadcast_to(np.eye(2, 3), x.shape[:-1] + (2, 3)), np.zeros(x.shape[:-1] + (2, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "builder, closed_form",
+    [(rolling_ball, rolling_ball_closed_form)]
+    + [(lambda d=d: kohn(d), kohn_closed_form(d)) for d in (1, 2, 3)]
+    + [(lambda: constant_fields(2, 3), constant_closed_form)],
+    ids=["rolling_ball", "kohn_1", "kohn_2", "kohn_3", "constant"],
+)
+def test_affine_systems_equal_their_closed_forms(builder, closed_form):
+    V = builder().fields
+    assert V.generators is not None
+    stack = np.random.default_rng(47).standard_normal((6, V.d))
+    for x in (stack, stack[0]):
+        fields, jacs = closed_form(x)
+        assert np.array_equal(V.fields_at(x), fields)
+        assert np.array_equal(V.jacobians_at(x), jacs)
+
+
 def test_cvt_domain_check_covers_every_row():
     sys = cvt()
     stack = np.tile([0.0, 0.0, 0.0, 0.5], (4, 1))

@@ -223,6 +223,51 @@ class TestFusedForm:
                 VectorFieldSet([lambda x: x], 3, fd_step=fd_step)
 
 
+class TestAffine:
+    def test_fields_jacobians_and_generators_come_from_the_data(self):
+        rng = np.random.default_rng(44)
+        A, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4))
+        V = VectorFieldSet.affine(A, b)
+        assert (V.ell, V.d, V.jac_mode) == (3, 4, "analytic")
+        stack = rng.standard_normal((5, 4))
+        for x in (stack, stack[0]):
+            np.testing.assert_allclose(V.fields_at(x), np.einsum("ide,...e->...id", A, x) + b,
+                                       rtol=1e-14, atol=1e-14)
+            np.testing.assert_array_equal(
+                V.jacobians_at(x), np.broadcast_to(A, x.shape[:-1] + A.shape)
+            )
+        assert V.generators.shape == (3, 5, 5)
+        np.testing.assert_array_equal(V.generators[:, :4, :4], A)
+        np.testing.assert_array_equal(V.generators[:, :4, 4], b)
+        assert not V.generators[:, 4].any()
+        linear = VectorFieldSet.affine(A)  # b defaults to zero
+        np.testing.assert_array_equal(
+            linear.fields_at(stack), VectorFieldSet.affine(A, 0 * b).fields_at(stack)
+        )
+        assert not linear.generators[:, :, 4].any()
+
+    def test_other_sets_have_no_generators(self):
+        assert unicycle().fields.generators is None
+        assert constant_set([[1.0, 0.0]], 2).generators is None
+        assert VectorFieldSet.fused(lambda x: x[..., None, :], 1, 2).generators is None
+
+    @pytest.mark.parametrize(
+        "A, b, error, match",
+        [
+            (np.zeros((3, 3)), None, DimensionMismatch, "A must have shape"),
+            (np.zeros((2, 3, 4)), None, DimensionMismatch, "A must have shape"),
+            (np.zeros((2, 3, 3)), np.zeros((2, 4)), DimensionMismatch, "b must have shape"),
+            (np.zeros((2, 3, 3)), np.zeros(3), DimensionMismatch, "b must have shape"),
+            (np.full((2, 3, 3), np.nan), None, InvalidParameter, "A must be finite"),
+            (np.zeros((2, 3, 3)), np.full((2, 3), np.inf), InvalidParameter, "b must be finite"),
+        ],
+        ids=["A_two_axes", "A_not_square", "b_wrong_d", "b_missing_axis", "A_nan", "b_inf"],
+    )
+    def test_bad_data_is_rejected(self, A, b, error, match):
+        with pytest.raises(error, match=match):
+            VectorFieldSet.affine(A, b)
+
+
 class TestBracket:
     def test_constant_fields_commute(self):
         fields = constant_set([[1.0, 0.0], [0.0, 1.0]], d=2)
