@@ -14,12 +14,13 @@ One table, `VectorFieldSet.compositions`, holds the second compositions
 V_jV_k = DV_k V_j: `second_comp` slices it, `bracket` and `bracket_columns`
 (pairs j < k in row-major order) difference two slices of it, and the Euler
 step and the Taylor model contract it; only the log-ODE step does without it.
-`VectorFieldSet.affine` sets keep the generators that the log-ODE matrix route reads.
+A set declared affine (`jac_mode` "affine", as `VectorFieldSet.affine` builds)
+keeps the generators that the log-ODE matrix route reads, read at the origin.
 
 The list form, one callable per field (and per Jacobian), is an adapter that
 stacks the per-field results.  Every set keeps per-field callables in
 ``_evals`` and ``_jacs``; a fused set's are slices of its fused results, so a
-list-form set rebuilt from them evaluates bitwise equal to it.
+list-form set rebuilt from them and `jac_mode` evaluates and steps bitwise alike.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, count, finite, is_int, positive
+from .errors import (
+    DimensionMismatch, IndexOutOfRange, InvalidParameter, NonFinite, count, finite, is_int, positive,
+)
 
 
 def fd_jacobian(fun, x, step=1e-5):
@@ -89,7 +92,8 @@ class VectorFieldSet:
     callable per field returning (N, d, d) Jacobians; results may broadcast
     to those shapes.  Without `jacs`, Jacobians come from central differences
     with `fd_step` (default 1e-5, the truncation/round-off balance for double
-    precision).  `VectorFieldSet.fused` takes the fused form.
+    precision).  `jac_mode="affine"` (with `jacs`) declares the fields affine.
+    `VectorFieldSet.fused` takes the fused form.
     """
 
     __slots__ = ("_fields", "_jacobians", "_evals", "_jacs", "d", "ell", "fd_step", "jac_mode",
@@ -107,6 +111,10 @@ class VectorFieldSet:
         )
         self._evals, self._jacs = evals, jacs
         self.jac_mode = jac_mode or self.jac_mode
+        if self.jac_mode == "affine":
+            if jacs is None:
+                raise InvalidParameter('jac_mode "affine" needs one Jacobian per field')
+            self._read_generators()
 
     @classmethod
     def fused(cls, fields, ell, d, jacobians=None, fd_step=1e-5):
@@ -123,8 +131,8 @@ class VectorFieldSet:
     @classmethod
     def affine(cls, A, b=None):
         """The fused set of ell affine fields V_i(y) = A_i y + b_i on R^d, from finite A
-        (ell, d, d) and b (ell, d), zero if omitted; its Jacobian is the constant A.  It
-        keeps G_i = [[A_i, b_i], [0, 0]], (ell, d+1, d+1), in `generators`, None elsewhere."""
+        (ell, d, d) and b (ell, d), zero if omitted; its Jacobian is the constant A.  It keeps
+        G_i = [[A_i, b_i], [0, 0]], (ell, d+1, d+1), in `generators`, None if not affine."""
         A = finite(np.array(A, dtype=float), "matrices A")
         if A.ndim != 3 or A.shape[1] != A.shape[2]:
             raise DimensionMismatch(f"A must have shape (ell, d, d), got {A.shape}")
@@ -135,9 +143,16 @@ class VectorFieldSet:
         cat = A.transpose(2, 0, 1).reshape(d, ell * d)  # x @ cat = [A_1 x, ..., A_ell x]
         self = cls.fused(lambda x: (x @ cat).reshape(x.shape[:-1] + (ell, d)) + b, ell, d,
                          lambda x: A)
-        self.generators = np.zeros((self.ell, d + 1, d + 1))
-        self.generators[:, :d, :d], self.generators[:, :d, d] = A, b
+        self.jac_mode = "affine"
+        self._read_generators()
         return self
+
+    def _read_generators(self):
+        """Keep G_i = [[DV_i, V_i(0)], [0, 0]] of a set declared affine, read at the origin."""
+        zero, d = np.zeros(self.d), self.d
+        self.generators = np.zeros((self.ell, d + 1, d + 1))
+        self.generators[:, :d, :d] = self.jacobians_at(zero)
+        self.generators[:, :d, d] = self.fields_at(zero)
 
     def _setup(self, fields, ell, d, jacobians, fd_step):
         self.ell, self.d = count(ell, "ell"), count(d, "d")

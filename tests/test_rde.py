@@ -177,23 +177,62 @@ def random_rows(V, n, rng, scale=0.3):
     return z, x, upper - np.swapaxes(upper, 1, 2)
 
 
+def random_affine(rng, ell=3, d=4):
+    A, b = 0.5 * rng.standard_normal((ell, d, d)), rng.standard_normal((ell, d))
+    return VectorFieldSet.affine(A, b)
+
+
+# rolling_ball and the random affine set (b != 0) take the matrix route, triple_product RK4
+STEP_SETS = [
+    lambda: rolling_ball().fields,
+    lambda: triple_product().fields,
+    lambda: random_affine(np.random.default_rng(41)),
+]
+STEP_IDS = ["rolling_ball", "triple_product", "random_affine"]
+
+
 class TestBatchedLogodeStep:
-    @pytest.mark.parametrize("builder", [rolling_ball, triple_product])
-    def test_rows_agree_with_per_point_oracle(self, builder):
-        V = builder().fields
+    @pytest.mark.parametrize(
+        "fields, area",
+        [(f, True) for f in STEP_SETS] + [(f, False) for f in STEP_SETS],
+        ids=STEP_IDS + [f"{i}_zero_area" for i in STEP_IDS],
+    )
+    def test_rows_agree_with_per_point_oracle(self, fields, area):
+        V = fields()
         z, x, a = random_rows(V, 6, np.random.default_rng(31))
+        a = a if area else np.zeros_like(a)
         got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=4)
         for n in range(6):
             want = rk4_oracle(V, z[n], x[n], a[n], 4)
             np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            # each row is bitwise its one-state call
+            one = logode_step(V, z[n], RoughIncrement(x[n], a[n]), n_sub=4)
+            np.testing.assert_array_equal(got[n], one)
 
-    def test_shared_increment_equals_its_repeated_stack(self):
-        V = triple_product().fields
+    @pytest.mark.parametrize("fields", STEP_SETS, ids=STEP_IDS)
+    def test_shared_increment_equals_its_repeated_stack(self, fields):
+        V = fields()
         z, x, a = random_rows(V, 4, np.random.default_rng(35))
         shared = logode_step(V, z, RoughIncrement(x[0], a[0]), n_sub=4)
         repeated = RoughIncrement.stack(np.tile(x[0], (4, 1)), np.tile(a[0], (4, 1, 1)))
         stacked = logode_step(V, z, repeated, n_sub=4)
         np.testing.assert_allclose(shared, stacked, rtol=1e-14, atol=1e-15)
+        for n in range(4):
+            one = logode_step(V, z[n], RoughIncrement(x[0], a[0]), n_sub=4)
+            np.testing.assert_array_equal(shared[n], one)
+
+    def test_tends_to_the_exponential_of_the_frozen_matrix(self):
+        # the matrix route is RK4 on [y; 1]' = M [y; 1]: fourth order towards expm(M)
+        rng = np.random.default_rng(43)
+        V = random_affine(rng)
+        z, x, a = random_rows(V, 1, rng, scale=0.6)
+        G = V.generators
+        frozen = np.einsum("i,iab->ab", x[0], G) + np.einsum("jk,kab,jbc->ac", a[0], G, G)
+        want = (expm(frozen) @ np.append(z[0], 1.0))[:-1]
+        inc = RoughIncrement(x[0], a[0])
+        errors = [np.abs(logode_step(V, z[0], inc, 2**k) - want).max() for k in range(7)]
+        assert all(e1 > 10.0 * e2 for e1, e2 in zip(errors, errors[1:]))  # fourth order
+        assert errors[-1] < 1e-8
 
     def test_finite_difference_jacobians_go_through_the_stack(self):
         V = VectorFieldSet(triple_product().fields._evals, d=3)
@@ -261,57 +300,6 @@ class TestBatchedLogodeStep:
         z, x, a = random_rows(V, 4, np.random.default_rng(37))
         with pytest.raises(DimensionMismatch, match=f"{what} returned shape"):
             logode_step(bad, z, RoughIncrement.stack(x, a), n_sub=2)
-
-
-def random_affine(rng, ell=3, d=4):
-    A, b = 0.5 * rng.standard_normal((ell, d, d)), rng.standard_normal((ell, d))
-    return VectorFieldSet.affine(A, b)
-
-
-class TestAffineLogodeStep:
-    """The matrix route of affine sets against the RK4 route and the exponential."""
-
-    @pytest.mark.parametrize("area", [False, True], ids=["zero_area", "area"])
-    def test_matrix_route_agrees_with_the_rk4_route(self, area):
-        rng = np.random.default_rng(41)
-        V = random_affine(rng)
-        rk4 = VectorFieldSet.fused(V._fields, V.ell, V.d, V._jacobians)
-        assert V.generators is not None and rk4.generators is None
-        z, x, a = random_rows(V, 5, rng)
-        a = a if area else np.zeros_like(a)
-        cases = [
-            (z[0], RoughIncrement(x[0], a[0])),  # one state
-            (z, RoughIncrement(x[0], a[0])),  # a stack, one shared increment
-            (z, RoughIncrement.stack(x, a)),  # a stack, one increment per row
-        ]
-        for y, inc in cases:
-            got, want = logode_step(V, y, inc, n_sub=4), logode_step(rk4, y, inc, n_sub=4)
-            assert got.shape == want.shape == y.shape
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_rows_are_bitwise_their_one_row_calls(self):
-        rng = np.random.default_rng(42)
-        V = random_affine(rng)
-        z, x, a = random_rows(V, 6, rng)
-        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=8)
-        shared = logode_step(V, z, RoughIncrement(x[0], a[0]), n_sub=8)
-        for n in range(6):
-            one = logode_step(V, z[n], RoughIncrement(x[n], a[n]), n_sub=8)
-            np.testing.assert_array_equal(got[n], one)
-            one = logode_step(V, z[n], RoughIncrement(x[0], a[0]), n_sub=8)
-            np.testing.assert_array_equal(shared[n], one)
-
-    def test_tends_to_the_exponential_of_the_frozen_matrix(self):
-        rng = np.random.default_rng(43)
-        V = random_affine(rng)
-        z, x, a = random_rows(V, 1, rng, scale=0.6)
-        G = V.generators
-        frozen = np.einsum("i,iab->ab", x[0], G) + np.einsum("jk,kab,jbc->ac", a[0], G, G)
-        want = (expm(frozen) @ np.append(z[0], 1.0))[:-1]
-        inc = RoughIncrement(x[0], a[0])
-        errors = [np.abs(logode_step(V, z[0], inc, 2**k) - want).max() for k in range(7)]
-        assert all(e1 > 10.0 * e2 for e1, e2 in zip(errors, errors[1:]))  # fourth order
-        assert errors[-1] < 1e-8
 
 
 class TestSolve:

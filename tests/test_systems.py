@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rdeinv.errors import DimensionMismatch, DomainViolation
+from rdeinv.rde import logode_step
+from rdeinv.roughpath import RoughIncrement
 from rdeinv.systems import (
     ROLLING_BALL_A1,
     ROLLING_BALL_A2,
@@ -81,17 +83,27 @@ SIX_IDS = ["rolling_ball", "unicycle", "cvt", "triple_product", "kohn", "constan
 @pytest.mark.parametrize("builder", SIX_SYSTEMS, ids=SIX_IDS)
 def test_fused_evaluation_equals_the_list_form_adapter(builder):
     # the per-field callables are slices of the fused ones; stacking them back
-    # through the list-form adapter must give the same bits
+    # through the list-form adapter must give the same bits, and an affine
+    # set rebuilt so must keep its generators and its log-ODE matrix route
     sys = builder()
     V = sys.fields
     listed = VectorFieldSet(V._evals, V.d, jacs=V._jacs, fd_step=V.fd_step, jac_mode=V.jac_mode)
-    assert listed.jac_mode == V.jac_mode == "analytic"
+    affine = sys.name in ("rolling_ball", "kohn", "constant_2_3")
+    assert listed.jac_mode == V.jac_mode == ("affine" if affine else "analytic")
+    if affine:
+        assert_bitwise(V.generators, listed.generators)
+    else:
+        assert V.generators is None and listed.generators is None
     rng = np.random.default_rng(29)
     name = "kohn" if sys.name.startswith("kohn") else sys.name
     stack = np.array([random_domain_point(name, rng)[: V.d] for _ in range(6)])
     for x in (stack, stack[0]):
         assert_bitwise(V.fields_at(x), listed.fields_at(x))
         assert_bitwise(V.jacobians_at(x), listed.jacobians_at(x))
+    x = 0.1 * rng.standard_normal((6, V.ell))
+    upper = np.triu(0.1 * rng.standard_normal((6, V.ell, V.ell)), 1)
+    inc = RoughIncrement.stack(x, upper - np.swapaxes(upper, 1, 2))
+    assert_bitwise(logode_step(V, stack, inc, n_sub=4), logode_step(listed, stack, inc, n_sub=4))
 
 
 @pytest.mark.parametrize("builder", SIX_SYSTEMS, ids=SIX_IDS)

@@ -228,7 +228,7 @@ class TestAffine:
         rng = np.random.default_rng(44)
         A, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4))
         V = VectorFieldSet.affine(A, b)
-        assert (V.ell, V.d, V.jac_mode) == (3, 4, "analytic")
+        assert (V.ell, V.d, V.jac_mode) == (3, 4, "affine")
         stack = rng.standard_normal((5, 4))
         for x in (stack, stack[0]):
             np.testing.assert_allclose(V.fields_at(x), np.einsum("ide,...e->...id", A, x) + b,
@@ -250,6 +250,15 @@ class TestAffine:
         assert unicycle().fields.generators is None
         assert constant_set([[1.0, 0.0]], 2).generators is None
         assert VectorFieldSet.fused(lambda x: x[..., None, :], 1, 2).generators is None
+
+    def test_list_form_declared_affine_reads_its_generators_at_the_origin(self):
+        A, b = np.array([[[0.0, 2.0], [-1.0, 0.5]]]), np.array([[3.0, -4.0]])
+        V = VectorFieldSet([lambda x: x @ A[0].T + b[0]], 2, jacs=[lambda x: A[0]],
+                           jac_mode="affine")
+        assert V.jac_mode == "affine"
+        np.testing.assert_array_equal(V.generators, VectorFieldSet.affine(A, b).generators)
+        with pytest.raises(InvalidParameter, match="affine"):
+            VectorFieldSet(V._evals, 2, jac_mode="affine")
 
     @pytest.mark.parametrize(
         "A, b, error, match",
