@@ -5,7 +5,8 @@ per row, each with exactly one finite number per header column.  Numbers are
 written with 17 significant digits, which is enough for every double to read
 back as the same bits.  The path, trajectory and observation formats are
 column layouts over this syntax; a malformed file raises InvalidParameter
-naming the file and the line.
+naming the file and the line.  A table body is formatted in one operation and
+parsed in one pass; only a malformed one is scanned line by line.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ def numbered(prefix, n):
 def write_table(file, header, data):
     """Write `header` and the rows of the 2-d array `data` (one column per name)."""
     data = np.asarray(data, dtype=float)
-    row = ",".join([_NUMBER] * len(header))
-    lines = [",".join(header)] + [row % tuple(r) for r in data.tolist()]
+    row = ",".join([_NUMBER] * len(header)) + "\n"
+    body = (row * len(data)) % tuple(data.ravel().tolist())
     with open(file, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def read_table(file):
@@ -51,17 +52,22 @@ def read_table(file):
     if len(lines) < 2:
         raise InvalidParameter(f"{file}:1: expected a header line and at least one data row")
     header = [name.strip() for name in lines[0].split(",")]
-    data = np.empty((len(lines) - 1, len(header)))
-    for r, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise InvalidParameter(
-                f"{file}:{r + 2}: {len(cells)} cells, the header has {len(header)}"
-            )
-        try:
-            data[r] = [float(cell) for cell in cells]
-        except ValueError as exc:
-            raise InvalidParameter(f"{file}:{r + 2}: {exc}") from None
+    body, commas = lines[1:], len(header) - 1
+    try:
+        if any(line.count(",") != commas for line in body):
+            raise ValueError
+        data = np.array([float(cell) for cell in ",".join(body).split(",")]).reshape(len(body), -1)
+    except ValueError:  # scan line by line for the first bad one
+        for r, line in enumerate(body):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise InvalidParameter(
+                    f"{file}:{r + 2}: {len(cells)} cells, the header has {len(header)}"
+                ) from None
+            try:
+                [float(cell) for cell in cells]
+            except ValueError as exc:
+                raise InvalidParameter(f"{file}:{r + 2}: {exc}") from None
     nonfinite = np.argwhere(~np.isfinite(data))
     if nonfinite.size:
         r, col = nonfinite[0]

@@ -5,11 +5,11 @@ plus second-level correction) on one state, and the log-ODE step (time-1 RK4
 flow of the frozen field built from the increment and the field brackets),
 which moves one state or an (N, d) stack of states in lockstep, each row with
 its own increment; for an affine field set it is one matrix per row, applied
-once per substep.  One grid integrator drives both entry points: `solve`
-steps one state along a path and keeps every grid state, and flow
-observation stacks every base point, every driver path and every observation
-interval into one log-ODE run and keeps the states at the interval ends.
-All functions are pure.
+once per substep.  `solve` steps one state along a path and keeps every grid
+state, by euler2 in one loop over precomputed second levels; flow observation
+stacks every base point, every driver path and every observation interval
+into one log-ODE run, the grid integrator of log-ODE solves, and keeps the
+states at the interval ends.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -83,13 +83,23 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
 
     XX is the full second level 0.5*outer(x_inc, x_inc) + a, and V_i V_j is
     entry [i, j] of `VectorFieldSet.compositions`, DV_j V_i, paired with XX.
-    x is one state (d,) and inc one increment; stacks are rejected.
+    x is one state (d,) and inc one increment; stacks are rejected.  This is
+    one pass of the loop over precomputed second levels that `solve` runs.
     """
     x = _check_step(V, x, inc)
     if x.ndim != 1:
         raise DimensionMismatch(f"euler2_step takes one state of shape ({V.d},), got {x.shape}")
-    fields, comps = V.compositions(x)
-    return x + inc.x @ fields + inc.second_level.ravel() @ comps.reshape(-1, V.d)
+    return _euler2_states(V, x, inc.x[None], inc.second_level.reshape(1, -1))[0]
+
+
+def _euler2_states(V: VectorFieldSet, z, x, xx):
+    """The euler2 states after each step from the checked state z, with no per-step check:
+    x (steps, ell) holds the level-1 increments, xx (steps, ell * ell) the second levels."""
+    states = np.empty((len(x), V.d))
+    for s in range(len(x)):
+        fields, comps = V._compositions(z)
+        z = states[s] = z + x[s] @ fields + xx[s] @ comps.reshape(-1, V.d)
+    return states
 
 
 def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
@@ -116,10 +126,8 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     gives the level-1 term plus the bracket term sum_k DV_k p_k.  These are ell
     Jacobian-vector products per row: on this hot path of flow observation
     and recovery the ell^2 table of `VectorFieldSet.compositions` is never
-    built.  A Jacobian that does not depend on the state, one constant
-    (ell, d, d) stack, makes one block row for all rows instead of being
-    filled out to every row.  Every product is a matmul batched over rows, so
-    each row's result is bitwise independent of the stack it rides in.
+    built.  Every product is a matmul batched over rows, so each row's result
+    is bitwise independent of the stack it rides in.
     """
     x = _check_step(V, x, inc)
     n_sub = count(n_sub, "n_sub")
@@ -131,21 +139,16 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     coef[:, 1:] = np.swapaxes(inc.a, -1, -2)
     brackets = bool(inc.a.any())
     h = 1.0 / n_sub
-    # [I | DV_1 | ... | DV_ell], one buffer per Jacobian shape seen: the
-    # identity is written once, the Jacobians at every stage
-    blocks = {}
+    # [I | DV_1 | ... | DV_ell] per row; the Jacobians are written at every stage
+    blocks = np.empty((n, V.d, 1 + ell, V.d))
+    blocks[..., 0, :] = np.eye(V.d)
+    flat = blocks.reshape(n, V.d, -1)
 
     def w(y):
-        g = coef @ V._at(y, full=False)  # rows: the level-1 term, then p_1 .. p_ell
+        g = coef @ V._at(y)  # rows: the level-1 term, then p_1 .. p_ell
         if not brackets:
             return g[:, 0]
-        jacs = V._at(y, jacobians=True, full=False)
-        if jacs.shape not in blocks:
-            m = np.empty(jacs.shape[:-3] + (V.d, 1 + ell, V.d))
-            m[..., 0, :] = np.eye(V.d)
-            blocks[jacs.shape] = m, m.reshape(m.shape[:-2] + (-1,))
-        m, flat = blocks[jacs.shape]
-        m[..., 1:, :] = jacs.swapaxes(-3, -2)
+        blocks[..., 1:, :] = V._at(y, jacobians=True).swapaxes(-3, -2)
         return (flat @ g.reshape(n, -1, 1))[..., 0]
 
     with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
@@ -185,17 +188,11 @@ def _affine_substeps(G, z, coef, h, n_sub):
 _STEPPERS = {"euler2": euler2_step, "logode": logode_step}
 
 
-def _lockstep(V: VectorFieldSet, z, x, a, method, n_sub):
-    """Step z, one (d,) state or an (N, d) stack, along the grid-step data x[s], a[s].
-
-    Takes one _STEPPERS[method] step per grid step and yields the state after
-    each.  The data comes from validated GridRoughPaths, so its increments
-    skip the checks.
-    """
-    step = _STEPPERS[method]
-    extra = (n_sub,) if method == "logode" else ()
+def _lockstep(V: VectorFieldSet, z, x, a, n_sub):
+    """Yield z, one (d,) state or an (N, d) stack, after a log-ODE step along each grid
+    step x[s], a[s]; the data comes from validated GridRoughPaths and skips the checks."""
     for xs, as_ in zip(x, a):
-        z = step(V, z, RoughIncrement._trusted(xs, as_), *extra)
+        z = logode_step(V, z, RoughIncrement._trusted(xs, as_), n_sub)
         yield z
 
 
@@ -204,7 +201,7 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
 
     Applies the chosen one-step scheme to the stored per-step increments;
     states[0] is x0.  n_sub, the log-ODE substep count, must be an integer
-    >= 1 whatever the method.
+    >= 1 whatever the method.  By euler2 it is bitwise a loop of `euler2_step`.
     """
     if method not in _STEPPERS:
         raise InvalidParameter(f"method must be one of {sorted(_STEPPERS)}, got {method!r}")
@@ -213,8 +210,16 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     if x0.shape != (V.d,):
         raise DimensionMismatch(f"x0 must have shape {(V.d,)}, got {x0.shape}")
     finite(x0, "x0")
-    steps = _lockstep(V, x0, np.diff(path.values, axis=0), path.step_areas, method, n_sub)
-    return Trajectory(path.times.copy(), [x0, *steps])
+    if path.ell != V.ell:
+        raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
+    dx = np.diff(path.values, axis=0)
+    if method == "euler2":
+        xx = RoughIncrement._trusted(dx, path.step_areas).second_level.reshape(path.n, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # the trajectory raises NonFinite
+            steps = _euler2_states(V, x0, dx, xx)
+    else:
+        steps = list(_lockstep(V, x0, dx, path.step_areas, n_sub))
+    return Trajectory(path.times.copy(), np.vstack([x0, steps]))
 
 
 def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=4):
@@ -265,7 +270,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     a = np.repeat(a.reshape(span, -1, V.ell, V.ell), c, axis=1)
     z = np.tile(points, (len(paths) * len(lengths), 1))
     ends = {j - i for i, j in pairs}
-    steps = enumerate(_lockstep(V, z, x, a, "logode", n_internal * n_sub), 1)
+    steps = enumerate(_lockstep(V, z, x, a, n_internal * n_sub), 1)
     at_step = {s: zs.reshape(len(paths), len(lengths), c, V.d) for s, zs in steps if s in ends}
     starts = list(lengths)
     return [

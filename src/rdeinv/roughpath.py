@@ -279,6 +279,18 @@ def sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     length.  Deterministic given the seed; `sample_brownian_lift` coarsens this
     exact path, so the two share their increments on the coarse grid.
     """
+    n = count(n_coarse, "n_coarse") * count(n_fine, "n_fine")
+    return sample_brownian_lift(ell, n, 1, horizon, seed)
+
+
+def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
+    """Brownian rough path on the coarse grid.
+
+    Each coarse step carries the area the fine polygonal approximation swept:
+    bitwise `coarsen(sample_brownian_fine(...), n_fine)`, with the prefix sums
+    and Chen inverse of `GridRoughPath` taken straight from the fine samples.
+    alpha defaults to 0.4.
+    """
     ell, n_coarse, n_fine = count(ell, "ell"), count(n_coarse, "n_coarse"), count(n_fine, "n_fine")
     horizon = positive(horizon, "horizon")
     rng = np.random.default_rng(seed)
@@ -287,18 +299,18 @@ def sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     steps = rng.standard_normal((n, ell)) * np.sqrt(dt)
     values = np.vstack([np.zeros(ell), np.cumsum(steps, axis=0)])
     times = np.linspace(0.0, horizon, n + 1)
-    return GridRoughPath(times, values, None, alpha=0.4)
-
-
-def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
-    """Brownian rough path on the coarse grid.
-
-    The fine polygonal approximation is lifted and then coarsened by Chen
-    composition, so each coarse step carries the area the fine path actually
-    swept.  alpha defaults to 0.4.
-    """
-    fine = sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed)
-    return coarsen(fine, n_fine)
+    if n_fine == 1:
+        return GridRoughPath(times, values, None, alpha=0.4)
+    i, j = np.arange(0, n, n_fine), np.arange(n_fine, n + 1, n_fine)
+    x0, dx = values[:-1] - values[0], np.diff(values, axis=0)
+    areas, prefix = _cross(values[i] - values[0], values[j] - values[i]), np.zeros(n + 1)
+    for p, q in zip(*np.nonzero(~np.eye(ell, dtype=bool))):  # GridRoughPath's prefix, pair by pair
+        steps = x0[:, p] * dx[:, q]
+        steps -= x0[:, q] * dx[:, p]
+        steps *= 0.5
+        np.cumsum(steps, out=prefix[1:])
+        areas[:, p, q] = prefix[j] - prefix[i] - areas[:, p, q]
+    return GridRoughPath(times[::n_fine], values[::n_fine], areas, alpha=0.4)
 
 
 def area_components(a):

@@ -174,14 +174,12 @@ class VectorFieldSet:
             if not (is_int(i) and 0 <= i < self.ell):
                 raise IndexOutOfRange(f"field index {i!r} is not an integer in [0, {self.ell})")
 
-    def _at(self, x, jacobians=False, full=True):
+    def _at(self, x, jacobians=False):
         """Field values (..., ell, d) or Jacobians (..., ell, d, d) at a (d,) state
         or (N, d) stack x that the caller has already checked.
 
-        Every evaluator result is shape-checked.  With `full` false, a result
-        that lacks only the row axis, such as one constant (ell, d, d) stack,
-        is returned unbroadcast, ready for matmul broadcasting; any other
-        result short of the full shape is filled out to it.
+        Every evaluator result is shape-checked, and a result that only
+        broadcasts to the full shape is filled out to it.
         """
         if not jacobians:
             out, what, tail = self._fields(x), "fields", (self.ell, self.d)
@@ -193,7 +191,7 @@ class VectorFieldSet:
                 out = self._jacobians(x)
         shape = x.shape[:-1] + tail
         out = _checked(out, shape, what)
-        if out.shape != shape and (full or out.shape != tail):
+        if out.shape != shape:
             out, part = np.empty(shape), out
             out[...] = part
         return out
@@ -219,7 +217,10 @@ class VectorFieldSet:
     def compositions(self, x):
         """Fields (..., ell, d) and the table (..., ell, ell, d) of V_jV_k = DV_k V_j
         at [j, k], at a (d,) state or an (N, d) stack; one evaluation of each kind."""
-        x = self._states(x)
+        return self._compositions(self._states(x))
+
+    def _compositions(self, x):
+        """`compositions` at a state or stack x that the caller has already checked."""
         fields = self._at(x)
         return fields, np.einsum("...kde,...je->...jkd", self._at(x, jacobians=True), fields)
 

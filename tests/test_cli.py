@@ -188,6 +188,23 @@ class TestLiftSolveRoundTrip:
         from_file = read_trajectory_csv(traj_file)
         assert np.array_equal(from_file.states, direct.states)
 
+    def test_euler2_overflow_is_numerical_error_not_a_warning(self, capsys, tmp_path):
+        # the triple-product state overflows; under warnings-as-errors this
+        # used to end in a RuntimeWarning traceback from the field evaluation
+        path_file, traj_file = tmp_path / "big.csv", tmp_path / "t.csv"
+        code, _, _ = run(
+            capsys, "lift", "--driver", "brownian", "--ell", "3", "--seed", "1",
+            "--n-coarse", "64", "--n-fine", "2", "--horizon", "50", "--out", str(path_file),
+        )
+        assert code == 0
+        code, out, _ = run(
+            capsys, "solve", "--system", "triple_product", "--path", str(path_file),
+            "--method", "euler2", "--x0", "3,3,3", "--out", str(traj_file),
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NonFinite"
+        assert not traj_file.exists()
+
     def test_file_driver_keeps_the_samples_and_drops_the_areas(self, capsys, tmp_path):
         given, lifted = tmp_path / "bm.csv", tmp_path / "lifted.csv"
         run(capsys, "lift", "--driver", "brownian", "--seed", "3", "--n-coarse", "8",

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdeinv.cli import main
-from rdeinv.io import numbered, write_table
+from rdeinv.errors import InvalidParameter
+from rdeinv.io import numbered, read_table, write_table
 from rdeinv.rde import ObservationSet, Trajectory, read_trajectory_csv, write_trajectory_csv
 from rdeinv.reconstruct import read_observations_csv, write_observations_csv
 from rdeinv.roughpath import (
@@ -113,6 +114,91 @@ def test_observation_csv_roundtrip_bitwise(data):
     assert [(o.s, o.t) for o in back] == [(o.s, o.t) for o in want]
     for a, b in zip(back, want):
         assert same_bits(a.base_points, b.base_points) and same_bits(a.observed, b.observed)
+
+
+# ---------------------------------------------------------------------------
+# the table syntax: bulk formatting and parsing against row-by-row references
+
+# -0.0, the smallest subnormal and normal, the largest finite magnitudes, and integers
+table_cells = st.one_of(
+    finite,
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.integers(-(2**63), 2**63).map(float),
+)
+
+
+@PROPERTY
+@given(st.data())
+def test_write_table_bytes_equal_per_row_formatting(data):
+    rows = data.draw(st.integers(0, 6))
+    cols = data.draw(st.integers(1, 4))
+    values = matrix(data.draw, rows, cols, table_cells)
+    header = numbered("c", cols)
+    want = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in values.tolist()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "table.csv"
+        write_table(file, header, values)
+        assert file.read_bytes() == want.encode()
+        if rows:
+            back_header, back = read_table(file)
+            assert back_header == header and same_bits(back, values)
+
+
+def line_by_line_error(file):
+    """The message of a row-by-row read of a damaged table: the first line with a wrong cell
+    count or an unparsable cell, else the first non-finite cell in row-major order."""
+    lines = Path(file).read_text().splitlines()
+    header = lines[0].split(",")
+    rows = []
+    for r, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return f"{file}:{r + 2}: {len(cells)} cells, the header has {len(header)}"
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            return f"{file}:{r + 2}: {exc}"
+    for r, row in enumerate(rows):
+        for col, v in enumerate(row):
+            if not np.isfinite(v):
+                return f"{file}:{r + 2}: non-finite value in column {header[col]!r}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("0,1\n1,2,3\n2,3\n", 3, "3 cells, the header has 2"),
+        ("0,1\n1,2\n2,x\n", 4, "could not convert string to float: 'x'"),
+        ("0,1\n1,2,\n", 3, "3 cells, the header has 2"),
+        ("0,1\n\n2,3\n", 3, "1 cells, the header has 2"),
+        ("0,1\n1,inf\n2,3\n", 3, "non-finite value in column 'X1'"),
+        ("0,1\n1,2e\n2,3,4\n", 3, "could not convert string to float: '2e'"),
+        ("0,1\n1,2\n2,3,4\n3,x\n", 4, "3 cells, the header has 2"),
+        ("0,1\n1,2,3\n4\n", 3, "3 cells, the header has 2"),
+    ],
+    ids=["cell_count", "unparsable", "trailing_comma", "blank_middle_line", "non_finite",
+         "bad_cell_above_wrong_count", "wrong_count_above_bad_cell", "counts_that_balance"],
+)
+def test_read_table_names_the_first_bad_line(tmp_path, body, line, message):
+    file = tmp_path / "bad.csv"
+    file.write_text("t,X1\n" + body)
+    want = f"{file}:{line}: {message}"
+    assert line_by_line_error(file) == want
+    with pytest.raises(InvalidParameter) as err:
+        read_table(file)
+    assert str(err.value) == want
+
+
+def test_read_table_blank_middle_line_of_one_column(tmp_path):
+    file = tmp_path / "bad.csv"
+    file.write_text("t\n0\n\n1\n")
+    with pytest.raises(InvalidParameter) as err:
+        read_table(file)
+    assert str(err.value) == line_by_line_error(file) == f"{file}:3: could not convert string to float: ''"
 
 
 # ---------------------------------------------------------------------------

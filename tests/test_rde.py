@@ -266,7 +266,7 @@ class TestBatchedLogodeStep:
 
     @pytest.mark.parametrize("per_field", [True, False], ids=["one_per_field", "one_for_all"])
     def test_constant_jacobian_steps_bitwise_as_its_filled_stack(self, per_field):
-        if per_field:  # rolling_ball: one constant (ell, d, d) stack, used unbroadcast
+        if per_field:  # rolling_ball: one constant (ell, d, d) stack
             V = rolling_ball().fields
             const = V.jacobians_at(np.zeros(V.d))
         else:  # V_k(x) = B x + c_k: one (d, d) matrix for every field, filled out
@@ -277,8 +277,6 @@ class TestBatchedLogodeStep:
         full = lambda x: np.broadcast_to(const, x.shape[:-1] + (V.ell, V.d, V.d)).copy()
         filled = VectorFieldSet.fused(V.fields_at, V.ell, V.d, full)
         z, x, a = random_rows(V, 5, np.random.default_rng(36))
-        kept = shared._at(z, jacobians=True, full=False).shape
-        assert kept == ((V.ell, V.d, V.d) if per_field else (5, V.ell, V.d, V.d))
         for inc in (RoughIncrement.stack(x, a), RoughIncrement(x[0], a[0])):
             np.testing.assert_array_equal(
                 logode_step(shared, z, inc, n_sub=4), logode_step(filled, z, inc, n_sub=4)
@@ -300,6 +298,28 @@ class TestBatchedLogodeStep:
         z, x, a = random_rows(V, 4, np.random.default_rng(37))
         with pytest.raises(DimensionMismatch, match=f"{what} returned shape"):
             logode_step(bad, z, RoughIncrement.stack(x, a), n_sub=2)
+
+
+def _one_for_all_jacobian():
+    # V_k(x) = B x + c_k: the Jacobian evaluator returns one (d, d) matrix for every row and field
+    rng = np.random.default_rng(38)
+    const, c = 0.5 * rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+    return VectorFieldSet.fused(lambda x: (x @ const.T)[..., None, :] + c, 2, 3, lambda x: const)
+
+
+LOOP_SETS = {  # name -> (field set, start state)
+    "rolling_ball": lambda: (rolling_ball().fields, np.eye(3).ravel()),
+    "unicycle": lambda: (unicycle().fields, np.array([0.1, -0.2, 0.3])),
+    "triple_product": lambda: (triple_product().fields, np.array([0.3, -0.2, 0.5])),
+    "list_form": lambda: (
+        VectorFieldSet(triple_product().fields._evals, 3, jacs=triple_product().fields._jacs),
+        np.array([0.3, -0.2, 0.5]),
+    ),
+    "finite_difference": lambda: (
+        VectorFieldSet(triple_product().fields._evals, 3), np.array([0.3, -0.2, 0.5])
+    ),
+    "broadcastable": lambda: (_one_for_all_jacobian(), np.array([0.1, 0.4, -0.3])),
+}
 
 
 class TestSolve:
@@ -335,20 +355,38 @@ class TestSolve:
         slope = fit_slope([2 * np.pi / n for n in (32, 64, 128)], gaps)
         assert slope >= 1.5
 
-    @pytest.mark.parametrize("method", ["euler2", "logode"])
-    def test_equals_a_loop_of_single_steps(self, method):
+    @pytest.mark.parametrize(
+        "method, fields",
+        [("euler2", "rolling_ball"), ("logode", "rolling_ball")]
+        + [("euler2", name) for name in LOOP_SETS if name != "rolling_ball"],
+        ids=["euler2", "logode"] + [f"euler2-{name}" for name in LOOP_SETS if name != "rolling_ball"],
+    )
+    def test_equals_a_loop_of_single_steps(self, method, fields):
         # bitwise: solve is the stepper applied to each stored grid step in turn
-        sys = rolling_ball()
-        path = sample_brownian_lift(2, 16, 4, 1.0, seed=9)
-        traj = solve(sys.fields, np.eye(3).ravel(), path, method=method, n_sub=3)
-        z, dx = np.eye(3).ravel(), np.diff(path.values, axis=0)
+        V, x0 = LOOP_SETS[fields]()
+        path = sample_brownian_lift(V.ell, 16, 4, 1.0, seed=9)
+        traj = solve(V, x0, path, method=method, n_sub=3)
+        z, dx = x0, np.diff(path.values, axis=0)
         for i in range(path.n):
             inc = RoughIncrement(dx[i], path.step_areas[i])
             if method == "euler2":
-                z = euler2_step(sys.fields, z, inc)
+                z = euler2_step(V, z, inc)
             else:
-                z = logode_step(sys.fields, z, inc, n_sub=3)
+                z = logode_step(V, z, inc, n_sub=3)
             np.testing.assert_array_equal(traj.states[i + 1], z)
+
+    @pytest.mark.parametrize("method", ["euler2", "logode"])
+    def test_path_and_fields_must_share_ell(self, method):
+        path = sample_brownian_lift(3, 4, 2, 1.0, seed=3)
+        with pytest.raises(DimensionMismatch, match="path has ell=3"):
+            solve(unicycle().fields, np.zeros(3), path, method=method)
+
+    def test_euler2_blowup_is_non_finite_not_a_warning(self):
+        # the state overflows within the first steps; no numpy warning escapes the loop
+        V = triple_product().fields
+        path = sample_brownian_lift(3, 64, 2, 50.0, seed=1)
+        with pytest.raises(NonFinite, match="trajectory contains non-finite states"):
+            solve(V, np.full(3, 3.0), path, method="euler2")
 
     @pytest.mark.parametrize("builder", [rolling_ball, unicycle])
     def test_logode_solve_equals_one_substep_observation(self, builder):

@@ -325,6 +325,17 @@ class TestBrownian:
         assert np.array_equal(coarse.values, again.values)
         assert np.array_equal(coarse.step_areas, again.step_areas)
 
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_fine", [1, 2, 3, 8])
+    def test_lift_is_bitwise_the_coarsened_fine_lift(self, ell, n_fine):
+        # the coarse areas are formed straight from the fine samples, sign of zero included
+        for seed, n_coarse, horizon in [(0, 1, 1.0), (1, 16, 50.0), (2, 33, 1e-3)]:
+            coarse = sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed)
+            again = coarsen(sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed), n_fine)
+            for attr in ("times", "values", "step_areas"):
+                assert getattr(coarse, attr).tobytes() == getattr(again, attr).tobytes(), attr
+            assert coarse.alpha == again.alpha
+
     def test_one_dimensional_has_no_area(self):
         path = sample_brownian_lift(1, 8, 8, 1.0, seed=0)
         assert np.all(path.step_areas == 0)
