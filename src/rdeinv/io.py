@@ -42,7 +42,7 @@ def read_table(file):
 
     Every data row must have one cell per header name, every cell must parse
     as a finite float, and at least one data row must follow the header.
-    Line k of the file is data row k - 2.
+    Line k of the file is data row k - 2; an error names the first bad line.
     """
     try:
         with open(file, "r") as fh:
@@ -57,6 +57,8 @@ def read_table(file):
         if any(line.count(",") != commas for line in body):
             raise ValueError
         data = np.array([float(cell) for cell in ",".join(body).split(",")]).reshape(len(body), -1)
+        if not np.all(np.isfinite(data)):
+            raise ValueError
     except ValueError:  # scan line by line for the first bad one
         for r, line in enumerate(body):
             cells = line.split(",")
@@ -65,14 +67,12 @@ def read_table(file):
                     f"{file}:{r + 2}: {len(cells)} cells, the header has {len(header)}"
                 ) from None
             try:
-                [float(cell) for cell in cells]
+                row = np.array([float(cell) for cell in cells])
             except ValueError as exc:
                 raise InvalidParameter(f"{file}:{r + 2}: {exc}") from None
-    nonfinite = np.argwhere(~np.isfinite(data))
-    if nonfinite.size:
-        r, col = nonfinite[0]
-        raise InvalidParameter(
-            f"{file}:{r + 2}: non-finite value in column {header[col]!r}"
-        )
+            if not np.all(np.isfinite(row)):
+                name = header[np.argmin(np.isfinite(row))]
+                raise InvalidParameter(
+                    f"{file}:{r + 2}: non-finite value in column {name!r}"
+                ) from None
     return header, data
-

@@ -10,7 +10,7 @@ bracket values at the base points has rank m.
 Each interval's recovery is written once, for one problem, as a generator:
 set-up at its base points, rank test, solve and result.  `reconstruct_many`
 runs one per interval in lockstep, and each round pushes the flow images
-that all of them ask for, residuals and finite-difference probes alike,
+that all of them ask for, each trial point with its finite-difference probes,
 through one log-ODE run.  The greedy point search evaluates all candidates of
 a round as one stack and scores them with one batched SVD.  All operations
 are pure.
@@ -208,20 +208,19 @@ def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     return _local_problem(V, points, tol_rel)[-2:]
 
 
-def _one_problem(residual, jacobian, theta, max_iter, tol):
+def _one_problem(model, theta, max_iter, tol, floor):
     """Gauss-Newton with Levenberg damping on one problem 0.5*|r|^2, as a generator.
 
-    residual(theta) and jacobian(theta) are generator functions that return
-    the model's value there, (n,) or (n, m); whatever they yield passes
-    through to the driver.  It returns (theta, iterations, r) once its
-    proposed step norm drops below tol, and raises NotConverged when the
-    iteration budget is exhausted or no damped step decreases its cost.
+    model(theta) is a generator function that returns the residual (n,) and
+    Jacobian (n, m) there; whatever it yields passes through to the driver.
+    It returns (theta, iterations, r) once a proposed step is shorter than
+    tol, or a rejected one no longer than floor*|theta|; it raises NotConverged
+    when the iteration budget is exhausted or no damped step decreases its cost.
     """
-    r = yield from residual(theta)
+    r, jac = yield from model(theta)
     cost = float(r @ r)
     lam = 1e-8
     for it in range(1, max_iter + 1):
-        jac = yield from jacobian(theta)
         grad = jac.T @ r
         hess = jac.T @ jac
         for _ in range(40):
@@ -230,19 +229,22 @@ def _one_problem(residual, jacobian, theta, max_iter, tol):
             except np.linalg.LinAlgError:
                 lam = max(lam, 1e-14) * 10.0
                 continue
-            if float(np.linalg.norm(delta)) < tol:
+            step = float(np.linalg.norm(delta))
+            if step < tol:
                 return theta, it, r
-            r_new = yield from residual(theta + delta)
+            r_new, jac_new = yield from model(theta + delta)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
                 break
+            if step <= floor * float(np.linalg.norm(theta)):
+                return theta, it, r
             lam = max(lam, 1e-14) * 10.0
             if lam > 1e12:
                 raise NotConverged(f"no acceptable damped step at iteration {it}")
         else:
             raise NotConverged(f"no acceptable damped step at iteration {it}")
         theta = theta + delta
-        r, cost = r_new, cost_new
+        r, jac, cost = r_new, jac_new, cost_new
         lam *= 0.1
     raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
 
@@ -340,31 +342,26 @@ def _recovery(V: VectorFieldSet, obs: ObservationSet, method, max_iter, tol, fd_
 
     if method == "taylor":
         sym = comps + np.swapaxes(comps, 1, 2)  # sym[c,i,j] = V_iV_j + V_jV_i
+        floor = 0.0  # the Jacobian is exact
 
-        def residual(theta):
+        def model(theta):
             yield from ()  # a generator, as `_one_problem` needs, that never yields
             images = _taylor_images(base, fields, brackets, comps, theta[:ell], theta[ell:])
-            return images.ravel() - target
-
-        def jacobian(theta):
-            yield from ()
             jac = rm.mat.copy()
             jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", theta[:ell], sym).reshape(-1, ell)
-            return jac
+            return images.ravel() - target, jac
 
     else:
+        floor = np.sqrt(np.finfo(float).eps)  # the accuracy of a central difference
+        m = rm.m
+        shifts = fd_step * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
 
-        def residual(theta):
-            images = yield base, theta[None]
-            return images[0] - target
+        def model(theta):
+            # theta itself, then the 2m central-difference probes, in one request
+            images = yield base, theta + shifts
+            return images[0] - target, (images[1 : m + 1] - images[m + 1 :]).T / (2.0 * fd_step)
 
-        def jacobian(theta):
-            # central differences: all 2m probes in one request
-            m = theta.size
-            images = yield base, theta + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
-            return (images[:m] - images[m:]).T / (2.0 * fd_step)
-
-    theta, iterations, r = yield from _one_problem(residual, jacobian, theta0, max_iter, tol)
+    theta, iterations, r = yield from _one_problem(model, theta0, max_iter, tol, floor)
     return _result_from(theta, iterations, r, V, obs, eps1, eps2, method)
 
 
@@ -377,8 +374,11 @@ def reconstruct_many(
     matrix plus the A-linear correction 0.5*(A^i V_i V_j + A^j V_j V_i) as
     Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
     Jacobian from central finite differences of step fd_step.  Both start
-    from A fitted by linear least squares against the field columns, B = 0.
-    max_iter and n_sub must be integers >= 1, tol and fd_step in (0, inf).
+    from A fitted by linear least squares against the field columns, B = 0,
+    and stop once the step norm is below tol; "flow" also stops at a rejected
+    step no longer than sqrt(eps)*|(A, B)|, its Jacobian's accuracy.  A flow
+    trial point is one request, images and 2m probes, so a failing probe fails
+    its set.  max_iter and n_sub must be integers >= 1, tol, fd_step in (0, inf).
 
     Sets that share their base-point shape are recovered in lockstep, one
     log-ODE run per round for the flow images they all ask for.  Every result
@@ -417,8 +417,8 @@ def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet, max_iter=50
 def local_reconstruct_flow(
     V: VectorFieldSet, obs: ObservationSet, max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6
 ):
-    """Recover (A, B) by matching log-ODE flow images of the base points; see
-    `reconstruct_many`."""
+    """Recover (A, B) by matching log-ODE flow images of the base points, to
+    the accuracy of a central difference of step fd_step; see `reconstruct_many`."""
     return reconstruct_many(V, [obs], "flow", max_iter, tol, n_sub, fd_step)[0]
 
 

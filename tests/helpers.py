@@ -44,23 +44,24 @@ def chen_fold(path, i, j):
     return x_acc, a_acc
 
 
-def minimize_least_squares(residual, jacobian, theta0, max_iter, tol):
+def minimize_least_squares(model, theta0, max_iter, tol, floor=0.0):
     """Gauss-Newton with Levenberg damping on 0.5*|residual|^2, one problem.
 
     The one-problem solver that the lockstep `reconstruct_many` is checked
-    against.  Returns (theta, iterations, residual_vector); raises
-    NotConverged when the iteration budget is exhausted or no damped step
-    decreases the cost.
+    against.  model(theta) returns the residual and the Jacobian there, and
+    is called once per trial point.  Returns (theta, iterations,
+    residual_vector) when the step norm drops below tol, or when a rejected
+    damped step is no longer than floor*|theta|; raises NotConverged when the
+    iteration budget is exhausted or no damped step decreases the cost.
     """
     from rdeinv.errors import NotConverged
 
     theta = np.asarray(theta0, dtype=float).copy()
-    r = residual(theta)
+    r, jac = model(theta)
     cost = float(r @ r)
     lam = 1e-8
     n_params = theta.size
     for it in range(1, max_iter + 1):
-        jac = jacobian(theta)
         grad = jac.T @ r
         hess = jac.T @ jac
         delta = None
@@ -73,25 +74,28 @@ def minimize_least_squares(residual, jacobian, theta0, max_iter, tol):
                 continue
             if float(np.linalg.norm(delta)) < tol:
                 return theta, it, r
-            r_new = residual(theta + delta)
+            r_new, jac_new = model(theta + delta)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
                 accepted = True
                 break
+            if float(np.linalg.norm(delta)) <= floor * float(np.linalg.norm(theta)):
+                return theta, it, r
             lam = max(lam, 1e-14) * 10.0
             if lam > 1e12:
                 break
         if not accepted:
             raise NotConverged(f"no acceptable damped step at iteration {it}")
         theta = theta + delta
-        r, cost = r_new, cost_new
+        r, jac, cost = r_new, jac_new, cost_new
         lam *= 0.1
     raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
 
 
 def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6):
     """One interval's recovery by `minimize_least_squares`, with the one-problem
-    Taylor residual, analytic Jacobian and finite-difference flow Jacobian."""
+    Taylor residual and analytic Jacobian (floor 0), or the flow residual and
+    its central-difference Jacobian from one log-ODE call (floor sqrt(eps))."""
     import warnings
 
     from rdeinv import reconstruct
@@ -106,13 +110,11 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
     a0 = np.linalg.lstsq(rm.mat[:, :ell], target - base.ravel(), rcond=None)[0]
     theta0 = np.concatenate([a0, np.zeros(rm.m - ell)])
 
-    def unpack(theta):
-        return theta[:ell], area_matrix(theta[ell:], ell)
-
     if method == "taylor":
         sym = comps + np.swapaxes(comps, 1, 2)
+        floor = 0.0
 
-        def residual(theta):
+        def model(theta):
             A, bvec = theta[:ell], theta[ell:]
             out = (
                 base
@@ -120,29 +122,25 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
                 + np.einsum("p,cpd->cd", bvec, brackets)
                 + 0.5 * np.einsum("i,j,cijd->cd", A, A, comps)
             )
-            return out.ravel() - target
-
-        def jacobian(theta):
             jac = rm.mat.copy()
-            jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", theta[:ell], sym).reshape(-1, ell)
-            return jac
+            jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", A, sym).reshape(-1, ell)
+            return out.ravel() - target, jac
 
     else:
+        floor = np.sqrt(np.finfo(float).eps)
 
-        def residual(theta):
-            return logode_step(V, base, RoughIncrement(*unpack(theta)), n_sub).ravel() - target
-
-        def jacobian(theta):
+        def model(theta):
+            # theta and its 2m central-difference probes in one log-ODE call
             m, c = theta.size, obs.c
-            probes = theta + fd_step * np.concatenate([np.eye(m), -np.eye(m)])
+            rows = theta + fd_step * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
             inc = RoughIncrement.stack(
-                np.repeat(probes[:, :ell], c, axis=0),
-                np.repeat(area_matrix(probes[:, ell:], ell), c, axis=0),
+                np.repeat(rows[:, :ell], c, axis=0),
+                np.repeat(area_matrix(rows[:, ell:], ell), c, axis=0),
             )
-            images = logode_step(V, np.tile(base, (2 * m, 1)), inc, n_sub).reshape(2 * m, -1)
-            return (images[:m] - images[m:]).T / (2.0 * fd_step)
+            images = logode_step(V, np.tile(base, (2 * m + 1, 1)), inc, n_sub).reshape(2 * m + 1, -1)
+            return images[0] - target, (images[1 : m + 1] - images[m + 1 :]).T / (2.0 * fd_step)
 
-    theta, iterations, rvec = minimize_least_squares(residual, jacobian, theta0, max_iter, tol)
+    theta, iterations, rvec = minimize_least_squares(model, theta0, max_iter, tol, floor)
     result, note = reconstruct._result_from(theta, iterations, rvec, V, obs, eps1, eps2, method)
     if note is not None:
         warnings.warn(note)

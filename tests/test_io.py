@@ -149,19 +149,17 @@ def test_write_table_bytes_equal_per_row_formatting(data):
 
 def line_by_line_error(file):
     """The message of a row-by-row read of a damaged table: the first line with a wrong cell
-    count or an unparsable cell, else the first non-finite cell in row-major order."""
+    count, an unparsable cell or a non-finite cell, in file order."""
     lines = Path(file).read_text().splitlines()
     header = lines[0].split(",")
-    rows = []
     for r, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != len(header):
             return f"{file}:{r + 2}: {len(cells)} cells, the header has {len(header)}"
         try:
-            rows.append([float(cell) for cell in cells])
+            row = [float(cell) for cell in cells]
         except ValueError as exc:
             return f"{file}:{r + 2}: {exc}"
-    for r, row in enumerate(rows):
         for col, v in enumerate(row):
             if not np.isfinite(v):
                 return f"{file}:{r + 2}: non-finite value in column {header[col]!r}"
@@ -179,9 +177,11 @@ def line_by_line_error(file):
         ("0,1\n1,2e\n2,3,4\n", 3, "could not convert string to float: '2e'"),
         ("0,1\n1,2\n2,3,4\n3,x\n", 4, "3 cells, the header has 2"),
         ("0,1\n1,2,3\n4\n", 3, "3 cells, the header has 2"),
+        ("0,1\n1,inf\n2,x\n", 3, "non-finite value in column 'X1'"),
     ],
     ids=["cell_count", "unparsable", "trailing_comma", "blank_middle_line", "non_finite",
-         "bad_cell_above_wrong_count", "wrong_count_above_bad_cell", "counts_that_balance"],
+         "bad_cell_above_wrong_count", "wrong_count_above_bad_cell", "counts_that_balance",
+         "non_finite_above_bad_cell"],
 )
 def test_read_table_names_the_first_bad_line(tmp_path, body, line, message):
     file = tmp_path / "bad.csv"

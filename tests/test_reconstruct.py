@@ -525,6 +525,21 @@ class TestReconstructMany:
         # the intervals finish at different iterations, so problems leave the stacks
         assert len({res.iterations for res in got}) > 1
 
+    def test_triple_product_flow_rounds(self, monkeypatch):
+        # each round is one flow_map call; the recovery stops at the accuracy
+        # of its finite-difference Jacobian in 5 rounds, where chasing the
+        # round-off below tol took 26
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return flow_map(*args)
+
+        monkeypatch.setattr(reconstruct, "flow_map", counted)
+        V, obs_list = triple_product_intervals()
+        reconstruct_many(V, obs_list, "flow", n_sub=8)
+        assert 1 <= len(calls) <= 7
+
     def test_rolling_ball_taylor_seeds_by_levels(self):
         V, obs_list = rolling_ball_seeds_by_levels()
         got, got_warns, _ = batched_recovery(V, obs_list, "taylor")
@@ -716,27 +731,29 @@ def failing_jacobian_problem(first_failing_call):
     return residual, failing, theta0
 
 
-def driver_against_oracle(make_problems, max_iter=50, tol=1e-12):
+def driver_against_oracle(make_problems, max_iter=50, tol=1e-12, floor=0.0):
     """Solve the problems from make_problems() in lockstep and each one alone
     with minimize_least_squares; assert the outcomes are bitwise equal.
 
-    Each problem runs as a `_one_problem` generator whose models yield their
-    requests; one evaluate call per round serves them all.  Returns the
-    driver's outcomes and, for each evaluate call, the problem indices of its
-    stack and whether the call raised.
+    Each problem is a (residual, jacobian, theta0) triple and runs as a
+    `_one_problem` generator whose model yields one request per trial point;
+    one evaluate call per round serves them all, with the residual and the
+    Jacobian of each request.  Returns the driver's outcomes and, for each
+    evaluate call, the problem indices of its stack and whether the call
+    raised.
     """
     problems, stacks = make_problems(), []
 
-    def request(k, which):
-        def model(theta):
-            return (yield k, which, theta)
+    def model(k):
+        def evaluate_at(theta):
+            return (yield k, theta)
 
-        return model
+        return evaluate_at
 
     def evaluate(requests):
-        idx = [k for k, _, _ in requests]
+        idx = [k for k, _ in requests]
         try:
-            rows = [problems[k][which](t) for k, which, t in requests]
+            rows = [(problems[k][0](t), problems[k][1](t)) for k, t in requests]
         except RdeinvError:
             stacks.append((idx, True))
             raise
@@ -744,14 +761,16 @@ def driver_against_oracle(make_problems, max_iter=50, tol=1e-12):
         return rows
 
     solvers = [
-        reconstruct._one_problem(request(k, 0), request(k, 1), theta, max_iter, tol)
+        reconstruct._one_problem(model(k), theta, max_iter, tol, floor)
         for k, (_, _, theta) in enumerate(problems)
     ]
     got = reconstruct._lockstep(solvers, evaluate)
     assert len(got) == len(problems)
     for outcome, (residual, jacobian, theta) in zip(got, make_problems()):
         try:
-            want = minimize_least_squares(residual, jacobian, theta, max_iter, tol)
+            want = minimize_least_squares(
+                lambda t: (residual(t), jacobian(t)), theta, max_iter, tol, floor
+            )
         except RdeinvError as exc:
             assert type(outcome) is type(exc) and str(outcome) == str(exc)
             continue
@@ -774,7 +793,9 @@ class TestLockstepDriver:
             lambda: [linear_problem(), scaled_problem(2.0**50), rosenbrock_problem()]
         )
         assert [outcome[1] for outcome in got] == [3, 1, 28]
-        assert [idx for idx, _ in stacks[:2]] == [[0, 1, 2], [0, 1, 2]]
+        # the scaled problem's damped steps fall below tol once the damping
+        # makes its matrix solvable: it leaves after its first request
+        assert [idx for idx, _ in stacks[:2]] == [[0, 1, 2], [0, 2]]
 
     def test_model_error_is_that_problem_alone(self):
         got, stacks = driver_against_oracle(
@@ -787,8 +808,9 @@ class TestLockstepDriver:
         )
         assert str(got[1]) == "Jacobian calls from 3 on leave the domain"
         assert [outcome[1] for k, outcome in enumerate(got) if k != 1] == [3, 28, 4]
-        # the third Jacobian stack, problems 1 and 2, raised; then problem 1 alone
-        assert [idx for idx, raised in stacks if raised] == [[1, 2], [1]]
+        # problem 1's third request, in the third round of all four problems,
+        # raised; then problem 1 alone
+        assert [idx for idx, raised in stacks if raised] == [[0, 1, 2, 3], [1]]
 
     def test_not_converged_is_that_problem_alone(self):
         uphill = (lambda t: t - 3.0), (lambda t: -np.eye(2)), np.zeros(2)  # Jacobian of the wrong sign
@@ -808,6 +830,48 @@ class TestLockstepDriver:
         # uphill rejects every step until the damping passes 1e12; the scaled
         # problem's damped matrix stays singular through all 40 tries
         assert str(got[3]) == str(got[4]) == "no acceptable damped step at iteration 1"
+
+
+def perturbed_jacobian_problem(seen):
+    """A linear problem at its least-squares point, with the exact residual
+    2**-28 there, and a Jacobian off by 1e-9 in one entry.  The Gauss-Newton
+    step there is about 4e-12 long and raises the cost by far more than its
+    round-off.  residual appends every point it is evaluated at to seen."""
+    mat = np.array([[1.0, 0.0], [0.0, 2.0**-10], [0.0, 0.0]])
+    rhs = np.array([0.25, 2.0**-13, 2.0**-28])
+    jac = mat + np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1e-9]])
+
+    def residual(t):
+        seen.append(t)
+        return mat @ t - rhs
+
+    return residual, (lambda t: jac.copy()), np.array([0.25, 0.125])
+
+
+class TestStopAtJacobianAccuracy:
+    """The floor rule of `_one_problem`: a rejected damped step no longer than
+    floor*|theta| ends the solve, as the tol stop does."""
+
+    def solve(self, floor):
+        seen = []
+        got, stacks = driver_against_oracle(lambda: [perturbed_jacobian_problem(seen)], floor=floor)
+        theta0 = perturbed_jacobian_problem([])[2]
+        theta, iterations, r = got[0]
+        assert iterations == 1 and theta.tobytes() == theta0.tobytes()
+        np.testing.assert_array_equal(r, [0.0, 0.0, -(2.0**-28)])
+        steps = [float(np.linalg.norm(t - theta0)) for t in seen[1 : len(stacks)]]
+        assert len(seen) == 2 * len(stacks)  # the lockstep run, then the oracle
+        return steps
+
+    def test_first_rejected_step_within_the_floor_stops(self):
+        steps = self.solve(np.sqrt(np.finfo(float).eps))
+        assert len(steps) == 1 and 1e-12 < steps[0] < 1e-11
+
+    def test_zero_floor_damps_until_the_step_is_below_tol(self):
+        # every trial point is rejected; lambda goes up tenfold each time until
+        # the step drops below tol = 1e-12, and the same triple comes back
+        steps = self.solve(0.0)
+        assert len(steps) == 3 and 1e-11 > steps[0] > steps[1] > steps[2] > 1e-12
 
 
 class TestReconstructionResult:
