@@ -7,13 +7,14 @@ stacked squared distance to the observed flow images by Gauss-Newton with
 Levenberg damping; it is possible exactly when the matrix of field values and
 bracket values at the base points has rank m.
 
-Each interval's recovery is written once, for one problem, as a generator:
-set-up at its base points, rank test, solve and result.  `reconstruct_many`
-runs one per interval in lockstep, and each round pushes the flow images
-that all of them ask for, each trial point with its finite-difference probes,
-through one log-ODE run.  The greedy point search evaluates all candidates of
-a round as one stack and scores them with one batched SVD.  All operations
-are pure.
+The set-up (point blocks, rank test, eps1, eps2) belongs to the base points,
+so `reconstruct_many` makes it once per base-point set.  Each interval's
+recovery is written once, for one problem, as a generator: start, solve and
+result.  The recoveries at one set run in lockstep, and each round pushes the
+flow images that all of them ask for, each trial point with its
+finite-difference probes, through one log-ODE run.  The greedy point search
+evaluates all candidates of a round as one stack and scores them with one
+batched SVD.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .roughpath import (
 from .vectorfields import VectorFieldSet, bracket_columns
 
 DEFAULT_RANK_TOL = 1e-10
+FD_STEP = 1e-6  # the flow model's central-difference step
+FD_FLOOR = float(np.sqrt(np.finfo(float).eps))  # its Jacobian's relative accuracy on RK4 images
 
 
 @dataclass(eq=False)
@@ -159,21 +162,18 @@ def taylor_map(V: VectorFieldSet, points, A, B):
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
     """Log-ODE flow images exp(A^i V_i + B^{jk} [V_j, V_k]) of the base points, stacked.
 
-    A may also be a stack (K, ell) with B (K, ell, ell), one parameter pair
-    per problem; the points are then shared (c, d) or per problem (K, c, d),
-    every problem's images come from one lockstep log-ODE run, and the result
-    is (K, c*d).  (A, B) are checked like a RoughIncrement's.
+    The points are one (c, d) set.  A may also be a stack (K, ell) with B
+    (K, ell, ell), one parameter pair per row, all at those shared points;
+    every row's images come from one lockstep log-ODE run, and the result is
+    (K, c*d).  (A, B) are checked like a RoughIncrement's.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     one = A.ndim == 1  # a K = 1 stack
     inc = RoughIncrement.stack(A[None] if one else A, B[None] if one else B)
-    points, k = np.atleast_2d(np.asarray(points, dtype=float)), len(inc.x)
-    if points.shape[:-2] not in ((), (1,), (k,)):
-        raise DimensionMismatch(f"points of shape {points.shape} do not fit {k} problems")
-    points = np.broadcast_to(points, (k,) + points.shape[-2:])
-    c = points.shape[1]
+    points, k = V._states(np.atleast_2d(points)), len(inc.x)
+    c = len(points)
     inc = RoughIncrement._trusted(np.repeat(inc.x, c, axis=0), np.repeat(inc.a, c, axis=0))
-    images = logode_step(V, points.reshape(k * c, -1), inc, n_sub).reshape(k, -1)
+    images = logode_step(V, np.tile(points, (k, 1)), inc, n_sub).reshape(k, -1)
     return images[0] if one else images
 
 
@@ -292,16 +292,13 @@ def _unpack(theta, ell):
     return theta[..., :ell], area_matrix(theta[..., ell:], ell)
 
 
-def _flow_images(V: VectorFieldSet, n_sub):
-    """The `_lockstep` evaluate of flow recoveries: a request (base, thetas)
-    gets the images (len(thetas), c*d) of its base points (c, d), and the rows
-    of every request go through one flow_map call."""
+def _flow_images(V: VectorFieldSet, base, n_sub):
+    """The `_lockstep` evaluate of flow recoveries at the base points: a request
+    of theta rows gets their images, and all requests go through one flow_map call."""
 
     def evaluate(requests):
-        bases, thetas = zip(*requests)
-        points = np.repeat(np.stack(bases), [len(t) for t in thetas], axis=0)
-        images = flow_map(V, points, *_unpack(np.concatenate(thetas), V.ell), n_sub)
-        return np.split(images, np.cumsum([len(t) for t in thetas])[:-1])
+        images = flow_map(V, base, *_unpack(np.concatenate(requests), V.ell), n_sub)
+        return np.split(images, np.cumsum([len(rows) for rows in requests])[:-1])
 
     return evaluate
 
@@ -330,12 +327,12 @@ def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
     return result, note
 
 
-def _recovery(V: VectorFieldSet, obs: ObservationSet, method, max_iter, tol, fd_step):
-    """One interval's recovery as a generator: set-up, least-squares start,
-    solve and result, a (ReconstructionResult, TrustRegionExceeded or None)
-    pair.  The flow model yields `_flow_images` requests; the Taylor model
-    evaluates in place."""
-    base, fields, brackets, comps, rm, eps1, eps2 = _local_problem(V, obs.base_points)
+def _recovery(V: VectorFieldSet, problem, obs: ObservationSet, method, max_iter, tol):
+    """One interval's recovery at the `_local_problem` of its base points, as a
+    generator: least-squares start, solve and result, a (ReconstructionResult,
+    TrustRegionExceeded or None) pair.  The flow model yields `_flow_images`
+    requests; the Taylor model evaluates in place."""
+    base, fields, brackets, comps, rm, eps1, eps2 = problem
     ell, target = V.ell, obs.observed.ravel()
     theta0 = np.zeros(rm.m)
     theta0[:ell] = np.linalg.lstsq(rm.mat[:, :ell], target - base.ravel(), rcond=None)[0]
@@ -352,53 +349,56 @@ def _recovery(V: VectorFieldSet, obs: ObservationSet, method, max_iter, tol, fd_
             return images.ravel() - target, jac
 
     else:
-        floor = np.sqrt(np.finfo(float).eps)  # the accuracy of a central difference
+        floor = FD_FLOOR
         m = rm.m
-        shifts = fd_step * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
+        shifts = FD_STEP * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
 
         def model(theta):
             # theta itself, then the 2m central-difference probes, in one request
-            images = yield base, theta + shifts
-            return images[0] - target, (images[1 : m + 1] - images[m + 1 :]).T / (2.0 * fd_step)
+            images = yield theta + shifts
+            return images[0] - target, (images[1 : m + 1] - images[m + 1 :]).T / (2.0 * FD_STEP)
 
     theta, iterations, r = yield from _one_problem(model, theta0, max_iter, tol, floor)
     return _result_from(theta, iterations, r, V, obs, eps1, eps2, method)
 
 
 def reconstruct_many(
-    V: VectorFieldSet, obs_list, method="taylor", max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6
+    V: VectorFieldSet, obs_list, method="taylor", max_iter=50, tol=1e-12, n_sub=16
 ):
     """Recover (A, B) from every observation set, one ReconstructionResult each.
 
     method "taylor" matches the second-order model, with the reconstruction
     matrix plus the A-linear correction 0.5*(A^i V_i V_j + A^j V_j V_i) as
     Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
-    Jacobian from central finite differences of step fd_step.  Both start
+    Jacobian from central finite differences of step FD_STEP.  Both start
     from A fitted by linear least squares against the field columns, B = 0,
     and stop once the step norm is below tol; "flow" also stops at a rejected
-    step no longer than sqrt(eps)*|(A, B)|, its Jacobian's accuracy.  A flow
+    step no longer than FD_FLOOR*|(A, B)|, its Jacobian's accuracy.  A flow
     trial point is one request, images and 2m probes, so a failing probe fails
-    its set.  max_iter and n_sub must be integers >= 1, tol, fd_step in (0, inf).
+    its set.  max_iter and n_sub must be integers >= 1, tol in (0, inf).
 
-    Sets that share their base-point shape are recovered in lockstep, one
-    log-ODE run per round for the flow images they all ask for.  Every result
-    equals that of recovering the sets one at a time, in order:
-    TrustRegionExceeded is warned in that order, and when some set fails, the
-    error of the first failing one is raised after the warnings of the sets
-    before it.
+    Sets with the same base points share one set-up, whose error fails them
+    all, and are recovered in lockstep, one log-ODE run per round for the flow
+    images they all ask for.  Every result equals that of recovering the sets
+    one at a time, in order: TrustRegionExceeded is warned in that order, and
+    when some set fails, the error of the first failing one is raised after
+    the warnings of the sets before it.
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
-    max_iter, n_sub = count(max_iter, "max_iter"), count(n_sub, "n_sub")
-    tol, fd_step = positive(tol, "tol"), positive(fd_step, "fd_step")
+    max_iter, n_sub, tol = count(max_iter, "max_iter"), count(n_sub, "n_sub"), positive(tol, "tol")
     obs_list = list(obs_list)
     groups, outcomes = {}, [None] * len(obs_list)
     for k, obs in enumerate(obs_list):
-        groups.setdefault(obs.base_points.shape, []).append(k)
-    evaluate = _flow_images(V, n_sub)
+        groups.setdefault((obs.base_points.shape, obs.base_points.tobytes()), []).append(k)
     for idx in groups.values():
-        solvers = [_recovery(V, obs_list[k], method, max_iter, tol, fd_step) for k in idx]
-        for k, outcome in zip(idx, _lockstep(solvers, evaluate)):
+        try:
+            problem = _local_problem(V, obs_list[idx[0]].base_points)
+            solvers = [_recovery(V, problem, obs_list[k], method, max_iter, tol) for k in idx]
+            done = _lockstep(solvers, _flow_images(V, problem[0], n_sub))
+        except RdeinvError as exc:  # the set-up failed; `_lockstep` raises none
+            done = [exc] * len(idx)
+        for k, outcome in zip(idx, done):
             outcomes[k] = outcome
     for outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -415,11 +415,11 @@ def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet, max_iter=50
 
 
 def local_reconstruct_flow(
-    V: VectorFieldSet, obs: ObservationSet, max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6
+    V: VectorFieldSet, obs: ObservationSet, max_iter=50, tol=1e-12, n_sub=16
 ):
     """Recover (A, B) by matching log-ODE flow images of the base points, to
-    the accuracy of a central difference of step fd_step; see `reconstruct_many`."""
-    return reconstruct_many(V, [obs], "flow", max_iter, tol, n_sub, fd_step)[0]
+    the accuracy of a central difference of step FD_STEP; see `reconstruct_many`."""
+    return reconstruct_many(V, [obs], "flow", max_iter, tol, n_sub)[0]
 
 
 def doss_sussmann_1d(
@@ -599,8 +599,10 @@ def search_points(
     )
 
 
-def reconstruction_report(result: ReconstructionResult, s, t, matrix: ReconstructionMatrix):
-    """JSON-ready summary of one local reconstruction."""
+def reconstruction_report(result: ReconstructionResult, s, t):
+    """JSON-ready summary of one local reconstruction.  A result passed the
+    rank test, so its rank is m and its sigma_min is eps1."""
+    ell = result.a_hat.size
     return {
         "interval": [float(s), float(t)],
         "a_hat": [float(v) for v in result.a_hat],
@@ -608,8 +610,8 @@ def reconstruction_report(result: ReconstructionResult, s, t, matrix: Reconstruc
         "residual": float(result.residual),
         "residual_sup": float(result.residual_sup),
         "iterations": int(result.iterations),
-        "rank": int(matrix.rank),
-        "sigma_min": float(matrix.singular_values[-1]),
+        "rank": ell * (ell + 1) // 2,
+        "sigma_min": float(result.eps1),
         "eps1": float(result.eps1),
         "eps2": float(result.eps2),
         "warnings": list(result.warnings),

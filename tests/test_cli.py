@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdeinv import cli
+from rdeinv import cli, reconstruct
 from rdeinv.cli import main
 from rdeinv.rde import observe_flow, read_trajectory_csv, solve
 from rdeinv.reconstruct import local_reconstruct_taylor
@@ -480,6 +480,77 @@ dir = {}
         want = driver.increment(0, 2)
         got = np.array(results["results"][0]["a_hat"])
         assert np.linalg.norm(got - want.x) < 5e-3
+
+    def test_reports_come_from_the_recoveries(self, capsys, tmp_path, monkeypatch):
+        # each report's rank and sigma_min are its recovery's own rank test;
+        # the command runs none of its own, simulated or from --obs
+        calls = []
+        matrix = reconstruct.reconstruction_matrix
+        monkeypatch.setattr(
+            reconstruct, "reconstruction_matrix", lambda *a, **kw: calls.append(a) or matrix(*a, **kw)
+        )
+        path_file, obs_file = tmp_path / "path.csv", tmp_path / "obs.csv"
+        run(capsys, "lift", "--driver", "circle", "--n", "64", "--out", str(path_file))
+        t1 = 2.0 * np.pi * (2.0 / 64.0)
+        code, _, _ = run(
+            capsys, "observe", "--system", "rolling_ball", "--path", str(path_file),
+            "--intervals", f"0,{t1:.17g};{t1:.17g},{2 * t1:.17g}", "--out", str(obs_file),
+        )
+        assert code == 0
+        t_end = 2.0 * np.pi * (64.0 / 1024.0)
+        cfg = write_config(
+            tmp_path, CIRCLE_CONFIG.format(t=f"{t_end:.17g}", n=8, out=tmp_path / "sim")
+        )
+        for argv, out_dir in (
+            (["--config", cfg], tmp_path / "sim"),
+            (["--system", "rolling_ball", "--obs", str(obs_file), "--out-dir", str(tmp_path / "obs")],
+             tmp_path / "obs"),
+        ):
+            calls.clear()
+            code, _, err = run(capsys, "reconstruct", *argv)
+            assert code == 0, err
+            assert calls == []
+            results = json.loads((out_dir / "results.json").read_text())
+            assert results["m"] == results["rank"] == 3
+            assert results["sigma_min"] == results["results"][0]["sigma_min"]
+            for report in results["results"]:
+                assert report["rank"] == results["m"]
+                assert report["sigma_min"] == report["eps1"]
+        points = np.vstack(rolling_ball().recommended_points)
+        assert results["sigma_min"] == matrix(rolling_ball().fields, points).singular_values[-1]
+
+
+class TestDefaultCommands:
+    """Unset, schedule.s and schedule.t span the driver's grid, so the default
+    circle driver on [0, 2*pi] runs without a config.  The commands observe
+    with 2 internal steps per grid step instead of the default 64, which only
+    sets their accuracy: at 64, unicycle's observation alone takes about 15 s."""
+
+    FAST = ("--set", "solver.n_internal=2")
+
+    def test_reconstruct(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["reconstruct"], ["reconstruct", "--system", "unicycle"]):
+            code, _, err = run(capsys, *argv, *self.FAST)
+            assert code == 0, err
+            results = json.loads((tmp_path / "out" / "results.json").read_text())
+            intervals = [report["interval"] for report in results["results"]]
+            assert len(intervals) == 8 and intervals[0][0] == 0.0
+            assert intervals[-1][1] == pytest.approx(2.0 * np.pi, rel=1e-15)
+
+    def test_convergence(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "convergence", "--out", "s.csv", *self.FAST)
+        assert code == 0, err
+        assert json.loads(out)["slope"] > 2.0
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert float(lines[1].split(",")[0]) == pytest.approx(2.0 * np.pi, rel=1e-15)
+
+    def test_explicit_end_off_the_grid_is_still_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "reconstruct", "--set", "schedule.t=1.0")
+        assert code == 64
+        assert "schedule.t = 1.0 does not lie on the driver grid" in err
 
 
 class TestConvergenceCommand:

@@ -266,12 +266,12 @@ class TestModelParameters:
         with pytest.raises(DimensionMismatch):
             model(rolling_ball().fields, [np.eye(3).ravel()], a, b)
 
-    def test_per_problem_points_must_match_the_stack(self):
+    def test_per_problem_points_are_rejected(self):
+        # the points are one (c, d) set shared by every parameter row
         V = triple_product().fields
-        points = np.ones((3, 2, 3))
-        with pytest.raises(DimensionMismatch, match="do not fit 4 problems"):
-            flow_map(V, points, np.zeros((4, 3)), np.zeros((4, 3, 3)))
-        assert flow_map(V, points[:1], np.zeros((4, 3)), np.zeros((4, 3, 3))).shape == (4, 6)
+        with pytest.raises(DimensionMismatch, match=r"got \(4, 2, 3\)"):
+            flow_map(V, np.ones((4, 2, 3)), np.zeros((4, 3)), np.zeros((4, 3, 3)))
+        assert flow_map(V, np.ones((2, 3)), np.zeros((4, 3)), np.zeros((4, 3, 3))).shape == (4, 6)
 
 
 class TestFlowMap:
@@ -318,19 +318,16 @@ class TestFlowMap:
             np.testing.assert_allclose(got[k], want, rtol=1e-13, atol=1e-15)
 
     def test_parameter_stacks_equal_one_flow_map_per_problem(self):
-        # (K, ell) / (K, ell, ell) stacks, with shared or per-problem base points
+        # (K, ell) / (K, ell, ell) stacks at shared base points
         sys = triple_product()
         points = np.array(sys.recommended_points)
         rng = np.random.default_rng(44)
         xs = 0.1 * rng.standard_normal((5, 3))
         areas = area_matrix(0.01 * rng.standard_normal((5, 3)), 3)
-        moved = points + 0.1 * rng.standard_normal((5, 3, 3))
         shared = flow_map(sys.fields, points, xs, areas, n_sub=8)
-        own = flow_map(sys.fields, moved, xs, areas, n_sub=8)
-        assert shared.shape == own.shape == (5, 9)
+        assert shared.shape == (5, 9)
         for k in range(5):
             np.testing.assert_array_equal(shared[k], flow_map(sys.fields, points, xs[k], areas[k], 8))
-            np.testing.assert_array_equal(own[k], flow_map(sys.fields, moved[k], xs[k], areas[k], 8))
 
     def test_flow_and_taylor_agree_to_third_order(self):
         sys = rolling_ball()
@@ -626,16 +623,33 @@ class TestReconstructMany:
         assert str(stacked.value) == str(alone.value)
         got = reconstruct_many(sys.fields, good, "flow")
         assert_same_results(got, [reconstruct_oracle(sys.fields, obs, "flow") for obs in good])
-        # a base point outside the domain fails the set-up of the whole stack;
+        # a base point outside the domain fails the set-up of its set;
         # the sets before it are still recovered and warned about first
         outside = ObservationSet([[0.0, 0.0, 0.0, 1.5]], 0.0, 1.0, [[0.0, 0.0, 0.0, 1.6]])
         with pytest.warns(TrustRegionExceeded), pytest.raises(DomainViolation, match="got 1.5"):
             reconstruct_many(sys.fields, [good[0], outside], "taylor")
 
-    def test_mixed_base_point_shapes(self):
-        # sets with one and with two base points interleave, so the two shape
-        # groups run one after the other; results, warnings and the error of a
-        # rank-0 set at the zero state still come in set order
+    def test_one_set_up_per_base_point_set(self, monkeypatch):
+        # the 16 intervals share their base points, so the fields are evaluated
+        # there once, not once per interval
+        calls, point_blocks = [], reconstruct._point_blocks
+
+        def counted(V, points):
+            calls.append(np.array(points))
+            return point_blocks(V, points)
+
+        monkeypatch.setattr(reconstruct, "_point_blocks", counted)
+        V, obs_list = triple_product_intervals()
+        for method in ("taylor", "flow"):
+            calls.clear()
+            reconstruct_many(V, obs_list, method, n_sub=8)
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], obs_list[0].base_points)
+
+    def test_mixed_base_point_shapes(self, monkeypatch):
+        # sets with one and with two base points interleave, so the two
+        # base-point groups run one after the other; results, warnings and the
+        # error of a rank-0 set at the zero state still come in set order
         sys = rolling_ball()
         one = np.eye(3).ravel()[None]
         two = np.vstack([one, expm(0.7 * ROLLING_BALL_A1 - 0.4 * ROLLING_BALL_A2).ravel()])
@@ -646,8 +660,14 @@ class TestReconstructMany:
         obs_list = [obs for pair in zip(ones, twos) for obs in pair]
         zero = ObservationSet(np.zeros((1, 9)), 0.0, 1.0, np.zeros((1, 9)))
         assert reconstruction_matrix(sys.fields, zero.base_points).rank == 0
+        calls, point_blocks = [], reconstruct._point_blocks
+        monkeypatch.setattr(
+            reconstruct, "_point_blocks", lambda V, p: calls.append(1) or point_blocks(V, p)
+        )
         for method in ("taylor", "flow"):
+            calls.clear()
             got, got_warns, _ = batched_recovery(sys.fields, obs_list, method, n_sub=8)
+            assert len(calls) == 2  # one set-up at `one`, one at `two`
             want, want_warns, _ = loop_recovery(sys.fields, obs_list, method, n_sub=8)
             assert_same_results(got, want)
             assert got_warns == want_warns and 0 < len(got_warns)
@@ -672,10 +692,6 @@ class TestReconstructMany:
             ("n_sub", 2.5),
             ("n_sub", np.nan),
             ("n_sub", np.inf),
-            ("fd_step", 0.0),
-            ("fd_step", -1e-6),
-            ("fd_step", np.nan),
-            ("fd_step", np.inf),
             ("tol", 0.0),
             ("tol", -1.0),
             ("tol", np.nan),
@@ -1192,8 +1208,11 @@ class TestObservationCsv:
         obs = ObservationSet(base, 0.0, 0.5, base.copy())
         res = local_reconstruct_taylor(sys.fields, obs)
         rm = reconstruction_matrix(sys.fields, base)
-        report = reconstruction_report(res, obs.s, obs.t, rm)
+        report = reconstruction_report(res, obs.s, obs.t)
         assert report["interval"] == [0.0, 0.5]
+        # the recovery passed the rank test on the same matrix
+        assert report["rank"] == rm.rank == rm.m == 3
+        assert report["sigma_min"] == rm.singular_values[-1] == res.eps1
         assert set(report) == {
             "interval",
             "a_hat",
