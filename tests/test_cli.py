@@ -546,6 +546,18 @@ class TestDefaultCommands:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert float(lines[1].split(",")[0]) == pytest.approx(2.0 * np.pi, rel=1e-15)
 
+    def test_one_end_set_the_other_from_the_grid(self, capsys, tmp_path, monkeypatch):
+        # pi is the circle grid's middle time; the unset end is the grid's own
+        monkeypatch.chdir(tmp_path)
+        for key, span in (("s", [np.pi, 2.0 * np.pi]), ("t", [0.0, np.pi])):
+            code, _, err = run(capsys, "reconstruct", "--set", f"schedule.{key}={np.pi!r}", *self.FAST)
+            assert code == 0, err
+            results = json.loads((tmp_path / "out" / "results.json").read_text())
+            intervals = [report["interval"] for report in results["results"]]
+            assert len(intervals) == 8
+            assert intervals[0][0] == pytest.approx(span[0], rel=1e-15)
+            assert intervals[-1][1] == pytest.approx(span[1], rel=1e-15)
+
     def test_explicit_end_off_the_grid_is_still_a_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, "reconstruct", "--set", "schedule.t=1.0")

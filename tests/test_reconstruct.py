@@ -646,6 +646,52 @@ class TestReconstructMany:
             assert len(calls) == 1
             np.testing.assert_array_equal(calls[0], obs_list[0].base_points)
 
+    def test_same_shape_points_apart_are_set_up_apart(self, monkeypatch):
+        # the groups are keyed by the base points themselves, not their shape:
+        # two interleaved (1, 9) point sets are two set-ups, each recovered as
+        # if alone
+        sys = rolling_ball()
+        one = np.eye(3).ravel()[None]
+        other = expm(0.7 * ROLLING_BALL_A1 - 0.4 * ROLLING_BALL_A2).ravel()[None]
+        path = sample_brownian_lift(2, 64, 8, 1.0, 7)
+        pairs = [(0, 8), (16, 24), (40, 44)]
+        [ones] = observe_flows(sys.fields, one, [path], pairs, n_internal=8)
+        [others] = observe_flows(sys.fields, other, [path], pairs, n_internal=8)
+        obs_list = [obs for pair in zip(ones, others) for obs in pair]
+        calls, point_blocks = [], reconstruct._point_blocks
+        monkeypatch.setattr(
+            reconstruct, "_point_blocks", lambda V, p: calls.append(np.array(p)) or point_blocks(V, p)
+        )
+        for method in ("taylor", "flow"):
+            calls.clear()
+            got, got_warns, _ = batched_recovery(sys.fields, obs_list, method, n_sub=8)
+            assert len(calls) == 2
+            np.testing.assert_array_equal(calls[0], one)
+            np.testing.assert_array_equal(calls[1], other)
+            want, want_warns, _ = loop_recovery(sys.fields, obs_list, method, n_sub=8)
+            assert_same_results(got, want)
+            assert got_warns == want_warns
+
+    def test_failed_set_up_is_made_once_for_its_group(self, monkeypatch):
+        # two sets at the zero state share one failing set-up; the error raised
+        # is the one the first of them gives alone
+        sys = rolling_ball()
+        one = np.eye(3).ravel()[None]
+        [[good]] = observe_flows(sys.fields, one, [sample_brownian_lift(2, 64, 8, 1.0, 7)], [(0, 8)], 8)
+        zeros = [ObservationSet(np.zeros((1, 9)), 0.0, t, np.zeros((1, 9))) for t in (0.5, 1.0)]
+        calls, point_blocks = [], reconstruct._point_blocks
+        monkeypatch.setattr(
+            reconstruct, "_point_blocks", lambda V, p: calls.append(1) or point_blocks(V, p)
+        )
+        for method in ("taylor", "flow"):
+            with pytest.raises(RankDeficient) as alone:
+                reconstruct_oracle(sys.fields, zeros[0], method, n_sub=8)
+            calls.clear()
+            with pytest.raises(RankDeficient) as stacked:
+                reconstruct_many(sys.fields, [zeros[0], good, zeros[1]], method, n_sub=8)
+            assert str(stacked.value) == str(alone.value)
+            assert len(calls) == 2  # one set-up at the zero state, one at `one`
+
     def test_mixed_base_point_shapes(self, monkeypatch):
         # sets with one and with two base points interleave, so the two
         # base-point groups run one after the other; results, warnings and the
