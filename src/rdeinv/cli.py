@@ -425,7 +425,7 @@ def cmd_reconstruct(args):
         "method": cfg.method,
         "m": reports[0]["rank"],  # every recovery passed the rank test
         "rank": reports[0]["rank"],
-        "sigma_min": reports[0]["sigma_min"],
+        "sigma_min": min(report["sigma_min"] for report in reports),
         "n_intervals": len(reports),
         "results": reports,
     }

@@ -8,11 +8,12 @@ Levenberg damping; it is possible exactly when the matrix of field values and
 bracket values at the base points has rank m.
 
 The set-up (point blocks, rank test, eps1, eps2) belongs to the base points,
-so `reconstruct_many` makes it once per base-point set.  Each interval's
-recovery is written once, for one problem, as a generator: start, solve and
-result.  The recoveries at one set run in lockstep, and each round pushes the
-flow images that all of them ask for, each trial point with its
-finite-difference probes, through one log-ODE run.  The greedy point search
+so `reconstruct_many` makes it once per base-point set.  The solver is
+written once, for one problem, as a generator that yields its trial points.
+The recoveries at one set run in lockstep, and each round evaluates the trial
+points of all of them with one batched model call: the Taylor images and
+Jacobians from one einsum each, or the flow images of every trial point and
+its finite-difference probes from one log-ODE run.  The greedy point search
 evaluates all candidates of a round as one stack and scores them with one
 batched SVD.  All operations are pure.
 """
@@ -137,13 +138,13 @@ def reconstruction_matrix(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
 
 
 def _taylor_images(base, fields, brackets, comps, A, bvec):
-    """Second-order model images (c, d) of the base points for the increment
-    A (ell,) and the area components bvec (nb,)."""
+    """Second-order model images (..., c, d) of the base points for increments
+    A (..., ell) and area components bvec (..., nb)."""
     return (
         base
-        + np.einsum("i,cid->cd", A, fields)
-        + np.einsum("p,cpd->cd", bvec, brackets)
-        + 0.5 * np.einsum("i,j,cijd->cd", A, A, comps)
+        + np.einsum("...i,cid->...cd", A, fields)
+        + np.einsum("...p,cpd->...cd", bvec, brackets)
+        + 0.5 * np.einsum("...i,...j,cijd->...cd", A, A, comps)
     )
 
 
@@ -208,16 +209,16 @@ def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     return _local_problem(V, points, tol_rel)[-2:]
 
 
-def _one_problem(model, theta, max_iter, tol, floor):
+def _one_problem(theta, max_iter, tol, floor):
     """Gauss-Newton with Levenberg damping on one problem 0.5*|r|^2, as a generator.
 
-    model(theta) is a generator function that returns the residual (n,) and
-    Jacobian (n, m) there; whatever it yields passes through to the driver.
-    It returns (theta, iterations, r) once a proposed step is shorter than
-    tol, or a rejected one no longer than floor*|theta|; it raises NotConverged
-    when the iteration budget is exhausted or no damped step decreases its cost.
+    It yields each trial point theta (m,), the start first, and is sent the
+    residual (n,) and Jacobian (n, m) there.  It returns (theta, iterations,
+    r) once a proposed step is shorter than tol, or a rejected one no longer
+    than floor*|theta|; it raises NotConverged when the iteration budget is
+    exhausted or no damped step decreases its cost.
     """
-    r, jac = yield from model(theta)
+    r, jac = yield theta
     cost = float(r @ r)
     lam = 1e-8
     for it in range(1, max_iter + 1):
@@ -232,7 +233,7 @@ def _one_problem(model, theta, max_iter, tol, floor):
             step = float(np.linalg.norm(delta))
             if step < tol:
                 return theta, it, r
-            r_new, jac_new = yield from model(theta + delta)
+            r_new, jac_new = yield theta + delta
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
                 break
@@ -249,58 +250,50 @@ def _one_problem(model, theta, max_iter, tol, floor):
     raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
 
 
-def _rows(evaluate, requests):
-    """evaluate's values for the requests, from one call.
+def _rows(evaluate, ks, thetas):
+    """The (residual, Jacobian) of each problem ks[i] at thetas[i], from one
+    evaluate(ks, thetas) call, as views of its stacks.
 
-    When that call raises a package error, each request is evaluated alone
-    instead, and a failing request's value is its error.
+    When that call raises a package error, each problem is evaluated alone
+    instead, and a failing problem's value is its error.
     """
     try:
-        return list(evaluate(requests))
+        return list(zip(*evaluate(ks, thetas)))
     except RdeinvError as exc:
-        if len(requests) == 1:
+        if len(ks) == 1:
             return [exc]
-        return [_rows(evaluate, [request])[0] for request in requests]
+        return [_rows(evaluate, ks[i : i + 1], thetas[i : i + 1])[0] for i in range(len(ks))]
 
 
 def _lockstep(solvers, evaluate):
-    """Run generators in lockstep, one outcome each: its return value, or the
-    package error that stopped it.
+    """Run `_one_problem` generators in lockstep, one outcome each: its return
+    value, or the package error that stopped it.
 
-    Each round sends every pending request to one evaluate(requests) call,
-    which returns one value per request, and sends each generator its value,
-    so every generator takes exactly the steps it would take alone.
+    Each round stacks the trial points of the pending generators, gets their
+    residuals and Jacobians from one evaluate(ks, thetas) call, with ks the
+    generators' indices, and sends each generator its own, so every generator
+    takes exactly the steps it would take alone.
     """
     outcomes = [None] * len(solvers)
     sends = dict.fromkeys(range(len(solvers)))  # the value each generator gets next
     while sends:
-        requests = {}
+        thetas = {}
         for k, value in sends.items():
             try:
                 if isinstance(value, Exception):
-                    raise value  # its request failed when evaluated alone
-                requests[k] = solvers[k].send(value)
+                    raise value  # its trial point failed when evaluated alone
+                thetas[k] = solvers[k].send(value)
             except StopIteration as stop:
                 outcomes[k] = stop.value
             except RdeinvError as exc:
                 outcomes[k] = exc
-        sends = dict(zip(requests, _rows(evaluate, list(requests.values())))) if requests else {}
+        ks = list(thetas)
+        sends = dict(zip(ks, _rows(evaluate, ks, np.array(list(thetas.values()))))) if ks else {}
     return outcomes
 
 
 def _unpack(theta, ell):
     return theta[..., :ell], area_matrix(theta[..., ell:], ell)
-
-
-def _flow_images(V: VectorFieldSet, base, n_sub):
-    """The `_lockstep` evaluate of flow recoveries at the base points: a request
-    of theta rows gets their images, and all requests go through one flow_map call."""
-
-    def evaluate(requests):
-        images = flow_map(V, base, *_unpack(np.concatenate(requests), V.ell), n_sub)
-        return np.split(images, np.cumsum([len(rows) for rows in requests])[:-1])
-
-    return evaluate
 
 
 def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
@@ -327,39 +320,38 @@ def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
     return result, note
 
 
-def _recovery(V: VectorFieldSet, problem, obs: ObservationSet, method, max_iter, tol):
-    """One interval's recovery at the `_local_problem` of its base points, as a
-    generator: least-squares start, solve and result, a (ReconstructionResult,
-    TrustRegionExceeded or None) pair.  The flow model yields `_flow_images`
-    requests; the Taylor model evaluates in place."""
-    base, fields, brackets, comps, rm, eps1, eps2 = problem
-    ell, target = V.ell, obs.observed.ravel()
-    theta0 = np.zeros(rm.m)
-    theta0[:ell] = np.linalg.lstsq(rm.mat[:, :ell], target - base.ravel(), rcond=None)[0]
+def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
+    """The `_lockstep` evaluate of the recoveries at one `_local_problem`, with
+    observed images targets (K, c*d), and the floor of their solves.
 
+    evaluate(ks, thetas) returns the residuals (len(ks), c*d) and Jacobians
+    (len(ks), c*d, m) of problems ks at the trial points thetas (len(ks), m),
+    from one batched model evaluation.
+    """
+    base, fields, brackets, comps, rm = problem[:5]
+    ell, m = V.ell, rm.m
     if method == "taylor":
         sym = comps + np.swapaxes(comps, 1, 2)  # sym[c,i,j] = V_iV_j + V_jV_i
-        floor = 0.0  # the Jacobian is exact
 
-        def model(theta):
-            yield from ()  # a generator, as `_one_problem` needs, that never yields
-            images = _taylor_images(base, fields, brackets, comps, theta[:ell], theta[ell:])
-            jac = rm.mat.copy()
-            jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", theta[:ell], sym).reshape(-1, ell)
-            return images.ravel() - target, jac
+        def evaluate(ks, thetas):
+            images = _taylor_images(base, fields, brackets, comps, thetas[:, :ell], thetas[:, ell:])
+            jac = np.repeat(rm.mat[None], len(ks), axis=0)
+            corr = np.einsum("...j,cijd->...cdi", thetas[:, :ell], sym)
+            jac[..., :ell] += 0.5 * corr.reshape(len(ks), -1, ell)
+            return images.reshape(len(ks), -1) - targets[ks], jac
 
-    else:
-        floor = FD_FLOOR
-        m = rm.m
-        shifts = FD_STEP * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
+        return evaluate, 0.0  # the Jacobian is exact
 
-        def model(theta):
-            # theta itself, then the 2m central-difference probes, in one request
-            images = yield theta + shifts
-            return images[0] - target, (images[1 : m + 1] - images[m + 1 :]).T / (2.0 * FD_STEP)
+    shifts = FD_STEP * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
 
-    theta, iterations, r = yield from _one_problem(model, theta0, max_iter, tol, floor)
-    return _result_from(theta, iterations, r, V, obs, eps1, eps2, method)
+    def evaluate(ks, thetas):
+        # each theta, then its 2m central-difference probes, all in one flow_map call
+        rows = (thetas[:, None] + shifts).reshape(-1, m)
+        images = flow_map(V, base, *_unpack(rows, ell), n_sub).reshape(len(ks), 2 * m + 1, -1)
+        diff = images[:, 1 : m + 1] - images[:, m + 1 :]
+        return images[:, 0] - targets[ks], diff.swapaxes(1, 2) / (2.0 * FD_STEP)
+
+    return evaluate, FD_FLOOR
 
 
 def reconstruct_many(
@@ -373,16 +365,18 @@ def reconstruct_many(
     Jacobian from central finite differences of step FD_STEP.  Both start
     from A fitted by linear least squares against the field columns, B = 0,
     and stop once the step norm is below tol; "flow" also stops at a rejected
-    step no longer than FD_FLOOR*|(A, B)|, its Jacobian's accuracy.  A flow
-    trial point is one request, images and 2m probes, so a failing probe fails
-    its set.  max_iter and n_sub must be integers >= 1, tol in (0, inf).
+    step no longer than FD_FLOOR*|(A, B)|, its Jacobian's accuracy.
+    max_iter and n_sub must be integers >= 1, tol in (0, inf).
 
     Sets with the same base points share one set-up, whose error fails them
-    all, and are recovered in lockstep, one log-ODE run per round for the flow
-    images they all ask for.  Every result equals that of recovering the sets
-    one at a time, in order: TrustRegionExceeded is warned in that order, and
-    when some set fails, the error of the first failing one is raised after
-    the warnings of the sets before it.
+    all, and are solved in lockstep: each round evaluates the trial points of
+    all of them with one batched model call, Taylor images and Jacobians from
+    one einsum each, or flow images from one flow_map call in which each trial
+    point brings its 2m probes, so a failing probe fails its set.  Every
+    result equals that of recovering the sets one at a time, in order:
+    TrustRegionExceeded is warned in that order, and when some set fails,
+    the error of the first failing one is raised after the warnings of the
+    sets before it.
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
@@ -394,11 +388,21 @@ def reconstruct_many(
     for idx in groups.values():
         try:
             problem = _local_problem(V, obs_list[idx[0]].base_points)
-            solvers = [_recovery(V, problem, obs_list[k], method, max_iter, tol) for k in idx]
-            done = _lockstep(solvers, _flow_images(V, problem[0], n_sub))
-        except RdeinvError as exc:  # the set-up failed; `_lockstep` raises none
-            done = [exc] * len(idx)
-        for k, outcome in zip(idx, done):
+        except RdeinvError as exc:  # the set-up failed, and so does every set at these points
+            for k in idx:
+                outcomes[k] = exc
+            continue
+        base, _, _, _, rm, eps1, eps2 = problem
+        targets = np.stack([obs_list[k].observed.ravel() for k in idx])
+        evaluate, floor = _evaluator(V, problem, targets, method, n_sub)
+        solvers = []
+        for target in targets:
+            start = np.zeros(rm.m)
+            start[: V.ell] = np.linalg.lstsq(rm.mat[:, : V.ell], target - base.ravel(), rcond=None)[0]
+            solvers.append(_one_problem(start, max_iter, tol, floor))
+        for k, outcome in zip(idx, _lockstep(solvers, evaluate)):
+            if not isinstance(outcome, Exception):
+                outcome = _result_from(*outcome, V, obs_list[k], eps1, eps2, method)
             outcomes[k] = outcome
     for outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -639,9 +643,8 @@ def read_observations_csv(file):
     """Read observation sets, one per interval, ordered by interval start.
 
     Each interval is one block of consecutive rows with point ids 0..c-1 in
-    order, so a repeated interval or point id is an error.  Base points must
-    be consistent across intervals (the reconstruction matrix is shared); a
-    mismatch raises InvalidParameter.
+    order, so a repeated interval or point id is an error.  Intervals may
+    have different base points.
     """
     header, data = io.read_table(file)
     d = (len(header) - 3) // 2
@@ -658,15 +661,7 @@ def read_observations_csv(file):
                 "here; each interval is one block of point ids 0..c-1"
             )
         rows.append(r)
-    obs_list = []
-    for (s, t), rows in sorted(blocks.items()):
-        base, observed = data[rows, 3 : 3 + d], data[rows, 3 + d :]
-        if obs_list and (
-            base.shape != obs_list[0].base_points.shape
-            or np.max(np.abs(base - obs_list[0].base_points)) > 1e-12
-        ):
-            raise InvalidParameter(
-                f"{file}: base points differ between intervals; they must be shared"
-            )
-        obs_list.append(ObservationSet(base, s, t, observed))
-    return obs_list
+    return [
+        ObservationSet(data[rows, 3 : 3 + d], s, t, data[rows, 3 + d :])
+        for (s, t), rows in sorted(blocks.items())
+    ]

@@ -481,6 +481,43 @@ dir = {}
         got = np.array(results["results"][0]["a_hat"])
         assert np.linalg.norm(got - want.x) < 5e-3
 
+    def test_obs_file_with_two_point_sets(self, capsys, tmp_path):
+        # consecutive intervals observed at two base-point sets: each set is
+        # recovered at its own points, and the summary's sigma_min is the
+        # smaller of their eps1
+        path_file = tmp_path / "path.csv"
+        run(capsys, "lift", "--driver", "circle", "--n", "64", "--out", str(path_file))
+        t1, t2 = (f"{2.0 * np.pi * k / 64.0:.17g}" for k in (2, 4))
+        lines = []
+        for points, interval in (([], f"0,{t1}"), (["--points", "2,0,0,0,2,0,0,0,2"], f"{t1},{t2}")):
+            obs_file = tmp_path / f"obs{len(lines)}.csv"
+            code, _, err = run(
+                capsys, "observe", "--system", "rolling_ball", "--path", str(path_file), *points,
+                "--intervals", interval, "--out", str(obs_file),
+            )
+            assert code == 0, err
+            rows = obs_file.read_text().splitlines(keepends=True)
+            lines += rows[1:] if lines else rows
+        both = tmp_path / "both.csv"
+        both.write_text("".join(lines))
+        code, _, err = run(
+            capsys, "reconstruct", "--system", "rolling_ball", "--obs", str(both),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 0, err
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        sets = reconstruct.read_observations_csv(both)
+        assert [obs.base_points[0, 0] for obs in sets] == [1.0, 2.0]
+        want = [
+            reconstruct.reconstruction_report(
+                local_reconstruct_taylor(rolling_ball().fields, obs), obs.s, obs.t
+            )
+            for obs in sets
+        ]
+        assert results["n_intervals"] == 2 and results["results"] == want
+        assert results["sigma_min"] == min(report["eps1"] for report in want)
+        assert want[0]["eps1"] != want[1]["eps1"]
+
     def test_reports_come_from_the_recoveries(self, capsys, tmp_path, monkeypatch):
         # each report's rank and sigma_min are its recovery's own rank test;
         # the command runs none of its own, simulated or from --obs

@@ -544,6 +544,22 @@ class TestReconstructMany:
         assert_same_results(got, want)
         assert len(got_warns) == 32 and got_warns == want_warns
 
+    def test_one_taylor_call_per_round(self, monkeypatch):
+        # convergence_brownian's 32 sets at one base point: each round makes
+        # one batched Taylor call for all pending sets, so the calls number
+        # the rounds, the largest iteration count, where one set at a time
+        # they would number the trial points, here the sum of the counts
+        calls, taylor_images = [], reconstruct._taylor_images
+        monkeypatch.setattr(
+            reconstruct, "_taylor_images", lambda *args: calls.append(1) or taylor_images(*args)
+        )
+        V, obs_list = rolling_ball_seeds_by_levels()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrustRegionExceeded)
+            got = reconstruct_many(V, obs_list, "taylor")
+        assert len(calls) == max(res.iterations for res in got) == 39
+        assert sum(res.iterations for res in got) == 288
+
     def test_mixed_finishing_iterations_and_warnings(self):
         # an identity observation stops at the first iteration, without a warning,
         # beside problems of several sizes that run longer and leave the trust region
@@ -561,6 +577,34 @@ class TestReconstructMany:
             assert got[2].iterations == 1 and got[2].warnings == ()
             assert len({res.iterations for res in got}) >= 3
             assert 0 < len(got_warns) < len(obs_list)
+
+    @pytest.mark.parametrize("method", ["taylor", "flow"])
+    @pytest.mark.parametrize(
+        "build", [rolling_ball, unicycle, cvt, triple_product, lambda: kohn(1)],
+        ids=["rolling_ball", "unicycle", "cvt", "triple_product", "kohn1"],
+    )
+    def test_every_system_shape_matches_one_at_a_time(self, build, method):
+        # the named systems whose recommended points pass the rank test, with
+        # (c, ell, d) from (1, 2, 9) to (3, 3, 3): the batched model calls give
+        # every set the results, warnings and error it gets alone.  Seed 11
+        # keeps every system's observed flows in its domain; the cvt and
+        # triple_product flow recoveries end in NotConverged on this path
+        sys = build()
+        points = np.vstack(sys.recommended_points)
+        path = sample_brownian_lift(sys.fields.ell, 64, 8, 0.5, 11)
+        pairs = [(0, 64), (0, 4), (8, 40), (60, 62), (0, 16)]
+        [obs_list] = observe_flows(sys.fields, points, [path], pairs, n_internal=8)
+        obs_list.insert(2, ObservationSet(points, 0.0, 1.0, points.copy()))
+        got, got_warns, got_error = batched_recovery(sys.fields, obs_list, method, n_sub=8)
+        want, want_warns, want_error = loop_recovery(sys.fields, obs_list, method, n_sub=8)
+        if want_error is None:
+            assert got_error is None
+            assert_same_results(got, want)
+            assert got[2].iterations == 1 and got[2].warnings == ()
+        else:
+            assert got is None and type(got_error) is type(want_error)
+            assert str(got_error) == str(want_error)
+        assert got_warns == want_warns
 
     def test_single_problem_is_the_local_recovery(self):
         V, obs_list = triple_product_intervals()
@@ -798,34 +842,24 @@ def driver_against_oracle(make_problems, max_iter=50, tol=1e-12, floor=0.0):
     with minimize_least_squares; assert the outcomes are bitwise equal.
 
     Each problem is a (residual, jacobian, theta0) triple and runs as a
-    `_one_problem` generator whose model yields one request per trial point;
-    one evaluate call per round serves them all, with the residual and the
-    Jacobian of each request.  Returns the driver's outcomes and, for each
-    evaluate call, the problem indices of its stack and whether the call
-    raised.
+    `_one_problem` generator that yields its trial points; one
+    evaluate(ks, thetas) call per round serves them all, with the residual
+    and the Jacobian of each problem at its point.  Returns the driver's
+    outcomes and, for each evaluate call, the problem indices of its stack
+    and whether the call raised.
     """
     problems, stacks = make_problems(), []
 
-    def model(k):
-        def evaluate_at(theta):
-            return (yield k, theta)
-
-        return evaluate_at
-
-    def evaluate(requests):
-        idx = [k for k, _ in requests]
+    def evaluate(ks, thetas):
         try:
-            rows = [(problems[k][0](t), problems[k][1](t)) for k, t in requests]
+            rows = [(problems[k][0](t), problems[k][1](t)) for k, t in zip(ks, thetas)]
         except RdeinvError:
-            stacks.append((idx, True))
+            stacks.append((ks, True))
             raise
-        stacks.append((idx, False))
-        return rows
+        stacks.append((ks, False))
+        return [r for r, _ in rows], [jac for _, jac in rows]
 
-    solvers = [
-        reconstruct._one_problem(model(k), theta, max_iter, tol, floor)
-        for k, (_, _, theta) in enumerate(problems)
-    ]
+    solvers = [reconstruct._one_problem(theta, max_iter, tol, floor) for _, _, theta in problems]
     got = reconstruct._lockstep(solvers, evaluate)
     assert len(got) == len(problems)
     for outcome, (residual, jacobian, theta) in zip(got, make_problems()):
@@ -1240,13 +1274,30 @@ class TestObservationCsv:
             assert np.array_equal(a.observed, b.observed)
             assert np.array_equal(a.base_points, b.base_points)
 
-    def test_inconsistent_base_points_rejected(self, tmp_path):
-        file = tmp_path / "bad.csv"
-        file.write_text(
-            "s,t,point_id,y1,z1\n0,1,0,0.0,1.0\n1,2,0,0.5,1.5\n"
-        )
-        with pytest.raises(InvalidParameter):
-            read_observations_csv(file)
+    def test_two_point_sets_roundtrip(self, tmp_path):
+        # intervals observed at two base-point sets of different sizes read
+        # back as written, and each set recovers as it would alone
+        sys = rolling_ball()
+        fine = lift_piecewise_linear(*circle_samples(64))
+        one = np.eye(3).ravel()[None]
+        two = np.vstack([one, expm(0.7 * ROLLING_BALL_A1 - 0.4 * ROLLING_BALL_A2).ravel()])
+        obs = [
+            observe_flow(sys.fields, points, fine, i, i + 16, n_internal=2)
+            for points, i in ((one, 0), (two, 16), (one, 32), (two, 48))
+        ]
+        file = tmp_path / "obs.csv"
+        write_observations_csv(obs, file)
+        back = read_observations_csv(file)
+        assert len(back) == 4
+        for a, b in zip(obs, back):
+            assert a.s == b.s and a.t == b.t
+            assert np.array_equal(a.observed, b.observed)
+            assert np.array_equal(a.base_points, b.base_points)
+        for method in ("taylor", "flow"):
+            got, got_warns, _ = batched_recovery(sys.fields, back, method, n_sub=8)
+            want, want_warns, _ = loop_recovery(sys.fields, back, method, n_sub=8)
+            assert_same_results(got, want)
+            assert got_warns == want_warns
 
     def test_report_fields(self):
         sys = rolling_ball()
