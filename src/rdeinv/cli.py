@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -74,16 +76,20 @@ def _parse_intervals(text):
     return pairs
 
 
-def _build_system(name, ell=2, dim=2, kohn_d=2):
+def _build_system(spec):
+    """The system a spec names: a SYSTEM_BUILDERS key, then that builder's
+    integer arguments, each after an underscore (kohn_1, constant_2_3), as
+    the systems name themselves."""
+    name, args = re.fullmatch(r"(.*?)((?:_\d+)*)", spec, re.S).groups()
+    values = [int(v) for v in args.split("_")[1:]]
     if name not in SYSTEM_BUILDERS:
-        raise UsageError(
-            f"unknown system {name!r}; choose from {sorted(SYSTEM_BUILDERS)}"
-        )
-    if name == "constant":
-        return SYSTEM_BUILDERS[name](ell, dim)
-    if name == "kohn":
-        return SYSTEM_BUILDERS[name](kohn_d)
-    return SYSTEM_BUILDERS[name]()
+        raise UsageError(f"unknown system {spec!r}; choose from {sorted(SYSTEM_BUILDERS)}")
+    signature = inspect.signature(SYSTEM_BUILDERS[name])
+    try:
+        signature.bind(*values)
+    except TypeError:
+        raise UsageError(f"system {spec!r}: {name} takes the arguments {signature}") from None
+    return SYSTEM_BUILDERS[name](*values)
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +97,14 @@ def _build_system(name, ell=2, dim=2, kohn_d=2):
 
 # (section, option, attribute, cast, default) of every config key.  An
 # attribute is named like the dest of the flag that mirrors it (the driver
-# flags of `lift`, the search flags of `rank`), so the driver builder and the
-# point resolver read either namespace.  experiment.ell and driver.ell set the
-# same attribute, the later one winning.
+# flags of `lift`, the search flags of `search-points`), so the driver builder
+# and the point resolver read either namespace.
 _CONFIG = (
     ("experiment", "system", "system", str, "rolling_ball"),
     ("experiment", "method", "method", str, "taylor"),
-    ("experiment", "ell", "ell", int, 2),
-    ("experiment", "dim", "dim", int, 2),
-    ("experiment", "kohn_d", "kohn_d", int, 2),
     ("driver", "kind", "driver", str, "circle"),
     ("driver", "n", "n", int, 4096),
-    ("driver", "ell", "ell", int, 2),
+    ("driver", "ell", "ell", int, None),  # unset: the system's
     ("driver", "seed", "seed", int, 0),
     ("driver", "n_seeds", "n_seeds", int, 1),
     ("driver", "n_coarse", "n_coarse", int, 256),
@@ -132,8 +134,9 @@ _CONFIG = (
 )
 
 
-def _load_config(args) -> argparse.Namespace:
-    """Table defaults, overridden by the INI file, then --set, then the dedicated flags."""
+def _load_config(args):
+    """Settings (table defaults, overridden by the INI file, then --set, then the
+    dedicated flags) and system of an experiment; an unset driver.ell is the system's."""
     # no interpolation: a '%' in a value is taken literally
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     if args.config:
@@ -167,11 +170,12 @@ def _load_config(args) -> argparse.Namespace:
     for attr in ("system", "method", "out_dir", "seed"):
         if getattr(args, attr) is not None:
             setattr(cfg, attr, getattr(args, attr))
-    if args.points:
-        cfg.points, cfg.points_mode = args.points, "explicit"
-    if args.intervals:
-        cfg.intervals, cfg.schedule_kind = args.intervals, "explicit"
-    return cfg
+    cfg.points = args.points or cfg.points
+    cfg.intervals = args.intervals or cfg.intervals
+    system = _build_system(cfg.system)
+    if cfg.ell is None:
+        cfg.ell = system.fields.ell
+    return cfg, system
 
 
 def _build_driver(ns, seed) -> roughpath.GridRoughPath:
@@ -202,9 +206,7 @@ def _resolve_points(ns, system, mode):
     "recommended" takes the system's own points.
     """
     given = getattr(ns, "points", None)
-    if given or mode == "explicit":
-        if not given:
-            raise UsageError("points.mode = explicit but no points given")
+    if given:
         if len({len(p) for p in given}) > 1:
             raise UsageError(f"base points {[p.tolist() for p in given]} differ in length")
         return np.vstack(given), None
@@ -241,10 +243,8 @@ def _grid_pairs(path, intervals):
 
 
 def _schedule(cfg, path) -> list:
-    """Interval list [(i, j)] of grid indices for the configured schedule."""
-    if cfg.schedule_kind == "explicit":
-        if not cfg.intervals:
-            raise UsageError("schedule.kind = explicit but no intervals given")
+    """Interval list [(i, j)] of grid indices: the given intervals, else the schedule's."""
+    if cfg.intervals:
         return _grid_pairs(path, cfg.intervals)
     if cfg.schedule_kind not in ("uniform", "dyadic"):
         raise UsageError(f"unknown schedule kind {cfg.schedule_kind!r}")
@@ -336,7 +336,7 @@ def cmd_lift(args):
 
 
 def cmd_solve(args):
-    system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
+    system = _build_system(args.system)
     path = roughpath.read_path_csv(args.path, args.alpha)
     x0 = args.x0
     if x0 is None or not x0.size:  # an empty --x0 means the recommended point
@@ -348,7 +348,7 @@ def cmd_solve(args):
 
 
 def cmd_observe(args):
-    system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
+    system = _build_system(args.system)
     path = roughpath.read_path_csv(args.path, args.alpha)
     points, _ = _resolve_points(args, system, "recommended")
     pairs = _grid_pairs(path, args.intervals)
@@ -363,8 +363,8 @@ def cmd_observe(args):
 
 
 def cmd_rank(args):
-    system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
-    points, _ = _resolve_points(args, system, "search" if args.search else "recommended")
+    system = _build_system(args.system)
+    points, _ = _resolve_points(args, system, "recommended")
     rm = reconstruct.reconstruction_matrix(system.fields, points)
     report = {
         "system": system.name,
@@ -381,7 +381,7 @@ def cmd_rank(args):
 
 
 def cmd_search_points(args):
-    system = _build_system(args.system, args.ell, args.dim, args.kohn_d)
+    system = _build_system(args.system)
     _, res = _resolve_points(args, system, "search")
     report = {
         "system": system.name,
@@ -398,8 +398,7 @@ def cmd_search_points(args):
 
 
 def cmd_reconstruct(args):
-    cfg = _load_config(args)
-    system = _build_system(cfg.system, cfg.ell, cfg.dim, cfg.kohn_d)
+    cfg, system = _load_config(args)
     if args.obs:
         obs_list = reconstruct.read_observations_csv(args.obs)
         [results] = _recover(cfg, system, [obs_list])
@@ -408,7 +407,7 @@ def cmd_reconstruct(args):
         path = _build_driver(cfg, cfg.seed)
         points, _ = _resolve_points(cfg, system, cfg.points_mode)
         pairs = _schedule(cfg, path)
-        if cfg.schedule_kind == "dyadic":
+        if cfg.schedule_kind == "dyadic" and not cfg.intervals:
             raise UsageError("use the convergence command for dyadic schedules")
         if any(j - i < 2 for i, j in pairs):
             print(
@@ -451,13 +450,12 @@ def cmd_reconstruct(args):
 
 
 def cmd_convergence(args):
-    if args.intervals:
+    cfg, system = _load_config(args)
+    if cfg.intervals:
         raise UsageError(
             "convergence runs the dyadic schedule set by schedule.s, schedule.t and "
-            "schedule.levels; --intervals does not apply"
+            "schedule.levels; --intervals and schedule.intervals do not apply"
         )
-    cfg = _load_config(args)
-    system = _build_system(cfg.system, cfg.ell, cfg.dim, cfg.kohn_d)
     cfg.schedule_kind = "dyadic"
     if cfg.n_seeds < 1:
         raise UsageError(f"driver.n_seeds must be >= 1, got {cfg.n_seeds}")
@@ -505,19 +503,8 @@ def cmd_convergence(args):
 # parser
 
 
-def _add_system_flags(p):
-    p.add_argument("--system", required=True, help="named system")
-    p.add_argument("--ell", type=int, default=2, help="constant system: number of fields")
-    p.add_argument("--dim", type=int, default=2, help="constant system: state dimension")
-    p.add_argument("--kohn-d", dest="kohn_d", type=int, default=2, help="kohn parameter d")
-
-
-def _add_search_flags(p):
-    p.add_argument("--seed", dest="search_seed", metavar="SEED", type=int, default=0)
-    p.add_argument("--c-max", dest="c_max", type=int, default=3)
-    p.add_argument("--n-trials", dest="n_trials", type=int, default=64)
-    p.add_argument("--box-lo", dest="box_lo", type=_parse_vector, help="search box lower corner")
-    p.add_argument("--box-hi", dest="box_hi", type=_parse_vector, help="search box upper corner")
+def _add_system_flag(p):
+    p.add_argument("--system", required=True, help="named system, as in kohn_1 or constant_2_3")
 
 
 def _build_parser():
@@ -543,7 +530,7 @@ def _build_parser():
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("solve", help="integrate an RDE along a path CSV")
-    _add_system_flags(p)
+    _add_system_flag(p)
     p.add_argument("--path", required=True, help="driver path CSV")
     p.add_argument("--x0", type=_parse_vector, help="start state, comma separated")
     p.add_argument("--method", default="logode", choices=["logode", "euler2"])
@@ -553,7 +540,7 @@ def _build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("observe", help="record flow images over intervals")
-    _add_system_flags(p)
+    _add_system_flag(p)
     p.add_argument("--path", required=True)
     p.add_argument("--points", type=_parse_points, help="base points 'p1;p2' with comma components")
     p.add_argument("--intervals", required=True, type=_parse_intervals, help="'s,t[;s,t...]'")
@@ -564,16 +551,18 @@ def _build_parser():
     p.set_defaults(func=cmd_observe)
 
     p = sub.add_parser("rank", help="rank-test the reconstruction matrix")
-    _add_system_flags(p)
-    p.add_argument("--points", type=_parse_points, help="explicit base points 'p1;p2'")
-    p.add_argument("--search", action="store_true", help="search points instead")
-    _add_search_flags(p)
+    _add_system_flag(p)
+    p.add_argument("--points", type=_parse_points, help="base points 'p1;p2'")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("search-points", help="greedy base-point search")
-    _add_system_flags(p)
-    _add_search_flags(p)
+    _add_system_flag(p)
+    p.add_argument("--seed", dest="search_seed", metavar="SEED", type=int, default=0)
+    p.add_argument("--c-max", dest="c_max", type=int, default=3)
+    p.add_argument("--n-trials", dest="n_trials", type=int, default=64)
+    p.add_argument("--box-lo", dest="box_lo", type=_parse_vector, help="search box lower corner")
+    p.add_argument("--box-hi", dest="box_hi", type=_parse_vector, help="search box upper corner")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search_points)
 

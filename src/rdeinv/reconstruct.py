@@ -51,7 +51,7 @@ from .roughpath import (
 )
 from .vectorfields import VectorFieldSet, bracket_columns
 
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10  # the rank counts singular values above RANK_TOL times the largest
 FD_STEP = 1e-6  # the flow model's central-difference step
 FD_FLOOR = float(np.sqrt(np.finfo(float).eps))  # its Jacobian's relative accuracy on RK4 images
 
@@ -64,7 +64,6 @@ class ReconstructionMatrix:
     mat: np.ndarray
     singular_values: np.ndarray
     rank: int
-    tol_rel: float
 
 
 @dataclass(eq=False)
@@ -112,29 +111,27 @@ def _column_blocks(fields, brackets):
     return np.concatenate([fields, brackets], axis=1).transpose(0, 2, 1)
 
 
-def _ranked(mat, sv, tol_rel):
-    """The ReconstructionMatrix of mat, given its singular values sv; tol_rel must lie in (0, 1)."""
-    if not 0.0 < tol_rel < 1.0:  # a NaN fails too
-        raise InvalidParameter(f"tol_rel must lie in (0, 1), got {tol_rel!r}")
-    rank = 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > tol_rel * sv[0]))
-    return ReconstructionMatrix(mat.shape[1], mat, sv, rank, float(tol_rel))
+def _ranked(mat, sv):
+    """The ReconstructionMatrix of mat, given its singular values sv."""
+    rank = 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > RANK_TOL * sv[0]))
+    return ReconstructionMatrix(mat.shape[1], mat, sv, rank)
 
 
-def _matrix(fields, brackets, tol_rel):
+def _matrix(fields, brackets):
     blocks = _column_blocks(fields, brackets)
     mat = blocks.reshape(-1, blocks.shape[2])
-    return _ranked(mat, np.linalg.svd(mat, compute_uv=False), tol_rel)
+    return _ranked(mat, np.linalg.svd(mat, compute_uv=False))
 
 
-def reconstruction_matrix(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
+def reconstruction_matrix(V: VectorFieldSet, points):
     """Matrix of field values and bracket values at the base points.
 
     Columns are V_1 .. V_ell followed by [V_j, V_k] for j < k in row-major
     pair order; row block r holds the values at point r.  The rank counts
-    singular values above tol_rel times the largest one.
+    singular values above RANK_TOL times the largest one.
     """
     _, fields, brackets, _ = _point_blocks(V, points)
-    return _matrix(fields, brackets, tol_rel)
+    return _matrix(fields, brackets)
 
 
 def _taylor_images(base, fields, brackets, comps, A, bvec):
@@ -178,7 +175,7 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
     return images[0] if one else images
 
 
-def _local_problem(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
+def _local_problem(V: VectorFieldSet, points):
     """The local recovery problem at one set of base points.
 
     Returns the point blocks (points, fields, brackets, comps), the
@@ -186,7 +183,7 @@ def _local_problem(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     raises RankDeficient below rank m.
     """
     blocks = _point_blocks(V, points)
-    rm = _matrix(blocks[1], blocks[2], tol_rel)
+    rm = _matrix(blocks[1], blocks[2])
     if rm.rank < rm.m:
         raise RankDeficient(
             f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
@@ -198,7 +195,7 @@ def _local_problem(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     return (*blocks, rm, float(rm.singular_values[rm.m - 1]), eps2)
 
 
-def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
+def trust_region(V: VectorFieldSet, points):
     """Constants (eps1, eps2) of the local recovery problem at these points.
 
     eps1 is the reciprocal pseudo-inverse norm of the model Jacobian at 0,
@@ -206,17 +203,20 @@ def trust_region(V: VectorFieldSet, points, tol_rel=DEFAULT_RANK_TOL):
     model injectivity radius 1 / (2 sum_{i,j} |V_i V_j|) with the Euclidean
     norm of each stacked composition vector.  Requires full rank m.
     """
-    return _local_problem(V, points, tol_rel)[-2:]
+    return _local_problem(V, points)[-2:]
 
 
 def _one_problem(theta, max_iter, tol, floor):
     """Gauss-Newton with Levenberg damping on one problem 0.5*|r|^2, as a generator.
 
     It yields each trial point theta (m,), the start first, and is sent the
-    residual (n,) and Jacobian (n, m) there.  It returns (theta, iterations,
-    r) once a proposed step is shorter than tol, or a rejected one no longer
-    than floor*|theta|; it raises NotConverged when the iteration budget is
-    exhausted or no damped step decreases its cost.
+    residual (n,) and Jacobian (n, m) there, or is thrown the package error
+    of evaluating them: at the start that ends the solve, at a trial point it
+    is a rejected step.  It returns (theta, iterations, r) once a proposed
+    step is shorter than tol, or a step no longer than floor*|theta| is
+    rejected, or accepted (with the new theta); it raises NotConverged when
+    the iteration budget is exhausted or no damped step decreases its cost,
+    and NonFinite for a step that is not finite.
     """
     r, jac = yield theta
     cost = float(r @ r)
@@ -233,8 +233,14 @@ def _one_problem(theta, max_iter, tol, floor):
             step = float(np.linalg.norm(delta))
             if step < tol:
                 return theta, it, r
-            r_new, jac_new = yield theta + delta
-            cost_new = float(r_new @ r_new)
+            if not step < np.inf:  # a NaN fails too
+                raise NonFinite(f"Gauss-Newton step is not finite at iteration {it}")
+            try:
+                r_new, jac_new = yield theta + delta
+            except RdeinvError:  # the model cannot be evaluated there
+                cost_new = np.nan
+            else:
+                cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
                 break
             if step <= floor * float(np.linalg.norm(theta)):
@@ -244,6 +250,8 @@ def _one_problem(theta, max_iter, tol, floor):
                 raise NotConverged(f"no acceptable damped step at iteration {it}")
         else:
             raise NotConverged(f"no acceptable damped step at iteration {it}")
+        if floor and step <= floor * float(np.linalg.norm(theta)):
+            return theta + delta, it, r_new
         theta = theta + delta
         r, jac, cost = r_new, jac_new, cost_new
         lam *= 0.1
@@ -280,9 +288,10 @@ def _lockstep(solvers, evaluate):
         thetas = {}
         for k, value in sends.items():
             try:
-                if isinstance(value, Exception):
-                    raise value  # its trial point failed when evaluated alone
-                thetas[k] = solvers[k].send(value)
+                if isinstance(value, Exception):  # its trial point failed when evaluated alone
+                    thetas[k] = solvers[k].throw(value)
+                else:
+                    thetas[k] = solvers[k].send(value)
             except StopIteration as stop:
                 outcomes[k] = stop.value
             except RdeinvError as exc:
@@ -364,19 +373,21 @@ def reconstruct_many(
     Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
     Jacobian from central finite differences of step FD_STEP.  Both start
     from A fitted by linear least squares against the field columns, B = 0,
-    and stop once the step norm is below tol; "flow" also stops at a rejected
-    step no longer than FD_FLOOR*|(A, B)|, its Jacobian's accuracy.
+    and stop once the step norm is below tol; "flow" also stops at a step,
+    rejected or accepted, no longer than FD_FLOOR*|(A, B)|, its Jacobian's
+    accuracy.  Overflowing normal equations raise NonFinite.
     max_iter and n_sub must be integers >= 1, tol in (0, inf).
 
     Sets with the same base points share one set-up, whose error fails them
     all, and are solved in lockstep: each round evaluates the trial points of
     all of them with one batched model call, Taylor images and Jacobians from
     one einsum each, or flow images from one flow_map call in which each trial
-    point brings its 2m probes, so a failing probe fails its set.  Every
-    result equals that of recovering the sets one at a time, in order:
-    TrustRegionExceeded is warned in that order, and when some set fails,
-    the error of the first failing one is raised after the warnings of the
-    sets before it.
+    point brings its 2m probes.  A trial point whose image or probe fails is
+    a rejected step, damped and retried; a failing start point fails its
+    set.  Every result equals that of recovering the sets one at a time, in
+    order: TrustRegionExceeded is warned in that order, and when some set
+    fails, the error of the first failing one is raised after the warnings
+    of the sets before it.
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
@@ -400,7 +411,9 @@ def reconstruct_many(
             start = np.zeros(rm.m)
             start[: V.ell] = np.linalg.lstsq(rm.mat[:, : V.ell], target - base.ravel(), rcond=None)[0]
             solvers.append(_one_problem(start, max_iter, tol, floor))
-        for k, outcome in zip(idx, _lockstep(solvers, evaluate)):
+        with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
+            group = _lockstep(solvers, evaluate)
+        for k, outcome in zip(idx, group):
             if not isinstance(outcome, Exception):
                 outcome = _result_from(*outcome, V, obs_list[k], eps1, eps2, method)
             outcomes[k] = outcome
@@ -426,28 +439,22 @@ def local_reconstruct_flow(
     return reconstruct_many(V, [obs], "flow", max_iter, tol, n_sub)[0]
 
 
-def doss_sussmann_1d(
-    V: VectorFieldSet,
-    y,
-    observed,
-    tol=1e-12,
-    max_iter=100,
-    steps_per_unit=256,
-    param_bound=100.0,
-):
+def doss_sussmann_1d(V: VectorFieldSet, y, observed):
     """Invert a -> exp(a V_1)(y) for a single field on the line.
 
     Newton iteration on the numerically integrated flow; each correction
     continues the integration from the current state, so the total work is
     about two traversals of the parameter interval.  Exact up to the solver
-    tolerance: in this case the log-ODE flow equals the solution flow.
+    tolerance: in this case the log-ODE flow equals the solution flow.  It
+    stops once the state is within 1e-12 * max(1, |observed|) of the target,
+    takes at most 100 Newton steps, integrates with 256 steps per unit of
+    parameter and leaves the parameter interval [-100, 100] as
+    OutOfNeighborhood.
     """
+    tol, max_iter, steps_per_unit, param_bound = 1e-12, 100, 256, 100.0
     if V.ell != 1 or V.d != 1:
         raise DimensionMismatch("doss_sussmann_1d needs a single field on 1-space")
     y, observed = float(y), float(observed)
-    tol, max_iter = positive(tol, "tol"), count(max_iter, "max_iter")
-    steps_per_unit = positive(steps_per_unit, "steps_per_unit")
-    param_bound = positive(param_bound, "param_bound")
 
     def vfield(z):
         return float(V.field(0, np.array([z]))[0])
@@ -533,15 +540,7 @@ def _admissible(V: VectorFieldSet, point):
     return True
 
 
-def search_points(
-    V: VectorFieldSet,
-    box_lo,
-    box_hi,
-    c_max,
-    seed,
-    n_trials=64,
-    tol_rel=DEFAULT_RANK_TOL,
-) -> PointSearchResult:
+def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -> PointSearchResult:
     """Greedy random search for base points maximising the smallest singular value.
 
     Grows the point set one point at a time, keeping the candidate that
@@ -590,7 +589,7 @@ def search_points(
         mats = np.concatenate([heads, _column_blocks(fields, brackets)], axis=1)
         svs = np.linalg.svd(mats, compute_uv=False)
         best = int(np.argmax(svs[:, -1]))
-        best_mat = _ranked(mats[best], svs[best], tol_rel)
+        best_mat = _ranked(mats[best], svs[best])
         chosen, head = np.vstack([chosen, cands[best]]), best_mat.mat
         if best_mat.rank == best_mat.m:
             break

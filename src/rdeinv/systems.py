@@ -180,7 +180,7 @@ def kohn(d=2) -> NamedSystem:
     )
 
 
-def constant_fields(ell, d) -> NamedSystem:
+def constant_fields(ell=2, d=2) -> NamedSystem:
     """The first ell canonical basis fields on R^d; all brackets vanish.
 
     Solutions translate by the level-1 increment only, so the area of the

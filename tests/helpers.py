@@ -49,12 +49,15 @@ def minimize_least_squares(model, theta0, max_iter, tol, floor=0.0):
 
     The one-problem solver that the lockstep `reconstruct_many` is checked
     against.  model(theta) returns the residual and the Jacobian there, and
-    is called once per trial point.  Returns (theta, iterations,
-    residual_vector) when the step norm drops below tol, or when a rejected
-    damped step is no longer than floor*|theta|; raises NotConverged when the
-    iteration budget is exhausted or no damped step decreases the cost.
+    is called once per trial point; a package error it raises at the start
+    point ends the solve, and at a trial point rejects the step.  Returns
+    (theta, iterations, residual_vector) when the step norm drops below tol,
+    or when a rejected damped step is no longer than floor*|theta|, or an
+    accepted one (then with the new theta); raises NotConverged when the
+    iteration budget is exhausted or no damped step decreases the cost, and
+    NonFinite when a damped step is not finite.
     """
-    from rdeinv.errors import NotConverged
+    from rdeinv.errors import NonFinite, NotConverged, RdeinvError
 
     theta = np.asarray(theta0, dtype=float).copy()
     r, jac = model(theta)
@@ -74,8 +77,14 @@ def minimize_least_squares(model, theta0, max_iter, tol, floor=0.0):
                 continue
             if float(np.linalg.norm(delta)) < tol:
                 return theta, it, r
-            r_new, jac_new = model(theta + delta)
-            cost_new = float(r_new @ r_new)
+            if not np.isfinite(np.linalg.norm(delta)):
+                raise NonFinite(f"Gauss-Newton step is not finite at iteration {it}")
+            try:
+                r_new, jac_new = model(theta + delta)
+            except RdeinvError:
+                cost_new = np.nan
+            else:
+                cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
                 accepted = True
                 break
@@ -86,6 +95,8 @@ def minimize_least_squares(model, theta0, max_iter, tol, floor=0.0):
                 break
         if not accepted:
             raise NotConverged(f"no acceptable damped step at iteration {it}")
+        if float(np.linalg.norm(delta)) <= floor * float(np.linalg.norm(theta)):
+            return theta + delta, it, r_new
         theta = theta + delta
         r, jac, cost = r_new, jac_new, cost_new
         lam *= 0.1
@@ -140,7 +151,8 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
             images = logode_step(V, np.tile(base, (2 * m + 1, 1)), inc, n_sub).reshape(2 * m + 1, -1)
             return images[0] - target, (images[1 : m + 1] - images[m + 1 :]).T / (2.0 * fd_step)
 
-    theta, iterations, rvec = minimize_least_squares(model, theta0, max_iter, tol, floor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, iterations, rvec = minimize_least_squares(model, theta0, max_iter, tol, floor)
     result, note = reconstruct._result_from(theta, iterations, rvec, V, obs, eps1, eps2, method)
     if note is not None:
         warnings.warn(note)
