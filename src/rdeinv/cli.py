@@ -89,7 +89,10 @@ def _build_system(spec):
         signature.bind(*values)
     except TypeError:
         raise UsageError(f"system {spec!r}: {name} takes the arguments {signature}") from None
-    return SYSTEM_BUILDERS[name](*values)
+    try:
+        return SYSTEM_BUILDERS[name](*values)
+    except (ValueError, MemoryError) as exc:  # arrays of these sizes cannot be allocated
+        raise UsageError(f"system {spec!r} is too large: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

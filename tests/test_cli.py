@@ -97,7 +97,7 @@ class TestSystemNames:
     @pytest.mark.parametrize(
         "spec",
         ["kohn_1_2", "rolling_ball_1", "constant_2_3_4", "kohn_0", "constant_3_2", "kohn_",
-         "kohn_x", "_1", "kohn_\u00b2", "kohn\n"],
+         "kohn_x", "_1", "kohn_\u00b2", "kohn\n", "kohn_1000000", "constant_2_10000000000"],
     )
     def test_bad_spec_is_usage_error(self, spec, capsys):
         code, out, err = run(capsys, "rank", "--system", spec)
