@@ -235,8 +235,9 @@ def _one_problem(theta, max_iter, tol, floor):
                 return theta, it, r
             if not step < np.inf:  # a NaN fails too
                 raise NonFinite(f"Gauss-Newton step is not finite at iteration {it}")
+            trial = theta + delta
             try:
-                r_new, jac_new = yield theta + delta
+                r_new, jac_new = yield trial
             except RdeinvError:  # the model cannot be evaluated there
                 cost_new = np.nan
             else:
@@ -251,9 +252,8 @@ def _one_problem(theta, max_iter, tol, floor):
         else:
             raise NotConverged(f"no acceptable damped step at iteration {it}")
         if floor and step <= floor * float(np.linalg.norm(theta)):
-            return theta + delta, it, r_new
-        theta = theta + delta
-        r, jac, cost = r_new, jac_new, cost_new
+            return trial, it, r_new
+        theta, r, jac, cost = trial, r_new, jac_new, cost_new
         lam *= 0.1
     raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
 
