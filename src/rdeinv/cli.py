@@ -2,8 +2,8 @@
 
 Experiments are reproducible by file (INI config with sections) and tweakable
 by hand: any config key can be overridden with --set SECTION.KEY=VALUE, and
-the common keys have dedicated flags.  A key that is not in the config table
-is a usage error.
+the common keys have dedicated flags.  A key that is not in the config table,
+or a value that its row's rule rejects, is a usage error before any work.
 
 `reconstruct` and `convergence` run one pipeline, `_experiment`: every driver
 seed and interval is observed in one lockstep `rde.observe_flows` run,
@@ -38,6 +38,8 @@ from .errors import (
     NonFinite,
     NotConverged,
     RankDeficient,
+    count,
+    positive,
 )
 from .io import fmt, write_table
 from .systems import SYSTEM_BUILDERS
@@ -98,43 +100,56 @@ def _build_system(spec):
 # ---------------------------------------------------------------------------
 # experiment configuration
 
-# (section, option, attribute, cast, default) of every config key.  An
-# attribute is named like the dest of the flag that mirrors it (the driver
-# flags of `lift`, the search flags of `search-points`), so the driver builder
-# and the point resolver read either namespace.
-_CONFIG = (
-    ("experiment", "system", "system", str, "rolling_ball"),
-    ("experiment", "method", "method", str, "taylor"),
-    ("driver", "kind", "driver", str, "circle"),
-    ("driver", "n", "n", int, 4096),
-    ("driver", "ell", "ell", int, None),  # unset: the system's
-    ("driver", "seed", "seed", int, 0),
-    ("driver", "n_seeds", "n_seeds", int, 1),
-    ("driver", "n_coarse", "n_coarse", int, 256),
-    ("driver", "n_fine", "n_fine", int, 8),
-    ("driver", "horizon", "horizon", float, 1.0),
-    ("driver", "alpha", "alpha", float, 0.5),
-    ("driver", "v", "v", _parse_vector, None),
-    ("driver", "file", "driver_file", str, ""),
-    ("points", "mode", "points_mode", str, "recommended"),
-    ("points", "points", "points", _parse_points, None),
-    ("points", "seed", "search_seed", int, 0),
-    ("points", "c_max", "c_max", int, 1),
-    ("points", "n_trials", "n_trials", int, 64),
-    ("points", "box_lo", "box_lo", _parse_vector, None),
-    ("points", "box_hi", "box_hi", _parse_vector, None),
-    ("schedule", "kind", "schedule_kind", str, "uniform"),
-    ("schedule", "s", "s", float, None),  # unset: the driver's first grid time
-    ("schedule", "t", "t", float, None),  # unset: its last
-    ("schedule", "n", "n_intervals", int, 8),
-    ("schedule", "levels", "levels", int, 5),
-    ("schedule", "intervals", "intervals", _parse_intervals, None),
-    ("solver", "n_internal", "n_internal", int, 64),
-    ("solver", "n_sub", "n_sub", int, 8),
-    ("solver", "max_iter", "max_iter", int, 50),
-    ("solver", "tol", "tol", float, 1e-12),
-    ("output", "dir", "out_dir", str, "out"),
-)
+
+def _choice(*values):
+    """Cast of a key that takes one of values."""
+    def cast(raw):
+        if raw not in values:
+            raise UsageError(f"choose from {', '.join(values)}")
+        return raw
+    return cast
+
+
+def _rule(check, parse):
+    """Cast that parses a value and applies an input rule of `rdeinv.errors` to it."""
+    return lambda raw: check(parse(raw), "value")
+
+
+# (section, option) -> (attribute, cast, default) of every config key.  The cast
+# enforces the key's rule, so a bad value fails when the config is read.  An
+# attribute is the dest of the flag that mirrors the key (the driver flags of `lift`,
+# the search flags of `search-points`), so their readers take either namespace.
+_CONFIG = {
+    ("experiment", "system"): ("system", str, "rolling_ball"),
+    ("experiment", "method"): ("method", _choice("taylor", "flow"), "taylor"),
+    ("driver", "kind"): ("driver", _choice("circle", "brownian", "linear", "file"), "circle"),
+    ("driver", "n"): ("n", _rule(count, int), 4096),
+    ("driver", "ell"): ("ell", _rule(count, int), None),  # unset: the system's
+    ("driver", "seed"): ("seed", int, 0),
+    ("driver", "n_seeds"): ("n_seeds", _rule(count, int), 1),
+    ("driver", "n_coarse"): ("n_coarse", _rule(count, int), 256),
+    ("driver", "n_fine"): ("n_fine", _rule(count, int), 8),
+    ("driver", "horizon"): ("horizon", _rule(positive, float), 1.0),
+    ("driver", "alpha"): ("alpha", roughpath._check_alpha, 0.5),
+    ("driver", "v"): ("v", _parse_vector, None),
+    ("driver", "file"): ("driver_file", str, ""),
+    ("points", "mode"): ("points_mode", _choice("recommended", "search"), "recommended"),
+    ("points", "points"): ("points", _parse_points, None),
+    ("points", "seed"): ("search_seed", int, 0),
+    ("points", "c_max"): ("c_max", _rule(count, int), 3),
+    ("points", "n_trials"): ("n_trials", _rule(count, int), 64),
+    ("points", "box_lo"): ("box_lo", _parse_vector, -1.0),
+    ("points", "box_hi"): ("box_hi", _parse_vector, 1.0),
+    ("schedule", "kind"): ("schedule_kind", _choice("uniform", "dyadic"), "uniform"),
+    ("schedule", "s"): ("s", float, None),  # unset: the driver's first grid time
+    ("schedule", "t"): ("t", float, None),  # unset: its last
+    ("schedule", "n"): ("n_intervals", _rule(count, int), 8),
+    ("schedule", "levels"): ("levels", _rule(count, int), 5),
+    ("schedule", "intervals"): ("intervals", _parse_intervals, None),
+    ("solver", "n_internal"): ("n_internal", _rule(count, int), 64),
+    ("solver", "n_sub"): ("n_sub", _rule(count, int), 8),
+    ("output", "dir"): ("out_dir", str, "out"),
+}
 
 
 def _load_config(args):
@@ -155,21 +170,18 @@ def _load_config(args):
         key, value = override.split("=", 1)
         section, option = (part.strip() for part in key.split(".", 1))
         parser.read_dict({section: {option: value.strip()}})
+    cfg = argparse.Namespace(**{attr: default for attr, _, default in _CONFIG.values()})
     # iterating the parser visits [DEFAULT] too; its keys would reach every
     # section, so they are unknown keys like any other
-    known = {(section, option) for section, option, *_ in _CONFIG}
     for section in parser:
-        for option in parser[section]:
-            if (section, option) not in known:
+        for option, raw in parser[section].items():
+            if (section, option) not in _CONFIG:
                 raise UsageError(f"unknown config key {section}.{option}")
-    cfg = argparse.Namespace(**{attr: default for _, _, attr, _, default in _CONFIG})
-    for section, option, attr, cast, _ in _CONFIG:
-        if parser.has_option(section, option):
-            raw = parser.get(section, option)
+            attr, cast, _ = _CONFIG[section, option]
             try:
                 setattr(cfg, attr, cast(raw))
             except (ValueError, UsageError) as exc:
-                raise UsageError(f"bad config value {section}.{option} = {raw!r}") from exc
+                raise UsageError(f"{section}.{option} = {raw!r}: {exc}") from exc
     for attr in ("system", "method", "out_dir", "seed"):
         if getattr(args, attr) is not None:
             setattr(cfg, attr, getattr(args, attr))
@@ -183,30 +195,28 @@ def _load_config(args):
 
 def _build_driver(ns, seed) -> roughpath.GridRoughPath:
     """Driver of kind ns.driver, from the `lift` flags or the driver.* config keys."""
-    kind = ns.driver
-    if kind == "circle":
+    if ns.driver == "circle":
         times, values = roughpath.circle_samples(ns.n)
         return roughpath.lift_piecewise_linear(times, values, ns.alpha)
-    if kind == "brownian":
+    if ns.driver == "brownian":
         return roughpath.sample_brownian_lift(ns.ell, ns.n_coarse, ns.n_fine, ns.horizon, seed)
-    if kind == "linear":
+    if ns.driver == "linear":
         if ns.v is None:
             raise UsageError("linear driver needs --v (driver.v in a config)")
         times = np.linspace(0.0, ns.horizon, ns.n + 1)
         return roughpath.make_linear_rough_path(ns.v, ns.ell, times, ns.alpha)
-    if kind == "file":
-        if not ns.driver_file:
-            raise UsageError("driver.kind = file needs driver.file")
-        return roughpath.read_path_csv(ns.driver_file, ns.alpha)
-    raise UsageError(f"unknown driver kind {kind!r}")
+    # kind "file": lift --driver and driver.kind admit no other
+    if not ns.driver_file:
+        raise UsageError("driver.kind = file needs driver.file")
+    return roughpath.read_path_csv(ns.driver_file, ns.alpha)
 
 
 def _resolve_points(ns, system, mode):
     """Base points as a (c, d) stack, and the search result when they were searched.
 
     Given points (ns.points) win; otherwise mode "search" runs the greedy
-    search in the box [ns.box_lo, ns.box_hi] (default [-1, 1]^d) and
-    "recommended" takes the system's own points.
+    search in the box [ns.box_lo, ns.box_hi] and "recommended" takes the
+    system's own points.
     """
     given = getattr(ns, "points", None)
     if given:
@@ -215,19 +225,12 @@ def _resolve_points(ns, system, mode):
         return np.vstack(given), None
     if mode == "search":
         res = reconstruct.search_points(
-            system.fields,
-            -1.0 if ns.box_lo is None else ns.box_lo,
-            1.0 if ns.box_hi is None else ns.box_hi,
-            ns.c_max,
-            ns.search_seed,
-            ns.n_trials,
+            system.fields, ns.box_lo, ns.box_hi, ns.c_max, ns.search_seed, ns.n_trials
         )
         return res.points, res
-    if mode == "recommended":
-        if not system.recommended_points:
-            raise UsageError(f"system {system.name} has no recommended points")
-        return np.vstack(system.recommended_points), None
-    raise UsageError(f"unknown points mode {mode!r}")
+    if not system.recommended_points:
+        raise UsageError(f"system {system.name} has no recommended points")
+    return np.vstack(system.recommended_points), None
 
 
 def _grid_index(path, time, what):
@@ -249,10 +252,6 @@ def _schedule(cfg, path) -> list:
     """Interval list [(i, j)] of grid indices: the given intervals, else the schedule's."""
     if cfg.intervals:
         return _grid_pairs(path, cfg.intervals)
-    if cfg.schedule_kind not in ("uniform", "dyadic"):
-        raise UsageError(f"unknown schedule kind {cfg.schedule_kind!r}")
-    if cfg.schedule_kind == "uniform" and cfg.n_intervals < 1:
-        raise UsageError("schedule.n must be >= 1")
     i0 = 0 if cfg.s is None else _grid_index(path, cfg.s, "schedule.s")
     j0 = len(path.times) - 1 if cfg.t is None else _grid_index(path, cfg.t, "schedule.t")
     if not i0 < j0:
@@ -266,22 +265,16 @@ def _schedule(cfg, path) -> list:
             )
         w = span // cfg.n_intervals
         return [(i0 + k * w, i0 + (k + 1) * w) for k in range(cfg.n_intervals)]
-    out = []
-    for k in range(cfg.levels):
-        if span % (1 << k) != 0:
-            raise UsageError(f"dyadic level {k} does not align with the driver grid")
-        out.append((i0, i0 + span // (1 << k)))
-    return out
+    if span % (1 << (cfg.levels - 1)) != 0:
+        raise UsageError(f"{cfg.levels} dyadic levels do not align with the {span} driver steps")
+    return [(i0, i0 + (span >> k)) for k in range(cfg.levels)]
 
 
 def _recover(cfg, system, observed):
     """Recover every observation set of observed[p][q] with one lockstep call."""
-    if cfg.method not in ("taylor", "flow"):
-        raise UsageError(f"unknown method {cfg.method!r}; choose taylor or flow")
     flat = iter(
         reconstruct.reconstruct_many(
-            system.fields, [obs for row in observed for obs in row], cfg.method, cfg.max_iter,
-            cfg.tol, cfg.n_sub,
+            system.fields, [obs for row in observed for obs in row], cfg.method, cfg.n_sub
         )
     )
     return [[next(flat) for _ in row] for row in observed]
@@ -402,6 +395,10 @@ def cmd_search_points(args):
 
 def cmd_reconstruct(args):
     cfg, system = _load_config(args)
+    if cfg.n_seeds != 1:
+        raise UsageError(f"driver.n_seeds = {cfg.n_seeds}: several seeds are for convergence")
+    if cfg.schedule_kind == "dyadic" and not (cfg.intervals or args.obs):
+        raise UsageError("schedule.kind = dyadic: dyadic schedules are for convergence")
     if args.obs:
         obs_list = reconstruct.read_observations_csv(args.obs)
         [results] = _recover(cfg, system, [obs_list])
@@ -410,8 +407,6 @@ def cmd_reconstruct(args):
         path = _build_driver(cfg, cfg.seed)
         points, _ = _resolve_points(cfg, system, cfg.points_mode)
         pairs = _schedule(cfg, path)
-        if cfg.schedule_kind == "dyadic" and not cfg.intervals:
-            raise UsageError("use the convergence command for dyadic schedules")
         if any(j - i < 2 for i, j in pairs):
             print(
                 "note: interval with a single driver step; observations "
@@ -460,8 +455,6 @@ def cmd_convergence(args):
             "schedule.levels; --intervals and schedule.intervals do not apply"
         )
     cfg.schedule_kind = "dyadic"
-    if cfg.n_seeds < 1:
-        raise UsageError(f"driver.n_seeds must be >= 1, got {cfg.n_seeds}")
     seeds = [cfg.seed + k for k in range(cfg.n_seeds)]
     paths = [_build_driver(cfg, seed) for seed in seeds]
     points, _ = _resolve_points(cfg, system, cfg.points_mode)
@@ -561,13 +554,15 @@ def _build_parser():
 
     p = sub.add_parser("search-points", help="greedy base-point search")
     _add_system_flag(p)
-    p.add_argument("--seed", dest="search_seed", metavar="SEED", type=int, default=0)
-    p.add_argument("--c-max", dest="c_max", type=int, default=3)
-    p.add_argument("--n-trials", dest="n_trials", type=int, default=64)
+    p.add_argument("--seed", dest="search_seed", metavar="SEED", type=int)
+    p.add_argument("--c-max", dest="c_max", type=int)
+    p.add_argument("--n-trials", dest="n_trials", type=int)
     p.add_argument("--box-lo", dest="box_lo", type=_parse_vector, help="search box lower corner")
     p.add_argument("--box-hi", dest="box_hi", type=_parse_vector, help="search box upper corner")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_search_points)
+    # the search flags mirror the points.* keys and take their defaults
+    points = {attr: default for (sec, _), (attr, _, default) in _CONFIG.items() if sec == "points"}
+    p.set_defaults(func=cmd_search_points, **points)
 
     for name, fn in (("reconstruct", cmd_reconstruct), ("convergence", cmd_convergence)):
         p = sub.add_parser(name, help=f"{name} experiment from config and flags")
@@ -618,16 +613,14 @@ def main(argv=None) -> int:
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DomainViolation as exc:
         _error_json(exc)
         return EXIT_DOMAIN
     except (RankDeficient, NotConverged, NonFinite) as exc:
         _error_json(exc)
         return EXIT_NUMERIC
-    except (InvalidGrid, InvalidParameter, DimensionMismatch, IndexOutOfRange, OSError) as exc:
+    except (UsageError, InvalidGrid, InvalidParameter, DimensionMismatch, IndexOutOfRange,
+            OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

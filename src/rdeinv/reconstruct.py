@@ -40,7 +40,6 @@ from .errors import (
     TrustRegionExceeded,
     count,
     finite,
-    positive,
 )
 from .rde import ObservationSet, _check_step, logode_step
 from .roughpath import (
@@ -54,6 +53,8 @@ from .vectorfields import VectorFieldSet, bracket_columns
 RANK_TOL = 1e-10  # the rank counts singular values above RANK_TOL times the largest
 FD_STEP = 1e-6  # the flow model's central-difference step
 FD_FLOOR = float(np.sqrt(np.finfo(float).eps))  # its Jacobian's relative accuracy on RK4 images
+MAX_ITER = 50  # the Gauss-Newton iteration budget of one recovery
+TOL = 1e-12  # a recovery stops at a proposed step shorter than TOL
 
 
 @dataclass(eq=False)
@@ -363,9 +364,7 @@ def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
     return evaluate, FD_FLOOR
 
 
-def reconstruct_many(
-    V: VectorFieldSet, obs_list, method="taylor", max_iter=50, tol=1e-12, n_sub=16
-):
+def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=16):
     """Recover (A, B) from every observation set, one ReconstructionResult each.
 
     method "taylor" matches the second-order model, with the reconstruction
@@ -373,10 +372,10 @@ def reconstruct_many(
     Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
     Jacobian from central finite differences of step FD_STEP.  Both start
     from A fitted by linear least squares against the field columns, B = 0,
-    and stop once the step norm is below tol; "flow" also stops at a step,
-    rejected or accepted, no longer than FD_FLOOR*|(A, B)|, its Jacobian's
-    accuracy.  Overflowing normal equations raise NonFinite.
-    max_iter and n_sub must be integers >= 1, tol in (0, inf).
+    and stop once the step norm is below TOL, within MAX_ITER iterations or
+    NotConverged; "flow" also stops at a step, rejected or accepted, no longer
+    than FD_FLOOR*|(A, B)|, its Jacobian's accuracy.  Overflowing normal
+    equations raise NonFinite.  n_sub must be an integer >= 1.
 
     Sets with the same base points share one set-up, whose error fails them
     all, and are solved in lockstep: each round evaluates the trial points of
@@ -391,7 +390,7 @@ def reconstruct_many(
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
-    max_iter, n_sub, tol = count(max_iter, "max_iter"), count(n_sub, "n_sub"), positive(tol, "tol")
+    n_sub = count(n_sub, "n_sub")
     obs_list = list(obs_list)
     groups, outcomes = {}, [None] * len(obs_list)
     for k, obs in enumerate(obs_list):
@@ -410,7 +409,7 @@ def reconstruct_many(
         for target in targets:
             start = np.zeros(rm.m)
             start[: V.ell] = np.linalg.lstsq(rm.mat[:, : V.ell], target - base.ravel(), rcond=None)[0]
-            solvers.append(_one_problem(start, max_iter, tol, floor))
+            solvers.append(_one_problem(start, MAX_ITER, TOL, floor))
         with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
             group = _lockstep(solvers, evaluate)
         for k, outcome in zip(idx, group):
@@ -425,18 +424,16 @@ def reconstruct_many(
     return [res for res, _ in outcomes]
 
 
-def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet, max_iter=50, tol=1e-12):
+def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet):
     """Recover (A, B) from one observation set using the Taylor model; see
     `reconstruct_many`."""
-    return reconstruct_many(V, [obs], "taylor", max_iter, tol)[0]
+    return reconstruct_many(V, [obs], "taylor")[0]
 
 
-def local_reconstruct_flow(
-    V: VectorFieldSet, obs: ObservationSet, max_iter=50, tol=1e-12, n_sub=16
-):
+def local_reconstruct_flow(V: VectorFieldSet, obs: ObservationSet, n_sub=16):
     """Recover (A, B) by matching log-ODE flow images of the base points, to
     the accuracy of a central difference of step FD_STEP; see `reconstruct_many`."""
-    return reconstruct_many(V, [obs], "flow", max_iter, tol, n_sub)[0]
+    return reconstruct_many(V, [obs], "flow", n_sub)[0]
 
 
 def doss_sussmann_1d(V: VectorFieldSet, y, observed):

@@ -108,6 +108,30 @@ def _cross(x, y):
     return 0.5 * (xy - np.swapaxes(xy, -1, -2))
 
 
+def _pair_prefixes(values, step_areas=None):
+    """Yield (j, k, prefix) for each pair j != k: prefix[r] is the (j, k) Chen area
+    of the polygon through values over its first r steps, plus step_areas[:r, j, k]
+    when given.  One (n+1,) buffer serves every pair, so no (n, ell, ell)
+    temporary is built; computing the lower triangle rather than negating the
+    upper one, and adding no absent step areas, keeps the sign of every zero."""
+    x0, dx = values[:-1] - values[0], np.diff(values, axis=0)
+    prefix = np.zeros(len(values))
+    for j, k in zip(*np.nonzero(~np.eye(values.shape[1], dtype=bool))):
+        steps = 0.5 * (x0[:, j] * dx[:, k] - x0[:, k] * dx[:, j])
+        if step_areas is not None:
+            steps += step_areas[:, j, k]
+        np.cumsum(steps, out=prefix[1:])
+        yield j, k, prefix
+
+
+def _check_alpha(alpha):
+    """alpha as a float if it lies in (1/3, 1/2], else InvalidParameter."""
+    alpha = float(alpha)
+    if not (1.0 / 3.0 < alpha <= 0.5):
+        raise InvalidParameter(f"alpha must lie in (1/3, 1/2], got {alpha}")
+    return alpha
+
+
 def chen_mul(left: RoughIncrement, right: RoughIncrement) -> RoughIncrement:
     """Compose the increment over [s,u] with the one over [u,t].
 
@@ -148,32 +172,22 @@ class GridRoughPath:
         if not np.all(np.isfinite(values)):
             raise InvalidGrid("path values must be finite")
         n, ell = times.size - 1, values.shape[1]
-        if step_areas is None:
-            step_areas = np.zeros((n, ell, ell))
-        else:
+        if step_areas is not None:
             step_areas = np.array(step_areas, dtype=float)
             if step_areas.shape != (n, ell, ell):
                 raise InvalidGrid(
                     f"step_areas must have shape {(n, ell, ell)}, got {step_areas.shape}"
                 )
             step_areas = _antisymmetric_part(step_areas, "step areas")
-        alpha = float(alpha)
-        if not (1.0 / 3.0 < alpha <= 0.5):
-            raise InvalidParameter(f"alpha must lie in (1/3, 1/2], got {alpha}")
+        alpha = _check_alpha(alpha)
         # paths of huge values may overflow here; they are still valid data
         # (their CSV round trip is exact), only their wide increments are not finite
         prefix = np.zeros((n + 1, ell, ell))
         with np.errstate(over="ignore", invalid="ignore"):
-            x0, dx = values[:-1] - values[0], np.diff(values, axis=0)
-            # entry by entry, off the diagonal and in place, so that no (n, ell, ell)
-            # temporary is built; computing the lower triangle rather than
-            # negating the upper one keeps the sign of every zero
-            for j, k in zip(*np.nonzero(~np.eye(ell, dtype=bool))):
-                steps = x0[:, j] * dx[:, k]
-                steps -= x0[:, k] * dx[:, j]
-                steps *= 0.5
-                steps += step_areas[:, j, k]
-                np.cumsum(steps, out=prefix[1:, j, k])
+            for j, k, column in _pair_prefixes(values, step_areas):
+                prefix[:, j, k] = column
+        if step_areas is None:
+            step_areas = np.zeros((n, ell, ell))
         for arr in (times, values, step_areas, prefix):
             arr.setflags(write=False)
         self.times = times
@@ -302,13 +316,8 @@ def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     if n_fine == 1:
         return GridRoughPath(times, values, None, alpha=0.4)
     i, j = np.arange(0, n, n_fine), np.arange(n_fine, n + 1, n_fine)
-    x0, dx = values[:-1] - values[0], np.diff(values, axis=0)
-    areas, prefix = _cross(values[i] - values[0], values[j] - values[i]), np.zeros(n + 1)
-    for p, q in zip(*np.nonzero(~np.eye(ell, dtype=bool))):  # GridRoughPath's prefix, pair by pair
-        steps = x0[:, p] * dx[:, q]
-        steps -= x0[:, q] * dx[:, p]
-        steps *= 0.5
-        np.cumsum(steps, out=prefix[1:])
+    areas = _cross(values[i] - values[0], values[j] - values[i])
+    for p, q, prefix in _pair_prefixes(values):  # the fine path's GridRoughPath prefix
         areas[:, p, q] = prefix[j] - prefix[i] - areas[:, p, q]
     return GridRoughPath(times[::n_fine], values[::n_fine], areas, alpha=0.4)
 

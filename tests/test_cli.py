@@ -125,7 +125,10 @@ class TestSystemNames:
         code, out, _ = run(capsys, *argv)
         assert code == 64 and out == ""
 
-    @pytest.mark.parametrize("key", ["experiment.ell", "experiment.dim", "experiment.kohn_d"])
+    @pytest.mark.parametrize(
+        "key",
+        ["experiment.ell", "experiment.dim", "experiment.kohn_d", "solver.max_iter", "solver.tol"],
+    )
     def test_removed_config_keys_are_unknown(self, key, capsys, tmp_path):
         code, _, err = run(capsys, "reconstruct", "--set", f"{key}=2",
                            "--out-dir", str(tmp_path / "out"))
@@ -153,6 +156,18 @@ class TestSystemNames:
         results = json.loads((tmp_path / "out" / "results.json").read_text())
         assert results["m"] == 6 and len(results["results"]) == 4
         assert all(len(report["a_hat"]) == 3 for report in results["results"])
+
+    def test_search_mode_reaches_full_rank_with_the_default_c_max(self, capsys, tmp_path):
+        # the best single point of the search has rank 3 < m = 6 on
+        # triple_product; the default c_max = 3 lets the search reach rank 6
+        sets = ["points.mode=search", "driver.kind=brownian", "driver.ell=3", "driver.n_coarse=64",
+                "driver.n_fine=2", "driver.horizon=0.05", "schedule.n=4", "solver.n_internal=1"]
+        code, _, err = run(capsys, "reconstruct", "--system", "triple_product",
+                           *[arg for s in sets for arg in ("--set", s)],
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 0, err
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["m"] == results["rank"] == 6 and len(results["results"]) == 4
 
 
 class TestSearchPoints:
@@ -975,6 +990,15 @@ class TestPointErrors:
         assert err.startswith("usage error:") and "does not broadcast to (3,)" in err
 
 
+# a bad value of every config key whose row carries a rule
+RULED_BAD = [
+    "experiment.method=bogus", "driver.kind=bogus", "points.mode=bogus", "schedule.kind=bogus",
+    "driver.n=0", "driver.ell=0", "driver.n_seeds=0", "driver.n_coarse=-1", "driver.n_fine=2.5",
+    "points.c_max=0", "points.n_trials=0", "schedule.n=0", "schedule.levels=0",
+    "solver.n_internal=0", "solver.n_sub=x", "driver.horizon=nan", "driver.alpha=0.9",
+]
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize(
         "ini, key",
@@ -1046,6 +1070,28 @@ class TestConfigKeys:
         assert code == 64
         key, value = override.split("=")
         assert err.startswith(f"usage error: {key}") and value in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [(command, override) for command in ("reconstruct", "convergence") for override in RULED_BAD]
+        # several seeds and dyadic schedules are convergence's
+        + [("reconstruct", "driver.n_seeds=8"), ("reconstruct", "schedule.kind=dyadic")],
+    )
+    def test_ruled_value_is_rejected_before_any_work(
+        self, command, override, capsys, tmp_path, monkeypatch
+    ):
+        def fail(*args):
+            raise AssertionError("work began before every config value was checked")
+
+        monkeypatch.setattr(cli.rde, "observe_flows", fail)
+        monkeypatch.setattr(cli, "_build_driver", fail)
+        out = ["--out-dir", str(tmp_path / "out")] if command == "reconstruct" else [
+            "--out", str(tmp_path / "conv.csv")]
+        code, _, err = run(capsys, command, "--set", override, *out)
+        assert code == 64
+        key, value = override.split("=")
+        assert err.startswith(f"usage error: {key} = ") and value in err
         assert list(tmp_path.iterdir()) == []
 
     def test_readme_config_loads(self, tmp_path):
