@@ -2,8 +2,9 @@
 
 Experiments are reproducible by file (INI config with sections) and tweakable
 by hand: any config key can be overridden with --set SECTION.KEY=VALUE, and
-the common keys have dedicated flags.  A key that is not in the config table,
-or a value that its row's rule rejects, is a usage error before any work.
+the common keys have dedicated flags, built from their key's row of the config
+table on every command.  A key that is not in the table, or a value (of a key
+or a flag) that its row's rule rejects, is a usage error before any work.
 
 `reconstruct` and `convergence` run one pipeline, `_experiment`: every driver
 seed and interval is observed in one lockstep `rde.observe_flows` run,
@@ -39,6 +40,7 @@ from .errors import (
     NotConverged,
     RankDeficient,
     count,
+    non_negative,
     positive,
 )
 from .io import fmt, write_table
@@ -111,31 +113,37 @@ def _choice(*values):
 
 
 def _rule(check, parse):
-    """Cast that parses a value and applies an input rule of `rdeinv.errors` to it."""
-    return lambda raw: check(parse(raw), "value")
+    """Cast that parses a value and applies an input rule of `rdeinv.errors` to it.  A
+    failure is a UsageError, which argparse prints: a bad flag value names the rule."""
+    def cast(raw):
+        try:
+            return check(parse(raw), "value")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    return cast
 
 
 # (section, option) -> (attribute, cast, default) of every config key.  The cast
-# enforces the key's rule, so a bad value fails when the config is read.  An
-# attribute is the dest of the flag that mirrors the key (the driver flags of `lift`,
-# the search flags of `search-points`), so their readers take either namespace.
+# enforces the key's rule when the config is read.  `_key_flags` builds each flag that
+# mirrors a key from its row, with the attribute as dest, so readers take either.
 _CONFIG = {
     ("experiment", "system"): ("system", str, "rolling_ball"),
     ("experiment", "method"): ("method", _choice("taylor", "flow"), "taylor"),
     ("driver", "kind"): ("driver", _choice("circle", "brownian", "linear", "file"), "circle"),
     ("driver", "n"): ("n", _rule(count, int), 4096),
     ("driver", "ell"): ("ell", _rule(count, int), None),  # unset: the system's
-    ("driver", "seed"): ("seed", int, 0),
+    ("driver", "seed"): ("seed", _rule(non_negative, int), 0),
     ("driver", "n_seeds"): ("n_seeds", _rule(count, int), 1),
     ("driver", "n_coarse"): ("n_coarse", _rule(count, int), 256),
     ("driver", "n_fine"): ("n_fine", _rule(count, int), 8),
     ("driver", "horizon"): ("horizon", _rule(positive, float), 1.0),
-    ("driver", "alpha"): ("alpha", roughpath._check_alpha, 0.5),
+    # unset: 0.4 for a Brownian driver, whose lifts carry no other, else 0.5
+    ("driver", "alpha"): ("alpha", _rule(lambda a, _: roughpath._check_alpha(a), float), None),
     ("driver", "v"): ("v", _parse_vector, None),
     ("driver", "file"): ("driver_file", str, ""),
     ("points", "mode"): ("points_mode", _choice("recommended", "search"), "recommended"),
     ("points", "points"): ("points", _parse_points, None),
-    ("points", "seed"): ("search_seed", int, 0),
+    ("points", "seed"): ("search_seed", _rule(non_negative, int), 0),
     ("points", "c_max"): ("c_max", _rule(count, int), 3),
     ("points", "n_trials"): ("n_trials", _rule(count, int), 64),
     ("points", "box_lo"): ("box_lo", _parse_vector, -1.0),
@@ -182,11 +190,8 @@ def _load_config(args):
                 setattr(cfg, attr, cast(raw))
             except (ValueError, UsageError) as exc:
                 raise UsageError(f"{section}.{option} = {raw!r}: {exc}") from exc
-    for attr in ("system", "method", "out_dir", "seed"):
-        if getattr(args, attr) is not None:
-            setattr(cfg, attr, getattr(args, attr))
-    cfg.points = args.points or cfg.points
-    cfg.intervals = args.intervals or cfg.intervals
+    # the flags given that mirror a key; an absent flag leaves no attribute in args
+    vars(cfg).update({attr: value for attr, value in vars(args).items() if attr in vars(cfg)})
     system = _build_system(cfg.system)
     if cfg.ell is None:
         cfg.ell = system.fields.ell
@@ -195,20 +200,23 @@ def _load_config(args):
 
 def _build_driver(ns, seed) -> roughpath.GridRoughPath:
     """Driver of kind ns.driver, from the `lift` flags or the driver.* config keys."""
+    if ns.driver == "brownian":
+        if ns.alpha not in (None, 0.4):
+            raise UsageError(f"brownian lifts carry alpha = 0.4, got alpha = {ns.alpha}")
+        return roughpath.sample_brownian_lift(ns.ell, ns.n_coarse, ns.n_fine, ns.horizon, seed)
+    alpha = ns.alpha or 0.5
     if ns.driver == "circle":
         times, values = roughpath.circle_samples(ns.n)
-        return roughpath.lift_piecewise_linear(times, values, ns.alpha)
-    if ns.driver == "brownian":
-        return roughpath.sample_brownian_lift(ns.ell, ns.n_coarse, ns.n_fine, ns.horizon, seed)
+        return roughpath.lift_piecewise_linear(times, values, alpha)
     if ns.driver == "linear":
         if ns.v is None:
             raise UsageError("linear driver needs --v (driver.v in a config)")
         times = np.linspace(0.0, ns.horizon, ns.n + 1)
-        return roughpath.make_linear_rough_path(ns.v, ns.ell, times, ns.alpha)
+        return roughpath.make_linear_rough_path(ns.v, ns.ell, times, alpha)
     # kind "file": lift --driver and driver.kind admit no other
     if not ns.driver_file:
         raise UsageError("driver.kind = file needs driver.file")
-    return roughpath.read_path_csv(ns.driver_file, ns.alpha)
+    return roughpath.read_path_csv(ns.driver_file, alpha)
 
 
 def _resolve_points(ns, system, mode):
@@ -315,15 +323,11 @@ def _write_json(data, file):
 
 
 def cmd_lift(args):
-    if args.driver == "brownian" and args.alpha not in (None, 0.4):
-        raise UsageError("brownian lifts carry alpha = 0.4")
-    if args.alpha is None:
-        args.alpha = 0.5
     if args.driver == "file":
         if not args.samples:
             raise UsageError("--driver file needs --samples")
-        raw = roughpath.read_path_csv(args.samples, args.alpha)
-        path = roughpath.lift_piecewise_linear(raw.times, raw.values, args.alpha)
+        raw = roughpath.read_path_csv(args.samples)
+        path = roughpath.lift_piecewise_linear(raw.times, raw.values, args.alpha or 0.5)
     else:
         path = _build_driver(args, args.seed)
     roughpath.write_path_csv(path, args.out)
@@ -333,7 +337,7 @@ def cmd_lift(args):
 
 def cmd_solve(args):
     system = _build_system(args.system)
-    path = roughpath.read_path_csv(args.path, args.alpha)
+    path = roughpath.read_path_csv(args.path, args.alpha or 0.5)
     x0 = args.x0
     if x0 is None or not x0.size:  # an empty --x0 means the recommended point
         x0 = _resolve_points(args, system, "recommended")[0][0]
@@ -345,14 +349,13 @@ def cmd_solve(args):
 
 def cmd_observe(args):
     system = _build_system(args.system)
-    path = roughpath.read_path_csv(args.path, args.alpha)
+    path = roughpath.read_path_csv(args.path, args.alpha or 0.5)
     points, _ = _resolve_points(args, system, "recommended")
     pairs = _grid_pairs(path, args.intervals)
     if not pairs:
         raise UsageError("--intervals is required, e.g. '0,0.5;0.5,1'")
-    [obs_list] = rde.observe_flows(
-        system.fields, points, [path], pairs, args.n_internal, args.n_sub
-    )
+    [obs_list] = rde.observe_flows(system.fields, points, [path], pairs,
+                                   args.n_internal, args.n_sub)
     reconstruct.write_observations_csv(obs_list, args.out)
     print(json.dumps({"written": args.out, "intervals": len(obs_list), "c": len(points)}))
     return EXIT_OK
@@ -408,11 +411,8 @@ def cmd_reconstruct(args):
         points, _ = _resolve_points(cfg, system, cfg.points_mode)
         pairs = _schedule(cfg, path)
         if any(j - i < 2 for i, j in pairs):
-            print(
-                "note: interval with a single driver step; observations "
-                "carry no information beyond the step data",
-                file=sys.stderr,
-            )
+            print("note: interval with a single driver step; observations carry no "
+                  "information beyond the step data", file=sys.stderr)
         [obs_list], [results], [errors] = _experiment(cfg, system, [path], pairs, points)
     reports = [
         reconstruct.reconstruction_report(res, obs.s, obs.t) for obs, res in zip(obs_list, results)
@@ -499,8 +499,13 @@ def cmd_convergence(args):
 # parser
 
 
-def _add_system_flag(p):
-    p.add_argument("--system", required=True, help="named system, as in kohn_1 or constant_2_3")
+def _key_flags(p, *keys, flag=None, **kwargs):
+    """Add to p the flag of each config key "section.option", named `flag` or its attribute
+    (--n-coarse for n_coarse), with the dest, cast and (unless kwargs say) default of its row."""
+    for key in keys:
+        attr, cast, default = _CONFIG[tuple(key.split("."))]
+        p.add_argument(flag or "--" + attr.replace("_", "-"), dest=attr, type=cast,
+                       **{"default": default, "help": f"as config key {key}", **kwargs})
 
 
 def _build_parser():
@@ -512,68 +517,50 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lift", help="build a rough path CSV from a signal")
-    p.add_argument("--driver", required=True, choices=["circle", "brownian", "linear", "file"])
+    _key_flags(p, "driver.kind", required=True)
+    _key_flags(p, "driver.n", "driver.seed", "driver.n_coarse", "driver.n_fine",
+               "driver.horizon", "driver.v", "driver.alpha")
+    _key_flags(p, "driver.ell", default=2)  # an unset driver.ell is the system's; lift has none
     p.add_argument("--samples", help="sample CSV (t,X1..Xl) for --driver file")
-    p.add_argument("--n", type=int, default=1024, help="number of segments")
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-coarse", dest="n_coarse", type=int, default=256)
-    p.add_argument("--n-fine", dest="n_fine", type=int, default=8)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--v", type=_parse_vector, help="linear driver components, length ell*(ell+1)/2")
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("solve", help="integrate an RDE along a path CSV")
-    _add_system_flag(p)
+    _key_flags(p, "experiment.system", required=True)
     p.add_argument("--path", required=True, help="driver path CSV")
     p.add_argument("--x0", type=_parse_vector, help="start state, comma separated")
     p.add_argument("--method", default="logode", choices=["logode", "euler2"])
-    p.add_argument("--n-sub", dest="n_sub", type=int, default=16)
-    p.add_argument("--alpha", type=float, default=0.5)
+    _key_flags(p, "solver.n_sub", "driver.alpha")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("observe", help="record flow images over intervals")
-    _add_system_flag(p)
+    _key_flags(p, "experiment.system", "schedule.intervals", required=True)
     p.add_argument("--path", required=True)
-    p.add_argument("--points", type=_parse_points, help="base points 'p1;p2' with comma components")
-    p.add_argument("--intervals", required=True, type=_parse_intervals, help="'s,t[;s,t...]'")
-    p.add_argument("--n-internal", dest="n_internal", type=int, default=64)
-    p.add_argument("--n-sub", dest="n_sub", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.5)
+    _key_flags(p, "points.points", "solver.n_internal", "solver.n_sub", "driver.alpha")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_observe)
 
     p = sub.add_parser("rank", help="rank-test the reconstruction matrix")
-    _add_system_flag(p)
-    p.add_argument("--points", type=_parse_points, help="base points 'p1;p2'")
+    _key_flags(p, "experiment.system", required=True)
+    _key_flags(p, "points.points")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("search-points", help="greedy base-point search")
-    _add_system_flag(p)
-    p.add_argument("--seed", dest="search_seed", metavar="SEED", type=int)
-    p.add_argument("--c-max", dest="c_max", type=int)
-    p.add_argument("--n-trials", dest="n_trials", type=int)
-    p.add_argument("--box-lo", dest="box_lo", type=_parse_vector, help="search box lower corner")
-    p.add_argument("--box-hi", dest="box_hi", type=_parse_vector, help="search box upper corner")
+    _key_flags(p, "experiment.system", required=True)
+    _key_flags(p, "points.seed", flag="--seed")
+    _key_flags(p, "points.c_max", "points.n_trials", "points.box_lo", "points.box_hi")
     p.add_argument("--out")
-    # the search flags mirror the points.* keys and take their defaults
-    points = {attr: default for (sec, _), (attr, _, default) in _CONFIG.items() if sec == "points"}
-    p.set_defaults(func=cmd_search_points, **points)
+    p.set_defaults(func=cmd_search_points)
 
     for name, fn in (("reconstruct", cmd_reconstruct), ("convergence", cmd_convergence)):
         p = sub.add_parser(name, help=f"{name} experiment from config and flags")
         p.add_argument("--config", help="INI experiment file")
         p.add_argument("--set", action="append", help="override SECTION.KEY=VALUE")
-        p.add_argument("--system")
-        p.add_argument("--method", choices=["taylor", "flow"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--points", type=_parse_points)
-        p.add_argument("--intervals", type=_parse_intervals)
-        p.add_argument("--out-dir", dest="out_dir")
+        # a given flag overrides the config; an absent one leaves no attribute (_load_config)
+        _key_flags(p, "experiment.system", "experiment.method", "driver.seed", "points.points",
+                   "schedule.intervals", "output.dir", default=argparse.SUPPRESS)
         if name == "reconstruct":
             p.add_argument("--obs", help="ingest an observation CSV instead of simulating")
         else:

@@ -1,6 +1,7 @@
 """Exception types, and the input rules that every public entry point shares:
 `is_int` for indices, `count` for sizes and step counts (an int >= 1, never a
-bool), `positive` for steps and tolerances (0 < v < inf), `finite` for arrays."""
+bool), `non_negative` for seeds (an int >= 0, never a bool), `positive` for
+steps and tolerances (0 < v < inf), `finite` for arrays."""
 
 import numpy as np
 
@@ -62,6 +63,13 @@ def count(value, what):
     """value as an int if it is an int or NumPy integer >= 1, else InvalidParameter."""
     if not (is_int(value) and value >= 1):
         raise InvalidParameter(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def non_negative(value, what):
+    """value as an int if it is an int or NumPy integer >= 0, else InvalidParameter."""
+    if not (is_int(value) and value >= 0):
+        raise InvalidParameter(f"{what} must be an integer >= 0, got {value!r}")
     return int(value)
 
 

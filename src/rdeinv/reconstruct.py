@@ -40,6 +40,7 @@ from .errors import (
     TrustRegionExceeded,
     count,
     finite,
+    non_negative,
 )
 from .rde import ObservationSet, _check_step, logode_step
 from .roughpath import (
@@ -549,8 +550,9 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
     candidates that raise DomainViolation are skipped.  Failure is reported
     through rank < m in the returned diagnostics, not an exception.  A box
     corner that does not broadcast to (d,) raises DimensionMismatch; a box
-    with lo >= hi, a non-finite corner or an overflowing width, or a c_max or
-    n_trials that is not an integer >= 1, raises InvalidParameter.
+    with lo >= hi, a non-finite corner or an overflowing width, a c_max or
+    n_trials that is not an integer >= 1, or a seed that is not an integer >= 0,
+    raises InvalidParameter.
     """
     c_max, n_trials = count(c_max, "c_max"), count(n_trials, "n_trials")
 
@@ -570,7 +572,7 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
         raise InvalidParameter(
             f"box corners {lo.tolist()} and {hi.tolist()} need lo < hi and a finite width"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(non_negative(seed, "seed"))
     # the chosen points and their rows of the reconstruction matrix
     chosen, head = np.empty((0, V.d)), np.empty((0, V.ell * (V.ell + 1) // 2))
     for _ in range(c_max):

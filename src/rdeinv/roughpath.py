@@ -20,7 +20,8 @@ import numpy as np
 
 from . import io
 from .errors import (
-    DimensionMismatch, IndexOutOfRange, InvalidGrid, InvalidParameter, count, is_int, positive,
+    DimensionMismatch, IndexOutOfRange, InvalidGrid, InvalidParameter, count, is_int,
+    non_negative, positive,
 )
 
 # Symmetric residue above this threshold signals a caller bug rather than
@@ -303,11 +304,12 @@ def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     Each coarse step carries the area the fine polygonal approximation swept:
     bitwise `coarsen(sample_brownian_fine(...), n_fine)`, with the prefix sums
     and Chen inverse of `GridRoughPath` taken straight from the fine samples.
-    alpha defaults to 0.4.
+    alpha defaults to 0.4.  A seed that is not an integer >= 0 raises
+    InvalidParameter.
     """
     ell, n_coarse, n_fine = count(ell, "ell"), count(n_coarse, "n_coarse"), count(n_fine, "n_fine")
     horizon = positive(horizon, "horizon")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(non_negative(seed, "seed"))
     n = n_coarse * n_fine
     dt = horizon / n
     steps = rng.standard_normal((n, ell)) * np.sqrt(dt)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from argparse import SUPPRESS
 from pathlib import Path
 
 import numpy as np
@@ -885,14 +886,40 @@ class TestUsage:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "flags, needle",
-        [(["--driver", "file"], "--samples"), (["--driver", "brownian", "--alpha", "0.5"], "0.4")],
-        ids=["file_without_samples", "brownian_alpha"],
+        "argv, needle",
+        [
+            (["lift", "--driver", "file", "--out", "{tmp}/p.csv"], "--samples"),
+            (["lift", "--driver", "brownian", "--alpha", "0.5", "--out", "{tmp}/p.csv"], "0.4"),
+            # the rule is the driver's, so a config that sets the two keys meets it too
+            (["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.alpha=0.5",
+              "--out-dir", "{tmp}/out"], "0.4"),
+        ],
+        ids=["file_without_samples", "brownian_alpha", "reconstruct_brownian_alpha"],
     )
-    def test_lift_flags_that_do_not_fit_are_usage_error(self, flags, needle, capsys, tmp_path):
-        code, out, err = run(capsys, "lift", *flags, "--out", str(tmp_path / "p.csv"))
+    def test_lift_flags_that_do_not_fit_are_usage_error(self, argv, needle, capsys, tmp_path):
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 64 and out == ""
         assert err.startswith("usage error:") and needle in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "--driver", "brownian", "--seed", "-1", "--out", "{tmp}/p.csv"],
+            ["search-points", "--system", "unicycle", "--seed", "-1", "--out", "{tmp}/s.json"],
+            ["reconstruct", "--seed", "-1", "--set", "driver.kind=brownian",
+             "--out-dir", "{tmp}/o"],
+            ["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.seed=-1",
+             "--out-dir", "{tmp}/o"],
+            ["reconstruct", "--set", "points.mode=search", "--set", "points.seed=-1",
+             "--out-dir", "{tmp}/o"],
+        ],
+        ids=["lift", "search_points", "reconstruct_flag", "driver_seed_key", "points_seed_key"],
+    )
+    def test_negative_seed_is_usage_error(self, argv, capsys, tmp_path):
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 64 and out == ""
+        assert "must be an integer >= 0, got -1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1101,3 +1128,99 @@ class TestConfigKeys:
             cli._build_parser().parse_args(["reconstruct", "--config", write_config(tmp_path, block)])
         )
         assert (cfg.driver, cfg.seed, cfg.n_intervals, cfg.out_dir) == ("brownian", 11, 16, "out")
+
+
+def _commands():
+    return cli._build_parser()._subparsers._group_actions[0].choices
+
+
+ROWS = {attr: (cast, default) for attr, cast, default in cli._CONFIG.values()}
+# flags whose dest is a row's attribute but which mirror no key
+HAND_WRITTEN = {("solve", "method")}
+
+
+def _mirrored_flags():
+    """(command, action) of every flag that mirrors a config key."""
+    return [
+        (name, action)
+        for name, p in _commands().items()
+        for action in p._actions
+        if action.dest in ROWS and (name, action.dest) not in HAND_WRITTEN
+    ]
+
+
+# the rest of a valid command line, and a bad value of each mirrored flag with
+# the text of the rule it breaks
+MIRROR_BASE = {
+    "lift": ["--driver", "circle", "--out", "{tmp}/p.csv"],
+    "solve": ["--system", "unicycle", "--path", "{tmp}/path.csv", "--out", "{tmp}/t.csv"],
+    "observe": ["--system", "unicycle", "--path", "{tmp}/path.csv", "--intervals", "0,1",
+                "--out", "{tmp}/o.csv"],
+    "rank": ["--system", "unicycle", "--out", "{tmp}/r.json"],
+    "search-points": ["--system", "unicycle", "--out", "{tmp}/s.json"],
+    "reconstruct": ["--out-dir", "{tmp}/out"],
+    "convergence": ["--out", "{tmp}/c.csv"],
+}
+MIRROR_BAD = {
+    "--system": ("bogus", "unknown system"),
+    "--method": ("bogus", "choose from taylor, flow"),
+    "--driver": ("bogus", "choose from circle, brownian, linear, file"),
+    "--n": ("0", "integer >= 1"),
+    "--ell": ("0", "integer >= 1"),
+    "--seed": ("-1", "integer >= 0"),
+    "--n-coarse": ("0", "integer >= 1"),
+    "--n-fine": ("-2", "integer >= 1"),
+    "--horizon": ("nan", "finite and > 0"),
+    "--v": ("x", "cannot parse vector"),
+    "--alpha": ("0.9", "(1/3, 1/2]"),
+    "--points": ("1,x", "cannot parse vector"),
+    "--c-max": ("0", "integer >= 1"),
+    "--n-trials": ("0", "integer >= 1"),
+    "--box-lo": ("x", "cannot parse vector"),
+    "--box-hi": ("1,x", "cannot parse vector"),
+    "--intervals": ("1,0", "need s < t"),
+    "--n-internal": ("0", "integer >= 1"),
+    "--n-sub": ("0", "integer >= 1"),
+}
+NO_RULE = {"--out-dir"}  # every string names a directory
+
+
+class TestMirroredFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        sorted(
+            (name, action.option_strings[0])
+            for name, action in _mirrored_flags()
+            if action.option_strings[0] not in NO_RULE
+        ),
+    )
+    def test_bad_value_is_rejected_before_any_work(
+        self, command, flag, capsys, tmp_path, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("work began before every flag value was checked")
+
+        for owner, name in [
+            (cli.roughpath, "read_path_csv"), (cli, "_build_driver"), (cli.rde, "observe_flows"),
+            (cli.reconstruct, "search_points"), (cli.reconstruct, "reconstruction_matrix"),
+        ]:
+            monkeypatch.setattr(owner, name, fail)
+        value, rule = MIRROR_BAD[flag]
+        argv = [arg.format(tmp=tmp_path) for arg in MIRROR_BASE[command]] + [flag, value]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 64 and out == ""
+        assert rule in err and "<lambda>" not in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_take_their_rows(self):
+        seen = set()
+        for name, action in _mirrored_flags():
+            cast, default = ROWS[action.dest]
+            assert action.type is cast, (name, action.dest)
+            if name in ("reconstruct", "convergence"):
+                default = SUPPRESS  # a given flag overrides the config
+            elif (name, action.dest) == ("lift", "ell"):
+                default = 2  # lift has no system to take an unset ell from
+            assert action.default == default, (name, action.dest)
+            seen.add(name)
+        assert seen == set(_commands())

@@ -1282,6 +1282,11 @@ class TestSearchPoints:
         with pytest.raises(InvalidParameter, match=f"{key} must be an integer >= 1"):
             search_points(unicycle().fields, -1.0, 1.0, seed=0, **counts)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidParameter, match="seed must be an integer >= 0"):
+            search_points(unicycle().fields, -1.0, 1.0, c_max=1, seed=seed, n_trials=4)
+
     def test_numpy_integer_counts_are_accepted(self):
         V = triple_product().fields
         got = search_points(V, -2.0, 2.0, c_max=np.int64(2), seed=3, n_trials=np.int32(8))

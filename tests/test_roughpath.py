@@ -336,6 +336,16 @@ class TestBrownian:
                 assert getattr(coarse, attr).tobytes() == getattr(again, attr).tobytes(), attr
             assert coarse.alpha == again.alpha
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("sampler", [sample_brownian_lift, sample_brownian_fine])
+    def test_seed_must_be_a_non_negative_integer(self, sampler, seed):
+        with pytest.raises(InvalidParameter, match="seed must be an integer >= 0"):
+            sampler(2, 4, 2, 1.0, seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        got = sample_brownian_lift(2, 4, 2, 1.0, np.int64(3))
+        assert np.array_equal(got.values, sample_brownian_lift(2, 4, 2, 1.0, 3).values)
+
     def test_one_dimensional_has_no_area(self):
         path = sample_brownian_lift(1, 8, 8, 1.0, seed=0)
         assert np.all(path.step_areas == 0)
