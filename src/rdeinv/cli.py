@@ -60,6 +60,13 @@ class UsageError(argparse.ArgumentTypeError):
     """
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and so its subcommand parsers, raising its errors as UsageErrors."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_vector(text):
     try:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
@@ -114,7 +121,7 @@ def _choice(*values):
 
 def _rule(check, parse):
     """Cast that parses a value and applies an input rule of `rdeinv.errors` to it.  A
-    failure is a UsageError, which argparse prints: a bad flag value names the rule."""
+    failure is a UsageError: a bad flag value names the rule."""
     def cast(raw):
         try:
             return check(parse(raw), "value")
@@ -509,7 +516,7 @@ def _key_flags(p, *keys, flag=None, **kwargs):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdeinv",
         description="Solve rough differential equations and recover their drivers "
         "from flow observations.",
@@ -594,11 +601,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     argv = _attach_vector_values(parser, sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return EXIT_OK if code == 0 else EXIT_USAGE
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help has printed; a parse error is a UsageError
+            return EXIT_OK
         return args.func(args)
     except DomainViolation as exc:
         _error_json(exc)

@@ -1,15 +1,16 @@
 """Integrators for rough differential equations and flow observation.
 
 Two one-step schemes are provided: the second-order Euler step (level-1 term
-plus second-level correction) on one state, and the log-ODE step (time-1 RK4
-flow of the frozen field built from the increment and the field brackets),
-which moves one state or an (N, d) stack of states in lockstep, each row with
-its own increment; for an affine field set it is one matrix per row, applied
-once per substep.  `solve` steps one state along a path and keeps every grid
-state, by euler2 in one loop over precomputed second levels; flow observation
-stacks every base point, every driver path and every observation interval
-into one log-ODE run, the grid integrator of log-ODE solves, and keeps the
-states at the interval ends.  All functions are pure.
+plus second-level correction) on one state, the level-2 expansion
+`_level2_step` that is also the Taylor recovery model of `reconstruct`, and
+the log-ODE step (time-1 RK4 flow of the frozen field built from the increment
+and the field brackets), which moves one state or an (N, d) stack of states in
+lockstep, each row with its own increment; for an affine field set it is one
+matrix per row, applied once per substep.  `solve` steps one state along a
+path and keeps every grid state, by euler2 in one loop over precomputed second
+levels; flow observation stacks every base point, every driver path and every
+observation interval into one log-ODE run, the grid integrator of log-ODE
+solves, and keeps the states at the interval ends.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -92,13 +93,25 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
     return _euler2_states(V, x, inc.x[None], inc.second_level.reshape(1, -1))[0]
 
 
+def _level2_step(z, x, xx, fields, comps):
+    """The level-2 expansion z + x^i V_i + XX^{jk} V_jV_k, the euler2 step at z.
+
+    x (..., ell) is the level-1 increment and xx (..., ell * ell) the flattened
+    second level, against the fields (..., ell, d) and the composition table
+    (..., ell, ell, d) at z; leading axes broadcast as in matmul.  Each image is
+    one vector-matrix product per term, so it does not depend on the stack it
+    rides in.
+    """
+    return z + x @ fields + xx @ comps.reshape(comps.shape[:-3] + (-1, comps.shape[-1]))
+
+
 def _euler2_states(V: VectorFieldSet, z, x, xx):
     """The euler2 states after each step from the checked state z, with no per-step check:
     x (steps, ell) holds the level-1 increments, xx (steps, ell * ell) the second levels."""
     states = np.empty((len(x), V.d))
     for s in range(len(x)):
         fields, comps = V._compositions(z)
-        z = states[s] = z + x[s] @ fields + xx[s] @ comps.reshape(-1, V.d)
+        z = states[s] = _level2_step(z, x[s], xx[s], fields, comps)
     return states
 
 

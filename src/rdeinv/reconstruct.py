@@ -1,21 +1,22 @@
 """Recovery of the driving rough path from flow observations.
 
-The forward model for one interval is either the second-order Taylor map or
-the log-ODE flow map in the m = ell*(ell+1)/2 parameters (A, B): level-1
-increment plus strict-upper-triangle area components.  Recovery minimises the
-stacked squared distance to the observed flow images by Gauss-Newton with
-Levenberg damping; it is possible exactly when the matrix of field values and
-bracket values at the base points has rank m.
+The forward model for one interval is either the second-order Taylor map,
+which is the euler2 step of `rde` at each base point, or the log-ODE flow map,
+in the m = ell*(ell+1)/2 parameters (A, B): level-1 increment plus
+strict-upper-triangle area components.  Recovery minimises the stacked squared
+distance to the observed flow images by Gauss-Newton with Levenberg damping;
+it is possible exactly when the matrix of field values and bracket values at
+the base points has rank m.
 
 The set-up (point blocks, rank test, eps1, eps2) belongs to the base points,
 so `reconstruct_many` makes it once per base-point set.  The solver is
 written once, for one problem, as a generator that yields its trial points.
 The recoveries at one set run in lockstep, and each round evaluates the trial
-points of all of them with one batched model call: the Taylor images and
-Jacobians from one einsum each, or the flow images of every trial point and
-its finite-difference probes from one log-ODE run.  The greedy point search
-evaluates all candidates of a round as one stack and scores them with one
-batched SVD.  All operations are pure.
+points of all of them with one batched model call: the Taylor images from one
+level-2 step and the Jacobians from one einsum, or the flow images of every
+trial point and its finite-difference probes from one log-ODE run.  The greedy
+point search evaluates all candidates of a round as one stack and scores them
+with one batched SVD.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -42,13 +43,8 @@ from .errors import (
     finite,
     non_negative,
 )
-from .rde import ObservationSet, _check_step, logode_step
-from .roughpath import (
-    GridRoughPath,
-    RoughIncrement,
-    area_components,
-    area_matrix,
-)
+from .rde import ObservationSet, _check_step, _level2_step, logode_step
+from .roughpath import GridRoughPath, RoughIncrement, area_matrix
 from .vectorfields import VectorFieldSet, bracket_columns
 
 RANK_TOL = 1e-10  # the rank counts singular values above RANK_TOL times the largest
@@ -96,21 +92,21 @@ class ReconstructionResult:
 
 
 def _point_blocks(V: VectorFieldSet, points):
-    """Per-point field values (c,ell,d), bracket columns (c,nb,d) and
-    second compositions (c,ell,ell,d), from one batched evaluation.  Non-finite
+    """The base points (c,d) with their field values (c,ell,d) and second
+    compositions (c,ell,ell,d), from one batched evaluation.  Non-finite
     points raise InvalidParameter, non-finite values NonFinite."""
     points = finite(V._states(np.atleast_2d(points)), "base points")
     with np.errstate(over="ignore", invalid="ignore"):
         fields, comps = V.compositions(points)
     if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(comps))):
         raise NonFinite("field or composition values at the base points are not finite")
-    return points, fields, bracket_columns(comps), comps
+    return points, fields, comps
 
 
-def _column_blocks(fields, brackets):
+def _column_blocks(fields, comps):
     """Per-point (c, d, m) row blocks of the reconstruction matrix: field
     columns then bracket columns."""
-    return np.concatenate([fields, brackets], axis=1).transpose(0, 2, 1)
+    return np.concatenate([fields, bracket_columns(comps)], axis=1).transpose(0, 2, 1)
 
 
 def _ranked(mat, sv):
@@ -119,8 +115,8 @@ def _ranked(mat, sv):
     return ReconstructionMatrix(mat.shape[1], mat, sv, rank)
 
 
-def _matrix(fields, brackets):
-    blocks = _column_blocks(fields, brackets)
+def _matrix(fields, comps):
+    blocks = _column_blocks(fields, comps)
     mat = blocks.reshape(-1, blocks.shape[2])
     return _ranked(mat, np.linalg.svd(mat, compute_uv=False))
 
@@ -132,31 +128,24 @@ def reconstruction_matrix(V: VectorFieldSet, points):
     pair order; row block r holds the values at point r.  The rank counts
     singular values above RANK_TOL times the largest one.
     """
-    _, fields, brackets, _ = _point_blocks(V, points)
-    return _matrix(fields, brackets)
-
-
-def _taylor_images(base, fields, brackets, comps, A, bvec):
-    """Second-order model images (..., c, d) of the base points for increments
-    A (..., ell) and area components bvec (..., nb)."""
-    return (
-        base
-        + np.einsum("...i,cid->...cd", A, fields)
-        + np.einsum("...p,cpd->...cd", bvec, brackets)
-        + 0.5 * np.einsum("...i,...j,cijd->...cd", A, A, comps)
-    )
+    _, fields, comps = _point_blocks(V, points)
+    return _matrix(fields, comps)
 
 
 def taylor_map(V: VectorFieldSet, points, A, B):
     """Second-order model of the flow images, stacked over the base points.
 
-    Phi_y(A, B) = y + A^i V_i(y) + B^{jk} [V_j,V_k](y) + 0.5 A^i A^j (V_i V_j)(y),
-    exactly quadratic in A and linear in B; (A, B) are checked like a RoughIncrement's.
+    Phi_y(A, B) = y + A^i V_i(y) + XX^{jk} (V_j V_k)(y), XX = 0.5 A (x) A + B, is
+    the euler2 step at y along the increment (A, B): with B antisymmetric it is
+    y + A^i V_i(y) + sum_{j<k} B^{jk} [V_j,V_k](y) + 0.5 A^i A^j (V_i V_j)(y),
+    exactly quadratic in A and linear in B.  (A, B) are checked like a
+    RoughIncrement's.
     """
-    blocks = _point_blocks(V, points)
+    points, fields, comps = _point_blocks(V, points)
     inc = RoughIncrement(A, B)
-    _check_step(V, blocks[0], inc)
-    return _taylor_images(*blocks, inc.x, area_components(inc.a)).ravel()
+    _check_step(V, points, inc)
+    xx = inc.second_level.reshape(1, 1, -1)
+    return _level2_step(points[:, None], inc.x[None, None], xx, fields, comps).ravel()
 
 
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
@@ -180,19 +169,19 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
 def _local_problem(V: VectorFieldSet, points):
     """The local recovery problem at one set of base points.
 
-    Returns the point blocks (points, fields, brackets, comps), the
-    reconstruction matrix and the trust-region constants eps1 and eps2;
-    raises RankDeficient below rank m.
+    Returns the point blocks (points, fields, comps), the reconstruction
+    matrix and the trust-region constants eps1 and eps2; raises
+    RankDeficient below rank m.
     """
     blocks = _point_blocks(V, points)
-    rm = _matrix(blocks[1], blocks[2])
+    rm = _matrix(*blocks[1:])
     if rm.rank < rm.m:
         raise RankDeficient(
             f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
             "these base points cannot separate the driver parameters"
         )
     # sum over all ordered pairs (i, j) of the stacked Euclidean norms |V_i V_j|
-    total = float(np.sqrt(np.einsum("cijd,cijd->ij", blocks[3], blocks[3])).sum())
+    total = float(np.sqrt(np.einsum("cijd,cijd->ij", blocks[2], blocks[2])).sum())
     eps2 = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
     return (*blocks, rm, float(rm.singular_values[rm.m - 1]), eps2)
 
@@ -339,15 +328,18 @@ def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
     (len(ks), c*d, m) of problems ks at the trial points thetas (len(ks), m),
     from one batched model evaluation.
     """
-    base, fields, brackets, comps, rm = problem[:5]
+    base, fields, comps, rm = problem[:4]
     ell, m = V.ell, rm.m
     if method == "taylor":
         sym = comps + np.swapaxes(comps, 1, 2)  # sym[c,i,j] = V_iV_j + V_jV_i
 
         def evaluate(ks, thetas):
-            images = _taylor_images(base, fields, brackets, comps, thetas[:, :ell], thetas[:, ell:])
+            # each problem's increment is one (1, ell) row per base point, as in taylor_map
+            A, B = _unpack(thetas, ell)
+            xx = RoughIncrement._trusted(A, B).second_level.reshape(len(ks), 1, 1, -1)
+            images = _level2_step(base[:, None], A[:, None, None], xx, fields, comps)
             jac = np.repeat(rm.mat[None], len(ks), axis=0)
-            corr = np.einsum("...j,cijd->...cdi", thetas[:, :ell], sym)
+            corr = np.einsum("...j,cijd->...cdi", A, sym)
             jac[..., :ell] += 0.5 * corr.reshape(len(ks), -1, ell)
             return images.reshape(len(ks), -1) - targets[ks], jac
 
@@ -380,8 +372,8 @@ def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=16):
 
     Sets with the same base points share one set-up, whose error fails them
     all, and are solved in lockstep: each round evaluates the trial points of
-    all of them with one batched model call, Taylor images and Jacobians from
-    one einsum each, or flow images from one flow_map call in which each trial
+    all of them with one batched model call, Taylor images from one level-2
+    step and Jacobians from one einsum, or flow images from one flow_map call in which each trial
     point brings its 2m probes.  A trial point whose image or probe fails is
     a rejected step, damped and retried; a failing start point fails its
     set.  Every result equals that of recovering the sets one at a time, in
@@ -403,7 +395,7 @@ def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=16):
             for k in idx:
                 outcomes[k] = exc
             continue
-        base, _, _, _, rm, eps1, eps2 = problem
+        base, _, _, rm, eps1, eps2 = problem
         targets = np.stack([obs_list[k].observed.ravel() for k in idx])
         evaluate, floor = _evaluator(V, problem, targets, method, n_sub)
         solvers = []
@@ -578,14 +570,14 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
     for _ in range(c_max):
         cands = rng.uniform(lo, hi, size=(n_trials, V.d))
         try:
-            _, fields, brackets, _ = _point_blocks(V, cands)
+            _, fields, comps = _point_blocks(V, cands)
         except DomainViolation:
             cands = cands[[_admissible(V, cand) for cand in cands]]
             if len(cands) == 0:
                 raise InvalidParameter("no admissible candidate points found in the box")
-            _, fields, brackets, _ = _point_blocks(V, cands)
+            _, fields, comps = _point_blocks(V, cands)
         heads = np.broadcast_to(head, (len(cands),) + head.shape)
-        mats = np.concatenate([heads, _column_blocks(fields, brackets)], axis=1)
+        mats = np.concatenate([heads, _column_blocks(fields, comps)], axis=1)
         svs = np.linalg.svd(mats, compute_uv=False)
         best = int(np.argmax(svs[:, -1]))
         best_mat = _ranked(mats[best], svs[best])

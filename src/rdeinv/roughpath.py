@@ -14,6 +14,7 @@ per call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,13 +325,23 @@ def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     return GridRoughPath(times[::n_fine], values[::n_fine], areas, alpha=0.4)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(ell):
+    """Index arrays (j, k) of the pairs j < k, row by row: the one order of the area
+    components, the bracket columns and the path-CSV area columns."""
+    j, k = np.triu_indices(ell, 1)
+    j.setflags(write=False)
+    k.setflags(write=False)
+    return j, k
+
+
 def area_components(a):
     """Strict upper triangle of an antisymmetric matrix, pairs (j,k) with j<k row by row.
 
     Leading axes are kept: a stack of (ell, ell) matrices gives a stack of vectors.
     """
     a = np.asarray(a, dtype=float)
-    j, k = np.triu_indices(a.shape[-1], 1)
+    j, k = _pairs(a.shape[-1])
     return a[..., j, k]
 
 
@@ -346,7 +357,7 @@ def area_matrix(components, ell):
             f"need {expected} area components for ell={ell}, got {components.shape}"
         )
     a = np.zeros(components.shape[:-1] + (ell, ell))
-    j, k = np.triu_indices(ell, 1)
+    j, k = _pairs(ell)
     a[..., j, k] = components
     return a - np.swapaxes(a, -1, -2)
 
@@ -401,7 +412,7 @@ def holder_norms(path: GridRoughPath, alpha=None) -> HolderNorms:
         dt = t[i + 1 :] - t[i]
         xj, a_ij = path._spans(i, np.arange(i + 1, n + 1))
         holder1 = max(holder1, float(np.max(np.linalg.norm(xj, axis=1) / dt**alpha)))
-        xx = 0.5 * np.einsum("kp,kq->kpq", xj, xj) + a_ij
+        xx = RoughIncrement._trusted(xj, a_ij).second_level
         frob = np.sqrt(np.sum(xx * xx, axis=(1, 2)))
         holder2 = max(holder2, float(np.max(frob / dt ** (2 * alpha))))
     return HolderNorms(sup_norm, holder1, holder2)
@@ -410,7 +421,7 @@ def holder_norms(path: GridRoughPath, alpha=None) -> HolderNorms:
 def _path_header(ell, with_areas):
     header = ["t"] + io.numbered("X", ell)
     if with_areas:
-        header += [f"A{j + 1}{k + 1}" for j in range(ell) for k in range(j + 1, ell)]
+        header += [f"A{j + 1}{k + 1}" for j, k in zip(*_pairs(ell))]
     return header
 
 

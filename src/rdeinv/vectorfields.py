@@ -12,8 +12,10 @@ must be pure.  Indices are 0-based ints or NumPy integers.
 
 One table, `VectorFieldSet.compositions`, holds the second compositions
 V_jV_k = DV_k V_j: `second_comp` slices it, `bracket` and `bracket_columns`
-(pairs j < k in row-major order) difference two slices of it, and the Euler
-step and the Taylor model contract it; only the log-ODE step does without it.
+(pairs j < k in row-major order, the one pair order of `roughpath._pairs`)
+difference two slices of it, and the level-2 step of `rde`, which is both the
+Euler step and the Taylor model, contracts it; only the log-ODE step does
+without it.
 A set declared affine (`jac_mode` "affine", as `VectorFieldSet.affine` builds)
 keeps the generators that the log-ODE matrix route reads, read at the origin.
 
@@ -32,6 +34,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch, IndexOutOfRange, InvalidParameter, NonFinite, count, finite, is_int, positive,
 )
+from .roughpath import _pairs
 
 
 def fd_jacobian(fun, x, step=1e-5):
@@ -239,7 +242,7 @@ def _brackets(comps, j, k):
 
 def bracket_columns(comps):
     """Brackets (..., ell*(ell-1)/2, d) of the pairs j < k, row by row, from a table."""
-    return _brackets(comps, *np.triu_indices(comps.shape[-2], 1))
+    return _brackets(comps, *_pairs(comps.shape[-2]))
 
 
 def bracket(V: VectorFieldSet, j, k, x):

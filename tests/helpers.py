@@ -105,8 +105,9 @@ def minimize_least_squares(model, theta0, max_iter, tol, floor=0.0):
 
 def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step=1e-6):
     """One interval's recovery by `minimize_least_squares`, with the one-problem
-    Taylor residual and analytic Jacobian (floor 0), or the flow residual and
-    its central-difference Jacobian from one log-ODE call (floor sqrt(eps))."""
+    Taylor residual from `taylor_map` and its analytic Jacobian (floor 0), or the
+    flow residual and its central-difference Jacobian from one log-ODE call
+    (floor sqrt(eps))."""
     import warnings
 
     from rdeinv import reconstruct
@@ -117,7 +118,7 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
     base, target = obs.base_points, obs.observed.ravel()
     rm = reconstruct.reconstruction_matrix(V, base)
     eps1, eps2 = reconstruct.trust_region(V, base)
-    _, fields, brackets, comps = reconstruct._point_blocks(V, base)
+    _, _, comps = reconstruct._point_blocks(V, base)
     a0 = np.linalg.lstsq(rm.mat[:, :ell], target - base.ravel(), rcond=None)[0]
     theta0 = np.concatenate([a0, np.zeros(rm.m - ell)])
 
@@ -126,16 +127,11 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
         floor = 0.0
 
         def model(theta):
-            A, bvec = theta[:ell], theta[ell:]
-            out = (
-                base
-                + np.einsum("i,cid->cd", A, fields)
-                + np.einsum("p,cpd->cd", bvec, brackets)
-                + 0.5 * np.einsum("i,j,cijd->cd", A, A, comps)
-            )
+            A = theta[:ell]
+            out = reconstruct.taylor_map(V, base, A, area_matrix(theta[ell:], ell))
             jac = rm.mat.copy()
             jac[:, :ell] += 0.5 * np.einsum("j,cijd->cdi", A, sym).reshape(-1, ell)
-            return out.ravel() - target, jac
+            return out - target, jac
 
     else:
         floor = np.sqrt(np.finfo(float).eps)

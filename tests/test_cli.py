@@ -886,6 +886,26 @@ class TestUsage:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "--driver", "brownian", "--seed", "-1", "--out", "p.csv"],
+            ["lift"],
+            ["bogus"],
+            ["rank", "--system", "unicycle", "--bogus", "1"],
+        ],
+        ids=["bad_value", "missing_flags", "unknown_command", "unknown_flag"],
+    )
+    def test_parse_errors_are_one_usage_error_line(self, argv, capsys):
+        # flag errors read like every other usage error: one line, no usage block
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_command_help_exits_zero(self, capsys):
+        assert main(["lift", "--help"]) == 0
+        assert "--driver" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "argv, needle",
         [
             (["lift", "--driver", "file", "--out", "{tmp}/p.csv"], "--samples"),
