@@ -23,7 +23,6 @@ from .errors import (
     OutOfNeighborhood,
     RankDeficient,
     RdeinvError,
-    TrustRegionExceeded,
 )
 from .rde import (
     ObservationSet,
@@ -96,7 +95,6 @@ __all__ = [
     "ReconstructionResult",
     "RoughIncrement",
     "Trajectory",
-    "TrustRegionExceeded",
     "VectorFieldSet",
     "bracket",
     "chen_mul",

@@ -286,12 +286,19 @@ def _schedule(cfg, path) -> list:
 
 
 def _recover(cfg, system, observed):
-    """Recover every observation set of observed[p][q] with one lockstep call."""
-    flat = iter(
-        reconstruct.reconstruct_many(
-            system.fields, [obs for row in observed for obs in row], cfg.method, cfg.n_sub
-        )
+    """Recover every observation set of observed[p][q] with one lockstep call.
+
+    When K of the N recoveries carry the trust_region_exceeded flag, one
+    stderr note says so; each result's warnings say which.
+    """
+    results = reconstruct.reconstruct_many(
+        system.fields, [obs for row in observed for obs in row], cfg.method, cfg.n_sub
     )
+    outside = sum("trust_region_exceeded" in res.warnings for res in results)
+    if outside:
+        print(f"note: {outside} of {len(results)} recoveries lie outside the injectivity "
+              "radius eps2, where local recovery is not guaranteed", file=sys.stderr)
+    flat = iter(results)
     return [[next(flat) for _ in row] for row in observed]
 
 
@@ -323,6 +330,13 @@ def _write_json(data, file):
     with open(file, "w", newline="\n") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _report(report, out):
+    """Write report to the file out, when given, then print it: a failed write prints nothing."""
+    if out:
+        _write_json(report, out)
+    print(json.dumps(report, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +394,7 @@ def cmd_rank(args):
         "singular_values": [float(v) for v in rm.singular_values],
         "points": [[float(v) for v in p] for p in points],
     }
-    print(json.dumps(report, sort_keys=True))
-    if args.out:
-        _write_json(report, args.out)
+    _report(report, args.out)
     return EXIT_OK if rm.rank == rm.m else EXIT_NUMERIC
 
 
@@ -397,9 +409,7 @@ def cmd_search_points(args):
         "sigma_min": res.sigma_min,
         "points": [[float(v) for v in p] for p in res.points],
     }
-    print(json.dumps(report, sort_keys=True))
-    if args.out:
-        _write_json(report, args.out)
+    _report(report, args.out)
     return EXIT_OK
 
 

@@ -50,10 +50,6 @@ class DomainViolation(RdeinvError, ValueError):
     """A state left the domain on which the fields are defined."""
 
 
-class TrustRegionExceeded(UserWarning):
-    """The recovered parameters lie outside the model injectivity ball."""
-
-
 def is_int(value):
     """Whether value is an int or NumPy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

@@ -150,24 +150,24 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
     coef = np.empty((n, 1 + ell, ell))
     coef[:, 0] = inc.x
     coef[:, 1:] = np.swapaxes(inc.a, -1, -2)
-    brackets = bool(inc.a.any())
     h = 1.0 / n_sub
-    # [I | DV_1 | ... | DV_ell] per row; the Jacobians are written at every stage
-    blocks = np.empty((n, V.d, 1 + ell, V.d))
-    blocks[..., 0, :] = np.eye(V.d)
-    flat = blocks.reshape(n, V.d, -1)
-
-    def w(y):
-        g = coef @ V._at(y)  # rows: the level-1 term, then p_1 .. p_ell
-        if not brackets:
-            return g[:, 0]
-        blocks[..., 1:, :] = V._at(y, jacobians=True).swapaxes(-3, -2)
-        return (flat @ g.reshape(n, -1, 1))[..., 0]
-
     with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
         if V.generators is not None:
             z = _affine_substeps(V.generators, z, coef, h, n_sub)
         else:
+            brackets = bool(inc.a.any())
+            # [I | DV_1 | ... | DV_ell] per row; the Jacobians are written at every stage
+            blocks = np.empty((n, V.d, 1 + ell, V.d))
+            blocks[..., 0, :] = np.eye(V.d)
+            flat = blocks.reshape(n, V.d, -1)
+
+            def w(y):
+                g = coef @ V._at(y)  # rows: the level-1 term, then p_1 .. p_ell
+                if not brackets:
+                    return g[:, 0]
+                blocks[..., 1:, :] = V._at(y, jacobians=True).swapaxes(-3, -2)
+                return (flat @ g.reshape(n, -1, 1))[..., 0]
+
             for _ in range(n_sub):
                 k1 = w(z)
                 k2 = w(z + 0.5 * h * k1)

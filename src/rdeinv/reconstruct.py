@@ -21,7 +21,6 @@ with one batched SVD.  All operations are pure.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ from .errors import (
     OutOfNeighborhood,
     RankDeficient,
     RdeinvError,
-    TrustRegionExceeded,
     count,
     finite,
     non_negative,
@@ -85,10 +83,6 @@ class ReconstructionResult:
             raise InvalidParameter("b_hat must be antisymmetric")
         if not np.isfinite(self.residual):
             raise NonFinite("residual must be finite")
-
-    @property
-    def increment(self) -> RoughIncrement:
-        return RoughIncrement(self.a_hat, self.b_hat)
 
 
 def _point_blocks(V: VectorFieldSet, points):
@@ -300,13 +294,8 @@ def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
     a_hat, b_hat = _unpack(theta, V.ell)
     per_point = rvec.reshape(obs.c, V.d)
     residual_sup = float(np.max(np.linalg.norm(per_point, axis=1)))
-    scale = float(np.linalg.norm(theta))
-    note = None
-    if scale > eps2:
-        note = TrustRegionExceeded(
-            f"|(A, B)| = {scale:.3e} exceeds the injectivity radius eps2 = {eps2:.3e}"
-        )
-    result = ReconstructionResult(
+    outside = float(np.linalg.norm(theta)) > eps2  # beyond the injectivity radius
+    return ReconstructionResult(
         a_hat=a_hat,
         b_hat=b_hat,
         residual=float(np.linalg.norm(rvec)),
@@ -315,9 +304,8 @@ def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
         eps1=float(eps1),
         eps2=float(eps2),
         method=method,
-        warnings=("trust_region_exceeded",) if note else (),
+        warnings=("trust_region_exceeded",) if outside else (),
     )
-    return result, note
 
 
 def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
@@ -376,10 +364,10 @@ def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=16):
     step and Jacobians from one einsum, or flow images from one flow_map call in which each trial
     point brings its 2m probes.  A trial point whose image or probe fails is
     a rejected step, damped and retried; a failing start point fails its
-    set.  Every result equals that of recovering the sets one at a time, in
-    order: TrustRegionExceeded is warned in that order, and when some set
-    fails, the error of the first failing one is raised after the warnings
-    of the sets before it.
+    set.  Every result equals that of recovering the sets one at a time, and
+    when some set fails, the error of the first failing one is raised.  A
+    result whose |(A, B)| exceeds eps2, the model injectivity radius, carries
+    "trust_region_exceeded" in its warnings.
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
@@ -412,9 +400,7 @@ def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=16):
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-        if outcome[1] is not None:
-            _warnings.warn(outcome[1])
-    return [res for res, _ in outcomes]
+    return outcomes
 
 
 def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet):

@@ -108,8 +108,6 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
     Taylor residual from `taylor_map` and its analytic Jacobian (floor 0), or the
     flow residual and its central-difference Jacobian from one log-ODE call
     (floor sqrt(eps))."""
-    import warnings
-
     from rdeinv import reconstruct
     from rdeinv.rde import logode_step
     from rdeinv.roughpath import RoughIncrement, area_matrix
@@ -149,7 +147,4 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
 
     with np.errstate(over="ignore", invalid="ignore"):
         theta, iterations, rvec = minimize_least_squares(model, theta0, max_iter, tol, floor)
-    result, note = reconstruct._result_from(theta, iterations, rvec, V, obs, eps1, eps2, method)
-    if note is not None:
-        warnings.warn(note)
-    return result
+    return reconstruct._result_from(theta, iterations, rvec, V, obs, eps1, eps2, method)

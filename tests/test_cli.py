@@ -872,6 +872,69 @@ n_sub = 4
 """
 
 
+def record_recoveries(monkeypatch):
+    """The list that collects the results of every reconstruct_many call of a run."""
+    results, many = [], reconstruct.reconstruct_many
+
+    def recorded(*args):
+        out = many(*args)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(reconstruct, "reconstruct_many", recorded)
+    return results
+
+
+def trust_region_note(err):
+    """(K, N) of the one stderr line "note: K of N recoveries lie outside ...", which must be
+    all of err."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("note: ")
+    match = re.fullmatch(r"note: (\d+) of (\d+) recoveries lie outside the injectivity radius eps2, .*",
+                         lines[0])
+    assert match, lines[0]
+    return int(match[1]), int(match[2])
+
+
+class TestTrustRegionNote:
+    """A run counts its recoveries flagged trust_region_exceeded on one stderr line."""
+
+    def test_convergence_prints_one_note(self, capsys, tmp_path, monkeypatch):
+        results = record_recoveries(monkeypatch)
+        cfg = write_config(tmp_path, MULTI_SEED_CONFIG)
+        code, _, err = run(capsys, "convergence", "--config", cfg, "--out", str(tmp_path / "c.csv"))
+        assert code == 0
+        k, n = trust_region_note(err)
+        assert n == len(results) == 9
+        assert 0 < k == sum("trust_region_exceeded" in res.warnings for res in results)
+
+    def test_reconstruct_prints_one_note(self, capsys, tmp_path):
+        # two circle intervals of 8 and 40 grid steps: |(A, B)| about 0.05 and
+        # 0.24 against eps2 = 0.104 at the recommended point, so one is flagged
+        h = 2.0 * np.pi / 1024.0
+        cfg = write_config(tmp_path, CIRCLE_CONFIG.format(t=f"{64 * h:.17g}", n=8, out=tmp_path / "out"))
+        code, _, err = run(capsys, "reconstruct", "--config", cfg,
+                           "--intervals", f"0,{8 * h!r};{8 * h!r},{48 * h!r}")
+        assert code == 0
+        reports = json.loads((tmp_path / "out" / "results.json").read_text())["results"]
+        flagged = sum("trust_region_exceeded" in report["warnings"] for report in reports)
+        assert trust_region_note(err) == (flagged, len(reports)) == (1, 2)
+
+    def test_obs_run_inside_the_radius_prints_nothing(self, capsys, tmp_path):
+        # one-step intervals of a 128-step circle: |(A, B)| about 0.05 < eps2
+        path_file, obs_file = tmp_path / "path.csv", tmp_path / "obs.csv"
+        run(capsys, "lift", "--driver", "circle", "--n", "128", "--out", str(path_file))
+        h = 2.0 * np.pi / 128.0
+        code, _, _ = run(capsys, "observe", "--system", "rolling_ball", "--path", str(path_file),
+                         "--intervals", f"0,{h!r};{h!r},{2 * h!r}", "--out", str(obs_file))
+        assert code == 0
+        code, _, err = run(capsys, "reconstruct", "--system", "rolling_ball", "--obs", str(obs_file),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 0 and err == ""
+        reports = json.loads((tmp_path / "out" / "results.json").read_text())["results"]
+        assert len(reports) == 2 and all(report["warnings"] == [] for report in reports)
+
+
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -1000,6 +1063,14 @@ class TestMalformedInput:
                            "--out", str(blocker / "path.csv"))
         assert code == 64
         assert err.startswith("usage error:") and "path.csv" in err
+
+    @pytest.mark.parametrize("command", ["rank", "search-points"])
+    def test_report_to_a_missing_directory_prints_nothing(self, command, capsys, tmp_path):
+        # the report file is written before the report is printed
+        out = tmp_path / "missing" / "r.json"
+        code, stdout, err = run(capsys, command, "--system", "unicycle", "--out", str(out))
+        assert code == 64 and stdout == ""
+        assert err.startswith("usage error:") and "r.json" in err
 
 
 # base points '1,2,3;4' given to each command that takes points; {tmp} is the work directory
