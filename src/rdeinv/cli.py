@@ -61,7 +61,15 @@ class UsageError(argparse.ArgumentTypeError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser, and so its subcommand parsers, raising its errors as UsageErrors."""
+    """An argument parser, and so its subcommand parsers, raising its errors as UsageErrors.
+
+    A token that starts with "-" and a digit or ".digit" is a value, not a flag: no flag
+    is spelt so, and vector values such as "--box-lo -2,-2,-2" start so.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
@@ -161,8 +169,8 @@ _CONFIG = {
     ("schedule", "n"): ("n_intervals", _rule(count, int), 8),
     ("schedule", "levels"): ("levels", _rule(count, int), 5),
     ("schedule", "intervals"): ("intervals", _parse_intervals, None),
-    ("solver", "n_internal"): ("n_internal", _rule(count, int), 64),
-    ("solver", "n_sub"): ("n_sub", _rule(count, int), 8),
+    ("solver", "n_internal"): ("n_internal", _rule(count, int), 1),
+    ("solver", "n_sub"): ("n_sub", _rule(count, int), rde.N_SUB),
     ("output", "dir"): ("out_dir", str, "out"),
 }
 
@@ -427,10 +435,10 @@ def cmd_reconstruct(args):
         path = _build_driver(cfg, cfg.seed)
         points, _ = _resolve_points(cfg, system, cfg.points_mode)
         pairs = _schedule(cfg, path)
+        [obs_list], [results], [errors] = _experiment(cfg, system, [path], pairs, points)
         if any(j - i < 2 for i, j in pairs):
             print("note: interval with a single driver step; observations carry no "
                   "information beyond the step data", file=sys.stderr)
-        [obs_list], [results], [errors] = _experiment(cfg, system, [path], pairs, points)
     reports = [
         reconstruct.reconstruction_report(res, obs.s, obs.t) for obs, res in zip(obs_list, results)
     ]
@@ -587,29 +595,8 @@ def _build_parser():
     return parser
 
 
-def _attach_vector_values(parser, argv):
-    """argv with "FLAG VALUE" written "FLAG=VALUE" for the vector flags of the parser's commands.
-
-    A vector flag is one whose type parses a vector, points or intervals, so
-    its value may start with "-", as in "--box-lo -2,-2,-2".  argparse reads a
-    separate value that starts with "-" and is not a plain number as a flag,
-    and then reports the vector flag's value as missing.
-    """
-    commands = parser._subparsers._group_actions[0].choices.values()
-    types = (_parse_vector, _parse_points, _parse_intervals)
-    flags = {f for p in commands for a in p._actions if a.type in types for f in a.option_strings}
-    out = []
-    for tok in argv:
-        if out and out[-1] in flags and not tok.startswith("--"):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
-    argv = _attach_vector_values(parser, sys.argv[1:] if argv is None else argv)
     try:
         try:
             args = parser.parse_args(argv)

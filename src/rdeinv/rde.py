@@ -24,6 +24,11 @@ from .errors import DimensionMismatch, InvalidParameter, NonFinite, count, finit
 from .roughpath import GridRoughPath, RoughIncrement
 from .vectorfields import VectorFieldSet
 
+# The default RK4 substep count of every log-ODE step, solve, observation and flow model.
+# A step's error is set by its increment: once RK4 over a grid step is at round-off, more
+# substeps only add round-off.
+N_SUB = 16
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -115,7 +120,7 @@ def _euler2_states(V: VectorFieldSet, z, x, xx):
     return states
 
 
-def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=16):
+def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=N_SUB):
     """Log-ODE step: the time-1 map of the frozen field
     x^i V_i + sum_{j<k} a^{jk} [V_j, V_k], by classical RK4 with n_sub
     uniform substeps.
@@ -209,7 +214,7 @@ def _lockstep(V: VectorFieldSet, z, x, a, n_sub):
         yield z
 
 
-def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16):
+def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=N_SUB):
     """Integrate the rough differential equation along the grid.
 
     Applies the chosen one-step scheme to the stored per-step increments;
@@ -235,7 +240,7 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=16)
     return Trajectory(path.times.copy(), np.vstack([x0, steps]))
 
 
-def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=4):
+def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N_SUB):
     """Flow images of the base points over [t_i, t_j], for every path and every (i, j) in pairs.
 
     Every (path, start, base point) triple is one row of a single stack,
@@ -249,10 +254,10 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
     substeps: n_internal multiplies n_sub.  For a power-of-two n_internal
     every scaling is exact and the result is bitwise that of n_internal
     separate steps; other values may differ from that in the last bits.
-    n_internal is the observation accuracy knob and only needs to push the
-    integration error well below the reconstruction scale.  Both must be
-    integers >= 1, and non-finite base points raise InvalidParameter, before
-    any step.
+    By default n_internal is 1 and n_sub is N_SUB, the substeps of `solve`,
+    so the image of x0 over [t_0, t_j] is bitwise solve's state j.  Both
+    must be integers >= 1, and non-finite base points raise
+    InvalidParameter, before any step.
 
     Returns out[p][q], the ObservationSet of paths[p] over pairs[q].
     """
@@ -299,7 +304,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=64, n_sub=
 
 
 def observe_flow(
-    V: VectorFieldSet, points, path: GridRoughPath, i, j, n_internal=64, n_sub=4
+    V: VectorFieldSet, points, path: GridRoughPath, i, j, n_internal=1, n_sub=N_SUB
 ) -> ObservationSet:
     """Flow images of the base points over [t_i, t_j]; see `observe_flows`."""
     return observe_flows(V, points, [path], [(i, j)], n_internal, n_sub)[0][0]

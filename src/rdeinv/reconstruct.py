@@ -41,8 +41,8 @@ from .errors import (
     finite,
     non_negative,
 )
-from .rde import ObservationSet, _check_step, _level2_step, logode_step
-from .roughpath import GridRoughPath, RoughIncrement, area_matrix
+from .rde import N_SUB, ObservationSet, _check_step, _level2_step, logode_step
+from .roughpath import GridRoughPath, RoughIncrement, _antisymmetric_part, area_matrix
 from .vectorfields import VectorFieldSet, bracket_columns
 
 RANK_TOL = 1e-10  # the rank counts singular values above RANK_TOL times the largest
@@ -78,9 +78,7 @@ class ReconstructionResult:
 
     def __post_init__(self):
         self.a_hat = np.asarray(self.a_hat, dtype=float)
-        self.b_hat = np.asarray(self.b_hat, dtype=float)
-        if not np.max(np.abs(self.b_hat + self.b_hat.T)) <= 1e-12:  # a NaN fails too
-            raise InvalidParameter("b_hat must be antisymmetric")
+        self.b_hat = _antisymmetric_part(self.b_hat, "b_hat")
         if not np.isfinite(self.residual):
             raise NonFinite("residual must be finite")
 
@@ -142,7 +140,7 @@ def taylor_map(V: VectorFieldSet, points, A, B):
     return _level2_step(points[:, None], inc.x[None, None], xx, fields, comps).ravel()
 
 
-def flow_map(V: VectorFieldSet, points, A, B, n_sub=16):
+def flow_map(V: VectorFieldSet, points, A, B, n_sub=N_SUB):
     """Log-ODE flow images exp(A^i V_i + B^{jk} [V_j, V_k]) of the base points, stacked.
 
     The points are one (c, d) set.  A may also be a stack (K, ell) with B
@@ -345,7 +343,7 @@ def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
     return evaluate, FD_FLOOR
 
 
-def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=16):
+def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=N_SUB):
     """Recover (A, B) from every observation set, one ReconstructionResult each.
 
     method "taylor" matches the second-order model, with the reconstruction
@@ -409,7 +407,7 @@ def local_reconstruct_taylor(V: VectorFieldSet, obs: ObservationSet):
     return reconstruct_many(V, [obs], "taylor")[0]
 
 
-def local_reconstruct_flow(V: VectorFieldSet, obs: ObservationSet, n_sub=16):
+def local_reconstruct_flow(V: VectorFieldSet, obs: ObservationSet, n_sub=N_SUB):
     """Recover (A, B) by matching log-ODE flow images of the base points, to
     the accuracy of a central difference of step FD_STEP; see `reconstruct_many`."""
     return reconstruct_many(V, [obs], "flow", n_sub)[0]
@@ -603,10 +601,17 @@ def _observations_header(d):
 
 
 def write_observations_csv(obs_list, file):
-    """Write observation sets to CSV: s,t,point_id,y1..yd,z1..zd."""
+    """Write observation sets to CSV: s,t,point_id,y1..yd,z1..zd, one block per
+    interval, so a repeated interval raises InvalidParameter before the file opens."""
     obs_list = list(obs_list)
     if not obs_list:
         raise InvalidParameter("need at least one observation set")
+    seen = set()
+    for obs in obs_list:
+        if (obs.s, obs.t) in seen:
+            raise InvalidParameter(f"interval [{io.fmt(obs.s)}, {io.fmt(obs.t)}] is repeated; "
+                                   "an observation CSV holds one block per interval")
+        seen.add((obs.s, obs.t))
     rows = [
         [obs.s, obs.t, pid, *obs.base_points[pid], *obs.observed[pid]]
         for obs in obs_list

@@ -226,6 +226,12 @@ class TestNegativeVectorValues:
             outputs.append((out, written))
         assert outputs[0] == outputs[1]
 
+    def test_minus_inf_is_a_usage_error(self, capsys):
+        # "-inf" does not start with "-" and a digit, so it reads as a flag and --box-lo has no value
+        code, out, err = run(capsys, "search-points", "--system", "unicycle", "--box-lo", "-inf")
+        assert code == 64 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 class TestNonFiniteStartStates:
     @pytest.mark.parametrize("command", ["solve", "observe"])
@@ -374,6 +380,38 @@ class TestObserve:
             )
             got = np.array([[float(v) for v in r[3 + 9 :]] for r in rows[k * c : (k + 1) * c]])
             np.testing.assert_array_equal(got, want.observed)
+
+    def test_repeated_interval_is_usage_error_and_writes_nothing(self, capsys, tmp_path):
+        # an observation CSV holds one block per interval, as `reconstruct --obs` reads it
+        path_file, obs_file = tmp_path / "path.csv", tmp_path / "dup.csv"
+        assert run(capsys, "lift", "--driver", "linear", "--v", "0.5,0,0", "--n", "4",
+                   "--out", str(path_file))[0] == 0
+        code, out, err = run(
+            capsys, "observe", "--system", "rolling_ball", "--path", str(path_file),
+            "--intervals", "0,0.5;0,0.5", "--out", str(obs_file),
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: interval [0, 0.5] is repeated")
+        assert not obs_file.exists()
+
+    def test_default_observation_is_the_default_solve(self, capsys, tmp_path):
+        # observe and solve take the same log-ODE substeps by default, so the
+        # image of x0 over [0, t_j] is the trajectory's state j, bitwise
+        path_file, traj_file, obs_file = (tmp_path / f for f in ("path.csv", "traj.csv", "obs.csv"))
+        run(capsys, "lift", "--driver", "brownian", "--seed", "2", "--n-coarse", "16",
+            "--n-fine", "4", "--out", str(path_file))
+        common = ["--system", "unicycle", "--path", str(path_file), "--alpha", "0.4"]
+        assert run(capsys, "solve", *common, "--out", str(traj_file))[0] == 0
+        code, _, err = run(capsys, "observe", *common, "--intervals", "0,0.25;0,0.75",
+                           "--out", str(obs_file))
+        assert code == 0, err
+        traj = read_trajectory_csv(traj_file)
+        observed = reconstruct.read_observations_csv(obs_file)
+        assert [obs.t for obs in observed] == [0.25, 0.75]
+        for obs in observed:
+            j = int(np.flatnonzero(traj.times == obs.t)[0])
+            np.testing.assert_array_equal(obs.base_points, traj.states[:1])
+            np.testing.assert_array_equal(obs.observed, traj.states[j : j + 1])
 
     def test_empty_intervals_is_usage_error(self, capsys, tmp_path):
         path_file = tmp_path / "path.csv"
@@ -553,6 +591,18 @@ dir = {}
         assert json.loads(out)["error"]["type"] == "NonFinite"
         assert not (tmp_path / "out").exists()
 
+    def test_single_step_note_follows_the_run(self, capsys, tmp_path, monkeypatch):
+        # eight one-step intervals: a run that succeeds ends with the note, one that fails
+        # prints only its error
+        monkeypatch.chdir(tmp_path)
+        argv = ["reconstruct", "--system", "unicycle", "--set", "driver.kind=linear",
+                "--set", "driver.v=1,0,0", "--set", "driver.n=8"]
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err.splitlines()[-1].startswith("note: interval with a single driver step")
+        code, out, err = run(capsys, *argv, "--points", "nan,0,0")
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+
     @pytest.mark.parametrize("where", ["file", "set"])
     def test_given_intervals_are_used_whatever_the_kind(self, where, capsys, tmp_path):
         # two intervals given beside a uniform schedule of 8
@@ -686,16 +736,12 @@ dir = {}
 
 class TestDefaultCommands:
     """Unset, schedule.s and schedule.t span the driver's grid, so the default
-    circle driver on [0, 2*pi] runs without a config.  The commands observe
-    with 2 internal steps per grid step instead of the default 64, which only
-    sets their accuracy: at 64, unicycle's observation alone takes about 15 s."""
-
-    FAST = ("--set", "solver.n_internal=2")
+    circle driver on [0, 2*pi] runs without a config."""
 
     def test_reconstruct(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for argv in (["reconstruct"], ["reconstruct", "--system", "unicycle"]):
-            code, _, err = run(capsys, *argv, *self.FAST)
+            code, _, err = run(capsys, *argv)
             assert code == 0, err
             results = json.loads((tmp_path / "out" / "results.json").read_text())
             intervals = [report["interval"] for report in results["results"]]
@@ -704,7 +750,7 @@ class TestDefaultCommands:
 
     def test_convergence(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, "convergence", "--out", "s.csv", *self.FAST)
+        code, out, err = run(capsys, "convergence", "--out", "s.csv")
         assert code == 0, err
         assert json.loads(out)["slope"] > 2.0
         lines = (tmp_path / "s.csv").read_text().splitlines()
@@ -714,7 +760,7 @@ class TestDefaultCommands:
         # pi is the circle grid's middle time; the unset end is the grid's own
         monkeypatch.chdir(tmp_path)
         for key, span in (("s", [np.pi, 2.0 * np.pi]), ("t", [0.0, np.pi])):
-            code, _, err = run(capsys, "reconstruct", "--set", f"schedule.{key}={np.pi!r}", *self.FAST)
+            code, _, err = run(capsys, "reconstruct", "--set", f"schedule.{key}={np.pi!r}")
             assert code == 0, err
             results = json.loads((tmp_path / "out" / "results.json").read_text())
             intervals = [report["interval"] for report in results["results"]]

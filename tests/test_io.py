@@ -116,6 +116,15 @@ def test_observation_csv_roundtrip_bitwise(data):
         assert same_bits(a.base_points, b.base_points) and same_bits(a.observed, b.observed)
 
 
+def test_repeated_interval_is_rejected_before_the_file_opens(tmp_path):
+    # the reader takes one block per interval, so the writer refuses what it could not read
+    obs = ObservationSet(np.zeros((1, 2)), 0.0, 0.5, np.ones((1, 2)))
+    file = tmp_path / "obs.csv"
+    with pytest.raises(InvalidParameter, match="repeated"):
+        write_observations_csv([obs, obs], file)
+    assert not file.exists()
+
+
 # ---------------------------------------------------------------------------
 # the table syntax: bulk formatting and parsing against row-by-row references
 

@@ -1070,6 +1070,11 @@ class TestReconstructionResult:
                 np.zeros(2), [[np.nan, 1.0], [5.0, 0.0]], 0.0, 0.0, 1, 1.0, 1.0, "taylor"
             )
 
+    def test_round_off_residue_is_antisymmetrised_as_an_increment_area(self):
+        b = [[0.0, 0.3], [-0.3 + 1e-11, 0.0]]
+        res = ReconstructionResult(np.zeros(2), b, 0.0, 0.0, 1, 1.0, 1.0, "taylor")
+        np.testing.assert_array_equal(res.b_hat, RoughIncrement(np.zeros(2), b).a)
+
 
 class TestStability:
     def test_perturbation_bounded_by_two_over_eps1(self):
