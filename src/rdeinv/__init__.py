@@ -6,7 +6,7 @@ The package has five layers over one file-format module:
                   lifts of sampled and Brownian signals, norms, CSV I/O)
 * vectorfields -- batched field sets with Jacobians, Lie brackets, compositions
 * rde          -- second-order Euler and batched log-ODE integrators, flow observation
-* reconstruct  -- rank test, lockstep recovery of local (increment, area), stitching
+* reconstruct  -- rank test, batched recovery of local (increment, area), stitching
 * systems      -- named example systems addressable from the CLI
 * io           -- the CSV table syntax that every file format shares
 """

@@ -181,12 +181,12 @@ def _load_config(args):
     # no interpolation: a '%' in a value is taken literally
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     if args.config:
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file {args.config!r} does not exist")
         try:
-            parser.read(args.config)
-        except configparser.Error as exc:
-            raise UsageError(f"config file {args.config!r}: {str(exc).splitlines()[0]}") from exc
+            with open(args.config, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:  # not a readable INI file
+            reason = getattr(exc, "strerror", None) or str(exc).splitlines()[0]
+            raise UsageError(f"config file {args.config!r}: {reason}") from exc
     for override in args.set or []:
         if "=" not in override or "." not in override.split("=", 1)[0]:
             raise UsageError(f"--set expects SECTION.KEY=VALUE, got {override!r}")

@@ -230,10 +230,11 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=N_S
     finite(x0, "x0")
     if path.ell != V.ell:
         raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
-    dx = np.diff(path.values, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step raises NonFinite
+        dx = np.diff(path.values, axis=0)
     if method == "euler2":
-        xx = RoughIncrement._trusted(dx, path.step_areas).second_level.reshape(path.n, -1)
         with np.errstate(over="ignore", invalid="ignore"):  # the trajectory raises NonFinite
+            xx = RoughIncrement._trusted(dx, path.step_areas).second_level.reshape(path.n, -1)
             steps = _euler2_states(V, x0, dx, xx)
     else:
         steps = list(_lockstep(V, x0, dx, path.step_areas, n_sub))
@@ -280,10 +281,11 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N
     # last end, and each (path, start) block repeats its steps c times
     x = np.zeros((span, len(paths), len(lengths), V.ell))
     a = np.zeros((span, len(paths), len(lengths), V.ell, V.ell))
-    for p, path in enumerate(paths):
-        for r, (i, n) in enumerate(lengths.items()):
-            x[:n, p, r] = path.values[i + 1 : i + n + 1] - path.values[i : i + n]
-            a[:n, p, r] = path.step_areas[i : i + n]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step raises NonFinite
+        for p, path in enumerate(paths):
+            for r, (i, n) in enumerate(lengths.items()):
+                x[:n, p, r] = path.values[i + 1 : i + n + 1] - path.values[i : i + n]
+                a[:n, p, r] = path.step_areas[i : i + n]
     x = np.repeat(x.reshape(span, -1, V.ell), c, axis=1)
     a = np.repeat(a.reshape(span, -1, V.ell, V.ell), c, axis=1)
     z = np.tile(points, (len(paths) * len(lengths), 1))

@@ -9,14 +9,13 @@ it is possible exactly when the matrix of field values and bracket values at
 the base points has rank m.
 
 The set-up (point blocks, rank test, eps1, eps2) belongs to the base points,
-so `reconstruct_many` makes it once per base-point set.  The solver is
-written once, for one problem, as a generator that yields its trial points.
-The recoveries at one set run in lockstep, and each round evaluates the trial
-points of all of them with one batched model call: the Taylor images from one
-level-2 step and the Jacobians from one einsum, or the flow images of every
-trial point and its finite-difference probes from one log-ODE run.  The greedy
-point search evaluates all candidates of a round as one stack and scores them
-with one batched SVD.  All operations are pure.
+so `reconstruct_many` makes it once per base-point set.  The solver keeps
+every recovery at one set as rows of arrays: a round is one batched solve and
+one batched model call, the Taylor images from one level-2 step and their
+Jacobians from one einsum, or the flow images of every trial point and its
+finite-difference probes from one log-ODE run.  The greedy point search
+scores all candidates of a round with one batched SVD.  All operations are
+pure.
 """
 
 from __future__ import annotations
@@ -189,98 +188,101 @@ def trust_region(V: VectorFieldSet, points):
     return _local_problem(V, points)[-2:]
 
 
-def _one_problem(theta, max_iter, tol, floor):
-    """Gauss-Newton with Levenberg damping on one problem 0.5*|r|^2, as a generator.
+def _dots(v):
+    """v.v per row of v (K, m), bitwise the dot of np.linalg.norm of one row."""
+    return (v[:, None] @ v[..., None])[:, 0, 0]
 
-    It yields each trial point theta (m,), the start first, and is sent the
-    residual (n,) and Jacobian (n, m) there, or is thrown the package error
-    of evaluating them: at the start that ends the solve, at a trial point it
-    is a rejected step.  It returns (theta, iterations, r) once a proposed
-    step is shorter than tol, or a step no longer than floor*|theta| is
-    rejected, or accepted (with the new theta); it raises NotConverged when
-    the iteration budget is exhausted or no damped step decreases its cost,
-    and NonFinite for a step that is not finite.
+
+def _evaluated(evaluate, ks, points):
+    """Residuals (rows), costs r.r, gradients J^T r and matrices J^T J of
+    problems ks at points, bitwise the 2-D products per row (J as returned:
+    J.T @ r depends on its layout), and the error of each problem that fails.
+    One evaluate call serves all; once it raises, one per problem, and a
+    failing problem's residual is None and the rest NaN."""
+    m = points.shape[1]
+
+    def call(ids, at):
+        try:
+            r, jac = evaluate(ids, at)
+        except RdeinvError as exc:
+            return ([None], np.full(1, np.nan), np.full((1, m), np.nan),
+                    np.full((1, m, m), np.nan), {ids[0]: exc})
+        r, jac = np.ascontiguousarray(r, dtype=float), np.asarray(jac, dtype=float)
+        jt = jac.swapaxes(1, 2)
+        return list(r), _dots(r), (jt @ r[..., None])[..., 0], jt @ jac, {}
+
+    calls = [call(ks.tolist(), points)]
+    if calls[0][-1] and len(ks) > 1:  # it raised
+        calls = [call([k], points[i : i + 1]) for i, k in enumerate(ks.tolist())]
+    r, cost, grad, hess, errors = zip(*calls)
+    errors = {k: exc for part in errors for k, exc in part.items()}
+    return [row for rows in r for row in rows], *map(np.concatenate, (cost, grad, hess)), errors
+
+
+def _solve(thetas, evaluate, max_iter, tol, floor):
+    """Gauss-Newton with Levenberg damping on problems 0.5*|r_k|^2 from the
+    start points thetas (K, m), one outcome each, each row's arithmetic
+    bitwise that of its problem alone; the rules are `reconstruct_many`'s.
+
+    evaluate(ks, points), ks a list, gives the residuals (len(ks), n) and
+    Jacobians (len(ks), n, m).  A round is one batched solve and one evaluate
+    call.  The outcome is (theta, iterations, r), NotConverged or NonFinite,
+    or the error evaluate raised at that problem's start point.
     """
-    r, jac = yield theta
-    cost = float(r @ r)
-    lam = 1e-8
-    for it in range(1, max_iter + 1):
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        for _ in range(40):
-            try:
-                delta = np.linalg.solve(hess + lam * np.eye(theta.size), -grad)
-            except np.linalg.LinAlgError:
-                lam = max(lam, 1e-14) * 10.0
-                continue
-            step = float(np.linalg.norm(delta))
-            if step < tol:
-                return theta, it, r
-            if not step < np.inf:  # a NaN fails too
-                raise NonFinite(f"Gauss-Newton step is not finite at iteration {it}")
-            trial = theta + delta
-            try:
-                r_new, jac_new = yield trial
-            except RdeinvError:  # the model cannot be evaluated there
-                cost_new = np.nan
-            else:
-                cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost * (1.0 + 1e-14) + 1e-300:
-                break
-            if step <= floor * float(np.linalg.norm(theta)):
-                return theta, it, r
-            lam = max(lam, 1e-14) * 10.0
-            if lam > 1e12:
-                raise NotConverged(f"no acceptable damped step at iteration {it}")
-        else:
-            raise NotConverged(f"no acceptable damped step at iteration {it}")
-        if floor and step <= floor * float(np.linalg.norm(theta)):
-            return trial, it, r_new
-        theta, r, jac, cost = trial, r_new, jac_new, cost_new
-        lam *= 0.1
-    raise NotConverged(f"step norm above {tol} after {max_iter} iterations")
+    theta = np.array(thetas, dtype=float)
+    K = len(theta)
+    outcomes, done = [None] * K, np.zeros(K, dtype=bool)
+    lam, it, tries = np.full(K, 1e-8), np.ones(K, dtype=int), np.zeros(K, dtype=int)
+    delta, step = np.empty_like(theta), np.empty(K)
 
+    def end(ks, where, error=None):  # end problems ks[where], solved or with error(k)
+        for k in ks[where].tolist():
+            outcomes[k] = error(k) if error else (theta[k].copy(), int(it[k]), res[k])
+            done[k] = True
+        return ks[~where]
 
-def _rows(evaluate, ks, thetas):
-    """The (residual, Jacobian) of each problem ks[i] at thetas[i], from one
-    evaluate(ks, thetas) call, as views of its stacks.
+    def damp(ks, most):  # a failed try; NotConverged at 40 in one iteration or lam above most
+        lam[ks] = np.maximum(lam[ks], 1e-14) * 10.0
+        tries[ks] += 1
+        end(ks, (tries[ks] == 40) | (lam[ks] > most),
+            lambda k: NotConverged(f"no acceptable damped step at iteration {it[k]}"))
 
-    When that call raises a package error, each problem is evaluated alone
-    instead, and a failing problem's value is its error.
-    """
-    try:
-        return list(zip(*evaluate(ks, thetas)))
-    except RdeinvError as exc:
-        if len(ks) == 1:
-            return [exc]
-        return [_rows(evaluate, ks[i : i + 1], thetas[i : i + 1])[0] for i in range(len(ks))]
-
-
-def _lockstep(solvers, evaluate):
-    """Run `_one_problem` generators in lockstep, one outcome each: its return
-    value, or the package error that stopped it.
-
-    Each round stacks the trial points of the pending generators, gets their
-    residuals and Jacobians from one evaluate(ks, thetas) call, with ks the
-    generators' indices, and sends each generator its own, so every generator
-    takes exactly the steps it would take alone.
-    """
-    outcomes = [None] * len(solvers)
-    sends = dict.fromkeys(range(len(solvers)))  # the value each generator gets next
-    while sends:
-        thetas = {}
-        for k, value in sends.items():
-            try:
-                if isinstance(value, Exception):  # its trial point failed when evaluated alone
-                    thetas[k] = solvers[k].throw(value)
-                else:
-                    thetas[k] = solvers[k].send(value)
-            except StopIteration as stop:
-                outcomes[k] = stop.value
-            except RdeinvError as exc:
-                outcomes[k] = exc
-        ks = list(thetas)
-        sends = dict(zip(ks, _rows(evaluate, ks, np.array(list(thetas.values()))))) if ks else {}
+    res, cost, grad, hess, errors = _evaluated(evaluate, np.arange(K), theta)
+    end(np.arange(K), np.isin(np.arange(K), list(errors)), errors.get)
+    while not done.all():
+        ks = np.flatnonzero(~done)
+        ks = end(ks, it[ks] > max_iter,
+                 lambda k: NotConverged(f"step norm above {tol} after {max_iter} iterations"))
+        mats = hess[ks] + lam[ks, None, None] * np.eye(theta.shape[1])
+        rhs, singular = -grad[ks, :, None], np.zeros(len(ks), dtype=bool)
+        try:
+            delta[ks] = np.linalg.solve(mats, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # row by row; a singular one is damped again, unevaluated
+            for i, k in enumerate(ks.tolist()):
+                try:
+                    delta[k] = np.linalg.solve(mats[i : i + 1], rhs[i : i + 1])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+        damp(ks[singular], np.inf)
+        ks = ks[~singular]
+        step[ks] = np.sqrt(_dots(delta[ks]))
+        ks = end(ks, step[ks] < tol)
+        ks = end(ks, ~(step[ks] < np.inf),  # a NaN fails too
+                 lambda k: NonFinite(f"Gauss-Newton step is not finite at iteration {it[k]}"))
+        if not ks.size:
+            continue
+        trial = theta[ks] + delta[ks]
+        r_new, cost_new, grad_new, hess_new, _ = _evaluated(evaluate, ks, trial)
+        ok = np.isfinite(cost_new) & (cost_new <= cost[ks] * (1.0 + 1e-14) + 1e-300)
+        within = step[ks] <= floor * np.sqrt(_dots(theta[ks]))
+        rejected = end(ks[~ok], within[~ok])  # a rejected step within the floor stops
+        damp(rejected, 1e12)
+        ks, ok = ks[ok], np.flatnonzero(ok)
+        theta[ks], cost[ks], grad[ks], hess[ks] = trial[ok], cost_new[ok], grad_new[ok], hess_new[ok]
+        for k, i in zip(ks.tolist(), ok.tolist()):
+            res[k] = r_new[i]
+        ks = end(ks, within[ok] & bool(floor))
+        lam[ks], it[ks], tries[ks] = lam[ks] * 0.1, it[ks] + 1, 0
     return outcomes
 
 
@@ -307,13 +309,9 @@ def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
 
 
 def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
-    """The `_lockstep` evaluate of the recoveries at one `_local_problem`, with
-    observed images targets (K, c*d), and the floor of their solves.
-
-    evaluate(ks, thetas) returns the residuals (len(ks), c*d) and Jacobians
-    (len(ks), c*d, m) of problems ks at the trial points thetas (len(ks), m),
-    from one batched model evaluation.
-    """
+    """The `_solve` evaluate of the recoveries at one `_local_problem`, with
+    observed images targets (K, c*d), and the floor of their solves: residuals
+    and Jacobians of problems ks at thetas from one batched model call."""
     base, fields, comps, rm = problem[:4]
     ell, m = V.ell, rm.m
     if method == "taylor":
@@ -348,24 +346,27 @@ def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=N_SUB):
 
     method "taylor" matches the second-order model, with the reconstruction
     matrix plus the A-linear correction 0.5*(A^i V_i V_j + A^j V_j V_i) as
-    Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps), with a
-    Jacobian from central finite differences of step FD_STEP.  Both start
-    from A fitted by linear least squares against the field columns, B = 0,
-    and stop once the step norm is below TOL, within MAX_ITER iterations or
-    NotConverged; "flow" also stops at a step, rejected or accepted, no longer
-    than FD_FLOOR*|(A, B)|, its Jacobian's accuracy.  Overflowing normal
-    equations raise NonFinite.  n_sub must be an integer >= 1.
+    Jacobian; "flow" matches log-ODE flow images (n_sub RK4 substeps, an
+    integer >= 1), with a Jacobian from central differences of step FD_STEP.
+    Both start from A fitted by linear least squares against the field
+    columns, B = 0, with Levenberg damping lam = 1e-8.  A step whose cost is
+    not finite or rises, or whose image or probe fails, is rejected, and lam
+    grows tenfold, as it does, unevaluated, for a singular damped matrix; an
+    accepted step shrinks it tenfold.  A solve stops at a step below TOL, or
+    for "flow" at one no longer than FD_FLOOR*|(A, B)|, its Jacobian's
+    accuracy, rejected or accepted (then at the new point).  It raises
+    NotConverged after MAX_ITER iterations, or 40 tries or a rejection past
+    lam = 1e12 in one, and NonFinite for a step that is not finite.
 
     Sets with the same base points share one set-up, whose error fails them
-    all, and are solved in lockstep: each round evaluates the trial points of
-    all of them with one batched model call, Taylor images from one level-2
-    step and Jacobians from one einsum, or flow images from one flow_map call in which each trial
-    point brings its 2m probes.  A trial point whose image or probe fails is
-    a rejected step, damped and retried; a failing start point fails its
-    set.  Every result equals that of recovering the sets one at a time, and
+    all, and one `_solve`, whose rounds evaluate all trial points with one
+    batched model call: Taylor images from one level-2 step and Jacobians
+    from one einsum, or flow images from one flow_map call in which each
+    trial point brings its 2m probes.  A failing start point fails its set.
+    Every result is bitwise that of recovering the sets one at a time, and
     when some set fails, the error of the first failing one is raised.  A
-    result whose |(A, B)| exceeds eps2, the model injectivity radius, carries
-    "trust_region_exceeded" in its warnings.
+    result whose |(A, B)| exceeds eps2, the model injectivity radius,
+    carries "trust_region_exceeded" in its warnings.
     """
     if method not in ("taylor", "flow"):
         raise InvalidParameter(f"method must be taylor or flow, got {method!r}")
@@ -384,13 +385,11 @@ def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=N_SUB):
         base, _, _, rm, eps1, eps2 = problem
         targets = np.stack([obs_list[k].observed.ravel() for k in idx])
         evaluate, floor = _evaluator(V, problem, targets, method, n_sub)
-        solvers = []
-        for target in targets:
-            start = np.zeros(rm.m)
+        starts = np.zeros((len(idx), rm.m))
+        for start, target in zip(starts, targets):
             start[: V.ell] = np.linalg.lstsq(rm.mat[:, : V.ell], target - base.ravel(), rcond=None)[0]
-            solvers.append(_one_problem(start, MAX_ITER, TOL, floor))
         with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
-            group = _lockstep(solvers, evaluate)
+            group = _solve(starts, evaluate, MAX_ITER, TOL, floor)
         for k, outcome in zip(idx, group):
             if not isinstance(outcome, Exception):
                 outcome = _result_from(*outcome, V, obs_list[k], eps1, eps2, method)

@@ -47,15 +47,17 @@ def chen_fold(path, i, j):
 def minimize_least_squares(model, theta0, max_iter, tol, floor=0.0):
     """Gauss-Newton with Levenberg damping on 0.5*|residual|^2, one problem.
 
-    The one-problem solver that the lockstep `reconstruct_many` is checked
-    against.  model(theta) returns the residual and the Jacobian there, and
-    is called once per trial point; a package error it raises at the start
-    point ends the solve, and at a trial point rejects the step.  Returns
-    (theta, iterations, residual_vector) when the step norm drops below tol,
-    or when a rejected damped step is no longer than floor*|theta|, or an
-    accepted one (then with the new theta); raises NotConverged when the
-    iteration budget is exhausted or no damped step decreases the cost, and
-    NonFinite when a damped step is not finite.
+    The one-problem solver that the batched `reconstruct._solve`, and so
+    `reconstruct_many`, is checked against row by row, bitwise: each row of
+    the batched arithmetic must match these 2-D products and this
+    `np.linalg.norm` of one vector.  model(theta) returns the residual and
+    the Jacobian there, and is called once per trial point; a package error
+    it raises at the start point ends the solve, and at a trial point
+    rejects the step.  Returns (theta, iterations, residual_vector) when the
+    step norm drops below tol, or when a rejected damped step is no longer
+    than floor*|theta|, or an accepted one (then with the new theta); raises
+    NotConverged when the iteration budget is exhausted or no damped step
+    decreases the cost, and NonFinite when a damped step is not finite.
     """
     from rdeinv.errors import NonFinite, NotConverged, RdeinvError
 

@@ -1102,6 +1102,30 @@ class TestMalformedInput:
         assert err.startswith("usage error:")
         assert (needle or str(file)) in err
 
+    @pytest.mark.parametrize("command", ["solve_logode", "solve_euler2", "observe", "reconstruct"])
+    def test_overflowing_path_increment_is_numerical_error(self, command, capsys, tmp_path):
+        # every value is finite, but a step increment overflows (X2 from 1e308
+        # to -1e308), or for euler2 the second level of a 1e308 step does;
+        # under warnings-as-errors that ended in a RuntimeWarning traceback
+        path = tmp_path / "path.csv"
+        x2 = [1e308] * 4 if command == "solve_euler2" else [0, 1e308, -1e308, 0]
+        path.write_text("t,X1,X2\n0,0,0\n" + "".join(
+            f"{(k + 1) / 16},0,{v!r}\n" for k, v in enumerate(x2)))
+        argv = {
+            "solve_logode": ["solve", "--method", "logode", "--path", str(path),
+                             "--out", str(tmp_path / "traj.csv")],
+            "solve_euler2": ["solve", "--method", "euler2", "--path", str(path),
+                             "--out", str(tmp_path / "traj.csv")],
+            "observe": ["observe", "--path", str(path), "--intervals", "0,0.25",
+                        "--out", str(tmp_path / "obs.csv")],
+            "reconstruct": ["reconstruct", "--set", "driver.kind=file", "--set",
+                            f"driver.file={path}", "--set", "schedule.t=0.25", "--set",
+                            "schedule.n=4", "--out-dir", str(tmp_path / "out")],
+        }[command]
+        code, out, err = run(capsys, argv[0], "--system", "unicycle", *argv[1:])
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"]["type"] == "NonFinite"
+
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -1195,11 +1219,19 @@ class TestConfigKeys:
         [
             ("system = unicycle\n", "no section headers"),
             ("[experiment]\nsystem = unicycle\nsystem = rolling_ball\n", "already exists"),
+            (b"[experiment]\nsystem = unicycle\xff\n", "can't decode byte 0xff"),
+            (None, "Is a directory"),
         ],
-        ids=["no_section_header", "repeated_key"],
+        ids=["no_section_header", "repeated_key", "not_utf8", "directory"],
     )
     def test_malformed_file_is_usage_error(self, ini, needle, capsys, tmp_path):
-        cfg = write_config(tmp_path, ini)
+        if ini is None:  # the config path names a directory
+            cfg = str(tmp_path)
+        elif isinstance(ini, bytes):
+            cfg = str(tmp_path / "exp.ini")
+            (tmp_path / "exp.ini").write_bytes(ini)
+        else:
+            cfg = write_config(tmp_path, ini)
         code, _, err = run(capsys, "reconstruct", "--config", cfg,
                            "--out-dir", str(tmp_path / "out"))
         assert code == 64

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
@@ -867,15 +869,14 @@ def walled_problem():
 
 
 def driver_against_oracle(make_problems, max_iter=50, tol=1e-12, floor=0.0):
-    """Solve the problems from make_problems() in lockstep and each one alone
-    with minimize_least_squares; assert the outcomes are bitwise equal.
+    """Solve the problems from make_problems() together with `_solve` and each
+    one alone with minimize_least_squares; assert the outcomes are bitwise equal.
 
-    Each problem is a (residual, jacobian, theta0) triple and runs as a
-    `_one_problem` generator that yields its trial points; one
-    evaluate(ks, thetas) call per round serves them all, with the residual
-    and the Jacobian of each problem at its point.  Returns the driver's
-    outcomes and, for each evaluate call, the problem indices of its stack
-    and whether the call raised.
+    Each problem is a (residual, jacobian, theta0) triple, and all share the
+    shapes of theta0 and of the residual.  One evaluate(ks, thetas) call per
+    round serves them all, with the residual and the Jacobian of each problem
+    at its point.  Returns the solver's outcomes and, for each evaluate call,
+    the problem indices of its stack and whether the call raised.
     """
     problems, stacks = make_problems(), []
 
@@ -888,8 +889,8 @@ def driver_against_oracle(make_problems, max_iter=50, tol=1e-12, floor=0.0):
         stacks.append((ks, False))
         return [r for r, _ in rows], [jac for _, jac in rows]
 
-    solvers = [reconstruct._one_problem(theta, max_iter, tol, floor) for _, _, theta in problems]
-    got = reconstruct._lockstep(solvers, evaluate)
+    thetas = np.array([theta for _, _, theta in problems])
+    got = reconstruct._solve(thetas, evaluate, max_iter, tol, floor)
     assert len(got) == len(problems)
     for outcome, (residual, jacobian, theta) in zip(got, make_problems()):
         try:
@@ -905,9 +906,9 @@ def driver_against_oracle(make_problems, max_iter=50, tol=1e-12, floor=0.0):
     return got, stacks
 
 
-class TestLockstepDriver:
-    """The lockstep driver of one-problem Levenberg-Marquardt generators
-    against the one-problem solver."""
+class TestBatchedSolver:
+    """The batched Levenberg-Marquardt solver `_solve`, whose rows are the
+    problems of one round, against the one-problem solver."""
 
     def test_singular_damped_matrix_is_that_problem_alone(self):
         residual, jacobian, theta0 = scaled_problem(2.0**50)
@@ -987,6 +988,60 @@ class TestLockstepDriver:
         assert str(got[3]) == str(got[4]) == "no acceptable damped step at iteration 1"
 
 
+def drawn_problem(kind, m, a, b, seed):
+    """One problem in m >= 2 parameters with 2(m - 1) residuals, from a drawn
+    stack: "linear" (a random linear fit), "rosenbrock" (the chained
+    Rosenbrock function with scale a), "walled" (the same, raising below
+    theta[-1] = b), "raising" (raising everywhere, at the start too) or
+    "singular" (a rank-one fit whose damped matrix starts singular)."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-2.0, 2.0, m)
+    if kind in ("linear", "singular"):
+        mat, rhs = rng.standard_normal((2 * m - 2, m)), rng.standard_normal(2 * m - 2)
+        if kind == "singular":
+            mat = np.zeros_like(mat)
+            mat[0] = 2.0 ** (50 + int(a))
+        return (lambda t: mat @ t - rhs), (lambda t: mat.copy()), start
+    eye = np.eye(m)
+
+    def residual(t):
+        if kind == "raising" or (kind == "walled" and t[-1] < b):
+            raise DomainViolation(f"theta = {t.tolist()} is outside the domain")
+        return np.concatenate([a * (t[1:] - t[:-1] ** 2), 1.0 - t[:-1]])
+
+    def jacobian(t):
+        return np.vstack([a * (eye[1:] - 2.0 * t[:-1, None] * eye[:-1]), -eye[:-1]])
+
+    return residual, jacobian, start
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    m=st.integers(2, 6),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(["linear", "rosenbrock", "walled", "raising", "singular"]),
+            st.floats(1.0, 20.0),
+            st.floats(-2.0, 0.5),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    max_iter=st.integers(0, 50),
+    floor=st.sampled_from([0.0, float(np.sqrt(np.finfo(float).eps))]),
+)
+def test_batched_solver_matches_each_problem_alone(m, specs, max_iter, floor):
+    # every outcome of one `_solve` call, results and errors, is what the
+    # one-problem solver gives that problem alone, bitwise
+    def make_problems():
+        return [drawn_problem(kind, m, a, b, seed) for kind, a, b, seed in specs]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, stacks = driver_against_oracle(make_problems, max_iter=max_iter, floor=floor)
+    assert stacks[0][0] == list(range(len(specs)))  # every start point in one call
+
+
 def perturbed_jacobian_problem(seen):
     """A linear problem at its least-squares point, with the exact residual
     2**-28 there, and a Jacobian off by 1e-9 in one entry.  The Gauss-Newton
@@ -1018,7 +1073,7 @@ def stretched_jacobian_problem(seen):
 
 
 class TestStopAtJacobianAccuracy:
-    """The floor rule of `_one_problem`: a damped step no longer than
+    """The floor rule of `_solve`: a damped step no longer than
     floor*|theta| ends the solve, as the tol stop does; a rejected one at
     theta, an accepted one at its new point."""
 
@@ -1030,7 +1085,7 @@ class TestStopAtJacobianAccuracy:
         assert iterations == 1 and theta.tobytes() == theta0.tobytes()
         np.testing.assert_array_equal(r, [0.0, 0.0, -(2.0**-28)])
         steps = [float(np.linalg.norm(t - theta0)) for t in seen[1 : len(stacks)]]
-        assert len(seen) == 2 * len(stacks)  # the lockstep run, then the oracle
+        assert len(seen) == 2 * len(stacks)  # the batched run, then the oracle
         return steps
 
     def test_first_rejected_step_within_the_floor_stops(self):
@@ -1044,7 +1099,7 @@ class TestStopAtJacobianAccuracy:
         seen = []
         got, stacks = driver_against_oracle(lambda: [stretched_jacobian_problem(seen)], floor=floor)
         theta, iterations, r = got[0]
-        points = seen[: len(stacks)]  # the lockstep run's, then the oracle's
+        points = seen[: len(stacks)]  # the batched run's, then the oracle's
         assert len(points) == iterations + 1  # the start, then one trial point per iteration
         assert theta.tobytes() == points[-1].tobytes()
         np.testing.assert_array_equal(r, stretched_jacobian_problem([])[0](theta))
