@@ -8,8 +8,9 @@ structurally and cannot be violated.
 
 Everything here is immutable after construction and all operations are pure,
 so one path can drive any number of rows of a lockstep batch.  The only
-random number generation is local to the Brownian samplers and is seeded
-per call.
+random number generation is the one draw of `sample_brownian_fine`, seeded
+per call.  `GridRoughPath._spans` is the one Chen inverse: increments,
+`coarsen`, the Brownian lift and the Hölder estimates all take it.
 """
 
 from __future__ import annotations
@@ -32,13 +33,19 @@ _ANTISYM_REJECT = 1e-9
 
 def _antisymmetric_part(a, context):
     a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameter(f"{context}: matrix has non-finite entries")
     a_t = np.swapaxes(a, -1, -2)
-    residue = np.max(np.abs(a + a_t)) * 0.5 if a.size else 0.0
-    if not residue <= _ANTISYM_REJECT:  # a NaN residue fails too
+    with np.errstate(over="ignore"):  # entries beyond about 9e307 overflow when doubled
+        residue = np.max(np.abs(a + a_t)) * 0.5 if a.size else 0.0
+        part = 0.5 * (a - a_t)
+    if not residue <= _ANTISYM_REJECT:
         raise InvalidParameter(
             f"{context}: matrix is not antisymmetric (symmetric residue {residue:.3e})"
         )
-    return 0.5 * (a - a_t)
+    if not np.all(np.isfinite(part)):
+        raise InvalidParameter(f"{context}: matrix entries overflow when antisymmetrized")
+    return part
 
 
 class RoughIncrement:
@@ -110,22 +117,6 @@ def _cross(x, y):
     return 0.5 * (xy - np.swapaxes(xy, -1, -2))
 
 
-def _pair_prefixes(values, step_areas=None):
-    """Yield (j, k, prefix) for each pair j != k: prefix[r] is the (j, k) Chen area
-    of the polygon through values over its first r steps, plus step_areas[:r, j, k]
-    when given.  One (n+1,) buffer serves every pair, so no (n, ell, ell)
-    temporary is built; computing the lower triangle rather than negating the
-    upper one, and adding no absent step areas, keeps the sign of every zero."""
-    x0, dx = values[:-1] - values[0], np.diff(values, axis=0)
-    prefix = np.zeros(len(values))
-    for j, k in zip(*np.nonzero(~np.eye(values.shape[1], dtype=bool))):
-        steps = 0.5 * (x0[:, j] * dx[:, k] - x0[:, k] * dx[:, j])
-        if step_areas is not None:
-            steps += step_areas[:, j, k]
-        np.cumsum(steps, out=prefix[1:])
-        yield j, k, prefix
-
-
 def _check_alpha(alpha):
     """alpha as a float if it lies in (1/3, 1/2], else InvalidParameter."""
     alpha = float(alpha)
@@ -182,12 +173,21 @@ class GridRoughPath:
                 )
             step_areas = _antisymmetric_part(step_areas, "step areas")
         alpha = _check_alpha(alpha)
-        # paths of huge values may overflow here; they are still valid data
-        # (their CSV round trip is exact), only their wide increments are not finite
+        # prefix[r, j, k] is the (j, k) Chen area of the polygon over the first r
+        # steps plus step_areas[:r, j, k], one cumsum per pair j != k, so no
+        # (n, ell, ell) temporary is built; computing the lower triangle rather
+        # than negating the upper one, and adding no absent step areas, keeps the
+        # sign of every zero.  Paths of huge values may overflow here; they are
+        # still valid data (their CSV round trip is exact), only their wide
+        # increments are not finite.
         prefix = np.zeros((n + 1, ell, ell))
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, k, column in _pair_prefixes(values, step_areas):
-                prefix[:, j, k] = column
+            x0, dx = values[:-1] - values[0], np.diff(values, axis=0)
+            for j, k in zip(*np.nonzero(~np.eye(ell, dtype=bool))):
+                steps = 0.5 * (x0[:, j] * dx[:, k] - x0[:, k] * dx[:, j])
+                if step_areas is not None:
+                    steps += step_areas[:, j, k]
+                np.cumsum(steps, out=prefix[1:, j, k])
         if step_areas is None:
             step_areas = np.zeros((n, ell, ell))
         for arr in (times, values, step_areas, prefix):
@@ -208,9 +208,13 @@ class GridRoughPath:
         return self.values.shape[1]
 
     def _spans(self, i, j):
-        """(x, a) over [t_i, t_j] for index arrays i, j, by the Chen inverse of the prefixes."""
-        x = self.values[j] - self.values[i]
-        a = self._prefix[j] - self._prefix[i] - _cross(self.values[i] - self.values[0], x)
+        """(x, a) over [t_i, t_j] for index arrays i, j, by the Chen inverse of the prefixes.
+
+        A wide span of huge values may overflow to a non-finite (x, a); the
+        callers that build increments or step areas from it reject those."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self.values[j] - self.values[i]
+            a = self._prefix[j] - self._prefix[i] - _cross(self.values[i] - self.values[0], x)
         return x, a
 
     def _check_span(self, i, j):
@@ -291,38 +295,31 @@ def circle_samples(n, turns=1.0):
 def sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     """Piecewise-linear lift of a Brownian path on its fine simulation grid.
 
-    Simulates n_coarse * n_fine Gaussian steps with variance equal to the step
-    length.  Deterministic given the seed; `sample_brownian_lift` coarsens this
-    exact path, so the two share their increments on the coarse grid.
-    """
-    n = count(n_coarse, "n_coarse") * count(n_fine, "n_fine")
-    return sample_brownian_lift(ell, n, 1, horizon, seed)
-
-
-def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
-    """Brownian rough path on the coarse grid.
-
-    Each coarse step carries the area the fine polygonal approximation swept:
-    bitwise `coarsen(sample_brownian_fine(...), n_fine)`, with the prefix sums
-    and Chen inverse of `GridRoughPath` taken straight from the fine samples.
-    alpha defaults to 0.4.  A seed that is not an integer >= 0 raises
-    InvalidParameter.
+    Draws n_coarse * n_fine Gaussian steps over [0, horizon], each with
+    variance equal to the step length; this is the package's one Brownian
+    draw.  Every step area is zero, so all area comes from Chen composition.
+    Deterministic given the seed; alpha is 0.4.  A seed that is not an integer
+    >= 0 raises InvalidParameter.
     """
     ell, n_coarse, n_fine = count(ell, "ell"), count(n_coarse, "n_coarse"), count(n_fine, "n_fine")
     horizon = positive(horizon, "horizon")
     rng = np.random.default_rng(non_negative(seed, "seed"))
     n = n_coarse * n_fine
-    dt = horizon / n
-    steps = rng.standard_normal((n, ell)) * np.sqrt(dt)
+    steps = rng.standard_normal((n, ell)) * np.sqrt(horizon / n)
     values = np.vstack([np.zeros(ell), np.cumsum(steps, axis=0)])
-    times = np.linspace(0.0, horizon, n + 1)
-    if n_fine == 1:
-        return GridRoughPath(times, values, None, alpha=0.4)
-    i, j = np.arange(0, n, n_fine), np.arange(n_fine, n + 1, n_fine)
-    areas = _cross(values[i] - values[0], values[j] - values[i])
-    for p, q, prefix in _pair_prefixes(values):  # the fine path's GridRoughPath prefix
-        areas[:, p, q] = prefix[j] - prefix[i] - areas[:, p, q]
-    return GridRoughPath(times[::n_fine], values[::n_fine], areas, alpha=0.4)
+    return GridRoughPath(np.linspace(0.0, horizon, n + 1), values, None, alpha=0.4)
+
+
+def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
+    """Brownian rough path on the coarse grid of n_coarse steps.
+
+    `coarsen` of `sample_brownian_fine` by n_fine: each coarse step carries
+    the increment and the area that the fine polygon swept over it, taken by
+    the Chen inverse of the fine path's prefix sums.  So the coarse path is
+    exactly the fine one seen on the coarse grid, with its alpha of 0.4 and
+    its checks of the arguments.
+    """
+    return coarsen(sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed), n_fine)
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,8 +375,9 @@ def make_linear_rough_path(v, ell, times, alpha=0.5) -> GridRoughPath:
     times = np.asarray(times, dtype=float)
     v_lin = v[:ell]
     a_mat = area_matrix(v[ell:], ell)
-    values = np.outer(times - times[0], v_lin)
-    step_areas = a_mat[None, :, :] * np.diff(times)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # GridRoughPath rejects the overflow
+        values = np.outer(times - times[0], v_lin)
+        step_areas = a_mat[None, :, :] * np.diff(times)[:, None, None]
     return GridRoughPath(times, values, step_areas, alpha)
 
 

@@ -22,35 +22,34 @@ ROLLING_BALL_A2 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 @dataclass(eq=False)
 class NamedSystem:
-    """A vector-field set bundled with a name, suggested base points and notes."""
+    """A vector-field set bundled with a name and suggested base points."""
 
     name: str
     fields: VectorFieldSet
     recommended_points: list = field(default_factory=list)
-    notes: str = ""
 
 
 def rolling_ball() -> NamedSystem:
     """Unit ball rolling on a plane without slipping, orientation only.
 
     The state is the 3x3 orientation matrix flattened row-major into R^9; the
-    two fields act by constant left matrix multiplication, so they are linear
-    on the embedding space: V_i(x) = kron(A_i, I_3) x.  The orthogonal group is
-    invariant under the flow.
+    two fields act by constant left matrix multiplication, M -> A_i M, so they
+    are linear on the embedding space: V_i(x) = kron(A_i, I_3) x.  The
+    orthogonal group is invariant under the flow.
     """
     A = np.stack([np.kron(a, np.eye(3)) for a in (ROLLING_BALL_A1, ROLLING_BALL_A2)])
     return NamedSystem(
         "rolling_ball",
         VectorFieldSet.affine(A),
         recommended_points=[np.eye(3).ravel()],
-        notes="orientation matrix embedded row-major in R^9; fields M -> A_i M",
     )
 
 
 def unicycle() -> NamedSystem:
     """Planar unicycle: position (x1, x2) and heading x3.
 
-    Field 1 moves along the current heading, field 2 turns.
+    Field 1 moves along the current heading, field 2 turns.  The rank
+    condition holds at every point with c = 1.
     """
 
     def fields(x):
@@ -72,7 +71,6 @@ def unicycle() -> NamedSystem:
         "unicycle",
         VectorFieldSet.fused(fields, 2, 3, jacobians),
         recommended_points=[np.zeros(3)],
-        notes="position and heading; rank condition holds at every point with c=1",
     )
 
 
@@ -115,7 +113,6 @@ def cvt() -> NamedSystem:
         "cvt",
         VectorFieldSet.fused(fields, 2, 4, jacobians),
         recommended_points=[np.array([0.0, 0.0, 0.0, 0.5])],
-        notes="domain restricted to 0 < q < 1 (q is the fourth coordinate)",
     )
 
 
@@ -123,7 +120,8 @@ def triple_product() -> NamedSystem:
     """Three quadratic fields on R^3: yz d/dx, xz d/dy, xy d/dz.
 
     All fields vanish on the coordinate axes, so single-axis points are
-    degenerate; two generic points give the full rank 6.
+    degenerate.  Any two points share an exact kernel direction, so two
+    generic points give rank 5; three give the full rank 6.
     """
     # field i moves coordinate i at the rate of the product of the other two
     others = [(1, 2), (0, 2), (0, 1)]
@@ -149,8 +147,6 @@ def triple_product() -> NamedSystem:
             np.array([1.0, 2.0, 3.0]),
             np.array([3.0, 1.0, 2.0]),
         ],
-        notes="rank 6 needs three observation points (any two share an exact "
-        "kernel direction); fields vanish on the axes",
     )
 
 
@@ -159,9 +155,10 @@ def kohn(d=2) -> NamedSystem:
 
     Coordinates (x_1..x_d, y_1..y_d, t); the fields are
     X_i = d/dx_i + 2 y_i d/dt and Y_i = d/dy_i - 2 x_i d/dt, ordered
-    (X_1..X_d, Y_1..Y_d).  All field values and brackets lie in a
-    (2d+1)-dimensional space while there are d(2d+1) parameters, so the rank
-    condition fails for every choice of points once d >= 2.  For d = 1 the
+    (X_1..X_d, Y_1..Y_d).  Every bracket is vertical, a multiple of d/dt.  All
+    field values and brackets lie in a (2d+1)-dimensional space while there
+    are d(2d+1) parameters, so the rank condition fails for every choice of
+    points once d >= 2.  For d = 1 the
     single bracket spans the vertical direction and the rank condition holds.
     """
     if not (is_int(d) and d >= 1):
@@ -176,7 +173,6 @@ def kohn(d=2) -> NamedSystem:
         f"kohn_{d}" if d != 2 else "kohn",
         VectorFieldSet.affine(A, np.eye(2 * d, dim)),
         recommended_points=[np.zeros(dim)],
-        notes="degenerate for d >= 2: brackets only ever span the vertical direction",
     )
 
 
@@ -192,7 +188,6 @@ def constant_fields(ell=2, d=2) -> NamedSystem:
         f"constant_{ell}_{d}",
         VectorFieldSet.affine(np.zeros((ell, d, d)), np.eye(ell, d)),
         recommended_points=[np.zeros(d)],
-        notes="canonical basis fields; no bracket ever sees the area",
     )
 
 

@@ -150,3 +150,15 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
     with np.errstate(over="ignore", invalid="ignore"):
         theta, iterations, rvec = minimize_least_squares(model, theta0, max_iter, tol, floor)
     return reconstruct._result_from(theta, iterations, rvec, V, obs, eps1, eps2, method)
+
+
+# lifts whose flags are finite but whose path builders overflow: each is one
+# usage error line, exit 64, with no RuntimeWarning on the way
+OVERFLOW_LIFTS = {
+    "brownian_areas": ["lift", "--driver", "brownian", "--horizon", "1.7e308",
+                       "--n-coarse", "4", "--n-fine", "2", "--seed", "3"],
+    "linear_areas": ["lift", "--driver", "linear", "--v", "1,1,1e308", "--n", "4",
+                     "--horizon", "1e10"],
+    "linear_values": ["lift", "--driver", "linear", "--v", "1e308,1e308,0", "--n", "4",
+                      "--horizon", "1.7e308"],
+}

@@ -2,12 +2,14 @@
 
 import json
 import re
+import warnings
 from argparse import SUPPRESS
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import OVERFLOW_LIFTS
 from rdeinv import cli, reconstruct
 from rdeinv.cli import main
 from rdeinv.rde import observe_flow, read_trajectory_csv, solve
@@ -1125,6 +1127,20 @@ class TestMalformedInput:
         code, out, err = run(capsys, argv[0], "--system", "unicycle", *argv[1:])
         assert code == 1 and err == ""
         assert json.loads(out)["error"]["type"] == "NonFinite"
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_LIFTS))
+    def test_overflowing_lift_is_one_usage_line(self, case, capsys, tmp_path):
+        # the areas (brownian, linear) or values (linear) of finite flags overflow;
+        # at warnings-as-errors that was a RuntimeWarning traceback, and without it
+        # several warnings before a "symmetric residue nan" usage error
+        out = tmp_path / "path.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(capsys, *OVERFLOW_LIFTS[case], "--out", str(out))
+        assert caught == []
+        assert code == 64 and stdout == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "must be finite" in err or "non-finite" in err
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -1,17 +1,20 @@
-"""Property tests of the CSV formats: bitwise round trips and a fuzz over damaged files."""
+"""Property tests of the CSV formats: bitwise round trips and fuzzes over damaged and
+edited input files."""
 
 import io
+import json
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import OVERFLOW_LIFTS
 from rdeinv.cli import main
-from rdeinv.errors import InvalidParameter
+from rdeinv.errors import InvalidParameter, RdeinvError
 from rdeinv.io import numbered, read_table, write_table
 from rdeinv.rde import ObservationSet, Trajectory, read_trajectory_csv, write_trajectory_csv
 from rdeinv.reconstruct import read_observations_csv, write_observations_csv
@@ -216,6 +219,25 @@ def test_read_table_blank_middle_line_of_one_column(tmp_path):
 OBS_INTERVALS = "0,0.78539816339744828;0.78539816339744828,1.5707963267948966"
 
 
+def assert_exit_contract(argv):
+    """Run argv in-process: an exception is the traceback the CLI must never show.
+    Exit 0 prints only notes on stderr; 1 and 2 print one error JSON line; 64
+    prints nothing on stdout and exactly one `usage error:` line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue().splitlines()
+    if code == 64:
+        assert out == "" and len(err) == 1 and err[0].startswith("usage error:"), (argv, err)
+        return
+    assert all(line.startswith("note:") for line in err), (argv, code, err)
+    if code in (1, 2):
+        [line] = out.splitlines()
+        assert set(json.loads(line)["error"]) == {"type", "message"}, (argv, out)
+    else:
+        assert code == 0, (argv, code)
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("valid")
@@ -262,9 +284,149 @@ def test_damaged_files_exit_with_documented_codes(valid_files, data):
         file = Path(tmp) / f"{kind}.csv"
         file.write_text(text)
         for argv in commands(kind, str(file), tmp):
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main(argv)
-            err = err.getvalue()
-            assert code in (0, 1, 2, 64), (argv[0], code)
-            assert code != 64 or err.startswith("usage error:"), err
+            assert_exit_contract(argv)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: structured edits of every input file, fed to every command that reads it
+
+# a cell's new text, a cell's scale factor, and a header cell's or key's new name
+CELLS = ["0", "1e308", "-1e308", "1e-320", "nan", "inf", "-inf"]
+SCALES = [-1.0, 0.5, 2.0, 1e300, 1e-300]
+NAMES = ["t", "X1", "X2", "X3", "A12", "A13", "A21", "x1", "x3", "s", "point_id", "y1", "z9",
+         "kind", "file", "n", "n_sub", "levels", "Q"]
+
+CONFIG = """[experiment]
+system = rolling_ball
+method = taylor
+[driver]
+kind = file
+file = {path}
+alpha = 0.5
+[points]
+points = 1,0,0,0,1,0,0,0,1
+[schedule]
+s = 0
+t = 1
+n = 2
+[solver]
+n_internal = 1
+n_sub = 1
+"""
+
+QUARTERS = "0,0.25;0.25,0.5;0.5,0.75;0.75,1"
+
+index = st.integers(0, 99)
+edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), index),
+        st.tuples(st.just("repeat"), index),
+        st.tuples(st.just("swap"), index, index),
+        st.tuples(st.just("rename"), index, st.sampled_from(NAMES)),
+        st.tuples(st.just("cell"), index, index, st.sampled_from(CELLS)),
+        st.tuples(st.just("scale"), index, index, st.sampled_from(SCALES)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def edited(text, kind, edit_list):
+    """text after each edit, with every index taken modulo what it indexes.
+
+    Rows are a CSV's data lines or every line of the INI; header cells are a
+    CSV's column names or the INI's keys; a cell is one comma-separated part
+    of a CSV data line or of an INI value.
+    """
+    lines = text.splitlines()
+    for op, k, *rest in edit_list:
+        rows = list(range(0 if kind == "ini" else 1, len(lines)))
+        keyed = [r for r in rows if "=" in lines[r]] if kind == "ini" else rows
+        if op in ("drop", "repeat", "swap") and rows:
+            r = rows[k % len(rows)]
+            if op == "drop":
+                del lines[r]
+            elif op == "repeat":
+                lines.insert(r, lines[r])
+            else:
+                q = rows[rest[0] % len(rows)]
+                lines[r], lines[q] = lines[q], lines[r]
+        elif op == "rename" and kind != "ini":
+            cells = lines[0].split(",")
+            cells[k % len(cells)] = rest[0]
+            lines[0] = ",".join(cells)
+        elif op == "rename" and keyed:
+            r = keyed[k % len(keyed)]
+            lines[r] = rest[0] + " =" + lines[r].partition("=")[2]
+        elif op in ("cell", "scale") and keyed:
+            r = keyed[k % len(keyed)]
+            head, sep, body = lines[r].partition("=") if kind == "ini" else ("", "", lines[r])
+            cells = body.split(",")
+            c = rest[0] % len(cells)
+            if op == "cell":
+                cells[c] = rest[1]
+            else:
+                try:
+                    cells[c] = "%.17g" % (float(cells[c]) * rest[1])
+                except ValueError:  # a word such as the system name
+                    continue
+            lines[r] = head + sep + ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def csv_commands(file, tmp):
+    """Every command that reads a CSV, reading `file` where it takes a path or observations."""
+    return [
+        ["solve", "--system", "unicycle", "--path", file, "--method", "euler2",
+         "--out", f"{tmp}/traj.csv"],
+        ["solve", "--system", "unicycle", "--path", file, "--method", "logode", "--n-sub", "2",
+         "--out", f"{tmp}/traj.csv"],
+        ["observe", "--system", "rolling_ball", "--path", file, "--intervals", QUARTERS,
+         "--n-sub", "1", "--out", f"{tmp}/obs.csv"],
+        ["lift", "--driver", "file", "--samples", file, "--out", f"{tmp}/lifted.csv"],
+        ["reconstruct", "--system", "rolling_ball", "--obs", file, "--out-dir", f"{tmp}/rec"],
+        ["reconstruct", "--system", "rolling_ball", "--set", "driver.kind=file", "--set",
+         f"driver.file={file}", "--set", "schedule.n=2", "--set", "solver.n_sub=1",
+         "--out-dir", f"{tmp}/sim"],
+    ]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid path (ell = 2, with areas), trajectory, observation file and INI config."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    path, traj, obs = tmp / "path.csv", tmp / "traj.csv", tmp / "obs.csv"
+    assert main(["lift", "--driver", "brownian", "--n-coarse", "8", "--n-fine", "2",
+                 "--out", str(path)]) == 0
+    assert main(["solve", "--system", "unicycle", "--path", str(path), "--method", "euler2",
+                 "--out", str(traj)]) == 0
+    assert main(["observe", "--system", "rolling_ball", "--path", str(path), "--intervals",
+                 QUARTERS, "--n-sub", "1", "--out", str(obs)]) == 0
+    files = {kind: file.read_text() for kind, file in
+             [("path", path), ("traj", traj), ("obs", obs)]}
+    return {**files, "ini": CONFIG.format(path=path)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(kind=st.sampled_from(["path", "traj", "obs", "ini"]), edit_list=edits)
+@example(kind="brownian_areas", edit_list=[])
+@example(kind="linear_areas", edit_list=[])
+@example(kind="linear_values", edit_list=[])
+# a path whose area A12 = -1e308 overflows when antisymmetrized
+@example(kind="path", edit_list=[("cell", 5, 3, "-1e308")])
+def test_edited_inputs_keep_the_exit_contract(valid_inputs, kind, edit_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind in OVERFLOW_LIFTS:
+            argvs = [OVERFLOW_LIFTS[kind] + ["--out", f"{tmp}/path.csv"]]
+        else:
+            file = Path(tmp) / f"input.{'ini' if kind == 'ini' else 'csv'}"
+            file.write_text(edited(valid_inputs[kind], kind, edit_list))
+            if kind == "ini":
+                argvs = [["reconstruct", "--config", str(file), "--out-dir", f"{tmp}/rec"]]
+            else:
+                argvs = csv_commands(str(file), tmp)
+            if kind == "traj":  # a reader that no command calls
+                with suppress(RdeinvError):
+                    read_trajectory_csv(file)
+        for argv in argvs:
+            assert_exit_contract(argv)

@@ -57,6 +57,15 @@ class TestRoughIncrement:
         with pytest.raises(InvalidParameter):
             RoughIncrement([0.0, 1.0], [[0.0, np.nan], [-np.nan, 0.0]])
 
+    def test_rejects_infinite_area_before_the_residue_test(self):
+        # inf + (-inf) in the residue would warn; the finiteness check comes first
+        with pytest.raises(InvalidParameter, match="non-finite entries"):
+            RoughIncrement([0.0, 1.0], [[0.0, np.inf], [-np.inf, 0.0]])
+
+    def test_rejects_area_that_overflows_when_antisymmetrized(self):
+        with pytest.raises(InvalidParameter, match="overflow when antisymmetrized"):
+            RoughIncrement([0.0, 1.0], [[0.0, 1e308], [-1e308, 0.0]])
+
     def test_second_level_symmetric_part_is_structural(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -166,6 +175,15 @@ class TestGridRoughPath:
         areas[1] = [[np.nan, 1.0], [5.0, 0.0]]
         with pytest.raises(InvalidParameter):
             GridRoughPath([0.0, 0.5, 1.0], np.zeros((3, 2)), areas)
+
+    def test_overflowing_span_raises_without_warning(self):
+        # finite values whose span over [t_1, t_2] overflows
+        values = [[0.0, 0.0], [0.0, 1e308], [0.0, -1e308], [0.0, 0.0]]
+        path = GridRoughPath([0.0, 1.0, 2.0, 3.0], values)
+        with pytest.raises(InvalidParameter, match="non-finite entries"):
+            path.increment(1, 2)
+        with pytest.raises(InvalidParameter, match="non-finite entries"):
+            coarsen(path, 3)
 
     def test_single_step_is_stored_data(self):
         rng = np.random.default_rng(1)
