@@ -1,16 +1,18 @@
 """Integrators for rough differential equations and flow observation.
 
-Two one-step schemes are provided: the second-order Euler step (level-1 term
-plus second-level correction) on one state, the level-2 expansion
-`_level2_step` that is also the Taylor recovery model of `reconstruct`, and
-the log-ODE step (time-1 RK4 flow of the frozen field built from the increment
-and the field brackets), which moves one state or an (N, d) stack of states in
-lockstep, each row with its own increment; for an affine field set it is one
-matrix per row, applied once per substep.  `solve` steps one state along a
-path and keeps every grid state, by euler2 in one loop over precomputed second
-levels; flow observation stacks every base point, every driver path and every
-observation interval into one log-ODE run, the grid integrator of log-ODE
-solves, and keeps the states at the interval ends.  All functions are pure.
+Both one-step schemes take their field from one kernel, `_level2_step`: the
+block row [I | DV_1 | ... | DV_ell] times a coefficient stack [x; c^T] times
+the fields, x^i V_i + sum_k DV_k p_k with p = c^T V.  With the second level
+c = XX it is the second-order Euler step on one state, which is also the
+Taylor recovery model of `reconstruct`; with the area c = a it is the frozen
+field of the log-ODE step (time-1 RK4 flow), which moves one state or an
+(N, d) stack of states in lockstep, each row with its own increment; for an
+affine field set that step is one matrix per row, applied once per substep.
+`solve` steps one state along a path and keeps every grid state, by euler2
+in one loop over coefficient stacks built before it; flow observation stacks
+every base point, every driver path and every observation interval into one
+log-ODE run, the grid integrator of log-ODE solves, and keeps the states at
+the interval ends.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -88,35 +90,50 @@ def euler2_step(V: VectorFieldSet, x, inc: RoughIncrement):
     """Second-order Euler step: x + V_i(x) x^i + (V_i V_j)(x) XX^{ij}.
 
     XX is the full second level 0.5*outer(x_inc, x_inc) + a, and V_i V_j is
-    entry [i, j] of `VectorFieldSet.compositions`, DV_j V_i, paired with XX.
-    x is one state (d,) and inc one increment; stacks are rejected.  This is
-    one pass of the loop over precomputed second levels that `solve` runs.
+    DV_j V_i, summed by `_level2_step` without the ell^2 table.  x is one
+    state (d,) and inc one increment; stacks are rejected.  This is one pass
+    of the loop that `solve` runs.
     """
     x = _check_step(V, x, inc)
     if x.ndim != 1:
         raise DimensionMismatch(f"euler2_step takes one state of shape ({V.d},), got {x.shape}")
-    return _euler2_states(V, x, inc.x[None], inc.second_level.reshape(1, -1))[0]
+    return _euler2_states(V, x, _coefficients((1,), inc.x, inc.second_level))[0]
 
 
-def _level2_step(z, x, xx, fields, comps):
-    """The level-2 expansion z + x^i V_i + XX^{jk} V_jV_k, the euler2 step at z.
-
-    x (..., ell) is the level-1 increment and xx (..., ell * ell) the flattened
-    second level, against the fields (..., ell, d) and the composition table
-    (..., ell, ell, d) at z; leading axes broadcast as in matmul.  Each image is
-    one vector-matrix product per term, so it does not depend on the stack it
-    rides in.
-    """
-    return z + x @ fields + xx @ comps.reshape(comps.shape[:-3] + (-1, comps.shape[-1]))
+def _coefficients(lead, x, rows):
+    """[x; rows^T], lead + (1 + ell, ell), from level-1 increments x and rows XX or a."""
+    coef = np.empty(lead + (1 + x.shape[-1], x.shape[-1]))
+    coef[..., 0, :] = x
+    coef[..., 1:, :] = np.swapaxes(rows, -1, -2)
+    return coef
 
 
-def _euler2_states(V: VectorFieldSet, z, x, xx):
-    """The euler2 states after each step from the checked state z, with no per-step check:
-    x (steps, ell) holds the level-1 increments, xx (steps, ell * ell) the second levels."""
-    states = np.empty((len(x), V.d))
-    for s in range(len(x)):
-        fields, comps = V._compositions(z)
-        z = states[s] = _level2_step(z, x[s], xx[s], fields, comps)
+def _block_row(lead, ell, d):
+    """The block row [I | DV_1 | ... | DV_ell] (..., d, (1 + ell) d) of states lead, and the
+    view (..., d, ell, d) of its DV blocks, which takes the Jacobians swapped on axes -3, -2."""
+    blocks = np.empty(lead + (d, 1 + ell, d))
+    blocks[..., 0, :] = np.eye(d)
+    return blocks.reshape(lead + (d, -1)), blocks[..., 1:, :]
+
+
+def _level2_step(coef, fields, row):
+    """x^i V_i + sum_k DV_k p_k, p = c^T V, from coef = [x; c^T] (..., 1 + ell, ell), the
+    fields (..., ell, d) and the block row (..., d, (1 + ell) d): with c = XX the level-2
+    expansion less the state, with antisymmetric c = a the log-ODE field.  Leading axes
+    broadcast, one matmul per state, so no state's result depends on its stack."""
+    g = coef @ fields  # the level-1 term over p_1 .. p_ell
+    return (row @ g.reshape(g.shape[:-2] + (-1, 1)))[..., 0]
+
+
+def _euler2_states(V: VectorFieldSet, z, coef):
+    """The euler2 states from the checked state z, one step per stack [x; XX^T] in coef:
+    one checked field and Jacobian evaluation each, the Jacobians written into one row."""
+    states = np.empty((len(coef), V.d))
+    row, slots = _block_row((), V.ell, V.d)
+    for s, c in enumerate(coef):
+        fields = V._at(z)
+        slots[...] = V._at(z, jacobians=True).swapaxes(0, 1)
+        z = states[s] = z + _level2_step(c, fields, row)
     return states
 
 
@@ -137,41 +154,30 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=N_SUB):
     degree-4 Taylor polynomial.  Overflow raises NonFinite on both routes.
 
     On any other set, the RK4 route, each stage makes one field and, for a
-    nonzero area, one Jacobian evaluation, then two matmuls per row.  The
-    coefficient stack [x; a^T] (1 + ell rows) times the fields gives the
-    level-1 term and the area-pulled fields p_k = sum_j a^{jk} V_j at once;
-    the block row [I | DV_1 | ... | DV_ell] times those 1 + ell rows, stacked,
-    gives the level-1 term plus the bracket term sum_k DV_k p_k.  These are ell
-    Jacobian-vector products per row: on this hot path of flow observation
-    and recovery the ell^2 table of `VectorFieldSet.compositions` is never
-    built.  Every product is a matmul batched over rows, so each row's result
-    is bitwise independent of the stack it rides in.
+    nonzero area, one Jacobian evaluation, and takes the frozen field from
+    `_level2_step`, the kernel of the euler2 step, with the area a in place
+    of the second level.  Every product is a matmul batched over rows, so
+    each row's result is bitwise independent of the stack it rides in.
     """
     x = _check_step(V, x, inc)
     n_sub = count(n_sub, "n_sub")
     z = np.atleast_2d(x)
-    n, ell = z.shape[0], V.ell
-    # a is antisymmetric, so sum_{j<k} a^{jk} [V_j, V_k] = sum_k DV_k (sum_j a^{jk} V_j)
-    coef = np.empty((n, 1 + ell, ell))
-    coef[:, 0] = inc.x
-    coef[:, 1:] = np.swapaxes(inc.a, -1, -2)
+    n = z.shape[0]
+    coef = _coefficients((n,), inc.x, inc.a)
     h = 1.0 / n_sub
     with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
         if V.generators is not None:
             z = _affine_substeps(V.generators, z, coef, h, n_sub)
         else:
             brackets = bool(inc.a.any())
-            # [I | DV_1 | ... | DV_ell] per row; the Jacobians are written at every stage
-            blocks = np.empty((n, V.d, 1 + ell, V.d))
-            blocks[..., 0, :] = np.eye(V.d)
-            flat = blocks.reshape(n, V.d, -1)
+            row, slots = _block_row((n,), V.ell, V.d)  # written at every stage
 
             def w(y):
-                g = coef @ V._at(y)  # rows: the level-1 term, then p_1 .. p_ell
+                fields = V._at(y)
                 if not brackets:
-                    return g[:, 0]
-                blocks[..., 1:, :] = V._at(y, jacobians=True).swapaxes(-3, -2)
-                return (flat @ g.reshape(n, -1, 1))[..., 0]
+                    return (coef @ fields)[:, 0]
+                slots[...] = V._at(y, jacobians=True).swapaxes(-3, -2)
+                return _level2_step(coef, fields, row)
 
             for _ in range(n_sub):
                 k1 = w(z)
@@ -232,12 +238,11 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=N_S
         raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step raises NonFinite
         dx = np.diff(path.values, axis=0)
-    if method == "euler2":
-        with np.errstate(over="ignore", invalid="ignore"):  # the trajectory raises NonFinite
-            xx = RoughIncrement._trusted(dx, path.step_areas).second_level.reshape(path.n, -1)
-            steps = _euler2_states(V, x0, dx, xx)
-    else:
-        steps = list(_lockstep(V, x0, dx, path.step_areas, n_sub))
+        if method == "euler2":
+            xx = RoughIncrement._trusted(dx, path.step_areas).second_level
+            steps = _euler2_states(V, x0, _coefficients((path.n,), dx, xx))
+        else:
+            steps = list(_lockstep(V, x0, dx, path.step_areas, n_sub))
     return Trajectory(path.times.copy(), np.vstack([x0, steps]))
 
 

@@ -8,14 +8,14 @@ distance to the observed flow images by Gauss-Newton with Levenberg damping;
 it is possible exactly when the matrix of field values and bracket values at
 the base points has rank m.
 
-The set-up (point blocks, rank test, eps1, eps2) belongs to the base points,
-so `reconstruct_many` makes it once per base-point set.  The solver keeps
-every recovery at one set as rows of arrays: a round is one batched solve and
-one batched model call, the Taylor images from one level-2 step and their
-Jacobians from one einsum, or the flow images of every trial point and its
-finite-difference probes from one log-ODE run.  The greedy point search
-scores all candidates of a round with one batched SVD.  All operations are
-pure.
+The set-up (point blocks with the kernel's block rows, rank test, eps1,
+eps2) belongs to the base points, so `reconstruct_many` makes it once per
+base-point set.  The solver keeps every recovery at one set as rows of
+arrays: a round is one batched solve and one batched model call, the Taylor
+images from one level-2 kernel call and their Jacobians from one einsum, or
+the flow images of every trial point and its finite-difference probes from
+one log-ODE run.  The greedy point search scores all candidates of a round
+with one batched SVD.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ from .errors import (
     finite,
     non_negative,
 )
-from .rde import N_SUB, ObservationSet, _check_step, _level2_step, logode_step
+from .rde import (
+    N_SUB, ObservationSet, _block_row, _check_step, _coefficients, _level2_step, logode_step,
+)
 from .roughpath import GridRoughPath, RoughIncrement, _antisymmetric_part, area_matrix
-from .vectorfields import VectorFieldSet, bracket_columns
+from .vectorfields import VectorFieldSet, bracket_columns, composition_table
 
 RANK_TOL = 1e-10  # the rank counts singular values above RANK_TOL times the largest
 FD_STEP = 1e-6  # the flow model's central-difference step
@@ -83,15 +85,18 @@ class ReconstructionResult:
 
 
 def _point_blocks(V: VectorFieldSet, points):
-    """The base points (c,d) with their field values (c,ell,d) and second
-    compositions (c,ell,ell,d), from one batched evaluation.  Non-finite
-    points raise InvalidParameter, non-finite values NonFinite."""
+    """The base points (c,d) with their fields (c,ell,d), composition table
+    (c,ell,ell,d) and block rows (c,d,(1+ell)d), from one evaluation of each
+    kind.  Non-finite points raise InvalidParameter, non-finite values NonFinite."""
     points = finite(V._states(np.atleast_2d(points)), "base points")
     with np.errstate(over="ignore", invalid="ignore"):
-        fields, comps = V.compositions(points)
+        fields, jacobians = V._at(points), V._at(points, jacobians=True)
+        comps = composition_table(fields, jacobians)
     if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(comps))):
         raise NonFinite("field or composition values at the base points are not finite")
-    return points, fields, comps
+    row, slots = _block_row((len(points),), V.ell, V.d)
+    slots[...] = jacobians.swapaxes(-3, -2)
+    return points, fields, comps, row
 
 
 def _column_blocks(fields, comps):
@@ -119,8 +124,7 @@ def reconstruction_matrix(V: VectorFieldSet, points):
     pair order; row block r holds the values at point r.  The rank counts
     singular values above RANK_TOL times the largest one.
     """
-    _, fields, comps = _point_blocks(V, points)
-    return _matrix(fields, comps)
+    return _matrix(*_point_blocks(V, points)[1:3])
 
 
 def taylor_map(V: VectorFieldSet, points, A, B):
@@ -129,14 +133,14 @@ def taylor_map(V: VectorFieldSet, points, A, B):
     Phi_y(A, B) = y + A^i V_i(y) + XX^{jk} (V_j V_k)(y), XX = 0.5 A (x) A + B, is
     the euler2 step at y along the increment (A, B): with B antisymmetric it is
     y + A^i V_i(y) + sum_{j<k} B^{jk} [V_j,V_k](y) + 0.5 A^i A^j (V_i V_j)(y),
-    exactly quadratic in A and linear in B.  (A, B) are checked like a
-    RoughIncrement's.
+    exactly quadratic in A and linear in B.  It is `rde._level2_step` on the
+    points' block rows, so each point's image is `euler2_step` bitwise.
+    (A, B) are checked like a RoughIncrement's.
     """
-    points, fields, comps = _point_blocks(V, points)
+    points, fields, _, row = _point_blocks(V, points)
     inc = RoughIncrement(A, B)
     _check_step(V, points, inc)
-    xx = inc.second_level.reshape(1, 1, -1)
-    return _level2_step(points[:, None], inc.x[None, None], xx, fields, comps).ravel()
+    return (points + _level2_step(_coefficients((), inc.x, inc.second_level), fields, row)).ravel()
 
 
 def flow_map(V: VectorFieldSet, points, A, B, n_sub=N_SUB):
@@ -160,12 +164,12 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=N_SUB):
 def _local_problem(V: VectorFieldSet, points):
     """The local recovery problem at one set of base points.
 
-    Returns the point blocks (points, fields, comps), the reconstruction
+    Returns the point blocks (points, fields, comps, row), the reconstruction
     matrix and the trust-region constants eps1 and eps2; raises
     RankDeficient below rank m.
     """
     blocks = _point_blocks(V, points)
-    rm = _matrix(*blocks[1:])
+    rm = _matrix(*blocks[1:3])
     if rm.rank < rm.m:
         raise RankDeficient(
             f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
@@ -312,16 +316,16 @@ def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
     """The `_solve` evaluate of the recoveries at one `_local_problem`, with
     observed images targets (K, c*d), and the floor of their solves: residuals
     and Jacobians of problems ks at thetas from one batched model call."""
-    base, fields, comps, rm = problem[:4]
+    base, fields, comps, row, rm = problem[:5]
     ell, m = V.ell, rm.m
     if method == "taylor":
         sym = comps + np.swapaxes(comps, 1, 2)  # sym[c,i,j] = V_iV_j + V_jV_i
 
         def evaluate(ks, thetas):
-            # each problem's increment is one (1, ell) row per base point, as in taylor_map
+            # each problem's coefficient stack meets every base point, as in taylor_map
             A, B = _unpack(thetas, ell)
-            xx = RoughIncrement._trusted(A, B).second_level.reshape(len(ks), 1, 1, -1)
-            images = _level2_step(base[:, None], A[:, None, None], xx, fields, comps)
+            coef = _coefficients((len(ks),), A, RoughIncrement._trusted(A, B).second_level)
+            images = base + _level2_step(coef[:, None], fields, row)
             jac = np.repeat(rm.mat[None], len(ks), axis=0)
             corr = np.einsum("...j,cijd->...cdi", A, sym)
             jac[..., :ell] += 0.5 * corr.reshape(len(ks), -1, ell)
@@ -382,7 +386,7 @@ def reconstruct_many(V: VectorFieldSet, obs_list, method="taylor", n_sub=N_SUB):
             for k in idx:
                 outcomes[k] = exc
             continue
-        base, _, _, rm, eps1, eps2 = problem
+        base, _, _, _, rm, eps1, eps2 = problem
         targets = np.stack([obs_list[k].observed.ravel() for k in idx])
         evaluate, floor = _evaluator(V, problem, targets, method, n_sub)
         starts = np.zeros((len(idx), rm.m))
@@ -553,12 +557,12 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
     for _ in range(c_max):
         cands = rng.uniform(lo, hi, size=(n_trials, V.d))
         try:
-            _, fields, comps = _point_blocks(V, cands)
+            _, fields, comps, _ = _point_blocks(V, cands)
         except DomainViolation:
             cands = cands[[_admissible(V, cand) for cand in cands]]
             if len(cands) == 0:
                 raise InvalidParameter("no admissible candidate points found in the box")
-            _, fields, comps = _point_blocks(V, cands)
+            _, fields, comps, _ = _point_blocks(V, cands)
         heads = np.broadcast_to(head, (len(cands),) + head.shape)
         mats = np.concatenate([heads, _column_blocks(fields, comps)], axis=1)
         svs = np.linalg.svd(mats, compute_uv=False)

@@ -4,18 +4,17 @@ A field set is evaluated fused: one callable maps an (N, d) stack of states
 to all ell field values (N, ell, d), and an optional second one to all
 Jacobians (N, ell, d, d); without it, Jacobians are central differences of
 the first.  A result that only broadcasts to the full shape, such as a
-constant (ell, d) or (ell, d, d) stack, is accepted.  A (d,) state passes
-through unchanged, so callables written with ``x[..., k]`` indexing serve
-both.  Rows are independent states: the integrators step whole stacks of
-base points, seeds and finite-difference probes in lockstep, so evaluators
-must be pure.  Indices are 0-based ints or NumPy integers.
+constant (ell, d) or (ell, d, d) stack, is accepted and filled out.  A (d,)
+state passes through unchanged, so callables written with ``x[..., k]``
+indexing serve both.  Rows are independent states: the integrators step
+whole stacks of base points, seeds and finite-difference probes in lockstep,
+so evaluators must be pure.  Indices are 0-based ints or NumPy integers.
 
-One table, `VectorFieldSet.compositions`, holds the second compositions
-V_jV_k = DV_k V_j: `second_comp` slices it, `bracket` and `bracket_columns`
-(pairs j < k in row-major order, the one pair order of `roughpath._pairs`)
-difference two slices of it, and the level-2 step of `rde`, which is both the
-Euler step and the Taylor model, contracts it; only the log-ODE step does
-without it.
+One table, `composition_table`, holds the compositions V_jV_k = DV_k V_j:
+`second_comp` slices it, `bracket` and `bracket_columns` (pairs j < k in
+row-major order, the one pair order of `roughpath._pairs`) difference two
+slices of it, and the rank test, eps2 and the Taylor Jacobian read it.  The
+level-2 kernel of `rde` takes fields and Jacobians without it.
 A set declared affine (`jac_mode` "affine", as `VectorFieldSet.affine` builds)
 keeps the generators that the log-ODE matrix route reads, read at the origin.
 
@@ -58,14 +57,15 @@ def fd_jacobian(fun, x, step=1e-5):
 
 
 def _checked(out, shape, what):
-    """An evaluator result as a float array that broadcasts to `shape`, else DimensionMismatch."""
+    """An evaluator result as a float array of `shape`, filled out from one that only
+    broadcasts to it, else DimensionMismatch; an exact-shape float array passes as it is."""
+    if type(out) is np.ndarray and out.dtype == float and out.shape == shape:
+        return out
     out = np.asarray(out, dtype=float)
-    if out.shape != shape and out.shape != shape[len(shape) - out.ndim :] and (
-        out.ndim > len(shape)
-        or any(o not in (1, n) for o, n in zip(out.shape[::-1], shape[::-1]))
-    ):
-        raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {shape}")
-    return out
+    try:
+        return np.broadcast_to(out, shape).copy()
+    except ValueError:
+        raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {shape}") from None
 
 
 def _stacked(fns, kind, tail):
@@ -178,26 +178,14 @@ class VectorFieldSet:
                 raise IndexOutOfRange(f"field index {i!r} is not an integer in [0, {self.ell})")
 
     def _at(self, x, jacobians=False):
-        """Field values (..., ell, d) or Jacobians (..., ell, d, d) at a (d,) state
-        or (N, d) stack x that the caller has already checked.
-
-        Every evaluator result is shape-checked, and a result that only
-        broadcasts to the full shape is filled out to it.
-        """
+        """Field values (..., ell, d) or Jacobians (..., ell, d, d) at a (d,) state or an
+        (N, d) stack x that the caller has already checked, each result `_checked`."""
         if not jacobians:
-            out, what, tail = self._fields(x), "fields", (self.ell, self.d)
-        else:
-            what, tail = "jacobians", (self.ell, self.d, self.d)
-            if self._jacobians is None:
-                out = fd_jacobian(self._fields, x, self.fd_step)
-            else:
-                out = self._jacobians(x)
-        shape = x.shape[:-1] + tail
-        out = _checked(out, shape, what)
-        if out.shape != shape:
-            out, part = np.empty(shape), out
-            out[...] = part
-        return out
+            return _checked(self._fields(x), x.shape[:-1] + (self.ell, self.d), "fields")
+        shape = x.shape[:-1] + (self.ell, self.d, self.d)
+        if self._jacobians is None:
+            return _checked(fd_jacobian(self._fields, x, self.fd_step), shape, "jacobians")
+        return _checked(self._jacobians(x), shape, "jacobians")
 
     def fields_at(self, x):
         """All field values: (N, ell, d) for an (N, d) stack, (ell, d) for one state."""
@@ -220,12 +208,15 @@ class VectorFieldSet:
     def compositions(self, x):
         """Fields (..., ell, d) and the table (..., ell, ell, d) of V_jV_k = DV_k V_j
         at [j, k], at a (d,) state or an (N, d) stack; one evaluation of each kind."""
-        return self._compositions(self._states(x))
-
-    def _compositions(self, x):
-        """`compositions` at a state or stack x that the caller has already checked."""
+        x = self._states(x)
         fields = self._at(x)
-        return fields, np.einsum("...kde,...je->...jkd", self._at(x, jacobians=True), fields)
+        return fields, composition_table(fields, self._at(x, jacobians=True))
+
+
+def composition_table(fields, jacobians):
+    """The table (..., ell, ell, d) of V_jV_k = DV_k V_j at [j, k], from the fields
+    (..., ell, d) and the Jacobians (..., ell, d, d) at the same states."""
+    return np.einsum("...kde,...je->...jkd", jacobians, fields)
 
 
 def second_comp(V: VectorFieldSet, j, k, x):

@@ -118,7 +118,7 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
     base, target = obs.base_points, obs.observed.ravel()
     rm = reconstruct.reconstruction_matrix(V, base)
     eps1, eps2 = reconstruct.trust_region(V, base)
-    _, _, comps = reconstruct._point_blocks(V, base)
+    comps = V.compositions(base)[1]
     a0 = np.linalg.lstsq(rm.mat[:, :ell], target - base.ravel(), rcond=None)[0]
     theta0 = np.concatenate([a0, np.zeros(rm.m - ell)])
 

@@ -310,6 +310,19 @@ class TestLiftSolveRoundTrip:
         assert json.loads(out)["error"]["type"] == "NonFinite"
         assert not traj_file.exists()
 
+    def test_euler2_leaving_the_belt_domain_is_a_domain_error(self, capsys, tmp_path):
+        # from q = 0.5 the belt control reaches q = 1.1 after three of four steps; the
+        # euler2 loop's fourth field evaluation raises, and the CLI exits 2
+        path_file, traj_file = tmp_path / "belt.csv", tmp_path / "t.csv"
+        path_file.write_text("t,X1,X2\n0,0,0\n0.25,0,0.2\n0.5,0,0.4\n0.75,0,0.6\n1,0,0.8\n")
+        code, out, _ = run(
+            capsys, "solve", "--system", "cvt", "--path", str(path_file), "--method", "euler2",
+            "--out", str(traj_file),
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DomainViolation"
+        assert not traj_file.exists()
+
     def test_file_driver_keeps_the_samples_and_drops_the_areas(self, capsys, tmp_path):
         given, lifted = tmp_path / "bm.csv", tmp_path / "lifted.csv"
         run(capsys, "lift", "--driver", "brownian", "--seed", "3", "--n-coarse", "8",

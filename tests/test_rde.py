@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import fit_slope, rolling_ball_generator
+from helpers import fit_slope, named_systems, rolling_ball_generator
 from rdeinv.errors import (
     DimensionMismatch,
+    DomainViolation,
     IndexOutOfRange,
     InvalidParameter,
     NonFinite,
@@ -30,7 +33,7 @@ from rdeinv.roughpath import (
     sample_brownian_fine,
     sample_brownian_lift,
 )
-from rdeinv.systems import constant_fields, rolling_ball, triple_product, unicycle
+from rdeinv.systems import constant_fields, cvt, rolling_ball, triple_product, unicycle
 from rdeinv.vectorfields import VectorFieldSet, bracket
 
 
@@ -412,6 +415,112 @@ class TestSolve:
         path = lift_piecewise_linear([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(InvalidParameter):
             solve(sys.fields, np.zeros(1), path, method="rk45")
+
+
+def counted(fn, calls, key):
+    """fn, counting its calls in calls[key]."""
+
+    def wrapped(x):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(x)
+
+    return wrapped
+
+
+def counted_set(form, calls):
+    """A field set of the given form whose evaluators count their calls, and a start state."""
+    if form == "list_form":  # one callable per field and per Jacobian, counted one by one
+        V = triple_product().fields
+        evals = [counted(f, calls, ("fields", i)) for i, f in enumerate(V._evals)]
+        jacs = [counted(j, calls, ("jacobians", i)) for i, j in enumerate(V._jacs)]
+        return VectorFieldSet(evals, 3, jacs=jacs), np.array([0.3, -0.2, 0.5])
+    if form == "broadcastable":  # one (d, d) Jacobian for every field, filled out at every step
+        V = _one_for_all_jacobian()
+        const = V.jacobians_at(np.zeros(3))[0]
+        fields = counted(V.fields_at, calls, "fields")
+        jacobians = counted(lambda x: const, calls, "jacobians")
+        return VectorFieldSet.fused(fields, 2, 3, jacobians), np.array([0.1, 0.4, -0.3])
+    V = unicycle().fields
+    if form == "nested_lists":  # exact values, but not arrays: the full check takes them
+        fields = counted(lambda x: V.fields_at(x).tolist(), calls, "fields")
+        jacobians = counted(lambda x: V.jacobians_at(x).tolist(), calls, "jacobians")
+    else:
+        fields = counted(V.fields_at, calls, "fields")
+        jacobians = counted(V.jacobians_at, calls, "jacobians")
+        jacobians = None if form == "finite_difference" else jacobians
+    return VectorFieldSet.fused(fields, 2, 3, jacobians), np.array([0.1, -0.2, 0.3])
+
+
+class TestEuler2Loop:
+    """solve(method="euler2"): per grid step one field and one Jacobian evaluation, each checked."""
+
+    @pytest.mark.parametrize(
+        "form", ["fused", "list_form", "broadcastable", "nested_lists", "finite_difference"]
+    )
+    def test_evaluator_calls_per_step(self, form):
+        calls = {}
+        V, x0 = counted_set(form, calls)
+        path = sample_brownian_lift(V.ell, 8, 2, 1.0, seed=9)
+        traj = solve(V, x0, path, method="euler2")
+        n = path.n
+        if form == "list_form":
+            want = {(kind, i): n for kind in ("fields", "jacobians") for i in range(V.ell)}
+        elif form == "finite_difference":  # each Jacobian is 2d field calls
+            want = {"fields": n * (1 + 2 * V.d)}
+        else:
+            want = {"fields": n, "jacobians": n}
+        assert calls == want
+        if form == "nested_lists":  # the full check gives the values the fast one passes
+            want = solve(unicycle().fields, x0, path, method="euler2")
+            np.testing.assert_array_equal(traj.states, want.states)
+
+    def test_wrong_shape_at_a_late_step_is_rejected(self):
+        # from the fifth call on the field evaluator returns (2, 4) for (2, 3); the fifth
+        # step raises, and the evaluator is not called again
+        V, calls = unicycle().fields, {}
+
+        def fields(x):
+            calls["fields"] = calls.get("fields", 0) + 1
+            return V.fields_at(x) if calls["fields"] < 5 else np.zeros(x.shape[:-1] + (2, 4))
+
+        bad = VectorFieldSet.fused(fields, 2, 3, V.jacobians_at)
+        path = sample_brownian_lift(2, 8, 2, 1.0, seed=9)
+        with pytest.raises(DimensionMismatch, match=r"fields returned shape \(2, 4\)"):
+            solve(bad, np.zeros(3), path, method="euler2")
+        assert calls == {"fields": 5}
+
+    def test_leaving_the_domain_mid_trajectory_raises(self):
+        # the second control moves the belt q by its increment alone: from q = 0.5 it
+        # reaches 1.1 after three steps of 0.2, and the fourth step's evaluation raises
+        V = cvt().fields
+        values = [[0.1 * k, 0.2 * k] for k in range(6)]
+        path = lift_piecewise_linear(np.linspace(0.0, 1.0, 6), values)
+        x0 = np.array([0.0, 0.0, 0.0, 0.5])
+        head = lift_piecewise_linear(np.linspace(0.0, 0.4, 3), values[:3])
+        assert solve(V, x0, head, method="euler2").states[-1, 3] == pytest.approx(0.9)
+        with pytest.raises(DomainViolation, match="q must lie in"):
+            solve(V, x0, path, method="euler2")
+
+
+SYSTEMS = named_systems()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(range(len(SYSTEMS))), st.integers(0, 2**32 - 1))
+def test_euler2_step_equals_the_table_formula(which, seed):
+    # the block-row kernel against y + x @ F + XX : table, the formula of the ell^2
+    # composition table; measured worst error 8.4e-16 of the largest term, over
+    # 2000 draws per named system
+    system = SYSTEMS[which]
+    V, rng = system.fields, np.random.default_rng(seed)
+    y = system.recommended_points[0] + 0.2 * rng.uniform(-1.0, 1.0, V.d)
+    upper = np.triu(0.3 * rng.standard_normal((V.ell, V.ell)), 1)
+    inc = RoughIncrement(0.5 * rng.standard_normal(V.ell), upper - upper.T)
+    fields, comps = V.compositions(y)
+    first, second = inc.x @ fields, inc.second_level.ravel() @ comps.reshape(-1, V.d)
+    scale = max(np.abs(y).max(), np.abs(first).max(), np.abs(second).max())
+    got = euler2_step(V, y, inc)
+    assert np.abs(got - (y + first + second)).max() <= 1e-14 * scale
 
 
 class TestOneStepOrder:
