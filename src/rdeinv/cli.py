@@ -108,10 +108,7 @@ def _build_system(spec):
         signature.bind(*values)
     except TypeError:
         raise UsageError(f"system {spec!r}: {name} takes the arguments {signature}") from None
-    try:
-        return SYSTEM_BUILDERS[name](*values)
-    except (ValueError, MemoryError) as exc:  # arrays of these sizes cannot be allocated
-        raise UsageError(f"system {spec!r} is too large: {exc}") from None
+    return SYSTEM_BUILDERS[name](*values)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +285,7 @@ def _schedule(cfg, path) -> list:
             )
         w = span // cfg.n_intervals
         return [(i0 + k * w, i0 + (k + 1) * w) for k in range(cfg.n_intervals)]
-    if span % (1 << (cfg.levels - 1)) != 0:
+    if cfg.levels > span.bit_length() or span % (1 << (cfg.levels - 1)) != 0:
         raise UsageError(f"{cfg.levels} dyadic levels do not align with the {span} driver steps")
     return [(i0, i0 + (span >> k)) for k in range(cfg.levels)]
 
@@ -479,9 +476,10 @@ def cmd_convergence(args):
             "convergence runs the dyadic schedule set by schedule.s, schedule.t and "
             "schedule.levels; --intervals and schedule.intervals do not apply"
         )
+    if cfg.levels < 2:
+        raise UsageError(f"schedule.levels = {cfg.levels}: a slope needs at least 2 levels")
     cfg.schedule_kind = "dyadic"
-    seeds = [cfg.seed + k for k in range(cfg.n_seeds)]
-    paths = [_build_driver(cfg, seed) for seed in seeds]
+    paths = [_build_driver(cfg, seed) for seed in range(cfg.seed, cfg.seed + cfg.n_seeds)]
     points, _ = _resolve_points(cfg, system, cfg.points_mode)
     # every seed's driver lives on the same grid, and every dyadic interval
     # starts at s, so one lockstep run over the longest covers them all
@@ -510,11 +508,11 @@ def cmd_convergence(args):
             if np.all(errs > 0)
         ]
         slope_overall = float(np.median(slopes)) if slopes else float("nan")
-        summary = f"# slope={fmt(slope_overall)} status=ok seeds={len(seeds)}"
+        summary = f"# slope={fmt(slope_overall)} status=ok seeds={cfg.n_seeds}"
     lines.append(summary)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    report = {"written": args.out, "levels": len(lengths), "seeds": len(seeds),
+    report = {"written": args.out, "levels": len(lengths), "seeds": cfg.n_seeds,
               "slope": slope_overall, "degenerate": degenerate}
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
@@ -612,6 +610,11 @@ def main(argv=None) -> int:
     except (UsageError, InvalidGrid, InvalidParameter, DimensionMismatch, IndexOutOfRange,
             OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (MemoryError, ValueError) as exc:  # numpy refuses a size beyond the address space
+        if type(exc) is ValueError and not re.match("Maximum allowed|array is too big", str(exc)):
+            raise
+        print(f"usage error: too large to allocate: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

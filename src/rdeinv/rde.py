@@ -5,14 +5,14 @@ block row [I | DV_1 | ... | DV_ell] times a coefficient stack [x; c^T] times
 the fields, x^i V_i + sum_k DV_k p_k with p = c^T V.  With the second level
 c = XX it is the second-order Euler step on one state, which is also the
 Taylor recovery model of `reconstruct`; with the area c = a it is the frozen
-field of the log-ODE step (time-1 RK4 flow), which moves one state or an
-(N, d) stack of states in lockstep, each row with its own increment; for an
-affine field set that step is one matrix per row, applied once per substep.
-`solve` steps one state along a path and keeps every grid state, by euler2
-in one loop over coefficient stacks built before it; flow observation stacks
-every base point, every driver path and every observation interval into one
-log-ODE run, the grid integrator of log-ODE solves, and keeps the states at
-the interval ends.  All functions are pure.
+field of the log-ODE step (time-1 RK4 flow), which moves an (N, d) stack of
+states in lockstep, each row with its own increment; for an affine field set
+that step is one matrix per row, applied once per substep.  Each scheme is one
+run, `_euler2_states` or `_logode_states`, over the stacks of every grid step,
+built before it; `euler2_step` and `logode_step` are one checked step of it.
+`solve` keeps every grid state of one start; flow observation stacks every
+base point, driver path and observation interval into one log-ODE run and
+keeps the states at the interval ends.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io
 from .errors import DimensionMismatch, InvalidParameter, NonFinite, count, finite
-from .roughpath import GridRoughPath, RoughIncrement
+from .roughpath import GridRoughPath, RoughIncrement, _second_level
 from .vectorfields import VectorFieldSet
 
 # The default RK4 substep count of every log-ODE step, solve, observation and flow model.
@@ -146,52 +146,60 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=N_SUB):
     is one increment shared by every row, or a stack of N increments, one
     per row.  n_sub must be an integer >= 1.  Fixed substeps keep the result
     deterministic and reproducible, which the order-of-convergence fits rely
-    on.
+    on.  Overflow raises NonFinite.  It is one step of `_logode_states`, so each
+    row's result is bitwise independent of the stack it rides in.
+    """
+    x = _check_step(V, x, inc)
+    z = np.atleast_2d(x)
+    [z] = _logode_states(V, z, _coefficients((1, len(z)), inc.x, inc.a), count(n_sub, "n_sub"))
+    return z if x.ndim == 2 else z[0]
+
+
+def _logode_states(V: VectorFieldSet, z, coef, n_sub):
+    """Yield the checked (N, d) stack z after a log-ODE step of n_sub RK4 substeps along
+    each stack [x; a^T] (N, 1 + ell, ell) of coef, one increment per row.
 
     An affine set (`VectorFieldSet.affine`) takes the matrix route: its frozen
     field is one (d+1, d+1) matrix M per row on [y; 1], and RK4 with n_sub
     substeps on it is exactly n_sub matvecs with T_4(M / n_sub), T_4 the
-    degree-4 Taylor polynomial.  Overflow raises NonFinite on both routes.
-
-    On any other set, the RK4 route, each stage makes one field and, for a
-    nonzero area, one Jacobian evaluation, and takes the frozen field from
-    `_level2_step`, the kernel of the euler2 step, with the area a in place
-    of the second level.  Every product is a matmul batched over rows, so
-    each row's result is bitwise independent of the stack it rides in.
+    degree-4 Taylor polynomial.  Any other set takes the RK4 route: each stage
+    makes one field and, in a step with a nonzero area, one Jacobian
+    evaluation, and takes the frozen field from `_level2_step`, the euler2
+    kernel, with the area a in place of the second level.  Every product is a
+    matmul batched over rows.  Overflow raises NonFinite on both routes.
     """
-    x = _check_step(V, x, inc)
-    n_sub = count(n_sub, "n_sub")
-    z = np.atleast_2d(x)
-    n = z.shape[0]
-    coef = _coefficients((n,), inc.x, inc.a)
     h = 1.0 / n_sub
-    with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
-        if V.generators is not None:
-            z = _affine_substeps(V.generators, z, coef, h, n_sub)
-        else:
-            brackets = bool(inc.a.any())
-            row, slots = _block_row((n,), V.ell, V.d)  # written at every stage
+    if V.generators is not None:
+        for c in coef:
+            with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
+                z = _affine_substeps(V.generators, z, c, h, n_sub)
+            yield z
+        return
+    row, slots = _block_row((len(z),), V.ell, V.d)  # once per run, written at every stage
 
-            def w(y):
-                fields = V._at(y)
-                if not brackets:
-                    return (coef @ fields)[:, 0]
-                slots[...] = V._at(y, jacobians=True).swapaxes(-3, -2)
-                return _level2_step(coef, fields, row)
+    def w(c, brackets, y):  # the frozen field of the stack c at the states y
+        fields = V._at(y)
+        if not brackets:
+            return (c @ fields)[:, 0]
+        slots[...] = V._at(y, jacobians=True).swapaxes(-3, -2)
+        return _level2_step(c, fields, row)
 
+    for c in coef:
+        b = bool(c[:, 1:].any())
+        with np.errstate(over="ignore", invalid="ignore"):  # NonFinite is raised instead
             for _ in range(n_sub):
-                k1 = w(z)
-                k2 = w(z + 0.5 * h * k1)
-                k3 = w(z + 0.5 * h * k2)
-                k4 = w(z + h * k3)
+                k1 = w(c, b, z)
+                k2 = w(c, b, z + 0.5 * h * k1)
+                k3 = w(c, b, z + 0.5 * h * k2)
+                k4 = w(c, b, z + h * k3)
                 z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if not np.isfinite(z).all():
                     raise NonFinite("log-ODE state blew up")
-    return z if x.ndim == 2 else z[0]
+        yield z
 
 
 def _affine_substeps(G, z, coef, h, n_sub):
-    """The RK4 substeps of `logode_step` on affine fields with generators G: per row, T_4(hM)
+    """The RK4 substeps of a log-ODE step on affine fields with generators G: per row, T_4(hM)
     applied n_sub times to [z; 1], M = sum_i x^i G_i + sum_k G_k P_k, P_k = sum_j a^{jk} G_j."""
     n, dim = len(z), G.shape[-1]
     g = (coef @ G.reshape(len(G), -1)).reshape(n, -1, dim, dim)  # sum x^i G_i, P_1 .. P_ell
@@ -212,20 +220,13 @@ def _affine_substeps(G, z, coef, h, n_sub):
 _STEPPERS = {"euler2": euler2_step, "logode": logode_step}
 
 
-def _lockstep(V: VectorFieldSet, z, x, a, n_sub):
-    """Yield z, one (d,) state or an (N, d) stack, after a log-ODE step along each grid
-    step x[s], a[s]; the data comes from validated GridRoughPaths and skips the checks."""
-    for xs, as_ in zip(x, a):
-        z = logode_step(V, z, RoughIncrement._trusted(xs, as_), n_sub)
-        yield z
-
-
 def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=N_SUB):
     """Integrate the rough differential equation along the grid.
 
     Applies the chosen one-step scheme to the stored per-step increments;
     states[0] is x0.  n_sub, the log-ODE substep count, must be an integer
-    >= 1 whatever the method.  By euler2 it is bitwise a loop of `euler2_step`.
+    >= 1 whatever the method.  It is bitwise a loop of `euler2_step` or of
+    `logode_step`.
     """
     if method not in _STEPPERS:
         raise InvalidParameter(f"method must be one of {sorted(_STEPPERS)}, got {method!r}")
@@ -238,32 +239,33 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=N_S
         raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step raises NonFinite
         dx = np.diff(path.values, axis=0)
-        if method == "euler2":
-            xx = RoughIncrement._trusted(dx, path.step_areas).second_level
+        if method == "euler2":  # its unnamed stacks [x; XX^T] are freed before the vstack
+            xx = _second_level(dx, path.step_areas)
             steps = _euler2_states(V, x0, _coefficients((path.n,), dx, xx))
         else:
-            steps = list(_lockstep(V, x0, dx, path.step_areas, n_sub))
+            coef = _coefficients((path.n, 1), dx[:, None], path.step_areas[:, None])
+            steps = [z for [z] in _logode_states(V, x0[None], coef, n_sub)]
     return Trajectory(path.times.copy(), np.vstack([x0, steps]))
 
 
 def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N_SUB):
     """Flow images of the base points over [t_i, t_j], for every path and every (i, j) in pairs.
 
-    Every (path, start, base point) triple is one row of a single stack,
-    stepped in lockstep: at lockstep step k each row takes its own path's
-    grid step i + k, so intervals of any start, length and order cost one
-    run over the longest.  Intervals that share a start share their rows;
-    the states are kept at each interval end, and a row whose last end
-    has passed takes exact zero increments, which carry its state unchanged.
-    Every grid step is n_internal equal Chen pieces of one autonomous
-    log-ODE, so it is taken as one log-ODE step with n_internal * n_sub RK4
-    substeps: n_internal multiplies n_sub.  For a power-of-two n_internal
-    every scaling is exact and the result is bitwise that of n_internal
-    separate steps; other values may differ from that in the last bits.
-    By default n_internal is 1 and n_sub is N_SUB, the substeps of `solve`,
-    so the image of x0 over [t_0, t_j] is bitwise solve's state j.  Both
-    must be integers >= 1, and non-finite base points raise
-    InvalidParameter, before any step.
+    Every (path, start, base point) triple is one row of a single stack, and
+    one `_logode_states` run steps it along stacks [x; a^T] built before it:
+    at step k each row takes its own path's grid step i + k, so intervals of
+    any start, length and order cost one run over the longest.  Intervals
+    that share a start share their rows; the states are kept at each interval
+    end, and a row past its last end takes exact zero increments, which carry
+    its state unchanged.  Every grid step is n_internal equal Chen pieces of
+    one autonomous log-ODE, so it is taken as one log-ODE step with
+    n_internal * n_sub RK4 substeps: n_internal multiplies n_sub.  For a
+    power-of-two n_internal every scaling is exact and the result is bitwise
+    that of n_internal separate steps; other values may differ from that in
+    the last bits.  By default n_internal is 1 and n_sub is N_SUB, the
+    substeps of `solve`, so the image of x0 over [t_0, t_j] is bitwise solve's
+    state j.  Both must be integers >= 1; base points not of width d raise
+    DimensionMismatch and non-finite ones InvalidParameter, before any step.
 
     Returns out[p][q], the ObservationSet of paths[p] over pairs[q].
     """
@@ -276,26 +278,24 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N
         if path.ell != V.ell:
             raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     n_internal, n_sub = count(n_internal, "n_internal"), count(n_sub, "n_sub")
-    points = finite(np.atleast_2d(np.asarray(points, dtype=float)), "base points")
+    points = finite(np.atleast_2d(V._states(points)), "base points")
     c = len(points)
     lengths = {}  # start -> steps up to its last end, in order of first appearance
     for i, j in pairs:
         lengths[i] = max(lengths.get(i, 0), j - i)
     span = max(lengths.values())
-    # grid-step data, (steps, paths * starts * points, ...): zero past a start's
-    # last end, and each (path, start) block repeats its steps c times
-    x = np.zeros((span, len(paths), len(lengths), V.ell))
-    a = np.zeros((span, len(paths), len(lengths), V.ell, V.ell))
+    # grid-step stacks [x; a^T], (steps, paths * starts * points, 1 + ell, ell): zero past a
+    # start's last end, and each (path, start) block repeats its steps c times
+    coef = np.zeros((span, len(paths), len(lengths), 1 + V.ell, V.ell))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step raises NonFinite
         for p, path in enumerate(paths):
             for r, (i, n) in enumerate(lengths.items()):
-                x[:n, p, r] = path.values[i + 1 : i + n + 1] - path.values[i : i + n]
-                a[:n, p, r] = path.step_areas[i : i + n]
-    x = np.repeat(x.reshape(span, -1, V.ell), c, axis=1)
-    a = np.repeat(a.reshape(span, -1, V.ell, V.ell), c, axis=1)
+                coef[:n, p, r, 0] = path.values[i + 1 : i + n + 1] - path.values[i : i + n]
+                coef[:n, p, r, 1:] = path.step_areas[i : i + n].swapaxes(-1, -2)
+    coef = np.repeat(coef.reshape(span, -1, 1 + V.ell, V.ell), c, axis=1)
     z = np.tile(points, (len(paths) * len(lengths), 1))
     ends = {j - i for i, j in pairs}
-    steps = enumerate(_lockstep(V, z, x, a, n_internal * n_sub), 1)
+    steps = enumerate(_logode_states(V, z, coef, n_internal * n_sub), 1)
     at_step = {s: zs.reshape(len(paths), len(lengths), c, V.d) for s, zs in steps if s in ends}
     starts = list(lengths)
     return [

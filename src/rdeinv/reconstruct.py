@@ -43,7 +43,7 @@ from .errors import (
 from .rde import (
     N_SUB, ObservationSet, _block_row, _check_step, _coefficients, _level2_step, logode_step,
 )
-from .roughpath import GridRoughPath, RoughIncrement, _antisymmetric_part, area_matrix
+from .roughpath import GridRoughPath, RoughIncrement, _antisymmetric_part, _second_level, area_matrix
 from .vectorfields import VectorFieldSet, bracket_columns, composition_table
 
 RANK_TOL = 1e-10  # the rank counts singular values above RANK_TOL times the largest
@@ -156,7 +156,7 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=N_SUB):
     inc = RoughIncrement.stack(A[None] if one else A, B[None] if one else B)
     points, k = V._states(np.atleast_2d(points)), len(inc.x)
     c = len(points)
-    inc = RoughIncrement._trusted(np.repeat(inc.x, c, axis=0), np.repeat(inc.a, c, axis=0))
+    inc = RoughIncrement.stack(np.repeat(inc.x, c, axis=0), np.repeat(inc.a, c, axis=0))
     images = logode_step(V, np.tile(points, (k, 1)), inc, n_sub).reshape(k, -1)
     return images[0] if one else images
 
@@ -324,7 +324,7 @@ def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
         def evaluate(ks, thetas):
             # each problem's coefficient stack meets every base point, as in taylor_map
             A, B = _unpack(thetas, ell)
-            coef = _coefficients((len(ks),), A, RoughIncrement._trusted(A, B).second_level)
+            coef = _coefficients((len(ks),), A, _second_level(A, B))
             images = base + _level2_step(coef[:, None], fields, row)
             jac = np.repeat(rm.mat[None], len(ks), axis=0)
             corr = np.einsum("...j,cijd->...cdi", A, sym)

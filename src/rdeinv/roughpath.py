@@ -90,14 +90,6 @@ class RoughIncrement:
         self.x = x
         self.a = a
 
-    @classmethod
-    def _trusted(cls, x, a):
-        # fast path for data already validated (stored grid steps, scaled copies)
-        inc = cls.__new__(cls)
-        inc.x = x
-        inc.a = a
-        return inc
-
     @property
     def ell(self):
         return self.x.shape[-1]
@@ -105,10 +97,15 @@ class RoughIncrement:
     @property
     def second_level(self):
         """Full second-level tensor 0.5 * outer(x, x) + a, per increment of a stack."""
-        return 0.5 * self.x[..., :, None] * self.x[..., None, :] + self.a
+        return _second_level(self.x, self.a)
 
     def __repr__(self):
         return f"RoughIncrement(ell={self.ell}, |x|={np.linalg.norm(self.x):.3g})"
+
+
+def _second_level(x, a):
+    """The second level 0.5 * outer(x, x) + a of increments x and areas a, over leading axes."""
+    return 0.5 * x[..., :, None] * x[..., None, :] + a
 
 
 def _cross(x, y):
@@ -410,7 +407,7 @@ def holder_norms(path: GridRoughPath, alpha=None) -> HolderNorms:
         dt = t[i + 1 :] - t[i]
         xj, a_ij = path._spans(i, np.arange(i + 1, n + 1))
         holder1 = max(holder1, float(np.max(np.linalg.norm(xj, axis=1) / dt**alpha)))
-        xx = RoughIncrement._trusted(xj, a_ij).second_level
+        xx = _second_level(xj, a_ij)
         frob = np.sqrt(np.sum(xx * xx, axis=(1, 2)))
         holder2 = max(holder2, float(np.max(frob / dt ** (2 * alpha))))
     return HolderNorms(sup_norm, holder1, holder2)

@@ -107,6 +107,17 @@ class TestSystemNames:
         assert code == 64 and out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize(
+        "spec, rule",
+        [("kohn_0", "kohn needs an integer d >= 1, got 0"),
+         ("constant_3_2", "need 1 <= ell <= d, got ell=3, d=2"),
+         ("constant_0_2", "need 1 <= ell <= d, got ell=0, d=2")],
+    )
+    def test_bad_argument_names_its_rule_not_a_size(self, spec, rule, capsys):
+        code, out, err = run(capsys, "rank", "--system", spec)
+        assert code == 64 and out == ""
+        assert err == f"usage error: {rule}\n"
+
     def test_bad_spec_in_config_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "reconstruct", "--set", "experiment.system=kohn_1_2",
                            "--out-dir", str(tmp_path / "out"))
@@ -851,6 +862,25 @@ levels = 3
         assert json.loads(out)["degenerate"]
         assert "degenerate" in out_file.read_text().splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "levels, rule",
+        [("1", "schedule.levels = 1: a slope needs at least 2 levels"),
+         ("1000000000000000", "1000000000000000 dyadic levels do not align with the 4096 "
+          "driver steps")],
+    )
+    def test_levels_without_a_slope_are_usage_error_before_observation(
+        self, levels, rule, capsys, tmp_path, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("convergence began observing")
+
+        monkeypatch.setattr(cli.rde, "observe_flows", fail)
+        code, out, err = run(capsys, "convergence", "--system", "rolling_ball", "--set",
+                             f"schedule.levels={levels}", "--out", str(tmp_path / "s.csv"))
+        assert code == 64 and out == ""
+        assert err == f"usage error: {rule}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_brownian_multi_seed_rows(self, capsys, tmp_path):
         cfg = write_config(tmp_path, MULTI_SEED_CONFIG)
         out_file = tmp_path / "conv.csv"
@@ -1066,6 +1096,25 @@ class TestUsage:
         assert "must be an integer >= 0, got -1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    # sizes beyond any address space, which numpy refuses at once
+    @pytest.mark.parametrize("size", ["1000000000000000", "100000000000000000000"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search-points", "--system", "unicycle", "--n-trials", "{size}"],
+            ["lift", "--driver", "brownian", "--n-coarse", "{size}", "--out", "{tmp}/x.csv"],
+            ["lift", "--driver", "circle", "--n", "{size}", "--out", "{tmp}/x.csv"],
+            ["reconstruct", "--system", "unicycle", "--set", "driver.n={size}",
+             "--out-dir", "{tmp}/out"],
+        ],
+        ids=["search_points", "brownian_lift", "circle_lift", "reconstruct"],
+    )
+    def test_size_that_cannot_be_allocated_is_usage_error(self, argv, size, capsys, tmp_path):
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path, size=size) for arg in argv))
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: too large to allocate: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 PATH_HEAD = "t,X1,X2,A12\n0,0,0,0\n"
 OBS_HEAD = "s,t,point_id,y1,y2,y3,z1,z2,z3\n"
@@ -1181,6 +1230,16 @@ RAGGED_POINTS = {
                       "--out-dir", "{tmp}/out"],
 }
 
+# two base points of width 2, too narrow for the system, given to each command that observes
+NARROW_POINTS = {
+    "observe": ["observe", "--system", "rolling_ball", "--path", "{tmp}/path.csv", "--points",
+                "1,0;0,1", "--intervals", "0,0.5", "--out", "{tmp}/obs.csv"],
+    "reconstruct": ["reconstruct", "--system", "unicycle", "--points", "1,0;0,1",
+                    "--out-dir", "{tmp}/out"],
+    "convergence": ["convergence", "--system", "unicycle", "--points", "1,0;0,1",
+                    "--out", "{tmp}/s.csv"],
+}
+
 # a 2-vector search box corner for the 3-state unicycle
 WRONG_BOX = {
     "search-points": ["search-points", "--system", "unicycle", "--box-lo", "0,0"],
@@ -1199,6 +1258,14 @@ class TestPointErrors:
         assert err.startswith("usage error:") and "[[1.0, 2.0, 3.0], [4.0]]" in err
         assert not (tmp_path / "obs.csv").exists()
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(NARROW_POINTS))
+    def test_points_of_the_wrong_width_are_usage_error(self, case, capsys, tmp_path):
+        (tmp_path / "path.csv").write_text(PATH_HEAD + "0.5,1,2,0\n1,1,2,0\n")
+        code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in NARROW_POINTS[case]])
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: states must have shape") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["path.csv"]
 
     @pytest.mark.parametrize("case", sorted(WRONG_BOX))
     def test_search_box_of_wrong_size_is_usage_error(self, case, capsys, tmp_path):

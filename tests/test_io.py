@@ -220,22 +220,23 @@ OBS_INTERVALS = "0,0.78539816339744828;0.78539816339744828,1.5707963267948966"
 
 
 def assert_exit_contract(argv):
-    """Run argv in-process: an exception is the traceback the CLI must never show.
-    Exit 0 prints only notes on stderr; 1 and 2 print one error JSON line; 64
-    prints nothing on stdout and exactly one `usage error:` line on stderr."""
+    """Run argv in-process and return its exit code: an exception is the traceback the
+    CLI must never show.  Exit 0 prints only notes on stderr; 1 and 2 print one error
+    JSON line; 64 prints nothing on stdout and exactly one `usage error:` line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue().splitlines()
     if code == 64:
         assert out == "" and len(err) == 1 and err[0].startswith("usage error:"), (argv, err)
-        return
+        return code
     assert all(line.startswith("note:") for line in err), (argv, code, err)
     if code in (1, 2):
         [line] = out.splitlines()
         assert set(json.loads(line)["error"]) == {"type", "message"}, (argv, out)
     else:
         assert code == 0, (argv, code)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -430,3 +431,59 @@ def test_edited_inputs_keep_the_exit_contract(valid_inputs, kind, edit_list):
                     read_trajectory_csv(file)
         for argv in argvs:
             assert_exit_contract(argv)
+
+
+
+# ---------------------------------------------------------------------------
+# every count key, as a flag and as a --set override, given each bad value
+
+BAD_COUNTS = ["0", "-1", "1.5", "nan", ""]
+# sizes beyond any address space, which numpy refuses at once
+HUGE_COUNTS = ["1000000000000000", "100000000000000000000"]
+RECONSTRUCT, CONVERGENCE = ["--out-dir", "{tmp}/out"], ["--out", "{tmp}/c.csv"]
+OBSERVE = ["observe", "--system", "rolling_ball", "--path", "{tmp}/p.csv", "--intervals", "0,1",
+           "--out", "{tmp}/o.csv"]
+# command lines that read a count key, {v} its value: these also take HUGE_COUNTS, being
+# refused before any work grows with the size
+SIZE_ARGVS = [
+    ["lift", "--driver", "circle", "--n", "{v}", "--out", "{tmp}/p.csv"],
+    ["lift", "--driver", "brownian", "--ell", "{v}", "--out", "{tmp}/p.csv"],
+    ["lift", "--driver", "brownian", "--n-coarse", "{v}", "--out", "{tmp}/p.csv"],
+    ["lift", "--driver", "brownian", "--n-fine", "{v}", "--out", "{tmp}/p.csv"],
+    ["search-points", "--system", "unicycle", "--n-trials", "{v}", "--out", "{tmp}/s.json"],
+    ["reconstruct", "--set", "driver.n={v}", *RECONSTRUCT],
+    ["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.ell={v}", *RECONSTRUCT],
+    ["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.n_coarse={v}",
+     *RECONSTRUCT],
+    ["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.n_fine={v}", *RECONSTRUCT],
+    ["reconstruct", "--set", "driver.n_seeds={v}", *RECONSTRUCT],
+    ["reconstruct", "--set", "points.mode=search", "--set", "points.n_trials={v}", *RECONSTRUCT],
+    ["reconstruct", "--set", "schedule.n={v}", *RECONSTRUCT],
+    ["convergence", "--set", "schedule.levels={v}", *CONVERGENCE],
+]
+# and these do not: a huge c_max, n_sub or n_internal is a long run, not a refused size
+COUNT_ARGVS = [
+    ["search-points", "--system", "unicycle", "--c-max", "{v}", "--out", "{tmp}/s.json"],
+    ["solve", "--system", "unicycle", "--path", "{tmp}/p.csv", "--n-sub", "{v}",
+     "--out", "{tmp}/t.csv"],
+    OBSERVE + ["--n-sub", "{v}"],
+    OBSERVE + ["--n-internal", "{v}"],
+    ["reconstruct", "--set", "points.mode=search", "--set", "points.c_max={v}", *RECONSTRUCT],
+    ["reconstruct", "--set", "solver.n_sub={v}", *RECONSTRUCT],
+    ["reconstruct", "--set", "solver.n_internal={v}", *RECONSTRUCT],
+    ["convergence", "--set", "driver.n_seeds={v}", *CONVERGENCE],
+]
+
+
+def _count_id(argv):
+    k = next(k for k, arg in enumerate(argv) if "{v}" in arg)
+    return f"{argv[0]} {argv[k - 1] if argv[k] == '{v}' else argv[k].split('=')[0]}"
+
+
+@pytest.mark.parametrize("argv", SIZE_ARGVS + COUNT_ARGVS, ids=_count_id)
+def test_bad_counts_keep_the_exit_contract(argv):
+    values = BAD_COUNTS + (HUGE_COUNTS if argv in SIZE_ARGVS else [])
+    for value in values:
+        with tempfile.TemporaryDirectory() as tmp:
+            assert assert_exit_contract([arg.format(v=value, tmp=tmp) for arg in argv]) == 64
+            assert list(Path(tmp).iterdir()) == [], (argv, value)

@@ -696,6 +696,15 @@ class TestObserveFlow:
             with pytest.raises(InvalidParameter, match="base points must be finite"):
                 observe_flows(sys.fields, [[0.0, 0.0, 0.0], [0.0, bad, 0.0]], [path], [(0, 2)])
 
+    @pytest.mark.parametrize("builder", [rolling_ball, unicycle, triple_product])
+    def test_base_points_of_the_wrong_width_rejected(self, builder):
+        # on the matrix route (rolling_ball) and the RK4 route alike, before any step
+        V = builder().fields
+        path = sample_brownian_lift(V.ell, 4, 2, 1.0, seed=3)
+        for bad in (np.zeros((2, V.d - 1)), np.zeros((1, 2, V.d))):
+            with pytest.raises(DimensionMismatch, match="states must have shape"):
+                observe_flows(V, bad, [path], [(0, 2)])
+
     def test_observation_set_validation(self):
         with pytest.raises(InvalidParameter):
             ObservationSet(np.zeros((1, 2)), 1.0, 1.0, np.zeros((1, 2)))
