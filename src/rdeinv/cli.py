@@ -9,8 +9,9 @@ or a flag) that its row's rule rejects, is a usage error before any work.
 `reconstruct` and `convergence` run one pipeline, `_experiment`: every driver
 seed and interval is observed in one lockstep `rde.observe_flows` run,
 recovered with one lockstep `reconstruct.reconstruct_many` call and scored
-against the driver's own increments; the two commands differ only in how they
-report.  `observe` likewise observes all its intervals in one run.
+against the driver's own increments, all as flat lists, path-major; the two
+commands differ only in how they report.  `observe` likewise observes all its
+intervals in one run.
 
 Exit codes: 0 success, 1 numerical failure (machine-readable error JSON on
 stdout), 2 domain error, 64 usage error (bad flags or config values, and
@@ -248,8 +249,6 @@ def _resolve_points(ns, system, mode):
             system.fields, ns.box_lo, ns.box_hi, ns.c_max, ns.search_seed, ns.n_trials
         )
         return res.points, res
-    if not system.recommended_points:
-        raise UsageError(f"system {system.name} has no recommended points")
     return np.vstack(system.recommended_points), None
 
 
@@ -290,41 +289,34 @@ def _schedule(cfg, path) -> list:
     return [(i0, i0 + (span >> k)) for k in range(cfg.levels)]
 
 
-def _recover(cfg, system, observed):
-    """Recover every observation set of observed[p][q] with one lockstep call.
+def _recover(cfg, system, obs_list):
+    """Recover every observation set of obs_list with one lockstep call.
 
     When K of the N recoveries carry the trust_region_exceeded flag, one
     stderr note says so; each result's warnings say which.
     """
-    results = reconstruct.reconstruct_many(
-        system.fields, [obs for row in observed for obs in row], cfg.method, cfg.n_sub
-    )
+    results = reconstruct.reconstruct_many(system.fields, obs_list, cfg.method, cfg.n_sub)
     outside = sum("trust_region_exceeded" in res.warnings for res in results)
     if outside:
         print(f"note: {outside} of {len(results)} recoveries lie outside the injectivity "
               "radius eps2, where local recovery is not guaranteed", file=sys.stderr)
-    flat = iter(results)
-    return [[next(flat) for _ in row] for row in observed]
+    return results
 
 
 def _experiment(cfg, system, paths, pairs, points):
     """Observe, recover and score every (path, interval) in one lockstep pass each.
 
     Returns the observations, the recoveries and the (err_x, err_a) distances
-    of each recovery from its path's true increment, all indexed
-    [path][interval].
+    of each recovery from its path's true increment, as flat lists, path-major:
+    entry p * len(pairs) + q belongs to paths[p] over pairs[q].
     """
     observed = rde.observe_flows(system.fields, points, paths, pairs, cfg.n_internal, cfg.n_sub)
-    results = _recover(cfg, system, observed)
-    errors = []
-    for path, row in zip(paths, results):
-        errors.append([])
-        for (i, j), res in zip(pairs, row):
-            truth = path.increment(i, j)
-            errors[-1].append(
-                (np.linalg.norm(res.a_hat - truth.x), np.linalg.norm(res.b_hat - truth.a))
-            )
-    return observed, results, errors
+    obs_list = [obs for row in observed for obs in row]
+    results = _recover(cfg, system, obs_list)
+    truths = (path.increment(i, j) for path in paths for i, j in pairs)
+    errors = [(np.linalg.norm(res.a_hat - truth.x), np.linalg.norm(res.b_hat - truth.a))
+              for res, truth in zip(results, truths)]
+    return obs_list, results, errors
 
 
 def _error_json(exc):
@@ -426,13 +418,13 @@ def cmd_reconstruct(args):
         raise UsageError("schedule.kind = dyadic: dyadic schedules are for convergence")
     if args.obs:
         obs_list = reconstruct.read_observations_csv(args.obs)
-        [results] = _recover(cfg, system, [obs_list])
+        results = _recover(cfg, system, obs_list)
         path = errors = None
     else:
         path = _build_driver(cfg, cfg.seed)
         points, _ = _resolve_points(cfg, system, cfg.points_mode)
         pairs = _schedule(cfg, path)
-        [obs_list], [results], [errors] = _experiment(cfg, system, [path], pairs, points)
+        obs_list, results, errors = _experiment(cfg, system, [path], pairs, points)
         if any(j - i < 2 for i, j in pairs):
             print("note: interval with a single driver step; observations carry no "
                   "information beyond the step data", file=sys.stderr)
@@ -484,7 +476,8 @@ def cmd_convergence(args):
     # every seed's driver lives on the same grid, and every dyadic interval
     # starts at s, so one lockstep run over the longest covers them all
     pairs = _schedule(cfg, paths[0])
-    errors = np.array(_experiment(cfg, system, paths, pairs, points)[2])  # (seed, level, 2)
+    errors = _experiment(cfg, system, paths, pairs, points)[2]
+    errors = np.reshape(errors, (cfg.n_seeds, len(pairs), 2))  # (seed, level, err_x/err_a)
     lengths = [float(paths[0].times[j] - paths[0].times[i]) for i, j in pairs]
     err_x, err_a = np.median(errors, axis=0).T
     total = err_x + err_a

@@ -66,8 +66,8 @@ class ObservationSet:
             raise DimensionMismatch("observed and base points must have equal shapes")
         if not self.s < self.t:
             raise InvalidParameter(f"need s < t, got s={self.s}, t={self.t}")
-        if not (np.isfinite(self.base_points).all() and np.isfinite(self.observed).all()):
-            raise NonFinite("observation data must be finite")
+        finite(self.base_points, "base points")
+        finite(self.observed, "observed images")
 
     @property
     def c(self):
@@ -234,7 +234,7 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=N_S
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (V.d,):
         raise DimensionMismatch(f"x0 must have shape {(V.d,)}, got {x0.shape}")
-    finite(x0, "x0")
+    x0 = V._states(x0, "x0")
     if path.ell != V.ell:
         raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step raises NonFinite
@@ -278,7 +278,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N
         if path.ell != V.ell:
             raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
     n_internal, n_sub = count(n_internal, "n_internal"), count(n_sub, "n_sub")
-    points = finite(np.atleast_2d(V._states(points)), "base points")
+    points = np.atleast_2d(V._states(points, "base points"))
     c = len(points)
     lengths = {}  # start -> steps up to its last end, in order of first appearance
     for i, j in pairs:

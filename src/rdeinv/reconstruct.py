@@ -88,7 +88,7 @@ def _point_blocks(V: VectorFieldSet, points):
     """The base points (c,d) with their fields (c,ell,d), composition table
     (c,ell,ell,d) and block rows (c,d,(1+ell)d), from one evaluation of each
     kind.  Non-finite points raise InvalidParameter, non-finite values NonFinite."""
-    points = finite(V._states(np.atleast_2d(points)), "base points")
+    points = V._states(np.atleast_2d(points), "base points")
     with np.errstate(over="ignore", invalid="ignore"):
         fields, jacobians = V._at(points), V._at(points, jacobians=True)
         comps = composition_table(fields, jacobians)
@@ -154,7 +154,7 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=N_SUB):
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     one = A.ndim == 1  # a K = 1 stack
     inc = RoughIncrement.stack(A[None] if one else A, B[None] if one else B)
-    points, k = V._states(np.atleast_2d(points)), len(inc.x)
+    points, k = V._states(np.atleast_2d(points), "base points"), len(inc.x)
     c = len(points)
     inc = RoughIncrement.stack(np.repeat(inc.x, c, axis=0), np.repeat(inc.a, c, axis=0))
     images = logode_step(V, np.tile(points, (k, 1)), inc, n_sub).reshape(k, -1)
@@ -426,12 +426,12 @@ def doss_sussmann_1d(V: VectorFieldSet, y, observed):
     stops once the state is within 1e-12 * max(1, |observed|) of the target,
     takes at most 100 Newton steps, integrates with 256 steps per unit of
     parameter and leaves the parameter interval [-100, 100] as
-    OutOfNeighborhood.
+    OutOfNeighborhood.  A non-finite y or observed raises InvalidParameter.
     """
     tol, max_iter, steps_per_unit, param_bound = 1e-12, 100, 256, 100.0
     if V.ell != 1 or V.d != 1:
         raise DimensionMismatch("doss_sussmann_1d needs a single field on 1-space")
-    y, observed = float(y), float(observed)
+    y, observed = finite(float(y), "y"), finite(float(observed), "observed")
 
     def vfield(z):
         return float(V.field(0, np.array([z]))[0])
@@ -454,7 +454,7 @@ def doss_sussmann_1d(V: VectorFieldSet, y, observed):
         if abs(err) <= tol * scale:
             return a
         vz = vfield(z)
-        if not np.isfinite(z) or abs(vz) < 1e-14:
+        if abs(vz) < 1e-14:
             raise OutOfNeighborhood("flow became degenerate before reaching the target")
         step = -err / vz
         if abs(a + step) > param_bound:
@@ -508,15 +508,6 @@ class PointSearchResult:
         return self.rank == self.m
 
 
-def _admissible(V: VectorFieldSet, point):
-    """Whether the fields and their Jacobians can be evaluated at point."""
-    try:
-        _point_blocks(V, point)
-    except DomainViolation:
-        return False
-    return True
-
-
 def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -> PointSearchResult:
     """Greedy random search for base points maximising the smallest singular value.
 
@@ -525,8 +516,9 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
     or c_max points are used.  Each round draws its n_trials candidates at
     once, evaluates them as one stack, appends each candidate's row block to
     the chosen points' matrix and scores every candidate with one batched
-    SVD; ties go to the earliest candidate.  Deterministic given the seed;
-    candidates that raise DomainViolation are skipped.  Failure is reported
+    SVD; ties go to the earliest candidate.  Deterministic given the seed.
+    When the stack raises DomainViolation, each candidate is evaluated on its
+    own, once, and those that raise it are skipped.  Failure is reported
     through rank < m in the returned diagnostics, not an exception.  A box
     corner that does not broadcast to (d,) raises DimensionMismatch; a box
     with lo >= hi, a non-finite corner or an overflowing width, a c_max or
@@ -558,11 +550,16 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
         cands = rng.uniform(lo, hi, size=(n_trials, V.d))
         try:
             _, fields, comps, _ = _point_blocks(V, cands)
-        except DomainViolation:
-            cands = cands[[_admissible(V, cand) for cand in cands]]
-            if len(cands) == 0:
+        except DomainViolation:  # keep the blocks of each admissible candidate
+            blocks = []
+            for cand in cands:
+                try:
+                    blocks.append(_point_blocks(V, cand)[:3])
+                except DomainViolation:
+                    pass
+            if not blocks:
                 raise InvalidParameter("no admissible candidate points found in the box")
-            _, fields, comps, _ = _point_blocks(V, cands)
+            cands, fields, comps = map(np.concatenate, zip(*blocks))
         heads = np.broadcast_to(head, (len(cands),) + head.shape)
         mats = np.concatenate([heads, _column_blocks(fields, comps)], axis=1)
         svs = np.linalg.svd(mats, compute_uv=False)

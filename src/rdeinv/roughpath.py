@@ -239,8 +239,9 @@ def lift_piecewise_linear(times, values, alpha=0.5) -> GridRoughPath:
 
 
 def _factor(factor, what):
-    """factor as an int, or InvalidParameter unless it is an integer >= 1."""
-    if not (float(factor).is_integer() and factor >= 1):
+    """factor as an int, or InvalidParameter unless it is an integer >= 1 (an integral
+    float passes, a bool does not)."""
+    if isinstance(factor, (bool, np.bool_)) or not (float(factor).is_integer() and factor >= 1):
         raise InvalidParameter(f"{what} factor must be an integer >= 1, got {factor!r}")
     return int(factor)
 

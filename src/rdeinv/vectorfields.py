@@ -95,7 +95,9 @@ class VectorFieldSet:
     callable per field returning (N, d, d) Jacobians; results may broadcast
     to those shapes.  Without `jacs`, Jacobians come from central differences
     with `fd_step` (default 1e-5, the truncation/round-off balance for double
-    precision).  `jac_mode="affine"` (with `jacs`) declares the fields affine.
+    precision).  `jac_mode="affine"` (with `jacs`) declares the fields affine;
+    any other `jac_mode` must be None or the set's own mode ("analytic" with
+    `jacs`, "finite-difference" without), else InvalidParameter.
     `VectorFieldSet.fused` takes the fused form.
     """
 
@@ -113,6 +115,10 @@ class VectorFieldSet:
             None if jacs is None else _stacked(jacs, "jacobian", (d, d)), fd_step,
         )
         self._evals, self._jacs = evals, jacs
+        if jac_mode not in (None, "affine", self.jac_mode):
+            raise InvalidParameter(
+                f'jac_mode must be None, "affine" or "{self.jac_mode}", got {jac_mode!r}'
+            )
         self.jac_mode = jac_mode or self.jac_mode
         if self.jac_mode == "affine":
             if jacs is None:
@@ -164,13 +170,15 @@ class VectorFieldSet:
         self.fd_step = positive(fd_step, "fd_step")
         self.jac_mode = "finite-difference" if jacobians is None else "analytic"
 
-    def _states(self, x):
+    def _states(self, x, what="states"):
+        """x as a float (d,) state or (N, d) stack, else DimensionMismatch; a non-finite
+        entry raises InvalidParameter naming the input, `what`."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.d:
             raise DimensionMismatch(
                 f"states must have shape ({self.d},) or (N, {self.d}), got {x.shape}"
             )
-        return x
+        return finite(x, what)
 
     def _check_index(self, *indices):
         for i in indices:

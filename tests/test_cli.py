@@ -1,7 +1,10 @@
 """End-to-end tests of the command line interface, run in-process."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from argparse import SUPPRESS
 from pathlib import Path
@@ -1046,14 +1049,37 @@ class TestUsage:
             ["lift"],
             ["bogus"],
             ["rank", "--system", "unicycle", "--bogus", "1"],
+            ["reconstruct", "--set", "foo"],
+            ["lift", "--driver", "linear", "--out", "p.csv"],
+            ["reconstruct", "--set", "driver.kind=linear"],
+            ["reconstruct", "--set", "schedule.s=0", "--set", "schedule.t=0"],
+            ["convergence", "--set", "schedule.s=0", "--set", "schedule.t=0", "--out", "c.csv"],
         ],
-        ids=["bad_value", "missing_flags", "unknown_command", "unknown_flag"],
+        ids=["bad_value", "missing_flags", "unknown_command", "unknown_flag", "malformed_set",
+             "lift_linear_without_v", "reconstruct_linear_without_v", "reconstruct_empty_span",
+             "convergence_empty_span"],
     )
-    def test_parse_errors_are_one_usage_error_line(self, argv, capsys):
-        # flag errors read like every other usage error: one line, no usage block
+    def test_parse_errors_are_one_usage_error_line(self, argv, capsys, tmp_path, monkeypatch):
+        # flag errors read like every other usage error: one line, no usage block, no file
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 64 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_module_entry_point_exit_codes(self, tmp_path):
+        # python -m rdeinv runs cli.main_entry: rank passes, fails the rank test, refuses a spec
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for system, want in (("unicycle", 0), ("kohn", 1), ("kohn_0", 64)):
+            proc = subprocess.run([sys.executable, "-m", "rdeinv", "rank", "--system", system],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+            assert proc.returncode == want, proc.stderr
+            assert "Traceback" not in proc.stderr
+            if want == 64:
+                assert proc.stdout == "" and proc.stderr.count("\n") == 1
+                assert proc.stderr.startswith("usage error: ")
+            else:
+                assert json.loads(proc.stdout)["pass"] is (want == 0)
 
     def test_command_help_exits_zero(self, capsys):
         assert main(["lift", "--help"]) == 0

@@ -403,6 +403,15 @@ class TestSolve:
         for j, obs in zip(ends, row):
             np.testing.assert_array_equal(obs.observed[0], traj.states[j])
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_states_of_a_step_rejected(self, bad):
+        # before any evaluation: no NaN state returned, no "blew up" after stepping
+        V, inc = unicycle().fields, RoughIncrement([0.1, 0.2], [[0.0, 0.05], [-0.05, 0.0]])
+        one, stack = np.array([0.0, bad, 0.0]), np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+        for step, x in ((euler2_step, one), (logode_step, one), (logode_step, stack)):
+            with pytest.raises(InvalidParameter, match="states must be finite"):
+                step(V, x, inc)
+
     @pytest.mark.parametrize("method", ["euler2", "logode"])
     def test_non_finite_start_state_rejected(self, method):
         sys = unicycle()
@@ -710,6 +719,13 @@ class TestObserveFlow:
             ObservationSet(np.zeros((1, 2)), 1.0, 1.0, np.zeros((1, 2)))
         with pytest.raises(DimensionMismatch):
             ObservationSet(np.zeros((1, 2)), 0.0, 1.0, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation_data_is_an_input_error(self, bad):
+        with pytest.raises(InvalidParameter, match="base points must be finite"):
+            ObservationSet([[0.0, bad]], 0.0, 1.0, np.zeros((1, 2)))
+        with pytest.raises(InvalidParameter, match="observed images must be finite"):
+            ObservationSet(np.zeros((1, 2)), 0.0, 1.0, [[bad, 0.0]])
 
 
 class TestTrajectoryCsv:

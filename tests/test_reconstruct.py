@@ -78,6 +78,10 @@ def taylor_map_at_zero(V, points):
     return taylor_map(V, points, np.zeros(V.ell), np.zeros((V.ell, V.ell)))
 
 
+def flow_map_at_zero(V, points):
+    return flow_map(V, points, np.zeros(V.ell), np.zeros((V.ell, V.ell)))
+
+
 class TestReconstructionMatrix:
     def test_triple_product_rank_six_with_three_points(self):
         sys = triple_product()
@@ -145,7 +149,7 @@ class TestReconstructionMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_are_rejected(self, bad):
         V, points = unicycle().fields, [[0.0, 0.0, 0.0], [0.0, bad, 0.0]]
-        for fn in (reconstruction_matrix, trust_region, taylor_map_at_zero):
+        for fn in (reconstruction_matrix, trust_region, taylor_map_at_zero, flow_map_at_zero):
             with pytest.raises(InvalidParameter, match="base points must be finite"):
                 fn(V, points)
 
@@ -1186,6 +1190,14 @@ class TestDossSussmann:
         with pytest.raises(DimensionMismatch):
             doss_sussmann_1d(sys.fields, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_point_or_target_rejected(self, bad):
+        # an infinite target returned 0.0 and a NaN one a bare ValueError
+        fields = unit_field()
+        for y, observed, what in ((bad, 1.0, "y"), (0.5, bad, "observed")):
+            with pytest.raises(InvalidParameter, match=f"{what} must be finite"):
+                doss_sussmann_1d(fields, y, observed)
+
 
 class TestStitch:
     def test_single_segment(self):
@@ -1288,6 +1300,24 @@ class TestSearchPoints:
         # the straddling boxes above do exercise the skipping of bad candidates
         q = np.random.default_rng(seed).uniform(*box, size=(16, 4))[:, 3]
         assert np.any((q <= 0.0) | (q >= 1.0)) and np.any((0.0 < q) & (q < 1.0))
+
+    @pytest.mark.parametrize("box, seed", [(CVT_Q0, 2), (CVT_Q1, 6)], ids=["CVT_Q0", "CVT_Q1"])
+    def test_each_candidate_is_evaluated_once_after_a_domain_error(self, box, seed, monkeypatch):
+        # a round is one call on its 16 candidates; after a DomainViolation, one call per
+        # candidate, and the admissible ones are not evaluated again
+        sizes, point_blocks = [], reconstruct._point_blocks
+
+        def counted(V, points):
+            sizes.append(len(np.atleast_2d(points)))
+            return point_blocks(V, points)
+
+        monkeypatch.setattr(reconstruct, "_point_blocks", counted)
+        res = search_points(cvt().fields, *box, c_max=3, seed=seed, n_trials=16)
+        stacks = np.flatnonzero(np.array(sizes) == 16)
+        assert len(stacks) == len(res.points) and stacks[0] == 0
+        singles = np.diff(np.append(stacks, len(sizes))) - 1  # calls after each stack call
+        assert singles[0] == 16 and set(singles.tolist()) <= {0, 16}
+        assert set(sizes) == {1, 16}
 
     def test_all_inadmissible_box_is_rejected(self):
         sys = cvt()

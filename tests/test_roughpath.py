@@ -308,7 +308,7 @@ class TestRefineCoarsen:
             np.testing.assert_allclose(coarse.step_areas[k], a, atol=1e-12)
             np.testing.assert_allclose(coarse.values[k + 1] - coarse.values[k], x, atol=1e-12)
 
-    @pytest.mark.parametrize("factor", [2.5, 1.9, 0, -2, 0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("factor", [2.5, 1.9, 0, -2, 0.5, np.nan, np.inf, True, np.True_])
     def test_factor_must_be_a_positive_integer(self, factor):
         path = lift_piecewise_linear(np.linspace(0, 1, 9), np.zeros((9, 2)))
         for op in (refine, coarsen):

@@ -9,6 +9,7 @@ from rdeinv.roughpath import RoughIncrement
 from rdeinv.systems import (
     ROLLING_BALL_A1,
     ROLLING_BALL_A2,
+    SYSTEM_BUILDERS,
     constant_fields,
     cvt,
     kohn,
@@ -42,6 +43,14 @@ def test_analytic_jacobians_match_finite_differences(builder):
         for i in range(sys.fields.ell):
             fd = fd_jacobian(lambda z, i=i: sys.fields.field(i, z), x)
             np.testing.assert_allclose(fd, sys.fields.jacobian(i, x), atol=1e-7)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_BUILDERS))
+def test_every_named_system_recommends_points(name):
+    # the CLI takes them whenever no points are given, with no fallback
+    sys = SYSTEM_BUILDERS[name]()
+    assert len(sys.recommended_points) >= 1
+    assert all(np.shape(p) == (sys.fields.d,) for p in sys.recommended_points)
 
 
 @pytest.mark.parametrize("builder", ALL_SYSTEMS + [lambda: constant_fields(2, 2)])

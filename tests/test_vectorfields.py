@@ -62,6 +62,25 @@ class TestVectorFieldSet:
         an_set = VectorFieldSet([lambda x: x], d=2, jacs=[lambda x: np.eye(2)])
         assert an_set.jac_mode == "analytic"
 
+    def test_jac_mode_is_none_affine_or_the_sets_own(self):
+        # no mode the set does not have: "analytic" without jacs would be finite differences
+        evals, jacs = [lambda x: x], [lambda x: np.eye(2)]
+        for given, mode in ((None, "finite-difference"), (jacs, "analytic"), (jacs, "affine")):
+            assert VectorFieldSet(evals, d=2, jacs=given, jac_mode=mode).jac_mode == mode
+        bad = [(None, "bogus"), (jacs, "bogus"), (None, "analytic"), (jacs, "finite-difference"),
+               (jacs, "")]
+        for given, mode in bad:
+            with pytest.raises(InvalidParameter, match="jac_mode must be"):
+                VectorFieldSet(evals, d=2, jacs=given, jac_mode=mode)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_states_are_rejected(self, bad):
+        V = unicycle().fields
+        for x in (np.array([0.0, bad, 0.0]), np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])):
+            for call in (V.fields_at, V.jacobians_at, V.compositions):
+                with pytest.raises(InvalidParameter, match="states must be finite"):
+                    call(x)
+
     def test_fd_agrees_with_analytic_within_bound(self):
         # quadratic field: fd error is O(h^2), well within the 10*h contract
         def ev(x):
