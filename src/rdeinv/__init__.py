@@ -34,7 +34,6 @@ from .rde import (
     solve,
 )
 from .reconstruct import (
-    PointSearchResult,
     ReconstructionMatrix,
     ReconstructionResult,
     doss_sussmann_1d,
@@ -88,7 +87,6 @@ __all__ = [
     "NotConverged",
     "ObservationSet",
     "OutOfNeighborhood",
-    "PointSearchResult",
     "RankDeficient",
     "RdeinvError",
     "ReconstructionMatrix",

@@ -52,6 +52,9 @@ EXIT_NUMERIC = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
+MAX_SUBSTEPS = 1024  # the ceiling of solver.n_sub and of solver.n_internal
+MAX_SAMPLES = 1 << 22  # the ceiling of the Brownian samples convergence draws over all seeds
+
 
 class UsageError(argparse.ArgumentTypeError):
     """Bad flags, config values or file contents.
@@ -125,6 +128,13 @@ def _choice(*values):
     return cast
 
 
+def _substeps(value, what):
+    """The count rule with the ceiling MAX_SUBSTEPS."""
+    if count(value, what) > MAX_SUBSTEPS:
+        raise InvalidParameter(f"{what} must be at most {MAX_SUBSTEPS}, got {value!r}")
+    return value
+
+
 def _rule(check, parse):
     """Cast that parses a value and applies an input rule of `rdeinv.errors` to it.  A
     failure is a UsageError: a bad flag value names the rule."""
@@ -161,14 +171,14 @@ _CONFIG = {
     ("points", "n_trials"): ("n_trials", _rule(count, int), 64),
     ("points", "box_lo"): ("box_lo", _parse_vector, -1.0),
     ("points", "box_hi"): ("box_hi", _parse_vector, 1.0),
-    ("schedule", "kind"): ("schedule_kind", _choice("uniform", "dyadic"), "uniform"),
+    ("schedule", "kind"): ("schedule_kind", _choice("uniform", "dyadic"), None),  # unset: the command's
     ("schedule", "s"): ("s", float, None),  # unset: the driver's first grid time
     ("schedule", "t"): ("t", float, None),  # unset: its last
     ("schedule", "n"): ("n_intervals", _rule(count, int), 8),
     ("schedule", "levels"): ("levels", _rule(count, int), 5),
     ("schedule", "intervals"): ("intervals", _parse_intervals, None),
-    ("solver", "n_internal"): ("n_internal", _rule(count, int), 1),
-    ("solver", "n_sub"): ("n_sub", _rule(count, int), rde.N_SUB),
+    ("solver", "n_internal"): ("n_internal", _rule(_substeps, int), 1),
+    ("solver", "n_sub"): ("n_sub", _rule(_substeps, int), rde.N_SUB),
     ("output", "dir"): ("out_dir", str, "out"),
 }
 
@@ -232,24 +242,24 @@ def _build_driver(ns, seed) -> roughpath.GridRoughPath:
     return roughpath.read_path_csv(ns.driver_file, alpha)
 
 
-def _resolve_points(ns, system, mode):
-    """Base points as a (c, d) stack, and the search result when they were searched.
+def _search(ns, system):
+    """The rank test at the points the greedy search chooses in the box [ns.box_lo, ns.box_hi]."""
+    return reconstruct.search_points(
+        system.fields, ns.box_lo, ns.box_hi, ns.c_max, ns.search_seed, ns.n_trials
+    )
 
-    Given points (ns.points) win; otherwise mode "search" runs the greedy
-    search in the box [ns.box_lo, ns.box_hi] and "recommended" takes the
-    system's own points.
-    """
+
+def _resolve_points(ns, system, mode):
+    """Base points as a (c, d) stack: the given ones (ns.points), else the greedy search's
+    (mode "search") or the system's own (mode "recommended")."""
     given = getattr(ns, "points", None)
     if given:
         if len({len(p) for p in given}) > 1:
             raise UsageError(f"base points {[p.tolist() for p in given]} differ in length")
-        return np.vstack(given), None
+        return np.vstack(given)
     if mode == "search":
-        res = reconstruct.search_points(
-            system.fields, ns.box_lo, ns.box_hi, ns.c_max, ns.search_seed, ns.n_trials
-        )
-        return res.points, res
-    return np.vstack(system.recommended_points), None
+        return _search(ns, system).points
+    return np.vstack(system.recommended_points)
 
 
 def _grid_index(path, time, what):
@@ -276,7 +286,7 @@ def _schedule(cfg, path) -> list:
     if not i0 < j0:
         raise UsageError("schedule needs s < t")
     span = j0 - i0
-    if cfg.schedule_kind == "uniform":
+    if cfg.schedule_kind != "dyadic":  # an unset kind is uniform here
         if span % cfg.n_intervals != 0:
             raise UsageError(
                 f"{cfg.n_intervals} uniform intervals do not align with the "
@@ -336,6 +346,12 @@ def _report(report, out):
     print(json.dumps(report, sort_keys=True))
 
 
+def _rank_report(system, rm, out, extra):
+    """`_report` the rank test rm of system, its points and the keys of extra."""
+    _report({"system": system.name, "m": rm.m, "rank": rm.rank, "points": rm.points.tolist(),
+             **extra}, out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -358,7 +374,7 @@ def cmd_solve(args):
     path = roughpath.read_path_csv(args.path, args.alpha or 0.5)
     x0 = args.x0
     if x0 is None or not x0.size:  # an empty --x0 means the recommended point
-        x0 = _resolve_points(args, system, "recommended")[0][0]
+        x0 = _resolve_points(args, system, "recommended")[0]
     traj = rde.solve(system.fields, x0, path, method=args.method, n_sub=args.n_sub)
     rde.write_trajectory_csv(traj, args.out)
     print(json.dumps({"written": args.out, "n": path.n, "d": system.fields.d}))
@@ -368,7 +384,7 @@ def cmd_solve(args):
 def cmd_observe(args):
     system = _build_system(args.system)
     path = roughpath.read_path_csv(args.path, args.alpha or 0.5)
-    points, _ = _resolve_points(args, system, "recommended")
+    points = _resolve_points(args, system, "recommended")
     pairs = _grid_pairs(path, args.intervals)
     if not pairs:
         raise UsageError("--intervals is required, e.g. '0,0.5;0.5,1'")
@@ -381,32 +397,17 @@ def cmd_observe(args):
 
 def cmd_rank(args):
     system = _build_system(args.system)
-    points, _ = _resolve_points(args, system, "recommended")
-    rm = reconstruct.reconstruction_matrix(system.fields, points)
-    report = {
-        "system": system.name,
-        "m": rm.m,
-        "rank": rm.rank,
-        "pass": rm.rank == rm.m,
-        "singular_values": [float(v) for v in rm.singular_values],
-        "points": [[float(v) for v in p] for p in points],
-    }
-    _report(report, args.out)
-    return EXIT_OK if rm.rank == rm.m else EXIT_NUMERIC
+    rm = reconstruct.reconstruction_matrix(
+        system.fields, _resolve_points(args, system, "recommended"))
+    _rank_report(system, rm, args.out,
+                 {"pass": rm.full_rank, "singular_values": rm.singular_values.tolist()})
+    return EXIT_OK if rm.full_rank else EXIT_NUMERIC
 
 
 def cmd_search_points(args):
     system = _build_system(args.system)
-    _, res = _resolve_points(args, system, "search")
-    report = {
-        "system": system.name,
-        "m": res.m,
-        "rank": res.rank,
-        "full_rank": res.full_rank,
-        "sigma_min": res.sigma_min,
-        "points": [[float(v) for v in p] for p in res.points],
-    }
-    _report(report, args.out)
+    rm = _search(args, system)
+    _rank_report(system, rm, args.out, {"full_rank": rm.full_rank, "sigma_min": rm.sigma_min})
     return EXIT_OK
 
 
@@ -422,7 +423,7 @@ def cmd_reconstruct(args):
         path = errors = None
     else:
         path = _build_driver(cfg, cfg.seed)
-        points, _ = _resolve_points(cfg, system, cfg.points_mode)
+        points = _resolve_points(cfg, system, cfg.points_mode)
         pairs = _schedule(cfg, path)
         obs_list, results, errors = _experiment(cfg, system, [path], pairs, points)
         if any(j - i < 2 for i, j in pairs):
@@ -470,9 +471,16 @@ def cmd_convergence(args):
         )
     if cfg.levels < 2:
         raise UsageError(f"schedule.levels = {cfg.levels}: a slope needs at least 2 levels")
+    if cfg.schedule_kind == "uniform":
+        raise UsageError("schedule.kind = uniform: convergence runs the dyadic schedule")
+    if cfg.n_seeds > 1 and cfg.driver != "brownian":  # the one driver drawn from a seed
+        raise UsageError(f"driver.n_seeds = {cfg.n_seeds}: several seeds need a brownian driver")
+    if cfg.driver == "brownian" and cfg.n_seeds * cfg.n_coarse * cfg.n_fine > MAX_SAMPLES:
+        raise UsageError(f"driver.n_seeds = {cfg.n_seeds}: seeds * n_coarse * n_fine is above "
+                         f"MAX_SAMPLES = {MAX_SAMPLES} Brownian samples")
     cfg.schedule_kind = "dyadic"
     paths = [_build_driver(cfg, seed) for seed in range(cfg.seed, cfg.seed + cfg.n_seeds)]
-    points, _ = _resolve_points(cfg, system, cfg.points_mode)
+    points = _resolve_points(cfg, system, cfg.points_mode)
     # every seed's driver lives on the same grid, and every dyadic interval
     # starts at s, so one lockstep run over the longest covers them all
     pairs = _schedule(cfg, paths[0])

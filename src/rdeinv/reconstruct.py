@@ -55,12 +55,22 @@ TOL = 1e-12  # a recovery stops at a proposed step shorter than TOL
 
 @dataclass(eq=False)
 class ReconstructionMatrix:
-    """Stacked field and bracket values at the base points, with its SVD rank."""
+    """The rank test at base points: their stacked field and bracket values, SVD and rank."""
 
+    points: np.ndarray
     m: int
     mat: np.ndarray
     singular_values: np.ndarray
     rank: int
+
+    @property
+    def sigma_min(self):
+        """The last singular value: eps1 when the rank is full."""
+        return float(self.singular_values[-1])
+
+    @property
+    def full_rank(self):
+        return self.rank == self.m
 
 
 @dataclass(eq=False)
@@ -105,16 +115,16 @@ def _column_blocks(fields, comps):
     return np.concatenate([fields, bracket_columns(comps)], axis=1).transpose(0, 2, 1)
 
 
-def _ranked(mat, sv):
-    """The ReconstructionMatrix of mat, given its singular values sv."""
+def _ranked(points, mat, sv):
+    """The ReconstructionMatrix of mat at points, given its singular values sv."""
     rank = 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > RANK_TOL * sv[0]))
-    return ReconstructionMatrix(mat.shape[1], mat, sv, rank)
+    return ReconstructionMatrix(points, mat.shape[1], mat, sv, rank)
 
 
-def _matrix(fields, comps):
+def _matrix(points, fields, comps):
     blocks = _column_blocks(fields, comps)
     mat = blocks.reshape(-1, blocks.shape[2])
-    return _ranked(mat, np.linalg.svd(mat, compute_uv=False))
+    return _ranked(points, mat, np.linalg.svd(mat, compute_uv=False))
 
 
 def reconstruction_matrix(V: VectorFieldSet, points):
@@ -124,7 +134,7 @@ def reconstruction_matrix(V: VectorFieldSet, points):
     pair order; row block r holds the values at point r.  The rank counts
     singular values above RANK_TOL times the largest one.
     """
-    return _matrix(*_point_blocks(V, points)[1:3])
+    return _matrix(*_point_blocks(V, points)[:3])
 
 
 def taylor_map(V: VectorFieldSet, points, A, B):
@@ -169,8 +179,8 @@ def _local_problem(V: VectorFieldSet, points):
     RankDeficient below rank m.
     """
     blocks = _point_blocks(V, points)
-    rm = _matrix(*blocks[1:3])
-    if rm.rank < rm.m:
+    rm = _matrix(*blocks[:3])
+    if not rm.full_rank:
         raise RankDeficient(
             f"reconstruction matrix has rank {rm.rank} < m = {rm.m}; "
             "these base points cannot separate the driver parameters"
@@ -178,7 +188,7 @@ def _local_problem(V: VectorFieldSet, points):
     # sum over all ordered pairs (i, j) of the stacked Euclidean norms |V_i V_j|
     total = float(np.sqrt(np.einsum("cijd,cijd->ij", blocks[2], blocks[2])).sum())
     eps2 = float("inf") if total == 0.0 else 1.0 / (2.0 * total)
-    return (*blocks, rm, float(rm.singular_values[rm.m - 1]), eps2)
+    return (*blocks, rm, rm.sigma_min, eps2)
 
 
 def trust_region(V: VectorFieldSet, points):
@@ -493,22 +503,7 @@ def stitch(segments, times, alpha=0.5) -> GridRoughPath:
     return GridRoughPath(times, values, areas, alpha)
 
 
-@dataclass(eq=False)
-class PointSearchResult:
-    """Outcome of the greedy base-point search."""
-
-    points: np.ndarray
-    rank: int
-    m: int
-    sigma_min: float
-    singular_values: np.ndarray
-
-    @property
-    def full_rank(self):
-        return self.rank == self.m
-
-
-def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -> PointSearchResult:
+def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -> ReconstructionMatrix:
     """Greedy random search for base points maximising the smallest singular value.
 
     Grows the point set one point at a time, keeping the candidate that
@@ -518,12 +513,12 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
     the chosen points' matrix and scores every candidate with one batched
     SVD; ties go to the earliest candidate.  Deterministic given the seed.
     When the stack raises DomainViolation, each candidate is evaluated on its
-    own, once, and those that raise it are skipped.  Failure is reported
-    through rank < m in the returned diagnostics, not an exception.  A box
-    corner that does not broadcast to (d,) raises DimensionMismatch; a box
-    with lo >= hi, a non-finite corner or an overflowing width, a c_max or
-    n_trials that is not an integer >= 1, or a seed that is not an integer >= 0,
-    raises InvalidParameter.
+    own, once, and those that raise it are skipped.  Returns the rank test at
+    the chosen points, bitwise `reconstruction_matrix` there, so failure is
+    rank < m, not an exception.  A box corner that does not broadcast to (d,)
+    raises DimensionMismatch; a box with lo >= hi, a non-finite corner or an
+    overflowing width, a c_max or n_trials that is not an integer >= 1, or a
+    seed that is not an integer >= 0, raises InvalidParameter.
     """
     c_max, n_trials = count(c_max, "c_max"), count(n_trials, "n_trials")
 
@@ -564,17 +559,11 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
         mats = np.concatenate([heads, _column_blocks(fields, comps)], axis=1)
         svs = np.linalg.svd(mats, compute_uv=False)
         best = int(np.argmax(svs[:, -1]))
-        best_mat = _ranked(mats[best], svs[best])
-        chosen, head = np.vstack([chosen, cands[best]]), best_mat.mat
-        if best_mat.rank == best_mat.m:
+        best_mat = _ranked(np.vstack([chosen, cands[best]]), mats[best], svs[best])
+        chosen, head = best_mat.points, best_mat.mat
+        if best_mat.full_rank:
             break
-    return PointSearchResult(
-        points=chosen,
-        rank=best_mat.rank,
-        m=best_mat.m,
-        sigma_min=float(best_mat.singular_values[-1]),
-        singular_values=best_mat.singular_values,
-    )
+    return best_mat
 
 
 def reconstruction_report(result: ReconstructionResult, s, t):

@@ -1394,7 +1394,11 @@ class TestConfigKeys:
         "command, override",
         [(command, override) for command in ("reconstruct", "convergence") for override in RULED_BAD]
         # several seeds and dyadic schedules are convergence's
-        + [("reconstruct", "driver.n_seeds=8"), ("reconstruct", "schedule.kind=dyadic")],
+        + [("reconstruct", "driver.n_seeds=8"), ("reconstruct", "schedule.kind=dyadic")]
+        # uniform schedules are reconstruct's, and only a Brownian driver has seeds
+        + [("convergence", "schedule.kind=uniform"), ("convergence", "driver.n_seeds=3")]
+        # a substep count above its ceiling
+        + [(command, "solver.n_sub=1000000000000000") for command in ("reconstruct", "convergence")],
     )
     def test_ruled_value_is_rejected_before_any_work(
         self, command, override, capsys, tmp_path, monkeypatch

@@ -460,24 +460,29 @@ SIZE_ARGVS = [
     ["reconstruct", "--set", "points.mode=search", "--set", "points.n_trials={v}", *RECONSTRUCT],
     ["reconstruct", "--set", "schedule.n={v}", *RECONSTRUCT],
     ["convergence", "--set", "schedule.levels={v}", *CONVERGENCE],
-]
-# and these do not: a huge c_max, n_sub or n_internal is a long run, not a refused size
-COUNT_ARGVS = [
-    ["search-points", "--system", "unicycle", "--c-max", "{v}", "--out", "{tmp}/s.json"],
+    # substep counts and seeds have a ceiling
     ["solve", "--system", "unicycle", "--path", "{tmp}/p.csv", "--n-sub", "{v}",
      "--out", "{tmp}/t.csv"],
     OBSERVE + ["--n-sub", "{v}"],
     OBSERVE + ["--n-internal", "{v}"],
-    ["reconstruct", "--set", "points.mode=search", "--set", "points.c_max={v}", *RECONSTRUCT],
     ["reconstruct", "--set", "solver.n_sub={v}", *RECONSTRUCT],
     ["reconstruct", "--set", "solver.n_internal={v}", *RECONSTRUCT],
     ["convergence", "--set", "driver.n_seeds={v}", *CONVERGENCE],
+    ["convergence", "--set", "driver.kind=brownian", "--set", "driver.n_seeds={v}", *CONVERGENCE],
+]
+# and these do not: a huge c_max is a long run, not a refused size
+COUNT_ARGVS = [
+    ["search-points", "--system", "unicycle", "--c-max", "{v}", "--out", "{tmp}/s.json"],
+    ["reconstruct", "--set", "points.mode=search", "--set", "points.c_max={v}", *RECONSTRUCT],
 ]
 
 
 def _count_id(argv):
     k = next(k for k, arg in enumerate(argv) if "{v}" in arg)
-    return f"{argv[0]} {argv[k - 1] if argv[k] == '{v}' else argv[k].split('=')[0]}"
+    name = f"{argv[0]} {argv[k - 1] if argv[k] == '{v}' else argv[k].split('=')[0]}"
+    # convergence's seeds, read with the default driver and with the seeded one
+    return name + (" brownian" if argv[0] == "convergence" and "driver.kind=brownian" in argv
+                   else "")
 
 
 @pytest.mark.parametrize("argv", SIZE_ARGVS + COUNT_ARGVS, ids=_count_id)

@@ -1289,8 +1289,10 @@ class TestSearchPoints:
         res = search_points(fields, *box, c_max=c_max, seed=seed, n_trials=n_trials)
         points, mat = search_points_oracle(fields, *box, c_max, seed, n_trials)
         np.testing.assert_array_equal(res.points, points)
-        assert (res.rank, res.m) == (mat.rank, mat.m)
-        assert res.sigma_min == float(mat.singular_values[-1])
+        np.testing.assert_array_equal(res.points, mat.points)
+        assert (res.rank, res.m, res.full_rank) == (mat.rank, mat.m, mat.full_rank)
+        assert res.sigma_min == mat.sigma_min == float(mat.singular_values[-1])
+        np.testing.assert_array_equal(res.mat, mat.mat)
         np.testing.assert_array_equal(res.singular_values, mat.singular_values)
         if not res.full_rank:
             assert len(res.points) == c_max
