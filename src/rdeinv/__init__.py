@@ -69,7 +69,7 @@ from .systems import (
     triple_product,
     unicycle,
 )
-from .vectorfields import VectorFieldSet, bracket, fd_jacobian, second_comp
+from .vectorfields import VectorFieldSet, bracket, fd_jacobian
 
 __version__ = "0.1.0"
 
@@ -119,7 +119,6 @@ __all__ = [
     "sample_brownian_fine",
     "sample_brownian_lift",
     "search_points",
-    "second_comp",
     "solve",
     "stitch",
     "taylor_map",

@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +54,7 @@ EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
 MAX_SUBSTEPS = 1024  # the ceiling of solver.n_sub and of solver.n_internal
+MAX_POINTS = 256  # the ceiling of points.c_max, the search's rounds
 MAX_SAMPLES = 1 << 22  # the ceiling of the Brownian samples convergence draws over all seeds
 
 
@@ -128,10 +130,10 @@ def _choice(*values):
     return cast
 
 
-def _substeps(value, what):
-    """The count rule with the ceiling MAX_SUBSTEPS."""
-    if count(value, what) > MAX_SUBSTEPS:
-        raise InvalidParameter(f"{what} must be at most {MAX_SUBSTEPS}, got {value!r}")
+def _at_most(ceiling, value, what):
+    """The count rule with a ceiling."""
+    if count(value, what) > ceiling:
+        raise InvalidParameter(f"{what} must be at most {ceiling}, got {value!r}")
     return value
 
 
@@ -167,7 +169,7 @@ _CONFIG = {
     ("points", "mode"): ("points_mode", _choice("recommended", "search"), "recommended"),
     ("points", "points"): ("points", _parse_points, None),
     ("points", "seed"): ("search_seed", _rule(non_negative, int), 0),
-    ("points", "c_max"): ("c_max", _rule(count, int), 3),
+    ("points", "c_max"): ("c_max", _rule(partial(_at_most, MAX_POINTS), int), 3),
     ("points", "n_trials"): ("n_trials", _rule(count, int), 64),
     ("points", "box_lo"): ("box_lo", _parse_vector, -1.0),
     ("points", "box_hi"): ("box_hi", _parse_vector, 1.0),
@@ -177,8 +179,8 @@ _CONFIG = {
     ("schedule", "n"): ("n_intervals", _rule(count, int), 8),
     ("schedule", "levels"): ("levels", _rule(count, int), 5),
     ("schedule", "intervals"): ("intervals", _parse_intervals, None),
-    ("solver", "n_internal"): ("n_internal", _rule(_substeps, int), 1),
-    ("solver", "n_sub"): ("n_sub", _rule(_substeps, int), rde.N_SUB),
+    ("solver", "n_internal"): ("n_internal", _rule(partial(_at_most, MAX_SUBSTEPS), int), 1),
+    ("solver", "n_sub"): ("n_sub", _rule(partial(_at_most, MAX_SUBSTEPS), int), rde.N_SUB),
     ("output", "dir"): ("out_dir", str, "out"),
 }
 

@@ -5,17 +5,23 @@ per row, each with exactly one finite number per header column.  Numbers are
 written with 17 significant digits, which is enough for every double to read
 back as the same bits.  The path, trajectory and observation formats are
 column layouts over this syntax; a malformed file raises InvalidParameter
-naming the file and the line.  A table body is formatted in one operation and
-parsed in one pass; only a malformed one is scanned line by line.
+naming the file and the line.  A table body is written and read in blocks of
+_BLOCK rows, so memory beyond the array itself stays bounded whatever the
+length: each block is formatted in one operation and parsed in one pass, and
+only a malformed one is scanned line by line.
 """
 
 from __future__ import annotations
+
+from contextlib import suppress
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import InvalidParameter
 
 _NUMBER = "%.17g"
+_BLOCK = 1024  # table rows formatted or parsed at once
 
 
 def fmt(x):
@@ -32,9 +38,11 @@ def write_table(file, header, data):
     """Write `header` and the rows of the 2-d array `data` (one column per name)."""
     data = np.asarray(data, dtype=float)
     row = ",".join([_NUMBER] * len(header)) + "\n"
-    body = (row * len(data)) % tuple(data.ravel().tolist())
     with open(file, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(data), _BLOCK):
+            block = data[start:start + _BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_table(file):
@@ -46,33 +54,39 @@ def read_table(file):
     """
     try:
         with open(file, "r") as fh:
-            lines = fh.read().splitlines()
+            chunks = iter(lambda: "".join(islice(fh, _BLOCK)), "")  # _BLOCK lines each
+            lines = chain.from_iterable(map(str.splitlines, chunks))  # str.splitlines of the file
+            header = [name.strip() for name in next(lines, "").split(",")]
+            blocks = []
+            try:
+                for body in iter(lambda: list(islice(lines, _BLOCK)), []):
+                    blocks.append(_rows(file, header, body, 2 + _BLOCK * len(blocks)))
+            except InvalidParameter:
+                for _ in fh:  # a file that is not text is reported as that first
+                    pass
+                raise
     except UnicodeDecodeError as exc:
         raise InvalidParameter(f"{file}: not a text file ({exc.reason})") from exc
-    if len(lines) < 2:
+    if not blocks:
         raise InvalidParameter(f"{file}:1: expected a header line and at least one data row")
-    header = [name.strip() for name in lines[0].split(",")]
-    body, commas = lines[1:], len(header) - 1
-    try:
-        if any(line.count(",") != commas for line in body):
-            raise ValueError
-        data = np.array([float(cell) for cell in ",".join(body).split(",")]).reshape(len(body), -1)
-        if not np.all(np.isfinite(data)):
-            raise ValueError
-    except ValueError:  # scan line by line for the first bad one
-        for r, line in enumerate(body):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise InvalidParameter(
-                    f"{file}:{r + 2}: {len(cells)} cells, the header has {len(header)}"
-                ) from None
-            try:
-                row = np.array([float(cell) for cell in cells])
-            except ValueError as exc:
-                raise InvalidParameter(f"{file}:{r + 2}: {exc}") from None
-            if not np.all(np.isfinite(row)):
-                name = header[np.argmin(np.isfinite(row))]
-                raise InvalidParameter(
-                    f"{file}:{r + 2}: non-finite value in column {name!r}"
-                ) from None
-    return header, data
+    return header, np.concatenate(blocks)
+
+
+def _rows(file, header, body, first):
+    """The float rows of the data lines `body`, which start at line `first` of the file."""
+    if all(line.count(",") == len(header) - 1 for line in body):
+        with suppress(ValueError):  # else scan line by line for the first bad one
+            data = np.array([float(cell) for cell in ",".join(body).split(",")])
+            if np.all(np.isfinite(data)):
+                return data.reshape(len(body), -1)
+    for r, line in enumerate(body, first):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise InvalidParameter(f"{file}:{r}: {len(cells)} cells, the header has {len(header)}")
+        try:
+            row = np.array([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise InvalidParameter(f"{file}:{r}: {exc}") from None
+        if not np.all(np.isfinite(row)):
+            name = header[np.argmin(np.isfinite(row))]
+            raise InvalidParameter(f"{file}:{r}: non-finite value in column {name!r}")

@@ -65,8 +65,8 @@ class ReconstructionMatrix:
 
     @property
     def sigma_min(self):
-        """The last singular value: eps1 when the rank is full."""
-        return float(self.singular_values[-1])
+        """sigma_m, the m-th singular value, 0.0 below m rows: eps1 when the rank is full."""
+        return float(self.singular_values[self.m - 1]) if len(self.mat) >= self.m else 0.0
 
     @property
     def full_rank(self):
@@ -444,7 +444,7 @@ def doss_sussmann_1d(V: VectorFieldSet, y, observed):
     y, observed = finite(float(y), "y"), finite(float(observed), "observed")
 
     def vfield(z):
-        return float(V.field(0, np.array([z]))[0])
+        return float(V.fields_at(np.array([z]))[0, 0])
 
     if abs(vfield(y)) < 1e-14:
         raise DegenerateField("V_1 vanishes at the base point")
@@ -507,7 +507,7 @@ def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -
     """Greedy random search for base points maximising the smallest singular value.
 
     Grows the point set one point at a time, keeping the candidate that
-    maximises sigma_min of the reconstruction matrix, until rank m is reached
+    maximises the last singular value of the reconstruction matrix, until rank m is reached
     or c_max points are used.  Each round draws its n_trials candidates at
     once, evaluates them as one stack, appends each candidate's row block to
     the chosen points' matrix and scores every candidate with one batched

@@ -8,13 +8,14 @@ constant (ell, d) or (ell, d, d) stack, is accepted and filled out.  A (d,)
 state passes through unchanged, so callables written with ``x[..., k]``
 indexing serve both.  Rows are independent states: the integrators step
 whole stacks of base points, seeds and finite-difference probes in lockstep,
-so evaluators must be pure.  Indices are 0-based ints or NumPy integers.
+so evaluators must be pure.  `fields_at`, `jacobians_at` and `compositions`
+evaluate every field at once; a caller indexes the field axis itself.
 
 One table, `composition_table`, holds the compositions V_jV_k = DV_k V_j:
-`second_comp` slices it, `bracket` and `bracket_columns` (pairs j < k in
-row-major order, the one pair order of `roughpath._pairs`) difference two
-slices of it, and the rank test, eps2 and the Taylor Jacobian read it.  The
-level-2 kernel of `rde` takes fields and Jacobians without it.
+`bracket` (indices 0-based ints or NumPy integers) and `bracket_columns`
+(pairs j < k in row-major order, the one pair order of `roughpath._pairs`)
+difference two slices of it, and the rank test, eps2 and the Taylor Jacobian
+read it.  The level-2 kernel of `rde` takes fields and Jacobians without it.
 A set declared affine (`jac_mode` "affine", as `VectorFieldSet.affine` builds)
 keeps the generators that the log-ODE matrix route reads, read at the origin.
 
@@ -203,16 +204,6 @@ class VectorFieldSet:
         """All Jacobians: (N, ell, d, d) for an (N, d) stack, (ell, d, d) for one state."""
         return self._at(self._states(x), jacobians=True)
 
-    def field(self, i, x):
-        """Value of field i at a (d,) state, or at every row of an (N, d) stack."""
-        self._check_index(i)
-        return self.fields_at(x)[..., i, :].copy()
-
-    def jacobian(self, i, x):
-        """Jacobian of field i at a (d,) state as (d, d), or at an (N, d) stack as (N, d, d)."""
-        self._check_index(i)
-        return self.jacobians_at(x)[..., i, :, :].copy()
-
     def compositions(self, x):
         """Fields (..., ell, d) and the table (..., ell, ell, d) of V_jV_k = DV_k V_j
         at [j, k], at a (d,) state or an (N, d) stack; one evaluation of each kind."""
@@ -225,13 +216,6 @@ def composition_table(fields, jacobians):
     """The table (..., ell, ell, d) of V_jV_k = DV_k V_j at [j, k], from the fields
     (..., ell, d) and the Jacobians (..., ell, d, d) at the same states."""
     return np.einsum("...kde,...je->...jkd", jacobians, fields)
-
-
-def second_comp(V: VectorFieldSet, j, k, x):
-    """Directional derivative DV_k(x) V_j(x) of V_k along V_j, at one state or a stack:
-    entry [j, k] of `VectorFieldSet.compositions`."""
-    V._check_index(j, k)
-    return V.compositions(x)[1][..., j, k, :].copy()
 
 
 def _brackets(comps, j, k):

@@ -202,6 +202,28 @@ class TestSearchPoints:
                 "--box-lo", "-2,-2,-2", "--box-hi", "2,2,2")
         assert a[0] == 0 and a == b
 
+    def test_sigma_min_is_zero_below_m_rows(self, capsys):
+        # one point of triple_product gives 3 rows for m = 6 columns, so sigma_6 is 0
+        code, out, _ = run(capsys, "search-points", "--system", "triple_product", "--c-max", "1",
+                           "--box-lo", "-2", "--box-hi", "2")
+        report = json.loads(out)
+        assert code == 0 and len(report["points"]) == 1
+        assert (report["full_rank"], report["rank"], report["m"]) == (False, 3, 6)
+        assert report["sigma_min"] == 0.0
+
+    def test_c_max_is_at_most_max_points(self, capsys, monkeypatch):
+        argv = ["search-points", "--system", "kohn", "--c-max"]
+        assert cli._build_parser().parse_args(argv + [str(cli.MAX_POINTS)]).c_max == cli.MAX_POINTS
+
+        def fail(*args):
+            raise AssertionError("the search began")
+
+        monkeypatch.setattr(cli.reconstruct, "search_points", fail)
+        code, out, err = run(capsys, *argv, str(cli.MAX_POINTS + 1))
+        assert code == 64 and out == ""
+        assert err == (f"usage error: argument --c-max: value must be at most {cli.MAX_POINTS}, "
+                       f"got {cli.MAX_POINTS + 1}\n")
+
     @pytest.mark.parametrize(
         "box", [["--box-lo", "nan"], ["--box-hi", "inf"], ["--box-lo=-1e308", "--box-hi=1e308"]]
     )
@@ -1397,8 +1419,9 @@ class TestConfigKeys:
         + [("reconstruct", "driver.n_seeds=8"), ("reconstruct", "schedule.kind=dyadic")]
         # uniform schedules are reconstruct's, and only a Brownian driver has seeds
         + [("convergence", "schedule.kind=uniform"), ("convergence", "driver.n_seeds=3")]
-        # a substep count above its ceiling
-        + [(command, "solver.n_sub=1000000000000000") for command in ("reconstruct", "convergence")],
+        # a substep or point count above its ceiling
+        + [(command, f"{key}=1000000000000000") for command in ("reconstruct", "convergence")
+           for key in ("solver.n_sub", "points.c_max")],
     )
     def test_ruled_value_is_rejected_before_any_work(
         self, command, override, capsys, tmp_path, monkeypatch

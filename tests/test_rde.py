@@ -156,7 +156,8 @@ def rk4_oracle(V, y, x_inc, a, n_sub):
     """Per-point reference: RK4 on x^i V_i + sum_{j<k} a^{jk} [V_j, V_k] from single-state calls."""
 
     def w(z):
-        out = sum(x_inc[i] * V.field(i, z) for i in range(V.ell))
+        fields = V.fields_at(z)
+        out = sum(x_inc[i] * fields[i] for i in range(V.ell))
         for j in range(V.ell):
             for k in range(j + 1, V.ell):
                 out = out + a[j, k] * bracket(V, j, k, z)

@@ -137,12 +137,12 @@ class TestReconstructionMatrix:
         assert rm.rank == 0
 
     def test_blocks_equal_per_point_fields_and_brackets(self):
-        # reference: one single-state field or bracket call per column and point
+        # reference: single-state field values and one bracket call per bracket column and point
         V = triple_product().fields
         points = np.random.default_rng(41).uniform(0.5, 2.0, (3, 3))
         rm = reconstruction_matrix(V, points)
         for r, y in enumerate(points):
-            cols = [V.field(i, y) for i in range(3)]
+            cols = list(V.fields_at(y))
             cols += [bracket(V, j, k, y) for j in range(3) for k in range(j + 1, 3)]
             np.testing.assert_allclose(rm.mat[3 * r : 3 * r + 3], np.column_stack(cols), atol=1e-14)
 
@@ -1291,7 +1291,9 @@ class TestSearchPoints:
         np.testing.assert_array_equal(res.points, points)
         np.testing.assert_array_equal(res.points, mat.points)
         assert (res.rank, res.m, res.full_rank) == (mat.rank, mat.m, mat.full_rank)
-        assert res.sigma_min == mat.sigma_min == float(mat.singular_values[-1])
+        # sigma_m: the last of the m singular values, 0.0 while the matrix has fewer rows
+        sigma_m = float(mat.singular_values[-1]) if len(mat.mat) >= mat.m else 0.0
+        assert res.sigma_min == mat.sigma_min == sigma_m
         np.testing.assert_array_equal(res.mat, mat.mat)
         np.testing.assert_array_equal(res.singular_values, mat.singular_values)
         if not res.full_rank:

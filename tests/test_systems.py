@@ -40,9 +40,8 @@ def test_analytic_jacobians_match_finite_differences(builder):
     rng = np.random.default_rng(17)
     for _ in range(20):
         x = random_domain_point(sys.name, rng)
-        for i in range(sys.fields.ell):
-            fd = fd_jacobian(lambda z, i=i: sys.fields.field(i, z), x)
-            np.testing.assert_allclose(fd, sys.fields.jacobian(i, x), atol=1e-7)
+        fd = fd_jacobian(sys.fields.fields_at, x)
+        np.testing.assert_allclose(fd, sys.fields.jacobians_at(x), atol=1e-7)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEM_BUILDERS))
@@ -57,8 +56,7 @@ def test_every_named_system_recommends_points(name):
 def test_recommended_points_evaluate_finite(builder):
     sys = builder()
     for p in sys.recommended_points:
-        for i in range(sys.fields.ell):
-            assert np.all(np.isfinite(sys.fields.field(i, p)))
+        assert np.all(np.isfinite(sys.fields.fields_at(p)))
 
 
 @pytest.mark.parametrize(
@@ -76,9 +74,8 @@ def test_stack_evaluation_equals_row_by_row(builder):
     assert fields.shape == (7, sys.fields.ell, sys.fields.d)
     assert jacs.shape == (7, sys.fields.ell, sys.fields.d, sys.fields.d)
     for n, y in enumerate(stack):
-        for i in range(sys.fields.ell):
-            np.testing.assert_array_equal(fields[n, i], sys.fields.field(i, y))
-            np.testing.assert_array_equal(jacs[n, i], sys.fields.jacobian(i, y))
+        np.testing.assert_array_equal(fields[n], sys.fields.fields_at(y))
+        np.testing.assert_array_equal(jacs[n], sys.fields.jacobians_at(y))
 
 
 def assert_bitwise(a, b):
@@ -206,7 +203,7 @@ class TestRollingBall:
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         for i, amat in enumerate([ROLLING_BALL_A1, ROLLING_BALL_A2]):
-            vel = sys.fields.field(i, q.ravel()).reshape(3, 3)
+            vel = sys.fields.fields_at(q.ravel())[i].reshape(3, 3)
             sym = vel.T @ q + q.T @ vel
             assert np.max(np.abs(sym)) < 1e-12
 
@@ -227,14 +224,14 @@ class TestUnicycle:
 
     def test_turn_field_is_constant(self):
         sys = unicycle()
-        assert np.all(sys.fields.jacobian(1, np.array([1.0, 2.0, 3.0])) == 0)
+        assert np.all(sys.fields.jacobians_at(np.array([1.0, 2.0, 3.0]))[1] == 0)
 
 
 class TestCvt:
     def test_field_value_at_half(self):
         sys = cvt()
         x = np.array([0.0, 0.0, 0.0, 0.5])
-        np.testing.assert_allclose(sys.fields.field(0, x), [2.0, 2.0, 1.0, 0.0])
+        np.testing.assert_allclose(sys.fields.fields_at(x)[0], [2.0, 2.0, 1.0, 0.0])
 
     def test_bracket_display(self):
         sys = cvt()
@@ -256,9 +253,9 @@ class TestCvt:
         sys = cvt()
         x = np.array([0.0, 0.0, 0.0, q])
         with pytest.raises(DomainViolation):
-            sys.fields.field(0, x)
+            sys.fields.fields_at(x)
         with pytest.raises(DomainViolation):
-            sys.fields.jacobian(1, x)
+            sys.fields.jacobians_at(x)
 
 
 class TestTripleProduct:
@@ -290,8 +287,7 @@ class TestTripleProduct:
     def test_fields_vanish_on_axes(self):
         sys = triple_product()
         for p in (np.array([1.0, 0, 0]), np.array([0, 2.0, 0]), np.array([0, 0, -1.0])):
-            for i in range(3):
-                assert np.all(sys.fields.field(i, p) == 0)
+            assert np.all(sys.fields.fields_at(p) == 0)
 
 
 class TestKohn:

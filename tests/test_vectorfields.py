@@ -13,12 +13,7 @@ from rdeinv.errors import (
 from rdeinv.rde import euler2_step
 from rdeinv.roughpath import RoughIncrement, area_matrix
 from rdeinv.systems import rolling_ball, triple_product, unicycle
-from rdeinv.vectorfields import (
-    VectorFieldSet,
-    bracket,
-    fd_jacobian,
-    second_comp,
-)
+from rdeinv.vectorfields import VectorFieldSet, bracket, fd_jacobian
 
 
 def constant_set(vectors, d):
@@ -42,8 +37,8 @@ class TestFdJacobian:
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.standard_normal(3)
-            fd = fd_jacobian(lambda z: sys.fields.field(0, z), x)
-            np.testing.assert_allclose(fd, sys.fields.jacobian(0, x), atol=1e-8)
+            fd = fd_jacobian(sys.fields.fields_at, x)
+            np.testing.assert_allclose(fd, sys.fields.jacobians_at(x), atol=1e-8)
 
     def test_nonfinite(self):
         with pytest.raises(NonFinite):
@@ -92,38 +87,28 @@ class TestVectorFieldSet:
         x = np.array([0.7, -1.3])
         fd_set = VectorFieldSet([ev], d=2, fd_step=1e-5)
         analytic = ja(x)
-        assert np.max(np.abs(fd_set.jacobian(0, x) - analytic)) <= 10 * 1e-5
+        assert np.max(np.abs(fd_set.jacobians_at(x)[0] - analytic)) <= 10 * 1e-5
 
     def test_index_out_of_range(self):
         fields = constant_set([[1.0, 0.0]], d=2)
-        with pytest.raises(IndexOutOfRange):
-            fields.field(1, np.zeros(2))
         with pytest.raises(IndexOutOfRange):
             bracket(fields, 0, 5, np.zeros(2))
 
     @pytest.mark.parametrize("index", [True, False, 1.0, 0.5, np.float64(0.0), "0", None])
     def test_index_must_be_an_integer(self, index):
         V, x = unicycle().fields, np.zeros(3)
-        calls = [
-            lambda: V.field(index, x),
-            lambda: V.jacobian(index, x),
-            lambda: bracket(V, index, 0, x),
-            lambda: bracket(V, 0, index, x),
-            lambda: second_comp(V, index, 1, x),
-        ]
-        for call in calls:
+        for call in (lambda: bracket(V, index, 0, x), lambda: bracket(V, 0, index, x)):
             with pytest.raises(IndexOutOfRange, match="not an integer"):
                 call()
 
     def test_numpy_integer_index_is_accepted(self):
         V, x = unicycle().fields, np.array([0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(V.field(np.int64(1), x), V.field(1, x))
         np.testing.assert_array_equal(bracket(V, np.int32(0), np.int64(1), x), bracket(V, 0, 1, x))
 
     def test_bad_shape_from_eval(self):
         fields = VectorFieldSet([lambda x: np.zeros(3)], d=2)
         with pytest.raises(DimensionMismatch):
-            fields.field(0, np.zeros(2))
+            fields.fields_at(np.zeros(2))
 
 
 class TestBatchedEvaluation:
@@ -133,9 +118,8 @@ class TestBatchedEvaluation:
         stack = np.random.default_rng(10).standard_normal((5, 3))
         jacs = fd_fields.jacobians_at(stack)
         for n, y in enumerate(stack):
-            for i in range(3):
-                np.testing.assert_array_equal(jacs[n, i], fd_fields.jacobian(i, y))
-                np.testing.assert_allclose(jacs[n, i], sys.fields.jacobian(i, y), atol=1e-8)
+            np.testing.assert_array_equal(jacs[n], fd_fields.jacobians_at(y))
+            np.testing.assert_allclose(jacs[n], sys.fields.jacobians_at(y), atol=1e-8)
 
     def test_broadcastable_results_fill_the_stack(self):
         fields = VectorFieldSet(
@@ -196,7 +180,7 @@ class TestFusedForm:
         assert calls == [(4, 3)]
         V.jacobians_at(stack)  # central differences of the fused callable: 2d calls
         assert len(calls) == 1 + 2 * 3
-        np.testing.assert_array_equal(V.field(1, stack[0]), np.ones(3))
+        np.testing.assert_array_equal(V.fields_at(stack[0])[1], np.ones(3))
 
     def test_broadcastable_results_fill_the_stack(self):
         vecs, zero = np.eye(2, 3), np.zeros((2, 3, 3))
@@ -340,9 +324,9 @@ class TestBracket:
         rng = np.random.default_rng(6)
         for _ in range(10):
             x = rng.standard_normal(3)
-            lhs = bracket(sys.fields, 1, 2, x)
-            rhs = second_comp(sys.fields, 1, 2, x) - second_comp(sys.fields, 2, 1, x)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+            comps = sys.fields.compositions(x)[1]
+            np.testing.assert_allclose(bracket(sys.fields, 1, 2, x), comps[1, 2] - comps[2, 1],
+                                       atol=1e-10)
 
     def test_jacobi_identity_fd(self):
         # nested brackets evaluated with finite differences on the outer layer
@@ -355,7 +339,7 @@ class TestBracket:
                 return bracket(fields, j, k, z)
 
             jac_inner = fd_jacobian(inner, x, step=1e-5)
-            return jac_inner @ fields.field(i, x) - fields.jacobian(i, x) @ inner(x)
+            return jac_inner @ fields.fields_at(x)[i] - fields.jacobians_at(x)[i] @ inner(x)
 
         for _ in range(5):
             x = rng.uniform(0.5, 1.5, 3)
@@ -366,19 +350,19 @@ class TestBracket:
 class TestSecondComp:
     def test_constant_fields(self):
         fields = constant_set([[1.0, 0.0], [0.0, 1.0]], d=2)
-        assert np.all(second_comp(fields, 0, 1, np.zeros(2)) == 0)
+        assert np.all(fields.compositions(np.zeros(2))[1] == 0)
 
     def test_rolling_ball_composition_at_identity(self):
         from rdeinv.systems import ROLLING_BALL_A1, ROLLING_BALL_A2
 
         sys = rolling_ball()
-        got = second_comp(sys.fields, 0, 1, np.eye(3).ravel())
+        got = sys.fields.compositions(np.eye(3).ravel())[1][0, 1]
         np.testing.assert_allclose(got, (ROLLING_BALL_A2 @ ROLLING_BALL_A1).ravel(), atol=1e-12)
 
     def test_linear_scalar_field(self):
         fields = VectorFieldSet([lambda x: x.copy()], d=1, jacs=[lambda x: np.eye(1)])
         for y in (0.3, -2.0, 1.0):
-            got = second_comp(fields, 0, 0, np.array([y]))
+            got = fields.compositions(np.array([y]))[1][0, 0]
             np.testing.assert_allclose(got, [y])
 
 
@@ -412,7 +396,7 @@ class TestCompositions:
             np.testing.assert_array_equal(one, comps[n])
             for j in range(V.ell):
                 for k in range(V.ell):
-                    want = V.jacobian(k, y) @ V.field(j, y)
+                    want = V.jacobians_at(y)[k] @ V.fields_at(y)[j]
                     np.testing.assert_allclose(comps[n, j, k], want, rtol=1e-14, atol=1e-15)
 
     def test_state_shape_checked(self):
@@ -421,14 +405,14 @@ class TestCompositions:
             with pytest.raises(DimensionMismatch):
                 V.compositions(bad)
 
-    @pytest.mark.parametrize("entry", ["bracket", "second_comp", "euler2_step"])
+    @pytest.mark.parametrize("entry", ["bracket", "compositions", "euler2_step"])
     def test_one_field_and_one_jacobian_call(self, entry):
         V, calls = counting(triple_product().fields)
         x = np.array([1.0, 2.0, 3.0])
         inc = RoughIncrement([0.1, -0.2, 0.3], area_matrix([0.01, 0.02, -0.03], 3))
         {
             "bracket": lambda: bracket(V, 0, 2, x),
-            "second_comp": lambda: second_comp(V, 1, 0, x),
+            "compositions": lambda: V.compositions(x),
             "euler2_step": lambda: euler2_step(V, x, inc),
         }[entry]()
         assert calls == {"fields": 1, "jacobians": 1}
@@ -440,4 +424,3 @@ class TestCompositions:
         for j in range(3):
             for k in range(3):
                 np.testing.assert_array_equal(bracket(V, j, k, stack), comps[:, j, k] - comps[:, k, j])
-                np.testing.assert_array_equal(second_comp(V, j, k, stack), comps[:, j, k])
