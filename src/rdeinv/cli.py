@@ -162,8 +162,6 @@ _CONFIG = {
     ("driver", "n_coarse"): ("n_coarse", _rule(count, int), 256),
     ("driver", "n_fine"): ("n_fine", _rule(count, int), 8),
     ("driver", "horizon"): ("horizon", _rule(positive, float), 1.0),
-    # unset: 0.4 for a Brownian driver, whose lifts carry no other, else 0.5
-    ("driver", "alpha"): ("alpha", _rule(lambda a, _: roughpath._check_alpha(a), float), None),
     ("driver", "v"): ("v", _parse_vector, None),
     ("driver", "file"): ("driver_file", str, ""),
     ("points", "mode"): ("points_mode", _choice("recommended", "search"), "recommended"),
@@ -183,6 +181,10 @@ _CONFIG = {
     ("solver", "n_sub"): ("n_sub", _rule(partial(_at_most, MAX_SUBSTEPS), int), rde.N_SUB),
     ("output", "dir"): ("out_dir", str, "out"),
 }
+
+# the --alpha of solve and observe, which the benchmark passes: checked, then ignored
+_INERT_ALPHA = {"type": _rule(lambda a, _: roughpath._check_alpha(a), float),
+                "help": "ignored, as a path carries no Holder exponent (ROADMAP item 1 removes it)"}
 
 
 def _load_config(args):
@@ -226,22 +228,18 @@ def _load_config(args):
 def _build_driver(ns, seed) -> roughpath.GridRoughPath:
     """Driver of kind ns.driver, from the `lift` flags or the driver.* config keys."""
     if ns.driver == "brownian":
-        if ns.alpha not in (None, 0.4):
-            raise UsageError(f"brownian lifts carry alpha = 0.4, got alpha = {ns.alpha}")
         return roughpath.sample_brownian_lift(ns.ell, ns.n_coarse, ns.n_fine, ns.horizon, seed)
-    alpha = ns.alpha or 0.5
     if ns.driver == "circle":
-        times, values = roughpath.circle_samples(ns.n)
-        return roughpath.lift_piecewise_linear(times, values, alpha)
+        return roughpath.lift_piecewise_linear(*roughpath.circle_samples(ns.n))
     if ns.driver == "linear":
         if ns.v is None:
             raise UsageError("linear driver needs --v (driver.v in a config)")
         times = np.linspace(0.0, ns.horizon, ns.n + 1)
-        return roughpath.make_linear_rough_path(ns.v, ns.ell, times, alpha)
+        return roughpath.make_linear_rough_path(ns.v, ns.ell, times)
     # kind "file": lift --driver and driver.kind admit no other
     if not ns.driver_file:
         raise UsageError("driver.kind = file needs driver.file")
-    return roughpath.read_path_csv(ns.driver_file, alpha)
+    return roughpath.read_path_csv(ns.driver_file)
 
 
 def _search(ns, system):
@@ -363,7 +361,7 @@ def cmd_lift(args):
         if not args.samples:
             raise UsageError("--driver file needs --samples")
         raw = roughpath.read_path_csv(args.samples)
-        path = roughpath.lift_piecewise_linear(raw.times, raw.values, args.alpha or 0.5)
+        path = roughpath.lift_piecewise_linear(raw.times, raw.values)
     else:
         path = _build_driver(args, args.seed)
     roughpath.write_path_csv(path, args.out)
@@ -373,7 +371,7 @@ def cmd_lift(args):
 
 def cmd_solve(args):
     system = _build_system(args.system)
-    path = roughpath.read_path_csv(args.path, args.alpha or 0.5)
+    path = roughpath.read_path_csv(args.path)
     x0 = args.x0
     if x0 is None or not x0.size:  # an empty --x0 means the recommended point
         x0 = _resolve_points(args, system, "recommended")[0]
@@ -385,7 +383,7 @@ def cmd_solve(args):
 
 def cmd_observe(args):
     system = _build_system(args.system)
-    path = roughpath.read_path_csv(args.path, args.alpha or 0.5)
+    path = roughpath.read_path_csv(args.path)
     points = _resolve_points(args, system, "recommended")
     pairs = _grid_pairs(path, args.intervals)
     if not pairs:
@@ -422,7 +420,7 @@ def cmd_reconstruct(args):
     if args.obs:
         obs_list = reconstruct.read_observations_csv(args.obs)
         results = _recover(cfg, system, obs_list)
-        path = errors = None
+        errors = None
     else:
         path = _build_driver(cfg, cfg.seed)
         points = _resolve_points(cfg, system, cfg.points_mode)
@@ -451,7 +449,7 @@ def cmd_reconstruct(args):
     chain = all(abs(a.t - b.s) < 1e-12 for a, b in zip(obs_list, obs_list[1:]))
     if chain and results:
         times = [obs_list[0].s] + [obs.t for obs in obs_list]
-        stitched = reconstruct.stitch(results, times, alpha=path.alpha if path else 0.5)
+        stitched = reconstruct.stitch(results, times)
         stitched_file = os.path.join(cfg.out_dir, "stitched.csv")
         roughpath.write_path_csv(stitched, stitched_file)
         outputs["stitched"] = stitched_file
@@ -545,7 +543,7 @@ def _build_parser():
     p = sub.add_parser("lift", help="build a rough path CSV from a signal")
     _key_flags(p, "driver.kind", required=True)
     _key_flags(p, "driver.n", "driver.seed", "driver.n_coarse", "driver.n_fine",
-               "driver.horizon", "driver.v", "driver.alpha")
+               "driver.horizon", "driver.v")
     _key_flags(p, "driver.ell", default=2)  # an unset driver.ell is the system's; lift has none
     p.add_argument("--samples", help="sample CSV (t,X1..Xl) for --driver file")
     p.add_argument("--out", required=True)
@@ -556,14 +554,16 @@ def _build_parser():
     p.add_argument("--path", required=True, help="driver path CSV")
     p.add_argument("--x0", type=_parse_vector, help="start state, comma separated")
     p.add_argument("--method", default="logode", choices=["logode", "euler2"])
-    _key_flags(p, "solver.n_sub", "driver.alpha")
+    _key_flags(p, "solver.n_sub")
+    p.add_argument("--alpha", **_INERT_ALPHA)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("observe", help="record flow images over intervals")
     _key_flags(p, "experiment.system", "schedule.intervals", required=True)
     p.add_argument("--path", required=True)
-    _key_flags(p, "points.points", "solver.n_internal", "solver.n_sub", "driver.alpha")
+    _key_flags(p, "points.points", "solver.n_internal", "solver.n_sub")
+    p.add_argument("--alpha", **_INERT_ALPHA)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_observe)
 

@@ -18,7 +18,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter
 
 _NUMBER = "%.17g"
 _BLOCK = 1024  # table rows formatted or parsed at once
@@ -35,8 +35,11 @@ def numbered(prefix, n):
 
 
 def write_table(file, header, data):
-    """Write `header` and the rows of the 2-d array `data` (one column per name)."""
+    """Write `header` and the rows of the 2-d array `data` (one column per name).  Rows
+    of another width raise DimensionMismatch before the file opens."""
     data = np.asarray(data, dtype=float)
+    if len(data) and data.shape[1:] != (len(header),):
+        raise DimensionMismatch(f"{len(header)} column names for data of shape {data.shape}")
     row = ",".join([_NUMBER] * len(header)) + "\n"
     with open(file, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")

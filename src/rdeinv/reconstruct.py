@@ -474,7 +474,7 @@ def doss_sussmann_1d(V: VectorFieldSet, y, observed):
     raise NotConverged(f"Newton did not reach tolerance {tol} in {max_iter} iterations")
 
 
-def stitch(segments, times, alpha=0.5) -> GridRoughPath:
+def stitch(segments, times) -> GridRoughPath:
     """Assemble consecutive local increment estimates into a grid rough path.
 
     segments may be ReconstructionResult or RoughIncrement instances (or
@@ -500,7 +500,7 @@ def stitch(segments, times, alpha=0.5) -> GridRoughPath:
         raise DimensionMismatch("all segments must share the signal dimension")
     values = np.vstack([np.zeros(ell), np.cumsum([x for x, _ in pieces], axis=0)])
     areas = np.stack([a for _, a in pieces])
-    return GridRoughPath(times, values, areas, alpha)
+    return GridRoughPath(times, values, areas)
 
 
 def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -> ReconstructionMatrix:
@@ -591,22 +591,27 @@ def _observations_header(d):
 
 def write_observations_csv(obs_list, file):
     """Write observation sets to CSV: s,t,point_id,y1..yd,z1..zd, one block per
-    interval, so a repeated interval raises InvalidParameter before the file opens."""
+    interval, so a repeated interval raises InvalidParameter, and base points of
+    another width than the first set's DimensionMismatch, before the file opens."""
     obs_list = list(obs_list)
     if not obs_list:
         raise InvalidParameter("need at least one observation set")
+    d = obs_list[0].base_points.shape[1]
     seen = set()
     for obs in obs_list:
         if (obs.s, obs.t) in seen:
             raise InvalidParameter(f"interval [{io.fmt(obs.s)}, {io.fmt(obs.t)}] is repeated; "
                                    "an observation CSV holds one block per interval")
+        if obs.base_points.shape[1] != d:
+            raise DimensionMismatch(f"base points of width {obs.base_points.shape[1]} after {d}; "
+                                    "an observation CSV holds one state dimension")
         seen.add((obs.s, obs.t))
     rows = [
         [obs.s, obs.t, pid, *obs.base_points[pid], *obs.observed[pid]]
         for obs in obs_list
         for pid in range(obs.c)
     ]
-    io.write_table(file, _observations_header(obs_list[0].base_points.shape[1]), rows)
+    io.write_table(file, _observations_header(d), rows)
 
 
 def read_observations_csv(file):

@@ -115,7 +115,8 @@ def _cross(x, y):
 
 
 def _check_alpha(alpha):
-    """alpha as a float if it lies in (1/3, 1/2], else InvalidParameter."""
+    """alpha as a float if it lies in (1/3, 1/2], else InvalidParameter: the rule of the
+    inert exponent that `read_path_csv`, `solve --alpha` and `observe --alpha` accept."""
     alpha = float(alpha)
     if not (1.0 / 3.0 < alpha <= 0.5):
         raise InvalidParameter(f"alpha must lie in (1/3, 1/2], got {alpha}")
@@ -142,13 +143,12 @@ class GridRoughPath:
     X_{0,t_k} = values[k] - values[0], the increment over any [t_i, t_j]
     follows in O(1) from the closed-form Chen inverse
     A_{ij} = A_{0j} - A_{0i} - 0.5 * (X_{0i} (x) X_{ij} - X_{ij} (x) X_{0i}).
-    alpha is user metadata (the Holder exponent the data is meant to carry);
-    nothing is estimated from it.
+    A path is its data: it stores no Holder exponent (`holder_norms` takes one).
     """
 
-    __slots__ = ("times", "values", "step_areas", "alpha", "_prefix")
+    __slots__ = ("times", "values", "step_areas", "_prefix")
 
-    def __init__(self, times, values, step_areas=None, alpha=0.5):
+    def __init__(self, times, values, step_areas=None):
         times = np.array(times, dtype=float)
         values = np.array(values, dtype=float)
         if times.ndim != 1 or times.size < 2:
@@ -169,7 +169,6 @@ class GridRoughPath:
                     f"step_areas must have shape {(n, ell, ell)}, got {step_areas.shape}"
                 )
             step_areas = _antisymmetric_part(step_areas, "step areas")
-        alpha = _check_alpha(alpha)
         # prefix[r, j, k] is the (j, k) Chen area of the polygon over the first r
         # steps plus step_areas[:r, j, k], one cumsum per pair j != k, so no
         # (n, ell, ell) temporary is built; computing the lower triangle rather
@@ -192,7 +191,6 @@ class GridRoughPath:
         self.times = times
         self.values = values
         self.step_areas = step_areas
-        self.alpha = alpha
         self._prefix = prefix
 
     @property
@@ -225,17 +223,17 @@ class GridRoughPath:
         return RoughIncrement(*self._spans(i, j))
 
     def __repr__(self):
-        return f"GridRoughPath(n={self.n}, ell={self.ell}, alpha={self.alpha})"
+        return f"GridRoughPath(n={self.n}, ell={self.ell})"
 
 
-def lift_piecewise_linear(times, values, alpha=0.5) -> GridRoughPath:
+def lift_piecewise_linear(times, values) -> GridRoughPath:
     """Canonical lift of a sampled path: every step area is zero.
 
     A straight segment sweeps no area relative to its own chord, so the full
     second level of each step is exactly 0.5 * outer(dx, dx); areas over wider
     intervals arise purely from Chen composition.
     """
-    return GridRoughPath(times, values, None, alpha)
+    return GridRoughPath(times, values)
 
 
 def _factor(factor, what):
@@ -264,7 +262,7 @@ def refine(path: GridRoughPath, factor: int) -> GridRoughPath:
     inner = v[:-1, None, :] + frac[None, :, None] * dx[:, None, :]
     new_values = np.vstack([inner.reshape(-1, path.ell), v[-1][None, :]])
     new_areas = np.repeat(path.step_areas / factor, factor, axis=0)
-    return GridRoughPath(new_times, new_values, new_areas, path.alpha)
+    return GridRoughPath(new_times, new_values, new_areas)
 
 
 def coarsen(path: GridRoughPath, factor: int) -> GridRoughPath:
@@ -280,7 +278,7 @@ def coarsen(path: GridRoughPath, factor: int) -> GridRoughPath:
         return path
     ends = np.arange(0, path.n + 1, factor)
     _, areas = path._spans(ends[:-1], ends[1:])
-    return GridRoughPath(path.times[ends], path.values[ends], areas, path.alpha)
+    return GridRoughPath(path.times[ends], path.values[ends], areas)
 
 
 def circle_samples(n, turns=1.0):
@@ -296,8 +294,8 @@ def sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     Draws n_coarse * n_fine Gaussian steps over [0, horizon], each with
     variance equal to the step length; this is the package's one Brownian
     draw.  Every step area is zero, so all area comes from Chen composition.
-    Deterministic given the seed; alpha is 0.4.  A seed that is not an integer
-    >= 0 raises InvalidParameter.
+    Deterministic given the seed.  A seed that is not an integer >= 0 raises
+    InvalidParameter.
     """
     ell, n_coarse, n_fine = count(ell, "ell"), count(n_coarse, "n_coarse"), count(n_fine, "n_fine")
     horizon = positive(horizon, "horizon")
@@ -305,7 +303,7 @@ def sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     n = n_coarse * n_fine
     steps = rng.standard_normal((n, ell)) * np.sqrt(horizon / n)
     values = np.vstack([np.zeros(ell), np.cumsum(steps, axis=0)])
-    return GridRoughPath(np.linspace(0.0, horizon, n + 1), values, None, alpha=0.4)
+    return GridRoughPath(np.linspace(0.0, horizon, n + 1), values)
 
 
 def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
@@ -314,8 +312,8 @@ def sample_brownian_lift(ell, n_coarse, n_fine, horizon, seed) -> GridRoughPath:
     `coarsen` of `sample_brownian_fine` by n_fine: each coarse step carries
     the increment and the area that the fine polygon swept over it, taken by
     the Chen inverse of the fine path's prefix sums.  So the coarse path is
-    exactly the fine one seen on the coarse grid, with its alpha of 0.4 and
-    its checks of the arguments.
+    exactly the fine one seen on the coarse grid, with its checks of the
+    arguments.
     """
     return coarsen(sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed), n_fine)
 
@@ -357,7 +355,7 @@ def area_matrix(components, ell):
     return a - np.swapaxes(a, -1, -2)
 
 
-def make_linear_rough_path(v, ell, times, alpha=0.5) -> GridRoughPath:
+def make_linear_rough_path(v, ell, times) -> GridRoughPath:
     """Rough path whose increments are exactly linear in the interval length.
 
     Over any grid interval [s,t] the increment is (v_lin*(t-s), A*(t-s)), with
@@ -376,7 +374,7 @@ def make_linear_rough_path(v, ell, times, alpha=0.5) -> GridRoughPath:
     with np.errstate(over="ignore", invalid="ignore"):  # GridRoughPath rejects the overflow
         values = np.outer(times - times[0], v_lin)
         step_areas = a_mat[None, :, :] * np.diff(times)[:, None, None]
-    return GridRoughPath(times, values, step_areas, alpha)
+    return GridRoughPath(times, values, step_areas)
 
 
 @dataclass(frozen=True)
@@ -388,15 +386,13 @@ class HolderNorms:
     holder2: float
 
 
-def holder_norms(path: GridRoughPath, alpha=None) -> HolderNorms:
+def holder_norms(path: GridRoughPath, alpha) -> HolderNorms:
     """Grid estimates of sup |X|, the level-1 alpha-Holder norm and the
-    level-2 (2*alpha)-Holder norm.
+    level-2 (2*alpha)-Holder norm, for the caller's exponent alpha in (0, 1).
 
     All pairs of grid points are scanned, so these are lower bounds of the
     true suprema; O(n^2) work, intended for desk-scale grids.
     """
-    if alpha is None:
-        alpha = path.alpha
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidParameter("alpha must lie in (0, 1)")
@@ -437,8 +433,10 @@ def read_path_csv(file, alpha=0.5) -> GridRoughPath:
 
     The header must be exactly t,X1..Xl or t,X1..Xl,A12,A13,..; without area
     columns the result is the piecewise-linear lift of the sampled values.
-    alpha is not stored in the file and must be supplied by the caller.
+    alpha is inert: a path carries no exponent, so it is checked by `_check_alpha`
+    and changes nothing.  The benchmark passes it; ROADMAP item 1 removes it.
     """
+    _check_alpha(alpha)
     header, data = io.read_table(file)
     ell = sum(name.startswith("X") for name in header)
     with_areas = len(header) > 1 + ell
@@ -447,4 +445,4 @@ def read_path_csv(file, alpha=0.5) -> GridRoughPath:
             f"{file}:1: header must be t,X1..Xl[,A12,A13,...], got {','.join(header)!r}"
         )
     step_areas = area_matrix(data[1:, 1 + ell :], ell) if with_areas else None
-    return GridRoughPath(data[:, 0], data[:, 1 : 1 + ell], step_areas, alpha)
+    return GridRoughPath(data[:, 0], data[:, 1 : 1 + ell], step_areas)

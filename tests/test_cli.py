@@ -1111,17 +1111,20 @@ class TestUsage:
         "argv, needle",
         [
             (["lift", "--driver", "file", "--out", "{tmp}/p.csv"], "--samples"),
-            (["lift", "--driver", "brownian", "--alpha", "0.5", "--out", "{tmp}/p.csv"], "0.4"),
-            # the rule is the driver's, so a config that sets the two keys meets it too
-            (["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.alpha=0.5",
-              "--out-dir", "{tmp}/out"], "0.4"),
+            # a path stores no Holder exponent, so no driver takes one, as a flag or a key
+            (["lift", "--driver", "circle", "--n", "4", "--alpha", "0.4", "--out", "{tmp}/p.csv"],
+             "unrecognized arguments: --alpha 0.4"),
+            (["lift", "--driver", "brownian", "--alpha", "0.4", "--out", "{tmp}/p.csv"],
+             "unrecognized arguments: --alpha 0.4"),
+            (["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.alpha=0.4",
+              "--out-dir", "{tmp}/out"], "unknown config key driver.alpha"),
         ],
-        ids=["file_without_samples", "brownian_alpha", "reconstruct_brownian_alpha"],
+        ids=["file_without_samples", "lift_alpha", "brownian_lift_alpha", "brownian_alpha_key"],
     )
     def test_lift_flags_that_do_not_fit_are_usage_error(self, argv, needle, capsys, tmp_path):
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 64 and out == ""
-        assert err.startswith("usage error:") and needle in err
+        assert err.startswith("usage error:") and err.count("\n") == 1 and needle in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -1327,7 +1330,7 @@ RULED_BAD = [
     "experiment.method=bogus", "driver.kind=bogus", "points.mode=bogus", "schedule.kind=bogus",
     "driver.n=0", "driver.ell=0", "driver.n_seeds=0", "driver.n_coarse=-1", "driver.n_fine=2.5",
     "points.c_max=0", "points.n_trials=0", "schedule.n=0", "schedule.levels=0",
-    "solver.n_internal=0", "solver.n_sub=x", "driver.horizon=nan", "driver.alpha=0.9",
+    "solver.n_internal=0", "solver.n_sub=x", "driver.horizon=nan",
 ]
 
 
@@ -1338,6 +1341,7 @@ class TestConfigKeys:
             ("[schedule]\nkind = uniform\nnn = 4\n", "schedule.nn"),
             ("[drivers]\nkind = circle\n", "drivers.kind"),
             ("[DEFAULT]\nseed = 3\n[driver]\nkind = circle\n", "DEFAULT.seed"),
+            ("[driver]\nkind = circle\nalpha = 0.4\n", "driver.alpha"),
         ],
     )
     def test_unknown_key_in_file_is_usage_error(self, ini, key, capsys, tmp_path):
@@ -1349,7 +1353,7 @@ class TestConfigKeys:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "convergence"])
-    @pytest.mark.parametrize("override", ["schedule.nn=4", "DEFAULT.seed=3"])
+    @pytest.mark.parametrize("override", ["schedule.nn=4", "DEFAULT.seed=3", "driver.alpha=0.4"])
     def test_unknown_key_in_set_is_usage_error(self, command, override, capsys, tmp_path):
         out = ["--out-dir", str(tmp_path / "out")] if command == "reconstruct" else [
             "--out", str(tmp_path / "conv.csv")]
@@ -1490,7 +1494,6 @@ MIRROR_BAD = {
     "--n-fine": ("-2", "integer >= 1"),
     "--horizon": ("nan", "finite and > 0"),
     "--v": ("x", "cannot parse vector"),
-    "--alpha": ("0.9", "(1/3, 1/2]"),
     "--points": ("1,x", "cannot parse vector"),
     "--c-max": ("0", "integer >= 1"),
     "--n-trials": ("0", "integer >= 1"),
@@ -1542,3 +1545,38 @@ class TestMirroredFlags:
             assert action.default == default, (name, action.dest)
             seen.add(name)
         assert seen == set(_commands())
+
+
+class TestInertAlpha:
+    """The --alpha of solve and observe, which the benchmark passes: checked, then ignored."""
+
+    ARGV = {
+        "solve": ["--system", "unicycle", "--path", "{tmp}/path.csv", "--method", "euler2"],
+        "observe": ["--system", "unicycle", "--path", "{tmp}/path.csv",
+                    "--intervals", "0,0.5;0.25,1", "--n-sub", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_alpha_changes_no_byte(self, command, capsys, tmp_path):
+        run(capsys, "lift", "--driver", "brownian", "--seed", "3", "--n-coarse", "16",
+            "--n-fine", "2", "--out", str(tmp_path / "path.csv"))
+        argv = [arg.format(tmp=tmp_path) for arg in self.ARGV[command]]
+        outs = []
+        for name, alpha in (("plain.csv", []), ("alpha.csv", ["--alpha", "0.4"])):
+            code, out, err = run(capsys, command, *argv, *alpha, "--out", str(tmp_path / name))
+            assert code == 0, err
+            outs.append(out.replace(name, "OUT"))
+        assert outs[0] == outs[1]
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "alpha.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_bad_alpha_is_rejected_before_any_work(self, command, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work began before --alpha was checked")
+
+        monkeypatch.setattr(cli.roughpath, "read_path_csv", fail)
+        argv = [arg.format(tmp=tmp_path) for arg in self.ARGV[command]]
+        code, out, err = run(capsys, command, *argv, "--alpha", "0.9", "--out", str(tmp_path / "o.csv"))
+        assert code == 64 and out == ""
+        assert err == "usage error: argument --alpha: alpha must lie in (1/3, 1/2], got 0.9\n"
+        assert list(tmp_path.iterdir()) == []

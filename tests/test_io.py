@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import OVERFLOW_LIFTS
 from rdeinv.cli import main
-from rdeinv.errors import InvalidParameter, RdeinvError
+from rdeinv.errors import DimensionMismatch, InvalidParameter, RdeinvError
 from rdeinv.io import _BLOCK, numbered, read_table, write_table
 from rdeinv.rde import ObservationSet, Trajectory, read_trajectory_csv, write_trajectory_csv
 from rdeinv.reconstruct import read_observations_csv, write_observations_csv
@@ -53,7 +53,7 @@ def grid_paths(draw):
     n = draw(st.integers(1, 5))
     comps = matrix(draw, n, ell * (ell - 1) // 2, areas)
     return GridRoughPath(
-        strictly_increasing(draw, n + 1), matrix(draw, n + 1, ell), area_matrix(comps, ell), 0.4
+        strictly_increasing(draw, n + 1), matrix(draw, n + 1, ell), area_matrix(comps, ell)
     )
 
 
@@ -63,7 +63,7 @@ def test_path_csv_roundtrip_bitwise(path):
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "path.csv"
         write_path_csv(path, file)
-        back = read_path_csv(file, alpha=0.4)
+        back = read_path_csv(file)
     for attr in ("times", "values", "step_areas"):
         assert same_bits(getattr(back, attr), getattr(path, attr)), attr
 
@@ -126,6 +126,39 @@ def test_repeated_interval_is_rejected_before_the_file_opens(tmp_path):
     with pytest.raises(InvalidParameter, match="repeated"):
         write_observations_csv([obs, obs], file)
     assert not file.exists()
+
+
+def test_base_points_of_another_width_are_rejected_before_the_file_opens(tmp_path):
+    # one header names one state dimension, so sets of two widths cannot share a file
+    sets = [ObservationSet(np.zeros((1, 2)), 0.0, 0.5, np.ones((1, 2))),
+            ObservationSet(np.zeros((2, 3)), 0.5, 1.0, np.ones((2, 3)))]
+    file = tmp_path / "obs.csv"
+    file.write_text("kept\n")
+    with pytest.raises(DimensionMismatch, match="width 3 after 2"):
+        write_observations_csv(sets, file)
+    assert file.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "header, data",
+    [(["a", "b"], np.ones((3, 3))), (["a"], np.ones((3, 3))), (["a", "b"], np.ones(2)),
+     (["a", "b"], np.ones((2, 2, 2))), (["a", "b", "c"], [[1.0, 2.0]])],
+    ids=["wider", "one_column", "one_dimensional", "three_dimensional", "narrower"],
+)
+def test_write_table_rejects_another_width_before_the_file_opens(tmp_path, header, data):
+    file = tmp_path / "table.csv"
+    file.write_text("kept\n")
+    with pytest.raises(DimensionMismatch, match=f"{len(header)} column names"):
+        write_table(file, header, data)
+    assert file.read_text() == "kept\n"
+
+
+def test_write_table_of_no_rows_writes_the_header(tmp_path):
+    # any empty body is no rows, whatever its shape, as before the width check
+    for data in ([], np.ones((0, 3)), np.ones((0, 1))):
+        file = tmp_path / "table.csv"
+        write_table(file, ["a", "b"], data)
+        assert file.read_text() == "a,b\n"
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +369,6 @@ method = taylor
 [driver]
 kind = file
 file = {path}
-alpha = 0.5
 [points]
 points = 1,0,0,0,1,0,0,0,1
 [schedule]

@@ -1,5 +1,6 @@
 """Tests for the rough path algebra: Chen composition, lifts, norms, CSV I/O."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -153,8 +154,15 @@ class TestGridRoughPath:
             GridRoughPath([0.0, 0.0], np.zeros((2, 1)))
         with pytest.raises(InvalidGrid):
             GridRoughPath([0.0, 1.0], np.zeros((3, 1)))
-        with pytest.raises(InvalidParameter):
-            GridRoughPath([0.0, 1.0], np.zeros((2, 1)), alpha=0.7)
+
+    def test_a_path_is_its_data(self):
+        # no stored Holder exponent: the constructor, the slots and the repr carry none
+        assert list(inspect.signature(GridRoughPath).parameters) == ["times", "values", "step_areas"]
+        path = sample_brownian_lift(2, 2, 2, 1.0, seed=0)
+        assert GridRoughPath.__slots__ == ("times", "values", "step_areas", "_prefix")
+        assert repr(path) == "GridRoughPath(n=2, ell=2)"
+        with pytest.raises(TypeError):
+            GridRoughPath([0.0, 1.0], np.zeros((2, 1)), None, 0.4)
 
     @pytest.mark.parametrize(
         "times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.0, 1.0], [np.nan] * 3]
@@ -352,7 +360,6 @@ class TestBrownian:
             again = coarsen(sample_brownian_fine(ell, n_coarse, n_fine, horizon, seed), n_fine)
             for attr in ("times", "values", "step_areas"):
                 assert getattr(coarse, attr).tobytes() == getattr(again, attr).tobytes(), attr
-            assert coarse.alpha == again.alpha
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     @pytest.mark.parametrize("sampler", [sample_brownian_lift, sample_brownian_fine])
@@ -412,9 +419,6 @@ class TestBrownian:
                 with pytest.raises(InvalidParameter, match="horizon must be finite and > 0"):
                     sample(2, 4, 2, horizon, 0)
 
-    def test_alpha_default(self):
-        assert sample_brownian_lift(2, 2, 2, 1.0, seed=0).alpha == 0.4
-
 
 class TestMakeLinear:
     def test_null_vector_gives_null_path(self):
@@ -469,7 +473,7 @@ class TestHolderNorms:
     def test_constant_path(self):
         values = np.tile([2.0, -1.0], (5, 1))
         path = lift_piecewise_linear(np.linspace(0, 1, 5), values)
-        norms = holder_norms(path)
+        norms = holder_norms(path, 0.5)
         assert norms.sup_norm == pytest.approx(np.sqrt(5.0))
         assert norms.holder1 == 0.0
         assert norms.holder2 == 0.0
@@ -485,10 +489,20 @@ class TestHolderNorms:
     def test_monotone_under_refinement(self):
         coarse = lift_piecewise_linear(*circle_samples(64))
         fine = lift_piecewise_linear(*circle_samples(128))
-        a, b = holder_norms(coarse), holder_norms(fine)
+        a, b = holder_norms(coarse, 0.5), holder_norms(fine, 0.5)
         assert b.sup_norm >= 0.95 * a.sup_norm
         assert b.holder1 >= 0.95 * a.holder1
         assert b.holder2 >= 0.95 * a.holder2
+
+    def test_exponent_is_required_and_in_the_unit_interval(self):
+        path = lift_piecewise_linear(np.linspace(0.0, 1.0, 9), circle_samples(8)[1])
+        with pytest.raises(TypeError):
+            holder_norms(path)
+        for alpha in (0.0, 1.0, -0.5, np.nan):
+            with pytest.raises(InvalidParameter, match=r"alpha must lie in \(0, 1\)"):
+                holder_norms(path, alpha)
+        # any exponent in (0, 1) is the caller's; on steps shorter than 1 a larger one weighs more
+        assert holder_norms(path, 0.9).holder1 > holder_norms(path, 0.2).holder1
 
 
 class TestPathCsv:
@@ -496,7 +510,7 @@ class TestPathCsv:
         path = sample_brownian_lift(3, 6, 4, 1.5, seed=13)
         file = tmp_path / "path.csv"
         write_path_csv(path, file)
-        back = read_path_csv(file, alpha=0.4)
+        back = read_path_csv(file)
         assert np.array_equal(back.times, path.times)
         assert np.array_equal(back.values, path.values)
         assert np.array_equal(back.step_areas, path.step_areas)
@@ -515,6 +529,17 @@ class TestPathCsv:
         path = read_path_csv(file)
         assert np.all(path.step_areas == 0)
         np.testing.assert_array_equal(path.values, [[0.0, 0.0], [1.0, 2.0]])
+
+    def test_alpha_is_checked_and_inert(self, tmp_path):
+        # read_path_csv keeps the alpha the benchmark passes: checked, then ignored
+        file = tmp_path / "path.csv"
+        write_path_csv(sample_brownian_lift(2, 8, 2, 1.0, seed=4), file)
+        plain, given = read_path_csv(file), read_path_csv(file, 0.4)
+        for attr in ("times", "values", "step_areas"):
+            assert getattr(given, attr).tobytes() == getattr(plain, attr).tobytes(), attr
+        for alpha in (0.9, 1.0 / 3.0, np.nan):
+            with pytest.raises(InvalidParameter, match=r"alpha must lie in \(1/3, 1/2\]"):
+                read_path_csv(file, alpha)
 
     def test_malformed_header(self, tmp_path):
         file = tmp_path / "bad.csv"
@@ -590,7 +615,7 @@ def rough_paths(draw, min_steps=1):
     n_comps = n * ell * (ell - 1) // 2
     comps = np.array(draw(st.lists(moderate, min_size=n_comps, max_size=n_comps)))
     areas = area_matrix(comps.reshape(n, -1), ell)
-    return GridRoughPath(times, values.reshape(n + 1, ell), areas, 0.4)
+    return GridRoughPath(times, values.reshape(n + 1, ell), areas)
 
 
 def roundoff(path):
