@@ -177,6 +177,8 @@ _CONFIG = {
     ("schedule", "n"): ("n_intervals", _rule(count, int), 8),
     ("schedule", "levels"): ("levels", _rule(count, int), 5),
     ("schedule", "intervals"): ("intervals", _parse_intervals, None),
+    # observation only: each grid step is n_internal equal Chen pieces, taken as one log-ODE
+    # step of n_internal * n_sub substeps (bitwise n_internal steps when it is a power of two)
     ("solver", "n_internal"): ("n_internal", _rule(partial(_at_most, MAX_SUBSTEPS), int), 1),
     ("solver", "n_sub"): ("n_sub", _rule(partial(_at_most, MAX_SUBSTEPS), int), rde.N_SUB),
     ("output", "dir"): ("out_dir", str, "out"),
@@ -230,6 +232,8 @@ def _build_driver(ns, seed) -> roughpath.GridRoughPath:
     if ns.driver == "brownian":
         return roughpath.sample_brownian_lift(ns.ell, ns.n_coarse, ns.n_fine, ns.horizon, seed)
     if ns.driver == "circle":
+        if ns.ell != 2:
+            raise UsageError(f"a circle driver has 2 channels, not driver.ell = {ns.ell}")
         return roughpath.lift_piecewise_linear(*roughpath.circle_samples(ns.n))
     if ns.driver == "linear":
         if ns.v is None:
@@ -320,8 +324,7 @@ def _experiment(cfg, system, paths, pairs, points):
     of each recovery from its path's true increment, as flat lists, path-major:
     entry p * len(pairs) + q belongs to paths[p] over pairs[q].
     """
-    observed = rde.observe_flows(system.fields, points, paths, pairs, cfg.n_internal, cfg.n_sub)
-    obs_list = [obs for row in observed for obs in row]
+    obs_list = rde.observe_flows(system.fields, points, paths, pairs, cfg.n_internal * cfg.n_sub)
     results = _recover(cfg, system, obs_list)
     truths = (path.increment(i, j) for path in paths for i, j in pairs)
     errors = [(np.linalg.norm(res.a_hat - truth.x), np.linalg.norm(res.b_hat - truth.a))
@@ -388,8 +391,8 @@ def cmd_observe(args):
     pairs = _grid_pairs(path, args.intervals)
     if not pairs:
         raise UsageError("--intervals is required, e.g. '0,0.5;0.5,1'")
-    [obs_list] = rde.observe_flows(system.fields, points, [path], pairs,
-                                   args.n_internal, args.n_sub)
+    n_sub = args.n_internal * args.n_sub
+    obs_list = rde.observe_flows(system.fields, points, [path], pairs, n_sub)
     reconstruct.write_observations_csv(obs_list, args.out)
     print(json.dumps({"written": args.out, "intervals": len(obs_list), "c": len(points)}))
     return EXIT_OK

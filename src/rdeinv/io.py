@@ -37,6 +37,8 @@ def numbered(prefix, n):
 def write_table(file, header, data):
     """Write `header` and the rows of the 2-d array `data` (one column per name).  Rows
     of another width raise DimensionMismatch before the file opens."""
+    if not isinstance(data, np.ndarray) and len({np.shape(row) for row in data}) > 1:
+        raise DimensionMismatch(f"{len(header)} column names for rows of mixed widths")
     data = np.asarray(data, dtype=float)
     if len(data) and data.shape[1:] != (len(header),):
         raise DimensionMismatch(f"{len(header)} column names for data of shape {data.shape}")

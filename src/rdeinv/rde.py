@@ -12,7 +12,8 @@ run, `_euler2_states` or `_logode_states`, over the stacks of every grid step,
 built before it; `euler2_step` and `logode_step` are one checked step of it.
 `solve` keeps every grid state of one start; flow observation stacks every
 base point, driver path and observation interval into one log-ODE run and
-keeps the states at the interval ends.  All functions are pure.
+returns the states at the interval ends as one flat list, path-major.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def solve(V: VectorFieldSet, x0, path: GridRoughPath, method="logode", n_sub=N_S
     return Trajectory(path.times.copy(), np.vstack([x0, steps]))
 
 
-def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N_SUB):
+def observe_flows(V: VectorFieldSet, points, paths, pairs, n_sub=N_SUB):
     """Flow images of the base points over [t_i, t_j], for every path and every (i, j) in pairs.
 
     Every (path, start, base point) triple is one row of a single stack, and
@@ -257,17 +258,14 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N
     any start, length and order cost one run over the longest.  Intervals
     that share a start share their rows; the states are kept at each interval
     end, and a row past its last end takes exact zero increments, which carry
-    its state unchanged.  Every grid step is n_internal equal Chen pieces of
-    one autonomous log-ODE, so it is taken as one log-ODE step with
-    n_internal * n_sub RK4 substeps: n_internal multiplies n_sub.  For a
-    power-of-two n_internal every scaling is exact and the result is bitwise
-    that of n_internal separate steps; other values may differ from that in
-    the last bits.  By default n_internal is 1 and n_sub is N_SUB, the
-    substeps of `solve`, so the image of x0 over [t_0, t_j] is bitwise solve's
-    state j.  Both must be integers >= 1; base points not of width d raise
-    DimensionMismatch and non-finite ones InvalidParameter, before any step.
+    its state unchanged.  Every grid step takes n_sub RK4 substeps, by default
+    N_SUB, the substeps of `solve`, so the image of x0 over [t_0, t_j] is
+    bitwise solve's state j.  n_sub must be an integer >= 1; base points not
+    of width d raise DimensionMismatch and non-finite ones InvalidParameter,
+    before any step.
 
-    Returns out[p][q], the ObservationSet of paths[p] over pairs[q].
+    Returns one flat list, path-major: entry p * len(pairs) + q is the
+    ObservationSet of paths[p] over pairs[q].
     """
     paths, pairs = list(paths), list(pairs)
     if not paths or not pairs:
@@ -277,7 +275,7 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N
             path._check_span(i, j)
         if path.ell != V.ell:
             raise DimensionMismatch(f"path has ell={path.ell} but the field set has ell={V.ell}")
-    n_internal, n_sub = count(n_internal, "n_internal"), count(n_sub, "n_sub")
+    n_sub = count(n_sub, "n_sub")
     points = np.atleast_2d(V._states(points, "base points"))
     c = len(points)
     lengths = {}  # start -> steps up to its last end, in order of first appearance
@@ -295,26 +293,21 @@ def observe_flows(V: VectorFieldSet, points, paths, pairs, n_internal=1, n_sub=N
     coef = np.repeat(coef.reshape(span, -1, 1 + V.ell, V.ell), c, axis=1)
     z = np.tile(points, (len(paths) * len(lengths), 1))
     ends = {j - i for i, j in pairs}
-    steps = enumerate(_logode_states(V, z, coef, n_internal * n_sub), 1)
+    steps = enumerate(_logode_states(V, z, coef, n_sub), 1)
     at_step = {s: zs.reshape(len(paths), len(lengths), c, V.d) for s, zs in steps if s in ends}
     starts = list(lengths)
     return [
-        [
-            ObservationSet(
-                points, float(path.times[i]), float(path.times[j]),
-                at_step[j - i][p, starts.index(i)],
-            )
-            for i, j in pairs
-        ]
+        ObservationSet(points, float(path.times[i]), float(path.times[j]),
+                       at_step[j - i][p, starts.index(i)])
         for p, path in enumerate(paths)
+        for i, j in pairs
     ]
 
 
-def observe_flow(
-    V: VectorFieldSet, points, path: GridRoughPath, i, j, n_internal=1, n_sub=N_SUB
-) -> ObservationSet:
-    """Flow images of the base points over [t_i, t_j]; see `observe_flows`."""
-    return observe_flows(V, points, [path], [(i, j)], n_internal, n_sub)[0][0]
+def observe_flow(V: VectorFieldSet, points, path, i, j, n_internal=1, n_sub=N_SUB):
+    """`observe_flows` of one path over [t_i, t_j], taking n_internal * n_sub substeps."""
+    n_sub = count(n_internal, "n_internal") * count(n_sub, "n_sub")
+    return observe_flows(V, points, [path], [(i, j)], n_sub)[0]
 
 
 def write_trajectory_csv(traj: Trajectory, file):

@@ -215,12 +215,10 @@ def test_ac5_reconstruction_order():
         sample_brownian_fine(2, 8, n_total // 8, horizon, seed=1000 + seed) for seed in range(50)
     ]
     # every seed's log-ODE solution (one RK4 substep per grid step) in one lockstep run
-    observed = observe_flows(
-        sys_.fields, base, b_paths, [(0, j) for j in ends], n_internal=1, n_sub=1
-    )
-    for b_fine, obs_list in zip(b_paths, observed):
+    observed = observe_flows(sys_.fields, base, b_paths, [(0, j) for j in ends], n_sub=1)
+    for p, b_fine in enumerate(b_paths):
         errs = []
-        for j, obs in zip(ends, obs_list):
+        for j, obs in zip(ends, observed[p * len(ends):]):
             inc = b_fine.increment(0, j)
             res = local_reconstruct_taylor(sys_.fields, obs)
             errs.append(

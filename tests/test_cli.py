@@ -1118,8 +1118,14 @@ class TestUsage:
              "unrecognized arguments: --alpha 0.4"),
             (["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.alpha=0.4",
               "--out-dir", "{tmp}/out"], "unknown config key driver.alpha"),
+            # a circle has two channels, whatever count is asked for
+            (["lift", "--driver", "circle", "--n", "4", "--ell", "5", "--out", "{tmp}/p.csv"],
+             "a circle driver has 2 channels, not driver.ell = 5"),
+            (["reconstruct", "--system", "rolling_ball", "--set", "driver.ell=3",
+              "--out-dir", "{tmp}/out"], "a circle driver has 2 channels, not driver.ell = 3"),
         ],
-        ids=["file_without_samples", "lift_alpha", "brownian_lift_alpha", "brownian_alpha_key"],
+        ids=["file_without_samples", "lift_alpha", "brownian_lift_alpha", "brownian_alpha_key",
+             "circle_ell", "circle_ell_key"],
     )
     def test_lift_flags_that_do_not_fit_are_usage_error(self, argv, needle, capsys, tmp_path):
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))

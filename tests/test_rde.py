@@ -119,7 +119,9 @@ class TestLogodeStep:
         with pytest.raises(InvalidParameter):
             logode_step(sys.fields, np.zeros(1), RoughIncrement([1.0]), n_sub=0)
 
-    @pytest.mark.parametrize("entry", ["logode_step", "solve", "observe_flows", "n_internal"])
+    @pytest.mark.parametrize(
+        "entry", ["logode_step", "solve", "observe_flows", "observe_flow", "n_internal"]
+    )
     @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, 0, True, "4"])
     def test_step_counts_must_be_integers(self, entry, value):
         # no truncation of 2.5 to 2 substeps, and no bare ValueError or OverflowError
@@ -129,8 +131,9 @@ class TestLogodeStep:
         run = {
             "logode_step": lambda n: logode_step(V, np.zeros(3), inc, n),
             "solve": lambda n: solve(V, np.zeros(3), path, n_sub=n),
-            "observe_flows": lambda n: observe_flows(V, np.zeros(3), [path], [(0, 2)], 2, n),
-            "n_internal": lambda n: observe_flows(V, np.zeros(3), [path], [(0, 2)], n, 2),
+            "observe_flows": lambda n: observe_flows(V, np.zeros(3), [path], [(0, 2)], n),
+            "observe_flow": lambda n: observe_flow(V, np.zeros(3), path, 0, 2, 2, n),
+            "n_internal": lambda n: observe_flow(V, np.zeros(3), path, 0, 2, n, 2),
         }[entry]
         name = "n_internal" if entry == "n_internal" else "n_sub"
         with pytest.raises(InvalidParameter, match=f"{name} must be an integer >= 1"):
@@ -400,7 +403,7 @@ class TestSolve:
         path = sample_brownian_lift(V.ell, 64, 4, 1.0, seed=10)
         traj = solve(V, x0, path, method="logode", n_sub=4)
         ends = [1, 7, 32, 64]
-        [row] = observe_flows(V, x0, [path], [(0, j) for j in ends], n_internal=1, n_sub=4)
+        row = observe_flows(V, x0, [path], [(0, j) for j in ends], n_sub=4)
         for j, obs in zip(ends, row):
             np.testing.assert_array_equal(obs.observed[0], traj.states[j])
 
@@ -570,10 +573,10 @@ class TestOneStepOrder:
             sample_brownian_fine(2, 8, n_total // 8, horizon, seed=seed) for seed in range(50)
         ]
         # all 50 reference solutions (log-ODE, one RK4 substep per grid step) in lockstep
-        refs = observe_flows(sys.fields, x0, paths, [(0, j) for j in ends], n_internal=1, n_sub=1)
-        for fine, ref in zip(paths, refs):
+        refs = observe_flows(sys.fields, x0, paths, [(0, j) for j in ends], n_sub=1)
+        for p, fine in enumerate(paths):
             e_euler, e_logode = [], []
-            for j, obs in zip(ends, ref):
+            for j, obs in zip(ends, refs[p * len(ends):]):
                 inc = fine.increment(0, j)
                 truth = obs.observed[0]
                 e_euler.append(np.linalg.norm(euler2_step(sys.fields, x0, inc) - truth))
@@ -633,10 +636,10 @@ class TestObserveFlow:
         paths = [sample_brownian_lift(2, 16, 4, 1.0, seed=s) for s in (1, 2, 3)]
         ends = [12, 4, 7]
         pairs = [(2, j) for j in ends]
-        got = observe_flows(sys.fields, points, paths, pairs, n_internal=2, n_sub=2)
-        assert len(got) == 3 and all(len(row) == 3 for row in got)
-        for path, row in zip(paths, got):
-            for j, obs in zip(ends, row):
+        got = observe_flows(sys.fields, points, paths, pairs, n_sub=4)
+        assert len(got) == 9
+        for p, path in enumerate(paths):
+            for j, obs in zip(ends, got[3 * p:]):
                 want = observe_flow(sys.fields, points, path, 2, j, n_internal=2, n_sub=2)
                 assert (obs.s, obs.t) == (want.s, want.t)
                 np.testing.assert_array_equal(obs.base_points, want.base_points)
@@ -656,10 +659,10 @@ class TestObserveFlow:
             paths = [sample_brownian_lift(sys.fields.ell, 16, 4, horizon, seed=s) for s in (4, 5)]
             # out of order, overlapping, nested, repeated and sharing starts
             pairs = [(9, 16), (0, 3), (2, 11), (0, 16), (5, 6), (2, 4), (9, 16), (14, 15)]
-            got = observe_flows(sys.fields, points, paths, pairs, n_internal=2, n_sub=2)
-            assert len(got) == 2 and all(len(row) == len(pairs) for row in got)
-            for path, row in zip(paths, got):
-                for (i, j), obs in zip(pairs, row):
+            got = observe_flows(sys.fields, points, paths, pairs, n_sub=4)
+            assert len(got) == 2 * len(pairs)
+            for p, path in enumerate(paths):
+                for (i, j), obs in zip(pairs, got[p * len(pairs):]):
                     want = observe_flow(sys.fields, points, path, i, j, n_internal=2, n_sub=2)
                     assert (obs.s, obs.t) == (want.s, want.t) == (path.times[i], path.times[j])
                     np.testing.assert_array_equal(obs.base_points, want.base_points)
@@ -672,10 +675,10 @@ class TestObserveFlow:
         V, points = sys.fields, np.array(sys.recommended_points)
         paths = [sample_brownian_lift(V.ell, 16, 2, 0.5, seed=s) for s in (1, 2)]
         pairs = [(0, 5), (3, 16), (0, 16)]
-        got = observe_flows(V, points, paths, pairs, 8, 4)
-        folded = observe_flows(V, points, paths, pairs, 1, 32)
-        for path, row, ref in zip(paths, got, folded):
-            for (i, j), obs, want in zip(pairs, row, ref):
+        folded = observe_flows(V, points, paths, pairs, 32)
+        for p, path in enumerate(paths):
+            for (i, j), want in zip(pairs, folded[p * len(pairs):]):
+                obs = observe_flow(V, points, path, i, j, 8, 4)
                 np.testing.assert_array_equal(obs.observed, want.observed)
                 z, dx = points, np.diff(path.values, axis=0)
                 for k in range(i, j):
@@ -683,6 +686,35 @@ class TestObserveFlow:
                     for _ in range(8):
                         z = logode_step(V, z, inc, 4)
                 np.testing.assert_array_equal(obs.observed, z)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_flat_path_major_order(self, data):
+        # bitwise: entry p * len(pairs) + q is paths[p] over pairs[q] observed alone,
+        # on the matrix route (rolling_ball) and the RK4 route alike, and observe_flow's
+        # two counts are one substep count, their product
+        builder, horizon = data.draw(st.sampled_from(
+            [(rolling_ball, 1.0), (unicycle, 1.0), (triple_product, 0.05)]))
+        system, rng = builder(), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        V = system.fields
+        n = data.draw(st.integers(1, 8))
+        paths = [sample_brownian_lift(V.ell, n, 2, horizon, seed=int(rng.integers(2**32)))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        ends = st.tuples(st.integers(0, n - 1), st.integers(1, n)).filter(lambda e: e[0] < e[1])
+        pairs = data.draw(st.lists(ends, min_size=1, max_size=5))
+        points = system.recommended_points[0] + 0.1 * rng.uniform(
+            -1.0, 1.0, (data.draw(st.integers(1, 3)), V.d))
+        a, b = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        got = observe_flows(V, points, paths, pairs, a * b)
+        assert len(got) == len(paths) * len(pairs)
+        for p, path in enumerate(paths):
+            for q, (i, j) in enumerate(pairs):
+                obs = got[p * len(pairs) + q]
+                for want in (observe_flow(V, points, path, i, j, 1, a * b),
+                             observe_flow(V, points, path, i, j, a, b)):
+                    assert (obs.s, obs.t) == (want.s, want.t) == (path.times[i], path.times[j])
+                    np.testing.assert_array_equal(obs.base_points, want.base_points)
+                    np.testing.assert_array_equal(obs.observed, want.observed)
 
     @pytest.mark.parametrize("pair", [(0.5, 2.7), (0, 2.0), (True, 3), (np.float64(1), 3)])
     def test_interval_indices_must_be_integers(self, pair):

@@ -473,8 +473,8 @@ def triple_product_intervals():
     sys = triple_product()
     path = sample_brownian_lift(3, 64, 8, 0.05, 0)
     pairs = [(4 * q, 4 * q + 4) for q in range(16)]
-    [obs_list] = observe_flows(sys.fields, np.vstack(sys.recommended_points), [path], pairs, 2, 8)
-    return sys.fields, obs_list
+    points = np.vstack(sys.recommended_points)
+    return sys.fields, observe_flows(sys.fields, points, [path], pairs, 16)
 
 
 def rolling_ball_seeds_by_levels():
@@ -482,8 +482,8 @@ def rolling_ball_seeds_by_levels():
     sys = rolling_ball()
     paths = [sample_brownian_lift(2, 128, 8, 1.0, seed) for seed in range(8)]
     pairs = [(0, 128 >> k) for k in range(4)]
-    observed = observe_flows(sys.fields, np.vstack(sys.recommended_points), paths, pairs, 8, 4)
-    return sys.fields, [obs for row in observed for obs in row]
+    points = np.vstack(sys.recommended_points)
+    return sys.fields, observe_flows(sys.fields, points, paths, pairs, 32)
 
 
 def loop_recovery(V, obs_list, method, **kw):
@@ -576,7 +576,7 @@ class TestReconstructMany:
         points = np.vstack(sys.recommended_points)
         path = sample_brownian_lift(2, 64, 8, 1.0, 5)
         pairs = [(0, 64), (0, 4), (8, 40), (60, 62), (0, 16)]
-        [obs_list] = observe_flows(sys.fields, points, [path], pairs, n_internal=8)
+        obs_list = observe_flows(sys.fields, points, [path], pairs, n_sub=128)
         obs_list.insert(2, ObservationSet(points, 0.0, 1.0, points.copy()))
         for method in ("taylor", "flow"):
             got, _ = batched_recovery(sys.fields, obs_list, method, n_sub=8)
@@ -603,7 +603,7 @@ class TestReconstructMany:
         points = np.vstack(sys.recommended_points)
         path = sample_brownian_lift(sys.fields.ell, 64, 8, 0.5, 11)
         pairs = [(0, 64), (0, 4), (8, 40), (60, 62), (0, 16)]
-        [obs_list] = observe_flows(sys.fields, points, [path], pairs, n_internal=8)
+        obs_list = observe_flows(sys.fields, points, [path], pairs, n_sub=128)
         obs_list.insert(2, ObservationSet(points, 0.0, 1.0, points.copy()))
         got, got_error = batched_recovery(sys.fields, obs_list, method, n_sub=8)
         want, want_error = loop_recovery(sys.fields, obs_list, method, n_sub=8)
@@ -641,8 +641,8 @@ class TestReconstructMany:
         monkeypatch.setattr(reconstruct, "flow_map", recorded)
         sys = triple_product()
         path = sample_brownian_lift(3, 64, 8, 0.5, 2)
-        [obs_list] = observe_flows(
-            sys.fields, np.vstack(sys.recommended_points), [path], [(0, 64)], n_internal=8
+        obs_list = observe_flows(
+            sys.fields, np.vstack(sys.recommended_points), [path], [(0, 64)], n_sub=128
         )
         got, got_error = batched_recovery(sys.fields, obs_list, "flow", n_sub=8)
         _, want_error = loop_recovery(sys.fields, obs_list, "flow", n_sub=8)
@@ -739,8 +739,8 @@ class TestReconstructMany:
         other = expm(0.7 * ROLLING_BALL_A1 - 0.4 * ROLLING_BALL_A2).ravel()[None]
         path = sample_brownian_lift(2, 64, 8, 1.0, 7)
         pairs = [(0, 8), (16, 24), (40, 44)]
-        [ones] = observe_flows(sys.fields, one, [path], pairs, n_internal=8)
-        [others] = observe_flows(sys.fields, other, [path], pairs, n_internal=8)
+        ones = observe_flows(sys.fields, one, [path], pairs, n_sub=128)
+        others = observe_flows(sys.fields, other, [path], pairs, n_sub=128)
         obs_list = [obs for pair in zip(ones, others) for obs in pair]
         calls, point_blocks = [], reconstruct._point_blocks
         monkeypatch.setattr(
@@ -760,7 +760,8 @@ class TestReconstructMany:
         # is the one the first of them gives alone
         sys = rolling_ball()
         one = np.eye(3).ravel()[None]
-        [[good]] = observe_flows(sys.fields, one, [sample_brownian_lift(2, 64, 8, 1.0, 7)], [(0, 8)], 8)
+        path = sample_brownian_lift(2, 64, 8, 1.0, 7)
+        [good] = observe_flows(sys.fields, one, [path], [(0, 8)], 128)
         zeros = [ObservationSet(np.zeros((1, 9)), 0.0, t, np.zeros((1, 9))) for t in (0.5, 1.0)]
         calls, point_blocks = [], reconstruct._point_blocks
         monkeypatch.setattr(
@@ -784,8 +785,8 @@ class TestReconstructMany:
         two = np.vstack([one, expm(0.7 * ROLLING_BALL_A1 - 0.4 * ROLLING_BALL_A2).ravel()])
         path = sample_brownian_lift(2, 64, 8, 1.0, 7)
         pairs = [(0, 64), (0, 8), (16, 48), (40, 44)]
-        [ones] = observe_flows(sys.fields, one, [path], pairs, n_internal=8)
-        [twos] = observe_flows(sys.fields, two, [path], pairs, n_internal=8)
+        ones = observe_flows(sys.fields, one, [path], pairs, n_sub=128)
+        twos = observe_flows(sys.fields, two, [path], pairs, n_sub=128)
         obs_list = [obs for pair in zip(ones, twos) for obs in pair]
         zero = ObservationSet(np.zeros((1, 9)), 0.0, 1.0, np.zeros((1, 9)))
         assert reconstruction_matrix(sys.fields, zero.base_points).rank == 0
