@@ -27,7 +27,7 @@ import json
 import os
 import re
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,7 +55,7 @@ EXIT_USAGE = 64
 
 MAX_SUBSTEPS = 1024  # the ceiling of solver.n_sub and of solver.n_internal
 MAX_POINTS = 256  # the ceiling of points.c_max, the search's rounds
-MAX_SAMPLES = 1 << 22  # the ceiling of the Brownian samples convergence draws over all seeds
+MAX_SAMPLES = 1 << 22  # the ceiling of the samples a driver draws, over every seed
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -155,7 +155,7 @@ _CONFIG = {
     ("experiment", "system"): ("system", str, "rolling_ball"),
     ("experiment", "method"): ("method", _choice("taylor", "flow"), "taylor"),
     ("driver", "kind"): ("driver", _choice("circle", "brownian", "linear", "file"), "circle"),
-    ("driver", "n"): ("n", _rule(count, int), 4096),
+    ("driver", "n"): ("n", _rule(partial(_at_most, MAX_SAMPLES), int), 4096),
     ("driver", "ell"): ("ell", _rule(count, int), None),  # unset: the system's
     ("driver", "seed"): ("seed", _rule(non_negative, int), 0),
     ("driver", "n_seeds"): ("n_seeds", _rule(count, int), 1),
@@ -225,6 +225,15 @@ def _load_config(args):
     if cfg.ell is None:
         cfg.ell = system.fields.ell
     return cfg, system
+
+
+def _check_samples(ns, n_seeds=1):
+    """UsageError when the Brownian drivers of n_seeds seeds draw more than MAX_SAMPLES
+    samples in all: a check before any driver is drawn."""
+    samples = n_seeds * ns.n_coarse * ns.n_fine
+    if ns.driver == "brownian" and samples > MAX_SAMPLES:
+        raise UsageError(f"n_seeds * n_coarse * n_fine = {n_seeds} * {ns.n_coarse} * {ns.n_fine} "
+                         f"= {samples} Brownian samples, above MAX_SAMPLES = {MAX_SAMPLES}")
 
 
 def _build_driver(ns, seed) -> roughpath.GridRoughPath:
@@ -366,6 +375,7 @@ def cmd_lift(args):
         raw = roughpath.read_path_csv(args.samples)
         path = roughpath.lift_piecewise_linear(raw.times, raw.values)
     else:
+        _check_samples(args)
         path = _build_driver(args, args.seed)
     roughpath.write_path_csv(path, args.out)
     print(json.dumps({"written": args.out, "n": path.n, "ell": path.ell}))
@@ -425,6 +435,7 @@ def cmd_reconstruct(args):
         results = _recover(cfg, system, obs_list)
         errors = None
     else:
+        _check_samples(cfg)
         path = _build_driver(cfg, cfg.seed)
         points = _resolve_points(cfg, system, cfg.points_mode)
         pairs = _schedule(cfg, path)
@@ -452,7 +463,8 @@ def cmd_reconstruct(args):
     chain = all(abs(a.t - b.s) < 1e-12 for a, b in zip(obs_list, obs_list[1:]))
     if chain and results:
         times = [obs_list[0].s] + [obs.t for obs in obs_list]
-        stitched = reconstruct.stitch(results, times)
+        segments = [roughpath.RoughIncrement(res.a_hat, res.b_hat) for res in results]
+        stitched = reconstruct.stitch(segments, times)
         stitched_file = os.path.join(cfg.out_dir, "stitched.csv")
         roughpath.write_path_csv(stitched, stitched_file)
         outputs["stitched"] = stitched_file
@@ -478,9 +490,7 @@ def cmd_convergence(args):
         raise UsageError("schedule.kind = uniform: convergence runs the dyadic schedule")
     if cfg.n_seeds > 1 and cfg.driver != "brownian":  # the one driver drawn from a seed
         raise UsageError(f"driver.n_seeds = {cfg.n_seeds}: several seeds need a brownian driver")
-    if cfg.driver == "brownian" and cfg.n_seeds * cfg.n_coarse * cfg.n_fine > MAX_SAMPLES:
-        raise UsageError(f"driver.n_seeds = {cfg.n_seeds}: seeds * n_coarse * n_fine is above "
-                         f"MAX_SAMPLES = {MAX_SAMPLES} Brownian samples")
+    _check_samples(cfg, cfg.n_seeds)
     cfg.schedule_kind = "dyadic"
     paths = [_build_driver(cfg, seed) for seed in range(cfg.seed, cfg.seed + cfg.n_seeds)]
     points = _resolve_points(cfg, system, cfg.points_mode)
@@ -535,7 +545,9 @@ def _key_flags(p, *keys, flag=None, **kwargs):
                        **{"default": default, "help": f"as config key {key}", **kwargs})
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The one parser of the process, built at its first use: parsing leaves it unchanged."""
     parser = _Parser(
         prog="rdeinv",
         description="Solve rough differential equations and recover their drivers "

@@ -37,9 +37,12 @@ def numbered(prefix, n):
 def write_table(file, header, data):
     """Write `header` and the rows of the 2-d array `data` (one column per name).  Rows
     of another width raise DimensionMismatch before the file opens."""
-    if not isinstance(data, np.ndarray) and len({np.shape(row) for row in data}) > 1:
-        raise DimensionMismatch(f"{len(header)} column names for rows of mixed widths")
-    data = np.asarray(data, dtype=float)
+    try:
+        data = np.asarray(data, dtype=float)
+    except ValueError as exc:  # rows of mixed widths or depths
+        if "sequence" not in str(exc):
+            raise
+        raise DimensionMismatch(f"{len(header)} column names for ragged rows") from None
     if len(data) and data.shape[1:] != (len(header),):
         raise DimensionMismatch(f"{len(header)} column names for data of shape {data.shape}")
     row = ",".join([_NUMBER] * len(header)) + "\n"

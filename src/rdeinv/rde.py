@@ -144,10 +144,10 @@ def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=N_SUB):
     uniform substeps.
 
     x is one state (d,) or a stack (N, d) of states stepped in lockstep; inc
-    is one increment shared by every row, or a stack of N increments, one
-    per row.  n_sub must be an integer >= 1.  Fixed substeps keep the result
-    deterministic and reproducible, which the order-of-convergence fits rely
-    on.  Overflow raises NonFinite.  It is one step of `_logode_states`, so each
+    is one increment (x of shape (ell,)) shared by every row, or a stack of N
+    increments (x of shape (N, ell)), one per row.  n_sub must be an integer
+    >= 1.  Fixed substeps keep the result deterministic and reproducible,
+    which the order-of-convergence fits rely on.  Overflow raises NonFinite.  It is one step of `_logode_states`, so each
     row's result is bitwise independent of the stack it rides in.
     """
     x = _check_step(V, x, inc)

@@ -161,12 +161,12 @@ def flow_map(V: VectorFieldSet, points, A, B, n_sub=N_SUB):
     every row's images come from one lockstep log-ODE run, and the result is
     (K, c*d).  (A, B) are checked like a RoughIncrement's.
     """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    one = A.ndim == 1  # a K = 1 stack
-    inc = RoughIncrement.stack(A[None] if one else A, B[None] if one else B)
-    points, k = V._states(np.atleast_2d(points), "base points"), len(inc.x)
-    c = len(points)
-    inc = RoughIncrement.stack(np.repeat(inc.x, c, axis=0), np.repeat(inc.a, c, axis=0))
+    inc = RoughIncrement(A, B)
+    one = inc.x.ndim == 1  # a K = 1 stack
+    x, a = inc.x.reshape(-1, inc.ell), inc.a.reshape(-1, inc.ell, inc.ell)
+    points = V._states(np.atleast_2d(points), "base points")
+    k, c = len(x), len(points)
+    inc = RoughIncrement(np.repeat(x, c, axis=0), np.repeat(a, c, axis=0))
     images = logode_step(V, np.tile(points, (k, 1)), inc, n_sub).reshape(k, -1)
     return images[0] if one else images
 
@@ -475,32 +475,23 @@ def doss_sussmann_1d(V: VectorFieldSet, y, observed):
 
 
 def stitch(segments, times) -> GridRoughPath:
-    """Assemble consecutive local increment estimates into a grid rough path.
+    """Assemble consecutive local increments into a grid rough path.
 
-    segments may be ReconstructionResult or RoughIncrement instances (or
-    (x, a) pairs) on consecutive intervals; times has one more entry.  Path
-    values are anchored at zero; wider increments arise by Chen composition.
+    segments are RoughIncrements of one (x, a) each, on consecutive intervals;
+    times has one more entry.  Path values are anchored at zero; wider
+    increments arise by Chen composition.
     """
-    times = np.asarray(times, dtype=float)
-    pieces = []
-    for seg in segments:
-        if isinstance(seg, ReconstructionResult):
-            pieces.append((seg.a_hat, seg.b_hat))
-        elif isinstance(seg, RoughIncrement):
-            pieces.append((seg.x, seg.a))
-        else:
-            x, a = seg
-            pieces.append((np.asarray(x, dtype=float), np.asarray(a, dtype=float)))
-    if not pieces:
+    segments = list(segments)
+    if not segments:
         raise InvalidParameter("need at least one segment")
-    if times.ndim != 1 or times.size != len(pieces) + 1:
-        raise InvalidGrid(f"need {len(pieces) + 1} grid times for {len(pieces)} segments")
-    ell = pieces[0][0].size
-    if any(x.shape != (ell,) or a.shape != (ell, ell) for x, a in pieces):
-        raise DimensionMismatch("all segments must share the signal dimension")
-    values = np.vstack([np.zeros(ell), np.cumsum([x for x, _ in pieces], axis=0)])
-    areas = np.stack([a for _, a in pieces])
-    return GridRoughPath(times, values, areas)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size != len(segments) + 1:
+        raise InvalidGrid(f"need {len(segments) + 1} grid times for {len(segments)} segments")
+    ell = segments[0].ell
+    if any(seg.x.shape != (ell,) for seg in segments):  # a stack is not one segment
+        raise DimensionMismatch("all segments must be single increments of one signal dimension")
+    values = np.vstack([np.zeros(ell), np.cumsum([seg.x for seg in segments], axis=0)])
+    return GridRoughPath(times, values, np.stack([seg.a for seg in segments]))
 
 
 def search_points(V: VectorFieldSet, box_lo, box_hi, c_max, seed, n_trials=64) -> ReconstructionMatrix:

@@ -4,7 +4,8 @@ An increment is the pair (x, a): the level-1 increment and the antisymmetric
 area swept over one interval.  Only this pair is stored; the full second-level
 tensor  XX = 0.5 * outer(x, x) + a  is materialised on demand, so the
 weak-geometricity constraint (symmetric part equals 0.5 * outer(x, x)) holds
-structurally and cannot be violated.
+structurally and cannot be violated.  `RoughIncrement` is the one spelling of
+an increment: it holds one pair, or a stack of pairs with one per row.
 
 Everything here is immutable after construction and all operations are pure,
 so one path can drive any number of rows of a lockstep batch.  The only
@@ -49,34 +50,23 @@ def _antisymmetric_part(a, context):
 
 
 class RoughIncrement:
-    """Rough-path increment over one interval.
+    """Rough-path increment over one interval, or a stack of them.
 
-    x is the level-1 increment (length ell), a the antisymmetric area matrix.
-    The constructor antisymmetrizes a and rejects inputs whose symmetric part
-    is too large to be round-off.  `RoughIncrement.stack` builds a stack of N
-    increments, x of shape (N, ell) and a of shape (N, ell, ell), that drives
-    the rows of a lockstep log-ODE step one increment each.
+    x is the level-1 increment, of shape (ell,), and a the antisymmetric area
+    matrix (ell, ell); a stack of N increments, x of shape (N, ell) and a of
+    shape (N, ell, ell), drives the rows of a lockstep log-ODE step one
+    increment each.  An absent a is zero.  The constructor antisymmetrizes a
+    and rejects inputs whose symmetric part is too large to be round-off, by
+    the same rule for every row, so row n of a stack is bitwise the increment
+    built from row n alone.
     """
 
     __slots__ = ("x", "a")
 
     def __init__(self, x, a=None):
         x = np.array(x, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise DimensionMismatch("increment x must be a nonempty 1-d vector")
-        self._set(x, a)
-
-    @classmethod
-    def stack(cls, x, a=None):
-        """N increments x (N, ell), a (N, ell, ell), checked like single ones."""
-        x = np.array(x, dtype=float)
-        if x.ndim != 2 or x.size == 0:
-            raise DimensionMismatch(f"a stack of increments needs x of shape (N, ell), got {x.shape}")
-        inc = cls.__new__(cls)
-        inc._set(x, a)
-        return inc
-
-    def _set(self, x, a):
+        if x.ndim not in (1, 2) or x.size == 0:
+            raise DimensionMismatch(f"increment x must have shape (ell,) or (N, ell), got {x.shape}")
         shape = x.shape + x.shape[-1:]
         if a is None:
             a = np.zeros(shape)

@@ -140,7 +140,7 @@ def reconstruct_oracle(V, obs, method, max_iter=50, tol=1e-12, n_sub=16, fd_step
             # theta and its 2m central-difference probes in one log-ODE call
             m, c = theta.size, obs.c
             rows = theta + fd_step * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
-            inc = RoughIncrement.stack(
+            inc = RoughIncrement(
                 np.repeat(rows[:, :ell], c, axis=0),
                 np.repeat(area_matrix(rows[:, ell:], ell), c, axis=0),
             )

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
-from argparse import SUPPRESS
+from argparse import SUPPRESS, Namespace
 from pathlib import Path
 
 import numpy as np
@@ -1159,18 +1159,71 @@ class TestUsage:
         "argv",
         [
             ["search-points", "--system", "unicycle", "--n-trials", "{size}"],
-            ["lift", "--driver", "brownian", "--n-coarse", "{size}", "--out", "{tmp}/x.csv"],
-            ["lift", "--driver", "circle", "--n", "{size}", "--out", "{tmp}/x.csv"],
-            ["reconstruct", "--system", "unicycle", "--set", "driver.n={size}",
-             "--out-dir", "{tmp}/out"],
         ],
-        ids=["search_points", "brownian_lift", "circle_lift", "reconstruct"],
+        ids=["search_points"],
     )
     def test_size_that_cannot_be_allocated_is_usage_error(self, argv, size, capsys, tmp_path):
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path, size=size) for arg in argv))
         assert code == 64 and out == ""
         assert err.startswith("usage error: too large to allocate: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    # draws of more than MAX_SAMPLES samples: a Brownian driver's n_seeds * n_coarse *
+    # n_fine, or a circle or linear driver's n, just above the ceiling and beyond any
+    # address space
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lift", "--driver", "brownian", "--n-coarse", "1048577", "--n-fine", "4"],
+             "n_seeds * n_coarse * n_fine = 1 * 1048577 * 4 = 4194308 Brownian samples, "
+             "above MAX_SAMPLES = 4194304"),
+            (["lift", "--driver", "brownian", "--n-coarse", "100000000000000000000"],
+             "n_seeds * n_coarse * n_fine = 1 * 100000000000000000000 * 8 = "
+             "800000000000000000000 Brownian samples, above MAX_SAMPLES = 4194304"),
+            (["reconstruct", "--set", "driver.kind=brownian", "--set", "driver.n_coarse=1048577",
+              "--set", "driver.n_fine=4"],
+             "n_seeds * n_coarse * n_fine = 1 * 1048577 * 4 = 4194308 Brownian samples, "
+             "above MAX_SAMPLES = 4194304"),
+            (["convergence", "--set", "driver.kind=brownian", "--set", "driver.n_seeds=2",
+              "--set", "driver.n_coarse=1048577", "--set", "driver.n_fine=2"],
+             "n_seeds * n_coarse * n_fine = 2 * 1048577 * 2 = 4194308 Brownian samples, "
+             "above MAX_SAMPLES = 4194304"),
+            (["lift", "--driver", "circle", "--n", "4194305"],
+             "argument --n: value must be at most 4194304, got 4194305"),
+            (["lift", "--driver", "linear", "--v", "1,0,0", "--n", "100000000000000000000"],
+             "argument --n: value must be at most 4194304, got 100000000000000000000"),
+        ],
+        ids=["brownian_lift", "brownian_lift_beyond_memory", "reconstruct", "convergence",
+             "circle_lift", "linear_lift_beyond_memory"],
+    )
+    def test_draw_above_the_sample_ceiling_is_refused_before_any_work(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
+        def fail(*args):
+            raise AssertionError("a driver was drawn above the sample ceiling")
+
+        for name in ("sample_brownian_fine", "sample_brownian_lift", "circle_samples",
+                     "make_linear_rough_path"):
+            monkeypatch.setattr(cli.roughpath, name, fail)
+        out = {"lift": ["--out", str(tmp_path / "x.csv")],
+               "reconstruct": ["--out-dir", str(tmp_path / "out")],
+               "convergence": ["--out", str(tmp_path / "c.csv")]}[argv[0]]
+        assert cli.MAX_SAMPLES == 4194304
+        code, stdout, err = run(capsys, *argv, *out)
+        assert (code, stdout, err) == (64, "", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_brownian_draw_at_the_ceiling_is_allowed(self):
+        at = Namespace(driver="brownian", n_coarse=cli.MAX_SAMPLES // 2, n_fine=2)
+        cli._check_samples(at)
+        with pytest.raises(cli.UsageError, match="2 \\* 2097152 \\* 2 = 8388608"):
+            cli._check_samples(at, 2)
+
+    def test_one_parser_serves_every_call(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        assert parser.parse_args(["reconstruct", "--seed", "3"]).seed == 3
+        assert not hasattr(parser.parse_args(["reconstruct"]), "seed")  # nothing carried over
 
 
 PATH_HEAD = "t,X1,X2,A12\n0,0,0,0\n"
@@ -1429,9 +1482,9 @@ class TestConfigKeys:
         + [("reconstruct", "driver.n_seeds=8"), ("reconstruct", "schedule.kind=dyadic")]
         # uniform schedules are reconstruct's, and only a Brownian driver has seeds
         + [("convergence", "schedule.kind=uniform"), ("convergence", "driver.n_seeds=3")]
-        # a substep or point count above its ceiling
+        # a substep, point or sample count above its ceiling
         + [(command, f"{key}=1000000000000000") for command in ("reconstruct", "convergence")
-           for key in ("solver.n_sub", "points.c_max")],
+           for key in ("solver.n_sub", "points.c_max", "driver.n")],
     )
     def test_ruled_value_is_rejected_before_any_work(
         self, command, override, capsys, tmp_path, monkeypatch

@@ -143,8 +143,9 @@ def test_base_points_of_another_width_are_rejected_before_the_file_opens(tmp_pat
     "header, data",
     [(["a", "b"], np.ones((3, 3))), (["a"], np.ones((3, 3))), (["a", "b"], np.ones(2)),
      (["a", "b"], np.ones((2, 2, 2))), (["a", "b", "c"], [[1.0, 2.0]]),
-     (["a", "b"], [[1.0, 2.0], [3.0]])],
-    ids=["wider", "one_column", "one_dimensional", "three_dimensional", "narrower", "ragged"],
+     (["a", "b"], [[1.0, 2.0], [3.0]]), (["a", "b"], [[1.0, 2.0], [3.0, [4.0]]])],
+    ids=["wider", "one_column", "one_dimensional", "three_dimensional", "narrower", "ragged",
+         "ragged_below_the_rows"],
 )
 def test_write_table_rejects_another_width_before_the_file_opens(tmp_path, header, data):
     file = tmp_path / "table.csv"

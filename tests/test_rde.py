@@ -70,9 +70,9 @@ class TestEuler2Step:
         with pytest.raises(DimensionMismatch):
             euler2_step(sys.fields, np.zeros((4, 3)), RoughIncrement(np.zeros(2)))
         with pytest.raises(DimensionMismatch):
-            euler2_step(sys.fields, np.zeros(3), RoughIncrement.stack(np.zeros((4, 2))))
+            euler2_step(sys.fields, np.zeros(3), RoughIncrement(np.zeros((4, 2))))
         with pytest.raises(DimensionMismatch):
-            euler2_step(sys.fields, np.zeros((4, 3)), RoughIncrement.stack(np.zeros((4, 2))))
+            euler2_step(sys.fields, np.zeros((4, 3)), RoughIncrement(np.zeros((4, 2))))
 
 
 class TestLogodeStep:
@@ -208,7 +208,7 @@ class TestBatchedLogodeStep:
         V = fields()
         z, x, a = random_rows(V, 6, np.random.default_rng(31))
         a = a if area else np.zeros_like(a)
-        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=4)
+        got = logode_step(V, z, RoughIncrement(x, a), n_sub=4)
         for n in range(6):
             want = rk4_oracle(V, z[n], x[n], a[n], 4)
             np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -221,7 +221,7 @@ class TestBatchedLogodeStep:
         V = fields()
         z, x, a = random_rows(V, 4, np.random.default_rng(35))
         shared = logode_step(V, z, RoughIncrement(x[0], a[0]), n_sub=4)
-        repeated = RoughIncrement.stack(np.tile(x[0], (4, 1)), np.tile(a[0], (4, 1, 1)))
+        repeated = RoughIncrement(np.tile(x[0], (4, 1)), np.tile(a[0], (4, 1, 1)))
         stacked = logode_step(V, z, repeated, n_sub=4)
         np.testing.assert_allclose(shared, stacked, rtol=1e-14, atol=1e-15)
         for n in range(4):
@@ -244,7 +244,7 @@ class TestBatchedLogodeStep:
     def test_finite_difference_jacobians_go_through_the_stack(self):
         V = VectorFieldSet(triple_product().fields._evals, d=3)
         z, x, a = random_rows(V, 5, np.random.default_rng(32))
-        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=2)
+        got = logode_step(V, z, RoughIncrement(x, a), n_sub=2)
         for n in range(5):
             want = logode_step(V, z[n], RoughIncrement(x[n], a[n]), n_sub=2)
             np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
@@ -256,7 +256,7 @@ class TestBatchedLogodeStep:
             jacs=[lambda x: np.eye(2), lambda x: np.zeros((2, 2))],
         )
         z, x, a = random_rows(V, 4, np.random.default_rng(33))
-        got = logode_step(V, z, RoughIncrement.stack(x, a), n_sub=8)
+        got = logode_step(V, z, RoughIncrement(x, a), n_sub=8)
         for n in range(4):
             want = rk4_oracle(V, z[n], x[n], a[n], 8)
             np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
@@ -265,11 +265,11 @@ class TestBatchedLogodeStep:
         V = rolling_ball().fields
         z, x, a = random_rows(V, 3, np.random.default_rng(34))
         with pytest.raises(DimensionMismatch):
-            logode_step(V, z, RoughIncrement.stack(x[:2], a[:2]))
+            logode_step(V, z, RoughIncrement(x[:2], a[:2]))
         with pytest.raises(DimensionMismatch):
-            logode_step(V, z[0], RoughIncrement.stack(x, a))
+            logode_step(V, z[0], RoughIncrement(x, a))
         with pytest.raises(DimensionMismatch):
-            logode_step(V, z[:, :4], RoughIncrement.stack(x, a))
+            logode_step(V, z[:, :4], RoughIncrement(x, a))
 
     @pytest.mark.parametrize("per_field", [True, False], ids=["one_per_field", "one_for_all"])
     def test_constant_jacobian_steps_bitwise_as_its_filled_stack(self, per_field):
@@ -284,7 +284,7 @@ class TestBatchedLogodeStep:
         full = lambda x: np.broadcast_to(const, x.shape[:-1] + (V.ell, V.d, V.d)).copy()
         filled = VectorFieldSet.fused(V.fields_at, V.ell, V.d, full)
         z, x, a = random_rows(V, 5, np.random.default_rng(36))
-        for inc in (RoughIncrement.stack(x, a), RoughIncrement(x[0], a[0])):
+        for inc in (RoughIncrement(x, a), RoughIncrement(x[0], a[0])):
             np.testing.assert_array_equal(
                 logode_step(shared, z, inc, n_sub=4), logode_step(filled, z, inc, n_sub=4)
             )
@@ -304,7 +304,7 @@ class TestBatchedLogodeStep:
         bad = VectorFieldSet.fused(fields or V.fields_at, 3, 3, jacobians or V.jacobians_at)
         z, x, a = random_rows(V, 4, np.random.default_rng(37))
         with pytest.raises(DimensionMismatch, match=f"{what} returned shape"):
-            logode_step(bad, z, RoughIncrement.stack(x, a), n_sub=2)
+            logode_step(bad, z, RoughIncrement(x, a), n_sub=2)
 
 
 def _one_for_all_jacobian():

@@ -250,8 +250,9 @@ class TestModelParameters:
             (np.zeros(3), np.zeros((3, 3))),  # ell = 3 against a 2-field set
             (np.zeros(2), np.zeros((3, 3))),
             (np.zeros(2), np.zeros(2)),
+            (0.3, np.zeros((2, 2))),  # a scalar is neither one increment nor a stack
         ],
-        ids=["wrong_ell", "area_shape", "area_vector"],
+        ids=["wrong_ell", "area_shape", "area_vector", "scalar"],
     )
     def test_wrong_sizes_are_rejected(self, model, a, b):
         with pytest.raises(DimensionMismatch):
@@ -302,7 +303,7 @@ class TestFlowMap:
         rng = np.random.default_rng(43)
         xs = 0.1 * rng.standard_normal((12, 3))
         areas = area_matrix(0.01 * rng.standard_normal((12, 3)), 3)
-        stack = RoughIncrement.stack(np.repeat(xs, 3, axis=0), np.repeat(areas, 3, axis=0))
+        stack = RoughIncrement(np.repeat(xs, 3, axis=0), np.repeat(areas, 3, axis=0))
         got = logode_step(V, np.tile(points, (12, 1)), stack, 8).reshape(12, -1)
         for k in range(12):
             want = flow_map(V, points, xs[k], areas[k], n_sub=8)
@@ -1202,7 +1203,7 @@ class TestDossSussmann:
 
 class TestStitch:
     def test_single_segment(self):
-        inc = (np.array([1.0, 2.0]), area_matrix([0.5], 2))
+        inc = RoughIncrement([1.0, 2.0], area_matrix([0.5], 2))
         path = stitch([inc], [0.0, 1.0])
         got = path.increment(0, 1)
         np.testing.assert_array_equal(got.x, [1.0, 2.0])
@@ -1220,7 +1221,7 @@ class TestStitch:
             np.testing.assert_allclose(a.a, b.a, atol=1e-10)
 
     def test_invalid_times(self):
-        inc = (np.zeros(2), np.zeros((2, 2)))
+        inc = RoughIncrement(np.zeros(2))
         with pytest.raises(InvalidGrid):
             stitch([inc], [0.0, 1.0, 2.0])
 
@@ -1230,9 +1231,12 @@ class TestStitch:
                 stitch([], times)
 
     def test_mixed_dimensions_rejected(self):
-        segs = [(np.zeros(2), np.zeros((2, 2))), (np.zeros(3), np.zeros((3, 3)))]
-        with pytest.raises(DimensionMismatch):
-            stitch(segs, [0.0, 1.0, 2.0])
+        one = RoughIncrement(np.zeros(2))
+        for other in (RoughIncrement(np.zeros(3)), RoughIncrement(np.zeros((3, 2)))):
+            # another dimension, or a stack of three increments passed as one segment
+            for segs in ([one, other], [other, one]):
+                with pytest.raises(DimensionMismatch):
+                    stitch(segs, [0.0, 1.0, 2.0])
 
 
 def search_points_oracle(V, box_lo, box_hi, c_max, seed, n_trials=64):

@@ -80,35 +80,37 @@ class TestRoughIncrement:
             np.testing.assert_allclose(sym, 0.5 * np.outer(inc.x, inc.x), atol=scale)
 
     def test_shape_errors(self):
-        with pytest.raises(DimensionMismatch):
-            RoughIncrement(np.zeros((2, 2)))
+        for x in (1.0, np.zeros(0), np.zeros((0, 2)), np.zeros((2, 2, 2))):
+            with pytest.raises(DimensionMismatch, match="shape"):
+                RoughIncrement(x)
         with pytest.raises(DimensionMismatch):
             RoughIncrement(np.zeros(2), np.zeros((3, 3)))
 
-    def test_stack_holds_one_increment_per_row(self):
-        rng = np.random.default_rng(1)
-        incs = [random_increment(rng, 3) for _ in range(4)]
-        stack = RoughIncrement.stack([inc.x for inc in incs], [inc.a for inc in incs])
-        assert stack.ell == 3
-        for n, inc in enumerate(incs):
-            np.testing.assert_array_equal(stack.a[n], inc.a)
-            np.testing.assert_array_equal(stack.second_level[n], inc.second_level)
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_stack_rows_are_single_increments(self, n, ell, seed):
+        # row k of a stack is bitwise the increment of row k alone, the round-off
+        # residues of its area included, and a NaN in any row's area is rejected
+        rng = np.random.default_rng(seed)
+        xs, raw = rng.standard_normal((n, ell)), rng.standard_normal((n, ell, ell))
+        areas = raw - np.swapaxes(raw, 1, 2) + 1e-12 * rng.standard_normal((n, ell, ell))
+        stack = RoughIncrement(xs, areas)
+        assert stack.ell == ell
+        for k in range(n):
+            one = RoughIncrement(xs[k], areas[k])
+            for attr in ("x", "a", "second_level"):
+                assert getattr(stack, attr)[k].tobytes() == getattr(one, attr).tobytes(), attr
+        areas[rng.integers(n), rng.integers(ell), rng.integers(ell)] = np.nan
+        with pytest.raises(InvalidParameter):
+            RoughIncrement(xs, areas)
 
     def test_stack_errors(self):
         with pytest.raises(DimensionMismatch):
-            RoughIncrement.stack(np.zeros(2))
-        with pytest.raises(DimensionMismatch):
-            RoughIncrement.stack(np.zeros((4, 2)), np.zeros((2, 2)))
+            RoughIncrement(np.zeros((4, 2)), np.zeros((2, 2)))
         raw = np.zeros((4, 2, 2))
         raw[1, 0, 1] = 1.0  # upper triangle only: not an area
         with pytest.raises(InvalidParameter):
-            RoughIncrement.stack(np.zeros((4, 2)), raw)
-
-    def test_stack_rejects_nan_area(self):
-        areas = np.zeros((4, 2, 2))
-        areas[2] = [[np.nan, 1.0], [5.0, 0.0]]
-        with pytest.raises(InvalidParameter):
-            RoughIncrement.stack(np.zeros((4, 2)), areas)
+            RoughIncrement(np.zeros((4, 2)), raw)
 
 
 class TestChenMul:

@@ -108,7 +108,7 @@ def test_fused_evaluation_equals_the_list_form_adapter(builder):
         assert_bitwise(V.jacobians_at(x), listed.jacobians_at(x))
     x = 0.1 * rng.standard_normal((6, V.ell))
     upper = np.triu(0.1 * rng.standard_normal((6, V.ell, V.ell)), 1)
-    inc = RoughIncrement.stack(x, upper - np.swapaxes(upper, 1, 2))
+    inc = RoughIncrement(x, upper - np.swapaxes(upper, 1, 2))
     assert_bitwise(logode_step(V, stack, inc, n_sub=4), logode_step(listed, stack, inc, n_sub=4))
 
 
