@@ -10,6 +10,14 @@ states in lockstep, each row with its own increment; for an affine field set
 that step is one matrix per row, applied once per substep.  Each scheme is one
 run, `_euler2_states` or `_logode_states`, over the stacks of every grid step,
 built before it; `euler2_step` and `logode_step` are one checked step of it.
+The euler2 run first sweeps blocks of steps (Picard iteration, or waveform
+relaxation): one stacked evaluation at guessed start states takes every step
+of a block, and one cumsum adds them in order, as the loop adds.  The
+exactness rule keeps row i once rows 0..i-1 reproduce the previous sweep bit
+for bit, which proves row i's start the true one; the in-order loop steps
+whatever the sweeps leave.  Both rely on each row of a stacked evaluation
+being bitwise the evaluation of that row alone, so the run is bitwise a loop
+of `euler2_step`.
 `solve` keeps every grid state of one start; flow observation stacks every
 base point, driver path and observation interval into one log-ODE run and
 returns the states at the interval ends as one flat list, path-major.  All
@@ -31,6 +39,10 @@ from .vectorfields import VectorFieldSet
 # A step's error is set by its increment: once RK4 over a grid step is at round-off, more
 # substeps only add round-off.
 N_SUB = 16
+
+# The Picard sweeps of an euler2 solve (`_euler2_states`): at most _SWEEPS per block of grid
+# steps, the blocks _BLOCK_FIRST steps long and doubling up to _BLOCK_LAST while they settle.
+_SWEEPS, _BLOCK_FIRST, _BLOCK_LAST = 3, 64, 1024
 
 
 @dataclass(eq=False)
@@ -127,15 +139,68 @@ def _level2_step(coef, fields, row):
 
 
 def _euler2_states(V: VectorFieldSet, z, coef):
-    """The euler2 states from the checked state z, one step per stack [x; XX^T] in coef:
-    one checked field and Jacobian evaluation each, the Jacobians written into one row."""
+    """The euler2 states from the checked state z, one step per stack [x; XX^T] in coef,
+    bitwise the in-order loop of one checked field and Jacobian evaluation per step.
+
+    Blocks of steps are first swept (`_sweep`): every step of a block is taken at once
+    from guessed start states.  Exactness rule: row i is final once rows 0..i-1 of a
+    sweep equal the previous sweep bit for bit, for then row i started from its true
+    state.  Blocks start at _BLOCK_FIRST steps and double up to _BLOCK_LAST while they
+    settle in _SWEEPS sweeps; after a block that does not, the remaining steps (and a
+    last single step) go through the loop, which raises any error at its true step.
+    A finished sweep fixes one more row at least, so the evaluator calls of each kind
+    never exceed the steps, but for one sweep that raises.
+    """
     states = np.empty((len(coef), V.d))
+    done, size = 0, _BLOCK_FIRST
+    while len(coef) - done > 1:
+        block = coef[done : done + size]
+        settled = _sweep(V, z, block, states[done : done + size])
+        done += settled
+        z = states[done - 1] if done else z
+        if settled < len(block):
+            break
+        size = min(2 * size, _BLOCK_LAST)
     row, slots = _block_row((), V.ell, V.d)
-    for s, c in enumerate(coef):
+    for s in range(done, len(coef)):
         fields = V._at(z)
         slots[...] = V._at(z, jacobians=True).swapaxes(0, 1)
-        z = states[s] = z + _level2_step(c, fields, row)
+        z = states[s] = z + _level2_step(coef[s], fields, row)
     return states
+
+
+def _sweep(V: VectorFieldSet, z, coef, out):
+    """Write the leading euler2 states of one block from its true start z into out, by
+    at most _SWEEPS Picard sweeps, and return how many rows the exactness rule proves final.
+
+    A sweep evaluates the fields and Jacobians once, as stacks, at the guessed start
+    states of every step (at first all z, then the previous sweep's states), takes
+    every step by `_level2_step` and sums them in order from z by one cumsum, which
+    adds as the loop adds.  States are compared as uint64 bits, so signed zeros and
+    NaNs count.  A sweep that reproduces its guesses fixes the block.  Guesses may
+    overflow or leave a field's domain: sweeps run with numpy's warnings silenced, and
+    one that raises, whatever the exception, ends the block's sweeps.
+    """
+    n, final = len(coef), 0
+    row, slots = _block_row((n,), V.ell, V.d)
+    starts = np.tile(z, (n, 1))
+    try:
+        with np.errstate(all="ignore"):
+            for _ in range(_SWEEPS):
+                fields = V._at(starts)
+                slots[...] = V._at(starts, jacobians=True).swapaxes(-3, -2)
+                steps = _level2_step(coef, fields, row)
+                steps[0] += z
+                states = np.cumsum(steps, axis=0)
+                same = (states[:-1].view(np.uint64) == starts[1:].view(np.uint64)).all(axis=1)
+                final = n if same.all() else 1 + int(same.argmin())
+                out[:final] = states[:final]
+                if final == n:
+                    break
+                starts[1:] = states[:-1]
+    except Exception:  # raised at a guess, which proves nothing: the loop meets real errors
+        pass
+    return final
 
 
 def logode_step(V: VectorFieldSet, x, inc: RoughIncrement, n_sub=N_SUB):

@@ -55,10 +55,10 @@ class RoughIncrement:
     x is the level-1 increment, of shape (ell,), and a the antisymmetric area
     matrix (ell, ell); a stack of N increments, x of shape (N, ell) and a of
     shape (N, ell, ell), drives the rows of a lockstep log-ODE step one
-    increment each.  An absent a is zero.  The constructor antisymmetrizes a
-    and rejects inputs whose symmetric part is too large to be round-off, by
-    the same rule for every row, so row n of a stack is bitwise the increment
-    built from row n alone.
+    increment each.  An absent a is zero.  The constructor rejects non-finite
+    entries of x or a, antisymmetrizes a and rejects inputs whose symmetric
+    part is too large to be round-off, by the same rule for every row, so row
+    n of a stack is bitwise the increment built from row n alone.
     """
 
     __slots__ = ("x", "a")
@@ -67,6 +67,8 @@ class RoughIncrement:
         x = np.array(x, dtype=float)
         if x.ndim not in (1, 2) or x.size == 0:
             raise DimensionMismatch(f"increment x must have shape (ell,) or (N, ell), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise InvalidParameter("RoughIncrement: increment x has non-finite entries")
         shape = x.shape + x.shape[-1:]
         if a is None:
             a = np.zeros(shape)

@@ -105,8 +105,10 @@ def cvt() -> NamedSystem:
     def jacobians(x):
         q = _cvt_ratio(x)
         out = np.zeros(x.shape[:-1] + (2, 4, 4))
-        out[..., 0, 0, 3] = -1.0 / q**2
-        out[..., 0, 1, 3] = 1.0 / (1.0 - q) ** 2
+        # np.square, not **: on one state q is a NumPy scalar, whose ** is C pow, which
+        # can differ from the array square by one ulp
+        out[..., 0, 0, 3] = -1.0 / np.square(q)
+        out[..., 0, 1, 3] = 1.0 / np.square(1.0 - q)
         return out
 
     return NamedSystem(

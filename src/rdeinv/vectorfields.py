@@ -7,9 +7,11 @@ the first.  A result that only broadcasts to the full shape, such as a
 constant (ell, d) or (ell, d, d) stack, is accepted and filled out.  A (d,)
 state passes through unchanged, so callables written with ``x[..., k]``
 indexing serve both.  Rows are independent states: the integrators step
-whole stacks of base points, seeds and finite-difference probes in lockstep,
-so evaluators must be pure.  `fields_at`, `jacobians_at` and `compositions`
-evaluate every field at once; a caller indexes the field axis itself.
+whole stacks of base points, seeds, finite-difference probes and guessed
+euler2 starts in lockstep, so evaluators must be pure, and each row of a
+stacked result must be bitwise the result of that row alone.  `fields_at`,
+`jacobians_at` and `compositions` evaluate every field at once; a caller
+indexes the field axis itself.
 
 One table, `composition_table`, holds the compositions V_jV_k = DV_k V_j:
 `bracket` (indices 0-based ints or NumPy integers) and `bracket_columns`
@@ -151,6 +153,7 @@ class VectorFieldSet:
         if b.shape != (ell, d):
             raise DimensionMismatch(f"b must have shape {(ell, d)}, got {b.shape}")
         cat = A.transpose(2, 0, 1).reshape(d, ell * d)  # x @ cat = [A_1 x, ..., A_ell x]
+        A.setflags(write=False)  # the Jacobian of one state is A itself, not a copy
         self = cls.fused(lambda x: (x @ cat).reshape(x.shape[:-1] + (ell, d)) + b, ell, d,
                          lambda x: A)
         self.jac_mode = "affine"

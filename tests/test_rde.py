@@ -13,6 +13,7 @@ from rdeinv.errors import (
     IndexOutOfRange,
     InvalidParameter,
     NonFinite,
+    RdeinvError,
 )
 from rdeinv.rde import (
     ObservationSet,
@@ -416,6 +417,14 @@ class TestSolve:
             with pytest.raises(InvalidParameter, match="states must be finite"):
                 step(V, x, inc)
 
+    def test_non_finite_increment_reaches_neither_step(self):
+        # the increment itself is rejected, so euler2_step cannot return NaN where
+        # logode_step raises
+        V = unicycle().fields
+        for step in (euler2_step, logode_step):
+            with pytest.raises(InvalidParameter, match="increment x has non-finite entries"):
+                step(V, np.zeros(3), RoughIncrement([np.nan, 1.0]))
+
     @pytest.mark.parametrize("method", ["euler2", "logode"])
     def test_non_finite_start_state_rejected(self, method):
         sys = unicycle()
@@ -428,6 +437,19 @@ class TestSolve:
         path = lift_piecewise_linear([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(InvalidParameter):
             solve(sys.fields, np.zeros(1), path, method="rk45")
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
+
+def euler2_loop(V, x0, path):
+    """The states of solve(V, x0, path, "euler2") by one euler2_step per grid step."""
+    z, dx, states = x0, np.diff(path.values, axis=0), [x0]
+    for k in range(path.n):
+        z = euler2_step(V, z, RoughIncrement(dx[k], path.step_areas[k]))
+        states.append(z)
+    return np.array(states)
 
 
 def counted(fn, calls, key):
@@ -465,7 +487,9 @@ def counted_set(form, calls):
 
 
 class TestEuler2Loop:
-    """solve(method="euler2"): per grid step one field and one Jacobian evaluation, each checked."""
+    """solve(method="euler2"): Picard sweeps settle blocks of steps, one stacked field and
+    Jacobian evaluation per sweep, and the rest goes through the in-order loop, one of each
+    per step; every result is checked, and calls never exceed the grid steps."""
 
     @pytest.mark.parametrize(
         "form", ["fused", "list_form", "broadcastable", "nested_lists", "finite_difference"]
@@ -476,31 +500,76 @@ class TestEuler2Loop:
         path = sample_brownian_lift(V.ell, 8, 2, 1.0, seed=9)
         traj = solve(V, x0, path, method="euler2")
         n = path.n
-        if form == "list_form":
+        if form == "list_form":  # 3 sweeps fix 3 rows of triple_product, 5 go in order
             want = {(kind, i): n for kind in ("fields", "jacobians") for i in range(V.ell)}
-        elif form == "finite_difference":  # each Jacobian is 2d field calls
-            want = {"fields": n * (1 + 2 * V.d)}
-        else:
+        elif form == "broadcastable":  # as list_form: 3 sweeps, then 5 in-order steps
             want = {"fields": n, "jacobians": n}
+        elif form == "finite_difference":  # 3 sweeps settle the unicycle; a Jacobian is 2d calls
+            want = {"fields": 3 * (1 + 2 * V.d)}
+        else:  # 3 sweeps: the headings, then the positions, then a confirmation
+            want = {"fields": 3, "jacobians": 3}
         assert calls == want
+        for value in calls.values():  # never more calls than the in-order loop makes
+            assert value <= n * (1 + 2 * V.d if form == "finite_difference" else 1)
         if form == "nested_lists":  # the full check gives the values the fast one passes
             want = solve(unicycle().fields, x0, path, method="euler2")
             np.testing.assert_array_equal(traj.states, want.states)
 
     def test_wrong_shape_at_a_late_step_is_rejected(self):
-        # from the fifth call on the field evaluator returns (2, 4) for (2, 3); the fifth
-        # step raises, and the evaluator is not called again
+        # from the second call on the field evaluator returns (2, 4) for (2, 3): the second
+        # sweep raises, the in-order loop takes over after the row the first one fixed, and
+        # its first step raises at one state; the evaluator is not called again
         V, calls = unicycle().fields, {}
 
         def fields(x):
             calls["fields"] = calls.get("fields", 0) + 1
-            return V.fields_at(x) if calls["fields"] < 5 else np.zeros(x.shape[:-1] + (2, 4))
+            return V.fields_at(x) if calls["fields"] < 2 else np.zeros(x.shape[:-1] + (2, 4))
 
         bad = VectorFieldSet.fused(fields, 2, 3, V.jacobians_at)
         path = sample_brownian_lift(2, 8, 2, 1.0, seed=9)
-        with pytest.raises(DimensionMismatch, match=r"fields returned shape \(2, 4\)"):
+        with pytest.raises(DimensionMismatch, match=r"returned shape \(2, 4\), expected \(2, 3\)"):
             solve(bad, np.zeros(3), path, method="euler2")
-        assert calls == {"fields": 5}
+        assert calls == {"fields": 3}
+
+    def test_blocks_double_up_to_the_largest_and_settle_in_three_sweeps(self):
+        # 2100 unicycle steps: blocks of 64, 128, 256, 512, 1024 and the last 116, three
+        # sweeps each, bitwise the loop of euler2_step
+        calls = {}
+        V, x0 = counted_set("fused", calls)
+        path = sample_brownian_lift(V.ell, 2100, 1, 1.0, seed=5)
+        traj = solve(V, x0, path, method="euler2")
+        assert calls == {"fields": 18, "jacobians": 18}
+        assert_bitwise(traj.states, euler2_loop(V, x0, path))
+
+    def test_leaving_the_domain_after_the_first_block_raises_the_loops_error(self):
+        # q climbs by 0.006 a step from 0.5 and leaves (0, 1) at state 84, in the second
+        # block: its sweep raises, and the loop raises at the true step with its own message
+        V, n = cvt().fields, 100
+        values = np.column_stack([np.zeros(n + 1), 0.006 * np.arange(n + 1)])
+        path = lift_piecewise_linear(np.linspace(0.0, 1.0, n + 1), values)
+        x0 = np.array([0.0, 0.0, 0.0, 0.5])
+        with pytest.raises(DomainViolation) as looped:
+            euler2_loop(V, x0, path)
+        with pytest.raises(DomainViolation) as solved:
+            solve(V, x0, path, method="euler2")
+        assert str(solved.value) == str(looped.value)
+
+    def test_an_evaluator_error_at_a_guess_is_not_raised(self):
+        # x1 falls to -2 and x2 moves at rate exp(x1), so the first sweep's guesses for x2
+        # (rate 1) pass 0.6 where the true states stay below 0.44: the evaluator's own
+        # ValueError there ends the sweeps, and the loop finishes the run
+        def fields(x):
+            if np.any(x[..., 1] > 0.6):
+                raise ValueError("x2 above 0.6")
+            out = np.zeros(x.shape[:-1] + (2, 2))
+            out[..., 0, 0], out[..., 1, 1] = 1.0, np.exp(x[..., 0])
+            return out
+
+        V, n = VectorFieldSet.fused(fields, 2, 2), 100
+        values = np.column_stack([np.linspace(0.0, -2.0, n + 1), np.linspace(0.0, 1.0, n + 1)])
+        path = lift_piecewise_linear(np.linspace(0.0, 1.0, n + 1), values)
+        assert_bitwise(solve(V, np.zeros(2), path, method="euler2").states,
+                       euler2_loop(V, np.zeros(2), path))
 
     def test_leaving_the_domain_mid_trajectory_raises(self):
         # the second control moves the belt q by its increment alone: from q = 0.5 it
@@ -516,6 +585,40 @@ class TestEuler2Loop:
 
 
 SYSTEMS = named_systems()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.sampled_from(range(len(SYSTEMS))),
+    st.booleans(),
+    st.integers(1, 600),
+    st.sampled_from([0.01, 0.1, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_euler2_solve_is_bitwise_a_loop_of_steps(which, differenced, n, horizon, seed):
+    # the sweeps and the loop against one euler2_step per step, with analytic or
+    # finite-difference Jacobians; an error of the loop is solve's error, and a
+    # non-finite state is NonFinite
+    system = SYSTEMS[which]
+    V = system.fields
+    if differenced:
+        V = VectorFieldSet.fused(V.fields_at, V.ell, V.d)
+    rng = np.random.default_rng(seed)
+    x0 = system.recommended_points[0] + 0.1 * rng.uniform(-1.0, 1.0, V.d)
+    path = sample_brownian_lift(V.ell, n, 1, horizon, seed=seed)
+    try:
+        with np.errstate(all="ignore"):
+            want = euler2_loop(V, x0, path)
+    except RdeinvError as exc:
+        with pytest.raises(type(exc)) as raised:
+            solve(V, x0, path, method="euler2")
+        assert str(raised.value) == str(exc)
+        return
+    if not np.isfinite(want).all():
+        with pytest.raises(NonFinite):
+            solve(V, x0, path, method="euler2")
+        return
+    assert_bitwise(solve(V, x0, path, method="euler2").states, want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

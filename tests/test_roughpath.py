@@ -58,6 +58,12 @@ class TestRoughIncrement:
         with pytest.raises(InvalidParameter):
             RoughIncrement([0.0, 1.0], [[0.0, np.nan], [-np.nan, 0.0]])
 
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [[0.0, 1.0], [np.inf, 0.0]]], ids=["one", "stack"])
+    def test_rejects_non_finite_x(self, x):
+        # as a non-finite area is rejected: no step can take NaN from the increment silently
+        with pytest.raises(InvalidParameter, match="increment x has non-finite entries"):
+            RoughIncrement(x)
+
     def test_rejects_infinite_area_before_the_residue_test(self):
         # inf + (-inf) in the residue would warn; the finiteness check comes first
         with pytest.raises(InvalidParameter, match="non-finite entries"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdeinv.errors import DimensionMismatch, DomainViolation
 from rdeinv.rde import logode_step
@@ -64,18 +66,24 @@ def test_recommended_points_evaluate_finite(builder):
     ALL_SYSTEMS + [lambda: kohn(1), lambda: constant_fields(2, 3)],
     ids=["rolling_ball", "unicycle", "cvt", "triple_product", "kohn", "kohn_1", "constant"],
 )
-def test_stack_evaluation_equals_row_by_row(builder):
-    sys = builder()
-    rng = np.random.default_rng(23)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.booleans(), st.integers(1, 500), st.integers(0, 2**32 - 1))
+def test_stack_evaluation_equals_row_by_row(builder, differenced, n, seed):
+    # the contract the euler2 sweeps and the log-ODE stacks rely on: row n of a stacked
+    # evaluation is bitwise the evaluation of that row alone, with analytic Jacobians
+    # and with central differences
+    sys, rng = builder(), np.random.default_rng(seed)
+    V = sys.fields
+    if differenced:
+        V = VectorFieldSet.fused(V.fields_at, V.ell, V.d)
     name = "kohn" if sys.name.startswith("kohn") else sys.name
-    stack = np.array([random_domain_point(name, rng)[: sys.fields.d] for _ in range(7)])
-    fields = sys.fields.fields_at(stack)
-    jacs = sys.fields.jacobians_at(stack)
-    assert fields.shape == (7, sys.fields.ell, sys.fields.d)
-    assert jacs.shape == (7, sys.fields.ell, sys.fields.d, sys.fields.d)
-    for n, y in enumerate(stack):
-        np.testing.assert_array_equal(fields[n], sys.fields.fields_at(y))
-        np.testing.assert_array_equal(jacs[n], sys.fields.jacobians_at(y))
+    stack = np.array([random_domain_point(name, rng)[: V.d] for _ in range(n)])
+    fields, jacs = V.fields_at(stack), V.jacobians_at(stack)
+    assert fields.shape == (n, V.ell, V.d)
+    assert jacs.shape == (n, V.ell, V.d, V.d)
+    for row, y in enumerate(stack):
+        assert_bitwise(fields[row], V.fields_at(y))
+        assert_bitwise(jacs[row], V.jacobians_at(y))
 
 
 def assert_bitwise(a, b):
@@ -247,6 +255,16 @@ class TestCvt:
         sys = cvt()
         got = bracket(sys.fields, 0, 1, np.array([0.0, 0.0, 0.0, 0.5]))
         np.testing.assert_allclose(got, [4.0, -4.0, 0.0, 0.0], atol=1e-12)
+
+    def test_one_state_jacobian_is_bitwise_its_stack_row(self):
+        # on one state q is a NumPy scalar, whose ** (C pow) differs from the array square
+        # for about 1 q in 1300: the gains square with np.square on both
+        V = cvt().fields
+        stack = np.zeros((4000, 4))
+        stack[:, 3] = np.random.default_rng(8).uniform(0.05, 0.95, len(stack))
+        jacs = V.jacobians_at(stack)
+        for row, y in enumerate(stack):
+            assert_bitwise(jacs[row], V.jacobians_at(y))
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.7])
     def test_domain_violation(self, q):

@@ -10,9 +10,9 @@ from rdeinv.errors import (
     InvalidParameter,
     NonFinite,
 )
-from rdeinv.rde import euler2_step
-from rdeinv.roughpath import RoughIncrement, area_matrix
-from rdeinv.systems import rolling_ball, triple_product, unicycle
+from rdeinv.rde import euler2_step, solve
+from rdeinv.roughpath import RoughIncrement, area_matrix, sample_brownian_lift
+from rdeinv.systems import constant_fields, kohn, rolling_ball, triple_product, unicycle
 from rdeinv.vectorfields import VectorFieldSet, bracket, fd_jacobian
 
 
@@ -248,6 +248,20 @@ class TestAffine:
             linear.fields_at(stack), VectorFieldSet.affine(A, 0 * b).fields_at(stack)
         )
         assert not linear.generators[:, :, 4].any()
+
+    @pytest.mark.parametrize("builder", [rolling_ball, kohn, constant_fields],
+                             ids=["rolling_ball", "kohn", "constant"])
+    def test_a_written_jacobian_cannot_change_the_set(self, builder):
+        # the Jacobian of one state is the set's own read-only matrix stack, not a copy
+        V = builder().fields
+        x = np.linspace(0.1, 0.9, V.d)
+        path = sample_brownian_lift(V.ell, 16, 1, 1.0, seed=4)
+        before, states = V.jacobians_at(x).copy(), solve(V, x, path, method="euler2").states
+        J = V.jacobians_at(x)
+        with pytest.raises(ValueError, match="read-only"):
+            J[0] *= 2.0
+        np.testing.assert_array_equal(V.jacobians_at(x), before)
+        np.testing.assert_array_equal(solve(V, x, path, method="euler2").states, states)
 
     def test_other_sets_have_no_generators(self):
         assert unicycle().fields.generators is None
