@@ -54,7 +54,6 @@ from .roughpath import (
     chen_mul,
     coarsen,
     holder_norms,
-    lift_piecewise_linear,
     make_linear_rough_path,
     refine,
     sample_brownian_fine,
@@ -105,7 +104,6 @@ __all__ = [
     "flow_map",
     "holder_norms",
     "kohn",
-    "lift_piecewise_linear",
     "local_reconstruct_flow",
     "local_reconstruct_taylor",
     "logode_step",

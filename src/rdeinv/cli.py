@@ -243,7 +243,7 @@ def _build_driver(ns, seed) -> roughpath.GridRoughPath:
     if ns.driver == "circle":
         if ns.ell != 2:
             raise UsageError(f"a circle driver has 2 channels, not driver.ell = {ns.ell}")
-        return roughpath.lift_piecewise_linear(*roughpath.circle_samples(ns.n))
+        return roughpath.GridRoughPath(*roughpath.circle_samples(ns.n))
     if ns.driver == "linear":
         if ns.v is None:
             raise UsageError("linear driver needs --v (driver.v in a config)")
@@ -265,20 +265,21 @@ def _search(ns, system):
 def _resolve_points(ns, system, mode):
     """Base points as a (c, d) stack: the given ones (ns.points), else the greedy search's
     (mode "search") or the system's own (mode "recommended")."""
-    given = getattr(ns, "points", None)
-    if given:
-        if len({len(p) for p in given}) > 1:
-            raise UsageError(f"base points {[p.tolist() for p in given]} differ in length")
-        return np.vstack(given)
+    if ns.points:
+        if len({len(p) for p in ns.points}) > 1:
+            raise UsageError(f"base points {[p.tolist() for p in ns.points]} differ in length")
+        return np.vstack(ns.points)
     if mode == "search":
         return _search(ns, system).points
     return np.vstack(system.recommended_points)
 
 
 def _grid_index(path, time, what):
+    """Index of the grid time nearest `time`, which must lie within 1e-9 (t_n - t_0) of it,
+    in any unit of time (the ends are scaled first, so the span cannot overflow)."""
     idx = int(np.argmin(np.abs(path.times - time)))
-    scale = max(1.0, abs(float(path.times[-1])))
-    if not abs(path.times[idx] - time) <= 1e-9 * scale:  # a NaN time fails too
+    tol = 1e-9 * path.times[-1] - 1e-9 * path.times[0]
+    if not abs(path.times[idx] - time) <= tol:  # a NaN time fails too
         raise UsageError(
             f"{what} = {time} does not lie on the driver grid "
             f"(nearest grid time {path.times[idx]})"
@@ -351,17 +352,14 @@ def _write_json(data, file):
         fh.write("\n")
 
 
-def _report(report, out):
-    """Write report to the file out, when given, then print it: a failed write prints nothing."""
+def _rank_report(system, rm, out, extra):
+    """Report the rank test rm of system, its points and the keys of extra: write the report
+    to the file out, when given, then print it, so a failed write prints nothing."""
+    report = {"system": system.name, "m": rm.m, "rank": rm.rank, "points": rm.points.tolist(),
+              **extra}
     if out:
         _write_json(report, out)
     print(json.dumps(report, sort_keys=True))
-
-
-def _rank_report(system, rm, out, extra):
-    """`_report` the rank test rm of system, its points and the keys of extra."""
-    _report({"system": system.name, "m": rm.m, "rank": rm.rank, "points": rm.points.tolist(),
-             **extra}, out)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +371,7 @@ def cmd_lift(args):
         if not args.samples:
             raise UsageError("--driver file needs --samples")
         raw = roughpath.read_path_csv(args.samples)
-        path = roughpath.lift_piecewise_linear(raw.times, raw.values)
+        path = roughpath.GridRoughPath(raw.times, raw.values)
     else:
         _check_samples(args)
         path = _build_driver(args, args.seed)
@@ -387,7 +385,7 @@ def cmd_solve(args):
     path = roughpath.read_path_csv(args.path)
     x0 = args.x0
     if x0 is None or not x0.size:  # an empty --x0 means the recommended point
-        x0 = _resolve_points(args, system, "recommended")[0]
+        x0 = system.recommended_points[0]
     traj = rde.solve(system.fields, x0, path, method=args.method, n_sub=args.n_sub)
     rde.write_trajectory_csv(traj, args.out)
     print(json.dumps({"written": args.out, "n": path.n, "d": system.fields.d}))
@@ -459,9 +457,9 @@ def cmd_reconstruct(args):
     results_file = os.path.join(cfg.out_dir, "results.json")
     _write_json(summary, results_file)
     outputs = {"results": results_file}
-    # stitch when the intervals chain consecutively
-    chain = all(abs(a.t - b.s) < 1e-12 for a, b in zip(obs_list, obs_list[1:]))
-    if chain and results:
+    # stitch when the intervals chain consecutively: grid times of one array, or
+    # read back exactly from a %.17g CSV, so an interval chains by equality
+    if all(a.t == b.s for a, b in zip(obs_list, obs_list[1:])):
         times = [obs_list[0].s] + [obs.t for obs in obs_list]
         segments = [roughpath.RoughIncrement(res.a_hat, res.b_hat) for res in results]
         stitched = reconstruct.stitch(segments, times)

@@ -43,7 +43,7 @@ from .errors import (
 from .rde import (
     N_SUB, ObservationSet, _block_row, _check_step, _coefficients, _level2_step, logode_step,
 )
-from .roughpath import GridRoughPath, RoughIncrement, _antisymmetric_part, _second_level, area_matrix
+from .roughpath import GridRoughPath, RoughIncrement, _antisymmetric_part, _second_level, _split
 from .vectorfields import VectorFieldSet, bracket_columns, composition_table
 
 RANK_TOL = 1e-10  # the rank counts singular values above RANK_TOL times the largest
@@ -300,12 +300,8 @@ def _solve(thetas, evaluate, max_iter, tol, floor):
     return outcomes
 
 
-def _unpack(theta, ell):
-    return theta[..., :ell], area_matrix(theta[..., ell:], ell)
-
-
 def _result_from(theta, iterations, rvec, V, obs, eps1, eps2, method):
-    a_hat, b_hat = _unpack(theta, V.ell)
+    a_hat, b_hat = _split(theta, V.ell)
     per_point = rvec.reshape(obs.c, V.d)
     residual_sup = float(np.max(np.linalg.norm(per_point, axis=1)))
     outside = float(np.linalg.norm(theta)) > eps2  # beyond the injectivity radius
@@ -333,7 +329,7 @@ def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
 
         def evaluate(ks, thetas):
             # each problem's coefficient stack meets every base point, as in taylor_map
-            A, B = _unpack(thetas, ell)
+            A, B = _split(thetas, ell)
             coef = _coefficients((len(ks),), A, _second_level(A, B))
             images = base + _level2_step(coef[:, None], fields, row)
             jac = np.repeat(rm.mat[None], len(ks), axis=0)
@@ -348,7 +344,7 @@ def _evaluator(V: VectorFieldSet, problem, targets, method, n_sub):
     def evaluate(ks, thetas):
         # each theta, then its 2m central-difference probes, all in one flow_map call
         rows = (thetas[:, None] + shifts).reshape(-1, m)
-        images = flow_map(V, base, *_unpack(rows, ell), n_sub).reshape(len(ks), 2 * m + 1, -1)
+        images = flow_map(V, base, *_split(rows, ell), n_sub).reshape(len(ks), 2 * m + 1, -1)
         diff = images[:, 1 : m + 1] - images[:, m + 1 :]
         return images[:, 0] - targets[ks], diff.swapaxes(1, 2) / (2.0 * FD_STEP)
 

@@ -136,6 +136,11 @@ class GridRoughPath:
     follows in O(1) from the closed-form Chen inverse
     A_{ij} = A_{0j} - A_{0i} - 0.5 * (X_{0i} (x) X_{ij} - X_{ij} (x) X_{0i}).
     A path is its data: it stores no Holder exponent (`holder_norms` takes one).
+
+    An absent step_areas is the canonical lift of the sampled values: a
+    straight segment sweeps no area relative to its own chord, so the full
+    second level of each step is exactly 0.5 * outer(dx, dx), and areas over
+    wider intervals arise purely from Chen composition.
     """
 
     __slots__ = ("times", "values", "step_areas", "_prefix")
@@ -218,16 +223,6 @@ class GridRoughPath:
         return f"GridRoughPath(n={self.n}, ell={self.ell})"
 
 
-def lift_piecewise_linear(times, values) -> GridRoughPath:
-    """Canonical lift of a sampled path: every step area is zero.
-
-    A straight segment sweeps no area relative to its own chord, so the full
-    second level of each step is exactly 0.5 * outer(dx, dx); areas over wider
-    intervals arise purely from Chen composition.
-    """
-    return GridRoughPath(times, values)
-
-
 def _factor(factor, what):
     """factor as an int, or InvalidParameter unless it is an integer >= 1 (an integral
     float passes, a bool does not)."""
@@ -273,10 +268,10 @@ def coarsen(path: GridRoughPath, factor: int) -> GridRoughPath:
     return GridRoughPath(path.times[ends], path.values[ends], areas)
 
 
-def circle_samples(n, turns=1.0):
-    """Unit circle sampled at n+1 uniform parameter values over `turns` loops."""
+def circle_samples(n):
+    """Unit circle sampled at n+1 uniform parameter values over one loop."""
     n = count(n, "n")
-    times = np.linspace(0.0, 2.0 * np.pi * turns, n + 1)
+    times = np.linspace(0.0, 2.0 * np.pi, n + 1)
     return times, np.column_stack([np.cos(times), np.sin(times)])
 
 
@@ -347,6 +342,12 @@ def area_matrix(components, ell):
     return a - np.swapaxes(a, -1, -2)
 
 
+def _split(theta, ell):
+    """(x, a) of parameter vectors theta = [x; a^{jk}, j < k], over leading axes: the first
+    ell entries are the increment, the rest the area components in `_pairs` order."""
+    return theta[..., :ell], area_matrix(theta[..., ell:], ell)
+
+
 def make_linear_rough_path(v, ell, times) -> GridRoughPath:
     """Rough path whose increments are exactly linear in the interval length.
 
@@ -361,8 +362,7 @@ def make_linear_rough_path(v, ell, times) -> GridRoughPath:
     if v.shape != (m,):
         raise DimensionMismatch(f"v must have length {m} for ell={ell}, got {v.shape}")
     times = np.asarray(times, dtype=float)
-    v_lin = v[:ell]
-    a_mat = area_matrix(v[ell:], ell)
+    v_lin, a_mat = _split(v, ell)
     with np.errstate(over="ignore", invalid="ignore"):  # GridRoughPath rejects the overflow
         values = np.outer(times - times[0], v_lin)
         step_areas = a_mat[None, :, :] * np.diff(times)[:, None, None]

@@ -184,11 +184,6 @@ class VectorFieldSet:
             )
         return finite(x, what)
 
-    def _check_index(self, *indices):
-        for i in indices:
-            if not (is_int(i) and 0 <= i < self.ell):
-                raise IndexOutOfRange(f"field index {i!r} is not an integer in [0, {self.ell})")
-
     def _at(self, x, jacobians=False):
         """Field values (..., ell, d) or Jacobians (..., ell, d, d) at a (d,) state or an
         (N, d) stack x that the caller has already checked, each result `_checked`."""
@@ -233,5 +228,7 @@ def bracket_columns(comps):
 
 def bracket(V: VectorFieldSet, j, k, x):
     """Lie bracket [V_j, V_k](x) = DV_k(x) V_j(x) - DV_j(x) V_k(x), at one state or a stack."""
-    V._check_index(j, k)
+    for i in (j, k):
+        if not (is_int(i) and 0 <= i < V.ell):
+            raise IndexOutOfRange(f"field index {i!r} is not an integer in [0, {V.ell})")
     return _brackets(V.compositions(x)[1], j, k)

@@ -29,7 +29,6 @@ from rdeinv.roughpath import (
     area_matrix,
     chen_mul,
     circle_samples,
-    lift_piecewise_linear,
     make_linear_rough_path,
     sample_brownian_fine,
 )
@@ -139,15 +138,15 @@ def test_ac3_chen_and_weak_geometricity():
     times = np.sort(rng.uniform(0, 1, 7))
     times[0], times[-1] = 0.0, 1.0
     values = rng.standard_normal((7, 2))
-    base = lift_piecewise_linear(times, values).increment(0, 6)
+    base = GridRoughPath(times, values).increment(0, 6)
     t_mid = 0.5 * (times[3] + times[4])
     v_mid = 0.5 * (values[3] + values[4])
-    fine = lift_piecewise_linear(
+    fine = GridRoughPath(
         np.insert(times, 4, t_mid), np.insert(values, 4, v_mid, axis=0)
     ).increment(0, 7)
     ok &= np.linalg.norm(base.x - fine.x) <= 1e-10
     ok &= np.linalg.norm(base.a - fine.a) <= 1e-10
-    loop = lift_piecewise_linear(*circle_samples(10_000))
+    loop = GridRoughPath(*circle_samples(10_000))
     inc = loop.increment(0, loop.n)
     ok &= np.linalg.norm(inc.x) <= 1e-6
     ok &= abs(inc.a[0, 1] - np.pi) <= 1e-4
@@ -158,7 +157,7 @@ def test_ac4_solver_order():
     t0 = time.perf_counter()
     sys_ = rolling_ball()
     x0 = np.eye(3).ravel()
-    fine = lift_piecewise_linear(*circle_samples(2**14))
+    fine = GridRoughPath(*circle_samples(2**14))
     top = 1024
     sub = GridRoughPath(fine.times[: top + 1], fine.values[: top + 1], fine.step_areas[:top])
     ref = solve(sys_.fields, x0, sub, method="logode", n_sub=4)
@@ -189,7 +188,7 @@ def test_ac5_reconstruction_order():
     sys_ = rolling_ball()
     base = np.array([np.eye(3).ravel()])
     # (i) smooth driver, both methods
-    fine = lift_piecewise_linear(*circle_samples(2**13))
+    fine = GridRoughPath(*circle_samples(2**13))
     top = 512
     lengths, e_taylor, e_flow = [], [], []
     for k in range(5):
@@ -296,7 +295,7 @@ def test_ac8_stitching():
     t0 = time.perf_counter()
     n_fine, n_local = 64 * 256, 64
     f = n_fine // n_local
-    fine = lift_piecewise_linear(*circle_samples(n_fine))
+    fine = GridRoughPath(*circle_samples(n_fine))
     segments = [fine.increment(k * f, (k + 1) * f) for k in range(n_local)]
     stitched = stitch(segments, fine.times[::f])
     total = stitched.increment(0, n_local)
@@ -320,7 +319,7 @@ def test_ac9_trust_region_constants():
     ok &= abs(eps1 - 1.0 / pinv_norm) <= 1e-10
     ok &= abs(eps2 - 1.0 / (2.0 * (2.0 + 2.0 * np.sqrt(2.0)))) <= 1e-12
     # Lipschitz stability of the minimiser under observation perturbations
-    fine = lift_piecewise_linear(*circle_samples(2**12))
+    fine = GridRoughPath(*circle_samples(2**12))
     base = np.array([np.eye(3).ravel()])
     obs = observe_flow(sys_.fields, base, fine, 0, 64, n_internal=1)
     res0 = local_reconstruct_taylor(sys_.fields, obs)
@@ -389,7 +388,7 @@ def test_ac10_cli_determinism_and_roundtrips(tmp_path, capsys):
     direct = solve(
         rolling_ball().fields,
         np.eye(3).ravel(),
-        lift_piecewise_linear(*circle_samples(64)),
+        GridRoughPath(*circle_samples(64)),
         method="logode",
         n_sub=8,
     )

@@ -18,8 +18,8 @@ from rdeinv.cli import main
 from rdeinv.rde import observe_flow, read_trajectory_csv, solve
 from rdeinv.reconstruct import local_reconstruct_taylor
 from rdeinv.roughpath import (
+    GridRoughPath,
     circle_samples,
-    lift_piecewise_linear,
     read_path_csv,
     sample_brownian_lift,
     write_path_csv,
@@ -297,7 +297,7 @@ class TestLiftSolveRoundTrip:
         code, _, _ = run(capsys, "lift", "--driver", "circle", "--n", "64", "--out", str(out_file))
         assert code == 0
         from_file = read_path_csv(out_file)
-        direct = lift_piecewise_linear(*circle_samples(64))
+        direct = GridRoughPath(*circle_samples(64))
         assert np.array_equal(from_file.values, direct.values)
         assert np.array_equal(from_file.times, direct.times)
 
@@ -323,7 +323,7 @@ class TestLiftSolveRoundTrip:
         assert code == 0
         sys_ = rolling_ball()
         direct = solve(
-            sys_.fields, np.eye(3).ravel(), lift_piecewise_linear(*circle_samples(32)),
+            sys_.fields, np.eye(3).ravel(), GridRoughPath(*circle_samples(32)),
             method="logode", n_sub=8,
         )
         from_file = read_trajectory_csv(traj_file)
@@ -485,6 +485,68 @@ class TestObserve:
         assert "grid" in err
 
 
+
+class TestGridTimes:
+    """A given time matches a grid time within 1e-9 of the grid's span, in any unit of
+    time, and intervals chain only when one ends at exactly the time where the next begins."""
+
+    def write_grid(self, tmp_path, t_end, n):
+        times = np.linspace(0.0, t_end, n + 1)
+        path_file = tmp_path / "path.csv"
+        write_path_csv(GridRoughPath(times, np.outer(times, [1.0, 0.5])), path_file)
+        return path_file, times
+
+    @pytest.mark.parametrize("t_end", [1e-9, 1.0])
+    def test_off_grid_time_is_usage_error_on_every_scale(self, capsys, tmp_path, t_end):
+        # 0.33 of the span lies 0.08 of it from the nearest of 5 grid times
+        path_file, _ = self.write_grid(tmp_path, t_end, 4)
+        obs_file = tmp_path / "obs.csv"
+        code, out, err = run(
+            capsys, "observe", "--system", "unicycle", "--path", str(path_file),
+            "--intervals", f"0,{0.33 * t_end!r}", "--out", str(obs_file),
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("usage error: t = ") and "does not lie on the driver grid" in err
+        assert len(err.splitlines()) == 1
+        assert not obs_file.exists()
+
+    def test_grid_times_of_a_short_horizon_match(self, capsys, tmp_path):
+        # the exact grid times of a horizon-0.05 grid, and one 1e-12 of the span away
+        path_file, times = self.write_grid(tmp_path, 0.05, 4)
+        obs_file = tmp_path / "obs.csv"
+        near = times[3] + 0.05e-12
+        code, _, err = run(
+            capsys, "observe", "--system", "unicycle", "--path", str(path_file),
+            "--intervals", f"0,{times[1]:.17g};{times[2]:.17g},{near:.17g}", "--out", str(obs_file),
+        )
+        assert code == 0, err
+        observed = reconstruct.read_observations_csv(obs_file)
+        assert [(obs.s, obs.t) for obs in observed] == [(0.0, times[1]), (times[2], times[3])]
+
+    @pytest.mark.parametrize("intervals, chained", [
+        ("0,1e-13;2e-13,3e-13", False),  # 1e-13 apart: no chain, however short the grid
+        ("0,1e-13;1e-13,3e-13", True),
+    ])
+    def test_intervals_chain_by_equal_times(self, capsys, tmp_path, intervals, chained):
+        path_file, times = self.write_grid(tmp_path, 3e-13, 3)
+        obs_file, out_dir = tmp_path / "obs.csv", tmp_path / "out"
+        code, _, err = run(
+            capsys, "observe", "--system", "unicycle", "--path", str(path_file),
+            "--intervals", intervals, "--out", str(obs_file),
+        )
+        assert code == 0, err
+        code, out, err = run(
+            capsys, "reconstruct", "--system", "unicycle", "--obs", str(obs_file),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0, err
+        assert ("stitched" in json.loads(out)["outputs"]) is chained
+        assert (out_dir / "stitched.csv").exists() is chained
+        if chained:
+            stitched = read_path_csv(out_dir / "stitched.csv")
+            np.testing.assert_array_equal(stitched.times, times[[0, 1, 3]])
+
+
 def write_config(tmp_path, text):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(text)
@@ -528,7 +590,7 @@ class TestReconstructCommand:
         assert results["rank"] == 3
         assert all(r["iterations"] >= 1 for r in results["results"])
         stitched = read_path_csv(outputs["stitched"])
-        driver = lift_piecewise_linear(*circle_samples(1024))
+        driver = GridRoughPath(*circle_samples(1024))
         got = stitched.increment(0, 8)
         want = driver.increment(0, 64)
         assert np.linalg.norm(got.x - want.x) < 1e-3
@@ -704,7 +766,7 @@ dir = {}
         assert code == 0
         results = json.loads((tmp_path / "ingest" / "results.json").read_text())
         assert results["n_intervals"] == 2
-        driver = lift_piecewise_linear(*circle_samples(64))
+        driver = GridRoughPath(*circle_samples(64))
         want = driver.increment(0, 2)
         got = np.array(results["results"][0]["a_hat"])
         assert np.linalg.norm(got - want.x) < 5e-3

@@ -21,7 +21,6 @@ from rdeinv.reconstruct import read_observations_csv, write_observations_csv
 from rdeinv.roughpath import (
     GridRoughPath,
     area_matrix,
-    lift_piecewise_linear,
     read_path_csv,
     write_path_csv,
 )
@@ -79,7 +78,7 @@ def test_path_csv_without_areas_is_the_linear_lift(data):
         file = Path(tmp) / "plain.csv"
         write_table(file, ["t"] + numbered("X", ell), np.column_stack([times, values]))
         back = read_path_csv(file)
-    want = lift_piecewise_linear(times, values)
+    want = GridRoughPath(times, values)
     for attr in ("times", "values", "step_areas"):
         assert same_bits(getattr(back, attr), getattr(want, attr)), attr
 
@@ -125,6 +124,8 @@ def test_repeated_interval_is_rejected_before_the_file_opens(tmp_path):
     file = tmp_path / "obs.csv"
     with pytest.raises(InvalidParameter, match="repeated"):
         write_observations_csv([obs, obs], file)
+    with pytest.raises(InvalidParameter, match="need at least one observation set"):
+        write_observations_csv([], file)
     assert not file.exists()
 
 

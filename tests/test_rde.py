@@ -17,6 +17,7 @@ from rdeinv.errors import (
 )
 from rdeinv.rde import (
     ObservationSet,
+    Trajectory,
     euler2_step,
     logode_step,
     observe_flow,
@@ -29,7 +30,6 @@ from rdeinv.roughpath import (
     GridRoughPath,
     RoughIncrement,
     circle_samples,
-    lift_piecewise_linear,
     refine,
     sample_brownian_fine,
     sample_brownian_lift,
@@ -342,7 +342,7 @@ class TestSolve:
 
     def test_rolling_ball_stays_orthogonal_on_circle(self):
         sys = rolling_ball()
-        path = lift_piecewise_linear(*circle_samples(256))
+        path = GridRoughPath(*circle_samples(256))
         traj = solve(sys.fields, np.eye(3).ravel(), path, method="logode", n_sub=8)
         worst = max(
             np.linalg.norm(m.reshape(3, 3).T @ m.reshape(3, 3) - np.eye(3))
@@ -356,7 +356,7 @@ class TestSolve:
         x0 = np.eye(3).ravel()
         gaps = []
         for n in (32, 64, 128):
-            path = lift_piecewise_linear(*circle_samples(n))
+            path = GridRoughPath(*circle_samples(n))
             a = solve(sys.fields, x0, path, method="logode", n_sub=8)
             b = solve(sys.fields, x0, refine(path, 2), method="logode", n_sub=8)
             gaps.append(np.max(np.abs(a.states[-1] - b.states[-1])))
@@ -434,7 +434,7 @@ class TestSolve:
 
     def test_unknown_method(self):
         sys = constant_fields(1, 1)
-        path = lift_piecewise_linear([0.0, 1.0], [[0.0], [1.0]])
+        path = GridRoughPath([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(InvalidParameter):
             solve(sys.fields, np.zeros(1), path, method="rk45")
 
@@ -546,7 +546,7 @@ class TestEuler2Loop:
         # block: its sweep raises, and the loop raises at the true step with its own message
         V, n = cvt().fields, 100
         values = np.column_stack([np.zeros(n + 1), 0.006 * np.arange(n + 1)])
-        path = lift_piecewise_linear(np.linspace(0.0, 1.0, n + 1), values)
+        path = GridRoughPath(np.linspace(0.0, 1.0, n + 1), values)
         x0 = np.array([0.0, 0.0, 0.0, 0.5])
         with pytest.raises(DomainViolation) as looped:
             euler2_loop(V, x0, path)
@@ -567,7 +567,7 @@ class TestEuler2Loop:
 
         V, n = VectorFieldSet.fused(fields, 2, 2), 100
         values = np.column_stack([np.linspace(0.0, -2.0, n + 1), np.linspace(0.0, 1.0, n + 1)])
-        path = lift_piecewise_linear(np.linspace(0.0, 1.0, n + 1), values)
+        path = GridRoughPath(np.linspace(0.0, 1.0, n + 1), values)
         assert_bitwise(solve(V, np.zeros(2), path, method="euler2").states,
                        euler2_loop(V, np.zeros(2), path))
 
@@ -576,9 +576,9 @@ class TestEuler2Loop:
         # reaches 1.1 after three steps of 0.2, and the fourth step's evaluation raises
         V = cvt().fields
         values = [[0.1 * k, 0.2 * k] for k in range(6)]
-        path = lift_piecewise_linear(np.linspace(0.0, 1.0, 6), values)
+        path = GridRoughPath(np.linspace(0.0, 1.0, 6), values)
         x0 = np.array([0.0, 0.0, 0.0, 0.5])
-        head = lift_piecewise_linear(np.linspace(0.0, 0.4, 3), values[:3])
+        head = GridRoughPath(np.linspace(0.0, 0.4, 3), values[:3])
         assert solve(V, x0, head, method="euler2").states[-1, 3] == pytest.approx(0.9)
         with pytest.raises(DomainViolation, match="q must lie in"):
             solve(V, x0, path, method="euler2")
@@ -645,7 +645,7 @@ class TestOneStepOrder:
         sys = rolling_ball()
         x0 = np.eye(3).ravel()
         n_fine = 2**14
-        fine = lift_piecewise_linear(*circle_samples(n_fine))
+        fine = GridRoughPath(*circle_samples(n_fine))
         top = 1024  # largest tested interval in fine steps
         sub = GridRoughPath(
             fine.times[: top + 1], fine.values[: top + 1], fine.step_areas[:top]
@@ -711,7 +711,7 @@ class TestObserveFlow:
 
     def test_rolling_ball_observations_stay_orthogonal(self):
         sys = rolling_ball()
-        path = lift_piecewise_linear(*circle_samples(64))
+        path = GridRoughPath(*circle_samples(64))
         rng = np.random.default_rng(5)
         q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -834,6 +834,11 @@ class TestObserveFlow:
         assert (got.s, got.t) == (want.s, want.t)
         np.testing.assert_array_equal(got.observed, want.observed)
 
+    def test_path_and_fields_must_share_ell(self):
+        path = sample_brownian_lift(3, 4, 2, 1.0, seed=3)
+        with pytest.raises(DimensionMismatch, match="path has ell=3"):
+            observe_flows(unicycle().fields, np.zeros(3), [path], [(0, 2)])
+
     def test_non_finite_base_points_rejected(self):
         sys = unicycle()
         path = sample_brownian_lift(2, 4, 2, 1.0, seed=3)
@@ -853,6 +858,8 @@ class TestObserveFlow:
     def test_observation_set_validation(self):
         with pytest.raises(InvalidParameter):
             ObservationSet(np.zeros((1, 2)), 1.0, 1.0, np.zeros((1, 2)))
+        with pytest.raises(InvalidParameter, match="need at least one base point"):
+            ObservationSet(np.zeros((0, 2)), 0.0, 1.0, np.zeros((0, 2)))
         with pytest.raises(DimensionMismatch):
             ObservationSet(np.zeros((1, 2)), 0.0, 1.0, np.zeros((2, 2)))
 
@@ -865,9 +872,13 @@ class TestObserveFlow:
 
 
 class TestTrajectoryCsv:
+    def test_one_state_row_per_time(self):
+        with pytest.raises(DimensionMismatch, match="one state row per grid time"):
+            Trajectory([0.0, 0.5, 1.0], np.zeros((2, 3)))
+
     def test_roundtrip_bitwise(self, tmp_path):
         sys = rolling_ball()
-        path = lift_piecewise_linear(*circle_samples(16))
+        path = GridRoughPath(*circle_samples(16))
         traj = solve(sys.fields, np.eye(3).ravel(), path, n_sub=4)
         file = tmp_path / "traj.csv"
         write_trajectory_csv(traj, file)

@@ -46,10 +46,10 @@ from rdeinv.reconstruct import (
     write_observations_csv,
 )
 from rdeinv.roughpath import (
+    GridRoughPath,
     RoughIncrement,
     area_matrix,
     circle_samples,
-    lift_piecewise_linear,
     make_linear_rough_path,
     sample_brownian_lift,
 )
@@ -365,7 +365,7 @@ class TestTrustRegion:
 def circle_truth_and_observations(n_fine, top, base_points, n_internal=1, n_sub=4):
     """Fine circle lift, its dyadic increments from 0 and flow observations."""
     sys = rolling_ball()
-    fine = lift_piecewise_linear(*circle_samples(n_fine))
+    fine = GridRoughPath(*circle_samples(n_fine))
     data = []
     for k in range(5):
         j = top >> k
@@ -615,6 +615,22 @@ class TestReconstructMany:
         else:
             assert got is None and type(got_error) is type(want_error)
             assert str(got_error) == str(want_error)
+
+    @pytest.mark.parametrize("method", ["taylor", "flow"])
+    @pytest.mark.parametrize("build", [unicycle, rolling_ball])
+    def test_generic_points_match_one_at_a_time(self, build, method):
+        # at points drawn from a box, rather than the recommended ones, one lstsq
+        # of several right-hand sides gives some columns other last bits than the
+        # per-set solve, and so other results: each set keeps its own start
+        sys = build()
+        points = np.random.default_rng(3).uniform(-0.8, 0.8, (3, sys.fields.d))
+        path = sample_brownian_lift(sys.fields.ell, 64, 4, 1.0, 0)
+        pairs = [(0, 2**k) for k in range(1, 7)]
+        obs_list = observe_flows(sys.fields, points, [path], pairs, 16)
+        got, got_error = batched_recovery(sys.fields, obs_list, method, n_sub=8)
+        want, want_error = loop_recovery(sys.fields, obs_list, method, n_sub=8)
+        assert got_error is None and want_error is None
+        assert_same_results(got, want)
 
     def test_single_problem_is_the_local_recovery(self):
         V, obs_list = triple_product_intervals()
@@ -1131,6 +1147,10 @@ class TestReconstructionResult:
                 np.zeros(2), [[np.nan, 1.0], [5.0, 0.0]], 0.0, 0.0, 1, 1.0, 1.0, "taylor"
             )
 
+    def test_rejects_nan_residual(self):
+        with pytest.raises(NonFinite, match="residual must be finite"):
+            ReconstructionResult(np.zeros(2), np.zeros((2, 2)), np.nan, 0.0, 1, 1.0, 1.0, "taylor")
+
     def test_round_off_residue_is_antisymmetrised_as_an_increment_area(self):
         b = [[0.0, 0.3], [-0.3 + 1e-11, 0.0]]
         res = ReconstructionResult(np.zeros(2), b, 0.0, 0.0, 1, 1.0, 1.0, "taylor")
@@ -1141,7 +1161,7 @@ class TestStability:
     def test_perturbation_bounded_by_two_over_eps1(self):
         sys = rolling_ball()
         base = np.array([np.eye(3).ravel()])
-        fine = lift_piecewise_linear(*circle_samples(2**12))
+        fine = GridRoughPath(*circle_samples(2**12))
         obs = observe_flow(sys.fields, base, fine, 0, 64, n_internal=1)
         res0 = local_reconstruct_taylor(sys.fields, obs)
         eps1 = res0.eps1
@@ -1210,7 +1230,7 @@ class TestStitch:
         assert got.a[0, 1] == 0.5
 
     def test_exact_locals_recompose(self):
-        fine = lift_piecewise_linear(*circle_samples(4096))
+        fine = GridRoughPath(*circle_samples(4096))
         f = 4096 // 64
         segments = [fine.increment(k * f, (k + 1) * f) for k in range(64)]
         stitched = stitch(segments, fine.times[::f])
@@ -1445,7 +1465,7 @@ class TestNecessity:
 class TestObservationCsv:
     def test_roundtrip(self, tmp_path):
         sys = rolling_ball()
-        fine = lift_piecewise_linear(*circle_samples(64))
+        fine = GridRoughPath(*circle_samples(64))
         base = [np.eye(3).ravel()]
         obs = [
             observe_flow(sys.fields, base, fine, 0, 16, n_internal=2),
@@ -1464,7 +1484,7 @@ class TestObservationCsv:
         # intervals observed at two base-point sets of different sizes read
         # back as written, and each set recovers as it would alone
         sys = rolling_ball()
-        fine = lift_piecewise_linear(*circle_samples(64))
+        fine = GridRoughPath(*circle_samples(64))
         one = np.eye(3).ravel()[None]
         two = np.vstack([one, expm(0.7 * ROLLING_BALL_A1 - 0.4 * ROLLING_BALL_A2).ravel()])
         obs = [

@@ -24,7 +24,6 @@ from rdeinv.roughpath import (
     circle_samples,
     coarsen,
     holder_norms,
-    lift_piecewise_linear,
     make_linear_rough_path,
     read_path_csv,
     refine,
@@ -162,6 +161,15 @@ class TestGridRoughPath:
             GridRoughPath([0.0, 0.0], np.zeros((2, 1)))
         with pytest.raises(InvalidGrid):
             GridRoughPath([0.0, 1.0], np.zeros((3, 1)))
+        with pytest.raises(InvalidGrid, match="need at least two grid times"):
+            GridRoughPath([0.0], np.zeros((1, 1)))
+        with pytest.raises(InvalidGrid, match=r"step_areas must have shape \(2, 2, 2\)"):
+            GridRoughPath([0.0, 0.5, 1.0], np.zeros((3, 2)), np.zeros((3, 2, 2)))
+
+    def test_one_dimensional_values_are_one_channel(self):
+        path = GridRoughPath([0.0, 0.5, 1.0], [0.0, 1.0, 3.0])
+        assert path.ell == 1
+        np.testing.assert_array_equal(path.values, [[0.0], [1.0], [3.0]])
 
     def test_a_path_is_its_data(self):
         # no stored Holder exponent: the constructor, the slots and the repr carry none
@@ -237,13 +245,13 @@ class TestGridRoughPath:
     def test_linear_path_total_has_no_area(self):
         v = np.array([1.0, 2.0])
         times = np.linspace(0.0, 3.0, 7)
-        path = lift_piecewise_linear(times, np.outer(times, v))
+        path = GridRoughPath(times, np.outer(times, v))
         inc = path.increment(0, path.n)
         np.testing.assert_allclose(inc.x, 3.0 * v, atol=1e-14)
         assert np.max(np.abs(inc.a)) < 1e-14
 
     def test_index_errors(self):
-        path = lift_piecewise_linear([0.0, 1.0], np.zeros((2, 1)))
+        path = GridRoughPath([0.0, 1.0], np.zeros((2, 1)))
         with pytest.raises(IndexOutOfRange):
             path.increment(0, 2)
         with pytest.raises(IndexOutOfRange):
@@ -251,12 +259,12 @@ class TestGridRoughPath:
 
     @pytest.mark.parametrize("i, j", [(0.5, 2), (True, 3), (0, 2.0), (0, np.float64(3)), (False, 1)])
     def test_index_must_be_an_integer(self, i, j):
-        path = lift_piecewise_linear(np.arange(4.0), np.arange(8.0).reshape(4, 2))
+        path = GridRoughPath(np.arange(4.0), np.arange(8.0).reshape(4, 2))
         with pytest.raises(IndexOutOfRange, match="need integers"):
             path.increment(i, j)
 
     def test_numpy_integer_index_is_accepted(self):
-        path = lift_piecewise_linear(np.arange(4.0), np.arange(8.0).reshape(4, 2) ** 2)
+        path = GridRoughPath(np.arange(4.0), np.arange(8.0).reshape(4, 2) ** 2)
         got, want = path.increment(np.int64(1), np.int32(3)), path.increment(1, 3)
         np.testing.assert_array_equal(got.x, want.x)
         np.testing.assert_array_equal(got.a, want.a)
@@ -274,13 +282,13 @@ class TestLift:
                 make_linear_rough_path([1.0], value, [0.0, 1.0])
 
     def test_two_samples_single_step(self):
-        path = lift_piecewise_linear([0.0, 1.0], [[0.0, 0.0], [1.0, 2.0]])
+        path = GridRoughPath([0.0, 1.0], [[0.0, 0.0], [1.0, 2.0]])
         assert path.n == 1
         assert np.all(path.step_areas == 0)
 
     def test_circle_loop_closes_with_area_pi(self):
         times, values = circle_samples(10_000)
-        path = lift_piecewise_linear(times, values)
+        path = GridRoughPath(times, values)
         inc = path.increment(0, path.n)
         assert np.linalg.norm(inc.x) <= 1e-6
         # signed area of the inscribed polygon: 0.5 * loop integral of (x-x0)dy - (y-y0)dx
@@ -291,19 +299,19 @@ class TestLift:
         times = np.sort(rng.uniform(0.0, 1.0, 9))
         times[0], times[-1] = 0.0, 1.0
         values = rng.standard_normal((9, 3))
-        base = lift_piecewise_linear(times, values).increment(0, 8)
+        base = GridRoughPath(times, values).increment(0, 8)
         # insert the midpoint of segment 4
         tm = 0.5 * (times[4] + times[5])
         vm = 0.5 * (values[4] + values[5])
         times2 = np.insert(times, 5, tm)
         values2 = np.insert(values, 5, vm, axis=0)
-        fine = lift_piecewise_linear(times2, values2).increment(0, 9)
+        fine = GridRoughPath(times2, values2).increment(0, 9)
         np.testing.assert_allclose(base.x, fine.x, atol=1e-10)
         np.testing.assert_allclose(base.a, fine.a, atol=1e-10)
 
     def test_invalid_grid(self):
         with pytest.raises(InvalidGrid):
-            lift_piecewise_linear([0.0, 1.0, 1.0], np.zeros((3, 2)))
+            GridRoughPath([0.0, 1.0, 1.0], np.zeros((3, 2)))
 
 
 class TestRefineCoarsen:
@@ -326,7 +334,7 @@ class TestRefineCoarsen:
 
     @pytest.mark.parametrize("factor", [2.5, 1.9, 0, -2, 0.5, np.nan, np.inf, True, np.True_])
     def test_factor_must_be_a_positive_integer(self, factor):
-        path = lift_piecewise_linear(np.linspace(0, 1, 9), np.zeros((9, 2)))
+        path = GridRoughPath(np.linspace(0, 1, 9), np.zeros((9, 2)))
         for op in (refine, coarsen):
             with pytest.raises(InvalidParameter, match="must be an integer >= 1"):
                 op(path, factor)
@@ -340,7 +348,7 @@ class TestRefineCoarsen:
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_coarsen_requires_divisibility(self):
-        path = lift_piecewise_linear(np.linspace(0, 1, 8), np.zeros((8, 2)))
+        path = GridRoughPath(np.linspace(0, 1, 8), np.zeros((8, 2)))
         with pytest.raises(InvalidGrid):
             coarsen(path, 3)
 
@@ -476,11 +484,15 @@ class TestAreaPacking:
         a = area_matrix([1.0, 2.0, 3.0], 3)
         assert a[0, 1] == 1.0 and a[0, 2] == 2.0 and a[1, 2] == 3.0
 
+    def test_component_count_is_checked(self):
+        with pytest.raises(DimensionMismatch, match="need 3 area components for ell=3"):
+            area_matrix([1.0, 2.0], 3)
+
 
 class TestHolderNorms:
     def test_constant_path(self):
         values = np.tile([2.0, -1.0], (5, 1))
-        path = lift_piecewise_linear(np.linspace(0, 1, 5), values)
+        path = GridRoughPath(np.linspace(0, 1, 5), values)
         norms = holder_norms(path, 0.5)
         assert norms.sup_norm == pytest.approx(np.sqrt(5.0))
         assert norms.holder1 == 0.0
@@ -489,21 +501,21 @@ class TestHolderNorms:
     def test_linear_path_alpha_half(self):
         v = np.array([3.0, 4.0])
         times = np.linspace(0.0, 1.0, 9)
-        path = lift_piecewise_linear(times, np.outer(times, v))
+        path = GridRoughPath(times, np.outer(times, v))
         norms = holder_norms(path, alpha=0.5)
         # (t-s)/(t-s)^0.5 is largest on the full interval, giving |v|
         assert norms.holder1 == pytest.approx(5.0, rel=1e-12)
 
     def test_monotone_under_refinement(self):
-        coarse = lift_piecewise_linear(*circle_samples(64))
-        fine = lift_piecewise_linear(*circle_samples(128))
+        coarse = GridRoughPath(*circle_samples(64))
+        fine = GridRoughPath(*circle_samples(128))
         a, b = holder_norms(coarse, 0.5), holder_norms(fine, 0.5)
         assert b.sup_norm >= 0.95 * a.sup_norm
         assert b.holder1 >= 0.95 * a.holder1
         assert b.holder2 >= 0.95 * a.holder2
 
     def test_exponent_is_required_and_in_the_unit_interval(self):
-        path = lift_piecewise_linear(np.linspace(0.0, 1.0, 9), circle_samples(8)[1])
+        path = GridRoughPath(np.linspace(0.0, 1.0, 9), circle_samples(8)[1])
         with pytest.raises(TypeError):
             holder_norms(path)
         for alpha in (0.0, 1.0, -0.5, np.nan):
@@ -563,13 +575,19 @@ def chen_scale(path, i, j):
     return 1.0 + sum(prefix) + x0i * np.linalg.norm(path.values[j] - path.values[i])
 
 
+def circle_turns(n, turns):
+    """The unit circle sampled at n+1 uniform parameter values over `turns` loops."""
+    times = np.linspace(0.0, 2.0 * np.pi * turns, n + 1)
+    return times, np.column_stack([np.cos(times), np.sin(times)])
+
+
 class TestPrefixAgainstFold:
     """Prefix-sum increments against the step-by-step Chen fold on long, large-area paths."""
 
     # name: (builder, coarsening factor)
     PATHS = {
-        "circle_1_turn": (lambda: lift_piecewise_linear(*circle_samples(10_000, 1.0)), 16),
-        "circle_3_turns": (lambda: lift_piecewise_linear(*circle_samples(10_000, 3.0)), 16),
+        "circle_1_turn": (lambda: GridRoughPath(*circle_samples(10_000)), 16),
+        "circle_3_turns": (lambda: GridRoughPath(*circle_turns(10_000, 3.0)), 16),
         "brownian_65536": (lambda: sample_brownian_fine(2, 16384, 4, 1.0, 0), 256),
         "brownian_ell3": (lambda: sample_brownian_lift(3, 2048, 8, 1.0, 7), 8),
     }

@@ -219,6 +219,8 @@ class TestFusedForm:
                 VectorFieldSet.fused(lambda x: x, 1, value)
             with pytest.raises(InvalidParameter, match="d must be an integer >= 1"):
                 VectorFieldSet([lambda x: x], value)
+        with pytest.raises(DimensionMismatch, match="need one Jacobian per field"):
+            VectorFieldSet([lambda x: x, lambda x: x], 3, jacs=[lambda x: np.eye(3)])
         for fd_step in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParameter, match="fd_step must be finite and > 0"):
                 VectorFieldSet.fused(lambda x: x, 1, 3, fd_step=fd_step)
